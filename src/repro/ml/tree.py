@@ -4,30 +4,39 @@ The split search evaluates a bounded number of candidate thresholds per
 feature (quantiles of the node's sample), which keeps training fast enough
 for METAM's hundreds of interventional queries while preserving accuracy on
 the small-to-medium tables of the evaluation.
+
+A fitted tree is five parallel arrays in pre-order (node 0 is the root,
+``left_[i] == i + 1`` for every internal node): ``feature_`` (``-1`` at a
+leaf), ``threshold_`` (``nan`` at a leaf), ``left_`` / ``right_`` (a leaf
+points at itself, so a walk that has arrived stays put) and ``value_``
+(the node's own prediction; only leaves are ever returned).  ``predict``,
+``depth`` and the forest's importances are array walks over them.
+
+One builder grows both criteria from a row-index array per node over a
+transposed feature matrix, so a node gathers only the columns it draws.
+It is pinned bit for bit to ``tests/ml/reference_tree.py`` (the recursive
+builder this one replaced) by ``tests/ml/test_tree_diff.py``.  Three
+things are load-bearing for that identity and must not be "optimised":
+
+* each candidate column is ``argsort``-ed with ``kind="quicksort"`` in the
+  node's original row order — the order inside a group of tied values
+  decides how ``cumsum(y)`` rounds at the group's boundary, and duplicated
+  or per-key-constant augmentation columns make exactly tied gains
+  common, so a presorted or stable order flips splits;
+* growth is depth-first, left before right, with one ``rng.choice`` per
+  non-terminal node — a node's feature draw depends on how many nodes
+  drew before it in pre-order (the draw is also the known floor: ~7 µs
+  of a ~45 µs node at two drawn features);
+* every float expression of the impurity scans keeps its operation order.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.utils.rng import ensure_rng
-
-
-class _Node:
-    """Internal tree node; leaves have ``value`` set and no children."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self, feature=None, threshold=None, left=None, right=None, value=None):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.value = value
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.value is not None
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -38,8 +47,48 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - np.sum(p * p))
 
 
+def check_max_features(value):
+    """``None`` (all features), ``"sqrt"`` or an int >= 1; else ``ValueError``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        valid = value >= 1
+    else:
+        valid = value is None or (isinstance(value, str) and value == "sqrt")
+    if not valid:
+        raise ValueError(f'max_features must be None, "sqrt" or an int >= 1, got {value!r}')
+    return value
+
+
+def check_xy(x, y, target_dtype=None):
+    """Validated training arrays: 2-D finite float ``x``, ``y`` of the same
+    length (cast to ``target_dtype`` and finite when one is given)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"x must be 2-D, got shape {x.shape}")
+    y = np.asarray(y, dtype=target_dtype)
+    if len(x) != len(y):
+        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
+    if len(x) == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x contains NaN/inf; impute before fitting")
+    if target_dtype is not None and not np.all(np.isfinite(y)):
+        raise ValueError("y contains NaN/inf; drop or impute the target")
+    return x, y
+
+
+@lru_cache(maxsize=4096)
+def _threshold_picks(n_boundaries: int, n_thresholds: int) -> np.ndarray:
+    """Which of ``n_boundaries`` value changes are kept as candidates."""
+    picks = np.linspace(0, n_boundaries - 1, n_thresholds).astype(int)
+    picks.setflags(write=False)
+    return picks
+
+
 class _BaseDecisionTree:
-    """Shared recursive builder for the classifier and the regressor."""
+    """Shared depth-first builder for the classifier and the regressor."""
+
+    #: dtype the target is cast to (and checked finite in); None keeps labels.
+    _target_dtype = None
 
     def __init__(
         self,
@@ -55,170 +104,161 @@ class _BaseDecisionTree:
         self.max_depth = max_depth
         self.min_samples_split = max(2, min_samples_split)
         self.min_samples_leaf = max(1, min_samples_leaf)
-        self.max_features = max_features
+        self.max_features = check_max_features(max_features)
         self.n_thresholds = n_thresholds
         self.seed = seed
-        self._root = None
+        self.feature_ = None
         self._n_features = None
 
     # -- subclass hooks -------------------------------------------------
-    def _leaf_value(self, y):
+    def _prepare_target(self, y, rows):
+        """Per-fit form of the target, indexed like ``y``."""
         raise NotImplementedError
 
-    def _impurity(self, y) -> float:
+    def _node_stats(self, target, idx, need_impurity):
+        """``(prediction, impurity or None, payload for _child_impurity)``."""
         raise NotImplementedError
 
-    def _prepare_target(self, y):
-        return np.asarray(y)
+    def _child_impurity(self, payload, order, positions, n_left, n):
+        """Weighted child impurity per candidate position."""
+        raise NotImplementedError
 
     # -- fitting ---------------------------------------------------------
     def fit(self, x, y):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2:
-            raise ValueError(f"x must be 2-D, got shape {x.shape}")
-        y = self._prepare_target(y)
-        if len(x) != len(y):
-            raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-        if len(x) == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("x contains NaN/inf; impute before fitting")
-        self._n_features = x.shape[1]
+        x, y = check_xy(x, y, self._target_dtype)
+        return self._grow(np.ascontiguousarray(x.T), y, np.arange(len(y)))
+
+    def _grow(self, xT, y, rows):
+        """Grow on trusted arrays: ``xT`` the contiguous ``(F, n)`` transpose
+        of a ``check_xy`` matrix, ``rows`` the sample to fit in row order
+        (a bootstrap repeats rows; nothing is copied for it)."""
+        self._n_features = n_features = len(xT)
+        if self.max_features is None:
+            n_draw = n_features
+        elif self.max_features == "sqrt":
+            n_draw = max(1, int(np.sqrt(n_features)))
+        else:
+            n_draw = min(self.max_features, n_features)
+        target = self._prepare_target(y, rows)
+        counts = np.arange(1, len(rows) + 1, dtype=float)
         rng = ensure_rng(self.seed)
-        self._root = self._build(x, y, depth=0, rng=rng)
+        min_leaf, n_thresholds = self.min_samples_leaf, self.n_thresholds
+        feature, threshold, left, right, value = [], [], [], [], []
+        # Pre-order: a left child is always its parent + 1, so only a right
+        # child needs to be told whose ``right`` entry it is.
+        stack = [(rows, 0, -1)]
+        while stack:
+            idx, depth, right_of = stack.pop()
+            node, n = len(feature), len(idx)
+            if right_of >= 0:
+                right[right_of] = node
+            splittable = depth < self.max_depth and n >= self.min_samples_split
+            prediction, impurity, payload = self._node_stats(target, idx, splittable)
+            value.append(prediction)
+            best_gain, best = 1e-12, None
+            if splittable and impurity != 0.0:
+                if n_draw < n_features:
+                    drawn = rng.choice(n_features, size=n_draw, replace=False)
+                else:
+                    drawn = range(n_features)
+                for f in drawn:
+                    column = xT[f][idx]
+                    order = column.argsort(kind="quicksort")
+                    sorted_col = column[order]
+                    positions = (sorted_col[1:] != sorted_col[:-1]).nonzero()[0]
+                    if positions.size > n_thresholds:
+                        positions = positions[_threshold_picks(positions.size, n_thresholds)]
+                    if min_leaf > 1:
+                        positions = positions[
+                            (positions + 1 >= min_leaf) & (n - (positions + 1) >= min_leaf)
+                        ]
+                    if positions.size == 0:
+                        continue
+                    impurities = self._child_impurity(
+                        payload, order, positions, counts[positions], n
+                    )
+                    local_best = impurities.argmin()
+                    gain = impurity - float(impurities[local_best])
+                    if gain > best_gain:
+                        best_gain = gain
+                        pos = positions[local_best]
+                        cut = float((sorted_col[pos] + sorted_col[pos + 1]) / 2.0)
+                        best = (int(f), cut, column)
+            if best is None:
+                feature.append(-1)
+                threshold.append(np.nan)
+                left.append(node)
+                right.append(node)
+                continue
+            goes_left = best[2] <= best[1]
+            feature.append(best[0])
+            threshold.append(best[1])
+            left.append(node + 1)
+            right.append(-1)
+            stack.append((idx[~goes_left], depth + 1, node))
+            stack.append((idx[goes_left], depth + 1, -1))
+        self.feature_ = np.array(feature, dtype=np.intp)
+        self.threshold_ = np.array(threshold)
+        self.left_ = np.array(left, dtype=np.intp)
+        self.right_ = np.array(right, dtype=np.intp)
+        self.value_ = np.array(value)
         return self
 
-    def _n_candidate_features(self) -> int:
-        if self.max_features is None:
-            return self._n_features
-        if self.max_features == "sqrt":
-            return max(1, int(np.sqrt(self._n_features)))
-        return max(1, min(int(self.max_features), self._n_features))
-
-    def _build(self, x, y, depth, rng) -> _Node:
-        if (
-            depth >= self.max_depth
-            or len(y) < self.min_samples_split
-            or self._impurity(y) == 0.0
-        ):
-            return _Node(value=self._leaf_value(y))
-
-        feature, threshold = self._best_split(x, y, rng)
-        if feature is None:
-            return _Node(value=self._leaf_value(y))
-
-        mask = x[:, feature] <= threshold
-        left = self._build(x[mask], y[mask], depth + 1, rng)
-        right = self._build(x[~mask], y[~mask], depth + 1, rng)
-        return _Node(feature=feature, threshold=threshold, left=left, right=right)
-
-    def _boundaries(self, sorted_col: np.ndarray) -> np.ndarray:
-        """Candidate split positions: indices after which the sorted value
-        changes, subsampled to at most ``n_thresholds`` and filtered by the
-        leaf-size constraint."""
-        n = len(sorted_col)
-        positions = np.nonzero(sorted_col[1:] != sorted_col[:-1])[0]
-        if positions.size == 0:
-            return positions
-        if positions.size > self.n_thresholds:
-            picks = np.linspace(0, positions.size - 1, self.n_thresholds).astype(int)
-            positions = positions[picks]
-        sizes_left = positions + 1
-        valid = (sizes_left >= self.min_samples_leaf) & (
-            n - sizes_left >= self.min_samples_leaf
-        )
-        return positions[valid]
-
-    def _scan_splits(self, sorted_col, sorted_y, positions):
-        """Weighted child impurity per candidate position (subclass hook)."""
-        raise NotImplementedError
-
-    def _best_split(self, x, y, rng):
-        n_feats = self._n_candidate_features()
-        if n_feats < self._n_features:
-            features = rng.choice(self._n_features, size=n_feats, replace=False)
-        else:
-            features = range(self._n_features)
-
-        parent = self._impurity(y)
-        best_gain = 1e-12
-        best = (None, None)
-        for feature in features:
-            column = x[:, feature]
-            order = np.argsort(column, kind="quicksort")
-            sorted_col = column[order]
-            positions = self._boundaries(sorted_col)
-            if positions.size == 0:
-                continue
-            impurities = self._scan_splits(sorted_col, y[order], positions)
-            local_best = int(np.argmin(impurities))
-            gain = parent - float(impurities[local_best])
-            if gain > best_gain:
-                best_gain = gain
-                pos = int(positions[local_best])
-                best = (
-                    int(feature),
-                    float((sorted_col[pos] + sorted_col[pos + 1]) / 2.0),
-                )
-        return best
-
     # -- prediction -------------------------------------------------------
-    def _predict_one(self, row):
-        node = self._root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.value
+    def _check_fitted(self, what: str) -> None:
+        if self.feature_ is None:
+            raise RuntimeError(f"{what} called before fit")
 
     def predict(self, x) -> np.ndarray:
-        if self._root is None:
-            raise RuntimeError("predict called before fit")
+        self._check_fitted("predict")
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self._n_features:
             raise ValueError(
                 f"x must have shape (n, {self._n_features}), got {x.shape}"
             )
-        return np.array([self._predict_one(row) for row in x])
+        rows = np.arange(len(x))
+        node = np.zeros(len(x), dtype=np.intp)
+        while True:
+            feature = self.feature_[node]
+            if (feature < 0).all():
+                return self.value_[node]
+            # A row already on a leaf reads the last column against nan:
+            # False, and a leaf's right is itself.
+            goes_left = x[rows, feature] <= self.threshold_[node]
+            node = np.where(goes_left, self.left_[node], self.right_[node])
 
     def depth(self) -> int:
         """Actual depth of the fitted tree (0 for a single leaf)."""
-
-        def _depth(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(_depth(node.left), _depth(node.right))
-
-        if self._root is None:
-            raise RuntimeError("depth called before fit")
-        return _depth(self._root)
+        self._check_fitted("depth")
+        depth, level = -1, np.zeros(1, dtype=np.intp)
+        while level.size:
+            level = level[self.feature_[level] >= 0]
+            level = np.concatenate((self.left_[level], self.right_[level]))
+            depth += 1
+        return depth
 
 
 class DecisionTreeClassifier(_BaseDecisionTree):
     """CART classifier over integer-encoded labels."""
 
-    def _prepare_target(self, y):
-        y = np.asarray(y)
-        self.classes_ = np.unique(y)
+    def _prepare_target(self, y, rows):
+        self.classes_ = np.unique(y[rows])
         return y
 
-    def _impurity(self, y) -> float:
-        _, counts = np.unique(y, return_counts=True)
-        return _gini(counts.astype(float))
+    def _node_stats(self, target, idx, need_impurity):
+        values, codes, counts = np.unique(
+            target[idx], return_inverse=True, return_counts=True
+        )
+        impurity = _gini(counts.astype(float)) if need_impurity else None
+        return values[counts.argmax()], impurity, codes
 
-    def _leaf_value(self, y):
-        values, counts = np.unique(y, return_counts=True)
-        return values[int(np.argmax(counts))]
-
-    def _scan_splits(self, sorted_col, sorted_y, positions):
+    def _child_impurity(self, codes, order, positions, n_left, n):
         """Vectorized Gini scan via cumulative class counts."""
-        n = len(sorted_y)
-        _, codes = np.unique(sorted_y, return_inverse=True)
-        n_classes = codes.max() + 1
-        one_hot = np.zeros((n, n_classes))
-        one_hot[np.arange(n), codes] = 1.0
+        one_hot = np.zeros((n, codes.max() + 1))
+        one_hot[np.arange(n), codes[order]] = 1.0
         cum = np.cumsum(one_hot, axis=0)
         left = cum[positions]                      # (b, c)
         right = cum[-1] - left
-        n_left = (positions + 1).astype(float)
         n_right = n - n_left
         gini_left = 1.0 - np.sum((left / n_left[:, None]) ** 2, axis=1)
         gini_right = 1.0 - np.sum((right / n_right[:, None]) ** 2, axis=1)
@@ -228,39 +268,37 @@ class DecisionTreeClassifier(_BaseDecisionTree):
         """Hard class-membership probabilities (0/1 per leaf vote)."""
         preds = self.predict(x)
         out = np.zeros((len(preds), len(self.classes_)))
-        index = {c: i for i, c in enumerate(self.classes_)}
-        for i, p in enumerate(preds):
-            out[i, index[p]] = 1.0
+        out[np.arange(len(preds)), np.searchsorted(self.classes_, preds)] = 1.0
         return out
 
 
 class DecisionTreeRegressor(_BaseDecisionTree):
     """CART regressor minimizing within-node variance."""
 
-    def _prepare_target(self, y):
-        return np.asarray(y, dtype=float)
+    _target_dtype = float
 
-    def _impurity(self, y) -> float:
-        if y.size == 0:
-            return 0.0
-        return float(np.var(y))
+    def _prepare_target(self, y, rows):
+        return np.stack((y, y**2))
 
-    def _leaf_value(self, y):
-        return float(np.mean(y))
+    def _node_stats(self, target, idx, need_impurity):
+        # Mean and variance in np.mean's / np.var's own two-pass order.
+        if not need_impurity:
+            return float(np.add.reduce(target[0][idx]) / len(idx)), None, None
+        moments = target.take(idx, axis=1)
+        y = moments[0]
+        mean = np.add.reduce(y) / len(idx)
+        deviation = y - mean
+        np.multiply(deviation, deviation, out=deviation)
+        return float(mean), float(np.add.reduce(deviation) / len(idx)), moments
 
-    def _scan_splits(self, sorted_col, sorted_y, positions):
+    def _child_impurity(self, moments, order, positions, n_left, n):
         """Vectorized variance scan via cumulative sums of y and y²."""
-        n = len(sorted_y)
-        cum_y = np.cumsum(sorted_y)
-        cum_y2 = np.cumsum(sorted_y**2)
-        n_left = (positions + 1).astype(float)
+        cum = moments.take(order, axis=1).cumsum(axis=1)  # rows: sum y, sum y²
+        left = cum.take(positions, axis=1)
+        right = cum[:, -1:] - left
         n_right = n - n_left
-        sum_left = cum_y[positions]
-        sum_right = cum_y[-1] - sum_left
-        sum2_left = cum_y2[positions]
-        sum2_right = cum_y2[-1] - sum2_left
-        var_left = np.maximum(0.0, sum2_left / n_left - (sum_left / n_left) ** 2)
-        var_right = np.maximum(
-            0.0, sum2_right / n_right - (sum_right / n_right) ** 2
-        )
+        left /= n_left
+        right /= n_right
+        var_left = np.maximum(0.0, left[1] - left[0] ** 2)
+        var_right = np.maximum(0.0, right[1] - right[0] ** 2)
         return (n_left * var_left + n_right * var_right) / n

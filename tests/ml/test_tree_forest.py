@@ -146,3 +146,67 @@ class TestRandomForest:
     def test_invalid_n_estimators(self):
         with pytest.raises(ValueError):
             RandomForestClassifier(n_estimators=0)
+
+
+TREES = [DecisionTreeClassifier, DecisionTreeRegressor]
+FORESTS = [RandomForestClassifier, RandomForestRegressor]
+
+
+class TestTypedErrors:
+    """Inputs and states that used to pass silently or die with an
+    unrelated exception deep inside the builder."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("model", [DecisionTreeRegressor, RandomForestRegressor])
+    def test_non_finite_regression_target_rejected(self, model, bad):
+        x = np.arange(8.0).reshape(-1, 1)
+        y = np.arange(8.0)
+        y[3] = bad
+        with pytest.raises(ValueError, match="y contains NaN/inf"):
+            model().fit(x, y)
+
+    def test_forest_validates_once_not_per_tree(self, linear_data, monkeypatch):
+        from repro.ml import forest, tree
+
+        calls = []
+
+        def counting(x, y, target_dtype=None, _check=tree.check_xy):
+            calls.append(len(x))
+            return _check(x, y, target_dtype)
+
+        monkeypatch.setattr(forest, "check_xy", counting)
+        monkeypatch.setattr(tree, "check_xy", counting)
+        x, y = linear_data
+        RandomForestRegressor(n_estimators=4, seed=0).fit(x, y)
+        assert calls == [len(x)]
+
+    @pytest.mark.parametrize("bad", [0, -1, 0.5, 2.0, "log2", True])
+    @pytest.mark.parametrize("model", TREES + FORESTS)
+    def test_invalid_max_features_rejected_at_construction(self, model, bad):
+        with pytest.raises(ValueError, match="max_features"):
+            model(max_features=bad)
+
+    @pytest.mark.parametrize("good", [None, "sqrt", 1, np.int64(2), 99])
+    @pytest.mark.parametrize("model", TREES + FORESTS)
+    def test_valid_max_features_fit(self, model, good, blob_data):
+        x, y = blob_data
+        assert len(model(max_features=good, seed=0).fit(x, y).predict(x)) == len(x)
+
+    @pytest.mark.parametrize(
+        "model, method",
+        [
+            (RandomForestClassifier, "predict"),
+            (RandomForestClassifier, "predict_proba"),
+            (RandomForestRegressor, "predict"),
+            (RandomForestRegressor, "feature_importances"),
+        ],
+    )
+    def test_forest_use_before_fit(self, model, method):
+        args = () if method == "feature_importances" else (np.zeros((1, 1)),)
+        with pytest.raises(RuntimeError, match="before fit"):
+            getattr(model(), method)(*args)
+
+    @pytest.mark.parametrize("model", TREES + FORESTS)
+    def test_length_mismatch(self, model):
+        with pytest.raises(ValueError, match="length mismatch"):
+            model().fit(np.zeros((5, 2)), np.zeros(4))

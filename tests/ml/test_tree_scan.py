@@ -1,4 +1,5 @@
-"""Correctness tests for the vectorized split scan against brute force."""
+"""Correctness tests for the vectorized split scan against brute force,
+through the public ``fit(max_depth=1)``: the root of a stump is one scan."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -28,6 +29,31 @@ def gini_of(labels):
     return _gini(counts.astype(float))
 
 
+def variance_of(values):
+    return float(np.var(values))
+
+
+def assert_stump_matches_brute_force(stump, x, y, impurity_fn):
+    """With every boundary a candidate, the stump's root split is as good
+    as the best boundary, and it splits whenever a boundary gains."""
+    expected_impurity, expected_threshold = brute_force_best_split(
+        x[:, 0], y, impurity_fn
+    )
+    gains = expected_threshold is not None and (
+        impurity_fn(y) - expected_impurity > 1e-9
+    )
+    if stump.depth() == 0:
+        assert not gains
+        return
+    assert stump.feature_[0] == 0
+    mask = x[:, 0] <= stump.threshold_[0]
+    got = (
+        mask.sum() * impurity_fn(y[mask]) + (~mask).sum() * impurity_fn(y[~mask])
+    ) / len(y)
+    assert got <= expected_impurity + 1e-9
+    assert got < impurity_fn(y)
+
+
 class TestClassifierScan:
     @given(st.integers(0, 100))
     @settings(max_examples=30, deadline=None)
@@ -36,26 +62,8 @@ class TestClassifierScan:
         n = int(rng.integers(6, 40))
         x = rng.normal(size=(n, 1))
         y = rng.integers(0, 3, size=n)
-        if len(np.unique(y)) < 2:
-            return
-        tree = DecisionTreeClassifier(max_depth=1, n_thresholds=1000, seed=0)
-        tree._n_features = 1
-        feature, threshold = tree._best_split(x, y, rng)
-        expected_impurity, expected_threshold = brute_force_best_split(
-            x[:, 0], y, gini_of
-        )
-        if expected_threshold is None:
-            assert feature is None or gini_of(y) == 0
-            return
-        if feature is not None:
-            # The found split must be at least as good as brute force
-            # (same candidate set when n_thresholds is large).
-            mask = x[:, 0] <= threshold
-            got = (
-                mask.sum() * gini_of(y[mask])
-                + (~mask).sum() * gini_of(y[~mask])
-            ) / len(y)
-            assert got <= expected_impurity + 1e-9
+        stump = DecisionTreeClassifier(max_depth=1, n_thresholds=1000, seed=0).fit(x, y)
+        assert_stump_matches_brute_force(stump, x, y, gini_of)
 
 
 class TestRegressorScan:
@@ -66,34 +74,34 @@ class TestRegressorScan:
         n = int(rng.integers(6, 40))
         x = rng.normal(size=(n, 1))
         y = rng.normal(size=n)
-        tree = DecisionTreeRegressor(max_depth=1, n_thresholds=1000, seed=0)
-        tree._n_features = 1
-        feature, threshold = tree._best_split(x, y, rng)
-        expected_impurity, expected_threshold = brute_force_best_split(
-            x[:, 0], y, lambda v: float(np.var(v))
-        )
-        if feature is not None:
-            mask = x[:, 0] <= threshold
-            got = (
-                mask.sum() * float(np.var(y[mask]))
-                + (~mask).sum() * float(np.var(y[~mask]))
-            ) / len(y)
-            assert got <= expected_impurity + 1e-9
+        stump = DecisionTreeRegressor(max_depth=1, n_thresholds=1000, seed=0).fit(x, y)
+        assert_stump_matches_brute_force(stump, x, y, variance_of)
 
 
 class TestBoundaries:
     def test_min_samples_leaf_respected(self):
-        tree = DecisionTreeClassifier(min_samples_leaf=3, n_thresholds=100)
-        sorted_col = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        positions = tree._boundaries(sorted_col)
-        # Splits leaving fewer than 3 on either side are filtered.
-        assert all(p + 1 >= 3 and len(sorted_col) - (p + 1) >= 3 for p in positions)
+        # The pure split (after the first row) would leave one row on the left.
+        x = np.arange(1.0, 7.0).reshape(-1, 1)
+        y = np.array([0, 1, 1, 1, 1, 1])
+        stump = DecisionTreeClassifier(
+            max_depth=1, min_samples_leaf=3, n_thresholds=100
+        ).fit(x, y)
+        assert stump.threshold_[0] == 3.5
+        assert DecisionTreeClassifier(max_depth=1, n_thresholds=100).fit(
+            x, y
+        ).threshold_[0] == 1.5
 
     def test_constant_column_no_boundaries(self):
-        tree = DecisionTreeClassifier()
-        assert tree._boundaries(np.full(10, 3.0)).size == 0
+        stump = DecisionTreeClassifier(max_depth=1).fit(np.full((10, 1), 3.0), np.arange(10) % 2)
+        assert stump.depth() == 0
 
     def test_subsampling_caps_positions(self):
-        tree = DecisionTreeClassifier(n_thresholds=4)
-        sorted_col = np.arange(100, dtype=float)
-        assert tree._boundaries(sorted_col).size <= 4
+        # 99 boundaries, 4 kept: after sorted rows 0, 32, 65 and 98.  The
+        # step at 50 is none of them, so the stump takes the nearest kept.
+        x = np.arange(100, dtype=float).reshape(-1, 1)
+        y = (x[:, 0] >= 50).astype(float)
+        stump = DecisionTreeRegressor(max_depth=1, n_thresholds=4).fit(x, y)
+        assert stump.threshold_[0] in (0.5, 32.5, 65.5, 98.5)
+        assert DecisionTreeRegressor(max_depth=1, n_thresholds=1000).fit(
+            x, y
+        ).threshold_[0] == 49.5
