@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dataframe.table import Table
-from repro.dataframe.types import ColumnType, infer_column_type, is_missing
+from repro.dataframe.types import ColumnType, is_missing
 
 
 def _key(value):
@@ -23,25 +23,67 @@ def _key(value):
     return str(value).strip().lower()
 
 
-def _aggregate(values, col_type: ColumnType):
-    """Collapse multiple matching right-side cells into one."""
-    present = [v for v in values if not is_missing(v)]
-    if not present:
-        return None
-    if col_type == ColumnType.NUMERIC:
-        return float(np.mean([float(v) for v in present]))
-    return present[0]
+def join_keys(table: Table, column: str) -> list:
+    """Normalized join key of every row of ``table.column`` (None where
+    the cell is missing)."""
+    return table.derived(
+        ("join_keys", column), lambda: list(map(_key, table.column(column)))
+    )
 
 
 def build_lookup(table: Table, key_column: str) -> dict:
     """Map normalized key -> list of row indices in ``table``."""
-    lookup = {}
-    for i, cell in enumerate(table.column(key_column)):
-        k = _key(cell)
-        if k is None:
-            continue
-        lookup.setdefault(k, []).append(i)
-    return lookup
+
+    def build():
+        lookup = {}
+        for i, k in enumerate(join_keys(table, key_column)):
+            if k is not None:
+                lookup.setdefault(k, []).append(i)
+        return lookup
+
+    return table.derived(("join_lookup", key_column), build)
+
+
+def key_aggregates(right: Table, key_column: str, bring_column: str) -> tuple:
+    """The join kernel: ``bring_column`` collapsed to one cell per join key.
+
+    Returns ``(aggregate, matched)``.  ``aggregate`` maps every key of
+    ``right.key_column`` that has a non-missing ``bring_column`` cell to
+    the mean of those cells (numeric columns) or the first of them, so a
+    left join is ``map(aggregate.get, left_keys)``.  ``matched`` holds the
+    keys whose aggregate is itself non-missing — all of them, unless a
+    mean came out NaN (inf - inf).
+    """
+
+    def build():
+        keys = join_keys(right, key_column)
+        cells = right.column(bring_column)
+        numeric = right.column_type(bring_column) == ColumnType.NUMERIC
+        if numeric:
+            # One row per key is the common case, and numpy's mean of one
+            # float is 0.0 + that float: the float itself, but for -0.0.
+            present = [None if is_missing(v) else 0.0 + float(v) for v in cells]
+        else:
+            present = [None if is_missing(v) else v for v in cells]
+        aggregate = dict(zip(keys, present, strict=True))
+        # Repeated keys are redone from the cells.
+        for k, rows in build_lookup(right, key_column).items():
+            if len(rows) > 1:
+                group = [cells[i] for i in rows if present[i] is not None]
+                if numeric and group:
+                    # np.mean, not sum()/len(): pairwise summation in
+                    # numpy's order is part of the pinned result.
+                    aggregate[k] = float(np.mean([float(v) for v in group]))
+                else:
+                    aggregate[k] = group[0] if group else None
+        aggregate = {
+            k: v for k, v in aggregate.items() if k is not None and v is not None
+        }
+        if numeric and any(v != v for v in aggregate.values()):
+            return aggregate, {k for k, v in aggregate.items() if v == v}
+        return aggregate, aggregate.keys()
+
+    return right.derived(("join_aggregate", key_column, bring_column), build)
 
 
 def left_join(
@@ -59,27 +101,18 @@ def left_join(
     (default: all except the join key).  Name clashes are resolved with
     ``suffix`` or, if empty, a ``<right.name>.`` prefix.
     """
-    lookup = build_lookup(right, right_on)
+    left_keys = join_keys(left, left_on)
     bring = [c for c in (columns or right.column_names) if c != right_on]
     out_cols = {c: list(left.column(c)) for c in left.column_names}
 
     for col in bring:
-        cells = right.column(col)
-        col_type = infer_column_type(cells)
-        new_cells = []
-        for cell in left.column(left_on):
-            k = _key(cell)
-            rows = lookup.get(k) if k is not None else None
-            if not rows:
-                new_cells.append(None)
-            else:
-                new_cells.append(_aggregate([cells[i] for i in rows], col_type))
+        aggregate, _matched = key_aggregates(right, right_on, col)
         out_name = col
         if out_name in out_cols:
             out_name = f"{col}{suffix}" if suffix else f"{right.name}.{col}"
         while out_name in out_cols:
             out_name += "_"
-        out_cols[out_name] = new_cells
+        out_cols[out_name] = list(map(aggregate.get, left_keys))
 
     return Table(name or left.name, out_cols, source=left.source)
 
@@ -95,9 +128,8 @@ def inner_join(
     lookup = build_lookup(right, right_on)
     left_idx = []
     right_idx = []
-    for i, cell in enumerate(left.column(left_on)):
-        k = _key(cell)
-        rows = lookup.get(k) if k is not None else None
+    for i, k in enumerate(join_keys(left, left_on)):
+        rows = lookup.get(k)
         if rows:
             left_idx.append(i)
             right_idx.append(rows[0])
@@ -118,8 +150,8 @@ def inner_join(
 def join_overlap(left: Table, right: Table, left_on: str, right_on: str) -> int:
     """Number of left rows that find at least one right match (cardinality
     of the augmented dataset — the paper's *dataset overlap* profile)."""
-    keys = {k for k in (_key(v) for v in right.column(right_on)) if k is not None}
-    return sum(1 for v in left.column(left_on) if _key(v) in keys)
+    lookup = build_lookup(right, right_on)
+    return sum(map(lookup.__contains__, join_keys(left, left_on)))
 
 
 def union_tables(top: Table, bottom: Table, name=None) -> Table:

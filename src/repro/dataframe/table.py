@@ -54,17 +54,12 @@ class Table:
             self._columns[key] = cells
         self._n_rows = 0 if n_rows is None else n_rows
         self._type_cache = {}
-        # Derived-view caches.  Cells are immutable by contract
-        # (column() documents "don't mutate"; every transformation
-        # returns a new Table), so numeric/encoded arrays and distinct
-        # sets are computed once per column and shared; cached arrays
-        # are frozen so an accidental in-place write fails loudly
-        # instead of corrupting every later reader.
-        self._array_cache = {}
-        self._distinct_cache = {}
-        # Scratch space for consumers caching derived read-only
-        # structures against this table's lifetime (e.g. the join-hop
-        # key lookups in repro.discovery.join_path).
+        # Derived views (see :meth:`derived`).  Cells are immutable by
+        # contract (column() documents "don't mutate"; every
+        # transformation returns a new Table), so numeric/encoded arrays,
+        # distinct sets and other modules' per-table structures are
+        # computed once and shared; arrays are frozen so an accidental
+        # in-place write fails loudly instead of corrupting later readers.
         self._derived_cache = {}
 
     # ------------------------------------------------------------------
@@ -125,36 +120,30 @@ class Table:
         """Names of all columns inferred as numeric."""
         return [c for c in self._columns if self.column_type(c) == ColumnType.NUMERIC]
 
+    def _frozen(self, key, convert, name: str) -> np.ndarray:
+        def build():
+            arr = convert(self.column(name))
+            arr.flags.writeable = False
+            return arr
+
+        return self.derived((key, name), build)
+
     def numeric(self, name: str) -> np.ndarray:
         """Column as float array, NaN for missing/unparseable cells.
 
-        The array is computed once per column and cached read-only;
-        copy before mutating.
+        The array is computed once per column and read-only; copy before
+        mutating.
         """
-        if not kernels.caching_enabled():
-            return to_float_array(self.column(name))
-        key = ("numeric", name)
-        if key not in self._array_cache:
-            arr = to_float_array(self.column(name))
-            arr.flags.writeable = False
-            self._array_cache[key] = arr
-        return self._array_cache[key]
+        return self._frozen("numeric", to_float_array, name)
 
     def encoded(self, name: str) -> np.ndarray:
         """Column as floats: numeric as-is, otherwise deterministic codes.
 
-        Cached read-only like :meth:`numeric`; copy before mutating.
+        Read-only like :meth:`numeric`; copy before mutating.
         """
         if self.column_type(name) == ColumnType.NUMERIC:
             return self.numeric(name)
-        if not kernels.caching_enabled():
-            return encode_categorical(self.column(name))
-        key = ("encoded", name)
-        if key not in self._array_cache:
-            arr = encode_categorical(self.column(name))
-            arr.flags.writeable = False
-            self._array_cache[key] = arr
-        return self._array_cache[key]
+        return self._frozen("encoded", encode_categorical, name)
 
     def to_matrix(self, columns=None) -> np.ndarray:
         """Stack ``columns`` (default: all) into an (n_rows, k) float matrix."""
@@ -177,11 +166,22 @@ class Table:
 
         Cached per column; treat the returned set as read-only.
         """
+        return self.derived(
+            ("distinct", name), lambda: kernels.distinct_strings(self.column(name))
+        )
+
+    def derived(self, key, build):
+        """``build()``, computed once per ``key`` and kept with the table.
+
+        For read-only structures that follow from the (immutable) cells
+        alone — join-key groupings, per-key aggregates, the table's
+        embedding.  Reference mode stores nothing and rebuilds per call.
+        """
         if not kernels.caching_enabled():
-            return kernels.distinct_strings(self.column(name))
-        if name not in self._distinct_cache:
-            self._distinct_cache[name] = kernels.distinct_strings(self.column(name))
-        return self._distinct_cache[name]
+            return build()
+        if key not in self._derived_cache:
+            self._derived_cache[key] = build()
+        return self._derived_cache[key]
 
     def estimated_byte_size(self, size_sample: int = 1000) -> int:
         """In-memory cell-size estimate in bytes (Table I's 'Size').

@@ -24,18 +24,8 @@ class ColumnType(Enum):
     EMPTY = "empty"
 
 
-def _is_missing(value) -> bool:
-    return kernels.is_missing(value)
-
-
-def is_missing(value) -> bool:
-    """True when ``value`` represents a missing cell (None, NaN, '')."""
-    return kernels.is_missing(value)
-
-
-def _coerce_number(value):
-    """Return float(value) or None if it is not numeric."""
-    return kernels.coerce_number(value)
+#: True when a cell represents a missing value (None, NaN, '').
+is_missing = kernels.is_missing
 
 
 def infer_column_type(values, categorical_threshold: int = 20) -> ColumnType:

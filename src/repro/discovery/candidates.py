@@ -72,9 +72,8 @@ def materialize_candidates(
     candidates = []
     for aug in augmentations:
         values = aug.materialize(base, corpus)
-        matched = kernels.count_non_missing(values)
-        overlap = matched / max(1, len(values))
-        if matched == 0 or overlap < min_overlap:
+        overlap = aug.overlap_fraction(base, corpus)
+        if not overlap or overlap < min_overlap:
             continue
         candidates.append(Candidate(aug=aug, values=values, overlap=overlap))
     return candidates

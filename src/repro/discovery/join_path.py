@@ -10,43 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-from repro import kernels
-from repro.dataframe.ops import _aggregate, _key
+from repro.dataframe import ops
 from repro.dataframe.table import Table
-
-
-def _build_lookup(table: Table, column: str) -> dict:
-    lookup = {}
-    for i, cell in enumerate(table.column(column)):
-        k = _key(cell)
-        if k is not None:
-            lookup.setdefault(k, []).append(i)
-    return lookup
-
-
-def _hop_lookup(table: Table, column: str) -> dict:
-    """Join-key → row-indices map for one hop, cached on the (immutable)
-    table so augmentations sharing a hop build it once."""
-    if not kernels.caching_enabled():
-        return _build_lookup(table, column)
-    cache = table._derived_cache
-    key = ("join_lookup", column)
-    if key not in cache:
-        cache[key] = _build_lookup(table, column)
-    return cache[key]
-
-
-def _row_keys(table: Table, column: str) -> list:
-    """Normalized join key per row of ``column``, cached on the table —
-    every augmentation starting from the same base column reuses it."""
-    if not kernels.caching_enabled():
-        return [_key(cell) for cell in table.column(column)]
-    cache = table._derived_cache
-    key = ("join_keys", column)
-    if key not in cache:
-        cache[key] = [_key(cell) for cell in table.column(column)]
-    return cache[key]
 
 
 @dataclass(frozen=True)
@@ -88,9 +53,11 @@ class JoinPath:
 class Augmentation:
     """A join path projected to one output column (Γ(Din, P[j])).
 
-    ``materialize`` walks the chain via per-hop key lookups instead of full
-    joins, returning cells aligned with the base table's rows; unmatched
-    rows are missing.  Results are cached per (base identity, row count).
+    ``materialize`` walks the chain as one gather per hop through the
+    join kernel's per-key aggregates (:func:`ops.key_aggregates`) instead
+    of full joins, returning cells aligned with the base table's rows;
+    unmatched rows are missing.  Results are cached per (base identity,
+    row count).
     """
 
     def __init__(self, path: JoinPath, output_column: str):
@@ -114,71 +81,42 @@ class Augmentation:
     def final_table(self) -> str:
         return self.path.final_table
 
-    def materialize(self, base: Table, corpus: dict) -> list:
-        """Cells of the output column aligned with ``base`` rows."""
+    def _materialized(self, base: Table, corpus: dict) -> tuple:
+        """``(cells, matched row count)`` of the output column."""
         cache_key = (id(base), base.num_rows)
         if cache_key in self._cache:
             return self._cache[cache_key]
 
-        # keys[i] is the current join key for base row i (None = dead row).
-        first = self.path.steps[0]
-        if first.left_column not in base:
+        steps = self.path.steps
+        if steps[0].left_column not in base:
             raise KeyError(
-                f"join column {first.left_column!r} missing from base table"
+                f"join column {steps[0].left_column!r} missing from base table"
             )
-        keys = None  # raw join-key cells after hop > 0
-
-        for hop, step in enumerate(self.path.steps):
+        # keys[i] is the current join key for base row i (None = dead row).
+        keys = ops.join_keys(base, steps[0].left_column)
+        for hop, step in enumerate(steps):
             right = corpus.get(step.right_table)
             if right is None:
                 raise KeyError(f"table {step.right_table!r} not in corpus")
-            lookup = _hop_lookup(right, step.right_column)
-            if hop == 0:
-                norm_keys = _row_keys(base, first.left_column)
-            else:
-                norm_keys = [_key(cell) for cell in keys]
-            is_last = hop == len(self.path.steps) - 1
-            if is_last:
-                bring_column = self.output_column
-            else:
-                bring_column = self.path.steps[hop + 1].left_column
-            bring = right.column(bring_column)
-            # Same inference as infer_column_type(bring), served from
-            # the table's type cache (bring IS right's named column).
-            col_type = right.column_type(bring_column)
-            # The aggregate depends only on the join key (fixed lookup,
-            # bring column, and type per hop), so base rows sharing a
-            # key — the common case on categorical joins — compute it
-            # once instead of once per row.  Memoization is off in
-            # reference mode (kernels.caching_enabled) so that mode
-            # reproduces the pre-kernel per-row cost model.
-            memoize = kernels.caching_enabled()
-            aggregated = {}
-            next_keys = []
-            for k in norm_keys:
-                rows = lookup.get(k) if k is not None else None
-                if not rows:
-                    next_keys.append(None)
-                    continue
-                if not memoize:
-                    next_keys.append(_aggregate([bring[i] for i in rows], col_type))
-                    continue
-                if k not in aggregated:
-                    aggregated[k] = _aggregate(
-                        [bring[i] for i in rows], col_type
-                    )
-                next_keys.append(aggregated[k])
-            keys = next_keys
+            if hop:
+                keys = list(map(ops._key, values))
+            is_last = hop == len(steps) - 1
+            bring = self.output_column if is_last else steps[hop + 1].left_column
+            aggregate, matched = ops.key_aggregates(right, step.right_column, bring)
+            values = list(map(aggregate.get, keys))
 
-        self._cache[cache_key] = keys
-        return keys
+        result = values, sum(map(matched.__contains__, keys))
+        self._cache[cache_key] = result
+        return result
+
+    def materialize(self, base: Table, corpus: dict) -> list:
+        """Cells of the output column aligned with ``base`` rows."""
+        return self._materialized(base, corpus)[0]
 
     def overlap_fraction(self, base: Table, corpus: dict) -> float:
         """Fraction of base rows with a non-missing materialized value."""
-        values = self.materialize(base, corpus)
-        if not values:
-            return 0.0
-        return kernels.count_non_missing(values) / len(values)
+        values, matched = self._materialized(base, corpus)
+        return matched / len(values) if values else 0.0
 
     def apply(self, table: Table, base: Table, corpus: dict) -> Table:
         """Add the materialized column to ``table`` (row-aligned with base)."""

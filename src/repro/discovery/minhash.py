@@ -8,12 +8,6 @@ from repro import kernels
 from repro.utils.rng import ensure_rng
 
 _MERSENNE = kernels.MERSENNE
-_MAX_HASH = kernels.MAX_HASH
-
-
-def _stable_hash(value: str) -> int:
-    """Stable 32-bit hash of a string (independent of PYTHONHASHSEED)."""
-    return kernels.stable_hash(value, hash_version=1)
 
 
 def jaccard(a: set, b: set) -> float:
@@ -45,13 +39,14 @@ class MinHasher:
         self._b = rng.integers(0, _MERSENNE, size=num_perm, dtype=np.uint64)
 
     def _hashes(self, values) -> np.ndarray:
-        # Dedup exactly like the original set() pass; sorting is not
-        # needed (min over values is order-independent) but dedup keeps
-        # the permutation matrix small on repetitive columns.
-        values = set(values)
-        return kernels.hash_strings(
-            [str(v) for v in values], self.hash_version, seed=self._hash_seed
-        )
+        # Dedup keeps the permutation matrix small on repetitive columns
+        # (order is irrelevant: the signature is a min over values).  The
+        # index hands over distinct sets of str, which are taken as is.
+        if not isinstance(values, (set, frozenset)):
+            values = set(values)
+        if not kernels.type_census(values) <= {str}:
+            values = [str(v) for v in values]
+        return kernels.hash_strings(values, self.hash_version, seed=self._hash_seed)
 
     def signature(self, values) -> np.ndarray:
         """MinHash signature (uint64 array of length ``num_perm``).

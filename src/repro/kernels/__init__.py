@@ -45,6 +45,7 @@ __all__ = [
     "infer_column_type",
     "is_missing",
     "to_float_array",
+    "type_census",
     # sets
     "containment_count",
     "containment_count_arrays",
@@ -105,6 +106,7 @@ from repro.kernels.coerce import (  # noqa: E402
     infer_column_type,
     is_missing,
     to_float_array,
+    type_census,
 )
 from repro.kernels.hashing import (  # noqa: E402
     HASH_VERSIONS,

@@ -20,6 +20,7 @@ __all__ = [
     "infer_column_type",
     "is_missing",
     "to_float_array",
+    "type_census",
 ]
 
 #: Cell types whose float() coercion numpy reproduces exactly.  Anything
@@ -29,10 +30,29 @@ __all__ = [
 #: path.  (Caught by the differential suite: numpy would happily turn
 #: ``np.bool_(True)`` into 1.0 where the reference yields NaN.)
 _NUMERIC_TYPES = (bool, int, float, np.integer, np.floating)
-_FLOATABLE_TYPES = _NUMERIC_TYPES + (str, type(None))
+_NUMERIC_OR_NONE = _NUMERIC_TYPES + (type(None),)
+_FLOATABLE_TYPES = _NUMERIC_OR_NONE + (str,)
 
-is_missing = reference.is_missing
 coerce_number = reference.coerce_number
+
+
+def is_missing(value) -> bool:
+    """:func:`reference.is_missing` without the numpy call: NaN is the
+    one float that differs from itself."""
+    if value is None:
+        return True
+    if isinstance(value, float):
+        return bool(value != value)
+    if isinstance(value, str):
+        return value.strip() == ""
+    return False
+
+
+def type_census(cells) -> set:
+    """The concrete cell types of a column, in one C-speed pass.  Every
+    fast-path precondition is a question about this set: ``issubclass``
+    per *type* answers what ``isinstance`` per *cell* would."""
+    return set(map(type, cells))
 
 
 def _vectorized() -> bool:
@@ -41,17 +61,19 @@ def _vectorized() -> bool:
     return active_mode() != "reference"
 
 
-def _str_cells(values) -> bool:
+def str_cells(values) -> bool:
     """True when every cell is exactly ``str`` with no NUL bytes —
     the precondition for numpy unicode-dtype fast paths (U-dtype
     silently drops trailing NULs)."""
-    return all(type(v) is str and "\x00" not in v for v in values)
+    return type_census(values) <= {str} and "\x00" not in "".join(values)
 
 
 def to_float_array(values) -> np.ndarray:
     """Float array with NaN for missing/non-numeric cells."""
     values = list(values)
-    if _vectorized() and all(isinstance(v, _FLOATABLE_TYPES) for v in values):
+    if _vectorized() and all(
+        issubclass(t, _FLOATABLE_TYPES) for t in type_census(values)
+    ):
         try:
             # numpy parses numeric strings with float()'s grammar and
             # maps None -> NaN; whitespace-only / non-numeric strings
@@ -65,7 +87,7 @@ def to_float_array(values) -> np.ndarray:
 def encode_categorical(values) -> np.ndarray:
     """Sorted-distinct integer codes as floats, NaN for missing."""
     values = list(values)
-    if _vectorized() and values and _str_cells(values):
+    if _vectorized() and values and str_cells(values):
         arr = np.asarray(values, dtype=np.str_)
         missing = np.strings.strip(arr) == ""
         keys = np.unique(arr[~missing])
@@ -78,10 +100,11 @@ def infer_column_type(values, categorical_threshold: int = 20) -> str:
     """Column type as its value string (see reference.infer_column_type)."""
     values = list(values)
     if _vectorized() and values and all(
-        isinstance(v, _NUMERIC_TYPES) or v is None for v in values
+        issubclass(t, _NUMERIC_OR_NONE) for t in type_census(values)
     ):
-        # All-numeric cells: any non-missing value (None/NaN map to NaN
-        # here) makes the column numeric, none at all makes it empty.
-        floats = np.array(values, dtype=float)
-        return "empty" if np.isnan(floats).all() else "numeric"
+        # All-numeric cells: one value that is not NaN makes the column
+        # numeric.  All NaN is left to the reference, which tells a
+        # missing NaN from a present one (``np.float32("nan")``).
+        if not np.isnan(np.array(values, dtype=float)).all():
+            return "numeric"
     return reference.infer_column_type(values, categorical_threshold)

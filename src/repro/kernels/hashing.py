@@ -21,6 +21,8 @@ differential suite pins them against.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from repro.kernels import reference
@@ -69,10 +71,11 @@ def stable_hash(value: str, hash_version: int = 1, seed: int = 0) -> int:
 
 
 def _hash_strings_v1(values) -> np.ndarray:
-    digest = reference.stable_hash_v1
-    return np.array([digest(v) for v in values], dtype=np.uint64).reshape(
-        len(values)
-    )
+    # reference.stable_hash_v1 per value, with the big-endian decode of
+    # all the 4-byte digests done in one frombuffer.
+    blake2b = hashlib.blake2b
+    digests = [blake2b(e, digest_size=4).digest() for e in map(str.encode, values)]
+    return np.frombuffer(b"".join(digests), dtype=">u4").astype(np.uint64)
 
 
 def _hash_strings_v2(values, seed: int) -> np.ndarray:

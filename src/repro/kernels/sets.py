@@ -11,11 +11,10 @@ bytes, non-str cells) degrades to the exact set-based reference.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from repro.kernels import reference
+from repro.kernels.coerce import is_missing, str_cells, type_census
 
 __all__ = [
     "containment_count",
@@ -44,35 +43,25 @@ def distinct_strings(cells) -> set:
     """
     if _vectorized():
         cells = list(cells)
-        if all(type(v) is str for v in cells):
+        types = type_census(cells)
+        if types <= {str}:
             return {v for v in set(cells) if v.strip() != ""}
-        if all(type(v) is int for v in cells):
+        if types == {int}:
             return {str(v) for v in set(cells)}
-        if all(type(v) is float or v is None for v in cells):
-            # numpy's float64→str conversion is the same shortest
-            # round-trip formatting as Python's str() (dragon4), so the
-            # stringify itself vectorizes; -0.0/0.0, inf, and subnormals
-            # all format identically.  Pinned by the differential suite.
-            arr = np.array(cells, dtype=float)
-            keep = ~np.isnan(arr)
-            if not keep.all():
-                arr = arr[keep]
-            return set(arr.astype(str).tolist())
+        if types <= {float, type(None)}:
+            # No dedup first: -0.0 == 0.0 but their strings differ.  For
+            # an exact float, str() is repr(); the two missing cells have
+            # reprs no number shares.
+            out = set(map(repr, cells))
+            out.discard("None")
+            out.discard("nan")
+            return out
     return reference.distinct_strings(cells)
 
 
 def count_non_missing(values) -> int:
-    """Number of non-missing cells; missingness tested once per
-    *distinct* value instead of once per cell."""
-    if _vectorized():
-        try:
-            counts = Counter(values)
-        except TypeError:  # unhashable cells
-            return reference.count_non_missing(values)
-        return sum(
-            n for v, n in counts.items() if not reference.is_missing(v)
-        )
-    return reference.count_non_missing(values)
+    """Number of non-missing cells."""
+    return sum(1 for v in values if not is_missing(v))
 
 
 def normalize_strings(values) -> set:
@@ -99,7 +88,7 @@ def sorted_unique_array(strings):
     strings = list(strings)
     if not strings:
         return np.empty(0, dtype=np.str_)
-    if not all(type(v) is str and "\x00" not in v for v in strings):
+    if not str_cells(strings):
         return None
     return np.unique(np.asarray(strings, dtype=np.str_))
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dataframe.table import Table
+from repro.dataframe.types import ColumnType, to_float_array
 from repro.utils.rng import ensure_rng
 
 
@@ -49,47 +50,51 @@ class ProfileContext:
     seed: int = 0
     shared_cache: dict = field(default=None, repr=False)
     _sample_indices: np.ndarray = field(default=None, repr=False)
+    _sampled_column: np.ndarray = field(default=None, repr=False, init=False)
+
+    def shared(self, key, build):
+        """``build()``, computed once per profiling pass under ``key``
+        (once per call when no shared cache is attached)."""
+        cache = self.shared_cache
+        if cache is None:
+            return build()
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
     def sample_indices(self) -> np.ndarray:
         """Row indices of the profiling sample (computed once, cached)."""
         if self._sample_indices is None:
-            cache = self.shared_cache
-            key = ("sample_indices", self.base.num_rows, self.sample_size, self.seed)
-            if cache is not None and key in cache:
-                self._sample_indices = cache[key]
-                return self._sample_indices
             n = self.base.num_rows
-            if n <= self.sample_size:
-                self._sample_indices = np.arange(n)
-            else:
-                rng = ensure_rng(self.seed)
-                picks = rng.choice(n, size=self.sample_size, replace=False)
-                self._sample_indices = np.sort(picks)
-            if cache is not None:
-                cache[key] = self._sample_indices
+
+            def draw():
+                if n <= self.sample_size:
+                    return np.arange(n)
+                picks = ensure_rng(self.seed).choice(
+                    n, size=self.sample_size, replace=False
+                )
+                return np.sort(picks)
+
+            self._sample_indices = self.shared(
+                ("sample_indices", n, self.sample_size, self.seed), draw
+            )
         return self._sample_indices
 
     def sampled_column(self) -> np.ndarray:
-        """Augmented column as floats over the profiling sample."""
-        from repro.dataframe.types import to_float_array
-
-        values = to_float_array(self.column_values)
-        return values[self.sample_indices()]
+        """Augmented column as floats over the profiling sample (coerced
+        once per candidate; read-only, every profile gets the same array)."""
+        if self._sampled_column is None:
+            sampled = to_float_array(self.column_values)[self.sample_indices()]
+            sampled.flags.writeable = False
+            self._sampled_column = sampled
+        return self._sampled_column
 
     def _sampled_base(self, kind: str, column: str) -> np.ndarray:
-        cache = self.shared_cache
-        key = (kind, column, self.sample_size, self.seed)
-        if cache is not None and key in cache:
-            return cache[key]
-        source = (
-            self.base.numeric(column)
-            if kind == "numeric"
-            else self.base.encoded(column)
+        source = self.base.numeric if kind == "numeric" else self.base.encoded
+        return self.shared(
+            (kind, column, self.sample_size, self.seed),
+            lambda: source(column)[self.sample_indices()],
         )
-        sampled = source[self.sample_indices()]
-        if cache is not None:
-            cache[key] = sampled
-        return sampled
 
     def sampled_base_numeric(self, column: str) -> np.ndarray:
         """A numeric base column over the same profiling sample."""
@@ -107,8 +112,6 @@ class ProfileContext:
     def comparable_base_columns(self) -> list:
         """Base columns worth correlating against: numeric ones plus
         low-cardinality categoricals (targets, flags)."""
-        from repro.dataframe.types import ColumnType
-
         columns = []
         for column in self.base.column_names:
             kind = self.base.column_type(column)

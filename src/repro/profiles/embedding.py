@@ -48,19 +48,27 @@ class TokenEmbedder:
         """Embed a table from its name, column names, and a slice of cells.
 
         Mirrors the paper's construction: the dataset embedding is the
-        average of the embeddings of tokens present in the table.
+        average of the embeddings of tokens present in the table.  The
+        vector is kept (read-only) with the table, so a table that ends
+        many join paths — or is the base of many — is embedded once.
         """
-        tokens = tokenize(table.name) + [
-            t for c in table.column_names for t in tokenize(c)
-        ]
-        budget = max_cells
-        for column in table.column_names:
-            if budget <= 0:
-                break
-            for cell in table.column(column)[: min(budget, 10)]:
-                tokens.extend(tokenize(cell))
-                budget -= 1
-        return self.embed_tokens(tokens)
+
+        def build():
+            tokens = tokenize(table.name) + [
+                t for c in table.column_names for t in tokenize(c)
+            ]
+            budget = max_cells
+            for column in table.column_names:
+                if budget <= 0:
+                    break
+                for cell in table.column(column)[: min(budget, 10)]:
+                    tokens.extend(tokenize(cell))
+                    budget -= 1
+            vector = self.embed_tokens(tokens)
+            vector.flags.writeable = False
+            return vector
+
+        return table.derived(("embedding", type(self), self.dim, max_cells), build)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -80,12 +88,8 @@ class EmbeddingSimilarityProfile(Profile):
 
     def __init__(self, embedder: TokenEmbedder = None):
         self.embedder = embedder or TokenEmbedder()
-        self._base_cache = {}
 
     def compute(self, context: ProfileContext) -> float:
-        base_key = id(context.base)
-        if base_key not in self._base_cache:
-            self._base_cache[base_key] = self.embedder.embed_table(context.base)
-        base_vec = self._base_cache[base_key]
+        base_vec = self.embedder.embed_table(context.base)
         cand_vec = self.embedder.embed_table(context.candidate_table)
         return self._clip((cosine_similarity(base_vec, cand_vec) + 1.0) / 2.0)

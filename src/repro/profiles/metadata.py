@@ -13,6 +13,14 @@ def _jaccard(a: set, b: set) -> float:
     return len(a & b) / len(union)
 
 
+def _attribute_tokens(table) -> frozenset:
+    """Tokens of the table's column names, kept with the table."""
+    return table.derived(
+        "attribute_tokens",
+        lambda: frozenset(t for c in table.column_names for t in tokenize(c)),
+    )
+
+
 class MetadataProfile(Profile):
     """Similarity of attribute-name token sets plus a same-source bonus.
 
@@ -25,15 +33,10 @@ class MetadataProfile(Profile):
     name = "metadata"
 
     def compute(self, context: ProfileContext) -> float:
-        base_tokens = {
-            t for c in context.base.column_names for t in tokenize(c)
-        }
-        cand_tokens = {
-            t
-            for c in context.candidate_table.column_names
-            for t in tokenize(c)
-        }
-        score = 0.75 * _jaccard(base_tokens, cand_tokens)
+        score = 0.75 * _jaccard(
+            _attribute_tokens(context.base),
+            _attribute_tokens(context.candidate_table),
+        )
         if context.base.source and context.base.source == context.candidate_table.source:
             score += 0.25
         return self._clip(score)

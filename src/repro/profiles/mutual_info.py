@@ -34,7 +34,12 @@ class MutualInformationProfile(Profile):
         best = 0.0
         for column in context.comparable_base_columns():
             mi = mutual_information(
-                context.sampled_base_encoded(column), aug, bins=self.bins
+                context.sampled_base_encoded(column),
+                aug,
+                bins=self.bins,
+                x_bins_cache=context.shared(
+                    ("mi_bins", column, context.sample_size, context.seed), dict
+                ),
             )
             best = max(best, mi / max_mi)
         return self._clip(best)

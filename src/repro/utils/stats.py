@@ -68,17 +68,28 @@ def entropy_discrete(labels) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def mutual_information(x, y, bins: int = 8) -> float:
+def mutual_information(x, y, bins: int = 8, x_bins_cache: dict = None) -> float:
     """Histogram mutual information estimate (nats), >= 0.
 
     Continuous inputs are discretized into equal-frequency bins, which is
     robust to skewed open-data distributions.  Returns 0 for degenerate
-    inputs.
+    inputs.  A caller scoring many ``y`` against one ``x`` can pass a
+    dict as ``x_bins_cache``: x's bins depend only on which rows survive
+    the NaN filter, so calls dropping the same rows share them.
     """
-    x, y = _clean_pair(x, y)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    mask = ~(np.isnan(x) | np.isnan(y))
+    x, y = x[mask], y[mask]
     if x.size < 4:
         return 0.0
-    xb = _equal_frequency_bins(x, bins)
+    if x_bins_cache is None:
+        xb = _equal_frequency_bins(x, bins)
+    else:
+        key = (bins, mask.tobytes())
+        xb = x_bins_cache.get(key)
+        if xb is None:
+            xb = x_bins_cache[key] = _equal_frequency_bins(x, bins)
     yb = _equal_frequency_bins(y, bins)
     joint = np.zeros((xb.max() + 1, yb.max() + 1), dtype=float)
     np.add.at(joint, (xb, yb), 1.0)

@@ -1,12 +1,15 @@
 """Differential tests for the coercion kernels (float arrays,
 categorical codes, type inference) on adversarial cells."""
 
+from decimal import Decimal
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from tests.kernels.util import differential
+from repro.kernels import reference
+from tests.kernels.util import SUBCLASS_CELLS, Ratio, differential, subclass_columns
 
 any_float = st.floats(allow_nan=True, allow_infinity=True, width=64)
 mixed_cell = st.one_of(
@@ -34,6 +37,8 @@ ADVERSARIAL_COLUMNS = [
 ]
 
 
+
+
 def assert_float_arrays_equal(vec, ref):
     assert vec.shape == ref.shape
     assert np.array_equal(vec, ref, equal_nan=True)
@@ -50,6 +55,13 @@ class TestToFloatArray:
         for cells in ADVERSARIAL_COLUMNS:
             vec, ref = differential(kernels.to_float_array, cells)
             assert_float_arrays_equal(vec, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=subclass_columns)
+    def test_subclass_cells_match_reference(self, cells):
+        vec, ref = differential(kernels.to_float_array, cells)
+        assert_float_arrays_equal(vec, ref)
+        assert np.array_equal(np.signbit(vec), np.signbit(ref))
 
 
 class TestEncodeCategorical:
@@ -90,6 +102,12 @@ class TestInferColumnType:
             vec, ref = differential(kernels.infer_column_type, cells)
             assert vec == ref, cells
 
+    @settings(max_examples=200, deadline=None)
+    @given(cells=subclass_columns)
+    def test_subclass_cells_match_reference(self, cells):
+        vec, ref = differential(kernels.infer_column_type, cells)
+        assert vec == ref
+
     def test_numeric_fast_path_classification(self, differential):
         vec, ref = differential(
             kernels.infer_column_type, [1, 2.5, None, float("nan")]
@@ -99,3 +117,26 @@ class TestInferColumnType:
             kernels.infer_column_type, [None, float("nan")]
         )
         assert vec == ref == "empty"
+
+
+class TestIsMissing:
+    """``kernels.is_missing`` tests NaN as ``value != value``; the
+    reference asks numpy."""
+
+    def test_nan_of_every_float_type(self):
+        for value, expected in (
+            (float("nan"), True),
+            (np.float64("nan"), True),
+            (Ratio("nan"), True),
+            # Not a float to isinstance, so not missing to either side.
+            (np.float32("nan"), False),
+            (np.float16("nan"), False),
+            (Decimal("nan"), False),
+        ):
+            assert kernels.is_missing(value) is expected, repr(value)
+            assert reference.is_missing(value) == expected, repr(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.one_of(mixed_cell, st.sampled_from(SUBCLASS_CELLS)))
+    def test_matches_reference(self, value):
+        assert kernels.is_missing(value) is bool(reference.is_missing(value))

@@ -62,6 +62,21 @@ class TestHashStringsDifferential:
                 )
                 assert np.array_equal(vec, ref), (column, version)
 
+    def test_bulk_v1_equals_scalar_reference_per_value(self):
+        """One ``frombuffer`` over the joined digests decodes each 4-byte
+        group big-endian, as ``int.from_bytes(digest, "big")`` did."""
+        values = ["", "a", "café", "é中\U0001f600", "\x00", "k3_00042", "-0.0"]
+        values += [str(i) for i in range(300)]
+        with kernels.force_mode("vectorized"):
+            for column in ([], values[:1], values, set(values)):
+                hashes = kernels.hash_strings(column, 1)
+                assert hashes.dtype == np.uint64 and hashes.shape == (len(column),)
+                assert hashes.tolist() == [
+                    reference.stable_hash_v1(v) for v in list(column)
+                ]
+        # Both halves of the 32-bit range occur, so byte order matters.
+        assert (hashes >> np.uint64(31)).any() and not (hashes >> np.uint64(31)).all()
+
     def test_output_domain_is_32_bit(self, hash_seed):
         values = [f"v{i}" for i in range(200)]
         for version in kernels.HASH_VERSIONS:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from tests.kernels.util import differential
+from tests.kernels.util import differential, subclass_columns
 from repro.kernels import reference
 
 any_float = st.floats(allow_nan=True, allow_infinity=True, width=64)
@@ -33,8 +33,8 @@ class TestDistinctStrings:
         )
     )
     def test_float_none_matches_reference(self, cells):
-        """The numpy float64→str fast path: dragon4 shortest round-trip
-        formatting must equal Python str() on every bit pattern."""
+        """The float fast path (``repr`` of every cell, the two missing
+        spellings discarded) on every bit pattern."""
         vec, ref = differential(kernels.distinct_strings, cells)
         assert vec == ref
 
@@ -44,10 +44,21 @@ class TestDistinctStrings:
         vec, ref = differential(kernels.distinct_strings, cells)
         assert vec == ref
 
+    @settings(max_examples=200, deadline=None)
+    @given(cells=subclass_columns)
+    def test_subclass_cells_match_reference(self, cells):
+        """Type-census dispatch: a bool is not an int column, an
+        ``np.float64`` or str subclass not a float or str column."""
+        vec, ref = differential(kernels.distinct_strings, cells)
+        assert vec == ref
+
     def test_adversarial_fixed_columns(self, differential):
         columns = [
             [],
             [None, None, float("nan")],
+            ["None", "nan", None, float("nan")],
+            [True, False],
+            [True, 1, 0],
             [0.0, -0.0, float("inf"), float("-inf"), 5e-324, 1.7976e308],
             [1, 1.0, True],  # equal across types, different strings
             ["", "  ", "\t", "a"],
