@@ -33,17 +33,27 @@ class Clusters:
         self.vectors = vectors
         self.centers = list(centers)
         self.assignment = np.asarray(assignment, dtype=int)
-        self._members = {}
-        for i, c in enumerate(self.assignment):
-            self._members.setdefault(int(c), []).append(i)
+        # Members grouped by cluster id, ascending within a cluster:
+        # cluster c owns _order[_starts[c]:_starts[c + 1]].
+        self._order = np.argsort(self.assignment, kind="stable")
+        self._order.flags.writeable = False
+        counts = np.bincount(self.assignment, minlength=len(self.centers))
+        self._starts = np.concatenate(([0], np.cumsum(counts)))
 
     @property
     def n_clusters(self) -> int:
         return len(self.centers)
 
+    def member_array(self, cluster_id: int) -> np.ndarray:
+        """Indices of a cluster's augmentations, ascending (a read-only
+        view for array code; :meth:`members` is the list form)."""
+        if not 0 <= cluster_id < len(self._starts) - 1:
+            return self._order[:0]
+        return self._order[self._starts[cluster_id]:self._starts[cluster_id + 1]]
+
     def members(self, cluster_id: int) -> list:
         """Indices of augmentations in a cluster."""
-        return list(self._members.get(cluster_id, []))
+        return self.member_array(cluster_id).tolist()
 
     def cluster_of(self, index: int) -> int:
         return int(self.assignment[index])
@@ -79,8 +89,14 @@ def cluster_partition(vectors: np.ndarray, epsilon: float, seed=None) -> Cluster
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or len(vectors) == 0:
         raise ValueError(f"vectors must be a non-empty 2-D array, got {vectors.shape}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        # A NaN distance never drops below epsilon: the loop below would
+        # add a center per iteration without bound.
+        row = int(finite.argmin())
+        raise ValueError(f"vectors must be finite; row {row} is {vectors[row]}")
     rng = ensure_rng(seed)
     n = len(vectors)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.utils.validation import check_in_choices
@@ -64,12 +65,22 @@ class MetamConfig:
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must be in [0, 1], got {self.theta}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(
+                f"epsilon must be finite and > 0, got {self.epsilon}"
+            )
         if self.tau is not None and self.tau < 1:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.query_budget < 1:
             raise ValueError(f"query_budget must be >= 1, got {self.query_budget}")
+        if self.max_group_size < 1:
+            raise ValueError(
+                f"max_group_size must be >= 1, got {self.max_group_size}"
+            )
+        if self.groups_per_size is not None and self.groups_per_size < 1:
+            raise ValueError(
+                f"groups_per_size must be >= 1, got {self.groups_per_size}"
+            )
         if self.group_interval < 1:
             raise ValueError(
                 f"group_interval must be >= 1, got {self.group_interval}"

@@ -8,9 +8,16 @@ The quality score of an augmentation is the sum of:
   the closed-form estimator Lemma 4 analyzes); and
 * a **utility-based score** — its observed gain if queried, otherwise the
   best clustermate's gain attenuated by ``1 − d(P, P')``.
+
+Both scores live in length-``n`` arrays.  A query outcome touches one
+cluster, so only that cluster's utility scores are recomputed; the
+profile scores change only when the weights are refit.  Choosing the
+next query is then one masked arg-max.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 import numpy as np
 
@@ -36,44 +43,91 @@ class QualityScorer:
         self.clusters = clusters
         self.ridge_alpha = ridge_alpha
         self.min_fit_samples = min_fit_samples
-        n_profiles = self.profiles.shape[1]
+        n, n_profiles = self.profiles.shape
+        self._gains = {}  # index -> gain, in first-observation order
+        self.observed_gains = MappingProxyType(self._gains)
+        self._observed = np.zeros(n, dtype=bool)
+        self._gain = np.zeros(n)
+        self._utility = np.zeros(n)
+        self._propagation_disabled = set()  # cluster ids with P2 violated
         # Equal weights before any evidence (§IV-B).
         self.weights = np.full(n_profiles, 1.0 / max(1, n_profiles))
-        self.observed_gains = {}
-        self._propagation_disabled = set()  # cluster ids with P2 violated
 
     # ------------------------------------------------------------------
+    @property
+    def weights(self) -> np.ndarray:
+        """Profile-importance weights (non-negative, summing to one)."""
+        return self._weights
+
+    @weights.setter
+    def weights(self, weights) -> None:
+        self._weights = weights
+        # One dot product per row, stacked: the plain matrix-vector product
+        # rounds differently from ``profiles[i] @ weights`` in the last ulp.
+        self._profile_score = np.matmul(self.profiles[:, None, :], weights)[:, 0]
+        self._quality = self._profile_score + self._utility
+
+    @property
+    def qualities(self) -> np.ndarray:
+        """JPSCORE of every candidate: ``qualities[i] == quality(i)``."""
+        return self._quality
+
     def profile_score(self, index: int) -> float:
         """Weighted average of profile values (the prior)."""
-        return float(self.profiles[index] @ self.weights)
+        return float(self._profile_score[index])
 
     def utility_score(self, index: int) -> float:
         """Observed gain, or attenuated gain propagated within the cluster."""
-        if index in self.observed_gains:
-            return self.observed_gains[index]
-        cluster_id = self.clusters.cluster_of(index)
-        if cluster_id in self._propagation_disabled:
-            return 0.0
-        best = 0.0
-        for member in self.clusters.members(cluster_id):
-            if member in self.observed_gains:
-                attenuation = 1.0 - self.clusters.distance(index, member)
-                best = max(best, attenuation * self.observed_gains[member])
-        return best
+        return float(self._utility[index])
 
     def quality(self, index: int) -> float:
         """JPSCORE: profile-based + utility-based score."""
-        return self.profile_score(index) + self.utility_score(index)
+        return float(self._quality[index])
+
+    def observed_count(self, cluster_id: int) -> int:
+        """How many members of a cluster have an observed gain."""
+        return int(self._observed[self.clusters.member_array(cluster_id)].sum())
 
     # ------------------------------------------------------------------
     def update(self, index: int, gain: float) -> None:
         """UPDATE-QUALITY-SCORES: record a query outcome, refit weights."""
-        self.observed_gains[index] = float(gain)
+        self.observe(index, gain)
         self._refit_weights()
+
+    def observe(self, index: int, gain: float) -> None:
+        """Record a query outcome without refitting the weights."""
+        # A re-queried index keeps its place in the fit order and has its
+        # gain overwritten — possibly downward, which is why the cluster is
+        # rescored from its observed members, never max-updated.
+        self._gains[index] = self._gain[index] = float(gain)
+        self._observed[index] = True
+        self._rescore_cluster(self.clusters.cluster_of(index))
 
     def disable_propagation(self, cluster_id: int) -> None:
         """Stop propagating utility within a non-homogeneous cluster."""
         self._propagation_disabled.add(cluster_id)
+        self._rescore_cluster(cluster_id)
+
+    def _rescore_cluster(self, cluster_id: int) -> None:
+        """Utility scores of one cluster from its observed members' gains."""
+        members = self.clusters.member_array(cluster_id)
+        seen = members[self._observed[members]]
+        if cluster_id in self._propagation_disabled or not seen.size:
+            best = 0.0
+        else:
+            vectors = self.profiles
+            distance = np.abs(
+                vectors[members][:, None, :] - vectors[seen][None, :, :]
+            ).max(axis=2)
+            with np.errstate(invalid="ignore"):  # 0 * inf is a skipped NaN
+                attenuated = (1.0 - distance) * self._gain[seen]
+            # fmax skips NaN products and ``> 0`` keeps the floor at +0.0,
+            # as the scalar ``max(0.0, ...)`` chain does.
+            best = np.fmax.reduce(attenuated, axis=1)
+            best = np.where(best > 0.0, best, 0.0)
+        self._utility[members] = best
+        self._utility[seen] = self._gain[seen]
+        self._quality[members] = self._profile_score[members] + self._utility[members]
 
     def _refit_weights(self) -> None:
         """Profile importance = ridge coefficients of gain ~ profiles.
@@ -82,11 +136,10 @@ class QualityScorer:
         with gains is simply uninformative for ranking (its low values do
         not make an augmentation *better*).
         """
-        if len(self.observed_gains) < self.min_fit_samples:
+        if len(self._gains) < self.min_fit_samples:
             return
-        indices = list(self.observed_gains)
-        x = self.profiles[indices]
-        y = np.array([self.observed_gains[i] for i in indices])
+        x = self.profiles[list(self._gains)]
+        y = np.array(list(self._gains.values()))
         if float(np.var(y)) < 1e-12:
             return
         model = RidgeRegression(alpha=self.ridge_alpha).fit(x, y)
@@ -107,17 +160,18 @@ class QualityScorer:
         otherwise off-limits); ``excluded_clusters`` implements the
         one-query-per-cluster-per-round diversification.
         """
-        excluded_indices = set(excluded_indices)
-        excluded_clusters = set(excluded_clusters)
-        best_index = None
-        best_quality = -np.inf
-        for i in range(len(self.profiles)):
-            if i in excluded_indices:
-                continue
-            if self.clusters.cluster_of(i) in excluded_clusters:
-                continue
-            q = self.quality(i)
-            if q > best_quality:
-                best_quality = q
-                best_index = i
-        return best_index
+        excluded = np.zeros(len(self.profiles), dtype=bool)
+        excluded[list(excluded_indices)] = True
+        for cluster_id in excluded_clusters:
+            excluded[self.clusters.member_array(cluster_id)] = True
+        return self.best_where(~excluded)
+
+    def best_where(self, eligible: np.ndarray) -> int:
+        """Arg-max quality over a boolean mask (lowest index on ties);
+        None when nothing eligible has a quality above ``-inf``."""
+        quality = self._quality
+        masked = np.where(eligible & ~np.isnan(quality), quality, -np.inf)
+        if not masked.size:
+            return None
+        best = int(masked.argmax())
+        return None if masked[best] == -np.inf else best

@@ -1,4 +1,8 @@
-"""IDENTIFY-GROUP: Thompson sampling over clusters (§IV-B).
+"""Executable spec of ``repro.core.bandit``: the set-and-list group sampler it
+replaced, kept verbatim below this paragraph.  ``test_search_diff.py`` holds
+the array-native selector to it draw for draw; nothing in ``src/`` imports it.
+
+IDENTIFY-GROUP: Thompson sampling over clusters (§IV-B).
 
 Each cluster is a Beta-Bernoulli arm; the reward is whether a group query
 containing a member of the cluster improved utility.  Sampling a size-``t``
@@ -34,42 +38,30 @@ class ThompsonGroupSelector:
     def sample_group(self, size: int, available, member_score=None) -> list:
         """A group of up to ``size`` augmentation indices.
 
-        ``available`` says which candidate indices are still eligible (an
-        iterable of indices, or a boolean mask over all candidates).
+        ``available`` is the set of candidate indices still eligible.
         Clusters are ranked by posterior sample; one available member is
         taken per cluster until the group is full — a random one, or the
-        best-scoring one when ``member_score`` (index → float, as a
-        callable or an array of per-index scores) is given (explore
-        across clusters, exploit within).
+        best-scoring one when ``member_score`` (index → float) is given
+        (explore across clusters, exploit within).
         """
-        if not (isinstance(available, np.ndarray) and available.dtype == bool):
-            n = len(self.clusters.assignment)
-            wanted = [i for i in available if 0 <= i < n]
-            available = np.zeros(n, dtype=bool)
-            available[wanted] = True
-        if not available.any() or size < 1:
+        available = set(available)
+        if not available or size < 1:
             return []
         draws = self.posterior_samples()
         order = np.argsort(-draws)
         group = []
         for cluster_id in order:
-            members = self.clusters.member_array(int(cluster_id))
-            members = members[available[members]]
-            if not members.size:
+            members = [
+                m for m in self.clusters.members(int(cluster_id)) if m in available
+            ]
+            if not members:
                 continue
             if member_score is None:
                 pick = members[int(self.rng.integers(0, len(members)))]
-            elif callable(member_score):
-                pick = max(members.tolist(), key=member_score)
             else:
-                # First maximal score, as ``max(members, key=...)``: a NaN
-                # wins only when it comes first.
-                scores = member_score[members]
-                if np.isnan(scores[0]):
-                    pick = members[0]
-                else:
-                    pick = members[np.where(np.isnan(scores), -np.inf, scores).argmax()]
-            group.append(int(pick))
+                pick = max(members, key=member_score)
+            group.append(pick)
+            available.discard(pick)
             if len(group) >= size:
                 break
         return group

@@ -1,4 +1,11 @@
-"""METAM (Algorithm 1): adaptive interventional querying.
+"""Executable spec of ``repro.core.metam``: the set-rebuilding round loop it
+replaced, kept verbatim below this paragraph except that it drives the
+retained ``reference_quality`` / ``reference_bandit`` oracles and carries
+the anytime fix (marked in ``_run_round``).
+``test_search_diff.py`` holds ``Metam.run`` to it bit for bit (result, trace,
+extras and the generator's final state); nothing in ``src/`` imports it.
+
+METAM (Algorithm 1): adaptive interventional querying.
 
 The search alternates the *sequential* mechanism (query the best-scoring
 augmentation, one per cluster per round, and update profile-importance
@@ -13,13 +20,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bandit import ThompsonGroupSelector
+from tests.core.reference_bandit import ThompsonGroupSelector
 from repro.core.clustering import cluster_partition, singleton_clusters
 from repro.core.config import MetamConfig
 from repro.core.homogeneity import check_cluster_homogeneity
 from repro.core.minimality import identify_minimal
 from repro.core.monotonic import MonotoneState
-from repro.core.quality import QualityScorer
+from tests.core.reference_quality import QualityScorer
 from repro.core.querying import QueryBudgetExhausted, QueryEngine
 from repro.core.result import SearchResult
 from repro.dataframe.table import Table
@@ -72,13 +79,6 @@ class Metam:
         )
         self._ids = [c.aug_id for c in self.candidates]
         self._profiles = np.vstack([c.profile_vector for c in self.candidates])
-        finite = np.isfinite(self._profiles).all(axis=1)
-        if not finite.all():
-            # CLUSTER-PARTITION never terminates on a NaN distance.
-            raise ValueError(
-                f"{int((~finite).sum())} candidates have non-finite profile "
-                f"vectors (first: {self._ids[int(finite.argmin())]!r})"
-            )
 
     # ------------------------------------------------------------------
     def run(self) -> SearchResult:
@@ -91,6 +91,9 @@ class Metam:
         else:
             clusters = singleton_clusters(self._profiles)
         scorer = QualityScorer(self._profiles, clusters)
+        bandit = ThompsonGroupSelector(
+            clusters, seed=rng, uniform=not config.use_thompson
+        )
 
         try:
             state = MonotoneState(self.engine)
@@ -106,18 +109,14 @@ class Metam:
             "groups_per_size": config.groups_per_size
             or max(2, clusters.n_clusters),
             "checked_clusters": set(),
-            "selected": np.zeros(len(self._ids), dtype=bool),  # by index
         }
         exhausted = False
 
         try:
             if config.homogeneity == "active":
-                clusters, scorer = self._active_homogeneity(
+                clusters, scorer, bandit = self._active_homogeneity(
                     clusters, scorer, base_utility, rng, config
                 )
-            bandit = ThompsonGroupSelector(
-                clusters, seed=rng, uniform=not config.use_thompson
-            )
 
             rounds = 0
             while state.utility < config.theta and (
@@ -170,32 +169,42 @@ class Metam:
         augmentation was committed to the solution."""
         config = self.config
         tau = config.tau or clusters.n_clusters
-        selected = search["selected"]
-        # Off-limits this round: the solution, plus every cluster already
-        # queried (one query per cluster per round).
-        blocked = selected.copy()
-        best_index = None  # first candidate with this round's best utility
-        best_seen = -np.inf
+        index_of = {aug_id: i for i, aug_id in enumerate(self._ids)}
+        selected_indices = {index_of[a] for a in state.selected}
+        excluded_clusters = set()
+        round_utilities = {}  # index -> utility of solution + candidate
         i = 0
 
+        # --- anytime fix (the one behavioural edit to this oracle, applied
+        # identically in ``repro.core.metam``): a budget that ends inside
+        # the loop commits the round's best improving candidate before the
+        # exception propagates.  The loop body itself is unchanged.
         def commit() -> bool:
-            """Commit the round's best candidate if it improves (line 18)."""
-            if best_index is not None and best_seen > state.utility:
-                state.accept(self._ids[best_index], best_seen)
-                selected[best_index] = True
+            # Commit the best candidate of this round if it improves (line 18).
+            if not round_utilities:
+                return False
+            best_index = max(round_utilities, key=round_utilities.get)
+            if round_utilities[best_index] > state.utility:
+                state.accept(self._ids[best_index], round_utilities[best_index])
                 return True
             return False
 
         try:
             while True:
+                best_seen = max(round_utilities.values(), default=-np.inf)
                 if i >= tau and best_seen > state.utility:
                     break
-                index = scorer.best_where(~blocked)
+                index = scorer.best_unqueried(
+                    excluded_indices=selected_indices | set(round_utilities),
+                    excluded_clusters=excluded_clusters,
+                )
                 if index is None:
                     # Sequential pool exhausted for this round: keep the group
                     # (combinatorial) mechanism going so larger subsets are
                     # still explored (the Theorem-3 exhaustiveness path).
-                    issued = self._group_step(state, bandit, scorer, base_utility, search)
+                    issued = self._group_step(
+                        state, bandit, scorer, base_utility, search, selected_indices
+                    )
                     i += 1
                     if not issued or i >= 4 * tau:
                         if best_seen > -np.inf:
@@ -207,24 +216,20 @@ class Metam:
                     continue
                 # Sequential mechanism: query solution + candidate.
                 value = state.utility_with(self._ids[index])
-                if best_index is None or value > best_seen:
-                    best_index, best_seen = index, value
-                cluster_id = clusters.cluster_of(index)
-                blocked[clusters.member_array(cluster_id)] = True
+                round_utilities[index] = value
+                excluded_clusters.add(clusters.cluster_of(index))
                 scorer.update(index, value - state.utility)
-                if config.homogeneity == "lazy":
-                    self._lazy_homogeneity(
-                        clusters, scorer, cluster_id, search["checked_clusters"],
-                        base_utility,
-                    )
+                self._lazy_homogeneity(
+                    clusters, scorer, search["checked_clusters"], base_utility, config
+                )
                 if i % config.group_interval == 0:
-                    self._group_step(state, bandit, scorer, base_utility, search)
+                    self._group_step(
+                        state, bandit, scorer, base_utility, search, selected_indices
+                    )
                 i += 1
                 if i >= 4 * tau:
                     break  # bounded round length even without improvement
         except QueryBudgetExhausted:
-            # Anytime: the budget ended mid-round; keep what the round
-            # already paid for instead of discarding its queries.
             commit()
             raise
         return commit()
@@ -236,12 +241,16 @@ class Metam:
         scorer: QualityScorer,
         base_utility: float,
         search: dict,
+        selected_indices: set,
     ) -> bool:
         """One group-mechanism query (lines 13-15): Thompson-sample a
         size-``t`` subset, evaluate it against Din, track the best.
         Returns False when no group could be formed."""
+        available = [
+            j for j in range(len(self._ids)) if j not in selected_indices
+        ]
         group = bandit.sample_group(
-            search["group_size"], ~search["selected"], member_score=scorer.qualities
+            search["group_size"], available, member_score=scorer.quality
         )
         if not group:
             return False
@@ -261,34 +270,40 @@ class Metam:
 
     # ------------------------------------------------------------------
     def _lazy_homogeneity(
-        self, clusters, scorer, cluster_id, checked_clusters, base_utility
+        self, clusters, scorer, checked_clusters, base_utility, config
     ) -> None:
-        """Validate P2 from already-paid-for gains (lazy mode).
-
-        Only the cluster whose observed-member count just changed can have
-        newly reached the two gains the test needs.
-        """
-        if cluster_id in checked_clusters or scorer.observed_count(cluster_id) < 2:
+        """Validate P2 from already-paid-for gains (lazy mode)."""
+        if config.homogeneity != "lazy":
             return
-        checked_clusters.add(cluster_id)
-        homogeneous = check_cluster_homogeneity(
-            clusters,
-            cluster_id,
-            self.engine,
-            self._ids,
-            base_utility,
-            self.config.epsilon,
-            mode="lazy",
-            observed_gains=scorer.observed_gains,
-        )
-        if not homogeneous:
-            scorer.disable_propagation(cluster_id)
+        for cluster_id in range(clusters.n_clusters):
+            if cluster_id in checked_clusters:
+                continue
+            observed = {
+                m: scorer.observed_gains[m]
+                for m in clusters.members(cluster_id)
+                if m in scorer.observed_gains
+            }
+            if len(observed) < 2:
+                continue
+            checked_clusters.add(cluster_id)
+            homogeneous = check_cluster_homogeneity(
+                clusters,
+                cluster_id,
+                self.engine,
+                self._ids,
+                base_utility,
+                config.epsilon,
+                mode="lazy",
+                observed_gains=observed,
+            )
+            if not homogeneous:
+                scorer.disable_propagation(cluster_id)
 
     def _active_homogeneity(self, clusters, scorer, base_utility, rng, config):
         """The paper's up-front homogeneity test (log|C| queries/cluster).
 
         Non-homogeneous clusters are dissolved into singletons and the
-        scorer is rebuilt over the new partition.
+        scorer/bandit are rebuilt over the new partition.
         """
         dissolved = []
         for cluster_id in range(clusters.n_clusters):
@@ -312,8 +327,15 @@ class Metam:
             for i, aug_id in enumerate(self._ids):
                 cached = self.engine.cached_utility({aug_id})
                 if cached is not None:
-                    scorer.observe(i, cached - base_utility)
-        return clusters, scorer
+                    scorer.observed_gains[i] = cached - base_utility
+            bandit = ThompsonGroupSelector(
+                clusters, seed=rng, uniform=not config.use_thompson
+            )
+        else:
+            bandit = ThompsonGroupSelector(
+                clusters, seed=rng, uniform=not config.use_thompson
+            )
+        return clusters, scorer, bandit
 
     # ------------------------------------------------------------------
     def _result(

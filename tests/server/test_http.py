@@ -206,6 +206,18 @@ class TestErrorMapping:
         assert status == 400
         assert body["error"]["code"] == "invalid-request"
 
+    def test_nan_epsilon_is_400(self, served):
+        """``json`` writes and parses the bare literal ``NaN``; an ε that
+        is not a number used to reach CLUSTER-PARTITION and spin there."""
+        harness, client = served
+        sid = open_session(client)
+        payload = {**harness.payload(), "config": {"epsilon": float("nan")}}
+        assert b"NaN" in json.dumps(payload).encode("utf-8")
+        status, body, _ = submit(client, sid, payload)
+        assert status == 400
+        assert body["error"]["code"] == "invalid-request"
+        assert "epsilon" in body["error"]["message"]
+
     def test_missing_request_field_is_400(self, served):
         _, client = served
         sid = open_session(client)
