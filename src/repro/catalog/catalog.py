@@ -16,6 +16,7 @@ embed the fingerprints of every table on the candidate's join path).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,26 @@ class CatalogDiff:
             f"+{len(self.added)} added, ~{len(self.updated)} updated, "
             f"-{len(self.removed)} removed, ={len(self.unchanged)} unchanged"
         )
+
+
+def _weak_entry_loader(catalog: "Catalog"):
+    """The index's lazy entry source, holding ``catalog`` weakly: the
+    catalog owns its index, so a strong reference back would make the
+    pair (and every corpus ``Table`` the index holds) a cycle that only
+    the cyclic collector can free."""
+    ref = weakref.ref(catalog)
+
+    def load(table_name: str) -> dict:
+        owner = ref()
+        if owner is None:
+            raise CatalogStoreError(
+                f"cannot page entries of table {table_name!r}: the catalog "
+                "that owned this index is gone (keep the Catalog alive "
+                "while its index is in use)"
+            )
+        return owner._load_entries(table_name)
+
+    return load
 
 
 class Catalog:
@@ -117,6 +138,10 @@ class Catalog:
         # re-added with identical content can still hydrate from the
         # snapshot instead of re-reading its per-column object.
         self._removed_fingerprints = {}
+        # {table name: object id} of objects found on disk and adopted —
+        # not written — since the last save: save() claims them on the
+        # writer lease before the manifest starts referencing them.
+        self._adopted = {}
         # Instrumentation: columns signed from scratch vs hydrated from disk.
         self.computed_columns = 0
         self.loaded_columns = 0
@@ -125,7 +150,7 @@ class Catalog:
         #: equal counts on one instance imply an unchanged table set.
         self.mutations = 0
         if store is not None:
-            self._index.set_entry_loader(self._load_entries)
+            self._index.set_entry_loader(_weak_entry_loader(self))
             manifest = store.read_manifest()
             if manifest is not None:
                 if manifest["config"] != self.config:
@@ -185,6 +210,12 @@ class Catalog:
         persisted.  ``fingerprint`` may be supplied by callers that
         already computed it (fingerprinting is the expensive step on
         large tables).
+
+        Ownership: an object signed here is stamped with this writer's
+        lease as it is written; an object adopted from disk is only
+        *remembered* — nothing is written until :meth:`save` claims
+        every adopted object at once, so hydrating an unchanged corpus
+        is read-only.
         """
         if fingerprint is None:
             fingerprint = table_fingerprint(table)
@@ -206,10 +237,7 @@ class Catalog:
                 # to the eager path, which recomputes and re-persists.
                 and self.store.has_object(object_id)
             ):
-                # Adopting an existing object: stamp this catalog's
-                # writer lease on it so a racing gc (whose live set
-                # predates this adoption) leaves it alone until save().
-                self.store.claim_object(object_id)
+                self._adopted[table.name] = object_id
                 self._index.add_table_hydrated(table, signatures)
                 self._fingerprints[table.name] = fingerprint
                 self._removed_since_save.discard(table.name)
@@ -221,7 +249,7 @@ class Catalog:
         if self.store is not None and self.store.has_object(object_id):
             try:
                 _meta, entries = self.store.read_object(object_id)
-                self.store.claim_object(object_id)
+                self._adopted[table.name] = object_id
                 self.loaded_columns += len(entries)
             except CatalogStoreError:
                 # Corrupt object: recompute from the live table below and
@@ -244,6 +272,8 @@ class Catalog:
             for column in table.column_names
         }
         self.computed_columns += len(entries)
+        # Written here, so owned by the write-time stamp, not a claim.
+        self._adopted.pop(table.name, None)
         if self.store is not None:
             meta = {
                 "name": table.name,
@@ -308,6 +338,7 @@ class Catalog:
         # re-added table "unchanged") — but remember the fingerprint so an
         # identical re-add can still use the snapshot fast path.
         self._persisted.pop(table_name, None)
+        self._adopted.pop(table_name, None)
         self._removed_since_save.add(table_name)
         self._removed_fingerprints[table_name] = removed_fingerprint
         self.mutations += 1
@@ -451,9 +482,22 @@ class Catalog:
         process are always saved (this catalog observed them in its
         corpus).  A store whose on-disk config differs is a genuine
         conflict and raises.
+
+        This is the only moment the manifest can start referencing an
+        object this process adopted rather than wrote, so it is where
+        adoption is paid for: every adopted object is claimed on the
+        writer lease in one write, then verified under its shard lock
+        (:meth:`CatalogStore.claim_objects`); any that a racing ``gc``
+        reclaimed first is re-derived from its live table before the
+        manifest is written.  The lease, and the claims with it, is
+        returned once the manifest holds the references.
         """
         if self.store is None:
             raise CatalogStoreError("catalog has no store attached")
+        missing = set(self.store.claim_objects(self._adopted.values()))
+        for name, object_id in sorted(self._adopted.items()):
+            if object_id in missing:
+                self._compute_and_persist(self._index.get_table(name), object_id)
         with self.store.root_lock():
             on_disk = self.store.read_manifest()
             foreign = {}
@@ -522,6 +566,7 @@ class Catalog:
         # adopted; ownership transfers from the writer lease to the
         # manifest, so the lease can be returned.
         self.store.release_writer_lease()
+        self._adopted = {}
         self._persisted = combined
         self._removed_since_save = set()
         self._removed_fingerprints = {}

@@ -9,22 +9,36 @@ missing is *ownership* spanning the builder's write→save window.
 
 A :class:`LeaseManager` gives writers exactly that: a time-bounded
 lease with a monotonically increasing **fencing token** drawn from a
-store-wide counter.  A writer acquires a lease before its first object
-write, stamps the token on every object record it lands, renews while
-it works, and releases after its ``save()`` publishes the references.
+store-wide counter.  The ownership rule has two halves:
+
+* **Objects you write are stamped at write time.**  A writer acquires a
+  lease before its first object write, stamps the token on every object
+  record it lands, renews while it works, and releases after its
+  ``save()`` publishes the references.
+* **Objects you adopt are claimed once, at save, then verified.**  A
+  warm start that finds another writer's object already on disk writes
+  nothing; only when its ``save()`` is about to make a manifest
+  reference them does it publish their ids as the ``claims`` list of
+  its own lease file (one atomic write) and *then* check, under each
+  shard lock, that they still exist — re-deriving any a racing gc won.
+  **A process that never saves never writes**: it holds no lease, and a
+  vanished object is recomputed from the live table when first read.
+
 ``gc`` then refuses to reclaim any unreferenced object whose stamped
-token belongs to a currently active lease — the object is work in
-flight, not garbage.  A writer that crashes stops renewing; its lease
-expires after ``ttl`` (+ the configured clock-skew allowance) and its
-orphaned objects become collectible, so leases bound the damage of any
-failure to one TTL window instead of leaking forever.
+token belongs to, or whose id is claimed by, a currently active lease —
+the object is work in flight, not garbage.  A writer that crashes stops
+renewing; its lease expires after ``ttl`` (+ the configured clock-skew
+allowance) and its orphaned and claimed objects become collectible, so
+leases bound the damage of any failure to one TTL window instead of
+leaking forever.
 
 Fencing tokens are what make the scheme safe across restarts: tokens
 never repeat, so an object stamped by a dead writer's lease can never
 be confused with one stamped by a live writer that happens to reuse
 the same owner name — gc compares tokens, not identities.
 
-Lease state lives in the store itself (``leases/<owner>.json`` plus the
+Lease state lives in the store itself (``leases/<owner>.json`` — owner,
+token, stamp, and the optional sorted ``claims`` list — plus the
 ``leases/.seq`` counter, maintained under a backend lock), so every
 process — and every node, once the backend spans machines — observes
 one coherent ownership map.  Expiry is judged by clamped age
@@ -39,7 +53,17 @@ import json
 import os
 import time
 import uuid
-from typing import TYPE_CHECKING, Callable, ContextManager, Iterable, List, Optional, Set
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    ContextManager,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
     from repro.catalog.backend import StoreBackend
@@ -54,11 +78,21 @@ SEQ_NAME = ".seq"
 LOCK_NAME = ".lock"
 
 
-class Lease:
-    """One granted lease: who holds it, its fencing token, and when it
-    expires.  Immutable — renewal returns a fresh instance."""
+def _read_claims(value: object) -> FrozenSet[str]:
+    """The ``claims`` field of a lease file: a list of object ids.  An
+    absent or malformed field (not a list, non-string members) reads as
+    no claims — the lease keeps its token, it just claims nothing."""
+    if isinstance(value, list) and all(isinstance(item, str) for item in value):
+        return frozenset(value)
+    return frozenset()
 
-    __slots__ = ("owner", "token", "acquired", "ttl", "kind")
+
+class Lease:
+    """One granted lease: who holds it, its fencing token, when it
+    expires, and the ids of the objects it claims (adopted, not written,
+    by its holder).  Immutable — renewal returns a fresh instance."""
+
+    __slots__ = ("owner", "token", "acquired", "ttl", "kind", "claims")
 
     def __init__(
         self,
@@ -67,12 +101,14 @@ class Lease:
         acquired: float,
         ttl: float,
         kind: str = "writer",
+        claims: Iterable[str] = (),
     ) -> None:
         self.owner = owner
         self.token = int(token)
         self.acquired = float(acquired)
         self.ttl = float(ttl)
         self.kind = kind
+        self.claims: FrozenSet[str] = frozenset(claims)
 
     @property
     def expires(self) -> float:
@@ -139,11 +175,20 @@ class LeaseManager:
             self._write(lease)
         return lease
 
-    def renew(self, lease: Lease) -> Lease:
+    def renew(
+        self, lease: Lease, claims: Optional[Iterable[str]] = None
+    ) -> Lease:
         """Push a held lease's expiry forward (token unchanged — renewal
-        extends ownership, it does not re-order it)."""
+        extends ownership, it does not re-order it).  ``claims`` replaces
+        the lease's claimed object ids; ``None`` carries them over, so a
+        routine renewal never drops a published claim."""
         renewed = Lease(
-            lease.owner, lease.token, self.clock(), self.ttl, lease.kind
+            lease.owner,
+            lease.token,
+            self.clock(),
+            self.ttl,
+            lease.kind,
+            lease.claims if claims is None else claims,
         )
         with self._lock():
             self._write(renewed)
@@ -166,6 +211,9 @@ class LeaseManager:
             "ttl": lease.ttl,
             "kind": lease.kind,
         }
+        if lease.claims:
+            # Sorted: the set's iteration order must not reach the disk.
+            payload["claims"] = sorted(lease.claims)
         self.backend.write_bytes(
             self._lease_path(lease.owner),
             json.dumps(payload, sort_keys=True).encode("utf-8"),
@@ -200,6 +248,7 @@ class LeaseManager:
                 lease = Lease(
                     payload["owner"], payload["token"], payload["acquired"],
                     payload["ttl"], payload.get("kind", "writer"),
+                    _read_claims(payload.get("claims")),
                 )
             except (OSError, ValueError, KeyError, TypeError):
                 continue
@@ -214,12 +263,22 @@ class LeaseManager:
             out.append(lease)
         return out
 
-    def active_tokens(self, exclude: Iterable[Optional[Lease]] = ()) -> Set[int]:
-        """Fencing tokens of active leases, minus ``exclude`` (a gc
-        pass excludes its own lease when deciding what to skip)."""
+    def active_holds(
+        self, exclude: Iterable[Optional[Lease]] = ()
+    ) -> Tuple[Set[int], Set[str]]:
+        """``(fencing tokens, claimed object ids)`` of active leases,
+        minus ``exclude`` (a gc pass excludes its own leases when
+        deciding what to skip) — both from one pass over the lease
+        directory."""
         excluded = {lease.token for lease in exclude if lease is not None}
-        return {
-            lease.token
-            for lease in self.active()
-            if lease.token not in excluded
-        }
+        tokens: Set[int] = set()
+        claims: Set[str] = set()
+        for lease in self.active():
+            if lease.token not in excluded:
+                tokens.add(lease.token)
+                claims |= lease.claims
+        return tokens, claims
+
+    def active_tokens(self, exclude: Iterable[Optional[Lease]] = ()) -> Set[int]:
+        """Fencing tokens of active leases, minus ``exclude``."""
+        return self.active_holds(exclude)[0]

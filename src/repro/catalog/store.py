@@ -79,12 +79,32 @@ packs the same virtual paths into immutable append-only segment files
 whose sealed state can be replicated read-only to other roots.
 
 Writers own their in-flight objects through time-bounded, fencing-token
-**leases** (:mod:`repro.catalog.leases`): ``write_object`` stamps the
-writer's token on the object record, and :meth:`CatalogStore.gc` skips
-any unreferenced object whose token belongs to a live lease — then
-re-checks liveness under the shard lock via the caller's ``live_check``
-— closing the race where a gc scan reclaims an object a concurrent
-builder wrote after the scan but before its save landed.
+**leases** (:mod:`repro.catalog.leases`), under one ownership protocol:
+
+* *Objects you write are stamped at write time* — ``write_object``
+  records the writer's token on the object record.
+* *Objects you adopt are claimed once, at save, then verified* — a warm
+  start that finds an object already on disk writes nothing;
+  :meth:`CatalogStore.claim_objects`, called by ``Catalog.save()``
+  before the manifest starts referencing them, publishes their ids as
+  the ``claims`` list of the writer's lease file (one atomic write) and
+  then checks each under its shard lock, reporting the ones that are
+  gone so the caller re-derives them.
+* *A process that never saves never writes* — it holds no lease, and an
+  object that vanishes under it is recomputed from the live table on
+  first read.
+
+:meth:`CatalogStore.gc` skips any unreferenced object whose token
+belongs to, or whose id is claimed by, a live lease — then re-checks
+liveness under the shard lock via the caller's ``live_check`` — closing
+the race where a gc scan reclaims an object a concurrent builder wrote
+(or adopted) after the scan but before its save landed.  Claim-then-
+verify is safe because gc's ``[read claims → delete]`` and the
+claimer's existence check run under the same shard lock and the claim
+is durable *before* the claimer takes it: either gc went first (the
+object is reported missing and re-derived, stamped with the claimer's
+own token) or it comes later and sees the claim — the manifest never
+points at nothing.
 """
 
 from __future__ import annotations
@@ -838,7 +858,9 @@ class CatalogStore:
         #: Test seam: a callable invoked with a protocol point name
         #: (``"shard-log-appended"``, ``"shard-manifest-compacted"``,
         #: ``"object-files-removed"``) at the matching moment of every
-        #: shard-manifest update.  Fault tests raise (or ``os._exit``)
+        #: shard-manifest update, and with ``"claims-published"`` between
+        #: :meth:`claim_objects`' lease write and its first existence
+        #: check.  Fault tests raise (or ``os._exit``)
         #: from it to kill a writer mid-protocol; ``None`` (the default)
         #: is free.
         self.fault_hook = None
@@ -1326,50 +1348,61 @@ class CatalogStore:
         return published
 
     def release_writer_lease(self) -> None:
-        """Give up write ownership — called once the writer's references
-        are durably published (:meth:`Catalog.save`), after which its
-        objects are protected by the manifest, not the lease."""
+        """Give up write ownership, stamps and claims together — called
+        once the writer's references are durably published
+        (:meth:`Catalog.save`), after which its objects are protected by
+        the manifest, not the lease."""
         with self._writer_lease_guard:
             lease, self._writer_lease = self._writer_lease, None
         if lease is not None and self.leases is not None:
             self.leases.release(lease)
 
-    def claim_object(self, fingerprint: str) -> None:
-        """Stamp this writer's lease token on an *existing* object it is
-        adopting (a warm-start hit on content some earlier writer
-        persisted): until this writer's save lands, the object must be
-        owned, or a racing gc that does not see it referenced yet could
-        reclaim it.  No-op when leases are disabled or the object is
-        unknown."""
-        if self.leases is None:
-            return
-        lease = self.writer_lease()
-        shard_dir = self._object_shard_dir(fingerprint)
-        with self._dir_lock(shard_dir):
-            if not self.has_object(fingerprint):
-                return
-            recorded = self._read_shard_section(shard_dir, "objects").get(
-                fingerprint
-            )
-            version = _record_codec(recorded)
-            if version not in CODECS:
-                # Unrecorded (legacy flat object) or damaged record:
-                # probe for the representation actually present.
-                version = next(
-                    (
-                        codec.version
-                        for codec, path in self._object_candidates(fingerprint)
-                        if self.backend.exists(path)
-                    ),
-                    self.codec.version,
+    def claim_objects(self, fingerprints) -> list:
+        """Take ownership of *existing* objects this writer is about to
+        reference (warm-start hits on content some earlier writer
+        persisted); returns the ids that are gone — the caller
+        re-derives those, and :meth:`write_object` stamps them.
+
+        Claim, then verify: the ids are first published as the
+        ``claims`` of this writer's lease file (one atomic write, merged
+        with what the lease already claims), and only then is each
+        checked — present and not tombstoned — under its shard lock,
+        one lock and one manifest read per shard.  :meth:`gc` reads the
+        claims under that same lock before deleting, so either it went
+        first (the id comes back missing) or it sees the claim and
+        spares the object until :meth:`release_writer_lease`.  With
+        leases disabled nothing is published; the check still runs."""
+        wanted = set(fingerprints)
+        if not wanted:
+            return []
+        if self.leases is not None:
+            lease = self.writer_lease()
+            claimed = self.leases.renew(lease, claims=lease.claims | wanted)
+            if self.obs is not None:
+                self.obs["lease_renewals"].inc()
+            with self._writer_lease_guard:
+                held = self._writer_lease
+                # Same lease, whichever thread stamped it last: the slot
+                # must carry the claims so the next renewal keeps them.
+                if held is not None and held.token == claimed.token:
+                    self._writer_lease = claimed
+        self._fault("claims-published")
+        by_shard = {}
+        for fingerprint in sorted(wanted):
+            by_shard.setdefault(
+                self._object_shard_dir(fingerprint), []
+            ).append(fingerprint)
+        missing = []
+        for shard_dir, group in by_shard.items():
+            with self._dir_lock(shard_dir):
+                tombstones = self._read_shard_section(shard_dir, "tombstones")
+                missing.extend(
+                    fingerprint
+                    for fingerprint in group
+                    if fingerprint in tombstones
+                    or not self.has_object(fingerprint)
                 )
-            self._update_shard_manifest(
-                shard_dir,
-                "objects",
-                "set",
-                fingerprint,
-                {"codec": version, "lease": lease.token},
-            )
+        return missing
 
     def write_object(
         self, fingerprint: str, meta: dict, entries: dict, overwrite: bool = False
@@ -1389,11 +1422,11 @@ class CatalogStore:
         if (
             not overwrite
             and self.has_object(fingerprint)
-            and fingerprint not in self._shard_tombstones(fingerprint)
+            and not self.claim_objects([fingerprint])
         ):
-            # Present already — but this writer is about to depend on
-            # it, so take ownership exactly as if it had written it.
-            self.claim_object(fingerprint)
+            # Present already, and now claimed: this writer is about to
+            # depend on it, so it owns it exactly as if it had written
+            # it.  (Gone or tombstoned under the lock: write it.)
             return
         # With leases enabled the record carries the writer's fencing
         # token; without, it stays the historical plain codec version
@@ -1491,12 +1524,6 @@ class CatalogStore:
         over large catalogs never materialize the value sets."""
         return self._decode_candidates(
             fingerprint, lambda codec, blob: codec.decode_meta(blob)
-        )
-
-    def _shard_tombstones(self, fingerprint: str) -> dict:
-        """Tombstone section of the shard holding ``fingerprint``."""
-        return self._read_shard_section(
-            self._object_shard_dir(fingerprint), "tombstones"
         )
 
     def list_tombstones(self) -> dict:
@@ -1652,12 +1679,13 @@ class CatalogStore:
         each candidate gc re-checks, under that object's shard lock:
 
         1. **Lease ownership** — an object whose record carries the
-           fencing token of a currently active lease is a concurrent
-           writer's in-flight work (written after the scan, references
-           not yet saved) and is skipped.  Crashed writers stop
-           renewing, their leases expire, and their orphans become
-           collectible on a later pass — leases defer reclamation, they
-           never leak it.
+           fencing token of a currently active lease, or whose id is in
+           an active lease's ``claims`` (:meth:`claim_objects`), is a
+           concurrent writer's in-flight work (written or adopted after
+           the scan, references not yet saved) and is skipped.  Crashed
+           writers stop renewing, their leases expire, and their
+           orphans become collectible on a later pass — leases defer
+           reclamation, they never leak it.
         2. **Fresh liveness** — ``live_check``, when given, is called to
            produce an up-to-date live set (the catalog re-reads the root
            manifest); an object a just-landed save references is live,
@@ -1699,10 +1727,10 @@ class CatalogStore:
                         record = self._read_shard_section(
                             shard_dir, "objects"
                         ).get(fingerprint)
-                        token = _record_lease(record)
-                        if token is not None and token in self.leases.active_tokens(
+                        tokens, claims = self.leases.active_holds(
                             exclude=own_leases
-                        ):
+                        )
+                        if fingerprint in claims or _record_lease(record) in tokens:
                             skipped_leased += 1
                             if self.obs is not None:
                                 self.obs["gc_skipped"].labels(

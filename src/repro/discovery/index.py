@@ -262,7 +262,11 @@ class DiscoveryIndex:
         """Install the lazy entry source for hydrated tables.
 
         ``loader(table_name)`` must return ``{column: ColumnEntry}`` for
-        every column of that table.
+        every column of that table.  The index holds the loader strongly,
+        so a loader that reaches back to whatever owns this index must
+        do so through a weak reference (the catalog's does) — otherwise
+        owner and index form a cycle that keeps every indexed ``Table``
+        alive until a cyclic collection.
         """
         self._entry_loader = loader
 

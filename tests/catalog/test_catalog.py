@@ -1,8 +1,12 @@
 """Tests for the Catalog facade: incremental maintenance + persistence."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro import DiscoveryEngine
 from repro.catalog import Catalog, CatalogStore, CatalogStoreError
 from repro.dataframe.table import Table
 from repro.discovery.index import DiscoveryIndex
@@ -444,3 +448,55 @@ class TestLazyHydration:
             assert np.array_equal(
                 entry.signature, catalog.index.column_entries("t0")[column].signature
             )
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Reference counting alone must free what a test drops."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestTeardown:
+    """The index pages entries through its catalog, and the catalog owns
+    the index: held strongly both ways that is a cycle owning every
+    corpus Table, freed only by a generation-2 collection.  The loader
+    holds the catalog weakly, so dropping a catalog frees it at once."""
+
+    def test_catalog_and_tables_die_by_refcount(self, tmp_path, no_cyclic_gc):
+        corpus = list(make_corpus(4).values())
+        catalog = Catalog(CatalogStore(str(tmp_path / "c")), seed=0)
+        catalog.refresh(corpus)
+        catalog.save()
+        table_ref = weakref.ref(corpus[0])
+        index_ref = weakref.ref(catalog.index)
+        del catalog, corpus
+        assert table_ref() is None
+        assert index_ref() is None
+
+    def test_engine_dies_by_refcount(self, tmp_path, no_cyclic_gc):
+        root = str(tmp_path / "c")
+        Catalog.open(root, corpus=make_corpus(4), seed=0).save()
+        corpus = list(make_corpus(4).values())
+        engine = DiscoveryEngine.open(root, create=False).attach_corpus(corpus)
+        candidates = engine.prepare(probe_table().with_column("y", [0.0] * 20))
+        assert candidates
+        table_ref = weakref.ref(corpus[0])
+        index_ref = weakref.ref(engine.catalog.index)
+        engine.shutdown()
+        del engine, corpus, candidates
+        assert table_ref() is None
+        assert index_ref() is None
+
+    def test_orphaned_index_raises_typed_error(self, tmp_path):
+        root = str(tmp_path / "c")
+        Catalog.open(root, corpus=make_corpus(3), seed=0).save()
+        catalog = Catalog.load(root, corpus=make_corpus(3))  # lazily hydrated
+        index = catalog.index
+        del catalog
+        with pytest.raises(CatalogStoreError, match="catalog .* is gone"):
+            index.column_entries("t0")

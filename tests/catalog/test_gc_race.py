@@ -8,6 +8,13 @@ candidate under another holder's active lease), and gc re-checks
 liveness under the shard lock right before deleting (so a save that
 landed after the scan re-animates its objects).
 
+The same race exists for objects a builder *adopts* (a warm-start hit
+on content already on disk): nothing is written at adoption, so the
+builder's ``save()`` claims every adopted object on its lease in one
+write and then verifies each under its shard lock — ``TestAdoptionRace``
+pins both orders of that claim against a peer's gc, and a builder
+killed between the two.
+
 Every test here drives the exact interleaving deterministically: the
 "builder" is a second store/catalog instance (its writer lease is not
 the gc'ing store's own), and the stale live set is captured explicitly
@@ -24,7 +31,12 @@ from repro.catalog import store as store_module
 from repro.catalog.leases import DEFAULT_LEASE_TTL
 from repro.dataframe.table import Table
 from tests.harness.entries import make_entry
-from tests.harness.faults import KILLED_EXIT_CODE, fork_context
+from tests.harness.faults import (
+    KILLED_EXIT_CODE,
+    exit_hook,
+    fork_context,
+    run_killed,
+)
 
 
 def write(store, fingerprint):
@@ -158,3 +170,124 @@ class TestCrashedBuilder:
         assert store.gc(["aaaa0001"]) == 1
         assert not store.has_object("bbbb0002")
         assert store.verify()["problems"] == []
+
+
+def _tables(*names):
+    return [Table(name, {"c": [f"{name}{i}" for i in range(4)]}) for name in names]
+
+
+def _manifest_tables(root):
+    return sorted(CatalogStore(root).read_manifest()["tables"])
+
+
+def _peer_drops_b(root, lease_ttl=DEFAULT_LEASE_TTL):
+    """The peer: keeps only ``a``, saves, gc's.  Returns its store (for
+    ``last_gc``)."""
+    peer = Catalog.load(CatalogStore(root, lease_ttl=lease_ttl), corpus=_tables("a"))
+    peer.save()
+    peer.gc()
+    return peer.store
+
+
+def _killed_saver(root):
+    builder = Catalog.load(root, corpus=_tables("a", "b", "c"))
+    builder.store.fault_hook = exit_hook("claims-published")
+    builder.save()
+
+
+class TestAdoptionRace:
+    """Builder adopts ``a`` and ``b`` (already on disk) and writes ``c``;
+    a peer drops ``b`` from the manifest and gc's.  Whichever side of the
+    builder's claim the gc lands on, the builder's save must leave a
+    manifest whose every table has its object."""
+
+    def seed(self, root, lease_ttl=DEFAULT_LEASE_TTL):
+        catalog = Catalog(CatalogStore(root, lease_ttl=lease_ttl), num_perm=8, bands=4)
+        catalog.refresh(_tables("a", "b"))
+        catalog.save()
+        return catalog.fingerprints
+
+    def test_gc_before_claim_rederives(self, tmp_path):
+        root = str(tmp_path / "cat")
+        fingerprints = self.seed(root)
+        builder = Catalog.load(root, corpus=_tables("a", "b", "c"))
+        assert builder.computed_columns == 1  # c signed; a, b adopted
+        b_object = builder._object_id(fingerprints["b"])
+
+        peer_store = _peer_drops_b(root)
+        # b went (adoption wrote nothing to protect it); c — written by
+        # the builder, stamped with its lease — was spared.
+        assert peer_store.last_gc == {
+            "removed": 1, "skipped_leased": 1, "skipped_live": 0,
+        }
+        assert not builder.store.has_object(b_object)
+
+        builder.save()
+        assert builder.computed_columns == 2  # b re-derived at save
+        assert builder.store.has_object(b_object)
+        assert _manifest_tables(root) == ["a", "b", "c"]
+        assert Catalog.load(root).verify()["problems"] == []
+        assert builder.store.leases.active() == []
+
+    def test_gc_after_claim_is_held_off(self, tmp_path):
+        root = str(tmp_path / "cat")
+        fingerprints = self.seed(root)
+        builder = Catalog.load(root, corpus=_tables("a", "b", "c"))
+        b_object = builder._object_id(fingerprints["b"])
+        peer_gc = []
+
+        def peer_at_publication(point):
+            if point == "claims-published":
+                peer_gc.append(_peer_drops_b(root).last_gc)
+
+        builder.store.fault_hook = peer_at_publication
+        builder.save()
+        # Both of the builder's unreferenced objects were spared: c by
+        # its write-time stamp, b by the claim.
+        assert peer_gc == [
+            {"removed": 0, "skipped_leased": 2, "skipped_live": 0}
+        ]
+        assert builder.computed_columns == 1  # nothing re-derived
+        assert builder.store.has_object(b_object)
+        assert _manifest_tables(root) == ["a", "b", "c"]
+        assert Catalog.load(root).verify()["problems"] == []
+
+    def test_builder_killed_after_claim_leaks_one_ttl(self, tmp_path, monkeypatch):
+        root = str(tmp_path / "cat")
+        self.seed(root)
+        run_killed(_killed_saver, (root,))
+
+        # The dead builder's lease still claims a and b and stamps c:
+        # within the TTL the peer's gc reclaims nothing.
+        peer_store = _peer_drops_b(root)
+        assert peer_store.last_gc == {
+            "removed": 0, "skipped_leased": 2, "skipped_live": 0,
+        }
+        real_now = time.time
+        monkeypatch.setattr(
+            store_module, "_now", lambda: real_now() + DEFAULT_LEASE_TTL + 1
+        )
+        peer = Catalog.load(root)
+        assert peer.gc() == 2  # b and c: the claim died with the lease
+        assert _manifest_tables(root) == ["a"]
+        assert peer.verify()["problems"] == []
+        assert peer.store.leases.active() == []
+
+    def test_without_leases_the_check_still_runs(self, tmp_path):
+        """``lease_ttl=None`` publishes nothing, but ``save()`` still
+        verifies what it adopted.  (No new table here: without leases an
+        unsaved *write* is unprotected, which is the loss
+        ``test_pre_lease_path_reproduces_the_loss`` pins.)"""
+        root = str(tmp_path / "cat")
+        self.seed(root, lease_ttl=None)
+        builder = Catalog.load(
+            CatalogStore(root, lease_ttl=None), corpus=_tables("a", "b")
+        )
+        assert builder.computed_columns == 0
+        assert _peer_drops_b(root, lease_ttl=None).last_gc["removed"] == 1
+
+        builder.save()
+        assert builder.computed_columns == 1
+        assert _manifest_tables(root) == ["a", "b"]
+        assert Catalog.load(root).verify()["problems"] == []
+        assert not os.path.exists(os.path.join(root, "leases"))

@@ -4,12 +4,16 @@ These are the primitives the gc-race fix rests on (see
 ``test_gc_race.py`` for the end-to-end schedules).
 """
 
+import glob
+import json
 import os
 
 import pytest
 
-from repro.catalog import CatalogStore, LocalFSBackend
+from repro import DiscoveryEngine
+from repro.catalog import Catalog, CatalogStore, LocalFSBackend
 from repro.catalog.leases import DEFAULT_LEASE_TTL, LeaseManager
+from repro.dataframe.table import Table
 from tests.harness.entries import make_entry
 
 
@@ -242,3 +246,147 @@ class TestStoreIntegration:
         assert store.stats()["leases"] == 1
         store.release_writer_lease()
         assert store.stats()["leases"] == 0
+
+
+class TestClaims:
+    def test_claims_survive_renewal_and_die_with_release(self, manager, clock):
+        lease = manager.renew(manager.acquire(), claims={"obj-b", "obj-a"})
+        assert manager.active_holds() == ({lease.token}, {"obj-a", "obj-b"})
+        clock.now += 8
+        renewed = manager.renew(lease)  # a routine TTL/2 renewal
+        assert renewed.claims == {"obj-a", "obj-b"}
+        assert manager.active_holds()[1] == {"obj-a", "obj-b"}
+        assert manager.active_holds(exclude=(renewed,)) == (set(), set())
+        manager.release(renewed)
+        assert manager.active_holds() == (set(), set())
+
+    def test_claims_are_written_sorted_and_only_when_present(self, manager, tmp_path):
+        lease = manager.acquire()
+        path = os.path.join(str(tmp_path / "store"), "leases", f"{lease.owner}.json")
+        with open(path) as handle:
+            assert "claims" not in json.load(handle)
+        manager.renew(lease, claims={"c", "a", "b"})
+        with open(path) as handle:
+            assert json.load(handle)["claims"] == ["a", "b", "c"]
+
+    def test_claims_expire_with_the_lease(self, manager, clock):
+        manager.renew(manager.acquire(), claims={"obj"})
+        clock.now += 11
+        assert manager.active_holds() == (set(), set())
+
+
+def _corpus(n=5):
+    return [
+        Table(f"t{i}", {"k": [f"v{j}" for j in range(8)], "x": [f"{i}-{j}" for j in range(8)]})
+        for i in range(n)
+    ]
+
+
+def _object_records(store):
+    """Every objects-section record of every shard manifest."""
+    records = {}
+    for fingerprint in store.list_objects():
+        shard_dir = store._object_shard_dir(fingerprint)
+        records[fingerprint] = store._read_shard_section(shard_dir, "objects")[
+            fingerprint
+        ]
+    return records
+
+
+def _writer_lease_files(root):
+    return glob.glob(os.path.join(root, "leases", "writer-*.json"))
+
+
+class TestReaderLeavesNoLease:
+    """Regression: a process that only reads (load + refresh of an
+    unchanged corpus, never a save) used to acquire a writer lease,
+    stamp it on every adopted object record and never release it — a
+    peer's gc then skipped those objects for a full TTL."""
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        root = str(tmp_path / "cat")
+        catalog = Catalog(CatalogStore(root), num_perm=8, bands=4)
+        catalog.refresh(_corpus())
+        catalog.save()
+        return root
+
+    def check_peer_reclaims_first_pass(self, root):
+        peer = Catalog.load(root, corpus=_corpus()[1:])  # drops t0
+        peer.save()
+        assert peer.gc() == 1
+        assert peer.store.last_gc == {
+            "removed": 1, "skipped_leased": 0, "skipped_live": 0,
+        }
+        assert peer.verify()["problems"] == []
+
+    def test_catalog_load_on_unchanged_corpus(self, root):
+        before = _object_records(CatalogStore(root))
+        reader = Catalog.load(root, corpus=_corpus())
+        assert reader.computed_columns == 0
+        assert _writer_lease_files(root) == []
+        assert _object_records(CatalogStore(root)) == before
+        self.check_peer_reclaims_first_pass(root)
+
+    def test_engine_prepare_on_unchanged_corpus(self, root):
+        before = _object_records(CatalogStore(root))
+        base = Table("base", {"k": [f"v{j}" for j in range(8)], "y": list(range(8))})
+        engine = DiscoveryEngine.open(root, create=False).attach_corpus(_corpus())
+        try:
+            assert engine.prepare(base)
+        finally:
+            engine.shutdown()
+        assert _writer_lease_files(root) == []
+        assert _object_records(CatalogStore(root)) == before
+        self.check_peer_reclaims_first_pass(root)
+
+
+class TestHostileLeaseFiles:
+    """A lease file is input: whatever its ``claims`` field holds, it is
+    read like every other malformed field — no claims, or the file
+    skipped whole — and never raises out of gc."""
+
+    def plant(self, store, name, payload):
+        os.makedirs(os.path.join(store.root, "leases"), exist_ok=True)
+        body = payload if isinstance(payload, str) else json.dumps(payload)
+        with open(os.path.join(store.root, "leases", name), "w") as handle:
+            handle.write(body)
+
+    def lease(self, **fields):
+        return {
+            "owner": "writer-1-hostile", "token": 99, "kind": "writer",
+            "acquired": 10.0**12, "ttl": 600.0, **fields,
+        }
+
+    @pytest.mark.parametrize(
+        "claims",
+        ["garbage0", {"garbage0": 1}, 7, None, ["garbage0", 3], [["garbage0"]]],
+    )
+    def test_malformed_claims_claim_nothing(self, tmp_path, claims):
+        store = CatalogStore(str(tmp_path / "cat"))
+        store.write_object("garbage0", {"name": "t"}, {"c": make_entry({"v"})})
+        store.release_writer_lease()
+        self.plant(store, "writer-1-hostile.json", self.lease(claims=claims))
+        # The lease itself is well-formed, so its token still counts...
+        assert store.leases.active_holds() == ({99}, set())
+        # ...but it claims nothing: the unreferenced object is reclaimed.
+        assert store.gc([]) == 1
+
+    def test_well_formed_claim_from_a_foreign_file_is_honoured(self, tmp_path):
+        store = CatalogStore(str(tmp_path / "cat"))
+        store.write_object("garbage0", {"name": "t"}, {"c": make_entry({"v"})})
+        store.release_writer_lease()
+        self.plant(store, "writer-1-hostile.json", self.lease(claims=["garbage0"]))
+        assert store.gc([]) == 0
+        assert store.last_gc["skipped_leased"] == 1
+
+    def test_a_megabyte_of_junk(self, tmp_path):
+        store = CatalogStore(str(tmp_path / "cat"))
+        store.write_object("garbage0", {"name": "t"}, {"c": make_entry({"v"})})
+        store.release_writer_lease()
+        self.plant(store, "writer-2-junk.json", "\x00{[" * (1 << 18))
+        self.plant(store, "writer-3-junk.json", self.lease(claims="x" * (1 << 20)))
+        self.plant(store, "writer-4-junk.json", ["not", "an", "object"])
+        assert store.leases.active_holds() == ({99}, set())
+        assert store.gc([]) == 1
+        assert store.verify()["problems"] == []

@@ -93,6 +93,30 @@ def _catalog_builder(root, tables):
     catalog.save()
 
 
+def _slice_tables(names):
+    return [Table(name, {"c": [f"{name}-{i}" for i in range(3)]}) for name in names]
+
+
+def _adopting_builder(root, names):
+    """Adopt whatever of ``names`` is already on disk (referenced or
+    not), sign the rest, save."""
+    catalog = Catalog.load(root)
+    catalog.refresh(_slice_tables(names) + _slice_tables(["keep"]))
+    catalog.save()
+
+
+def _churning_collector(root, rounds):
+    """Add a table, save, remove it, save, gc — over and over.  Every gc
+    sees the builders' not-yet-referenced objects as candidates."""
+    for i in range(rounds):
+        catalog = Catalog.load(root)
+        catalog.add(_slice_tables([f"churn{i}"])[0])
+        catalog.save()
+        catalog.remove(f"churn{i}")
+        catalog.save()
+        catalog.gc()
+
+
 class TestProcessWriters:
     def test_multiprocess_store_writers(self, store):
         fingerprints = same_shard_fingerprints(24)
@@ -131,6 +155,36 @@ class TestProcessWriters:
         report = catalog.verify()
         assert report["problems"] == []
         assert report["tables"] == len(expected)
+
+    def test_adopting_builders_race_a_collector(self, tmp_path):
+        """Two builders adopt overlapping, currently unreferenced objects
+        while a third process loops add → save → remove → save → gc.
+        Whichever side of each builder's claim a gc pass lands on
+        (object reclaimed first and re-derived at save, or claimed first
+        and spared), every builder's table ends up in the manifest with
+        its object."""
+        root = str(tmp_path / "cat")
+        shared = [f"s{i}" for i in range(6)]
+        seeded = Catalog.open(root, num_perm=8, bands=4)
+        seeded.refresh(_slice_tables(shared + ["keep"]))
+        seeded.save()
+        # Un-reference the shared tables without collecting them: their
+        # objects stay on disk as garbage any gc may take.
+        seeded.refresh(_slice_tables(["keep"]))
+        seeded.save()
+
+        run_ok(
+            [
+                (_adopting_builder, (root, shared[:4] + ["a0", "a1"])),
+                (_adopting_builder, (root, shared[2:] + ["b0", "b1"])),
+                (_churning_collector, (root, 6)),
+            ]
+        )
+        manifest = CatalogStore(root).read_manifest()
+        assert set(manifest["tables"]) == {*shared, "keep", "a0", "a1", "b0", "b1"}
+        catalog = Catalog.load(root)
+        assert catalog.verify()["problems"] == []
+        assert catalog.store.leases.active() == []
 
     def test_peer_removal_not_resurrected(self, tmp_path):
         """A writer that merely carries a table forward must honor a

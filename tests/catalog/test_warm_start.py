@@ -1,11 +1,17 @@
-"""Warm-start equivalence: catalog-served discovery == cold build."""
+"""Warm-start equivalence: catalog-served discovery == cold build —
+and a warm start on an unchanged corpus only *reads* the store."""
+
+import collections
+import json
+import os
 
 import numpy as np
 import pytest
 
 from repro import prepare_candidates
-from repro.catalog import Catalog, CatalogStore
+from repro.catalog import Catalog, CatalogStore, LocalFSBackend
 from repro.data import housing_scenario
+from repro.dataframe.table import Table
 from repro.profiles.registry import default_registry
 
 
@@ -162,3 +168,100 @@ class TestWarmStartEquivalence:
         )
         cache = catalog.profile_cache(other_base, registry, seed=0)
         assert all(cache.get(c) is None for c in candidates)
+
+
+class SpyBackend(LocalFSBackend):
+    """The local backend, counting every mutating primitive by the store
+    section (first path component under the root) it lands in.  A guard
+    that counts calls instead of reading a clock."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.spy_root = str(root)
+        self.calls = collections.Counter()
+        self.lease_writes = []
+
+    def _note(self, op, path):
+        section = os.path.relpath(path, self.spy_root).split(os.sep, 1)[0]
+        self.calls[(op, section)] += 1
+
+    def write_bytes(self, path, data):
+        self._note("write_bytes", path)
+        if os.path.basename(path).startswith("writer-"):
+            self.lease_writes.append(json.loads(data))
+        return super().write_bytes(path, data)
+
+    def append_bytes(self, path, data):
+        self._note("append_bytes", path)
+        return super().append_bytes(path, data)
+
+    def write_stream(self, path):
+        self._note("write_stream", path)
+        return super().write_stream(path)
+
+    def remove(self, path):
+        self._note("remove", path)
+        return super().remove(path)
+
+    def lock(self, path):
+        self._note("lock", path)
+        return super().lock(path)
+
+    def in_section(self, section):
+        return {op: n for (op, where), n in self.calls.items() if where == section}
+
+
+def _portal(n_tables):
+    return [
+        Table(
+            f"t{i:03d}",
+            {"k": [f"key{j}" for j in range(6)], "x": [f"{i}:{j}" for j in range(6)]},
+        )
+        for i in range(n_tables)
+    ]
+
+
+class TestWarmStartOnlyReads:
+    def warm_start(self, tmp_path, n_tables):
+        root = str(tmp_path / f"cat{n_tables}")
+        catalog = Catalog(CatalogStore(root), num_perm=8, bands=4)
+        catalog.refresh(_portal(n_tables))
+        catalog.save()
+        spy = SpyBackend(root)
+        warm = Catalog.load(CatalogStore(root, backend=spy), corpus=_portal(n_tables))
+        assert warm.computed_columns == 0
+        assert warm.loaded_columns == 2 * n_tables
+        return warm, spy
+
+    def test_load_writes_nothing_under_objects_or_leases(self, tmp_path):
+        _warm, spy = self.warm_start(tmp_path, 20)
+        assert spy.in_section("objects") == {}
+        assert spy.in_section("leases") == {}
+        # Only the builder's released-lease leftovers: no lease file.
+        assert sorted(os.listdir(os.path.join(spy.spy_root, "leases"))) == [
+            ".lock", ".seq",
+        ]
+
+    def test_mutation_count_does_not_grow_with_the_store(self, tmp_path):
+        """At the parent of this guard every unchanged table cost ≥ 4
+        mutating calls (lock, log append, manifest rewrite, log remove)."""
+        _warm, small = self.warm_start(tmp_path, 20)
+        _warm, large = self.warm_start(tmp_path, 80)
+        assert sum(large.calls.values()) == sum(small.calls.values())
+
+    def test_save_claims_every_adopted_object_in_one_lease_write(self, tmp_path):
+        warm, spy = self.warm_start(tmp_path, 20)
+        spy.calls.clear()
+        warm.save()
+        claiming = [w["claims"] for w in spy.lease_writes if "claims" in w]
+        adopted = sorted(
+            warm._object_id(fingerprint) for fingerprint in warm.fingerprints.values()
+        )
+        assert claiming == [adopted]  # one write, all ids, sorted
+        # Verification locks shards and writes nothing beneath them; the
+        # lease costs a constant few writes, not one per table.
+        assert set(spy.in_section("objects")) == {"lock"}
+        assert spy.in_section("leases")["write_bytes"] <= 3
+        assert sorted(os.listdir(os.path.join(spy.spy_root, "leases"))) == [
+            ".lock", ".seq",
+        ]
