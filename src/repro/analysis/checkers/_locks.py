@@ -6,7 +6,7 @@ The codebase has two families of locks with very different rules:
   attributes) — short critical sections; blocking I/O under one stalls
   every thread in the process.  These are the attributes named
   ``_lock``, ``_catalog_lock``, ``_state_lock``, ``_writer_lease_guard``,
-  ``_prepare_gate``, ``_refresh_lock`` (and anything matching the
+  ``_refresh_lock`` (and anything matching the
   ``*_lock``/``*_guard``/``*_gate`` suffix convention).
 * **Cross-process critical-section locks** (``FileLock`` and the
   context-manager factories ``_dir_lock(...)``, ``_ilock()``,
@@ -32,7 +32,6 @@ IN_PROCESS_ATTRS = {
     "_catalog_lock",
     "_state_lock",
     "_writer_lease_guard",
-    "_prepare_gate",
     "_refresh_lock",
 }
 
@@ -128,13 +127,6 @@ def blocking_reason(node: ast.Call) -> Optional[str]:
         return "time.sleep()"
     if root in {"subprocess", "shutil", "socket"}:
         return f"{root}.{name}()"
-    if root == "mmap":
-        return f"mmap.{name}() (page-mapping syscall)"
-    if name in MMAP_LIFECYCLE_METHODS:
-        # Mapping an artifact under an in-process lock is doubly wrong:
-        # the map syscall blocks, and the page faults it sets up are
-        # deferred disk I/O that outlives the critical section.
-        return f"{name}() (maps artifact pages; faults are deferred I/O)"
     if root == "tempfile" and name in {
         "mkstemp",
         "mkdtemp",
@@ -185,15 +177,9 @@ OS_IO_FUNCS = {
     "symlink",
 }
 
-#: Calls that create or read through a memory mapping.  Flagged under
-#: in-process locks regardless of receiver: ``open_mmap`` is the
-#: backend seam, ``_read_artifact`` is the store helper that calls it.
-MMAP_LIFECYCLE_METHODS = {"open_mmap", "_read_artifact"}
-
 #: StoreBackend methods that perform I/O.
 BACKEND_IO_METHODS = {
     "open_read",
-    "open_mmap",
     "read_bytes",
     "write_bytes",
     "append_bytes",

@@ -16,9 +16,8 @@ it::
 ``(base content, spec, seed, registry)`` key has its own lock, so the
 first request for a key pays, concurrent requests for the same key share
 the result, and requests for *disjoint* keys prepare fully in parallel
-(see ``benchmarks/bench_engine_parallel.py``; catalog mutations are
-serialized internally, and the on-disk store is concurrency-safe in its
-own right).  Each run gets its own searcher, query accounting, and RNG —
+(catalog mutations are serialized internally, and the on-disk store is
+concurrency-safe in its own right).  Each run gets its own searcher, query accounting, and RNG —
 so N callers can serve requests against one warm engine concurrently
 (``benchmarks/bench_engine_concurrency.py``).
 
@@ -129,12 +128,6 @@ class DiscoveryEngine:
         many (base, spec, seed) combinations, and each set holds every
         candidate's materialized values — without a bound the cache
         grows with the request history instead of the working set.
-    striped_prepare:
-        ``True`` (default) gives every prepare key its own lock, so
-        disjoint keys prepare in parallel.  ``False`` restores the
-        engine-wide prepare lock of earlier releases — the baseline the
-        parallel benchmark compares against; results are identical
-        either way.
     max_workers:
         Size of the bounded worker pool behind :meth:`submit` (created
         lazily on the first submit; :meth:`shutdown` drains it).
@@ -189,7 +182,6 @@ class DiscoveryEngine:
         tasks: Registry = None,
         scenarios: Registry = None,
         max_prepared_sets: int = 32,
-        striped_prepare: bool = True,
         max_workers: int = 4,
         result_cache_bytes: int = None,
         persist_results: bool = False,
@@ -220,12 +212,10 @@ class DiscoveryEngine:
         self._corpus_epoch = 0
         self._lock = threading.RLock()
         # Catalog mutations (refresh/save, lazy index paging, profile
-        # cache construction) stay serialized even under striped
-        # preparation: the in-memory index is shared mutable state.
+        # cache construction) stay serialized even though preparation is
+        # locked per key: the in-memory index is shared mutable state.
         self._catalog_lock = threading.RLock()
-        self.striped_prepare = bool(striped_prepare)
-        self._prepare_keys = KeyedMutex()  # per-key locks (striped mode)
-        self._prepare_gate = threading.RLock()  # engine-wide (legacy mode)
+        self._prepare_keys = KeyedMutex()  # one lock per prepare key
         self.max_prepared_sets = max_prepared_sets
         self._prepared = prepared  # prepare key -> candidates (LRU-bounded)
         self.max_workers = max_workers
@@ -426,7 +416,6 @@ class DiscoveryEngine:
         corpus=None,
         create: bool = True,
         backend=None,
-        object_codec: int = None,
         **config,
     ) -> "DiscoveryEngine":
         """Engine backed by the persistent catalog at ``catalog_dir``.
@@ -438,20 +427,14 @@ class DiscoveryEngine:
         :class:`~repro.catalog.CatalogStoreError` otherwise.  ``corpus``
         is attached when given.  ``backend`` selects the store layout
         (``"local"``/``"segments"``) for fresh roots; an existing root
-        auto-detects its layout regardless.  ``object_codec`` selects
-        the artifact codec new writes use (``3`` = the mmap-friendly
-        fixed layout; default keeps the deflated binary format).
-        Existing artifacts stay readable under any choice — the store
-        reads through every registered codec.
+        auto-detects its layout regardless.
         """
         from repro.catalog.store import CatalogStore
 
         root = (
             catalog_dir
             if isinstance(catalog_dir, CatalogStore)
-            else CatalogStore(
-                catalog_dir, backend=backend, object_codec=object_codec
-            )
+            else CatalogStore(catalog_dir, backend=backend)
         )
         if create:
             catalog = Catalog.open(root, **config)
@@ -643,11 +626,7 @@ class DiscoveryEngine:
             if cached is not None:
                 self._m_prepare_cache.labels(event="hit").inc()
                 return list(cached), True, corpus
-        if self.striped_prepare:
-            guard = self._prepare_keys(key)
-        else:
-            guard = self._prepare_gate
-        with guard:
+        with self._prepare_keys(key):
             with self._lock:
                 # Re-check under the key lock: a concurrent holder may
                 # have prepared this exact key while we waited.

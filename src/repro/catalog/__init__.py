@@ -7,20 +7,21 @@ profile vectors) plus a :class:`Catalog` facade that maintains a live
 :class:`~repro.discovery.index.DiscoveryIndex` incrementally and
 warm-starts discovery runs from disk instead of re-indexing the corpus.
 
-Store layout (version 2)
+Store layout
     Objects and profile groups are sharded into 256 hash-prefix
     directories (``objects/ab/<fp>.bin``), each with an advisory
     per-shard manifest, so no directory or manifest grows unboundedly as
-    the corpus scales; version-1 flat layouts are read through
-    transparently and migrate in place via :meth:`CatalogStore.migrate`
-    (CLI: ``repro catalog build --migrate``).
+    the corpus scales.  There is one layout (version 2).  The catalog is
+    derived data: a root this release cannot read raises
+    :class:`CatalogStoreError` naming ``repro catalog build`` — it is
+    rebuilt from the corpus, not migrated.
 
-Codec versioning
-    Column entries serialize through a versioned
-    :class:`~repro.catalog.store.Codec`: version 2 is a packed,
-    zlib-deflated binary format several times smaller than version 1's
-    JSON, which stays registered as a legacy decoder forever.  Readers
-    pick the codec per file, so mixed-codec stores are fine.
+Object format
+    An object is exactly one file, encoded by
+    :class:`~repro.catalog.codec.BinaryCodec` (codec version 2: packed
+    value sets + raw signatures, zlib-deflated, canonical bytes).  Any
+    other file beside it is not an object; a table whose ``.bin`` is
+    missing or corrupt is re-derived from the live table.
 
 Eviction knobs
     Cached profile groups are LRU-tracked (byte size + last-touch time
@@ -56,6 +57,7 @@ from repro.catalog.backend import (
     backend_for,
 )
 from repro.catalog.catalog import Catalog, CatalogDiff, ProfileCache
+from repro.catalog.codec import BinaryCodec
 from repro.catalog.leases import Lease, LeaseManager
 from repro.catalog.fingerprint import (
     config_fingerprint,
@@ -67,14 +69,7 @@ from repro.catalog.fingerprint import (
     table_fingerprint,
 )
 from repro.catalog.refresh import CatalogRefresher, CatalogSnapshot
-from repro.catalog.store import (
-    CODECS,
-    BinaryCodec,
-    CatalogStore,
-    CatalogStoreError,
-    Codec,
-    JsonCodec,
-)
+from repro.catalog.store import CatalogStore, CatalogStoreError
 
 __all__ = [
     "Catalog",
@@ -84,10 +79,7 @@ __all__ = [
     "ProfileCache",
     "CatalogStore",
     "CatalogStoreError",
-    "Codec",
-    "JsonCodec",
     "BinaryCodec",
-    "CODECS",
     "table_fingerprint",
     "config_fingerprint",
     "corpus_fingerprint",

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import io
 import json
-import mmap
 import os
 import shutil
 import tempfile
@@ -74,24 +73,6 @@ class StoreBackend:
     def read_bytes(self, path: str) -> bytes:
         with self.open_read(path) as handle:
             return handle.read()
-
-    def open_mmap(self, path: str) -> memoryview:
-        """Read-only buffer over one blob, memory-mapped when the
-        backend supports it.
-
-        The fallback is an in-memory copy, so every backend satisfies
-        the contract; :class:`LocalFSBackend` returns a view over a real
-        ``mmap`` so large artifacts are paged on demand and shared
-        between processes by the OS page cache.  The buffer (and any
-        numpy array viewing it) keeps the underlying map alive by
-        reference; callers never manage the map's lifecycle explicitly.
-
-        Never call this while holding a store lock: a page fault on a
-        mapped artifact is disk I/O, and disk I/O under an in-process
-        lock stalls every other thread (enforced by reprolint's
-        mmap-under-lock rule).
-        """
-        return memoryview(self.read_bytes(path))
 
     # -- writes --------------------------------------------------------
     def write_bytes(self, path: str, data: bytes) -> None:
@@ -167,18 +148,6 @@ class LocalFSBackend(StoreBackend):
 
     def open_read(self, path: str):
         return open(path, "rb")
-
-    def open_mmap(self, path: str) -> memoryview:
-        with open(path, "rb") as handle:
-            try:
-                mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-            except ValueError:
-                # Zero-length files cannot be mapped; an empty buffer is
-                # the correct (and equally zero-copy) answer.
-                return memoryview(b"")
-        # The memoryview holds the only reference to the map; it is
-        # unmapped when the last view (or array viewing it) is dropped.
-        return memoryview(mapped)
 
     def write_bytes(self, path: str, data: bytes) -> None:
         # Unique temp file + rename: readers never see partial content
@@ -379,38 +348,6 @@ class SegmentsBackend(StoreBackend):
                     f"{entry['seg']!r}"
                 )
             return io.BytesIO(data)
-        raise FileNotFoundError(2, "No such stored blob", path)  # pragma: no cover
-
-    def open_mmap(self, path: str) -> memoryview:
-        rel = self._rel(path)
-        # Same compaction race as open_read: the segment can vanish
-        # between the index read and the map — retry with a fresh index.
-        # Sealed segments are immutable, so once mapped the slice is
-        # stable for the life of the view even if a later compaction
-        # unlinks the file (the mapping outlives the directory entry).
-        for attempt in range(3):
-            entry = self._load_index()["files"].get(rel)
-            if entry is None:
-                raise FileNotFoundError(2, "No such stored blob", path)
-            offset, length = int(entry["off"]), int(entry["len"])
-            try:
-                with open(self._segment_path(entry["seg"]), "rb") as handle:
-                    if length == 0:
-                        return memoryview(b"")
-                    mapped = mmap.mmap(
-                        handle.fileno(), 0, access=mmap.ACCESS_READ
-                    )
-            except FileNotFoundError:
-                if attempt == 2:
-                    raise
-                continue
-            if offset + length > len(mapped):
-                raise CatalogStoreError(
-                    f"segments store: blob {rel!r} truncated in "
-                    f"{entry['seg']!r}"
-                )
-            # The slice keeps the parent view (and the map) alive.
-            return memoryview(mapped)[offset : offset + length]
         raise FileNotFoundError(2, "No such stored blob", path)  # pragma: no cover
 
     # -- writes --------------------------------------------------------

@@ -754,8 +754,8 @@ class Catalog:
             meta, entries = self.store.read_object(object_id)
             size = meta.get("size_bytes")
             if size is None:
-                # Object written before sizes were recorded (a
-                # pre-layout-v2 store): estimate live if possible,
+                # Object whose meta carries no size (not written by
+                # this catalog): estimate live if possible,
                 # otherwise count the table as unsized and warn in the
                 # caller — never silently under-report.
                 if live is not None:

@@ -1,13 +1,14 @@
 """Sharded, size-budgeted on-disk store backing the persistent catalog.
 
-Layout under the store root (layout version 2)::
+One layout, one object format::
 
     manifest.json               catalog config + {table name: fingerprint}
     objects/ab/<fp>.bin         per-table derived artifacts (distinct sets,
                                 MinHash signatures, metadata), addressed by
                                 the fingerprint of the source table and
                                 sharded by a 2-hex-digit hash prefix
-    objects/ab/manifest.json    per-shard object index ({fp: codec version})
+    objects/ab/manifest.json    per-shard object index
+                                ({fp: {"codec": 2, "lease": token}})
     profiles/cd/<fp>.npz        cached profile vectors, grouped by the
                                 fingerprint of the base (query) table
     profiles/cd/manifest.json   per-shard LRU bookkeeping ({fp: bytes, touched})
@@ -16,19 +17,22 @@ Layout under the store root (layout version 2)::
 Sharding keeps every directory and every manifest bounded: a store with
 10⁵ tables spreads them over 256 object shards, so directory scans,
 manifest rewrites, and atomic-rename pressure stay flat as the catalog
-grows.  Version-1 stores (flat ``objects/<fp>.json``) are read through
-transparently and can be rewritten in place with :meth:`CatalogStore.migrate`.
+grows.
+
+An object is exactly one file, ``objects/<shard>/<fingerprint>.bin``,
+encoded by :class:`~repro.catalog.codec.BinaryCodec` — ``has_object`` is
+one ``exists`` and ``read_object`` one read + one decode.  The catalog
+is *derived* data, so there is no migration: a root manifest whose
+``version`` is not the integer 2 raises :class:`CatalogStoreError`
+telling the user to rebuild with ``repro catalog build``, and any other
+file in a shard directory (another format's ``<fp>.json``, editor
+droppings) is not an object — the object is simply missing and gets
+re-derived from the live table, exactly like a gc'd or corrupt one.
 
 Objects are immutable once written — a changed table gets a new
 fingerprint and therefore a new object — so incremental updates never
 rewrite artifacts of unchanged tables.  ``gc`` reclaims objects no live
 table references.
-
-Column entries are serialized by a versioned :class:`Codec`.  The current
-default is the packed :class:`BinaryCodec` (struct-packed value sets +
-raw little-endian signatures, several times smaller than JSON); the
-legacy :class:`JsonCodec` stays registered so version-1 artifacts remain
-readable forever.
 
 Cached profile groups are the one store section that can grow without
 bound (every new base table adds a group), so they carry an LRU eviction
@@ -111,23 +115,22 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
-import re
-import struct
 import threading
 import time
-import zlib
 
 import numpy as np
 
 from repro.catalog.backend import CatalogStoreError, backend_for
+from repro.catalog.codec import BinaryCodec
 from repro.catalog.fingerprint import shard_of
 from repro.catalog.leases import DEFAULT_LEASE_TTL, LeaseManager
-from repro.discovery.index import ColumnEntry
 
+#: The one layout version this code reads and writes.
 VERSION = 2
-#: Layout versions this code can read (writes always use :data:`VERSION`).
-READABLE_VERSIONS = frozenset({1, VERSION})
+#: The one object codec (its ``version`` is what shard records carry).
+CODEC = BinaryCodec()
 
 # Overridable clock for deterministic LRU tests.
 _now = time.time
@@ -223,550 +226,34 @@ class _TimedLock:
         return self._lock.__exit__(*exc_info)
 
 
-# ----------------------------------------------------------------------
-# Column-entry codecs
-# ----------------------------------------------------------------------
-class Codec:
-    """Versioned (de)serializer for one table object.
-
-    A codec turns ``(meta, {column: ColumnEntry})`` into bytes and back.
-    ``version`` is stable forever: a store may hold objects written by
-    any registered codec, and the reader picks the codec from the file
-    (extension + self-describing header), so new codec versions never
-    orphan old artifacts.  Decoders raise :class:`CatalogStoreError` on
-    any malformed input — truncated, garbled, or wrong-typed — and never
-    return partially-decoded entries.
-    """
-
-    version: int
-    extension: str
-    #: Whether readers should hand this codec a memory-mapped buffer
-    #: (``StoreBackend.open_mmap``) instead of an in-memory blob copy.
-    mmap = False
-
-    def encode(self, meta: dict, entries: dict) -> bytes:
-        raise NotImplementedError
-
-    def decode(self, blob: bytes):
-        """``(meta, {column: ColumnEntry})`` from :meth:`encode` output."""
-        raise NotImplementedError
-
-    def decode_meta(self, blob: bytes) -> dict:
-        """Just the ``meta`` dict (cheap for codecs with a meta header)."""
-        return self.decode(blob)[0]
-
-    def check(self, blob) -> None:
-        """Deep integrity check (:meth:`CatalogStore.verify`); codecs
-        with checksums validate them here, on top of a full decode."""
-        self.decode(blob)
-
-
-def _derived_normalized(distinct) -> frozenset:
-    return frozenset(v.strip().lower() for v in distinct)
-
-
-class JsonCodec(Codec):
-    """The version-1 JSON object format (legacy; still fully readable).
-
-    Byte-compatible with the flat-layout writer of layout version 1, so
-    migration tests (and any external tooling) can reproduce v1 stores
-    exactly.
-    """
-
-    version = 1
-    extension = ".json"
-
-    def encode(self, meta: dict, entries: dict) -> bytes:
-        payload = {
-            "meta": dict(meta),
-            "columns": {
-                column: {
-                    "distinct": sorted(entry.distinct),
-                    "normalized": sorted(entry.normalized),
-                    "signature": [int(x) for x in entry.signature.tolist()],
-                }
-                for column, entry in entries.items()
-            },
-        }
-        return json.dumps(payload, indent=1, sort_keys=True).encode("utf-8")
-
-    def decode(self, blob: bytes):
-        try:
-            payload = json.loads(blob.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise CatalogStoreError(f"corrupt JSON object: {error}") from error
-        try:
-            entries = {}
-            for column, data in payload["columns"].items():
-                distinct = frozenset(data["distinct"])
-                if "normalized" in data:
-                    normalized = frozenset(data["normalized"])
-                else:
-                    normalized = _derived_normalized(distinct)
-                entries[column] = ColumnEntry(
-                    distinct=distinct,
-                    normalized=normalized,
-                    signature=np.array(data["signature"], dtype=np.uint64),
-                )
-            return payload["meta"], entries
-        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as error:
-            # ValueError/OverflowError: JSON-valid but wrong-typed
-            # signature data (np.array with dtype=uint64 rejects it).
-            raise CatalogStoreError(f"corrupt JSON object: {error!r}") from error
-
-
-class _Cursor:
-    """Bounds-checked reader over a binary object blob."""
-
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if n < 0 or self.pos + n > len(self.blob):
-            raise CatalogStoreError(
-                f"truncated binary object: wanted {n} bytes at offset "
-                f"{self.pos}, have {len(self.blob)}"
-            )
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def text(self, n: int) -> str:
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError as error:
-            raise CatalogStoreError(
-                f"garbled binary object: invalid UTF-8 at offset {self.pos}"
-            ) from error
-
-
-class BinaryCodec(Codec):
-    """Packed + deflated binary object format (layout version 2's default).
-
-    Little-endian throughout::
-
-        magic b"RCAT" | u16 codec version
-        u32 meta length | meta JSON (utf-8, uncompressed → cheap meta reads)
-        u8 body compression (0 = raw, 1 = zlib) | u32 stored body length
-        body (zlib-deflated column section):
-            u32 column count
-            per column (sorted by name):
-                u16 name length | name utf-8
-                u32 num_perm | num_perm * u64 signature
-                u8 flags (bit 0: explicit normalized block follows distinct)
-                string-set block (distinct)
-                [string-set block (normalized), only if flag bit 0]
-
-        string-set block: u32 count | u32 blob length
-                          | count * u32 value lengths | utf-8 value blob
-
-    The dominant JSON costs disappear: signatures are raw 8-byte words
-    instead of ~25 characters of decimal + indentation each, values are
-    stored once (the normalized set is re-derived on decode whenever it
-    equals ``strip().lower()`` of the distinct set, which is how every
-    entry the index computes looks), and the packed column section is
-    deflated — sorted value blobs share long prefixes, so zlib roughly
-    halves it again.  Encoding is canonical — values sorted, meta JSON
-    with sorted keys, fixed compression level — so equal objects encode
-    byte-identically.
-    """
-
-    version = 2
-    extension = ".bin"
-
-    MAGIC = b"RCAT"
-    _EXPLICIT_NORMALIZED = 1
-    _BODY_RAW = 0
-    _BODY_ZLIB = 1
-    _ZLIB_LEVEL = 6
-
-    def encode(self, meta: dict, entries: dict) -> bytes:
-        body = bytearray()
-        body += struct.pack("<I", len(entries))
-        for column in sorted(entries):
-            entry = entries[column]
-            name = column.encode("utf-8")
-            if len(name) > 0xFFFF:
-                raise CatalogStoreError(
-                    f"column name {column[:40]!r}… is {len(name)} UTF-8 "
-                    "bytes, beyond the binary codec's 64KiB name field"
-                )
-            body += struct.pack("<H", len(name))
-            body += name
-            signature = np.ascontiguousarray(entry.signature, dtype="<u8")
-            body += struct.pack("<I", signature.size)
-            body += signature.tobytes()
-            derived = entry.normalized == _derived_normalized(entry.distinct)
-            body += struct.pack("<B", 0 if derived else self._EXPLICIT_NORMALIZED)
-            body += self._pack_strings(entry.distinct)
-            if not derived:
-                body += self._pack_strings(entry.normalized)
-        deflated = zlib.compress(bytes(body), self._ZLIB_LEVEL)
-        if len(deflated) < len(body):
-            compression, stored = self._BODY_ZLIB, deflated
-        else:
-            compression, stored = self._BODY_RAW, bytes(body)
-        out = bytearray()
-        out += self.MAGIC
-        out += struct.pack("<H", self.version)
-        meta_blob = json.dumps(dict(meta), sort_keys=True).encode("utf-8")
-        out += struct.pack("<I", len(meta_blob))
-        out += meta_blob
-        out += struct.pack("<BI", compression, len(stored))
-        out += stored
-        return bytes(out)
-
-    @staticmethod
-    def _pack_strings(values) -> bytes:
-        encoded = [value.encode("utf-8") for value in sorted(values)]
-        lengths = np.array([len(e) for e in encoded], dtype="<u4")
-        blob = b"".join(encoded)
-        return (
-            struct.pack("<II", len(encoded), len(blob))
-            + lengths.tobytes()
-            + blob
-        )
-
-    @staticmethod
-    def _unpack_strings(cursor: _Cursor) -> frozenset:
-        count, blob_len = cursor.unpack("<II")
-        lengths = np.frombuffer(cursor.take(4 * count), dtype="<u4")
-        if int(lengths.sum()) != blob_len:
-            raise CatalogStoreError(
-                "garbled binary object: string lengths disagree with blob size"
-            )
-        blob = cursor.take(blob_len)
-        values = []
-        offset = 0
-        for length in lengths.tolist():
-            piece = blob[offset : offset + length]
-            offset += length
-            try:
-                values.append(piece.decode("utf-8"))
-            except UnicodeDecodeError as error:
-                raise CatalogStoreError(
-                    "garbled binary object: invalid UTF-8 value"
-                ) from error
-        return frozenset(values)
-
-    def _header(self, blob: bytes) -> _Cursor:
-        cursor = _Cursor(blob)
-        if cursor.take(len(self.MAGIC)) != self.MAGIC:
-            raise CatalogStoreError("not a binary catalog object (bad magic)")
-        (version,) = cursor.unpack("<H")
-        if version != self.version:
-            raise CatalogStoreError(
-                f"binary object codec version {version}, expected {self.version}"
-            )
-        return cursor
-
-    def _meta(self, cursor: _Cursor) -> dict:
-        (meta_len,) = cursor.unpack("<I")
-        try:
-            meta = json.loads(cursor.text(meta_len))
-        except json.JSONDecodeError as error:
-            raise CatalogStoreError(
-                f"garbled binary object: bad meta block: {error}"
-            ) from error
-        if not isinstance(meta, dict):
-            raise CatalogStoreError("garbled binary object: meta is not a dict")
-        return meta
-
-    def decode_meta(self, blob: bytes) -> dict:
-        return self._meta(self._header(blob))
-
-    def decode(self, blob: bytes):
-        outer = self._header(blob)
-        meta = self._meta(outer)
-        compression, stored_len = outer.unpack("<BI")
-        stored = outer.take(stored_len)
-        if outer.pos != len(blob):
-            raise CatalogStoreError(
-                f"garbled binary object: {len(blob) - outer.pos} trailing bytes"
-            )
-        if compression == self._BODY_ZLIB:
-            try:
-                body = zlib.decompress(stored)
-            except zlib.error as error:
-                raise CatalogStoreError(
-                    f"garbled binary object: bad deflate body: {error}"
-                ) from error
-        elif compression == self._BODY_RAW:
-            body = stored
-        else:
-            raise CatalogStoreError(
-                f"garbled binary object: unknown body compression {compression}"
-            )
-        cursor = _Cursor(body)
-        (n_columns,) = cursor.unpack("<I")
-        entries = {}
-        for _ in range(n_columns):
-            (name_len,) = cursor.unpack("<H")
-            column = cursor.text(name_len)
-            (num_perm,) = cursor.unpack("<I")
-            signature = np.frombuffer(
-                cursor.take(8 * num_perm), dtype="<u8"
-            ).astype(np.uint64)
-            (flags,) = cursor.unpack("<B")
-            distinct = self._unpack_strings(cursor)
-            if flags & self._EXPLICIT_NORMALIZED:
-                normalized = self._unpack_strings(cursor)
-            else:
-                normalized = _derived_normalized(distinct)
-            entries[column] = ColumnEntry(
-                distinct=distinct, normalized=normalized, signature=signature
-            )
-        if cursor.pos != len(body):
-            raise CatalogStoreError(
-                f"garbled binary object: {len(body) - cursor.pos} trailing "
-                "bytes in column section"
-            )
-        return meta, entries
-
-
-class MmapCodec(Codec):
-    """Fixed-layout uncompressed object format built for memory mapping
-    (codec version 3, opt-in via ``CatalogStore(object_codec=3)``).
-
-    Little-endian, every multi-byte field naturally aligned::
-
-        header (16 bytes):
-            magic b"RCM3" | u16 codec version | u16 reserved (0)
-            u32 meta length | u32 column count
-        meta JSON (utf-8), zero-padded to 8 bytes
-        directory: column count * u64 — absolute offset of each column
-            block, in sorted column-name order
-        column blocks, each starting 8-aligned:
-            u32 name length | u32 num_perm
-            u32 flags (bit 0: explicit normalized block) | u32 reserved
-            num_perm * u64 signature   (8-aligned by construction)
-            name utf-8
-            string-set block (distinct)
-            [string-set block (normalized), only if flag bit 0]
-            zero padding to 8 bytes
-        footer (8 bytes): u32 crc32 of everything before the footer
-            | magic b"3MCR"
-
-        string-set block: u32 count | u32 blob length
-                          | count * u32 value lengths | utf-8 value blob
-
-    Signatures decode as ``np.frombuffer`` views straight into the
-    buffer — when the buffer is a :meth:`StoreBackend.open_mmap` view,
-    no byte of signature data is ever copied, and concurrent processes
-    reading the same artifact share one set of physical pages.  The
-    arrays hold a reference to the buffer, so the mapping lives exactly
-    as long as something still looks at it.
-
-    Decoding validates structure (magics, bounds, offsets monotone and
-    aligned) but not the checksum — that would force a full read and
-    defeat lazy paging.  :meth:`check` (the deep-``verify()`` hook)
-    additionally recomputes the crc32, so bit rot that structural checks
-    cannot see is still caught by an integrity pass.  Encoding is
-    canonical (sorted columns, sorted meta keys, zero padding): equal
-    objects encode byte-identically.
-    """
-
-    version = 3
-    extension = ".mmap"
-    mmap = True
-
-    MAGIC = b"RCM3"
-    FOOTER_MAGIC = b"3MCR"
-    _EXPLICIT_NORMALIZED = 1
-
-    @staticmethod
-    def _pad8(out: bytearray) -> None:
-        out += b"\x00" * (-len(out) % 8)
-
-    def encode(self, meta: dict, entries: dict) -> bytes:
-        columns = sorted(entries)
-        meta_blob = json.dumps(dict(meta), sort_keys=True).encode("utf-8")
-        out = bytearray()
-        out += self.MAGIC
-        out += struct.pack("<HH", self.version, 0)
-        out += struct.pack("<II", len(meta_blob), len(columns))
-        out += meta_blob
-        self._pad8(out)
-        directory_at = len(out)
-        out += b"\x00" * (8 * len(columns))
-        offsets = []
-        for column in columns:
-            entry = entries[column]
-            self._pad8(out)
-            offsets.append(len(out))
-            name = column.encode("utf-8")
-            signature = np.ascontiguousarray(entry.signature, dtype="<u8")
-            derived = entry.normalized == _derived_normalized(entry.distinct)
-            out += struct.pack(
-                "<IIII",
-                len(name),
-                signature.size,
-                0 if derived else self._EXPLICIT_NORMALIZED,
-                0,
-            )
-            out += signature.tobytes()
-            out += name
-            out += BinaryCodec._pack_strings(entry.distinct)
-            if not derived:
-                out += BinaryCodec._pack_strings(entry.normalized)
-        self._pad8(out)
-        out[directory_at : directory_at + 8 * len(columns)] = np.array(
-            offsets, dtype="<u8"
-        ).tobytes()
-        out += struct.pack("<I", zlib.crc32(bytes(out)))
-        out += self.FOOTER_MAGIC
-        return bytes(out)
-
-    # -- decoding ------------------------------------------------------
-    @staticmethod
-    def _bad(detail: str) -> CatalogStoreError:
-        return CatalogStoreError(f"garbled mmap object: {detail}")
-
-    def _bounds(self, blob) -> int:
-        """Validate outer framing; returns the footer offset."""
-        if len(blob) < 24 or (len(blob) % 8) != 0:
-            raise self._bad(f"implausible size {len(blob)}")
-        if bytes(blob[:4]) != self.MAGIC:
-            raise CatalogStoreError("not an mmap catalog object (bad magic)")
-        version, _ = struct.unpack_from("<HH", blob, 4)
-        if version != self.version:
-            raise CatalogStoreError(
-                f"mmap object codec version {version}, expected {self.version}"
-            )
-        if bytes(blob[-4:]) != self.FOOTER_MAGIC:
-            raise self._bad("missing footer (truncated write?)")
-        return len(blob) - 8
-
-    def _strings(self, blob, offset: int, end: int):
-        """Decode one string-set block; returns ``(frozenset, next offset)``."""
-        if offset + 8 > end:
-            raise self._bad("string block header out of bounds")
-        count, blob_len = struct.unpack_from("<II", blob, offset)
-        offset += 8
-        if offset + 4 * count + blob_len > end:
-            raise self._bad("string block data out of bounds")
-        lengths = np.frombuffer(blob, dtype="<u4", count=count, offset=offset)
-        offset += 4 * count
-        if int(lengths.sum()) != blob_len:
-            raise self._bad("string lengths disagree with blob size")
-        try:
-            data = bytes(blob[offset : offset + blob_len]).decode("utf-8")
-        except UnicodeDecodeError as error:
-            raise self._bad("invalid UTF-8 value") from error
-        values = []
-        at = 0
-        # Lengths are UTF-8 byte counts; re-slice on the decoded text via
-        # per-piece decode only when the blob is not pure ASCII.
-        if len(data) == blob_len:
-            for length in lengths.tolist():
-                values.append(data[at : at + length])
-                at += length
-        else:
-            raw = bytes(blob[offset : offset + blob_len])
-            for length in lengths.tolist():
-                values.append(raw[at : at + length].decode("utf-8"))
-                at += length
-        return frozenset(values), offset + blob_len
-
-    def _header(self, blob):
-        footer_at = self._bounds(blob)
-        meta_len, n_columns = struct.unpack_from("<II", blob, 8)
-        meta_end = 16 + meta_len
-        if meta_end > footer_at:
-            raise self._bad("meta block out of bounds")
-        try:
-            meta = json.loads(bytes(blob[16:meta_end]).decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise self._bad(f"bad meta block: {error}") from error
-        if not isinstance(meta, dict):
-            raise self._bad("meta is not a dict")
-        directory_at = meta_end + (-meta_end % 8)
-        if directory_at + 8 * n_columns > footer_at:
-            raise self._bad("column directory out of bounds")
-        offsets = np.frombuffer(
-            blob, dtype="<u8", count=n_columns, offset=directory_at
-        )
-        return meta, offsets, footer_at
-
-    def decode_meta(self, blob) -> dict:
-        return self._header(blob)[0]
-
-    def decode(self, blob):
-        meta, offsets, footer_at = self._header(blob)
-        entries = {}
-        for raw_offset in offsets.tolist():
-            offset = int(raw_offset)
-            if offset % 8 or offset + 16 > footer_at:
-                raise self._bad(f"column block offset {offset} out of bounds")
-            name_len, num_perm, flags, _ = struct.unpack_from(
-                "<IIII", blob, offset
-            )
-            offset += 16
-            if offset + 8 * num_perm + name_len > footer_at:
-                raise self._bad("column block data out of bounds")
-            # The zero-copy heart: a read-only uint64 view into the
-            # (possibly memory-mapped) buffer, no astype, no tobytes.
-            signature = np.frombuffer(
-                blob, dtype="<u8", count=num_perm, offset=offset
-            )
-            offset += 8 * num_perm
-            try:
-                column = bytes(blob[offset : offset + name_len]).decode("utf-8")
-            except UnicodeDecodeError as error:
-                raise self._bad("invalid UTF-8 column name") from error
-            offset += name_len
-            distinct, offset = self._strings(blob, offset, footer_at)
-            if flags & self._EXPLICIT_NORMALIZED:
-                normalized, offset = self._strings(blob, offset, footer_at)
-            else:
-                normalized = _derived_normalized(distinct)
-            if column in entries:
-                raise self._bad(f"duplicate column {column!r}")
-            entries[column] = ColumnEntry(
-                distinct=distinct, normalized=normalized, signature=signature
-            )
-        return meta, entries
-
-    def check(self, blob) -> None:
-        footer_at = self._bounds(blob)
-        (recorded,) = struct.unpack_from("<I", blob, footer_at)
-        actual = zlib.crc32(bytes(blob[:footer_at]))
-        if recorded != actual:
-            raise self._bad(
-                f"crc mismatch (recorded {recorded:#010x}, actual {actual:#010x})"
-            )
-        self.decode(blob)
-
-
-#: Registered codecs by version; readers accept any, writers use the default.
-CODECS = {
-    codec.version: codec for codec in (JsonCodec(), BinaryCodec(), MmapCodec())
-}
-DEFAULT_CODEC = CODECS[2]
-
-#: Shape of object fingerprints as the store addresses them: dash-joined
-#: runs of at least 8 lowercase hex digits (the catalog writes
-#: ``<16-hex config fp>-<32-hex table fp>``).  ``list_objects`` uses it
-#: to tell layout-v1 flat objects from stray ``*.json`` files someone
-#: dropped into the objects root.
-_FINGERPRINT_RE = re.compile(r"^[0-9a-f]{8,}(?:-[0-9a-f]{8,})*$")
+def _seconds(name: str, value, positive: bool = False) -> float:
+    """``value`` as a finite duration in seconds (``> 0`` when
+    ``positive``, else ``>= 0``); anything else is a ``ValueError``
+    naming the argument — a zero, negative, NaN or infinite lifetime
+    would silently switch the protection it parameterises off (or make
+    it permanent)."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        seconds = math.nan
+    if not math.isfinite(seconds) or seconds < 0 or (positive and seconds == 0):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+    return seconds
 
 
 def _record_codec(value):
-    """Codec version from an objects-section record (either the legacy
-    plain-int form or the lease-stamped ``{"codec", "lease"}`` dict)."""
+    """Codec version from an objects-section record: the
+    ``{"codec", "lease"}`` dict this store writes, or the plain int
+    older lease-free writers left (read tolerantly, never written)."""
     if isinstance(value, dict):
         return value.get("codec")
     return value
 
 
 def _record_lease(value):
-    """Fencing token from an objects-section record, or ``None`` for
-    records written without a lease."""
+    """Fencing token from an objects-section record, or ``None`` when
+    the record carries none."""
     if isinstance(value, dict):
         token = value.get("lease")
         return token if isinstance(token, int) else None
@@ -790,10 +277,8 @@ class CatalogStore:
     ``backend`` selects the physical representation (a name, a
     :class:`~repro.catalog.backend.StoreBackend` instance, or ``None``
     to auto-detect — see :func:`~repro.catalog.backend.backend_for`).
-    ``lease_ttl`` is the write-ownership lease lifetime in seconds;
-    ``None`` disables leases entirely, restoring the pre-lease gc
-    behavior (kept for the regression demonstration of the liveness
-    race, not for production use).
+    ``lease_ttl`` is the write-ownership lease lifetime in seconds; it
+    must be finite and positive — leases cannot be disabled.
     """
 
     #: Per-shard delta journal (see the module docstring's protocol).
@@ -815,40 +300,27 @@ class CatalogStore:
         clock_skew: float = 0.0,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         backend=None,
-        object_codec: int = None,
     ):
+        if lease_ttl is None:
+            raise ValueError(
+                "lease_ttl must be a number of seconds, got None: leases "
+                "can no longer be disabled"
+            )
+        self.lease_ttl = _seconds("lease_ttl", lease_ttl, positive=True)
+        self.tombstone_ttl = _seconds("tombstone_ttl", tombstone_ttl)
+        self.clock_skew = _seconds("clock_skew", clock_skew)
         self.root = str(root)
         self.backend = backend_for(self.root, backend)
-        #: Codec new object writes use (reads accept every registered
-        #: codec regardless).  ``None`` keeps the historical default —
-        #: existing stores stay byte-identical; ``3`` opts into the
-        #: mmap-friendly fixed layout.
-        if object_codec is None:
-            self.codec = DEFAULT_CODEC
-        elif object_codec in CODECS:
-            self.codec = CODECS[object_codec]
-        else:
-            raise ValueError(
-                f"unknown object_codec {object_codec!r}; "
-                f"registered: {sorted(CODECS)}"
-            )
         self.profile_budget_bytes = profile_budget_bytes
         self.result_budget_bytes = result_budget_bytes
-        self.tombstone_ttl = float(tombstone_ttl)
-        self.clock_skew = float(clock_skew)
-        self.lease_ttl = None if lease_ttl is None else float(lease_ttl)
-        #: Write-ownership leases (``None`` when disabled): gc consults
-        #: the active set before reclaiming anything unreferenced.
-        self.leases = (
-            None
-            if self.lease_ttl is None
-            else LeaseManager(
-                self.backend,
-                self.root,
-                ttl=self.lease_ttl,
-                clock_skew=self.clock_skew,
-                clock=lambda: _now(),
-            )
+        #: Write-ownership leases: gc consults the active set before
+        #: reclaiming anything unreferenced.
+        self.leases = LeaseManager(
+            self.backend,
+            self.root,
+            ttl=self.lease_ttl,
+            clock_skew=self.clock_skew,
+            clock=lambda: _now(),
         )
         self._writer_lease = None
         self._writer_lease_guard = threading.Lock()
@@ -925,16 +397,11 @@ class CatalogStore:
     def _object_shard_dir(self, fingerprint: str) -> str:
         return os.path.join(self._objects_dir(), shard_of(fingerprint))
 
-    def _object_path(self, fingerprint: str, codec: Codec = DEFAULT_CODEC) -> str:
-        """Sharded path of one object under ``codec`` (the default codec's
-        path is where new writes land)."""
+    def _object_path(self, fingerprint: str) -> str:
+        """The one file that is this object."""
         return os.path.join(
-            self._object_shard_dir(fingerprint), f"{fingerprint}{codec.extension}"
+            self._object_shard_dir(fingerprint), f"{fingerprint}{CODEC.extension}"
         )
-
-    def _legacy_object_path(self, fingerprint: str) -> str:
-        """Layout-v1 flat path (read-through only; never written)."""
-        return os.path.join(self._objects_dir(), f"{fingerprint}.json")
 
     def _profiles_dir(self) -> str:
         return os.path.join(self.root, "profiles")
@@ -946,9 +413,6 @@ class CatalogStore:
         return os.path.join(
             self._profile_shard_dir(base_fingerprint), f"{base_fingerprint}.npz"
         )
-
-    def _legacy_profile_path(self, base_fingerprint: str) -> str:
-        return os.path.join(self._profiles_dir(), f"{base_fingerprint}.json")
 
     def exists(self) -> bool:
         return self.backend.exists(self.manifest_path)
@@ -979,8 +443,9 @@ class CatalogStore:
     def read_manifest(self):
         """Manifest dict, or ``None`` if the store was never saved.
 
-        Accepts every readable layout version (a v1 manifest opens
-        transparently; the next :meth:`write_manifest` upgrades it)."""
+        Only layout :data:`VERSION` opens (the integer, not ``True``):
+        the catalog is derived data, so a root written by any other
+        version is rebuilt from the corpus, never migrated."""
         try:
             raw = self.backend.read_bytes(self.manifest_path)
         except FileNotFoundError:
@@ -992,10 +457,12 @@ class CatalogStore:
                 f"corrupt catalog manifest at {self.manifest_path!r}: {error}"
             ) from error
         version = manifest.get("version") if isinstance(manifest, dict) else None
-        if version not in READABLE_VERSIONS:
+        if type(version) is not int or version != VERSION:
             raise CatalogStoreError(
-                f"catalog at {self.root!r} has version "
-                f"{version!r}, expected one of {sorted(READABLE_VERSIONS)}"
+                f"catalog at {self.root!r} has layout version {version!r}; "
+                f"this release reads only version {VERSION} and does not "
+                "migrate — the catalog is derived data: remove the "
+                f"directory and rebuild with `repro catalog build {self.root}`"
             )
         return manifest
 
@@ -1254,52 +721,16 @@ class CatalogStore:
     # ------------------------------------------------------------------
     # Table objects
     # ------------------------------------------------------------------
-    def _object_candidates(self, fingerprint: str):
-        """``(codec, path)`` pairs to try for one object, lazily.
-
-        This store's write codec's sharded path comes first —
-        ``write_object`` leaves exactly one representation there, so the
-        common case (warm start probing thousands of objects) resolves
-        on a single ``exists``/``open`` without touching any shard
-        manifest.  Only when that misses (legacy, mid-migration, or a
-        store reopened under a different ``object_codec``) is the shard
-        manifest consulted for a recorded codec, then every other
-        registered codec's sharded path, then the layout-v1 flat path —
-        so a stale shard manifest degrades to probing instead of
-        failing."""
-        yield self.codec, self._object_path(fingerprint, self.codec)
-        recorded = self._read_shard_section(
-            self._object_shard_dir(fingerprint), "objects"
-        )
-        order = []
-        version = _record_codec(recorded.get(fingerprint))
-        if version in CODECS:
-            order.append(CODECS[version])
-        order.extend(
-            codec for codec in CODECS.values() if codec is not self.codec
-        )
-        seen = {self._object_path(fingerprint, self.codec)}
-        for codec in order:
-            path = self._object_path(fingerprint, codec)
-            if path not in seen:
-                seen.add(path)
-                yield codec, path
-        yield CODECS[1], self._legacy_object_path(fingerprint)
-
     def has_object(self, fingerprint: str) -> bool:
-        return any(
-            self.backend.exists(path)
-            for _codec, path in self._object_candidates(fingerprint)
-        )
+        return self.backend.exists(self._object_path(fingerprint))
 
     # ------------------------------------------------------------------
     # Write-ownership leases
     # ------------------------------------------------------------------
     def writer_lease(self):
         """This store's current writer lease (acquired on first use,
-        renewed once half its TTL has passed), or ``None`` when leases
-        are disabled.  Object records stamp its fencing token so gc can
-        tell in-flight work from garbage.
+        renewed once half its TTL has passed).  Object records stamp its
+        fencing token so gc can tell in-flight work from garbage.
 
         The guard only protects the ``_writer_lease`` slot; the lease
         *file* work — ``acquire()``/``renew()`` take the store-wide
@@ -1310,8 +741,6 @@ class CatalogStore:
         surplus lease is released immediately and both return the
         published one.
         """
-        if self.leases is None:
-            return None
         with self._writer_lease_guard:
             lease = self._writer_lease
         if lease is not None and _now() - lease.acquired <= self.leases.ttl / 2:
@@ -1354,7 +783,7 @@ class CatalogStore:
         the manifest, not the lease."""
         with self._writer_lease_guard:
             lease, self._writer_lease = self._writer_lease, None
-        if lease is not None and self.leases is not None:
+        if lease is not None:
             self.leases.release(lease)
 
     def claim_objects(self, fingerprints) -> list:
@@ -1370,22 +799,20 @@ class CatalogStore:
         one lock and one manifest read per shard.  :meth:`gc` reads the
         claims under that same lock before deleting, so either it went
         first (the id comes back missing) or it sees the claim and
-        spares the object until :meth:`release_writer_lease`.  With
-        leases disabled nothing is published; the check still runs."""
+        spares the object until :meth:`release_writer_lease`."""
         wanted = set(fingerprints)
         if not wanted:
             return []
-        if self.leases is not None:
-            lease = self.writer_lease()
-            claimed = self.leases.renew(lease, claims=lease.claims | wanted)
-            if self.obs is not None:
-                self.obs["lease_renewals"].inc()
-            with self._writer_lease_guard:
-                held = self._writer_lease
-                # Same lease, whichever thread stamped it last: the slot
-                # must carry the claims so the next renewal keeps them.
-                if held is not None and held.token == claimed.token:
-                    self._writer_lease = claimed
+        lease = self.writer_lease()
+        claimed = self.leases.renew(lease, claims=lease.claims | wanted)
+        if self.obs is not None:
+            self.obs["lease_renewals"].inc()
+        with self._writer_lease_guard:
+            held = self._writer_lease
+            # Same lease, whichever thread stamped it last: the slot
+            # must carry the claims so the next renewal keeps them.
+            if held is not None and held.token == claimed.token:
+                self._writer_lease = claimed
         self._fault("claims-published")
         by_shard = {}
         for fingerprint in sorted(wanted):
@@ -1428,19 +855,12 @@ class CatalogStore:
             # depend on it, so it owns it exactly as if it had written
             # it.  (Gone or tombstoned under the lock: write it.)
             return
-        # With leases enabled the record carries the writer's fencing
-        # token; without, it stays the historical plain codec version
-        # (keeping lease-free stores byte-identical).
-        lease = self.writer_lease()
-        record = (
-            self.codec.version
-            if lease is None
-            else {"codec": self.codec.version, "lease": lease.token}
-        )
-        path = self._object_path(fingerprint, self.codec)
+        # The record carries the writer's fencing token.
+        record = {"codec": CODEC.version, "lease": self.writer_lease().token}
+        path = self._object_path(fingerprint)
         shard_dir = os.path.dirname(path)
         self.backend.makedirs(shard_dir)
-        blob = self.codec.encode(meta, entries)
+        blob = CODEC.encode(meta, entries)
         with self._dir_lock(shard_dir):
             self.backend.write_bytes(path, blob)
             self._count("writes", "objects")
@@ -1458,73 +878,35 @@ class CatalogStore:
                     ("objects", "set", fingerprint, record),
                 ],
             )
-            # Drop superseded representations (other codecs, the v1 flat
-            # file) so a heal can never resurrect stale content later.
-            for codec in CODECS.values():
-                if codec is not self.codec:
-                    self._remove(self._object_path(fingerprint, codec))
-            self._remove(self._legacy_object_path(fingerprint))
 
-    def _read_artifact(self, codec: Codec, path: str):
-        """One object representation as the bytes-like its codec wants:
-        a memory-mapped view for mmap codecs, an in-memory blob
-        otherwise.  Called lock-free by design — a page fault on mapped
-        artifact data is disk I/O and must never happen under a store
-        lock."""
-        if codec.mmap:
-            return self.backend.open_mmap(path)
-        return self.backend.read_bytes(path)
-
-    def _decode_candidates(self, fingerprint: str, decoder):
-        """Run ``decoder(codec, blob)`` over the object's representations
-        until one succeeds.
-
-        A representation that exists but fails to decode does not abort
-        the read: the next candidate is tried, so a torn v3 artifact
-        left by a crashed upgrade *fails closed* onto the surviving v2
-        file (``verify()`` still reports the torn file).  Only when no
-        representation decodes is the first corruption raised."""
-        first_error = None
-        for codec, path in self._object_candidates(fingerprint):
-            try:
-                blob = self._read_artifact(codec, path)
-            except FileNotFoundError:
-                continue
-            try:
-                decoded = decoder(codec, blob)
-            except CatalogStoreError as error:
-                if first_error is None:
-                    first_error = CatalogStoreError(
-                        f"corrupt catalog object at {path!r}: {error}"
-                    )
-                    first_error.__cause__ = error
-                continue
-            self._count("reads", "objects")
-            self._count("read_bytes", "objects", len(blob))
-            return decoded
-        if first_error is not None:
-            raise first_error
-        raise KeyError(f"no catalog object {fingerprint!r}")
+    def _read_decoded(self, fingerprint: str, decode):
+        """One read + one decode of the object's file.  ``KeyError``
+        when the file is absent, :class:`CatalogStoreError` (naming the
+        path) when it does not decode."""
+        path = self._object_path(fingerprint)
+        try:
+            blob = self.backend.read_bytes(path)
+        except FileNotFoundError:
+            raise KeyError(f"no catalog object {fingerprint!r}") from None
+        try:
+            decoded = decode(blob)
+        except CatalogStoreError as error:
+            raise CatalogStoreError(
+                f"corrupt catalog object at {path!r}: {error}"
+            ) from error
+        self._count("reads", "objects")
+        self._count("read_bytes", "objects", len(blob))
+        return decoded
 
     def read_object(self, fingerprint: str):
-        """Load ``(meta, {column: ColumnEntry})`` for one fingerprint.
-
-        Tries the sharded layout first (any registered codec), then the
-        layout-v1 flat path.  Raises ``KeyError`` when no representation
-        exists and :class:`CatalogStoreError` when every existing one is
-        corrupt (a corrupt representation with a healthy fallback reads
-        from the fallback)."""
-        return self._decode_candidates(
-            fingerprint, lambda codec, blob: codec.decode(blob)
-        )
+        """Load ``(meta, {column: ColumnEntry})`` for one fingerprint."""
+        return self._read_decoded(fingerprint, CODEC.decode)
 
     def read_object_meta(self, fingerprint: str) -> dict:
-        """Just the ``meta`` dict of one object — the binary and mmap
-        codecs read only the fixed-size header, so Table-I style reports
-        over large catalogs never materialize the value sets."""
-        return self._decode_candidates(
-            fingerprint, lambda codec, blob: codec.decode_meta(blob)
-        )
+        """Just the ``meta`` dict of one object — only the uncompressed
+        header is parsed, so Table-I style reports over large catalogs
+        never materialize the value sets."""
+        return self._read_decoded(fingerprint, CODEC.decode_meta)
 
     def list_tombstones(self) -> dict:
         """``{fingerprint: deletion timestamp}`` across all object shards."""
@@ -1545,11 +927,6 @@ class CatalogStore:
                     out[key] = float(info["ts"])
         return out
 
-    def _remove_object_files(self, fingerprint: str) -> None:
-        for codec in CODECS.values():
-            self._remove(self._object_path(fingerprint, codec))
-        self._remove(self._legacy_object_path(fingerprint))
-
     def delete_object(self, fingerprint: str) -> None:
         """Durably delete one object (tombstone-first protocol).
 
@@ -1566,14 +943,14 @@ class CatalogStore:
             self.has_object(fingerprint)
             or fingerprint in self._read_shard_section(shard_dir, "objects")
         ):
-            # Nothing recorded and no file anywhere: leave no tombstone
+            # Nothing recorded and no file: leave no tombstone
             # behind (deleting the absent is a no-op, not an intent).
             return
 
         removed = []
 
         def _remove_files():
-            self._remove_object_files(fingerprint)
+            self._remove(self._object_path(fingerprint))
             removed.append(True)
             self._fault("object-files-removed")
 
@@ -1594,7 +971,7 @@ class CatalogStore:
             # deletion itself still happens, like the pre-tombstone
             # behavior.  An injected crash propagates out above, so this
             # fallback never runs under fault tests.
-            self._remove_object_files(fingerprint)
+            self._remove(self._object_path(fingerprint))
 
     def sweep_tombstones(self) -> int:
         """Finish deletions a crashed deleter left half-done.
@@ -1629,10 +1006,9 @@ class CatalogStore:
                     for fingerprint in sorted(tombstones):
                         if fingerprint in recorded:
                             continue
-                        for _codec, path in self._object_candidates(fingerprint):
-                            if self.backend.exists(path):
-                                self._remove(path)
-                                removed += 1
+                        if self.has_object(fingerprint):
+                            self._remove(self._object_path(fingerprint))
+                            removed += 1
             except OSError:
                 continue
         if self.obs is not None:
@@ -1641,35 +1017,28 @@ class CatalogStore:
                 self.obs["tombstones_swept"].inc(removed)
         return removed
 
-    def _extensions(self):
-        return {codec.extension for codec in CODECS.values()}
-
     def list_objects(self) -> list:
-        """Fingerprints of all stored table objects, across layouts.
+        """Fingerprints of all stored table objects.
 
-        Layout-v1 flat files are only counted when their stem is
-        fingerprint-shaped: the objects root can pick up stray ``*.json``
-        files (editor droppings, notes, tooling output), and reporting
-        those as fingerprints would make ``gc`` "delete" them and
-        ``verify`` flag phantom objects."""
+        An object is ``<shard>/<stem>.bin`` with ``shard_of(stem)`` equal
+        to the directory name — exactly the files :meth:`_object_path`
+        addresses, so whatever is listed can be read, verified and
+        deleted.  Anything else in a shard directory (notes, editor
+        droppings, another format's files, a ``.bin`` copied into the
+        wrong shard) is not an object: ``gc`` would "delete" it forever
+        without touching it and ``verify`` would flag a phantom."""
         objects_dir = self._objects_dir()
         if not self.backend.isdir(objects_dir):
             return []
-        extensions = self._extensions()
-        found = set()
-        for name in self.backend.listdir(objects_dir):
-            path = os.path.join(objects_dir, name)
-            if self.backend.isdir(path):
-                for entry in self.backend.listdir(path):
-                    if entry == "manifest.json":
-                        continue
-                    stem, ext = os.path.splitext(entry)
-                    if ext in extensions:
-                        found.add(stem)
-            elif name.endswith(".json"):
-                stem = name[: -len(".json")]
-                if _FINGERPRINT_RE.match(stem):
-                    found.add(stem)
+        found = []
+        for shard in self.backend.listdir(objects_dir):
+            shard_dir = os.path.join(objects_dir, shard)
+            if not self.backend.isdir(shard_dir):
+                continue
+            for entry in self.backend.listdir(shard_dir):
+                stem, ext = os.path.splitext(entry)
+                if ext == CODEC.extension and shard_of(stem) == shard:
+                    found.append(stem)
         return sorted(found)
 
     def gc(self, live_fingerprints, live_check=None) -> int:
@@ -1693,11 +1062,7 @@ class CatalogStore:
 
         Both checks happen under the same shard lock that
         :meth:`write_object` and :meth:`delete_object` take, so the
-        decision is linearized against every writer in the shard.  With
-        leases disabled (``lease_ttl=None``) and no ``live_check``,
-        this degrades to the historical scan-then-delete pass — which
-        is exactly the racy behavior the fault-injection regression
-        test pins as lossy.
+        decision is linearized against every writer in the shard.
 
         Also sweeps tombstones, finishing any deletion a crashed writer
         left half-done.  Per-pass counts land in :attr:`last_gc` (and
@@ -1707,10 +1072,8 @@ class CatalogStore:
         removed = 0
         skipped_leased = 0
         skipped_live = 0
-        gc_lease = (
-            self.leases.acquire(kind="gc") if self.leases is not None else None
-        )
-        if gc_lease is not None and self.obs is not None:
+        gc_lease = self.leases.acquire(kind="gc")
+        if self.obs is not None:
             self.obs["lease_acquires"].labels(kind="gc").inc()
         # Leases protect *other* writers' in-flight work.  This store's
         # own writer lease never shields a candidate: the caller just
@@ -1723,20 +1086,17 @@ class CatalogStore:
                     continue
                 shard_dir = self._object_shard_dir(fingerprint)
                 with self._dir_lock(shard_dir):
-                    if self.leases is not None:
-                        record = self._read_shard_section(
-                            shard_dir, "objects"
-                        ).get(fingerprint)
-                        tokens, claims = self.leases.active_holds(
-                            exclude=own_leases
-                        )
-                        if fingerprint in claims or _record_lease(record) in tokens:
-                            skipped_leased += 1
-                            if self.obs is not None:
-                                self.obs["gc_skipped"].labels(
-                                    reason="leased"
-                                ).inc()
-                            continue
+                    record = self._read_shard_section(
+                        shard_dir, "objects"
+                    ).get(fingerprint)
+                    tokens, claims = self.leases.active_holds(
+                        exclude=own_leases
+                    )
+                    if fingerprint in claims or _record_lease(record) in tokens:
+                        skipped_leased += 1
+                        if self.obs is not None:
+                            self.obs["gc_skipped"].labels(reason="leased").inc()
+                        continue
                     if live_check is not None and fingerprint in set(
                         live_check()
                     ):
@@ -1747,8 +1107,7 @@ class CatalogStore:
                     self.delete_object(fingerprint)
                     removed += 1
         finally:
-            if gc_lease is not None:
-                self.leases.release(gc_lease)
+            self.leases.release(gc_lease)
         self.sweep_tombstones()
         self.last_gc = {
             "removed": removed,
@@ -1865,30 +1224,14 @@ class CatalogStore:
         survive budget enforcement."""
         path = self._profile_path(base_fingerprint)
         entries = self._read_profile_file(path)
-        if entries is self._CORRUPT_PROFILES:
+        if entries is None or entries is self._CORRUPT_PROFILES:
             return {}
-        if entries is not None:
-            # LRU bookkeeping happens outside the load guard: a failed
-            # touch must never discard a successfully loaded cache.
-            self._touch_profile_group(base_fingerprint)
-            self._count("reads", "profiles")
-            self._count("read_bytes", "profiles", self._size(path))
-            return entries
-        # Layout-v1 flat JSON group (read-through; migrated on next write).
-        try:
-            payload = json.loads(
-                self.backend.read_bytes(
-                    self._legacy_profile_path(base_fingerprint)
-                ).decode("utf-8")
-            )
-            return {
-                key: np.array(vector, dtype=float)
-                for key, vector in payload["entries"].items()
-            }
-        except FileNotFoundError:
-            return {}
-        except (json.JSONDecodeError, KeyError, TypeError, AttributeError, ValueError):
-            return {}
+        # LRU bookkeeping happens outside the load guard: a failed
+        # touch must never discard a successfully loaded cache.
+        self._touch_profile_group(base_fingerprint)
+        self._count("reads", "profiles")
+        self._count("read_bytes", "profiles", self._size(path))
+        return entries
 
     def write_profiles(
         self, base_fingerprint: str, entries: dict, merge: bool = True
@@ -1931,7 +1274,6 @@ class CatalogStore:
                 base_fingerprint,
                 {"bytes": len(blob), "touched": _now()},
             )
-        self._remove(self._legacy_profile_path(base_fingerprint))
         if self.profile_budget_bytes is not None:
             self.evict_profiles(
                 self.profile_budget_bytes, keep=frozenset({base_fingerprint})
@@ -1946,9 +1288,8 @@ class CatalogStore:
         )
 
     def delete_profiles(self, base_fingerprint: str) -> None:
-        """Drop one base table's cached profile group (both layouts)."""
+        """Drop one base table's cached profile group."""
         self._remove(self._profile_path(base_fingerprint))
-        self._remove(self._legacy_profile_path(base_fingerprint))
         shard_dir = self._profile_shard_dir(base_fingerprint)
         if self._read_shard_section(shard_dir, "groups").get(base_fingerprint):
             self._update_shard_manifest(
@@ -1966,39 +1307,12 @@ class CatalogStore:
                 for entry in self.backend.listdir(path):
                     if entry.endswith(".npz"):
                         found.add(entry[: -len(".npz")])
-            elif name.endswith(".json"):
-                found.add(name[: -len(".json")])
         return sorted(found)
 
     def _profile_inventory(self) -> list:
         """``(touched, base_fingerprint, bytes)`` for every profile
-        group — the shared sharded inventory plus layout-v1 flat groups
-        (no bookkeeping, so ordered by file mtime; skipped when a
-        sharded copy supersedes them)."""
-        profiles_dir = self._profiles_dir()
-        inventory, seen = self._sharded_inventory(profiles_dir, "groups", ".npz")
-        if not self.backend.isdir(profiles_dir):
-            return inventory
-        for name in sorted(self.backend.listdir(profiles_dir)):
-            if not name.endswith(".json"):
-                continue
-            if self.backend.isdir(os.path.join(profiles_dir, name)):
-                continue
-            base_fingerprint = name[: -len(".json")]
-            if base_fingerprint in seen:
-                continue
-            path = self._legacy_profile_path(base_fingerprint)
-            try:
-                touched = self.backend.mtime(path)
-            except OSError:
-                # Deleted between the listing and the stat (a concurrent
-                # eviction): skip the ghost instead of crashing or
-                # inventorying a zero-byte phantom.
-                if not self.backend.exists(path):
-                    continue
-                touched = 0.0
-            inventory.append((touched, base_fingerprint, self._size(path)))
-        return inventory
+        group (the shared sharded inventory)."""
+        return self._sharded_inventory(self._profiles_dir(), "groups", ".npz")[0]
 
     def profile_bytes(self) -> int:
         """Total on-disk size of the cached-profile section."""
@@ -2103,7 +1417,7 @@ class CatalogStore:
 
     def _result_inventory(self) -> list:
         """``(touched, key, bytes)`` for every stored run record (the
-        shared sharded inventory; this section has no legacy layout)."""
+        shared sharded inventory)."""
         return self._sharded_inventory(self._results_dir(), "results", ".json")[0]
 
     def result_bytes(self) -> int:
@@ -2139,49 +1453,6 @@ class CatalogStore:
         self._write_json(os.path.join(self.root, name), payload)
 
     # ------------------------------------------------------------------
-    # Migration
-    # ------------------------------------------------------------------
-    def migrate(self) -> dict:
-        """Rewrite every legacy artifact into the current layout, in place.
-
-        Layout-v1 flat objects (and any object stored under a non-default
-        codec) are re-encoded with the default codec into their shard
-        directory; flat profile groups move to sharded ``.npz``; the root
-        manifest is rewritten at the current version.  Every step writes
-        the new representation atomically before removing the old one, so
-        a crash mid-migration leaves a store where every object is still
-        readable (the read path checks both layouts) and a re-run
-        finishes the job.  Idempotent: a fully-migrated store reports
-        zero rewrites.  Returns ``{"objects": n, "profiles": n}``.
-        """
-        migrated_objects = 0
-        for fingerprint in self.list_objects():
-            if self.backend.exists(self._object_path(fingerprint, self.codec)):
-                # Already migrated — but a crash between an earlier
-                # rewrite and its cleanup can leave a superseded legacy
-                # copy behind; finish that removal here.
-                for codec in CODECS.values():
-                    if codec is not self.codec:
-                        self._remove(self._object_path(fingerprint, codec))
-                self._remove(self._legacy_object_path(fingerprint))
-                continue
-            meta, entries = self.read_object(fingerprint)
-            self.write_object(fingerprint, meta, entries, overwrite=True)
-            migrated_objects += 1
-        migrated_profiles = 0
-        for base_fingerprint in self.list_profile_groups():
-            if self.backend.exists(self._profile_path(base_fingerprint)):
-                self._remove(self._legacy_profile_path(base_fingerprint))
-                continue
-            entries = self.read_profiles(base_fingerprint)
-            self.write_profiles(base_fingerprint, entries)
-            migrated_profiles += 1
-        manifest = self.read_manifest()
-        if manifest is not None and manifest.get("version") != VERSION:
-            self.write_manifest(manifest["config"], manifest["tables"])
-        return {"objects": migrated_objects, "profiles": migrated_profiles}
-
-    # ------------------------------------------------------------------
     # Integrity
     # ------------------------------------------------------------------
     def verify(self) -> dict:
@@ -2200,26 +1471,15 @@ class CatalogStore:
             problems.append(f"root manifest: {error}")
         objects = self.list_objects()
         for fingerprint in objects:
-            # Every representation present is checked individually (the
-            # read path falls through corrupt candidates, so a torn v3
-            # beside a healthy v2 still reads — verify must flag it).
-            found = 0
-            for codec, path in self._object_candidates(fingerprint):
-                try:
-                    blob = self._read_artifact(codec, path)
-                except FileNotFoundError:
-                    continue
-                found += 1
-                try:
-                    codec.check(blob)
-                except CatalogStoreError as error:
-                    problems.append(
-                        f"object {fingerprint!r} at {path!r}: {error}"
-                    )
-            if not found:
-                problems.append(
-                    f"object {fingerprint!r}: no representation on disk"
-                )
+            # Decoded directly, not through read_object: an integrity
+            # pass is not a read as far as the store's counters go.
+            path = self._object_path(fingerprint)
+            try:
+                CODEC.decode(self.backend.read_bytes(path))
+            except FileNotFoundError:
+                continue  # deleted since the listing: gone, not damaged
+            except CatalogStoreError as error:
+                problems.append(f"object {fingerprint!r} at {path!r}: {error}")
         objects_dir = self._objects_dir()
         if self.backend.isdir(objects_dir):
             for name in sorted(self.backend.listdir(objects_dir)):
@@ -2238,7 +1498,7 @@ class CatalogStore:
                             f"shard {name}: object {fingerprint!r} is both "
                             "recorded live and tombstoned"
                         )
-                    if version not in CODECS:
+                    if version != CODEC.version:
                         problems.append(
                             f"shard {name}: object {fingerprint!r} records "
                             f"unknown codec version {version!r}"
@@ -2282,31 +1542,14 @@ class CatalogStore:
         manifest = self.read_manifest() or {"config": {}, "tables": {}}
         n_profiles = 0
         for group in self.list_profile_groups():
-            # Count keys straight off the archive/JSON member list — stats
+            # Count keys straight off the archive member list — stats
             # must not materialize every cached vector as a numpy array.
             try:
                 with self.backend.open_read(self._profile_path(group)) as handle:
                     with np.load(handle) as payload:
                         n_profiles += len(payload.files)
-                continue
-            except FileNotFoundError:
-                pass
             except Exception:
                 continue
-            try:
-                payload = json.loads(
-                    self.backend.read_bytes(
-                        self._legacy_profile_path(group)
-                    ).decode("utf-8")
-                )
-                n_profiles += len(payload.get("entries", {}))
-            except (
-                FileNotFoundError,
-                json.JSONDecodeError,
-                UnicodeDecodeError,
-                AttributeError,
-            ):
-                pass
         return {
             "version": manifest.get("version", VERSION),
             "backend": self.backend.name,
@@ -2318,11 +1561,7 @@ class CatalogStore:
             "run_records": len(self.list_results()),
             "result_bytes": self.result_bytes(),
             "tombstones": len(self.list_tombstones()),
-            "leases": (
-                len(self.leases.active(reap=False))
-                if self.leases is not None
-                else 0
-            ),
+            "leases": len(self.leases.active(reap=False)),
             "disk_bytes": self.backend.disk_bytes(),
             "config": manifest["config"],
         }

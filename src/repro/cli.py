@@ -37,9 +37,8 @@ Commands
     re-signing).
 ``catalog build|update|stats|gc|watch``
     Maintain a persistent discovery catalog on disk: ``build`` indexes a
-    corpus into a catalog directory (``--migrate`` rewrites a legacy
-    flat/JSON store into the sharded binary layout first), ``update``
-    incrementally refreshes it (only new/changed tables are re-signed),
+    corpus into a catalog directory, ``update`` incrementally refreshes
+    it (only new/changed tables are re-signed),
     ``stats`` reports its contents and footprint, ``gc`` reclaims
     unreferenced objects and (with ``--profile-budget`` /
     ``--result-budget``) evicts least-recently-used cached profile
@@ -316,12 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--num-perm", type=int, default=64)
     build.add_argument("--bands", type=int, default=16)
     build.add_argument("--min-containment", type=float, default=0.3)
-    build.add_argument(
-        "--migrate",
-        action="store_true",
-        help="rewrite a legacy (flat-layout / JSON-codec) catalog into "
-        "the current sharded binary layout in place before refreshing",
-    )
     build.add_argument(
         "--backend",
         choices=["local", "segments"],
@@ -914,13 +907,6 @@ def _run_catalog_command(args) -> int:
             # Surface manifest corruption first (raises CatalogStoreError,
             # handled by the command wrapper).
             store.read_manifest()
-            if args.migrate:
-                counts = store.migrate()
-                print(
-                    f"migrated {counts['objects']} objects and "
-                    f"{counts['profiles']} profile groups to the sharded "
-                    "binary layout"
-                )
             # Re-building over an existing catalog with a different — or
             # unknown — corpus definition would silently replace every
             # table right after the "config ignored" warning; direct the

@@ -271,16 +271,13 @@ class TestReservations:
 
 
 class TestStripedPrepare:
-    @pytest.mark.parametrize("striped", [True, False])
-    def test_disjoint_keys_match_sequential(self, scenario, striped):
+    def test_disjoint_keys_match_sequential(self, scenario):
         reference = {}
         for seed in range(3):
             engine = DiscoveryEngine(corpus=scenario.corpus)
             reference[seed] = engine.prepare(scenario.base, seed=seed)
 
-        shared = DiscoveryEngine(
-            corpus=scenario.corpus, striped_prepare=striped
-        )
+        shared = DiscoveryEngine(corpus=scenario.corpus)
         with ThreadPoolExecutor(max_workers=3) as pool:
             futures = {
                 seed: pool.submit(shared.prepare, scenario.base, seed=seed)

@@ -1,21 +1,22 @@
-"""Round-trip and corruption properties of the column-entry codecs.
+"""Round-trip and corruption properties of the column-entry codec.
 
-Both registered codec versions (1 = legacy JSON, 2 = packed binary) must
-round-trip arbitrary ColumnEntry contents exactly, encode canonically
-(equal input ⇒ identical bytes), and reject malformed input with
+The one codec (version 2, packed binary) must round-trip arbitrary
+ColumnEntry contents exactly, encode canonically (equal input ⇒
+identical bytes), and reject malformed input with
 :class:`CatalogStoreError` rather than returning partial entries.
 """
 
 import numpy as np
 import pytest
 
-from repro.catalog.store import CODECS, BinaryCodec, CatalogStoreError, JsonCodec
+from repro.catalog import BinaryCodec, CatalogStoreError
 from repro.discovery.index import ColumnEntry
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-ALL_CODECS = sorted(CODECS.values(), key=lambda codec: codec.version)
+CODEC = BinaryCodec()
+ALL_CODECS = [CODEC]
 
 
 def entry_of(values, normalized=None, signature=None, num_perm=8):
@@ -102,7 +103,7 @@ class TestRoundTripProperties:
     @settings(max_examples=30, deadline=None)
     @given(meta=_metas(), entries=_entries())
     def test_meta_only_read_matches_full_decode(self, meta, entries):
-        codec = CODECS[2]
+        codec = CODEC
         blob = codec.encode(meta, entries)
         assert codec.decode_meta(blob) == codec.decode(blob)[0]
 
@@ -139,29 +140,29 @@ class TestBinaryCorruption:
             "key": entry_of({"a", "b", "c"}),
             "value": entry_of({" X ", "y"}, normalized={"explicit"}),
         }
-        return CODECS[2].encode({"name": "t", "num_rows": 3}, entries)
+        return CODEC.encode({"name": "t", "num_rows": 3}, entries)
 
     def test_truncation_at_every_length_rejected(self):
         blob = self.blob()
         for cut in range(len(blob)):
             with pytest.raises(CatalogStoreError):
-                CODECS[2].decode(blob[:cut])
+                CODEC.decode(blob[:cut])
 
     def test_trailing_garbage_rejected(self):
         with pytest.raises(CatalogStoreError):
-            CODECS[2].decode(self.blob() + b"\x00")
+            CODEC.decode(self.blob() + b"\x00")
 
     def test_bad_magic_rejected(self):
         blob = bytearray(self.blob())
         blob[:4] = b"NOPE"
         with pytest.raises(CatalogStoreError):
-            CODECS[2].decode(bytes(blob))
+            CODEC.decode(bytes(blob))
 
     def test_unknown_codec_version_rejected(self):
         blob = bytearray(self.blob())
         blob[4:6] = (99).to_bytes(2, "little")
         with pytest.raises(CatalogStoreError):
-            CODECS[2].decode(bytes(blob))
+            CODEC.decode(bytes(blob))
 
     def test_garbled_body_rejected_or_decodes_cleanly(self):
         # Flipping any single byte must never crash with a non-store
@@ -173,7 +174,7 @@ class TestBinaryCorruption:
             mutated = bytearray(blob)
             mutated[position] ^= 0xFF
             try:
-                _meta, entries = CODECS[2].decode(bytes(mutated))
+                _meta, entries = CODEC.decode(bytes(mutated))
             except CatalogStoreError:
                 continue
             for entry in entries.values():
@@ -184,37 +185,9 @@ class TestBinaryCorruption:
     def test_oversized_column_name_raises_store_error(self):
         entries = {"x" * 70_000: entry_of({"a"})}
         with pytest.raises(CatalogStoreError, match="64KiB name field"):
-            CODECS[2].encode({}, entries)
+            CODEC.encode({}, entries)
 
     def test_json_blob_rejected_by_binary_codec(self):
-        json_blob = CODECS[1].encode({}, {"c": entry_of({"a"})})
+        json_blob = b'{"columns": {"c": {"distinct": ["a"]}}, "meta": {}}'
         with pytest.raises(CatalogStoreError):
-            CODECS[2].decode(json_blob)
-
-    def test_binary_blob_rejected_by_json_codec(self):
-        with pytest.raises(CatalogStoreError):
-            CODECS[1].decode(self.blob())
-
-
-class TestCodecRegistry:
-    def test_versions_and_extensions_distinct(self):
-        assert CODECS[1].version == 1 and isinstance(CODECS[1], JsonCodec)
-        assert CODECS[2].version == 2 and isinstance(CODECS[2], BinaryCodec)
-        assert CODECS[1].extension != CODECS[2].extension
-
-    def test_binary_beats_json_on_realistic_entries(self):
-        from repro.discovery.minhash import MinHasher
-
-        hasher = MinHasher(num_perm=64)
-        entries = {}
-        for c in range(5):
-            values = {f"k{c}_{i}" for i in range(300)}
-            entries[f"col_{c}"] = ColumnEntry(
-                distinct=frozenset(values),
-                normalized=frozenset(values),
-                signature=hasher.signature(values),
-            )
-        meta = {"name": "t", "column_names": sorted(entries)}
-        json_size = len(CODECS[1].encode(meta, entries))
-        binary_size = len(CODECS[2].encode(meta, entries))
-        assert binary_size * 3 <= json_size
+            CODEC.decode(json_blob)

@@ -18,9 +18,7 @@ killed between the two.
 Every test here drives the exact interleaving deterministically: the
 "builder" is a second store/catalog instance (its writer lease is not
 the gc'ing store's own), and the stale live set is captured explicitly
-before the racing write.  The pre-lease behavior (``lease_ttl=None``)
-is pinned as reproducing the loss, so the protection is demonstrated
-against a measured failure, not assumed.
+before the racing write.
 """
 
 import os
@@ -67,21 +65,6 @@ class TestLeasePreservesInFlightWrites:
         builder.release_writer_lease()
         assert gc_store.gc(stale_live) == 1
         assert not gc_store.has_object("bbbb0002")
-
-    def test_pre_lease_path_reproduces_the_loss(self, tmp_path):
-        """The regression this PR fixes, pinned: the identical schedule
-        with leases disabled loses the builder's object."""
-        root = str(tmp_path / "cat")
-        gc_store = CatalogStore(root, lease_ttl=None)
-        write(gc_store, "aaaa0001")
-        stale_live = set(gc_store.list_objects())
-
-        builder = CatalogStore(root, lease_ttl=None)
-        write(builder, "bbbb0002")
-
-        removed = gc_store.gc(stale_live)
-        assert removed == 1  # the in-flight object is gone
-        assert not builder.has_object("bbbb0002")
 
     def test_own_writer_lease_does_not_shield_own_garbage(self, tmp_path):
         """A store gc'ing with its own lease outstanding still reclaims
@@ -180,10 +163,10 @@ def _manifest_tables(root):
     return sorted(CatalogStore(root).read_manifest()["tables"])
 
 
-def _peer_drops_b(root, lease_ttl=DEFAULT_LEASE_TTL):
+def _peer_drops_b(root):
     """The peer: keeps only ``a``, saves, gc's.  Returns its store (for
     ``last_gc``)."""
-    peer = Catalog.load(CatalogStore(root, lease_ttl=lease_ttl), corpus=_tables("a"))
+    peer = Catalog.load(root, corpus=_tables("a"))
     peer.save()
     peer.gc()
     return peer.store
@@ -201,8 +184,8 @@ class TestAdoptionRace:
     builder's claim the gc lands on, the builder's save must leave a
     manifest whose every table has its object."""
 
-    def seed(self, root, lease_ttl=DEFAULT_LEASE_TTL):
-        catalog = Catalog(CatalogStore(root, lease_ttl=lease_ttl), num_perm=8, bands=4)
+    def seed(self, root):
+        catalog = Catalog(CatalogStore(root), num_perm=8, bands=4)
         catalog.refresh(_tables("a", "b"))
         catalog.save()
         return catalog.fingerprints
@@ -272,22 +255,3 @@ class TestAdoptionRace:
         assert _manifest_tables(root) == ["a"]
         assert peer.verify()["problems"] == []
         assert peer.store.leases.active() == []
-
-    def test_without_leases_the_check_still_runs(self, tmp_path):
-        """``lease_ttl=None`` publishes nothing, but ``save()`` still
-        verifies what it adopted.  (No new table here: without leases an
-        unsaved *write* is unprotected, which is the loss
-        ``test_pre_lease_path_reproduces_the_loss`` pins.)"""
-        root = str(tmp_path / "cat")
-        self.seed(root, lease_ttl=None)
-        builder = Catalog.load(
-            CatalogStore(root, lease_ttl=None), corpus=_tables("a", "b")
-        )
-        assert builder.computed_columns == 0
-        assert _peer_drops_b(root, lease_ttl=None).last_gc["removed"] == 1
-
-        builder.save()
-        assert builder.computed_columns == 1
-        assert _manifest_tables(root) == ["a", "b"]
-        assert Catalog.load(root).verify()["problems"] == []
-        assert not os.path.exists(os.path.join(root, "leases"))

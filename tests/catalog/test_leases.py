@@ -227,18 +227,6 @@ class TestStoreIntegration:
         assert len(active) == 1
         assert active[0].token == results[0].token
 
-    def test_lease_ttl_none_disables_leases(self, tmp_path):
-        store = CatalogStore(str(tmp_path / "cat"), lease_ttl=None)
-        assert store.leases is None
-        assert store.writer_lease() is None
-        store.write_object("fp1", {"name": "t"}, {"c": make_entry({"v"})})
-        # Lease-free stores keep the legacy record shape (plain codec
-        # version) — byte-identical to pre-lease layouts.
-        shard_dir = store._object_shard_dir("fp1")
-        record = store._read_shard_section(shard_dir, "objects")["fp1"]
-        assert isinstance(record, int)
-        assert not os.path.exists(os.path.join(store.root, "leases"))
-
     def test_stats_counts_active_leases(self, tmp_path):
         store = CatalogStore(str(tmp_path / "cat"))
         assert store.stats()["leases"] == 0

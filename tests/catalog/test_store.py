@@ -6,10 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from repro.catalog import CatalogStore, table_fingerprint
+from repro.catalog import BinaryCodec, CatalogStore, table_fingerprint
 from repro.catalog import store as store_module
 from repro.catalog.fingerprint import shard_of
-from repro.catalog.store import CODECS, VERSION, CatalogStoreError
+from repro.catalog.store import VERSION, CatalogStoreError
 from repro.dataframe.table import Table
 from repro.discovery.index import ColumnEntry
 
@@ -191,7 +191,7 @@ class TestShardedLayout:
         # record also carries the writer's lease token when leases are on).
         manifest = store._read_shard_manifest(os.path.dirname(path))
         record = manifest["objects"]["someid"]
-        assert store_module._record_codec(record) == CODECS[2].version
+        assert store_module._record_codec(record) == BinaryCodec.version
         assert store_module._record_lease(record) is not None
 
     def test_shards_spread_across_directories(self, store):
@@ -305,23 +305,6 @@ class TestReadObjectMeta:
 
 
 class TestLegacyLayoutReadThrough:
-    def write_v1_object(self, store, fingerprint, meta, entries):
-        os.makedirs(os.path.join(store.root, "objects"), exist_ok=True)
-        with open(store._legacy_object_path(fingerprint), "wb") as handle:
-            handle.write(CODECS[1].encode(meta, entries))
-
-    def test_flat_v1_object_readable(self, store):
-        # Real v1 stores only ever held fingerprint-shaped stems;
-        # list_objects now filters to that shape (stray-file fix).
-        fp = "deadbeefcafe0123"
-        entries = {"c": make_entry({"a", "B "})}
-        self.write_v1_object(store, fp, {"name": "t"}, entries)
-        assert store.has_object(fp)
-        assert fp in store.list_objects()
-        meta, loaded = store.read_object(fp)
-        assert meta == {"name": "t"}
-        assert loaded == entries
-
     def test_stray_json_in_objects_root_is_ignored(self, store):
         # Satellite fix: a non-object *.json planted in the objects root
         # (editor droppings, notes, a copied manifest) must never be
@@ -333,25 +316,6 @@ class TestLegacyLayoutReadThrough:
         assert store.list_objects() == []
         store.gc([])
         assert os.path.exists(stray)
-
-    def test_write_supersedes_flat_v1_object(self, store):
-        self.write_v1_object(store, "fp", {"name": "old"}, {"c": make_entry({"a"})})
-        store.write_object("fp", {"name": "new"}, {"c": make_entry({"a"})},
-                           overwrite=True)
-        assert not os.path.exists(store._legacy_object_path("fp"))
-        assert store.read_object("fp")[0] == {"name": "new"}
-
-    def test_flat_v1_profiles_readable(self, store):
-        os.makedirs(os.path.join(store.root, "profiles"), exist_ok=True)
-        with open(store._legacy_profile_path("base"), "w") as handle:
-            json.dump({"entries": {"k": [0.25, 0.75]}}, handle)
-        loaded = store.read_profiles("base")
-        assert np.allclose(loaded["k"], [0.25, 0.75])
-        assert store.list_profile_groups() == ["base"]
-        # The next flush migrates the group to the sharded layout.
-        store.write_profiles("base", loaded)
-        assert not os.path.exists(store._legacy_profile_path("base"))
-        assert os.path.exists(store._profile_path("base"))
 
 
 class TestProfileEviction:
@@ -416,16 +380,6 @@ class TestProfileEviction:
         assert evicted == 2
         assert store.list_profile_groups() == []
 
-    def test_evicts_legacy_flat_groups_too(self, tmp_path, monkeypatch):
-        self.clock(monkeypatch)
-        store = CatalogStore(str(tmp_path / "cat"))
-        os.makedirs(os.path.join(store.root, "profiles"), exist_ok=True)
-        with open(store._legacy_profile_path("old"), "w") as handle:
-            json.dump({"entries": {"k": [0.5]}}, handle)
-        evicted, _freed = store.evict_profiles(0)
-        assert evicted == 1
-        assert store.list_profile_groups() == []
-
 
 def _group_bytes(store, base_fingerprint):
     return os.path.getsize(store._profile_path(base_fingerprint))
@@ -461,16 +415,6 @@ class TestEvictionVanishedFileRace:
         evicted, _freed = store.evict_profiles(0)
         assert evicted == 1  # the real group; the ghost neither
         assert store.list_profile_groups() == []  # crashed nor counted
-
-    def test_legacy_flat_profile_ghost_skipped(self, store, monkeypatch):
-        store.write_profiles("aaaa1111", {"k": np.array([0.5])})
-        os.makedirs(os.path.join(store.root, "profiles"), exist_ok=True)
-        ghost_path = store._legacy_profile_path("oldghost")
-        with open(ghost_path, "w") as handle:
-            json.dump({"entries": {"k": [0.5]}}, handle)
-        self._vanish_on_listing(store, monkeypatch, ghost_path)
-        evicted, _freed = store.evict_profiles(0)
-        assert evicted == 1
 
     def test_result_ghost_skipped(self, store, monkeypatch):
         store.write_result("cafe0001", {"run": 1})

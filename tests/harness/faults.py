@@ -120,14 +120,3 @@ def torn_log(path: str, records, torn_tail: str = None) -> None:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
         if torn_tail is not None:
             handle.write(torn_tail)
-
-
-def torn_artifact(path: str, blob: bytes, keep_fraction: float = 0.5) -> None:
-    """Leave a truncated binary artifact at ``path`` — the on-disk shape
-    a writer killed mid-``write_bytes`` (or a crashed codec upgrade)
-    leaves behind.  ``keep_fraction`` of the healthy ``blob`` survives;
-    the store's read path must fail closed onto another representation
-    and ``verify()`` must report this file."""
-    kept = blob[: max(1, int(len(blob) * keep_fraction))]
-    with open(path, "wb") as handle:
-        handle.write(kept)

@@ -1,29 +1,15 @@
-"""Golden byte-identity for stored artifacts across codecs.
+"""Golden byte-identity for stored artifacts.
 
-Three invariants:
-
-* the v2 binary encoding of a fixed object is pinned by digest — any
-  codec or hash-kernel drift that would silently re-fingerprint stored
-  catalogs breaks here first;
-* a store opened with the v3 mmap default reads existing v2 artifacts
-  byte-identically (read-through never rewrites or reinterprets them);
-* a torn v3 artifact fails closed onto the surviving v2 representation
-  and surfaces as a ``verify()`` finding, never as a garbage signature.
+The v2 binary encoding of a fixed object is pinned by digest — any
+codec or hash-kernel drift that would silently re-fingerprint stored
+catalogs breaks here first.
 """
 
-import glob
 import hashlib
-import os
 
-import pytest
-
-from repro.catalog.store import CODECS, CatalogStore, MmapCodec
+from repro.catalog import BinaryCodec
 from repro.discovery import MinHasher
 from repro.discovery.index import ColumnEntry
-
-from tests.harness.faults import torn_artifact
-
-FINGERPRINT = "deadbeefdeadbeef-cafebabecafebabecafebabecafebabe"
 
 #: sha256 of the v2 BinaryCodec encoding of :func:`golden_object` —
 #: pinned bytes, not just pinned structure.
@@ -51,118 +37,8 @@ def golden_object():
     return meta, entries
 
 
-def entries_equal(a, b):
-    return set(a) == set(b) and all(a[k] == b[k] for k in a)
-
-
 class TestGoldenBytes:
     def test_v2_encoding_pinned(self):
         meta, entries = golden_object()
-        blob = CODECS[2].encode(meta, entries)
+        blob = BinaryCodec().encode(meta, entries)
         assert hashlib.sha256(blob).hexdigest() == V2_GOLDEN_SHA256
-
-    def test_v3_encoding_canonical(self):
-        meta, entries = golden_object()
-        codec = MmapCodec()
-        reordered = {k: entries[k] for k in reversed(sorted(entries))}
-        assert codec.encode(meta, entries) == codec.encode(meta, reordered)
-
-    def test_v3_round_trip_zero_copy(self):
-        meta, entries = golden_object()
-        codec = MmapCodec()
-        blob = codec.encode(meta, entries)
-        codec.check(blob)  # crc + full structural validation
-        meta_back, back = codec.decode(blob)
-        assert meta_back == meta
-        assert entries_equal(back, entries)
-        signature = back["city"].signature
-        assert not signature.flags.owndata  # view into the blob
-        assert not signature.flags.writeable
-
-
-class TestReadThrough:
-    def test_v2_store_reads_byte_identical_through_v3_default(self, tmp_path):
-        meta, entries = golden_object()
-        v2_store = CatalogStore(str(tmp_path))
-        v2_store.write_object(FINGERPRINT, meta, entries)
-        (v2_path,) = glob.glob(
-            os.path.join(str(tmp_path), "**", "*.bin"), recursive=True
-        )
-        before = open(v2_path, "rb").read()
-
-        v3_store = CatalogStore(str(tmp_path), object_codec=3)
-        meta_back, back = v3_store.read_object(FINGERPRINT)
-        assert meta_back == meta
-        assert entries_equal(back, entries)
-        assert open(v2_path, "rb").read() == before
-        assert v3_store.read_object_meta(FINGERPRINT) == meta
-
-    def test_v3_write_supersedes_v2(self, tmp_path):
-        meta, entries = golden_object()
-        CatalogStore(str(tmp_path)).write_object(FINGERPRINT, meta, entries)
-        v3_store = CatalogStore(str(tmp_path), object_codec=3)
-        v3_store.write_object(FINGERPRINT, meta, entries, overwrite=True)
-        root = str(tmp_path)
-        assert glob.glob(os.path.join(root, "**", "*.mmap"), recursive=True)
-        assert not glob.glob(os.path.join(root, "**", "*.bin"), recursive=True)
-        meta_back, back = v3_store.read_object(FINGERPRINT)
-        assert meta_back == meta and entries_equal(back, entries)
-        assert v3_store.verify()["problems"] == []
-
-    def test_unknown_codec_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="codec"):
-            CatalogStore(str(tmp_path), object_codec=9)
-
-
-class TestTornV3FailsClosed:
-    def _store_with_torn_v3(self, tmp_path):
-        meta, entries = golden_object()
-        store = CatalogStore(str(tmp_path), object_codec=3)
-        # Healthy v2 representation first (the pre-upgrade state)...
-        CatalogStore(str(tmp_path)).write_object(FINGERPRINT, meta, entries)
-        (v2_path,) = glob.glob(
-            os.path.join(str(tmp_path), "**", "*.bin"), recursive=True
-        )
-        # ...then a crashed upgrade leaves a half-written v3 beside it.
-        healthy_v3 = MmapCodec().encode(meta, entries)
-        torn_path = v2_path[: -len(".bin")] + ".mmap"
-        torn_artifact(torn_path, healthy_v3)
-        return store, meta, entries, torn_path
-
-    def test_read_falls_through_to_v2(self, tmp_path):
-        store, meta, entries, _ = self._store_with_torn_v3(tmp_path)
-        meta_back, back = store.read_object(FINGERPRINT)
-        assert meta_back == meta
-        assert entries_equal(back, entries)
-
-    def test_verify_reports_the_torn_file(self, tmp_path):
-        store, _, _, torn_path = self._store_with_torn_v3(tmp_path)
-        problems = store.verify()["problems"]
-        assert any(torn_path in problem for problem in problems)
-
-    def test_bit_rot_canary(self, tmp_path):
-        """A structurally valid blob with a flipped signature byte passes
-        decode (lazy paging never checksums) but fails deep check()."""
-        meta, entries = golden_object()
-        codec = MmapCodec()
-        blob = bytearray(codec.encode(meta, entries))
-        blob[48] ^= 0x01  # inside the first signature block
-        codec.decode(bytes(blob))  # structure intact
-        from repro.catalog import CatalogStoreError
-
-        with pytest.raises(CatalogStoreError, match="crc"):
-            codec.check(bytes(blob))
-
-    def test_all_representations_torn_raises(self, tmp_path):
-        meta, entries = golden_object()
-        store = CatalogStore(str(tmp_path), object_codec=3)
-        store.write_object(FINGERPRINT, meta, entries)
-        (v3_path,) = glob.glob(
-            os.path.join(str(tmp_path), "**", "*.mmap"), recursive=True
-        )
-        blob = open(v3_path, "rb").read()
-        torn_artifact(v3_path, blob)
-        from repro.catalog import CatalogStoreError
-
-        with pytest.raises(CatalogStoreError, match="corrupt"):
-            store.read_object(FINGERPRINT)
