@@ -11,10 +11,6 @@ Quickstart::
         base=scenario.base, task=scenario.task, searcher="metam",
         config=MetamConfig(theta=0.8)))
     print(run.result.summary())
-
-The free functions ``prepare_candidates``/``run_metam``/``run_baseline``
-are deprecated shims over the engine (byte-identical results; see
-:mod:`repro.pipeline` for the migration table).
 """
 
 from repro.api import (
@@ -28,9 +24,8 @@ from repro.catalog import Catalog, CatalogRefresher, CatalogSnapshot, CatalogSto
 from repro.core.config import MetamConfig
 from repro.core.metam import Metam
 from repro.core.result import SearchResult
-from repro.pipeline import prepare_candidates, run_baseline, run_metam
 
-__version__ = "1.7.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "DiscoveryEngine",
@@ -45,8 +40,5 @@ __all__ = [
     "MetamConfig",
     "Metam",
     "SearchResult",
-    "prepare_candidates",
-    "run_baseline",
-    "run_metam",
     "__version__",
 ]

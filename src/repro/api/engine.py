@@ -644,8 +644,8 @@ class DiscoveryEngine:
             return list(candidates), False, corpus
 
     def _prepare_uncached(self, base, spec, registry, seed, corpus) -> list:
-        """The discovery front-end (exactly the legacy ``prepare_candidates``
-        semantics, so warm and cold paths stay byte-identical).
+        """The discovery front-end: index (or catalog) → join paths →
+        materialise → profile.  Warm and cold paths are byte-identical.
 
         Runs outside the engine lock.  With a catalog attached, the
         catalog-touching section (refresh/save, index queries with their

@@ -11,7 +11,6 @@ never has to scrape logs to know what a search did.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
 
 
@@ -142,17 +141,3 @@ EVENT_TYPES = {
         RunCompleted,
     )
 }
-
-
-def event_from_record(record: dict) -> RunEvent:
-    """Deprecated alias of :func:`repro.api.wire.event_from_wire`
-    (byte-identical reconstruction; same ``ValueError`` contract)."""
-    warnings.warn(
-        "event_from_record() is deprecated; use "
-        "repro.api.wire.event_from_wire()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import wire
-
-    return wire.event_from_wire(record)

@@ -14,7 +14,6 @@ against a served corpus.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import asdict, dataclass, field
 
 from repro.core.config import MetamConfig
@@ -25,11 +24,11 @@ from repro.dataframe.table import Table
 class CandidateSpec:
     """Candidate-generation knobs (discovery + materialization + profiling).
 
-    Mirrors the legacy ``prepare_candidates`` signature; two equal specs
-    against the same base/corpus/seed yield byte-identical candidate
-    sets, which is what lets the engine cache prepared candidates across
-    runs.  ``min_containment`` only governs the cold path — with a
-    catalog attached, the catalog's own index config applies.
+    Two equal specs against the same base/corpus/seed yield
+    byte-identical candidate sets, which is what lets the engine cache
+    prepared candidates across runs.  ``min_containment`` only governs
+    the cold path — with a catalog attached, the catalog's own index
+    config applies.
     """
 
     min_containment: float = 0.3
@@ -128,16 +127,6 @@ class DiscoveryRequest:
         from repro.api import wire
 
         return wire.request_from_wire(payload, corpus)
-
-    def to_record(self) -> dict:
-        """Deprecated alias of :meth:`to_wire` (byte-identical)."""
-        warnings.warn(
-            "DiscoveryRequest.to_record() is deprecated; use "
-            "DiscoveryRequest.to_wire() (repro.api.wire schema)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.to_wire()
 
     def cache_descriptor(self) -> str | None:
         """Canonical description of everything (besides engine state)

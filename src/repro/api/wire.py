@@ -1,19 +1,15 @@
 """The versioned wire model: every dict that crosses a process boundary.
 
-Requests, run records, events, and errors all used to be ad-hoc dict
-shapes assembled inline by whoever needed one (``DiscoveryRequest.
-to_record``, ``RunEvent.to_record``, ``event_from_record``, the run
-record in :mod:`repro.api.run`).  This module is their single home: one
-explicit dataclass↔JSON schema per payload kind, shared by the HTTP
-server, the persistent result tier, and the CLI.
+Requests, run records, events, and errors have their single home
+here: one explicit dataclass↔JSON schema per payload kind, shared by
+the HTTP server, the persistent result tier, and the CLI.
 
 Two layers, deliberately separate:
 
 * The **record forms** (:func:`request_to_wire`, :func:`run_to_wire`,
-  :func:`event_to_wire` and their inverses) are byte-identical to the
-  legacy ``to_record`` shapes — persisted run records, golden tests,
-  and the result cache all keep working unchanged.  The legacy entry
-  points still exist as deprecation shims delegating here.
+  :func:`event_to_wire` and their inverses) are the persisted shapes —
+  run records on disk, golden tests, and the result cache all read and
+  write exactly these dicts.
 * The **envelope** (:func:`envelope` / :func:`open_envelope`) stamps
   ``schema_version`` onto a payload for transport.  Everything the HTTP
   server sends is enveloped; everything it accepts is version-checked.
@@ -74,8 +70,7 @@ def open_envelope(payload: Any) -> Dict[str, Any]:
 # Requests
 # ---------------------------------------------------------------------------
 def request_to_wire(request) -> dict:
-    """JSON-safe description of a request (the legacy ``to_record``
-    shape, byte-identical — golden-pinned).
+    """JSON-safe description of a request (golden-pinned).
 
     Tables and task objects are described, not embedded — a record
     identifies what was asked, it does not re-ship the data.
@@ -255,7 +250,7 @@ def _dataclass_from_wire(cls, payload: Any, field_name: str):
 # ---------------------------------------------------------------------------
 def event_to_wire(event) -> dict:
     """JSON-safe form of one run event: ``kind`` plus the event's
-    fields (byte-identical to the legacy ``RunEvent.to_record``)."""
+    fields (what ``RunEvent.to_record`` returns)."""
     return {"kind": event.kind, **asdict(event)}
 
 
@@ -286,8 +281,8 @@ def event_from_wire(record: Any):
 # Run records
 # ---------------------------------------------------------------------------
 def run_to_wire(run) -> dict:
-    """JSON-serializable record of a full run (the legacy
-    ``DiscoveryRun.to_record`` shape, byte-identical)."""
+    """JSON-serializable record of a full run (what
+    ``DiscoveryRun.to_record`` returns)."""
     from repro.core.serialization import result_to_dict
 
     return {

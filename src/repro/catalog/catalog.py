@@ -79,11 +79,12 @@ class Catalog:
     """Persistent discovery catalog over a table corpus.
 
     Parameters mirror :class:`DiscoveryIndex` (with ``min_containment``
-    defaulting to the pipeline's cold-path value, so a default-constructed
-    catalog reproduces ``prepare_candidates``' default candidate sets);
-    ``store`` (optional) attaches on-disk persistence.  When the store already holds a saved
-    catalog, the construction parameters must match its recorded config —
-    persisted signatures are only valid for the config that produced them.
+    defaulting to :class:`~repro.api.CandidateSpec`'s cold-path value,
+    so a default-constructed catalog reproduces the engine's default
+    candidate sets); ``store`` (optional) attaches on-disk persistence.
+    When the store already holds a saved catalog, the construction
+    parameters must match its recorded config — persisted signatures are
+    only valid for the config that produced them.
     Use :meth:`load` to adopt a saved catalog's config wholesale.
     """
 
@@ -392,7 +393,8 @@ class Catalog:
 
         Refreshing against the very same Table objects the catalog
         already holds (the common warm-start shape: ``Catalog.load(root,
-        corpus)`` followed by ``prepare_candidates(..., catalog=...)``)
+        corpus)`` followed by ``DiscoveryEngine(corpus=..., catalog=...)
+        .prepare(base)``)
         is detected by identity and skips re-fingerprinting the corpus.
         Consequently, mutating a cataloged Table's cells in place is not
         detected — like the rest of the library (materialization caches

@@ -175,10 +175,8 @@ class Table:
 
         For read-only structures that follow from the (immutable) cells
         alone — join-key groupings, per-key aggregates, the table's
-        embedding.  Reference mode stores nothing and rebuilds per call.
+        embedding.
         """
-        if not kernels.caching_enabled():
-            return build()
         if key not in self._derived_cache:
             self._derived_cache[key] = build()
         return self._derived_cache[key]

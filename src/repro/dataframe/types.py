@@ -1,8 +1,7 @@
 """Column type inference and numeric coercion for noisy tables.
 
 The coercion loops live in :mod:`repro.kernels` — vectorized with exact
-scalar fallbacks (``REPRO_KERNELS=reference`` forces the scalar path
-everywhere).  This module keeps the public names and the
+scalar fallbacks.  This module keeps the public names and the
 :class:`ColumnType` enum the rest of the library imports.
 """
 

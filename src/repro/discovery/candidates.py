@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import kernels
 from repro.dataframe.table import Table
 from repro.discovery.index import DiscoveryIndex
 from repro.discovery.join_graph import enumerate_join_paths
@@ -98,9 +97,8 @@ def profile_candidates(
     """
     # One pass shares base/sample state: every context below has the
     # same base, sample_size, and seed, so sampled base arrays are
-    # computed once, not once per candidate (off in reference mode,
-    # which reproduces the pre-kernel cost model).
-    shared_cache = {} if kernels.caching_enabled() else None
+    # computed once, not once per candidate.
+    shared_cache = {}
     try:
         for candidate in candidates:
             if cache is not None:

@@ -340,20 +340,15 @@ class DiscoveryIndex:
     def _verified(self, query_values, signature, exclude_table=None) -> list:
         """LSH probe + containment verification, shared by the live-table
         and stored-entry query paths."""
-        query_arr = (
-            kernels.sorted_unique_array(query_values)
-            if kernels.active_mode() != "reference"
-            else None
-        )
+        query_arr = kernels.sorted_unique_array(query_values)
         results = []
         for ref in self._lsh.query(signature):
             if exclude_table is not None and ref.table == exclude_table:
                 continue
             entry = self._entry(ref)
-            if query_arr is not None:
-                candidate_arr = self._normalized_array(entry)
-            else:
-                candidate_arr = None
+            candidate_arr = (
+                self._normalized_array(entry) if query_arr is not None else None
+            )
             if candidate_arr is not None:
                 count = kernels.containment_count_arrays(query_arr, candidate_arr)
             else:

@@ -55,12 +55,6 @@ def type_census(cells) -> set:
     return set(map(type, cells))
 
 
-def _vectorized() -> bool:
-    from repro.kernels import active_mode
-
-    return active_mode() != "reference"
-
-
 def str_cells(values) -> bool:
     """True when every cell is exactly ``str`` with no NUL bytes —
     the precondition for numpy unicode-dtype fast paths (U-dtype
@@ -71,9 +65,7 @@ def str_cells(values) -> bool:
 def to_float_array(values) -> np.ndarray:
     """Float array with NaN for missing/non-numeric cells."""
     values = list(values)
-    if _vectorized() and all(
-        issubclass(t, _FLOATABLE_TYPES) for t in type_census(values)
-    ):
+    if all(issubclass(t, _FLOATABLE_TYPES) for t in type_census(values)):
         try:
             # numpy parses numeric strings with float()'s grammar and
             # maps None -> NaN; whitespace-only / non-numeric strings
@@ -87,7 +79,7 @@ def to_float_array(values) -> np.ndarray:
 def encode_categorical(values) -> np.ndarray:
     """Sorted-distinct integer codes as floats, NaN for missing."""
     values = list(values)
-    if _vectorized() and values and str_cells(values):
+    if values and str_cells(values):
         arr = np.asarray(values, dtype=np.str_)
         missing = np.strings.strip(arr) == ""
         keys = np.unique(arr[~missing])
@@ -99,9 +91,7 @@ def encode_categorical(values) -> np.ndarray:
 def infer_column_type(values, categorical_threshold: int = 20) -> str:
     """Column type as its value string (see reference.infer_column_type)."""
     values = list(values)
-    if _vectorized() and values and all(
-        issubclass(t, _NUMERIC_OR_NONE) for t in type_census(values)
-    ):
+    if values and all(issubclass(t, _NUMERIC_OR_NONE) for t in type_census(values)):
         # All-numeric cells: one value that is not NaN makes the column
         # numeric.  All NaN is left to the reference, which tells a
         # missing NaN from a present one (``np.float32("nan")``).

@@ -15,8 +15,9 @@ Two hash families, selected by ``hash_version``:
   version, so v2-hashed stores never cross-contaminate v1 signatures.
 
 Both versions produce values in the 32-bit MinHash domain, and both
-have scalar references in :mod:`repro.kernels.reference` that the
-differential suite pins them against.
+have scalar forms in :mod:`repro.kernels.reference`
+(``stable_hash_v1`` / ``stable_hash_v2``) that the differential suite
+pins them against.
 """
 
 from __future__ import annotations
@@ -115,13 +116,8 @@ def hash_strings(values, hash_version: int = 1, seed: int = 0) -> np.ndarray:
     ``values`` must be an ordered collection of ``str``.  The output
     lands in the 32-bit MinHash domain for both hash versions.
     """
-    from repro.kernels import active_mode
-
     values = list(values)
     check_hash_version(hash_version)
-    if active_mode() == "reference":
-        tables = _tables(seed) if hash_version == 2 else None
-        return reference.hash_strings(values, hash_version, tables)
     if hash_version == 1:
         return _hash_strings_v1(values)
     return _hash_strings_v2(values, seed)

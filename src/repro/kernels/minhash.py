@@ -1,7 +1,8 @@
 """Batch MinHash signing.
 
-The reference path builds one ``(num_values, num_perm)`` permutation
-matrix per column.  The kernels keep that exact uint64 expression —
+The scalar oracle (``tests/kernels/reference_bulk.py``) builds one
+``(num_values, num_perm)`` permutation matrix per column.  The kernels
+keep that exact uint64 expression —
 ``(h * a + b) mod p mod 2^32`` with numpy wraparound semantics, so
 signatures stay byte-identical — but evaluate it for **many columns per
 call**: all hashed columns are concatenated, permuted in bounded-memory
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import reference
 from repro.kernels.reference import MAX_HASH, MERSENNE
 
 __all__ = ["empty_signature", "minhash_from_hashes", "minhash_many"]
@@ -38,7 +38,7 @@ def empty_signature(num_perm: int) -> np.ndarray:
 
 def _permute(hashes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``((h*a + b) mod p) mod 2^32`` elementwise, value for value what
-    the reference expression computes, with the expensive modulos
+    the oracle's expression computes, with the expensive modulos
     replaced: ``mod p`` for the Mersenne ``p = 2^61 - 1`` is a shift-add
     (``2^61 ≡ 1 mod p``) with one conditional subtract, and ``mod 2^32``
     is a mask."""
@@ -70,10 +70,6 @@ def minhash_from_hashes(
     hashes: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
     """MinHash signature of one pre-hashed column (empty → max-filled)."""
-    from repro.kernels import active_mode
-
-    if active_mode() == "reference":
-        return reference.minhash_from_hashes(hashes, a, b)
     if hashes.size == 0:
         return empty_signature(a.shape[0])
     return _permute_min(np.ascontiguousarray(hashes, dtype=np.uint64), a, b)
@@ -86,16 +82,10 @@ def minhash_many(hash_columns, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     returns a ``(len(hash_columns), num_perm)`` uint64 matrix whose rows
     equal :func:`minhash_from_hashes` of each column.
     """
-    from repro.kernels import active_mode
-
     num_perm = a.shape[0]
     columns = list(hash_columns)
     if not columns:
         return np.empty((0, num_perm), dtype=np.uint64)
-    if active_mode() == "reference":
-        return np.stack(
-            [reference.minhash_from_hashes(h, a, b) for h in columns]
-        )
     lengths = np.array([h.shape[0] for h in columns], dtype=np.int64)
     out = np.empty((len(columns), num_perm), dtype=np.uint64)
     empty = lengths == 0

@@ -1,20 +1,19 @@
-"""Retained scalar reference implementations of every kernel.
+"""Scalar per-value implementations: the exact path of every kernel.
 
 These are the per-value Python loops the vectorized kernels replaced,
-kept verbatim (same math, same edge handling) for three reasons:
+kept verbatim (same math, same edge handling) for two reasons:
 
-* the **differential test suite** (``tests/kernels/``) drives every
-  vectorized kernel against these on adversarial columns — the reference
-  is the executable specification;
-* ``REPRO_KERNELS=reference`` forces the whole library back onto this
-  path at runtime, the debugging escape hatch when a vectorized result
-  looks wrong;
 * a few inputs (exotic cell types, NUL-embedded strings) are outside the
   vectorized fast paths' preconditions, and the dispatchers fall back to
-  these functions for exactness.
+  these functions — on those inputs this is the only path;
+* the **differential test suite** (``tests/kernels/``) drives every
+  vectorized kernel against these on adversarial columns — the scalar
+  function is the executable specification.  (The bulk hashing and
+  MinHash oracles, which no dispatcher falls back to, live beside the
+  suite in ``tests/kernels/reference_bulk.py``.)
 
 Nothing here may import from the vectorized modules or from
-``repro.dataframe`` — the reference stands alone so a kernel bug can
+``repro.dataframe`` — the scalar path stands alone so a kernel bug can
 never contaminate its own oracle.
 """
 
@@ -84,31 +83,6 @@ def stable_hash_v2(value: str, tables: np.ndarray) -> int:
     h = (h * _MIX) & _U64
     h ^= h >> 33
     return h & MAX_HASH
-
-
-def hash_strings(values, hash_version: int, tables=None) -> np.ndarray:
-    """uint64 array of stable hashes, one per value, in input order."""
-    if hash_version == 1:
-        return np.array(
-            [stable_hash_v1(v) for v in values], dtype=np.uint64
-        ).reshape(len(values))
-    return np.array(
-        [stable_hash_v2(v, tables) for v in values], dtype=np.uint64
-    ).reshape(len(values))
-
-
-def minhash_from_hashes(
-    hashes: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """MinHash signature from pre-hashed values — the original
-    ``MinHasher.signature`` matrix expression, verbatim."""
-    num_perm = a.shape[0]
-    if hashes.size == 0:
-        return np.full(num_perm, MAX_HASH, dtype=np.uint64)
-    permuted = (
-        hashes[:, None] * a[None, :] + b[None, :]
-    ) % np.uint64(MERSENNE) % np.uint64(MAX_HASH + 1)
-    return permuted.min(axis=0)
 
 
 # ----------------------------------------------------------------------

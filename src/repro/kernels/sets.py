@@ -27,12 +27,6 @@ __all__ = [
 ]
 
 
-def _vectorized() -> bool:
-    from repro.kernels import active_mode
-
-    return active_mode() != "reference"
-
-
 def distinct_strings(cells) -> set:
     """Distinct non-missing cells as strings (Table.distinct_values).
 
@@ -41,21 +35,20 @@ def distinct_strings(cells) -> set:
     concrete type for ``str`` and ``int``, false across mixed numerics
     (``1 == 1.0 == True`` but their strings differ, and ``-0.0 == 0.0``).
     """
-    if _vectorized():
-        cells = list(cells)
-        types = type_census(cells)
-        if types <= {str}:
-            return {v for v in set(cells) if v.strip() != ""}
-        if types == {int}:
-            return {str(v) for v in set(cells)}
-        if types <= {float, type(None)}:
-            # No dedup first: -0.0 == 0.0 but their strings differ.  For
-            # an exact float, str() is repr(); the two missing cells have
-            # reprs no number shares.
-            out = set(map(repr, cells))
-            out.discard("None")
-            out.discard("nan")
-            return out
+    cells = list(cells)
+    types = type_census(cells)
+    if types <= {str}:
+        return {v for v in set(cells) if v.strip() != ""}
+    if types == {int}:
+        return {str(v) for v in set(cells)}
+    if types <= {float, type(None)}:
+        # No dedup first: -0.0 == 0.0 but their strings differ.  For
+        # an exact float, str() is repr(); the two missing cells have
+        # reprs no number shares.
+        out = set(map(repr, cells))
+        out.discard("None")
+        out.discard("nan")
+        return out
     return reference.distinct_strings(cells)
 
 
@@ -67,7 +60,7 @@ def count_non_missing(values) -> int:
 def normalize_strings(values) -> set:
     """Containment normalization: ``strip().lower()`` per value.
 
-    Kept scalar in both modes on purpose: CPython's ``str.strip`` /
+    Kept scalar on purpose: CPython's ``str.strip`` /
     ``str.lower`` return the original object unchanged for
     already-normal ASCII strings, and a measured ``np.strings``
     round-trip (fixed-width unicode array construction + two passes +
@@ -105,10 +98,8 @@ def containment_count_arrays(query: np.ndarray, candidate: np.ndarray) -> int:
 def containment_count(query_values, candidate_values) -> int:
     """``|Q ∩ C|`` with set semantics; accepts sets or prebuilt sorted
     arrays (mixing is fine — arrays are rebuilt from sets as needed)."""
-    if (
-        _vectorized()
-        and isinstance(query_values, np.ndarray)
-        and isinstance(candidate_values, np.ndarray)
+    if isinstance(query_values, np.ndarray) and isinstance(
+        candidate_values, np.ndarray
     ):
         return containment_count_arrays(query_values, candidate_values)
     if isinstance(query_values, np.ndarray):

@@ -1,7 +1,6 @@
 """Tests for the session-oriented DiscoveryEngine API."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -77,15 +76,13 @@ class TestEngineState:
 
 
 class TestPrepare:
-    def test_prepare_matches_legacy(self, engine, scenario):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro import prepare_candidates
-
-            legacy = prepare_candidates(scenario.base, scenario.corpus, seed=0)
-        fresh = engine.prepare(scenario.base, seed=0)
-        assert [c.aug_id for c in fresh] == [c.aug_id for c in legacy]
-        for a, b in zip(fresh, legacy, strict=True):
+    def test_prepare_matches_transient_engine(self, engine, scenario):
+        transient = DiscoveryEngine(corpus=scenario.corpus).prepare(
+            scenario.base, seed=0
+        )
+        shared = engine.prepare(scenario.base, seed=0)
+        assert [c.aug_id for c in shared] == [c.aug_id for c in transient]
+        for a, b in zip(shared, transient, strict=True):
             assert np.array_equal(a.profile_vector, b.profile_vector)
 
     def test_prepare_cached_across_calls(self, scenario):
@@ -130,26 +127,17 @@ class TestPrepare:
 
 
 class TestDiscover:
-    def test_metam_run_matches_legacy(self, engine, scenario):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro import prepare_candidates, run_metam
-
-            candidates = prepare_candidates(
-                scenario.base, scenario.corpus, seed=0
-            )
-            legacy = run_metam(
-                candidates,
-                scenario.base,
-                scenario.corpus,
-                scenario.task,
-                MetamConfig(**CONFIG),
-            )
+    def test_metam_run_matches_supplied_candidates(self, engine, scenario):
+        transient = DiscoveryEngine(corpus=scenario.corpus)
+        candidates = transient.prepare(scenario.base, seed=0)
+        supplied = transient.discover(
+            request_for(scenario, candidates=candidates)
+        ).result
         run = engine.discover(request_for(scenario))
         assert run.completed
-        assert run.result.selected == legacy.selected
-        assert run.result.utility == legacy.utility
-        assert run.result.trace == legacy.trace
+        assert run.result.selected == supplied.selected
+        assert run.result.utility == supplied.utility
+        assert run.result.trace == supplied.trace
 
     @pytest.mark.parametrize("searcher", ["mw", "overlap", "uniform", "eq", "nc"])
     def test_registered_searchers_run(self, engine, scenario, searcher):

@@ -1,5 +1,4 @@
-"""The versioned wire model: golden shapes, envelopes, validation, and
-the deprecation shims that delegate to it byte-identically."""
+"""The versioned wire model: golden shapes, envelopes, validation."""
 
 import json
 
@@ -14,7 +13,7 @@ from repro.api.errors import (
     Overloaded,
     ReproError,
 )
-from repro.api.events import QueryIssued, RunCompleted, event_from_record
+from repro.api.events import QueryIssued, RunCompleted
 from repro.api.request import CandidateSpec, DiscoveryRequest
 from repro.api.wire import (
     SCHEMA_VERSION,
@@ -112,12 +111,6 @@ class TestRequestRecordGolden:
         request = DiscoveryRequest(base=base, task="clustering")
         assert request.to_wire() == request_to_wire(request)
 
-    def test_to_record_shim_warns_and_is_byte_identical(self, base):
-        request = DiscoveryRequest(base=base, task="clustering")
-        with pytest.warns(DeprecationWarning, match="to_wire"):
-            legacy = request.to_record()
-        assert dumps(legacy) == dumps(request.to_wire())
-
 
 class TestRequestFromWire:
     def test_minimal_payload(self, corpus, base):
@@ -201,14 +194,11 @@ class TestRequestFromWire:
             request_from_wire(record, corpus)
 
 
-class TestEventShim:
-    def test_event_from_record_warns_and_delegates(self):
+class TestEventWire:
+    def test_event_from_wire_rebuilds_the_event(self):
         record = {"kind": "run-completed", "status": "completed",
                   "utility": 0.9, "queries": 4, "seconds": 1.5}
-        with pytest.warns(DeprecationWarning, match="event_from_wire"):
-            legacy = event_from_record(record)
-        assert legacy == event_from_wire(record)
-        assert legacy == RunCompleted(
+        assert event_from_wire(record) == RunCompleted(
             status="completed", utility=0.9, queries=4, seconds=1.5
         )
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import prepare_candidates, run_baseline
+from repro import DiscoveryEngine, DiscoveryRequest
 from repro.baselines import (
     IArdaSearcher,
     JoinEverythingSearcher,
@@ -19,14 +19,14 @@ from repro.tasks.base import canonical_column
 @pytest.fixture(scope="module")
 def howto():
     scenario = sat_howto_scenario(seed=0, n_irrelevant=6, n_erroneous=3)
-    candidates = prepare_candidates(scenario.base, scenario.corpus, seed=0)
+    candidates = DiscoveryEngine(corpus=scenario.corpus).prepare(scenario.base)
     return scenario, candidates
 
 
 @pytest.fixture(scope="module")
 def housing():
     scenario = housing_scenario(seed=0, n_irrelevant=8, n_erroneous=4, n_traps=3)
-    candidates = prepare_candidates(scenario.base, scenario.corpus, seed=0)
+    candidates = DiscoveryEngine(corpus=scenario.corpus).prepare(scenario.base)
     return scenario, candidates
 
 
@@ -45,16 +45,17 @@ class TestRankingBaselines:
     @pytest.mark.parametrize("name", ["overlap", "uniform", "mw"])
     def test_baseline_improves(self, howto, name):
         scenario, candidates = howto
-        result = run_baseline(
-            name,
-            candidates,
-            scenario.base,
-            scenario.corpus,
-            scenario.task,
-            theta=1.0,
-            query_budget=250,
-            seed=0,
-        )
+        result = DiscoveryEngine(corpus=scenario.corpus).discover(
+            DiscoveryRequest(
+                base=scenario.base,
+                task=scenario.task,
+                searcher=name,
+                theta=1.0,
+                query_budget=250,
+                seed=0,
+                candidates=candidates,
+            )
+        ).result
         assert result.utility > result.base_utility
         assert result.searcher == name
 
@@ -112,13 +113,6 @@ class TestRankingBaselines:
         scenario, _ = howto
         with pytest.raises(ValueError):
             UniformSearcher([], scenario.base, scenario.corpus, scenario.task)
-
-    def test_unknown_baseline_name(self, howto):
-        scenario, candidates = howto
-        with pytest.raises(ValueError):
-            run_baseline(
-                "greedy", candidates, scenario.base, scenario.corpus, scenario.task
-            )
 
 
 class TestIArda:

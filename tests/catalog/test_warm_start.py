@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import prepare_candidates
+from repro import CandidateSpec, DiscoveryEngine
 from repro.catalog import Catalog, CatalogStore, LocalFSBackend
 from repro.data import housing_scenario
 from repro.dataframe.table import Table
@@ -29,13 +29,12 @@ def build_catalog(tmp_path, scenario):
 
 class TestWarmStartEquivalence:
     def test_candidates_and_profiles_identical(self, tmp_path, scenario):
-        cold = prepare_candidates(scenario.base, scenario.corpus, seed=0)
+        cold = DiscoveryEngine(corpus=scenario.corpus).prepare(scenario.base)
         build_catalog(tmp_path, scenario)
 
         warm_catalog = Catalog.load(str(tmp_path / "cat"), corpus=scenario.corpus)
-        warm = prepare_candidates(
-            scenario.base, scenario.corpus, seed=0, catalog=warm_catalog
-        )
+        engine = DiscoveryEngine(corpus=scenario.corpus, catalog=warm_catalog)
+        warm = engine.prepare(scenario.base)
         assert warm_catalog.computed_columns == 0
         assert [c.aug_id for c in warm] == [c.aug_id for c in cold]
         assert [c.overlap for c in warm] == [c.overlap for c in cold]
@@ -45,24 +44,20 @@ class TestWarmStartEquivalence:
     def test_second_run_hits_profile_cache(self, tmp_path, scenario):
         catalog = build_catalog(tmp_path, scenario)
         registry = default_registry()
-        prepare_candidates(
-            scenario.base, scenario.corpus, registry=registry, seed=0, catalog=catalog
-        )
+        engine = DiscoveryEngine(corpus=scenario.corpus, catalog=catalog)
+        engine.prepare(scenario.base, registry=registry)
         warm_catalog = Catalog.load(str(tmp_path / "cat"), corpus=scenario.corpus)
         cache = warm_catalog.profile_cache(scenario.base, registry, seed=0)
         assert len(cache) > 0
-        warm = prepare_candidates(
-            scenario.base, scenario.corpus, registry=registry, seed=0,
-            catalog=warm_catalog,
-        )
+        engine = DiscoveryEngine(corpus=scenario.corpus, catalog=warm_catalog)
+        warm = engine.prepare(scenario.base, registry=registry)
         assert len(warm) == len(cache)
 
     def test_stale_table_triggers_reprofile(self, tmp_path, scenario):
         catalog = build_catalog(tmp_path, scenario)
         registry = default_registry()
-        candidates = prepare_candidates(
-            scenario.base, scenario.corpus, registry=registry, seed=0, catalog=catalog
-        )
+        engine = DiscoveryEngine(corpus=scenario.corpus, catalog=catalog)
+        candidates = engine.prepare(scenario.base, registry=registry)
         touched = candidates[0].aug.final_table
 
         # Perturb one repository table's content.
@@ -87,9 +82,8 @@ class TestWarmStartEquivalence:
         catalog = Catalog(
             CatalogStore(str(tmp_path / "auto")), min_containment=0.3, seed=0
         )
-        prepare_candidates(
-            scenario.base, scenario.corpus, seed=0, catalog=catalog
-        )  # no catalog.save()
+        engine = DiscoveryEngine(corpus=scenario.corpus, catalog=catalog)
+        engine.prepare(scenario.base)  # no catalog.save()
         loaded = Catalog.load(str(tmp_path / "auto"))
         diff = loaded.refresh(scenario.corpus)
         assert not diff.changed  # manifest/snapshot were saved automatically
@@ -101,13 +95,13 @@ class TestWarmStartEquivalence:
         partial = {n: t for n, t in full.items() if n != dropped}
         # Warm discovery over a filtered corpus must not persist removals.
         warm_catalog = Catalog.load(str(tmp_path / "cat"))
-        prepare_candidates(scenario.base, partial, seed=0, catalog=warm_catalog)
+        DiscoveryEngine(corpus=partial, catalog=warm_catalog).prepare(scenario.base)
         manifest = warm_catalog.store.read_manifest()
         assert dropped in manifest["tables"]
         # Not even via a later additive run in the same process.
         grown = dict(partial)
         grown["brand_new"] = scenario.base.copy(name="brand_new")
-        prepare_candidates(scenario.base, grown, seed=0, catalog=warm_catalog)
+        DiscoveryEngine(corpus=grown, catalog=warm_catalog).prepare(scenario.base)
         manifest = warm_catalog.store.read_manifest()
         assert dropped in manifest["tables"]
         assert "brand_new" not in manifest["tables"]  # save was withheld
@@ -134,19 +128,15 @@ class TestWarmStartEquivalence:
         catalog = build_catalog(tmp_path, scenario)  # min_containment=0.3
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            prepare_candidates(
-                scenario.base, scenario.corpus, min_containment=0.6,
-                seed=0, catalog=catalog,
-            )
+            engine = DiscoveryEngine(corpus=scenario.corpus, catalog=catalog)
+            engine.prepare(scenario.base, spec=CandidateSpec(min_containment=0.6))
         assert any("min_containment" in str(w.message) for w in caught)
 
     def test_registry_hyperparameters_invalidate_cache(self, tmp_path, scenario):
         catalog = build_catalog(tmp_path, scenario)
         seeded_a = default_registry().with_random_profiles(2, seed=0)
-        candidates = prepare_candidates(
-            scenario.base, scenario.corpus, registry=seeded_a, seed=0,
-            catalog=catalog,
-        )
+        engine = DiscoveryEngine(corpus=scenario.corpus, catalog=catalog)
+        candidates = engine.prepare(scenario.base, registry=seeded_a)
         # Same profile *names*, different hyperparameters: the cache must
         # miss, not serve the other registry's vectors.
         seeded_b = default_registry().with_random_profiles(2, seed=123)
@@ -160,9 +150,8 @@ class TestWarmStartEquivalence:
     def test_changed_base_table_misses_cache(self, tmp_path, scenario):
         catalog = build_catalog(tmp_path, scenario)
         registry = default_registry()
-        candidates = prepare_candidates(
-            scenario.base, scenario.corpus, registry=registry, seed=0, catalog=catalog
-        )
+        engine = DiscoveryEngine(corpus=scenario.corpus, catalog=catalog)
+        candidates = engine.prepare(scenario.base, registry=registry)
         other_base = scenario.base.with_column(
             "extra", [0.0] * scenario.base.num_rows
         )

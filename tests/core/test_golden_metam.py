@@ -15,7 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro import MetamConfig, prepare_candidates, run_metam
+from repro import DiscoveryEngine, DiscoveryRequest, MetamConfig
 from repro.catalog import Catalog, CatalogStore
 from repro.data import housing_scenario
 
@@ -63,12 +63,21 @@ def scenario():
 
 @pytest.fixture(scope="module")
 def cold(scenario):
-    candidates = prepare_candidates(scenario.base, scenario.corpus, seed=SEED)
-    result = run_metam(
-        candidates, scenario.base, scenario.corpus, scenario.task,
-        MetamConfig(**CONFIG),
+    engine = DiscoveryEngine(corpus=scenario.corpus)
+    candidates = engine.prepare(scenario.base, seed=SEED)
+    return candidates, metam_over(engine, scenario, candidates)
+
+
+def metam_over(engine, scenario, candidates):
+    """The pinned METAM run over an already prepared candidate list."""
+    request = DiscoveryRequest(
+        base=scenario.base,
+        task=scenario.task,
+        searcher="metam",
+        config=MetamConfig(**CONFIG),
+        candidates=candidates,
     )
-    return candidates, result
+    return engine.discover(request).result
 
 
 class TestGoldenColdRun:
@@ -89,10 +98,8 @@ class TestGoldenColdRun:
 
 class TestGoldenEngineRun:
     def test_engine_run_matches_golden(self, scenario, cold):
-        """The engine path (prepare inside discover) must reproduce the
-        legacy free-function path byte for byte."""
-        from repro.api import DiscoveryEngine, DiscoveryRequest
-
+        """Prepare inside discover must reproduce the run over a
+        supplied candidate list byte for byte."""
         cold_candidates, cold_result = cold
         engine = DiscoveryEngine(corpus=scenario.corpus)
         run = engine.discover(
@@ -127,18 +134,14 @@ class TestGoldenCatalogRun:
         catalog.save()
 
         warm_catalog = Catalog.load(str(tmp_path / "cat"), corpus=scenario.corpus)
-        candidates = prepare_candidates(
-            scenario.base, scenario.corpus, seed=SEED, catalog=warm_catalog
-        )
+        engine = DiscoveryEngine(corpus=scenario.corpus, catalog=warm_catalog)
+        candidates = engine.prepare(scenario.base, seed=SEED)
         assert warm_catalog.computed_columns == 0
         assert ids_digest(candidates) == GOLDEN_IDS_DIGEST
         for cold_c, warm_c in zip(cold_candidates, candidates, strict=True):
             assert np.array_equal(cold_c.profile_vector, warm_c.profile_vector)
 
-        result = run_metam(
-            candidates, scenario.base, scenario.corpus, scenario.task,
-            MetamConfig(**CONFIG),
-        )
+        result = metam_over(engine, scenario, candidates)
         assert result.selected == GOLDEN_SELECTED
         assert round(result.utility, 6) == GOLDEN_UTILITY
         assert [(q, round(u, 6)) for q, u in result.trace] == GOLDEN_TRACE

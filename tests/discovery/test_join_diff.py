@@ -7,8 +7,6 @@ both sides of numpy's pairwise-summation boundaries: 1, 2–7, >= 8),
 missing keys and cells in every spelling, numeric strings, keys equal
 across types (``1``, ``1.0``, ``"1"``), signed zeros, infinities whose
 mean is NaN, non-numeric bring columns, two-hop paths and empty tables.
-Every case runs in both kernel modes: they differ only in whether hop
-structures are kept on the tables.
 """
 
 from decimal import Decimal
@@ -18,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.dataframe import Table, left_join
 from repro.discovery import Augmentation, JoinPath, JoinStep, materialize_candidates
 from tests.discovery import reference_join
@@ -28,8 +25,6 @@ from tests.discovery import reference_join
 pytestmark = pytest.mark.filterwarnings(
     "ignore:(invalid value|overflow) encountered in reduce:RuntimeWarning"
 )
-
-MODES = ("vectorized", "reference")
 
 #: Key cells in classes that normalize to the same join key, plus every
 #: spelling of a missing key.
@@ -81,16 +76,14 @@ def bits(cells):
 def check_augmentation(steps, output_column, base, corpus):
     expected = reference_join.materialize(steps, output_column, base, corpus)
     matched, overlap = reference_join.overlap(expected)
-    for mode in MODES:
-        with kernels.force_mode(mode):
-            aug = Augmentation(JoinPath(steps), output_column)
-            assert bits(aug.materialize(base, corpus)) == bits(expected), mode
-            assert aug.overlap_fraction(base, corpus) == (overlap if expected else 0.0)
-            kept = materialize_candidates(base, [aug], corpus)
-            assert len(kept) == (matched > 0), mode
-            if kept:
-                assert kept[0].overlap == overlap
-                assert bits(kept[0].values) == bits(expected)
+    aug = Augmentation(JoinPath(steps), output_column)
+    assert bits(aug.materialize(base, corpus)) == bits(expected)
+    assert aug.overlap_fraction(base, corpus) == (overlap if expected else 0.0)
+    kept = materialize_candidates(base, [aug], corpus)
+    assert len(kept) == (matched > 0)
+    if kept:
+        assert kept[0].overlap == overlap
+        assert bits(kept[0].values) == bits(expected)
 
 
 class TestMaterialize:
@@ -133,12 +126,11 @@ class TestMaterialize:
     def test_hop_structures_kept_on_a_table_serve_every_base(self, lefts, right):
         corpus = {"right": right}
         steps = (JoinStep("key", "right", "k"),)
-        with kernels.force_mode("vectorized"):
-            for left in lefts:
-                base = Table("base", {"key": left})
-                got = Augmentation(JoinPath(steps), "v").materialize(base, corpus)
-                expected = reference_join.materialize(steps, "v", base, corpus)
-                assert bits(got) == bits(expected)
+        for left in lefts:
+            base = Table("base", {"key": left})
+            got = Augmentation(JoinPath(steps), "v").materialize(base, corpus)
+            expected = reference_join.materialize(steps, "v", base, corpus)
+            assert bits(got) == bits(expected)
 
     def test_summation_boundaries(self):
         """Group sizes 1 .. 20 and 127 .. 130 of values whose sum depends
@@ -156,18 +148,16 @@ class TestMaterialize:
         base = Table("base", {"key": [f"k{size}" for size in sizes] + ["absent"]})
         check_augmentation((JoinStep("key", "right", "k"),), "v", base, {"right": right})
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_nan_mean_counts_as_unmatched(self, mode):
+    def test_nan_mean_counts_as_unmatched(self):
         right = Table(
             "right",
             {"k": ["a", "a", "b", "c"], "v": [float("inf"), float("-inf"), 1.0, "nan"]},
         )
         base = Table("base", {"key": ["a", "b", "c", "d"]})
-        with kernels.force_mode(mode):
-            aug = Augmentation(JoinPath((JoinStep("key", "right", "k"),)), "v")
-            values = aug.materialize(base, {"right": right})
-            assert bits(values) == bits([float("nan"), 1.0, float("nan"), None])
-            assert aug.overlap_fraction(base, {"right": right}) == 0.25
+        aug = Augmentation(JoinPath((JoinStep("key", "right", "k"),)), "v")
+        values = aug.materialize(base, {"right": right})
+        assert bits(values) == bits([float("nan"), 1.0, float("nan"), None])
+        assert aug.overlap_fraction(base, {"right": right}) == 0.25
 
     def test_empty_tables(self):
         empty = Table("right", {"k": [], "v": []})
@@ -175,8 +165,7 @@ class TestMaterialize:
         check_augmentation(steps, "v", Table("base", {"key": ["a", None]}), {"right": empty})
         check_augmentation(steps, "v", Table("base", {"key": []}), {"right": empty})
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_missing_table_and_columns_raise_key_error(self, mode):
+    def test_missing_table_and_columns_raise_key_error(self):
         base = Table("base", {"key": ["a"]})
         right = Table("right", {"k": ["a"], "v": [1.0]})
         cases = [
@@ -190,12 +179,11 @@ class TestMaterialize:
                 {"right": right},
             ),
         ]
-        with kernels.force_mode(mode):
-            for steps, column, corpus in cases:
-                with pytest.raises(KeyError):
-                    reference_join.materialize(steps, column, base, corpus)
-                with pytest.raises(KeyError):
-                    Augmentation(JoinPath(steps), column).materialize(base, corpus)
+        for steps, column, corpus in cases:
+            with pytest.raises(KeyError):
+                reference_join.materialize(steps, column, base, corpus)
+            with pytest.raises(KeyError):
+                Augmentation(JoinPath(steps), column).materialize(base, corpus)
 
 
 class TestLeftJoin:
@@ -217,22 +205,18 @@ class TestLeftJoin:
         right = right.with_column("label", labels)
         left = Table("left", {"key": left, "v": list(range(len(left)))})
         expected = reference_join.left_join(left, right, "key", "k")
-        for mode in MODES:
-            with kernels.force_mode(mode):
-                joined = left_join(left, right, "key", "k")
-            assert joined.column_names == expected.column_names == [
-                "key", "v", "right.v", "label"
-            ]  # fmt: skip
-            for column in expected.column_names:
-                assert bits(joined.column(column)) == bits(expected.column(column))
+        joined = left_join(left, right, "key", "k")
+        assert joined.column_names == expected.column_names == [
+            "key", "v", "right.v", "label"
+        ]  # fmt: skip
+        for column in expected.column_names:
+            assert bits(joined.column(column)) == bits(expected.column(column))
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_missing_columns_raise_key_error(self, mode):
+    def test_missing_columns_raise_key_error(self):
         left = Table("left", {"key": ["a"]})
         right = Table("right", {"k": ["a"], "v": [1.0]})
-        with kernels.force_mode(mode):
-            for args in (("nope", "k"), ("key", "nope")):
-                with pytest.raises(KeyError):
-                    left_join(left, right, *args)
+        for args in (("nope", "k"), ("key", "nope")):
             with pytest.raises(KeyError):
-                left_join(left, right, "key", "k", columns=["nope"])
+                left_join(left, right, *args)
+        with pytest.raises(KeyError):
+            left_join(left, right, "key", "k", columns=["nope"])

@@ -120,41 +120,33 @@ class TestLsh:
 class TestKernelPathEdges:
     """Regression tests for the edges the pre-kernel code special-cased:
     the kernel-backed MinHasher must keep rejecting ``num_perm < 4`` and
-    keep the empty-input signatures, in both kernel modes."""
+    keep the empty-input signatures."""
 
     @pytest.mark.parametrize("num_perm", [0, 1, 2, 3])
     def test_num_perm_below_four_rejected(self, num_perm):
-        from repro import kernels
-
-        for mode in kernels.KERNEL_MODES:
-            with kernels.force_mode(mode):
-                with pytest.raises(ValueError, match="num_perm"):
-                    MinHasher(num_perm=num_perm)
+        with pytest.raises(ValueError, match="num_perm"):
+            MinHasher(num_perm=num_perm)
 
     def test_num_perm_four_is_minimum(self):
         assert MinHasher(num_perm=4).signature({"a"}).shape == (4,)
 
     @pytest.mark.parametrize("empty", [set(), frozenset(), [], ()])
-    def test_empty_input_signature_both_modes(self, empty):
+    def test_empty_input_signature(self, empty):
         from repro import kernels
 
-        for mode in kernels.KERNEL_MODES:
-            with kernels.force_mode(mode):
-                sig = MinHasher(num_perm=8).signature(empty)
-                assert sig.shape == (8,)
-                assert np.all(sig == kernels.MAX_HASH)
+        sig = MinHasher(num_perm=8).signature(empty)
+        assert sig.shape == (8,)
+        assert np.all(sig == kernels.MAX_HASH)
 
-    def test_batch_empty_edges_both_modes(self):
+    def test_batch_empty_edges(self):
         from repro import kernels
 
-        for mode in kernels.KERNEL_MODES:
-            with kernels.force_mode(mode):
-                h = MinHasher(num_perm=8)
-                assert h.signatures([]).shape == (0, 8)
-                batch = h.signatures([set(), {"a"}, set()])
-                assert np.all(batch[0] == kernels.MAX_HASH)
-                assert np.all(batch[2] == kernels.MAX_HASH)
-                assert np.array_equal(batch[1], h.signature({"a"}))
+        h = MinHasher(num_perm=8)
+        assert h.signatures([]).shape == (0, 8)
+        batch = h.signatures([set(), {"a"}, set()])
+        assert np.all(batch[0] == kernels.MAX_HASH)
+        assert np.all(batch[2] == kernels.MAX_HASH)
+        assert np.array_equal(batch[1], h.signature({"a"}))
 
     def test_unknown_hash_version_rejected(self):
         with pytest.raises(ValueError, match="hash_version"):

@@ -2,8 +2,6 @@
 
 import pytest
 
-from tests.kernels.util import differential as _differential
-
 #: The seed matrix every hash-sensitive differential test runs across.
 HASH_SEEDS = (0, 1, 2)
 
@@ -12,12 +10,3 @@ HASH_SEEDS = (0, 1, 2)
 def hash_seed(request):
     """One seed of the 3-seed differential matrix."""
     return request.param
-
-
-@pytest.fixture
-def differential():
-    """The both-modes runner as a fixture (plain-pytest tests only;
-    hypothesis tests import :func:`tests.kernels.util.differential`
-    directly to stay clear of the function-scoped-fixture health
-    check)."""
-    return _differential

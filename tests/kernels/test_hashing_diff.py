@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from tests.kernels.util import differential
+from tests.kernels.util import Label, differential, hash_strings_oracle
 from repro.kernels import reference
 
 # Any unicode including surrogate-free astral chars, NULs, combining
@@ -22,11 +22,26 @@ adversarial_text = st.text(
 )
 
 
+@pytest.mark.parametrize("version", kernels.HASH_VERSIONS)
+@pytest.mark.parametrize(
+    "column",
+    [["\x00", "a\x00b", "\x00" * 8, ""], [Label("7"), Label(""), "7"], []],
+    ids=["nul-embedded", "str-subclass", "empty"],
+)
+def test_hash_strings_unusual_column_is_scalar_result(column, version, hash_seed):
+    hashes = kernels.hash_strings(column, version, seed=hash_seed)
+    assert hashes.dtype == np.uint64 and hashes.shape == (len(column),)
+    assert hashes.tolist() == [
+        kernels.stable_hash(str(v), version, seed=hash_seed) for v in column
+    ]
+    assert np.array_equal(hashes, hash_strings_oracle(column, version, hash_seed))
+
+
 class TestHashStringsDifferential:
     @settings(max_examples=150, deadline=None)
     @given(values=st.lists(adversarial_text, max_size=50))
     def test_v1_matches_reference(self, values):
-        vec, ref = differential(kernels.hash_strings, values, 1)
+        vec, ref = differential(kernels.hash_strings, hash_strings_oracle, values, 1)
         assert np.array_equal(vec, ref)
         assert vec.dtype == np.uint64
 
@@ -36,17 +51,19 @@ class TestHashStringsDifferential:
         seed=st.sampled_from((0, 1, 2)),
     )
     def test_v2_matches_reference(self, values, seed):
-        vec, ref = differential(kernels.hash_strings, values, 2, seed=seed)
+        vec, ref = differential(
+            kernels.hash_strings, hash_strings_oracle, values, 2, seed
+        )
         assert np.array_equal(vec, ref)
 
-    def test_empty_column(self, differential, hash_seed):
+    def test_empty_column(self, hash_seed):
         for version in kernels.HASH_VERSIONS:
             vec, ref = differential(
-                kernels.hash_strings, [], version, seed=hash_seed
+                kernels.hash_strings, hash_strings_oracle, [], version, hash_seed
             )
             assert vec.shape == ref.shape == (0,)
 
-    def test_adversarial_fixed_columns(self, differential, hash_seed):
+    def test_adversarial_fixed_columns(self, hash_seed):
         columns = [
             ["", "", ""],
             ["\x00", "a\x00b", "\x00" * 8],
@@ -58,7 +75,11 @@ class TestHashStringsDifferential:
         for column in columns:
             for version in kernels.HASH_VERSIONS:
                 vec, ref = differential(
-                    kernels.hash_strings, column, version, seed=hash_seed
+                    kernels.hash_strings,
+                    hash_strings_oracle,
+                    column,
+                    version,
+                    hash_seed,
                 )
                 assert np.array_equal(vec, ref), (column, version)
 
@@ -67,13 +88,12 @@ class TestHashStringsDifferential:
         group big-endian, as ``int.from_bytes(digest, "big")`` did."""
         values = ["", "a", "café", "é中\U0001f600", "\x00", "k3_00042", "-0.0"]
         values += [str(i) for i in range(300)]
-        with kernels.force_mode("vectorized"):
-            for column in ([], values[:1], values, set(values)):
-                hashes = kernels.hash_strings(column, 1)
-                assert hashes.dtype == np.uint64 and hashes.shape == (len(column),)
-                assert hashes.tolist() == [
-                    reference.stable_hash_v1(v) for v in list(column)
-                ]
+        for column in ([], values[:1], values, set(values)):
+            hashes = kernels.hash_strings(column, 1)
+            assert hashes.dtype == np.uint64 and hashes.shape == (len(column),)
+            assert hashes.tolist() == [
+                reference.stable_hash_v1(v) for v in list(column)
+            ]
         # Both halves of the 32-bit range occur, so byte order matters.
         assert (hashes >> np.uint64(31)).any() and not (hashes >> np.uint64(31)).all()
 

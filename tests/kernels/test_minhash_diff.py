@@ -7,11 +7,13 @@ boundaries and empty-column edges.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from tests.kernels.util import differential
+from tests.kernels.reference_bulk import minhash_from_hashes as scalar_minhash
+from tests.kernels.util import differential, minhash_many_oracle
 from repro.kernels.minhash import _CHUNK_ELEMENTS
 from repro.utils.rng import ensure_rng
 
@@ -26,6 +28,28 @@ def make_perms(num_perm: int, seed: int):
     return a, b
 
 
+_WIDE = np.random.default_rng(0).integers(0, 1 << 64, size=40, dtype=np.uint64)
+UNUSUAL_HASH_COLUMNS = {
+    "empty": np.empty(0, dtype=np.uint64),
+    "strided-view": _WIDE[::3],
+    "single": _WIDE[:1],
+}
+
+
+@pytest.mark.parametrize("column", UNUSUAL_HASH_COLUMNS)
+def test_minhash_unusual_column_is_scalar_result(column, hash_seed):
+    """Empty, non-contiguous and one-value columns through both signing
+    dispatchers: each row is the one-shot matrix expression's."""
+    hashes = UNUSUAL_HASH_COLUMNS[column]
+    a, b = make_perms(8, hash_seed)
+    expected = scalar_minhash(hashes, a, b)
+    assert np.array_equal(kernels.minhash_from_hashes(hashes, a, b), expected)
+    columns = [hashes, hashes[:0], hashes]
+    many, ref = differential(kernels.minhash_many, minhash_many_oracle, columns, a, b)
+    assert np.array_equal(many, ref)
+    assert np.array_equal(many[0], expected) and np.all(many[1] == kernels.MAX_HASH)
+
+
 class TestMinhashFromHashes:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -36,19 +60,19 @@ class TestMinhashFromHashes:
     def test_matches_reference(self, hashes, num_perm, seed):
         a, b = make_perms(num_perm, seed)
         arr = np.array(hashes, dtype=np.uint64)
-        vec, ref = differential(kernels.minhash_from_hashes, arr, a, b)
+        vec, ref = differential(kernels.minhash_from_hashes, scalar_minhash, arr, a, b)
         assert np.array_equal(vec, ref)
         assert vec.dtype == np.uint64
 
-    def test_empty_input_is_max_filled(self, differential, hash_seed):
+    def test_empty_input_is_max_filled(self, hash_seed):
         a, b = make_perms(16, hash_seed)
         empty = np.empty(0, dtype=np.uint64)
-        vec, ref = differential(kernels.minhash_from_hashes, empty, a, b)
+        vec, ref = differential(kernels.minhash_from_hashes, scalar_minhash, empty, a, b)
         assert np.array_equal(vec, ref)
         assert np.all(vec == kernels.MAX_HASH)
         assert np.array_equal(kernels.empty_signature(16), vec)
 
-    def test_uint64_extremes(self, differential, hash_seed):
+    def test_uint64_extremes(self, hash_seed):
         a, b = make_perms(8, hash_seed)
         extremes = np.array(
             [
@@ -62,10 +86,10 @@ class TestMinhashFromHashes:
             ],
             dtype=np.uint64,
         )
-        vec, ref = differential(kernels.minhash_from_hashes, extremes, a, b)
+        vec, ref = differential(kernels.minhash_from_hashes, scalar_minhash, extremes, a, b)
         assert np.array_equal(vec, ref)
 
-    def test_chunk_boundary_sizes(self, differential, hash_seed):
+    def test_chunk_boundary_sizes(self, hash_seed):
         """Sizes straddling the chunk budget so the chunked min-reduce
         path is exercised on both sides of every split."""
         num_perm = 16
@@ -74,16 +98,16 @@ class TestMinhashFromHashes:
         a, b = make_perms(num_perm, hash_seed)
         for size in (step - 1, step, step + 1, 2 * step + 3):
             hashes = rng.integers(0, 1 << 64, size=size, dtype=np.uint64)
-            vec, ref = differential(kernels.minhash_from_hashes, hashes, a, b)
+            vec, ref = differential(kernels.minhash_from_hashes, scalar_minhash, hashes, a, b)
             assert np.array_equal(vec, ref), size
 
-    def test_million_row_column(self, differential):
+    def test_million_row_column(self):
         """The 10^6-row adversarial case: a column far past every chunk
         boundary still matches the reference's one-shot matrix."""
         rng = np.random.default_rng(0)
         hashes = rng.integers(0, 1 << 64, size=1_000_000, dtype=np.uint64)
         a, b = make_perms(4, 0)
-        vec, ref = differential(kernels.minhash_from_hashes, hashes, a, b)
+        vec, ref = differential(kernels.minhash_from_hashes, scalar_minhash, hashes, a, b)
         assert np.array_equal(vec, ref)
 
 
@@ -96,7 +120,7 @@ class TestMinhashMany:
     def test_matches_per_column_reference(self, columns, seed):
         a, b = make_perms(8, seed)
         arrays = [np.array(c, dtype=np.uint64) for c in columns]
-        vec, ref = differential(kernels.minhash_many, arrays, a, b)
+        vec, ref = differential(kernels.minhash_many, minhash_many_oracle, arrays, a, b)
         assert vec.shape == ref.shape == (len(columns), 8)
         assert np.array_equal(vec, ref)
 
@@ -113,19 +137,19 @@ class TestMinhashMany:
                 row, kernels.minhash_from_hashes(hashes, a, b)
             )
 
-    def test_no_columns(self, differential, hash_seed):
+    def test_no_columns(self, hash_seed):
         a, b = make_perms(8, hash_seed)
-        vec, ref = differential(kernels.minhash_many, [], a, b)
+        vec, ref = differential(kernels.minhash_many, minhash_many_oracle, [], a, b)
         assert vec.shape == ref.shape == (0, 8)
 
-    def test_all_empty_columns(self, differential, hash_seed):
+    def test_all_empty_columns(self, hash_seed):
         a, b = make_perms(8, hash_seed)
         empties = [np.empty(0, dtype=np.uint64)] * 3
-        vec, ref = differential(kernels.minhash_many, empties, a, b)
+        vec, ref = differential(kernels.minhash_many, minhash_many_oracle, empties, a, b)
         assert np.array_equal(vec, ref)
         assert np.all(vec == kernels.MAX_HASH)
 
-    def test_column_exceeding_group_budget(self, differential, hash_seed):
+    def test_column_exceeding_group_budget(self, hash_seed):
         """One column bigger than the whole chunk budget forces the
         flush-then-chunk path between grouped small columns."""
         num_perm = 8
@@ -137,7 +161,7 @@ class TestMinhashMany:
             rng.integers(0, 1 << 64, size=5, dtype=np.uint64),
         ]
         a, b = make_perms(num_perm, hash_seed)
-        vec, ref = differential(kernels.minhash_many, arrays, a, b)
+        vec, ref = differential(kernels.minhash_many, minhash_many_oracle, arrays, a, b)
         assert np.array_equal(vec, ref)
 
 

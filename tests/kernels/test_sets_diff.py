@@ -2,11 +2,12 @@
 missing counts, normalization, containment estimation."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from tests.kernels.util import differential, subclass_columns
+from tests.kernels.util import SUBCLASS_CELLS, Label, differential, subclass_columns
 from repro.kernels import reference
 
 any_float = st.floats(allow_nan=True, allow_infinity=True, width=64)
@@ -19,11 +20,49 @@ mixed_cell = st.one_of(
 )
 
 
+@pytest.mark.parametrize(
+    "cells, expected",
+    [
+        # str/float/int subclasses and look-alikes: no single-type fast path.
+        (
+            list(SUBCLASS_CELLS),
+            {"True", "False", "2.5", "nan", "0.1", "3", "7", "1.5", " x ",
+             "4.0", "1", "-0.0", "8"},
+        ),
+        ([Label("a\x00"), "a\x00", "a", Label(" ")], {"a\x00", "a"}),
+        ([], set()),
+    ],
+    ids=["subclass-cells", "nul-embedded", "empty"],
+)  # fmt: skip
+def test_distinct_strings_off_fast_path_is_scalar_result(cells, expected):
+    vec, ref = differential(kernels.distinct_strings, reference.distinct_strings, cells)
+    assert vec == ref == expected
+
+
+@pytest.mark.parametrize(
+    "query, candidate, expected",
+    [
+        # NUL strings have no sorted-array form; sets take the scalar path.
+        ({"a\x00", "b"}, {"a\x00", "c"}, 1),
+        (set(), {"a"}, 0),
+        ({Label("7"), "8"}, np.array(["7", "8", "9"]), 2),
+        (np.array(["7", "8"]), {"8", "a\x00"}, 1),
+    ],
+    ids=["nul-embedded", "empty", "set-vs-array", "array-vs-set"],
+)
+def test_containment_count_off_fast_path_is_scalar_result(query, candidate, expected):
+    """Sets, and a set beside a sorted array, are outside the
+    array-vs-array fast path."""
+    assert kernels.containment_count(query, candidate) == expected
+    scalar = reference.containment_count(set(map(str, query)), set(map(str, candidate)))
+    assert scalar == expected
+
+
 class TestDistinctStrings:
     @settings(max_examples=150, deadline=None)
     @given(cells=st.lists(st.text(max_size=12), max_size=60))
     def test_all_str_matches_reference(self, cells):
-        vec, ref = differential(kernels.distinct_strings, cells)
+        vec, ref = differential(kernels.distinct_strings, reference.distinct_strings, cells)
         assert vec == ref
 
     @settings(max_examples=150, deadline=None)
@@ -35,13 +74,13 @@ class TestDistinctStrings:
     def test_float_none_matches_reference(self, cells):
         """The float fast path (``repr`` of every cell, the two missing
         spellings discarded) on every bit pattern."""
-        vec, ref = differential(kernels.distinct_strings, cells)
+        vec, ref = differential(kernels.distinct_strings, reference.distinct_strings, cells)
         assert vec == ref
 
     @settings(max_examples=100, deadline=None)
     @given(cells=st.lists(mixed_cell, max_size=40))
     def test_mixed_type_matches_reference(self, cells):
-        vec, ref = differential(kernels.distinct_strings, cells)
+        vec, ref = differential(kernels.distinct_strings, reference.distinct_strings, cells)
         assert vec == ref
 
     @settings(max_examples=200, deadline=None)
@@ -49,10 +88,10 @@ class TestDistinctStrings:
     def test_subclass_cells_match_reference(self, cells):
         """Type-census dispatch: a bool is not an int column, an
         ``np.float64`` or str subclass not a float or str column."""
-        vec, ref = differential(kernels.distinct_strings, cells)
+        vec, ref = differential(kernels.distinct_strings, reference.distinct_strings, cells)
         assert vec == ref
 
-    def test_adversarial_fixed_columns(self, differential):
+    def test_adversarial_fixed_columns(self):
         columns = [
             [],
             [None, None, float("nan")],
@@ -66,14 +105,14 @@ class TestDistinctStrings:
             [0, -0, 10**30],
         ]
         for cells in columns:
-            vec, ref = differential(kernels.distinct_strings, cells)
+            vec, ref = differential(kernels.distinct_strings, reference.distinct_strings, cells)
             assert vec == ref, cells
 
-    def test_million_row_float_column(self, differential):
+    def test_million_row_float_column(self):
         rng = np.random.default_rng(0)
         cells = rng.integers(0, 1 << 64, size=1_000_000, dtype=np.uint64)
         cells = cells.view(np.float64).tolist()
-        vec, ref = differential(kernels.distinct_strings, cells)
+        vec, ref = differential(kernels.distinct_strings, reference.distinct_strings, cells)
         assert vec == ref
 
 
@@ -81,17 +120,17 @@ class TestCountNonMissing:
     @settings(max_examples=100, deadline=None)
     @given(cells=st.lists(mixed_cell, max_size=60))
     def test_matches_reference(self, cells):
-        vec, ref = differential(kernels.count_non_missing, cells)
+        vec, ref = differential(kernels.count_non_missing, reference.count_non_missing, cells)
         assert vec == ref
 
-    def test_unhashable_cells_fall_back(self, differential):
+    def test_unhashable_cells_fall_back(self):
         cells = [[1, 2], None, "x", [1, 2]]
-        vec, ref = differential(kernels.count_non_missing, cells)
+        vec, ref = differential(kernels.count_non_missing, reference.count_non_missing, cells)
         assert vec == ref == 3
 
-    def test_missing_shapes(self, differential):
+    def test_missing_shapes(self):
         cells = [None, float("nan"), "", "   ", "\t\n", 0, 0.0, "0"]
-        vec, ref = differential(kernels.count_non_missing, cells)
+        vec, ref = differential(kernels.count_non_missing, reference.count_non_missing, cells)
         assert vec == ref == 3
 
 
@@ -99,7 +138,7 @@ class TestNormalize:
     @settings(max_examples=100, deadline=None)
     @given(values=st.lists(st.text(max_size=16), max_size=40))
     def test_matches_reference(self, values):
-        vec, ref = differential(kernels.normalize_strings, values)
+        vec, ref = differential(kernels.normalize_strings, reference.normalize_strings, values)
         assert vec == ref
 
     def test_normalize_many_is_elementwise(self):
@@ -137,10 +176,13 @@ class TestContainment:
         assert kernels.containment_count_arrays(empty, some) == 0
         assert kernels.containment_count_arrays(some, empty) == 0
 
-    def test_nul_values_degrade_to_reference(self, differential):
+    def test_nul_values_degrade_to_reference(self):
         assert kernels.sorted_unique_array(["a\x00", "b"]) is None
         vec, ref = differential(
-            kernels.containment_count, {"a\x00", "b"}, {"a\x00", "c"}
+            kernels.containment_count,
+            reference.containment_count,
+            {"a\x00", "b"},
+            {"a\x00", "c"},
         )
         assert vec == ref == 1
 

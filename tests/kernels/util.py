@@ -6,20 +6,26 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro import kernels
+from tests.kernels import reference_bulk
 
 
-def differential(fn, *args, **kwargs):
-    """Run ``fn(*args)`` under both kernel modes; returns the pair
-    ``(vectorized_result, reference_result)`` for the caller to compare.
+def differential(kernel, oracle, *args):
+    """``(kernel(*args), oracle(*args))`` for the caller to compare:
+    the dispatcher in :mod:`repro.kernels` beside its scalar form."""
+    return kernel(*args), oracle(*args)
 
-    Restores whatever mode was active, so tests cannot leak mode state
-    into each other.
-    """
-    with kernels.force_mode("vectorized"):
-        vectorized = fn(*args, **kwargs)
-    with kernels.force_mode("reference"):
-        reference = fn(*args, **kwargs)
-    return vectorized, reference
+
+def hash_strings_oracle(values, hash_version=1, seed=0):
+    """``reference_bulk.hash_strings`` with ``kernels.hash_strings``'s
+    signature (the oracle takes the tabulation tables, not the seed)."""
+    tables = kernels.tabulation_tables(seed) if hash_version == 2 else None
+    return reference_bulk.hash_strings(list(values), hash_version, tables)
+
+
+def minhash_many_oracle(hash_columns, a, b):
+    """One :func:`reference_bulk.minhash_from_hashes` row per column."""
+    rows = [reference_bulk.minhash_from_hashes(h, a, b) for h in hash_columns]
+    return np.stack(rows) if rows else np.empty((0, a.shape[0]), dtype=np.uint64)
 
 
 class Label(str):

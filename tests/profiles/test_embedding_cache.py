@@ -10,7 +10,6 @@ Embeddings are kept on the table they describe instead, so they die with it.
 
 import pytest
 
-from repro import kernels
 from repro.dataframe import Table
 from repro.profiles import EmbeddingSimilarityProfile, ProfileContext
 
@@ -44,21 +43,19 @@ def score(profile, base, candidate=CANDIDATE):
     return profile.compute(context)
 
 
-@pytest.mark.parametrize("mode", ("vectorized", "reference"))
-def test_create_score_delete_loop_scores_each_base_as_itself(mode):
-    with kernels.force_mode(mode):
-        expected = {
-            make: score(EmbeddingSimilarityProfile(), make())
-            for make in (housing_base, payroll_base)
-        }
-        assert expected[housing_base] != expected[payroll_base]
+def test_create_score_delete_loop_scores_each_base_as_itself():
+    expected = {
+        make: score(EmbeddingSimilarityProfile(), make())
+        for make in (housing_base, payroll_base)
+    }
+    assert expected[housing_base] != expected[payroll_base]
 
-        profile = EmbeddingSimilarityProfile()  # one registry, many requests
-        for _ in range(200):
-            for make in (housing_base, payroll_base):
-                base = make()
-                assert score(profile, base) == expected[make]
-                del base  # the next table may be allocated at this address
+    profile = EmbeddingSimilarityProfile()  # one registry, many requests
+    for _ in range(200):
+        for make in (housing_base, payroll_base):
+            base = make()
+            assert score(profile, base) == expected[make]
+            del base  # the next table may be allocated at this address
 
 
 def test_no_per_base_state_on_the_profile():
@@ -72,9 +69,8 @@ def test_no_per_base_state_on_the_profile():
 def test_table_embedding_is_computed_once_and_read_only():
     base = housing_base()
     embedder = EmbeddingSimilarityProfile().embedder
-    with kernels.force_mode("vectorized"):
-        vector = embedder.embed_table(base)
-        assert embedder.embed_table(base) is vector
-        assert embedder.embed_table(base, max_cells=1) is not vector
-        with pytest.raises(ValueError):
-            vector[0] = 0.0
+    vector = embedder.embed_table(base)
+    assert embedder.embed_table(base) is vector
+    assert embedder.embed_table(base, max_cells=1) is not vector
+    with pytest.raises(ValueError):
+        vector[0] = 0.0

@@ -158,6 +158,54 @@ class TestRoutes:
         assert run["record"]["status"] == "completed"
         assert run["record"]["result"]["utility"] == pytest.approx(0.9)
 
+    def test_served_result_equals_in_process_discover(self):
+        """A real searcher's result survives the service path and the
+        wire byte for byte."""
+        from repro.api import DiscoveryEngine
+        from repro.api.wire import dumps, request_from_wire, run_to_wire
+        from repro.data import clustering_scenario
+        from repro.server import DiscoveryService
+
+        scenario = clustering_scenario(seed=0)
+
+        def factory(metrics=None):
+            engine = DiscoveryEngine(corpus=scenario.corpus, metrics=metrics)
+            engine.tasks.register("scenario-task", lambda **_options: scenario.task)
+            return engine
+
+        payload = {
+            "base": scenario.base.name,
+            "task": "scenario-task",
+            "searcher": "metam",
+            "theta": 0.6,
+            "query_budget": 25,
+            "seed": 1,
+        }
+        tables = {scenario.base.name: scenario.base, **scenario.corpus}
+        service = DiscoveryService(
+            {"default": factory}, bases={"default": {scenario.base.name: scenario.base}}
+        )
+        server = serve(service)
+        try:
+            client = Client(server)
+            status, body, _ = submit(client, open_session(client), payload)
+            assert status == 202
+            run_id = body["run"]["run_id"]
+            for _ in service.events(run_id, timeout=60):
+                pass
+            _, body, _ = client.request("GET", f"/v1/runs/{run_id}")
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.shutdown(timeout=10)
+        assert body["run"]["state"] == "completed"
+
+        local = factory().discover(request_from_wire(payload, tables))
+        assert local.result.queries > 1
+        assert dumps(body["run"]["record"]["result"]) == dumps(
+            run_to_wire(local)["result"]
+        )
+
     def test_delete_cancels_run(self, served):
         harness, client = served
         sid = open_session(client)
