@@ -4,6 +4,7 @@ checker, apply suppressions and the baseline."""
 from __future__ import annotations
 
 import ast
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,6 +20,14 @@ from repro.analysis.core import (
 )
 
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", "node_modules"}
+
+#: ``ast.parse`` is not thread-safe on CPython 3.11: the AST constructor
+#: keeps its recursion counter per interpreter, so a thread switch inside
+#: one conversion (a gc finalizer running Python code is enough) lets
+#: another parse reset it, and the first fails with ``SystemError: AST
+#: constructor recursion depth mismatch``.  Parses run one at a time;
+#: file reads and the checkers stay parallel.
+_PARSE_LOCK = threading.Lock()
 
 
 @dataclass
@@ -79,7 +88,8 @@ def _parse_one(
         rel = path.as_posix()
     try:
         source = path.read_text(encoding="utf-8")
-        tree = ast.parse(source, filename=str(path))
+        with _PARSE_LOCK:
+            tree = ast.parse(source, filename=str(path))
     except (OSError, SyntaxError, ValueError) as error:
         line = getattr(error, "lineno", 1) or 1
         return None, Finding(

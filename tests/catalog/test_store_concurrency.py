@@ -99,9 +99,12 @@ def _slice_tables(names):
 
 def _adopting_builder(root, names):
     """Adopt whatever of ``names`` is already on disk (referenced or
-    not), sign the rest, save."""
+    not), sign the rest, save.  Tables are added, not refreshed against
+    a partial corpus: a refresh would remove whatever the other builder
+    saved before this one loaded."""
     catalog = Catalog.load(root)
-    catalog.refresh(_slice_tables(names) + _slice_tables(["keep"]))
+    for table in _slice_tables(names + ["keep"]):
+        catalog.add(table)
     catalog.save()
 
 
