@@ -11,7 +11,7 @@ Store layout
     Objects and profile groups are sharded into 256 hash-prefix
     directories (``objects/ab/<fp>.bin``), each with an advisory
     per-shard manifest, so no directory or manifest grows unboundedly as
-    the corpus scales.  There is one layout (version 2).  The catalog is
+    the corpus scales.  There is one layout (version 3).  The catalog is
     derived data: a root this release cannot read raises
     :class:`CatalogStoreError` naming ``repro catalog build`` — it is
     rebuilt from the corpus, not migrated.

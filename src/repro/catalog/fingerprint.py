@@ -11,8 +11,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 
-_MISSING = b"\x00\x00"
+import numpy as np
+
+from repro import kernels
+
+_FLOAT_OR_NONE = frozenset({float, type(None)})
+#: One tag per column encoding (see :func:`table_fingerprint`).
+_FLOAT_TAG = b"f"
+_STR_TAG = b"s"
+_REPR_TAG = b"r"
 
 
 def shard_of(key: str) -> str:
@@ -27,6 +36,45 @@ def shard_of(key: str) -> str:
     return hashlib.blake2b(key.encode("utf-8"), digest_size=1).hexdigest()
 
 
+def _text(value: str) -> bytes:
+    """Length-prefixed UTF-8 (lone surrogates pass through)."""
+    data = value.encode("utf-8", "surrogatepass")
+    return struct.pack("<Q", len(data)) + data
+
+
+def _digest_column(digest, cells: list) -> None:
+    """Feed one column's cells to ``digest``, columnar where the cell
+    types allow it: a type census picks one of three encodings, each
+    under its own tag, followed by the row count and a payload whose
+    length those two fix."""
+    census = kernels.type_census(cells)
+    n_rows = struct.pack("<Q", len(cells))
+    if census and census <= _FLOAT_OR_NONE:
+        # None becomes NaN in the array and is told apart by the mask
+        # (and zeroed, so the bytes do not depend on numpy's NaN).
+        values = np.array(cells, dtype="<f8")
+        missing = np.zeros(len(cells), dtype=np.bool_)
+        if type(None) in census:
+            nan_rows = np.flatnonzero(values != values).tolist()
+            missing[[i for i in nan_rows if cells[i] is None]] = True
+            values[missing] = 0.0
+        digest.update(_FLOAT_TAG + n_rows)
+        digest.update(missing.tobytes())
+        digest.update(values.tobytes())
+    elif census == {str}:
+        blob = "".join(cells).encode("utf-8", "surrogatepass")
+        digest.update(_STR_TAG + n_rows + struct.pack("<Q", len(blob)))
+        digest.update(np.fromiter(map(len, cells), "<i8", len(cells)).tobytes())
+        digest.update(blob)
+    else:
+        # Everything else (int, bool, numpy scalars, Decimal, subclasses,
+        # mixed types): repr() of the cell list, which is type-faithful
+        # (1 vs 1.0 vs '1' vs True digest differently).
+        blob = repr(cells).encode("utf-8")
+        digest.update(_REPR_TAG + n_rows + struct.pack("<Q", len(blob)))
+        digest.update(blob)
+
+
 def table_fingerprint(table) -> str:
     """Hex digest of a table's full content (name, source, schema, cells).
 
@@ -34,20 +82,31 @@ def table_fingerprint(table) -> str:
     (LSH keys are (table, column) pairs and the down-sampling seed mixes
     in the table name), so two identical tables under different names do
     not share catalog objects.
+
+    Every field is length-prefixed or fixed-width, so the digested bytes
+    parse back unambiguously.  Per column, after its name:
+
+    * cells exactly ``float`` / ``None``: tag ``f``, the row count, the
+      None mask (one byte per row), then the values as ``<f8`` with
+      None rows zeroed;
+    * cells exactly ``str``: tag ``s``, the row count and the UTF-8 byte
+      count, the code-point lengths as ``<i8``, then the UTF-8 bytes
+      (``surrogatepass``, so a lone surrogate digests);
+    * anything else: tag ``r``, the row count and byte count, then the
+      UTF-8 ``repr()`` of the cell list.
+
+    Two tables whose cell lists differ in ``repr()`` therefore always
+    digest differently; the converse fails only where splitting is
+    harmless (NaN payloads, a ``str`` subclass versus ``str``).  Byte
+    orders are explicit, so stores copied between machines keep their
+    addresses.
     """
     digest = hashlib.blake2b(digest_size=16)
-    digest.update(table.name.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(table.source.encode("utf-8"))
+    digest.update(_text(table.name))
+    digest.update(_text(table.source))
     for column in table.column_names:
-        digest.update(b"\x00col\x00")
-        digest.update(column.encode("utf-8"))
-        digest.update(_MISSING)
-        # repr() of the whole cell list runs in C and is type-faithful
-        # (1 vs 1.0 vs '1' vs None all digest differently); hashing one
-        # blob per column keeps fingerprinting out of the warm-start
-        # critical path.
-        digest.update(repr(table.column(column)).encode("utf-8"))
+        digest.update(_text(column))
+        _digest_column(digest, table.column(column))
     return digest.hexdigest()
 
 

@@ -23,8 +23,9 @@ An object is exactly one file, ``objects/<shard>/<fingerprint>.bin``,
 encoded by :class:`~repro.catalog.codec.BinaryCodec` — ``has_object`` is
 one ``exists`` and ``read_object`` one read + one decode.  The catalog
 is *derived* data, so there is no migration: a root manifest whose
-``version`` is not the integer 2 raises :class:`CatalogStoreError`
-telling the user to rebuild with ``repro catalog build``, and any other
+``version`` is not the integer :data:`VERSION` raises
+:class:`CatalogStoreError` telling the user to rebuild with ``repro
+catalog build``, and any other
 file in a shard directory (another format's ``<fp>.json``, editor
 droppings) is not an object — the object is simply missing and gets
 re-derived from the live table, exactly like a gc'd or corrupt one.
@@ -127,8 +128,9 @@ from repro.catalog.codec import BinaryCodec
 from repro.catalog.fingerprint import shard_of
 from repro.catalog.leases import DEFAULT_LEASE_TTL, LeaseManager
 
-#: The one layout version this code reads and writes.
-VERSION = 2
+#: The one layout version this code reads and writes (3: columnar table
+#: fingerprints moved every object address).
+VERSION = 3
 #: The one object codec (its ``version`` is what shard records carry).
 CODEC = BinaryCodec()
 

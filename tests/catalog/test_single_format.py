@@ -41,6 +41,13 @@ def backend_name(request):
     return request.param
 
 
+@pytest.fixture(params=[1, 2], ids=lambda v: f"v{v}")
+def old_version(request):
+    """Layouts this release refuses: 1 (flat objects), 2 (``repr()``
+    table fingerprints, one ``.npz`` member per profile vector)."""
+    return request.param
+
+
 def _portal(n_tables):
     return [
         Table(
@@ -73,11 +80,11 @@ def _plant(store, relpath, data: bytes):
 class TestOldRootIsRefused:
     FLAT_OBJECT = "deadbeefdeadbeef-cafebabecafebabecafebabecafebabe"
 
-    def v1_root(self, tmp_path, backend_name):
+    def old_root(self, tmp_path, backend_name, version):
         root = str(tmp_path / "old")
         store = CatalogStore(root, backend=backend_name)
         manifest = {
-            "version": 1,
+            "version": version,
             "config": {"num_perm": 8, "bands": 4},
             "tables": {"t": "cafebabecafebabecafebabecafebabe"},
         }
@@ -89,8 +96,10 @@ class TestOldRootIsRefused:
         )
         return root
 
-    def test_library_entry_points_raise_the_typed_error(self, tmp_path, backend_name):
-        root = self.v1_root(tmp_path, backend_name)
+    def test_library_entry_points_raise_the_typed_error(
+        self, tmp_path, backend_name, old_version
+    ):
+        root = self.old_root(tmp_path, backend_name, old_version)
         for opener in (
             lambda: Catalog.load(root),
             lambda: DiscoveryEngine.open(root, create=False),
@@ -100,21 +109,21 @@ class TestOldRootIsRefused:
             with pytest.raises(CatalogStoreError) as caught:
                 opener()
             assert f"{REBUILD} {root}" in str(caught.value)
-            assert "version 1" in str(caught.value)
+            assert f"version {old_version}" in str(caught.value)
 
     def test_cli_stats_exits_nonzero_naming_the_command(
-        self, tmp_path, backend_name, capsys
+        self, tmp_path, backend_name, old_version, capsys
     ):
-        root = self.v1_root(tmp_path, backend_name)
+        root = self.old_root(tmp_path, backend_name, old_version)
         assert main(["catalog", "stats", root]) != 0
         captured = capsys.readouterr()
         assert REBUILD in captured.err
         assert "Traceback" not in captured.err + captured.out
 
     def test_cli_build_refuses_rather_than_mixing_formats(
-        self, tmp_path, backend_name, capsys
+        self, tmp_path, backend_name, old_version, capsys
     ):
-        root = self.v1_root(tmp_path, backend_name)
+        root = self.old_root(tmp_path, backend_name, old_version)
         store = CatalogStore(root)
         before = store.backend.read_bytes(store.manifest_path)
         assert main(["catalog", "build", root, "--tables", "4"]) != 0
@@ -123,13 +132,13 @@ class TestOldRootIsRefused:
         assert store.list_objects() == []  # nothing written beside the old files
 
     @pytest.mark.parametrize(
-        "version", [True, 1, 3, "2", 2.0, None], ids=repr
+        "version", [True, 1, 2, 4, "3", 3.0, None], ids=repr
     )
-    def test_only_the_integer_two_opens(self, tmp_path, version):
+    def test_only_the_integer_three_opens(self, tmp_path, version):
         store = CatalogStore(str(tmp_path / "cat"))
         store.write_manifest({}, {})
         manifest = json.loads(store.backend.read_bytes(store.manifest_path))
-        assert type(manifest["version"]) is int and manifest["version"] == 2
+        assert type(manifest["version"]) is int and manifest["version"] == 3
         assert store.read_manifest() == manifest
         manifest["version"] = version
         _plant(store, "manifest.json", json.dumps(manifest).encode())
