@@ -62,7 +62,7 @@ def _weak_entry_loader(catalog: "Catalog"):
     the cyclic collector can free."""
     ref = weakref.ref(catalog)
 
-    def load(table_name: str) -> dict:
+    def load(table_name: str, columns: tuple) -> dict:
         owner = ref()
         if owner is None:
             raise CatalogStoreError(
@@ -70,7 +70,7 @@ def _weak_entry_loader(catalog: "Catalog"):
                 "that owned this index is gone (keep the Catalog alive "
                 "while its index is in use)"
             )
-        return owner._load_entries(table_name)
+        return owner._load_entries(table_name, columns)
 
     return load
 
@@ -302,22 +302,22 @@ class Catalog:
             return None
         return recorded[1]
 
-    def _load_entries(self, table_name: str) -> dict:
+    def _load_entries(self, table_name: str, columns: tuple) -> dict:
         """Entry loader for lazily-hydrated tables (installed on the
-        index): reads the table's persisted object on first touch.
+        index): reads just ``columns`` of the table's persisted object.
 
         If the object vanished between hydration and first touch (a
-        concurrent ``gc`` from another process) or is corrupt, the
-        entries are re-derived from the live Table — the fingerprint is
-        unchanged, so recomputation reproduces the exact artifacts — and
-        re-persisted.
+        concurrent ``gc`` from another process), is corrupt, or lacks a
+        requested column, the whole table is re-derived from the live
+        Table — the fingerprint is unchanged, so recomputation
+        reproduces the exact artifacts — and re-persisted.
         """
         fingerprint = self._fingerprints.get(table_name)
         if fingerprint is None:
             raise KeyError(f"table {table_name!r} not cataloged")
         object_id = self._object_id(fingerprint)
         try:
-            _meta, entries = self.store.read_object(object_id)
+            _meta, entries = self.store.read_object(object_id, columns)
             return entries
         except (KeyError, CatalogStoreError):
             table = self._index.get_table(table_name)

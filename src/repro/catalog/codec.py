@@ -18,7 +18,7 @@ from repro.discovery.index import ColumnEntry
 
 
 def _derived_normalized(distinct) -> frozenset:
-    return frozenset(v.strip().lower() for v in distinct)
+    return frozenset(map(str.lower, map(str.strip, distinct)))
 
 
 class _Cursor:
@@ -60,7 +60,7 @@ class BinaryCodec:
         u8 body compression (0 = raw, 1 = zlib) | u32 stored body length
         body (zlib-deflated column section):
             u32 column count
-            per column (sorted by name):
+            per column (names strictly ascending):
                 u16 name length | name utf-8
                 u32 num_perm | num_perm * u64 signature
                 u8 flags (bit 0: explicit normalized block follows distinct)
@@ -132,7 +132,14 @@ class BinaryCodec:
         return header + lengths.tobytes() + blob
 
     @staticmethod
-    def _unpack_strings(cursor: _Cursor) -> frozenset:
+    def _unpack_strings(cursor: _Cursor) -> tuple:
+        """Validate one string-set block whole: ``(byte lengths, blob,
+        decoded text)``.
+
+        One C-level decode of the blob, plus — when it holds multi-byte
+        characters — a check that every value starts on a character
+        boundary: together exactly "every value is valid UTF-8", without
+        a decode per value."""
         count, blob_len = cursor.unpack("<II")
         lengths = np.frombuffer(cursor.take(4 * count), dtype="<u4")
         if int(lengths.sum()) != blob_len:
@@ -140,18 +147,34 @@ class BinaryCodec:
                 "garbled binary object: string lengths disagree with blob size"
             )
         blob = cursor.take(blob_len)
-        values = []
-        offset = 0
-        for length in lengths.tolist():
-            piece = blob[offset : offset + length]
-            offset += length
-            try:
-                values.append(piece.decode("utf-8"))
-            except UnicodeDecodeError as error:
+        try:
+            text = blob.decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise CatalogStoreError(
+                "garbled binary object: invalid UTF-8 value"
+            ) from error
+        if len(text) != blob_len:
+            starts = np.cumsum(lengths, dtype=np.int64) - lengths
+            raw = np.frombuffer(blob, dtype=np.uint8)
+            if np.any((raw[starts[starts < blob_len]] & 0xC0) == 0x80):
                 raise CatalogStoreError(
                     "garbled binary object: invalid UTF-8 value"
-                ) from error
-        return frozenset(values)
+                )
+        return lengths, blob, text
+
+    @staticmethod
+    def _string_set(block: tuple) -> frozenset:
+        """The values of a block :meth:`_unpack_strings` validated."""
+        lengths, blob, text = block
+        ends = np.cumsum(lengths, dtype=np.int64)
+        if len(text) != len(blob):
+            # Byte offsets → character offsets: count the lead bytes.
+            lead = (np.frombuffer(blob, dtype=np.uint8) & 0xC0) != 0x80
+            chars = np.concatenate(([0], np.cumsum(lead)))
+            ends = chars[ends]
+        ends = ends.tolist()
+        starts = [0, *ends[:-1]]
+        return frozenset(map(text.__getitem__, map(slice, starts, ends)))
 
     def _header(self, blob: bytes) -> _Cursor:
         cursor = _Cursor(blob)
@@ -179,7 +202,16 @@ class BinaryCodec:
     def decode_meta(self, blob: bytes) -> dict:
         return self._meta(self._header(blob))
 
-    def decode(self, blob: bytes):
+    def decode(self, blob: bytes, columns=None):
+        """``(meta, {column: ColumnEntry})``.
+
+        ``columns`` restricts which entries are built: every block is
+        still validated (bounds, lengths, UTF-8, name order), so a blob
+        decodes under a restriction exactly when it decodes whole, but
+        value sets are materialized only for the requested columns.
+        Requesting a column the object lacks is a
+        :class:`CatalogStoreError`."""
+        wanted = None if columns is None else frozenset(columns)
         outer = self._header(blob)
         meta = self._meta(outer)
         compression, stored_len = outer.unpack("<BI")
@@ -204,26 +236,45 @@ class BinaryCodec:
         cursor = _Cursor(body)
         (n_columns,) = cursor.unpack("<I")
         entries = {}
+        previous = None
         for _ in range(n_columns):
             (name_len,) = cursor.unpack("<H")
             column = cursor.text(name_len)
+            if previous is not None and column <= previous:
+                # Canonical encoding sorts names; a repeat would silently
+                # overwrite the other column's entry.
+                raise CatalogStoreError(
+                    f"garbled binary object: column {column!r} follows "
+                    f"{previous!r} (names must be strictly ascending)"
+                )
+            previous = column
             (num_perm,) = cursor.unpack("<I")
-            signature = np.frombuffer(
-                cursor.take(8 * num_perm), dtype="<u8"
-            ).astype(np.uint64)
+            signature = cursor.take(8 * num_perm)
             (flags,) = cursor.unpack("<B")
             distinct = self._unpack_strings(cursor)
+            normalized = None
             if flags & self._EXPLICIT_NORMALIZED:
                 normalized = self._unpack_strings(cursor)
-            else:
-                normalized = _derived_normalized(distinct)
+            if wanted is not None and column not in wanted:
+                continue
+            distinct = self._string_set(distinct)
             entries[column] = ColumnEntry(
-                distinct=distinct, normalized=normalized, signature=signature
+                distinct=distinct,
+                normalized=(
+                    _derived_normalized(distinct)
+                    if normalized is None
+                    else self._string_set(normalized)
+                ),
+                signature=np.frombuffer(signature, dtype="<u8").astype(np.uint64),
             )
         if cursor.pos != len(body):
             raise CatalogStoreError(
                 f"garbled binary object: {len(body) - cursor.pos} trailing "
                 "bytes in column section"
+            )
+        if wanted is not None and len(entries) != len(wanted):
+            raise CatalogStoreError(
+                f"binary object has no column(s) {sorted(wanted - entries.keys())!r}"
             )
         return meta, entries
 

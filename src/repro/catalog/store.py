@@ -900,9 +900,13 @@ class CatalogStore:
         self._count("read_bytes", "objects", len(blob))
         return decoded
 
-    def read_object(self, fingerprint: str):
-        """Load ``(meta, {column: ColumnEntry})`` for one fingerprint."""
-        return self._read_decoded(fingerprint, CODEC.decode)
+    def read_object(self, fingerprint: str, columns=None):
+        """Load ``(meta, {column: ColumnEntry})`` for one fingerprint;
+        ``columns`` restricts the entries built (see
+        :meth:`BinaryCodec.decode`)."""
+        return self._read_decoded(
+            fingerprint, lambda blob: CODEC.decode(blob, columns)
+        )
 
     def read_object_meta(self, fingerprint: str) -> dict:
         """Just the ``meta`` dict of one object — only the uncompressed

@@ -261,27 +261,33 @@ class DiscoveryIndex:
     def set_entry_loader(self, loader) -> None:
         """Install the lazy entry source for hydrated tables.
 
-        ``loader(table_name)`` must return ``{column: ColumnEntry}`` for
-        every column of that table.  The index holds the loader strongly,
-        so a loader that reaches back to whatever owns this index must
-        do so through a weak reference (the catalog's does) — otherwise
-        owner and index form a cycle that keeps every indexed ``Table``
-        alive until a cyclic collection.
+        ``loader(table_name, columns)`` must return ``{column:
+        ColumnEntry}`` covering at least ``columns`` (a tuple of that
+        table's column names); extra columns it returns are kept too.
+        The index holds the loader strongly, so a loader that reaches
+        back to whatever owns this index must do so through a weak
+        reference (the catalog's does) — otherwise owner and index form
+        a cycle that keeps every indexed ``Table`` alive until a cyclic
+        collection.
         """
         self._entry_loader = loader
 
-    def _entry(self, ref: ColumnRef) -> ColumnEntry:
-        """Entry for ``ref``, paging in the owning table's entries if the
-        index was hydrated from signatures only."""
-        entry = self._entries.get(ref)
-        if entry is not None:
-            return entry
+    def _page_in(self, refs) -> None:
+        """Load the entries of ``refs`` not yet in memory: one loader
+        call per table, for just the missing columns."""
+        missing = {}
+        for ref in refs:
+            if ref not in self._entries:
+                missing.setdefault(ref.table, []).append(ref.column)
+        if not missing:
+            return
         if self._entry_loader is None:
-            raise KeyError(f"no entry for {ref} and no entry loader installed")
-        loaded = self._entry_loader(ref.table)
-        for column, column_entry in loaded.items():
-            self._entries[ColumnRef(ref.table, column)] = column_entry
-        return self._entries[ref]
+            raise KeyError(
+                f"no entries for {sorted(missing)!r} and no entry loader installed"
+            )
+        for table, columns in missing.items():
+            for column, entry in self._entry_loader(table, tuple(columns)).items():
+                self._entries.setdefault(ColumnRef(table, column), entry)
 
     def remove_table(self, table_name: str) -> None:
         """Drop a table and all its column entries (incremental; touches
@@ -314,10 +320,12 @@ class DiscoveryIndex:
         (forces lazy entries to load)."""
         if table_name not in self._tables:
             raise KeyError(f"table {table_name!r} not indexed")
-        return {
-            column: self._entry(ColumnRef(table_name, column))
+        refs = [
+            ColumnRef(table_name, column)
             for column in self._tables[table_name].column_names
-        }
+        ]
+        self._page_in(refs)
+        return {ref.column: self._entries[ref] for ref in refs}
 
     def build(self, corpus) -> "DiscoveryIndex":
         """Index every table in ``corpus`` (iterable of Tables)."""
@@ -341,11 +349,13 @@ class DiscoveryIndex:
         """LSH probe + containment verification, shared by the live-table
         and stored-entry query paths."""
         query_arr = kernels.sorted_unique_array(query_values)
+        refs = [
+            ref for ref in self._lsh.query(signature) if ref.table != exclude_table
+        ]
+        self._page_in(refs)
         results = []
-        for ref in self._lsh.query(signature):
-            if exclude_table is not None and ref.table == exclude_table:
-                continue
-            entry = self._entry(ref)
+        for ref in refs:
+            entry = self._entries[ref]
             candidate_arr = (
                 self._normalized_array(entry) if query_arr is not None else None
             )
@@ -396,13 +406,9 @@ class DiscoveryIndex:
         corpus reports through.
         """
         if isinstance(table, str):
-            if table not in self._tables:
-                raise KeyError(f"table {table!r} not indexed")
-            name = table
             seen = set()
-            for column in self._tables[name].column_names:
-                entry = self._entry(ColumnRef(name, column))
-                for ref, _ in self.joinable_for_entry(entry, exclude_table=name):
+            for entry in self.column_entries(table).values():
+                for ref, _ in self.joinable_for_entry(entry, exclude_table=table):
                     seen.add(ref)
             return len(seen)
         seen = set()

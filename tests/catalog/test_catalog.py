@@ -435,6 +435,22 @@ class TestLazyHydration:
         assert loaded.computed_columns > 0  # re-derived from live tables
         assert loaded.store.list_objects()  # and re-persisted
 
+    def test_object_lacking_a_paged_column_is_rederived(self, tmp_path):
+        corpus = make_corpus(2)
+        catalog = Catalog(CatalogStore(str(tmp_path / "c")), seed=0)
+        catalog.refresh(corpus)
+        catalog.save()
+        loaded = Catalog.load(str(tmp_path / "c"), corpus=corpus)
+        object_id = loaded._object_id(loaded.fingerprints["t0"])
+        meta, entries = loaded.store.read_object(object_id)
+        del entries["key"]
+        loaded.store.write_object(object_id, meta, entries, overwrite=True)
+
+        assert loaded.index.column_entries("t0") == catalog.index.column_entries("t0")
+        assert loaded.computed_columns == 2  # the whole table, once
+        _meta, healed = loaded.store.read_object(object_id, ["key"])
+        assert healed == {"key": catalog.index.column_entries("t0")["key"]}
+
     def test_column_entries_forces_load(self, tmp_path):
         corpus = make_corpus(2)
         catalog = Catalog(CatalogStore(str(tmp_path / "c")), seed=0)

@@ -2,9 +2,14 @@
 
 The one codec (version 2, packed binary) must round-trip arbitrary
 ColumnEntry contents exactly, encode canonically (equal input ⇒
-identical bytes), and reject malformed input with
+identical bytes), decode any column subset as exactly the restriction of
+the whole, and reject malformed input — column sections out of order,
+garbled UTF-8 even in a column nobody asked for — with
 :class:`CatalogStoreError` rather than returning partial entries.
 """
+
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -191,3 +196,100 @@ class TestBinaryCorruption:
         json_blob = b'{"columns": {"c": {"distinct": ["a"]}}, "meta": {}}'
         with pytest.raises(CatalogStoreError):
             CODEC.decode(json_blob)
+
+
+def _strings_block(lengths, blob: bytes) -> bytes:
+    """A string-set block with arbitrary lengths and bytes."""
+    return (
+        struct.pack("<II", len(lengths), len(blob))
+        + np.array(lengths, dtype="<u4").tobytes()
+        + blob
+    )
+
+
+def craft(sections, meta=None) -> bytes:
+    """A raw-body object with column sections in the order given;
+    ``sections`` holds ``(name, entry)`` or ``(name, distinct block
+    bytes)`` pairs."""
+    body = bytearray(struct.pack("<I", len(sections)))
+    for name, entry in sections:
+        raw = name.encode("utf-8")
+        body += struct.pack("<H", len(raw)) + raw
+        body += struct.pack("<I", 2) + np.arange(2, dtype="<u8").tobytes()
+        body += struct.pack("<B", 0)
+        if isinstance(entry, bytes):
+            body += entry
+        else:
+            body += BinaryCodec._pack_strings(entry.distinct)
+    meta_blob = json.dumps(meta or {}).encode("utf-8")
+    return (
+        CODEC.MAGIC
+        + struct.pack("<H", CODEC.version)
+        + struct.pack("<I", len(meta_blob))
+        + meta_blob
+        + struct.pack("<BI", CODEC._BODY_RAW, len(body))
+        + bytes(body)
+    )
+
+
+class TestColumnRestriction:
+    @settings(max_examples=80, deadline=None)
+    @given(meta=_metas(), entries=_entries(), data=st.data())
+    def test_restricted_decode_is_the_restriction(self, meta, entries, data):
+        blob = CODEC.encode(meta, entries)
+        full_meta, full = CODEC.decode(blob)
+        subset = data.draw(st.sets(st.sampled_from(sorted(entries)))) if entries else set()
+        got_meta, got = CODEC.decode(blob, subset)
+        assert got_meta == full_meta
+        assert got == {column: full[column] for column in subset}
+        assert list(got) == [column for column in full if column in subset]
+
+    @pytest.mark.parametrize("request_columns", [None, ["a"], ["b"], []], ids=repr)
+    def test_garbled_utf8_raises_whether_requested_or_not(self, request_columns):
+        bad = _strings_block([1], b"\xff")
+        with pytest.raises(CatalogStoreError, match="invalid UTF-8"):
+            CODEC.decode(craft([("a", entry_of({"x"})), ("b", bad)]), request_columns)
+
+    @pytest.mark.parametrize("request_columns", [None, ["a"], ["b"]], ids=repr)
+    def test_value_split_inside_a_character_raises(self, request_columns):
+        """b"\\xc3\\xa9" is valid UTF-8 as one value ("é"), not as two."""
+        split = _strings_block([1, 1], "é".encode("utf-8"))
+        with pytest.raises(CatalogStoreError, match="invalid UTF-8"):
+            CODEC.decode(craft([("a", entry_of({"x"})), ("b", split)]), request_columns)
+
+    def test_multibyte_values_decode(self):
+        values = {"é", "中文", "", "a\x00b", "Ωmega ", "x"}
+        entries = {"a": entry_of(values), "b": entry_of({"ÿ"}, normalized={"Ÿ"})}
+        blob = CODEC.encode({}, entries)
+        assert CODEC.decode(blob)[1] == entries
+        assert CODEC.decode(blob, ["b"])[1] == {"b": entries["b"]}
+
+    def test_crafted_blob_matches_the_codec(self):
+        entries = {"a": entry_of({"x", "y"}), "b": entry_of({"z"})}
+        _meta, decoded = CODEC.decode(craft(sorted(entries.items())))
+        assert {c: e.distinct for c, e in decoded.items()} == {
+            c: e.distinct for c, e in entries.items()
+        }
+
+    def test_missing_requested_column_raises(self):
+        blob = CODEC.encode({}, {"a": entry_of({"x"})})
+        with pytest.raises(CatalogStoreError, match="no column"):
+            CODEC.decode(blob, ["a", "ghost"])
+
+
+class TestColumnOrder:
+    @pytest.mark.parametrize(
+        "names", [["a", "a"], ["b", "a"], ["a", "c", "b"]], ids=repr
+    )
+    def test_sections_not_strictly_ascending_rejected(self, names):
+        blob = craft([(name, entry_of({name + str(i)})) for i, name in enumerate(names)])
+        for request_columns in (None, names[:1]):
+            with pytest.raises(CatalogStoreError, match="strictly ascending"):
+                CODEC.decode(blob, request_columns)
+
+    def test_duplicate_column_no_longer_overwrites(self):
+        """Before the order check the second "a" silently won and the
+        table lost a column."""
+        blob = craft([("a", entry_of({"first"})), ("a", entry_of({"second"}))])
+        with pytest.raises(CatalogStoreError):
+            CODEC.decode(blob)

@@ -12,6 +12,8 @@ from repro import CandidateSpec, DiscoveryEngine
 from repro.catalog import Catalog, CatalogStore, LocalFSBackend
 from repro.data import housing_scenario
 from repro.dataframe.table import Table
+from repro.discovery import ColumnRef, MinHasher, generate_candidates
+from repro.kernels import normalize_strings
 from repro.profiles.registry import default_registry
 
 
@@ -161,14 +163,21 @@ class TestWarmStartEquivalence:
 
 class SpyBackend(LocalFSBackend):
     """The local backend, counting every mutating primitive by the store
-    section (first path component under the root) it lands in.  A guard
-    that counts calls instead of reading a clock."""
+    section (first path component under the root) it lands in, and
+    recording every object file read.  A guard that counts calls instead
+    of reading a clock."""
 
     def __init__(self, root):
         super().__init__(root)
         self.spy_root = str(root)
         self.calls = collections.Counter()
         self.lease_writes = []
+        self.object_reads = []
+
+    def read_bytes(self, path):
+        if path.endswith(".bin"):
+            self.object_reads.append(os.path.basename(path))
+        return super().read_bytes(path)
 
     def _note(self, op, path):
         section = os.path.relpath(path, self.spy_root).split(os.sep, 1)[0]
@@ -254,3 +263,57 @@ class TestWarmStartOnlyReads:
         assert sorted(os.listdir(os.path.join(spy.spy_root, "leases"))) == [
             ".lock", ".seq",
         ]
+
+    def test_objects_read_are_the_tables_a_base_column_collided_with(self, tmp_path):
+        """Per-column paging: a warm start reads one object per table an
+        LSH probe of a base column landed on, and pages in only the
+        colliding columns — never whole tables."""
+        pool = [f"key{j:03d}" for j in range(40)]
+        tables = [
+            Table(
+                f"t{i:03d}",
+                {
+                    # Half the tables share the base's key pool; the rest
+                    # draw keys nobody else has.
+                    "k": pool[i : i + 20] if i % 2 else [f"own{i}-{j}" for j in range(20)],
+                    "x": [f"{i}:{j}" for j in range(20)],
+                },
+            )
+            for i in range(16)
+        ]
+        root = str(tmp_path / "cat")
+        catalog = Catalog(CatalogStore(root), num_perm=16, bands=8, min_containment=0.3)
+        catalog.refresh(tables)
+        catalog.save()
+        spy = SpyBackend(root)
+        warm = Catalog.load(CatalogStore(root, backend=spy), corpus=tables)
+        assert spy.object_reads == [] and warm.index._entries == {}
+
+        base = Table("base", {"k": pool, "y": [f"base{j}" for j in range(40)]})
+        candidates = generate_candidates(base, warm.index, max_hops=1)
+        assert candidates
+
+        config = warm.config
+        hasher = MinHasher(num_perm=config["num_perm"], seed=config["seed"])
+        bands = config["bands"]
+
+        def collides(a, b):
+            return bool((a.reshape(bands, -1) == b.reshape(bands, -1)).all(axis=1).any())
+
+        probes = [
+            hasher.signature(normalize_strings(base.distinct_values(c)))
+            for c in base.column_names
+        ]
+        collided = {
+            ColumnRef(table.name, column)
+            for table in tables
+            for column in table.column_names
+            if any(
+                collides(probe, warm.index.signature_of(ColumnRef(table.name, column)))
+                for probe in probes
+            )
+        }
+        assert 0 < len({ref.table for ref in collided}) < len(tables)
+        assert set(warm.index._entries) == collided
+        assert len(spy.object_reads) == len({ref.table for ref in collided})
+        assert len(set(spy.object_reads)) == len(spy.object_reads)

@@ -168,7 +168,14 @@ class TestPrecomputedEntries:
         cold.add_table(t2)
 
         warm = DiscoveryIndex(num_perm=16, bands=8, min_containment=0.1)
-        warm.set_entry_loader(lambda name: cold.column_entries(name))
+        calls = []
+
+        def loader(name, columns):
+            calls.append((name, columns))
+            entries = cold.column_entries(name)
+            return {column: entries[column] for column in columns}
+
+        warm.set_entry_loader(loader)
         for table in (t1, t2):
             warm.add_table_hydrated(
                 table,
@@ -179,6 +186,15 @@ class TestPrecomputedEntries:
             )
         probe = Table("probe", {"key": ["a", "b"]})
         assert warm.joinable(probe, "key") == cold.joinable(probe, "key")
+        # Only the colliding columns were paged, one call per table.
+        paged = {(name, column) for name, columns in calls for column in columns}
+        assert {(ref.table, ref.column) for ref in warm._entries} == paged
+        assert ("t1", "key") in paged and ("t1", "v") not in paged
+        assert len({name for name, _ in calls}) == len(calls)
+        # column_entries pages the rest of a table in one more call.
+        calls.clear()
+        assert warm.column_entries("t1") == cold.column_entries("t1")
+        assert calls == [("t1", ("v",))]
 
     def test_hydrated_without_loader_raises_on_query(self):
         t1, _ = two_tables()
