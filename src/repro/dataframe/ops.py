@@ -8,10 +8,16 @@ with the input table — the semantics augmentation needs (Definition 4).
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import compress
+
 import numpy as np
 
+from repro import kernels
 from repro.dataframe.table import Table
 from repro.dataframe.types import ColumnType, is_missing
+
+_FLOAT_OR_NONE = frozenset({float, type(None)})
 
 
 def _key(value):
@@ -26,9 +32,15 @@ def _key(value):
 def join_keys(table: Table, column: str) -> list:
     """Normalized join key of every row of ``table.column`` (None where
     the cell is missing)."""
-    return table.derived(
-        ("join_keys", column), lambda: list(map(_key, table.column(column)))
-    )
+
+    def build():
+        cells = table.column(column)
+        if kernels.type_census(cells) == {str}:
+            # _key of a str: None when blank, else stripped + lowered.
+            return [k or None for k in map(str.lower, map(str.strip, cells))]
+        return list(map(_key, cells))
+
+    return table.derived(("join_keys", column), build)
 
 
 def build_lookup(table: Table, key_column: str) -> dict:
@@ -42,6 +54,26 @@ def build_lookup(table: Table, key_column: str) -> dict:
         return lookup
 
     return table.derived(("join_lookup", key_column), build)
+
+
+def _repeated_keys(table: Table, key_column: str) -> list:
+    """``[(key, row indices)]`` for the keys on more than one row, in
+    first-occurrence order — what :func:`key_aggregates` redoes per bring
+    column.  Counting runs in C, so a column of distinct keys (the common
+    case) costs no per-row Python."""
+
+    def build():
+        keys = join_keys(table, key_column)
+        counts = Counter(keys)
+        repeated = {k: [] for k, n in counts.items() if n > 1 and k is not None}
+        if repeated:
+            for i, k in enumerate(keys):
+                rows = repeated.get(k)
+                if rows is not None:
+                    rows.append(i)
+        return list(repeated.items())
+
+    return table.derived(("join_repeated", key_column), build)
 
 
 def key_aggregates(right: Table, key_column: str, bring_column: str) -> tuple:
@@ -59,27 +91,36 @@ def key_aggregates(right: Table, key_column: str, bring_column: str) -> tuple:
         keys = join_keys(right, key_column)
         cells = right.column(bring_column)
         numeric = right.column_type(bring_column) == ColumnType.NUMERIC
-        if numeric:
-            # One row per key is the common case, and numpy's mean of one
-            # float is 0.0 + that float: the float itself, but for -0.0.
-            present = [None if is_missing(v) else 0.0 + float(v) for v in cells]
+        # One row per key is the common case, and numpy's mean of one
+        # float is 0.0 + that float: the float itself, but for -0.0.
+        if numeric and kernels.type_census(cells) <= _FLOAT_OR_NONE:
+            # None and NaN (the missing cells) both come out NaN.
+            values = np.array(cells, dtype=float) + 0.0
+            present = values.tolist()
+            kept = (values == values).tolist()
         else:
-            present = [None if is_missing(v) else v for v in cells]
-        aggregate = dict(zip(keys, present, strict=True))
+            if numeric:
+                present = [None if is_missing(v) else 0.0 + float(v) for v in cells]
+            else:
+                present = [None if is_missing(v) else v for v in cells]
+            kept = [v is not None for v in present]
+        # Only rows with a present cell and a key make an aggregate.
+        aggregate = dict(zip(compress(keys, kept), compress(present, kept)))
+        aggregate.pop(None, None)
         # Repeated keys are redone from the cells.
-        for k, rows in build_lookup(right, key_column).items():
-            if len(rows) > 1:
-                group = [cells[i] for i in rows if present[i] is not None]
-                if numeric and group:
-                    # np.mean, not sum()/len(): pairwise summation in
-                    # numpy's order is part of the pinned result.
-                    aggregate[k] = float(np.mean([float(v) for v in group]))
-                else:
-                    aggregate[k] = group[0] if group else None
-        aggregate = {
-            k: v for k, v in aggregate.items() if k is not None and v is not None
-        }
-        if numeric and any(v != v for v in aggregate.values()):
+        for k, rows in _repeated_keys(right, key_column):
+            group = [cells[i] for i in rows if kept[i]]
+            if not group:
+                continue
+            if numeric:
+                # np.mean, not sum()/len(): pairwise summation in
+                # numpy's order is part of the pinned result.
+                aggregate[k] = float(np.mean([float(v) for v in group]))
+            else:
+                aggregate[k] = group[0]
+        if numeric and np.isnan(
+            np.fromiter(aggregate.values(), dtype=float, count=len(aggregate))
+        ).any():
             return aggregate, {k for k, v in aggregate.items() if v == v}
         return aggregate, aggregate.keys()
 

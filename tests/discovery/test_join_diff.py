@@ -42,6 +42,16 @@ NUMERIC_CELLS = (
     "1.5", " 2 ", "1e3", "1_000", np.float64(0.7), np.int64(4), np.float32(0.1),
     None, float("nan"), "", "  ",
 )  # fmt: skip
+#: Exactly-``str`` key cells and exactly-``float``/``None`` numeric cells:
+#: columns drawn only from these take the kernel's array fast paths.
+STR_KEY_CELLS = (
+    "1", " 1 ", "A", "a", " a", "b", "B ", "0", "-0.0", "2.5", "inf",
+    "", "   ", "É", "é ", "ß", "\x00", "a\x00",
+)  # fmt: skip
+FLOAT_CELLS = (
+    0.1, 0.2, 0.3, 1e16, -1e16, 1.0, 0.0, -0.0, 5e-324, 1.7976931348623157e308,
+    float("inf"), float("-inf"), None, float("nan"),
+)  # fmt: skip
 TEXT_CELLS = (
     "x", "y", " padded ", "Z", 7, 2.5, -0.0, Decimal("1.5"),
     np.float32("nan"), None, float("nan"), "", " ",
@@ -56,9 +66,9 @@ def column_of(cells):
 
 
 @st.composite
-def keyed_tables(draw, name, key, value_cells, value_name="v"):
+def keyed_tables(draw, name, key, value_cells, value_name="v", key_cells=KEY_CELLS):
     """A right-side table: per drawn key a drawn number of rows, shuffled."""
-    keys = draw(st.lists(st.sampled_from(KEY_CELLS), min_size=0, max_size=6))
+    keys = draw(st.lists(st.sampled_from(key_cells), min_size=0, max_size=6))
     rows = [k for k in keys for _ in range(draw(st.sampled_from(GROUP_SIZES)))]
     rows = draw(st.permutations(rows))
     values = draw(
@@ -93,6 +103,17 @@ class TestMaterialize:
         right=keyed_tables("right", "k", NUMERIC_CELLS),
     )
     def test_numeric_column_matches_reference(self, left, right):
+        base = Table("base", {"key": left})
+        check_augmentation((JoinStep("key", "right", "k"),), "v", base, {"right": right})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        left=column_of(STR_KEY_CELLS),
+        right=keyed_tables("right", "k", FLOAT_CELLS, key_cells=STR_KEY_CELLS),
+    )
+    def test_str_keys_and_float_cells_match_reference(self, left, right):
+        """Both array fast paths at once: exactly-str keys on either side,
+        an exactly-float/None bring column."""
         base = Table("base", {"key": left})
         check_augmentation((JoinStep("key", "right", "k"),), "v", base, {"right": right})
 
@@ -147,6 +168,24 @@ class TestMaterialize:
         )
         base = Table("base", {"key": [f"k{size}" for size in sizes] + ["absent"]})
         check_augmentation((JoinStep("key", "right", "k"),), "v", base, {"right": right})
+
+    def test_fast_path_signed_zero_and_missing(self):
+        """-0.0 becomes 0.0 (numpy's mean of one float, alone or in a
+        group), a None or NaN cell is missing, and a group's mean skips
+        its missing cells."""
+        right = Table(
+            "right",
+            {
+                "k": ["a", "b", "c", "d", "d", "e", " E "],
+                "v": [-0.0, None, float("nan"), -0.0, None, 1.5, None],
+            },
+        )
+        base = Table("base", {"key": ["a", "b", "c", "d", "e", "  ", "x"]})
+        check_augmentation((JoinStep("key", "right", "k"),), "v", base, {"right": right})
+        values = Augmentation(JoinPath((JoinStep("key", "right", "k"),)), "v").materialize(
+            base, {"right": right}
+        )
+        assert bits(values) == bits([0.0, None, None, 0.0, 1.5, None, None])
 
     def test_nan_mean_counts_as_unmatched(self):
         right = Table(
