@@ -30,10 +30,25 @@ from repro.discovery.minhash import MinHasher
 
 @dataclass(frozen=True)
 class ColumnRef:
-    """A (table, column) pair in the repository."""
+    """A (table, column) pair in the repository.
+
+    Refs key every LSH bucket a column lands in (one per band), so the
+    hash is computed once, at construction — the value the dataclass
+    would compute on every insert."""
 
     table: str
     column: str
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.table, self.column)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes are per process: rebuild, never copy, the hash.
+        return ColumnRef, (self.table, self.column)
 
     def __str__(self) -> str:
         return f"{self.table}.{self.column}"

@@ -21,40 +21,41 @@ class LshIndex:
         self.num_perm = num_perm
         self.bands = bands
         self.rows_per_band = num_perm // bands
+        # Bucket keys are the bands' raw uint64 bytes: the mapping
+        # band-values → bytes is bijective (fixed width), so bucketing is
+        # identical to keying on value tuples, and viewing each band as
+        # one void scalar turns a whole signature matrix into its keys in
+        # one C call.  Keys never leave the process, so platform byte
+        # order is fine.
+        self._band = np.dtype((np.void, self.rows_per_band * 8))
         self._buckets = [dict() for _ in range(bands)]
         self._items = {}
 
     def __len__(self) -> int:
         return len(self._items)
 
-    def _band_keys(self, signature: np.ndarray):
+    def _keys(self, signatures: np.ndarray) -> list:
+        """Band keys of a signature (a list) or of each matrix row."""
+        return (
+            np.ascontiguousarray(signatures, dtype=np.uint64).view(self._band).tolist()
+        )
+
+    def _band_keys(self, signature: np.ndarray) -> list:
         if signature.shape != (self.num_perm,):
             raise ValueError(
                 f"signature must have shape ({self.num_perm},), got {signature.shape}"
             )
-        # Bucket keys are the bands' raw little-endian uint64 bytes: the
-        # mapping band-values → bytes is bijective (fixed width), so
-        # bucketing is identical to keying on value tuples, and slicing
-        # one bytes object beats building a tuple per band.  Keys never
-        # leave the process, so platform byte order is fine.
-        raw = np.ascontiguousarray(signature, dtype=np.uint64).tobytes()
-        width = self.rows_per_band * 8
-        for band in range(self.bands):
-            start = band * width
-            yield band, raw[start : start + width]
+        return self._keys(signature)
 
     def insert(self, item, signature: np.ndarray) -> None:
         """Index ``item`` (hashable id) under its signature."""
-        if item in self._items:
-            raise ValueError(f"item {item!r} already indexed")
-        self._items[item] = signature
-        for band, key in self._band_keys(signature):
-            self._buckets[band].setdefault(key, set()).add(item)
+        self.insert_many([item], np.asarray(signature)[None])
 
     def insert_many(self, items, signatures: np.ndarray) -> None:
-        """Bulk :meth:`insert` from a stacked ``(len(items), num_perm)``
-        signature matrix — one reshape+tolist instead of per-item band
-        slicing, the hot path of warm-start hydration."""
+        """Index each of ``items`` under its row of the stacked
+        ``(len(items), num_perm)`` signature matrix — the hot path of
+        warm-start hydration (:meth:`insert` is the one-row case).
+        Validates everything before touching any bucket."""
         items = list(items)
         if signatures.shape != (len(items), self.num_perm):
             raise ValueError(
@@ -66,18 +67,16 @@ class LshIndex:
             raise ValueError(f"items already indexed: {duplicates!r}")
         if len(set(items)) != len(items):
             raise ValueError("duplicate items within batch")
-        raw = np.ascontiguousarray(signatures, dtype=np.uint64).tobytes()
-        row_width = self.num_perm * 8
-        width = self.rows_per_band * 8
-        buckets = self._buckets
-        for i, item in enumerate(items):
+        for i, (item, keys) in enumerate(zip(items, self._keys(signatures))):
             self._items[item] = signatures[i]
-            row = i * row_width
-            for band in range(self.bands):
-                start = row + band * width
-                buckets[band].setdefault(raw[start : start + width], set()).add(
-                    item
-                )
+            # get-then-add: setdefault(key, set()) would build a set per
+            # band and item only to throw it away.
+            for buckets, key in zip(self._buckets, keys):
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = {item}
+                else:
+                    bucket.add(item)
 
     def remove(self, item) -> None:
         """Drop ``item`` from the index (inverse of :meth:`insert`).
@@ -89,19 +88,19 @@ class LshIndex:
         if item not in self._items:
             raise KeyError(f"item {item!r} not indexed")
         signature = self._items.pop(item)
-        for band, key in self._band_keys(signature):
-            bucket = self._buckets[band].get(key)
+        for buckets, key in zip(self._buckets, self._band_keys(signature)):
+            bucket = buckets.get(key)
             if bucket is None:
                 continue
             bucket.discard(item)
             if not bucket:
-                del self._buckets[band][key]
+                del buckets[key]
 
     def query(self, signature: np.ndarray) -> set:
         """All items sharing at least one band bucket with ``signature``."""
         out = set()
-        for band, key in self._band_keys(signature):
-            out.update(self._buckets[band].get(key, ()))
+        for buckets, key in zip(self._buckets, self._band_keys(signature)):
+            out.update(buckets.get(key, ()))
         return out
 
     def signature_of(self, item) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Tests for incremental index maintenance and down-sampling behavior."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.dataframe.table import Table
-from repro.discovery.index import DiscoveryIndex
+from repro.discovery.index import ColumnRef, DiscoveryIndex
 from repro.discovery.lsh import LshIndex
 from repro.discovery.minhash import MinHasher
 
@@ -54,6 +56,32 @@ class TestLshBulkInsert:
         bulk.insert_many([f"item{i}" for i in range(5)], sigs)
         for i in range(5):
             assert one.query(sigs[i]) == bulk.query(sigs[i])
+
+    def test_bucket_state_equals_a_loop_of_inserts(self):
+        """Same buckets, same members, same stored signatures — with
+        shared bands (equal signatures, one changed band) in the mix."""
+        h = MinHasher(num_perm=16)
+        sigs = np.stack([h.signature({f"v{i % 3}", f"w{i}"}) for i in range(9)])
+        sigs[4] = sigs[1]
+        sigs[5, :2] = sigs[2, :2]
+        items = [ColumnRef(f"t{i}", "c") for i in range(9)]
+        one = LshIndex(num_perm=16, bands=8)
+        for item, sig in zip(items, sigs, strict=True):
+            one.insert(item, sig)
+        bulk = LshIndex(num_perm=16, bands=8)
+        bulk.insert_many(items[:4], sigs[:4])
+        bulk.insert_many(items[4:], sigs[4:])
+        assert one._buckets == bulk._buckets
+        assert one._items.keys() == bulk._items.keys()
+        for item in items:
+            assert np.array_equal(one.signature_of(item), bulk.signature_of(item))
+
+    def test_column_ref_hash_survives_pickling(self):
+        ref = ColumnRef("t", "c")
+        copy = pickle.loads(pickle.dumps(ref))
+        assert copy == ref and hash(copy) == hash(ref) == hash(("t", "c"))
+        assert {copy: 1}[ref] == 1
+        assert "_hash" not in repr(ref)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
