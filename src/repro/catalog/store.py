@@ -10,7 +10,8 @@ One layout, one object format::
     objects/ab/manifest.json    per-shard object index
                                 ({fp: {"codec": 2, "lease": token}})
     profiles/cd/<fp>.npz        cached profile vectors, grouped by the
-                                fingerprint of the base (query) table
+                                fingerprint of the base (query) table:
+                                keys, lengths and the concatenated vectors
     profiles/cd/manifest.json   per-shard LRU bookkeeping ({fp: bytes, touched})
     snapshot.npz                packed signature matrix for warm starts
 
@@ -129,7 +130,8 @@ from repro.catalog.fingerprint import shard_of
 from repro.catalog.leases import DEFAULT_LEASE_TTL, LeaseManager
 
 #: The one layout version this code reads and writes (3: columnar table
-#: fingerprints moved every object address).
+#: fingerprints moved every object address, and a profile group became
+#: one keys / lengths / vectors archive).
 VERSION = 3
 #: The one object codec (its ``version`` is what shard records carry).
 CODEC = BinaryCodec()
@@ -1207,17 +1209,37 @@ class CatalogStore:
     def _read_profile_file(self, path: str):
         """Raw ``{key: vector}`` from one ``.npz`` group file.
 
-        ``None`` when the file is absent, :data:`_CORRUPT_PROFILES`
-        when it is damaged — cached profiles are a pure optimization,
-        so corruption degrades to recomputation (and is overwritten by
-        the next flush), never fails a discovery run."""
+        A group is three arrays, whatever its size: ``keys`` (sorted,
+        UTF-8 in a fixed-width bytes array), ``lengths`` (``<i8``, one
+        per key) and ``vectors`` (every vector, concatenated in key
+        order, ``<f8``).  ``None`` when the file is absent,
+        :data:`_CORRUPT_PROFILES` when it is damaged — cached profiles
+        are a pure optimization, so corruption degrades to recomputation
+        (and is overwritten by the next flush), never fails a discovery
+        run."""
         try:
             with self.backend.open_read(path) as handle:
                 with np.load(handle) as payload:
-                    return {
-                        key: payload[key].astype(float, copy=False)
-                        for key in payload.files
-                    }
+                    keys = payload["keys"]
+                    lengths = payload["lengths"]
+                    vectors = payload["vectors"]
+            if not (
+                keys.ndim == 1
+                and keys.dtype.kind == "S"
+                and lengths.shape == keys.shape
+                and lengths.dtype.kind == "i"
+                and vectors.ndim == 1
+                and vectors.dtype.kind == "f"
+                and (lengths >= 0).all()
+                and int(lengths.sum()) == vectors.size
+            ):
+                return self._CORRUPT_PROFILES
+            ends = np.cumsum(lengths).tolist()
+            vectors = vectors.astype(float, copy=False)
+            return {
+                key.decode("utf-8"): vectors[start:end]
+                for key, start, end in zip(keys.tolist(), [0, *ends], ends)
+            }
         except FileNotFoundError:
             return None
         except Exception:
@@ -1260,14 +1282,28 @@ class CatalogStore:
             key: np.asarray(vector, dtype=float)
             for key, vector in entries.items()
         }
+        for key, vector in arrays.items():
+            # A fixed-width bytes array would drop a key's trailing NUL.
+            if vector.ndim != 1 or not isinstance(key, str) or key.endswith("\x00"):
+                raise ValueError(
+                    f"profile group {base_fingerprint!r}: entry {key!r} needs a "
+                    f"str key without a trailing NUL and a 1-D vector, got "
+                    f"shape {vector.shape}"
+                )
         with self._dir_lock(shard_dir):
             if merge:
                 current = self._read_profile_file(path)
                 if current and current is not self._CORRUPT_PROFILES:
                     arrays = {**current, **arrays}
+            keys = sorted(arrays)
             buffer = io.BytesIO()
             np.savez(
-                buffer, **{key: arrays[key] for key in sorted(arrays)}
+                buffer,
+                keys=np.array([key.encode("utf-8") for key in keys], dtype=bytes),
+                lengths=np.array([arrays[key].size for key in keys], dtype="<i8"),
+                vectors=np.concatenate(
+                    [np.empty(0, dtype="<f8")] + [arrays[key] for key in keys]
+                ).astype("<f8", copy=False),
             )
             blob = buffer.getvalue()
             self.backend.write_bytes(path, blob)
@@ -1548,12 +1584,12 @@ class CatalogStore:
         manifest = self.read_manifest() or {"config": {}, "tables": {}}
         n_profiles = 0
         for group in self.list_profile_groups():
-            # Count keys straight off the archive member list — stats
-            # must not materialize every cached vector as a numpy array.
+            # Count keys off the ``keys`` member alone — stats must not
+            # load every cached vector.
             try:
                 with self.backend.open_read(self._profile_path(group)) as handle:
                     with np.load(handle) as payload:
-                        n_profiles += len(payload.files)
+                        n_profiles += len(payload["keys"])
             except Exception:
                 continue
         return {

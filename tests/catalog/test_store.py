@@ -164,6 +164,70 @@ class TestProfiles:
         assert set(store.read_profiles("base")) == {"k2"}
 
 
+class TestProfileGroupLayout:
+    """A group is one ``.npz`` of three arrays, whatever its size."""
+
+    def group(self, n_keys=82, dim=13):
+        rng = np.random.default_rng(0)
+        return {f"{i:032x}": rng.normal(size=dim) for i in range(n_keys)}
+
+    def test_three_members_and_exact_values(self, store):
+        entries = self.group()
+        entries["ragged"] = np.array([-0.0, np.inf, np.nan])
+        store.write_profiles("base", entries)
+        with np.load(store._profile_path("base")) as payload:
+            assert sorted(payload.files) == ["keys", "lengths", "vectors"]
+            assert [k.decode() for k in payload["keys"].tolist()] == sorted(entries)
+            assert payload["vectors"].dtype == np.dtype("<f8")
+        loaded = store.read_profiles("base")
+        assert list(loaded) == sorted(entries)
+        for key, vector in entries.items():
+            assert loaded[key].tobytes() == np.asarray(vector, dtype=float).tobytes()
+
+    def test_smaller_than_one_member_per_key(self, store, tmp_path):
+        import io
+
+        entries = self.group()
+        store.write_profiles("base", entries)
+        per_key = io.BytesIO()
+        np.savez(per_key, **entries)
+        assert os.path.getsize(store._profile_path("base")) < len(per_key.getvalue()) * 0.6
+
+    def test_empty_group_round_trips(self, store):
+        store.write_profiles("base", {})
+        assert store.read_profiles("base") == {}
+        assert store.verify()["problems"] == []
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"k": np.array([0.5])},  # one member per key: the old layout
+            {"keys": np.array([b"a"]), "lengths": np.array([2]), "vectors": np.ones(1)},
+            {"keys": np.array([b"a"]), "lengths": np.array([-1]), "vectors": np.ones(0)},
+            {"keys": np.array([1]), "lengths": np.array([1]), "vectors": np.ones(1)},
+            {"keys": np.array([b"\xff"]), "lengths": np.array([1]), "vectors": np.ones(1)},
+            {"keys": np.array([b"a"]), "lengths": np.array([1]), "vectors": np.ones((1, 1))},
+        ],
+        ids=["per-key", "short", "negative", "int-keys", "bad-utf8", "2-d"],
+    )
+    def test_malformed_group_is_corrupt(self, store, payload):
+        store.write_profiles("base", {"k": np.array([0.5])})
+        with open(store._profile_path("base"), "wb") as handle:
+            np.savez(handle, **payload)
+        assert store.read_profiles("base") == {}
+        assert any("corrupt archive" in p for p in store.verify()["problems"])
+
+    @pytest.mark.parametrize(
+        "entries",
+        [{"k": np.ones((2, 2))}, {"k": 0.5}, {"k\x00": np.ones(2)}],
+        ids=["2-d", "scalar", "trailing-nul"],
+    )
+    def test_unstorable_entries_rejected(self, store, entries):
+        with pytest.raises(ValueError, match="1-D vector"):
+            store.write_profiles("base", entries)
+        assert store.list_profile_groups() == []
+
+
 class TestStats:
     def test_counts_and_footprint(self, store):
         store.write_manifest({"num_perm": 8}, {"t": "fp"})
