@@ -156,6 +156,7 @@ class BinaryCodec:
         if len(text) != blob_len:
             starts = np.cumsum(lengths, dtype=np.int64) - lengths
             raw = np.frombuffer(blob, dtype=np.uint8)
+            # A value starting on a continuation byte splits a character.
             if np.any((raw[starts[starts < blob_len]] & 0xC0) == 0x80):
                 raise CatalogStoreError(
                     "garbled binary object: invalid UTF-8 value"
@@ -167,14 +168,14 @@ class BinaryCodec:
         """The values of a block :meth:`_unpack_strings` validated."""
         lengths, blob, text = block
         ends = np.cumsum(lengths, dtype=np.int64)
+        starts = ends - lengths
         if len(text) != len(blob):
             # Byte offsets → character offsets: count the lead bytes.
             lead = (np.frombuffer(blob, dtype=np.uint8) & 0xC0) != 0x80
             chars = np.concatenate(([0], np.cumsum(lead)))
-            ends = chars[ends]
-        ends = ends.tolist()
-        starts = [0, *ends[:-1]]
-        return frozenset(map(text.__getitem__, map(slice, starts, ends)))
+            starts, ends = chars[starts], chars[ends]
+        slices = map(slice, starts.tolist(), ends.tolist())
+        return frozenset(map(text.__getitem__, slices))
 
     def _header(self, blob: bytes) -> _Cursor:
         cursor = _Cursor(blob)

@@ -26,10 +26,10 @@ one ``exists`` and ``read_object`` one read + one decode.  The catalog
 is *derived* data, so there is no migration: a root manifest whose
 ``version`` is not the integer :data:`VERSION` raises
 :class:`CatalogStoreError` telling the user to rebuild with ``repro
-catalog build``, and any other
-file in a shard directory (another format's ``<fp>.json``, editor
-droppings) is not an object — the object is simply missing and gets
-re-derived from the live table, exactly like a gc'd or corrupt one.
+catalog build``, and any other file in a shard directory (another
+format's ``<fp>.json``, editor droppings) is not an object — the object
+is simply missing and gets re-derived from the live table, exactly like
+a gc'd or corrupt one.
 
 Objects are immutable once written — a changed table gets a new
 fingerprint and therefore a new object — so incremental updates never
@@ -1234,11 +1234,13 @@ class CatalogStore:
                 and int(lengths.sum()) == vectors.size
             ):
                 return self._CORRUPT_PROFILES
-            ends = np.cumsum(lengths).tolist()
+            ends = np.cumsum(lengths)
             vectors = vectors.astype(float, copy=False)
             return {
                 key.decode("utf-8"): vectors[start:end]
-                for key, start, end in zip(keys.tolist(), [0, *ends], ends)
+                for key, start, end in zip(
+                    keys.tolist(), (ends - lengths).tolist(), ends.tolist(), strict=True
+                )
             }
         except FileNotFoundError:
             return None

@@ -105,7 +105,7 @@ def key_aggregates(right: Table, key_column: str, bring_column: str) -> tuple:
                 present = [None if is_missing(v) else v for v in cells]
             kept = [v is not None for v in present]
         # Only rows with a present cell and a key make an aggregate.
-        aggregate = dict(zip(compress(keys, kept), compress(present, kept)))
+        aggregate = dict(zip(compress(keys, kept), compress(present, kept), strict=True))
         aggregate.pop(None, None)
         # Repeated keys are redone from the cells.
         for k, rows in _repeated_keys(right, key_column):

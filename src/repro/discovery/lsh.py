@@ -67,11 +67,11 @@ class LshIndex:
             raise ValueError(f"items already indexed: {duplicates!r}")
         if len(set(items)) != len(items):
             raise ValueError("duplicate items within batch")
-        for i, (item, keys) in enumerate(zip(items, self._keys(signatures))):
+        for i, (item, keys) in enumerate(zip(items, self._keys(signatures), strict=True)):
             self._items[item] = signatures[i]
             # get-then-add: setdefault(key, set()) would build a set per
             # band and item only to throw it away.
-            for buckets, key in zip(self._buckets, keys):
+            for buckets, key in zip(self._buckets, keys, strict=True):
                 bucket = buckets.get(key)
                 if bucket is None:
                     buckets[key] = {item}
@@ -88,7 +88,7 @@ class LshIndex:
         if item not in self._items:
             raise KeyError(f"item {item!r} not indexed")
         signature = self._items.pop(item)
-        for buckets, key in zip(self._buckets, self._band_keys(signature)):
+        for buckets, key in zip(self._buckets, self._band_keys(signature), strict=True):
             bucket = buckets.get(key)
             if bucket is None:
                 continue
@@ -99,7 +99,7 @@ class LshIndex:
     def query(self, signature: np.ndarray) -> set:
         """All items sharing at least one band bucket with ``signature``."""
         out = set()
-        for buckets, key in zip(self._buckets, self._band_keys(signature)):
+        for buckets, key in zip(self._buckets, self._band_keys(signature), strict=True):
             out.update(buckets.get(key, ()))
         return out
 
