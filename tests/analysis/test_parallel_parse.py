@@ -1,4 +1,4 @@
-"""The driver parses files from a thread pool; a thread switch in the
+"""``lint_paths`` parses files from a thread pool; a thread switch in the
 middle of one ``ast.parse`` must not break another.
 
 On CPython 3.11 the AST constructor's recursion counter is per

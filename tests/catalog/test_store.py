@@ -1,5 +1,6 @@
 """Tests for the content-addressed catalog store."""
 
+import io
 import json
 import os
 
@@ -184,9 +185,7 @@ class TestProfileGroupLayout:
         for key, vector in entries.items():
             assert loaded[key].tobytes() == np.asarray(vector, dtype=float).tobytes()
 
-    def test_smaller_than_one_member_per_key(self, store, tmp_path):
-        import io
-
+    def test_smaller_than_one_member_per_key(self, store):
         entries = self.group()
         store.write_profiles("base", entries)
         per_key = io.BytesIO()

@@ -100,7 +100,7 @@ def _slice_tables(names):
 def _adopting_builder(root, names):
     """Adopt whatever of ``names`` is already on disk (referenced or
     not), sign the rest, save.  Tables are added, not refreshed against
-    a partial corpus: a refresh would remove whatever the other builder
+    a partial corpus: a refresh would remove whatever the other process
     saved before this one loaded."""
     catalog = Catalog.load(root)
     for table in _slice_tables(names + ["keep"]):
