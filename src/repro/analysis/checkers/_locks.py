@@ -177,7 +177,7 @@ OS_IO_FUNCS = {
     "symlink",
 }
 
-#: StoreBackend methods that perform I/O.
+#: Store backend methods that perform I/O.
 BACKEND_IO_METHODS = {
     "open_read",
     "read_bytes",
@@ -191,7 +191,6 @@ BACKEND_IO_METHODS = {
     "size",
     "mtime",
     "disk_bytes",
-    "sync_into",
 }
 
 #: LeaseManager methods that read/write lease files.

@@ -415,7 +415,6 @@ class DiscoveryEngine:
         catalog_dir,
         corpus=None,
         create: bool = True,
-        backend=None,
         **config,
     ) -> "DiscoveryEngine":
         """Engine backed by the persistent catalog at ``catalog_dir``.
@@ -425,16 +424,14 @@ class DiscoveryEngine:
         the blake2-free vectorized hash family); ``create=False``
         requires a saved catalog and raises
         :class:`~repro.catalog.CatalogStoreError` otherwise.  ``corpus``
-        is attached when given.  ``backend`` selects the store layout
-        (``"local"``/``"segments"``) for fresh roots; an existing root
-        auto-detects its layout regardless.
+        is attached when given.
         """
         from repro.catalog.store import CatalogStore
 
         root = (
             catalog_dir
             if isinstance(catalog_dir, CatalogStore)
-            else CatalogStore(catalog_dir, backend=backend)
+            else CatalogStore(catalog_dir)
         )
         if create:
             catalog = Catalog.open(root, **config)

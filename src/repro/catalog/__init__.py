@@ -36,12 +36,10 @@ Catalog-backed reports
     and value sets) — no corpus loading, no column re-signing; only a
     transient LSH over the stored signatures is rebuilt in memory.
 
-Backends and write ownership
-    All physical I/O goes through a :class:`StoreBackend`
-    (:class:`LocalFSBackend` keeps the byte-identical plain-file layout;
-    :class:`SegmentsBackend` packs blobs into immutable append-only
-    segment files with a compacting index, syncable to read-only replica
-    roots).  Writers hold fencing-token leases
+Backend and write ownership
+    All physical I/O goes through one :class:`LocalFSBackend` (plain
+    files; ``CatalogStore(root, backend=...)`` takes another instance
+    with the same methods).  Writers hold fencing-token leases
     (:class:`~repro.catalog.leases.LeaseManager`) spanning their
     write→save window, and ``gc`` both skips lease-stamped objects and
     re-checks liveness under the shard lock — closing the race where a
@@ -49,13 +47,7 @@ Backends and write ownership
     landed.
 """
 
-from repro.catalog.backend import (
-    BACKENDS,
-    LocalFSBackend,
-    SegmentsBackend,
-    StoreBackend,
-    backend_for,
-)
+from repro.catalog.backend import LocalFSBackend
 from repro.catalog.catalog import Catalog, CatalogDiff, ProfileCache
 from repro.catalog.codec import BinaryCodec
 from repro.catalog.leases import Lease, LeaseManager
@@ -87,11 +79,7 @@ __all__ = [
     "registry_fingerprint",
     "result_key",
     "shard_of",
-    "StoreBackend",
     "LocalFSBackend",
-    "SegmentsBackend",
-    "BACKENDS",
-    "backend_for",
     "Lease",
     "LeaseManager",
 ]

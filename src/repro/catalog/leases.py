@@ -66,7 +66,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
-    from repro.catalog.backend import StoreBackend
+    from repro.catalog.backend import LocalFSBackend
 
 #: Default lease lifetime (seconds): long enough for a builder's
 #: write→save window under heavy load, short enough that a crashed
@@ -134,7 +134,7 @@ class LeaseManager:
 
     def __init__(
         self,
-        backend: StoreBackend,
+        backend: LocalFSBackend,
         root: str,
         ttl: float = DEFAULT_LEASE_TTL,
         clock_skew: float = 0.0,

@@ -147,11 +147,6 @@ class CatalogRefresher:
         and concurrent processes share the work.  Without one, every
         changed cycle signs the full corpus in memory — fine for small
         corpora, documented as the trade-off.
-    backend:
-        Store backend name (``"local"``/``"segments"``) or
-        :class:`~repro.catalog.backend.StoreBackend` instance, applied
-        when ``store`` is a bare path; an existing root auto-detects
-        its layout, so this matters only for fresh roots.
     interval:
         Poll period of the background thread (seconds).
     staleness_budget:
@@ -174,7 +169,6 @@ class CatalogRefresher:
         interval: float = 1.0,
         staleness_budget: float = None,
         on_cycle=None,
-        backend=None,
         **config,
     ):
         if callable(source):
@@ -185,7 +179,7 @@ class CatalogRefresher:
         if store is None or isinstance(store, CatalogStore):
             self.store = store
         else:
-            self.store = CatalogStore(str(store), backend=backend)
+            self.store = CatalogStore(str(store))
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
         self.interval = float(interval)

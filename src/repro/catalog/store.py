@@ -78,11 +78,9 @@ and removals additionally run under the shard lock, so a delete can
 never interleave between a concurrent writer's data file landing and
 its manifest record).
 
-All physical I/O goes through a pluggable :class:`StoreBackend`
-(:mod:`repro.catalog.backend`): the default local-FS backend reproduces
-the historical layout byte-for-byte, while the ``segments`` backend
-packs the same virtual paths into immutable append-only segment files
-whose sealed state can be replicated read-only to other roots.
+All physical I/O goes through one backend object
+(:class:`~repro.catalog.backend.LocalFSBackend` unless the caller
+passes another instance): one plain file per path.
 
 Writers own their in-flight objects through time-bounded, fencing-token
 **leases** (:mod:`repro.catalog.leases`), under one ownership protocol:
@@ -124,7 +122,7 @@ import time
 
 import numpy as np
 
-from repro.catalog.backend import CatalogStoreError, backend_for
+from repro.catalog.backend import CatalogStoreError, LocalFSBackend
 from repro.catalog.codec import BinaryCodec
 from repro.catalog.fingerprint import shard_of
 from repro.catalog.leases import DEFAULT_LEASE_TTL, LeaseManager
@@ -278,9 +276,8 @@ class CatalogStore:
     ``clock_skew`` widens that horizon (and lease expiry) so writers
     with drifting clocks cannot prune each other's fresh state early.
 
-    ``backend`` selects the physical representation (a name, a
-    :class:`~repro.catalog.backend.StoreBackend` instance, or ``None``
-    to auto-detect — see :func:`~repro.catalog.backend.backend_for`).
+    ``backend`` is the I/O object (``None``: a
+    :class:`~repro.catalog.backend.LocalFSBackend` over ``root``).
     ``lease_ttl`` is the write-ownership lease lifetime in seconds; it
     must be finite and positive — leases cannot be disabled.
     """
@@ -314,7 +311,9 @@ class CatalogStore:
         self.tombstone_ttl = _seconds("tombstone_ttl", tombstone_ttl)
         self.clock_skew = _seconds("clock_skew", clock_skew)
         self.root = str(root)
-        self.backend = backend_for(self.root, backend)
+        if isinstance(backend, str):
+            raise TypeError(f"backend must be a backend instance, not the name {backend!r}")
+        self.backend = LocalFSBackend(self.root) if backend is None else backend
         self.profile_budget_bytes = profile_budget_bytes
         self.result_budget_bytes = result_budget_bytes
         #: Write-ownership leases: gc consults the active set before
@@ -1596,7 +1595,6 @@ class CatalogStore:
                 continue
         return {
             "version": manifest.get("version", VERSION),
-            "backend": self.backend.name,
             "tables": len(manifest["tables"]),
             "objects": len(self.list_objects()),
             "profile_groups": len(self.list_profile_groups()),

@@ -53,7 +53,7 @@ Commands
     Run reprolint, the repo's invariant-aware static analysis pass
     (see :mod:`repro.analysis`): lock-order inversions and bare
     ``acquire()``, blocking calls under in-process mutexes, raw I/O
-    bypassing the StoreBackend VFS, non-atomic writes to durable
+    bypassing the store backend, non-atomic writes to durable
     files, and metrics hygiene.  ``--json``/``--json-out`` emit the
     machine-readable report, ``--baseline``/``--update-baseline``
     manage the ratchet-down debt baseline, and ``--check-baseline``
@@ -315,15 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--num-perm", type=int, default=64)
     build.add_argument("--bands", type=int, default=16)
     build.add_argument("--min-containment", type=float, default=0.3)
-    build.add_argument(
-        "--backend",
-        choices=["local", "segments"],
-        default=None,
-        help="store backend for a fresh catalog root: 'local' (plain "
-        "files, default) or 'segments' (append-only segment files with "
-        "a compacting manifest; syncable across nodes) — an existing "
-        "root keeps its recorded layout",
-    )
 
     update = catsub.add_parser(
         "update", help="incrementally refresh a catalog against a corpus"
@@ -364,14 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evict least-recently-used persisted run records until the "
         "result section fits this many bytes",
     )
-
-    sync = catsub.add_parser(
-        "sync",
-        help="copy a segments-backend catalog into a read-only replica "
-        "root (only new/changed segment files are transferred)",
-    )
-    sync.add_argument("src", help="source catalog directory (segments backend)")
-    sync.add_argument("dest", help="replica directory to create or update")
 
     watch = catsub.add_parser(
         "watch",
@@ -835,10 +818,7 @@ def _run_catalog_command(args) -> int:
             _error(f"no catalog at {args.dir}")
             return 1
         stats = store.stats()
-        print(
-            f"catalog at {args.dir} (layout v{stats['version']}, "
-            f"{stats['backend']} backend)"
-        )
+        print(f"catalog at {args.dir} (layout v{stats['version']})")
         print(f"  tables          {stats['tables']}")
         print(f"  active leases   {stats['leases']}")
         print(f"  objects         {stats['objects']}")
@@ -851,9 +831,6 @@ def _run_catalog_command(args) -> int:
         print(f"  disk            {stats['disk_bytes']}B")
         print(f"  config          {stats['config']}")
         return 0
-
-    if args.catalog_command == "sync":
-        return _cmd_catalog_sync(args)
 
     if args.catalog_command == "gc":
         catalog = Catalog.load(args.dir)
@@ -888,21 +865,7 @@ def _run_catalog_command(args) -> int:
     if args.catalog_command == "build":
         import warnings
 
-        # Auto-detect first: an existing root's recorded layout wins, and
-        # asking for the other backend is a refusal, not a silent rebuild.
         store = CatalogStore(args.dir)
-        if (
-            args.backend is not None
-            and store.exists()
-            and store.backend.name != args.backend
-        ):
-            _error(
-                f"catalog at {args.dir!r} uses the {store.backend.name!r} "
-                f"backend; refusing to open it as {args.backend!r}"
-            )
-            return 1
-        if args.backend is not None and not store.exists():
-            store = CatalogStore(args.dir, backend=args.backend)
         if store.exists():
             # Surface manifest corruption first (raises CatalogStoreError,
             # handled by the command wrapper).
@@ -975,29 +938,6 @@ def _run_catalog_command(args) -> int:
     print(
         f"  {catalog.computed_columns} columns signed, "
         f"{catalog.loaded_columns} loaded from disk, {elapsed:.2f}s"
-    )
-    return 0
-
-
-def _cmd_catalog_sync(args) -> int:
-    from repro.catalog import CatalogStore
-
-    store = CatalogStore(args.src)
-    if not store.exists():
-        _error(f"no catalog at {args.src}")
-        return 1
-    if store.backend.name != "segments":
-        _error(
-            f"catalog at {args.src!r} uses the {store.backend.name!r} "
-            "backend; 'catalog sync' needs the segments backend (build "
-            "with --backend segments)"
-        )
-        return 1
-    report = store.backend.sync_into(args.dest)
-    print(
-        f"synced {args.src} -> {args.dest}: copied "
-        f"{report['copied']}/{report['segments']} segment files, "
-        f"{report['files']} blobs visible in the replica"
     )
     return 0
 

@@ -1,10 +1,9 @@
-"""StoreBackend contract and equivalence tests.
+"""The store backend contract.
 
-The store speaks to disk only through a :class:`StoreBackend`; these
-tests pin the contract both implementations must satisfy (atomic blob
-writes, appends, namespace queries, locks), that a full catalog behaves
-identically over either backend, and the segments backend's own
-machinery: garbage accounting, compaction, and read-only replica sync.
+The store speaks to disk only through its backend; these tests pin what
+:class:`LocalFSBackend` guarantees (atomic blob writes, appends,
+namespace queries, locks), that ``CatalogStore`` uses a backend instance
+it is given, and that the layout stays plain files.
 """
 
 import json
@@ -12,25 +11,15 @@ import os
 
 import pytest
 
-from repro.catalog import (
-    Catalog,
-    CatalogStore,
-    CatalogStoreError,
-    LocalFSBackend,
-    SegmentsBackend,
-    backend_for,
-)
-from repro.dataframe.table import Table
+from repro.catalog import CatalogStore, LocalFSBackend
 from tests.harness.entries import make_entry
 
 
-@pytest.fixture(params=["local", "segments"])
-def backend(request, tmp_path):
+@pytest.fixture
+def backend(tmp_path):
     root = str(tmp_path / "store")
     os.makedirs(root, exist_ok=True)
-    if request.param == "local":
-        return LocalFSBackend(root)
-    return SegmentsBackend(root)
+    return LocalFSBackend(root)
 
 
 class TestBackendContract:
@@ -97,155 +86,17 @@ class TestBackendContract:
         assert backend.disk_bytes() >= 100
 
 
-def build_store(store):
-    """One representative op sequence: writes, overwrite, delete,
-    profiles, results, aux."""
-    for i in range(6):
-        store.write_object(
-            f"fp{i:04d}", {"name": f"t{i}"}, {"c": make_entry({f"v{i}"})}
-        )
-    store.write_object(
-        "fp0000", {"name": "t0-v2"}, {"c": make_entry({"v0", "v0b"})},
-        overwrite=True,
-    )
-    store.delete_object("fp0005")
-    store.write_profiles("aaaa1111", {"k": [0.25, 0.75]})
-    store.write_result("cafe0001", {"run": 1})
-    store.write_aux("corpus.json", {"tables": 6})
-
-
-class TestStoreEquivalence:
-    """The same store operations observe identical results over either
-    backend — only the physical representation differs."""
-
-    def test_logical_state_matches(self, tmp_path):
-        local = CatalogStore(str(tmp_path / "local"), backend="local")
-        seg = CatalogStore(str(tmp_path / "seg"), backend="segments")
-        build_store(local)
-        build_store(seg)
-        assert local.list_objects() == seg.list_objects()
-        for fp in local.list_objects():
-            assert local.read_object(fp) == seg.read_object(fp)
-        assert set(local.list_tombstones()) == set(seg.list_tombstones())
-        assert local.read_result("cafe0001") == seg.read_result("cafe0001")
-        assert local.read_aux("corpus.json") == seg.read_aux("corpus.json")
-        lp = local.read_profiles("aaaa1111")
-        sp = seg.read_profiles("aaaa1111")
-        assert list(lp) == list(sp)
-        assert lp["k"].tolist() == sp["k"].tolist()
-        assert local.verify()["problems"] == []
-        assert seg.verify()["problems"] == []
-
-    def test_catalog_over_segments_round_trips(self, tmp_path):
-        root = str(tmp_path / "cat")
-        corpus = [
-            Table(f"t{i}", {"k": [f"v{i}", f"w{i}"]}) for i in range(4)
-        ]
-        catalog = Catalog(
-            store=CatalogStore(root, backend="segments"),
-            num_perm=8,
-            bands=4,
-        )
-        catalog.refresh(corpus)
-        catalog.save()
-        # Reopen without the flag: the layout is auto-detected.
-        reopened = Catalog.load(root, corpus=corpus)
-        assert set(reopened.fingerprints) == {t.name for t in corpus}
-        assert reopened.verify()["problems"] == []
-
-
-class TestSegmentsBackend:
-    def test_garbage_accounting_and_compaction(self, tmp_path):
-        backend = SegmentsBackend(
-            str(tmp_path / "seg"),
-            compact_min_garbage=64,
-            compact_garbage_ratio=0.5,
-        )
-        path = os.path.join(backend.root, "blob.bin")
-        backend.write_bytes(path, b"x" * 100)
-        keep = os.path.join(backend.root, "keep.bin")
-        backend.write_bytes(keep, b"k" * 10)
-        # Overwriting strands the old 100 bytes; that crosses both the
-        # absolute floor and the ratio, so compaction runs.
-        backend.write_bytes(path, b"y" * 10)
-        assert backend.compactions >= 1
-        assert backend._load_index()["garbage"] == 0
-        assert backend.read_bytes(path) == b"y" * 10
-        assert backend.read_bytes(keep) == b"k" * 10
-        # Old segment files are actually gone from disk.
-        live = {e["seg"] for e in backend._load_index()["files"].values()}
-        on_disk = {
-            n for n in os.listdir(backend._seg_dir) if n.endswith(".seg")
-        }
-        assert on_disk <= live | {backend._load_index().get("active")}
-
-    def test_segment_rolls_at_size_threshold(self, tmp_path):
-        backend = SegmentsBackend(str(tmp_path / "seg"), segment_bytes=50)
-        for i in range(4):
-            backend.write_bytes(
-                os.path.join(backend.root, f"b{i}.bin"), b"z" * 40
-            )
-        segs = {e["seg"] for e in backend._load_index()["files"].values()}
-        assert len(segs) > 1  # 40-byte blobs cannot share a 50-byte segment
-
-    def test_sync_into_replica_reads_identically(self, tmp_path):
-        src = CatalogStore(str(tmp_path / "src"), backend="segments")
-        build_store(src)
-        report = src.backend.sync_into(str(tmp_path / "replica"))
-        assert report["copied"] == report["segments"] >= 1
-        replica = CatalogStore(str(tmp_path / "replica"))
-        assert replica.backend.name == "segments"
-        assert replica.list_objects() == src.list_objects()
-        for fp in src.list_objects():
-            assert replica.read_object(fp) == src.read_object(fp)
-        assert replica.verify()["problems"] == []
-        # Re-sync with nothing new: incremental, nothing copied.
-        assert src.backend.sync_into(str(tmp_path / "replica"))["copied"] == 0
-
-    def test_sync_into_self_refuses(self, tmp_path):
-        backend = SegmentsBackend(str(tmp_path / "seg"))
-        backend.write_bytes(os.path.join(backend.root, "a.bin"), b"x")
-        with pytest.raises(CatalogStoreError):
-            backend.sync_into(str(tmp_path / "seg"))
-
-    def test_path_outside_root_refused(self, tmp_path):
-        backend = SegmentsBackend(str(tmp_path / "seg"))
-        with pytest.raises(CatalogStoreError):
-            backend.write_bytes(str(tmp_path / "elsewhere.bin"), b"x")
-
-    def test_corrupt_index_surfaces_as_store_error(self, tmp_path):
-        backend = SegmentsBackend(str(tmp_path / "seg"))
-        backend.write_bytes(os.path.join(backend.root, "a.bin"), b"x")
-        with open(backend._index_path, "w") as handle:
-            handle.write("{ not json")
-        with pytest.raises(CatalogStoreError):
-            backend.read_bytes(os.path.join(backend.root, "a.bin"))
-
-
-class TestBackendSelection:
-    def test_auto_detects_segments_root(self, tmp_path):
-        root = str(tmp_path / "seg")
-        CatalogStore(root, backend="segments").write_object(
-            "fp1", {"name": "t"}, {"c": make_entry({"v"})}
-        )
-        reopened = CatalogStore(root)
-        assert reopened.backend.name == "segments"
-        assert reopened.has_object("fp1")
-
-    def test_defaults_to_local(self, tmp_path):
-        assert CatalogStore(str(tmp_path / "new")).backend.name == "local"
-
-    def test_unknown_name_raises(self, tmp_path):
-        with pytest.raises(CatalogStoreError):
-            CatalogStore(str(tmp_path / "x"), backend="s3")
-
+class TestBackendSeam:
     def test_instance_passthrough(self, tmp_path):
-        backend = SegmentsBackend(str(tmp_path / "seg"), segment_bytes=128)
-        assert backend_for(str(tmp_path / "seg"), backend) is backend
+        backend = LocalFSBackend(str(tmp_path / "cat"))
+        assert CatalogStore(backend.root, backend=backend).backend is backend
+
+    def test_a_backend_name_is_refused(self, tmp_path):
+        with pytest.raises(TypeError, match="'local'"):
+            CatalogStore(str(tmp_path / "cat"), backend="local")
 
     def test_local_layout_is_plain_files(self, tmp_path):
-        """The local backend stays byte-identical to the historical
-        layout: one real file per object, readable without the store."""
+        """One real file per object, readable without the store."""
         store = CatalogStore(str(tmp_path / "cat"))
         store.write_object("fp1", {"name": "t"}, {"c": make_entry({"v"})})
         path = store._object_path("fp1")

@@ -8,8 +8,7 @@
 * stray files in a shard directory are not objects;
 * degenerate lease / tombstone lifetimes are rejected at construction.
 
-Foreign and flat files are planted through ``store.backend.write_bytes``
-so the same bodies run over both backends.
+Foreign and flat files are planted through ``store.backend.write_bytes``.
 """
 
 import collections
@@ -22,10 +21,10 @@ import pytest
 
 from repro.api import DiscoveryEngine
 from repro.catalog import (
-    BACKENDS,
     Catalog,
     CatalogStore,
     CatalogStoreError,
+    LocalFSBackend,
     shard_of,
 )
 from repro.cli import main
@@ -34,11 +33,6 @@ from repro.dataframe.table import Table
 from tests.harness.entries import make_entry
 
 REBUILD = "repro catalog build"
-
-
-@pytest.fixture(params=["local", "segments"])
-def backend_name(request):
-    return request.param
 
 
 @pytest.fixture(params=[1, 2], ids=lambda v: f"v{v}")
@@ -58,10 +52,8 @@ def _portal(n_tables):
     ]
 
 
-def _build(root, backend_name, tables):
-    catalog = Catalog(
-        CatalogStore(root, backend=backend_name), num_perm=8, bands=4
-    )
+def _build(root, tables):
+    catalog = Catalog(CatalogStore(root), num_perm=8, bands=4)
     catalog.refresh(tables)
     catalog.save()
     return catalog
@@ -80,9 +72,9 @@ def _plant(store, relpath, data: bytes):
 class TestOldRootIsRefused:
     FLAT_OBJECT = "deadbeefdeadbeef-cafebabecafebabecafebabecafebabe"
 
-    def old_root(self, tmp_path, backend_name, version):
+    def old_root(self, tmp_path, version):
         root = str(tmp_path / "old")
-        store = CatalogStore(root, backend=backend_name)
+        store = CatalogStore(root)
         manifest = {
             "version": version,
             "config": {"num_perm": 8, "bands": 4},
@@ -97,9 +89,9 @@ class TestOldRootIsRefused:
         return root
 
     def test_library_entry_points_raise_the_typed_error(
-        self, tmp_path, backend_name, old_version
+        self, tmp_path, old_version
     ):
-        root = self.old_root(tmp_path, backend_name, old_version)
+        root = self.old_root(tmp_path, old_version)
         for opener in (
             lambda: Catalog.load(root),
             lambda: DiscoveryEngine.open(root, create=False),
@@ -112,18 +104,18 @@ class TestOldRootIsRefused:
             assert f"version {old_version}" in str(caught.value)
 
     def test_cli_stats_exits_nonzero_naming_the_command(
-        self, tmp_path, backend_name, old_version, capsys
+        self, tmp_path, old_version, capsys
     ):
-        root = self.old_root(tmp_path, backend_name, old_version)
+        root = self.old_root(tmp_path, old_version)
         assert main(["catalog", "stats", root]) != 0
         captured = capsys.readouterr()
         assert REBUILD in captured.err
         assert "Traceback" not in captured.err + captured.out
 
     def test_cli_build_refuses_rather_than_mixing_formats(
-        self, tmp_path, backend_name, old_version, capsys
+        self, tmp_path, old_version, capsys
     ):
-        root = self.old_root(tmp_path, backend_name, old_version)
+        root = self.old_root(tmp_path, old_version)
         store = CatalogStore(root)
         before = store.backend.read_bytes(store.manifest_path)
         assert main(["catalog", "build", root, "--tables", "4"]) != 0
@@ -161,12 +153,12 @@ def _same_candidates(got, want):
 
 
 class TestForeignFilesAreMissingObjects:
-    def damaged(self, tmp_path, backend_name, scenario):
+    def damaged(self, tmp_path, scenario):
         """A healthy store where one object exists only as ``.mmap`` and
         another only as ``.json``."""
         root = str(tmp_path / "cat")
         catalog = Catalog(
-            CatalogStore(root, backend=backend_name), min_containment=0.3, seed=0
+            CatalogStore(root), min_containment=0.3, seed=0
         )
         catalog.refresh(scenario.corpus)
         catalog.save()
@@ -179,8 +171,8 @@ class TestForeignFilesAreMissingObjects:
             store.backend.remove(path)
         return root, victims
 
-    def test_refresh_and_save_rederive_them(self, tmp_path, backend_name, scenario):
-        root, victims = self.damaged(tmp_path, backend_name, scenario)
+    def test_refresh_and_save_rederive_them(self, tmp_path, scenario):
+        root, victims = self.damaged(tmp_path, scenario)
         store = CatalogStore(root)
         assert not any(store.has_object(victim) for victim in victims)
         assert not set(victims) & set(store.list_objects())
@@ -200,9 +192,9 @@ class TestForeignFilesAreMissingObjects:
         assert healed.verify()["problems"] == []
 
     def test_without_live_tables_the_read_fails_typed(
-        self, tmp_path, backend_name, scenario
+        self, tmp_path, scenario
     ):
-        root, victims = self.damaged(tmp_path, backend_name, scenario)
+        root, victims = self.damaged(tmp_path, scenario)
         orphaned = Catalog.load(root)  # no corpus: nothing to re-derive from
         with pytest.raises(CatalogStoreError, match="missing or corrupt"):
             orphaned.corpus_stats()
@@ -213,11 +205,11 @@ class TestForeignFilesAreMissingObjects:
 # ----------------------------------------------------------------------
 # (c) I/O census
 # ----------------------------------------------------------------------
-def counting_backend(backend_name, root):
-    """``backend_name``'s backend over ``root``, counting ``exists``
-    probes and shard-manifest reads beneath ``objects/``."""
+def counting_backend(root):
+    """The backend over ``root``, counting ``exists`` probes and
+    shard-manifest reads beneath ``objects/``."""
 
-    class Counting(BACKENDS[backend_name]):
+    class Counting(LocalFSBackend):
         calls = collections.Counter()
 
         def _under_objects(self, path):
@@ -243,15 +235,15 @@ def counting_backend(backend_name, root):
 class TestObjectProbeCensus:
     N = 24
 
-    def test_cold_build_probes_each_object_once(self, tmp_path, backend_name):
-        spy = counting_backend(backend_name, str(tmp_path / "cat"))
+    def test_cold_build_probes_each_object_once(self, tmp_path):
+        spy = counting_backend(str(tmp_path / "cat"))
         catalog = Catalog(CatalogStore(spy.root, backend=spy), num_perm=8, bands=4)
         catalog.refresh(_portal(self.N))
         assert catalog.computed_columns == 2 * self.N
         assert spy.calls["exists"] == self.N  # 4 N with four representations
 
-    def test_has_object_miss_reads_no_shard_manifest(self, tmp_path, backend_name):
-        spy = counting_backend(backend_name, str(tmp_path / "cat"))
+    def test_has_object_miss_reads_no_shard_manifest(self, tmp_path):
+        spy = counting_backend(str(tmp_path / "cat"))
         store = CatalogStore(spy.root, backend=spy)
         store.write_object("aaaa0001", {}, {"c": make_entry({"a"})})
         spy.calls.clear()
@@ -288,10 +280,10 @@ class TestStrayFilesInShardDirectories:
     STRAYS = ("notes.json", "notes.bin", ".DS_Store", "manifest.json.bak")
 
     def test_strays_are_neither_listed_verified_nor_collected(
-        self, tmp_path, backend_name
+        self, tmp_path
     ):
         tables = _portal(6)
-        catalog = _build(str(tmp_path / "cat"), backend_name, tables)
+        catalog = _build(str(tmp_path / "cat"), tables)
         store = catalog.store
         objects = store.list_objects()
         # A shard that really holds an object — and is not, by the one
