@@ -13,8 +13,8 @@ refresher moves that work off the request path:
   cells, and only genuinely new objects are fingerprinted;
 - a **changed cycle** re-signs exactly the changed or new tables into
   the shared :class:`~repro.catalog.store.CatalogStore` (warm-starting
-  everything else from disk), drops removed ones (tombstone-safe, via
-  the store's deletion protocol), saves, and publishes a fresh
+  everything else from disk), drops removed ones (their objects are
+  reclaimed by the store's gc), saves, and publishes a fresh
   immutable :class:`CatalogSnapshot`;
 - an **unchanged cycle** republishes the previous snapshot object and
   touches nothing on disk — manifest and packed snapshot stay
@@ -302,10 +302,10 @@ class CatalogRefresher:
         if self.store is not None:
             catalog.save()
             if diff.removed:
-                # Removed tables' objects are reclaimed through the
-                # store's tombstone-first deletion protocol, so a
-                # concurrent writer (or a crash here) can never leave a
-                # half-deleted, unverifiable store.
+                # Removed tables' objects are reclaimed by gc, which
+                # un-records each before removing its file: a crash here
+                # leaves at most an unreferenced object the next gc
+                # reclaims, never an unverifiable store.
                 catalog.gc()
         snapshot = CatalogSnapshot(
             catalog=catalog,

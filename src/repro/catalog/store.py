@@ -54,29 +54,15 @@ base manifest, so a writer that dies between append and rename leaves a
 store that still reads back every completed update; the next writer
 finishes the compaction.
 
-Deletions are first-class and follow the same protocol through a
-per-shard *tombstone log* (the ``tombstones`` section of the shard
-manifest): :meth:`delete_object` first appends ``{del objects, set
-tombstone}`` as one atomic record pair — the deletion intent is durable
-before any file disappears, and either prefix of the pair still reads
-consistent — then removes the data files under the shard lock, then
-compacts.  A deleter killed mid-protocol leaves a
-store that still verifies: the tombstone records what was meant to go,
-and :meth:`sweep_tombstones` (run by :meth:`gc`, or any later writer's
-compaction) finishes the removal.  :meth:`write_object` clears any
-tombstone for its fingerprint in the same atomic append that records
-the object, so concurrent ``build``/``update``/``gc`` processes can add
-*and* remove in any interleaving without resurrecting deleted objects
-or dropping live ones — the shard lock linearizes file + manifest
-transitions per shard.  Tombstones are bookkeeping, not a read barrier:
-compaction prunes entries older than ``tombstone_ttl`` so the section
-stays bounded.
-
-Data files stay safe: objects are content-addressed and immutable, and
-every file lands via a unique temp file + rename (object file writes
-and removals additionally run under the shard lock, so a delete can
-never interleave between a concurrent writer's data file landing and
-its manifest record).
+Every file lands via a unique temp file + rename.  Object writes and
+deletions run under the shard lock, so file + record transitions are
+linearized per shard and concurrent ``build``/``update``/``gc``
+processes can add and remove in any interleaving.  A write lands the
+file, then records it; a deletion un-records, then removes the file.  A
+deleter killed in between leaves an intact file no record points at —
+an unreferenced, content-addressed object, exactly what the next
+:meth:`gc` reclaims (or a writer adopts: equal fingerprint, equal
+bytes) — never a record without its file.
 
 All physical I/O goes through one backend object
 (:class:`~repro.catalog.backend.LocalFSBackend` unless the caller
@@ -182,14 +168,6 @@ def register_store_metrics(registry):
             "repro_store_manifest_replays_total",
             "Shard manifest delta logs replayed by readers.",
         ),
-        "tombstone_sweeps": registry.counter(
-            "repro_store_tombstone_sweeps_total",
-            "Tombstone sweep passes over the object shards.",
-        ),
-        "tombstones_swept": registry.counter(
-            "repro_store_tombstones_swept_total",
-            "Orphaned data files removed by tombstone sweeps.",
-        ),
         "lease_acquires": registry.counter(
             "repro_store_lease_acquires_total",
             "Write-ownership leases acquired, by holder kind.",
@@ -271,10 +249,9 @@ class CatalogStore:
     never evicted).  ``None`` disables enforcement (evict on demand with
     :meth:`evict_profiles`).  ``result_budget_bytes`` does the same for
     the persisted run-record section (:meth:`write_result` /
-    :meth:`evict_results`).  ``tombstone_ttl`` bounds how long deletion
-    tombstones survive before compaction prunes them (seconds), and
-    ``clock_skew`` widens that horizon (and lease expiry) so writers
-    with drifting clocks cannot prune each other's fresh state early.
+    :meth:`evict_results`).  ``clock_skew`` widens lease expiry so a
+    collector whose clock runs ahead cannot expire a writer's lease
+    early.
 
     ``backend`` is the I/O object (``None``: a
     :class:`~repro.catalog.backend.LocalFSBackend` over ``root``).
@@ -286,18 +263,12 @@ class CatalogStore:
     LOG_NAME = "manifest.log"
     #: Advisory lock sidecar, one per locked directory.
     LOCK_NAME = ".lock"
-    #: Default retention of deletion tombstones (seconds): long enough
-    #: that any realistically concurrent writer has observed the
-    #: deletion, short enough that the section never grows with the
-    #: store's deletion history.
-    TOMBSTONE_TTL = 7 * 24 * 3600.0
 
     def __init__(
         self,
         root: str,
         profile_budget_bytes: int = None,
         result_budget_bytes: int = None,
-        tombstone_ttl: float = TOMBSTONE_TTL,
         clock_skew: float = 0.0,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         backend=None,
@@ -308,7 +279,6 @@ class CatalogStore:
                 "can no longer be disabled"
             )
         self.lease_ttl = _seconds("lease_ttl", lease_ttl, positive=True)
-        self.tombstone_ttl = _seconds("tombstone_ttl", tombstone_ttl)
         self.clock_skew = _seconds("clock_skew", clock_skew)
         self.root = str(root)
         if isinstance(backend, str):
@@ -330,14 +300,12 @@ class CatalogStore:
         #: Breakdown of the most recent :meth:`gc` pass on this instance
         #: (``removed`` / ``skipped_leased`` / ``skipped_live``).
         self.last_gc = {"removed": 0, "skipped_leased": 0, "skipped_live": 0}
-        #: Test seam: a callable invoked with a protocol point name
-        #: (``"shard-log-appended"``, ``"shard-manifest-compacted"``,
-        #: ``"object-files-removed"``) at the matching moment of every
-        #: shard-manifest update, and with ``"claims-published"`` between
-        #: :meth:`claim_objects`' lease write and its first existence
-        #: check.  Fault tests raise (or ``os._exit``)
-        #: from it to kill a writer mid-protocol; ``None`` (the default)
-        #: is free.
+        #: Test seam: called with a protocol point name at the matching
+        #: moment — ``"shard-log-appended"`` and ``"shard-manifest-compacted"``
+        #: in every shard-manifest update, ``"object-files-removed"`` in a
+        #: deletion, ``"claims-published"`` between :meth:`claim_objects`'
+        #: lease write and its first existence check.  Fault tests raise
+        #: (or ``os._exit``) from it to kill a writer mid-protocol.
         self.fault_hook = None
         #: Metric family handles (see :meth:`attach_metrics`); ``None``
         #: keeps every instrumentation site free.
@@ -349,7 +317,7 @@ class CatalogStore:
 
     def attach_metrics(self, registry) -> "CatalogStore":
         """Record store activity (reads/writes/bytes, lock waits,
-        manifest replays, tombstone sweeps) on ``registry``.  Families
+        manifest replays, leases, gc skips) on ``registry``.  Families
         are get-or-create, so attaching many stores to one registry
         aggregates them.  Returns ``self``."""
         self.obs = register_store_metrics(registry)
@@ -566,18 +534,16 @@ class CatalogStore:
 
         Append-then-atomic-rename under the shard's advisory file lock:
         all deltas are appended to ``manifest.log`` first (a *single*
-        ``O_APPEND`` write, so a multi-record update — e.g. ``{record
-        object, clear tombstone}`` — is visible to readers atomically
-        and survives a writer that dies before compaction), then the
-        full log is compacted into a freshly renamed ``manifest.json``
-        and cleared.  ``between``, when given, runs after the append and
-        before compaction, still under the lock — the deletion protocol
-        removes data files there, so the logged intent is durable before
-        any file disappears.  The lock serializes concurrent
-        read-modify-writes, so updates from different threads or
-        processes cannot drop each other.  Best-effort like all manifest
-        bookkeeping: an ``OSError`` leaves the directory itself as the
-        source of truth."""
+        ``O_APPEND`` write, so a multi-record update is visible to
+        readers atomically and survives a writer that dies before
+        compaction), then the full log is compacted into a freshly
+        renamed ``manifest.json`` and cleared.  ``between``, when given,
+        runs after the append and before compaction, still under the
+        lock — deletion removes the file there, once the un-record is
+        durable.  The lock serializes concurrent read-modify-writes, so
+        updates from different threads or processes cannot drop each
+        other.  Best-effort like all manifest bookkeeping: an ``OSError``
+        leaves the directory itself as the source of truth."""
         lines = bytearray()
         for section, op, key, value in ops:
             record = {"section": section, "op": op, "key": key}
@@ -594,7 +560,6 @@ class CatalogStore:
                 if between is not None:
                     between()
                 payload = self._read_shard_manifest(shard_dir)
-                self._prune_tombstones(payload)
                 self._write_json(
                     os.path.join(shard_dir, "manifest.json"), payload
                 )
@@ -602,38 +567,6 @@ class CatalogStore:
                 self._remove(self._shard_log_path(shard_dir))
         except OSError:
             pass
-
-    def _prune_tombstones(self, payload: dict) -> None:
-        """Drop expired (or malformed) tombstones from a manifest payload
-        about to be compacted — pruning happens only on the write path,
-        so readers never mutate what they replay.
-
-        Expiry is judged by *clamped age*: a tombstone stamped by a
-        writer whose clock runs ahead of ours has a negative age, which
-        must read as "fresh" — never as instantly prunable — and the
-        per-store ``clock_skew`` widens the horizon so a pruner with a
-        fast clock cannot drop another writer's tombstone early."""
-        tombstones = payload.get("tombstones")
-        if not isinstance(tombstones, dict):
-            if tombstones is not None:
-                payload.pop("tombstones", None)
-            return
-        now = _now()
-        horizon = self.tombstone_ttl + self.clock_skew
-
-        def _expired(ts: float) -> bool:
-            return max(0.0, now - float(ts)) > horizon
-
-        for key in [
-            key
-            for key, info in tombstones.items()
-            if not isinstance(info, dict)
-            or not isinstance(info.get("ts"), (int, float))
-            or _expired(info["ts"])
-        ]:
-            del tombstones[key]
-        if not tombstones:
-            payload.pop("tombstones", None)
 
     # ------------------------------------------------------------------
     # Shared LRU bookkeeping (profile groups and run records both keep
@@ -798,11 +731,11 @@ class CatalogStore:
         Claim, then verify: the ids are first published as the
         ``claims`` of this writer's lease file (one atomic write, merged
         with what the lease already claims), and only then is each
-        checked — present and not tombstoned — under its shard lock,
-        one lock and one manifest read per shard.  :meth:`gc` reads the
-        claims under that same lock before deleting, so either it went
-        first (the id comes back missing) or it sees the claim and
-        spares the object until :meth:`release_writer_lease`."""
+        checked for presence under its shard lock, one lock per shard.
+        :meth:`gc` reads the claims under that same lock before
+        deleting, so either it went first (the id comes back missing) or
+        it sees the claim and spares the object until
+        :meth:`release_writer_lease`."""
         wanted = set(fingerprints)
         if not wanted:
             return []
@@ -825,13 +758,7 @@ class CatalogStore:
         missing = []
         for shard_dir, group in by_shard.items():
             with self._dir_lock(shard_dir):
-                tombstones = self._read_shard_section(shard_dir, "tombstones")
-                missing.extend(
-                    fingerprint
-                    for fingerprint in group
-                    if fingerprint in tombstones
-                    or not self.has_object(fingerprint)
-                )
+                missing.extend(fp for fp in group if not self.has_object(fp))
         return missing
 
     def write_object(
@@ -842,13 +769,9 @@ class CatalogStore:
         content).  ``overwrite`` forces the write — used when healing a
         corrupt file with freshly recomputed content.
 
-        A tombstoned fingerprint is treated as absent even when a
-        crashed deleter left its file behind: the write proceeds and
-        clears the tombstone in the same atomic log append that records
-        the object, so a re-add after a half-finished deletion can never
-        be reaped by a later :meth:`sweep_tombstones`.  The data file
-        lands under the shard lock, linearizing the write against any
-        concurrent :meth:`delete_object` in the shard."""
+        The data file lands, and is then recorded, under the shard lock,
+        linearizing the write against any concurrent
+        :meth:`delete_object` in the shard."""
         if (
             not overwrite
             and self.has_object(fingerprint)
@@ -856,7 +779,7 @@ class CatalogStore:
         ):
             # Present already, and now claimed: this writer is about to
             # depend on it, so it owns it exactly as if it had written
-            # it.  (Gone or tombstoned under the lock: write it.)
+            # it.  (Gone under the lock: write it.)
             return
         # The record carries the writer's fencing token.
         record = {"codec": CODEC.version, "lease": self.writer_lease().token}
@@ -868,18 +791,8 @@ class CatalogStore:
             self.backend.write_bytes(path, blob)
             self._count("writes", "objects")
             self._count("write_bytes", "objects", len(blob))
-            # Tombstone clear *before* the object record: both land in
-            # one append, but if the filesystem tears it, every prefix
-            # is still consistent (a cleared tombstone with the object
-            # not yet recorded reads as a plain unlisted file; the
-            # reverse order could leave a fingerprint both recorded
-            # live and tombstoned).
-            self._apply_shard_ops(
-                shard_dir,
-                [
-                    ("tombstones", "del", fingerprint, None),
-                    ("objects", "set", fingerprint, record),
-                ],
+            self._update_shard_manifest(
+                shard_dir, "objects", "set", fingerprint, record
             )
 
     def _read_decoded(self, fingerprint: str, decode):
@@ -915,114 +828,37 @@ class CatalogStore:
         never materialize the value sets."""
         return self._read_decoded(fingerprint, CODEC.decode_meta)
 
-    def list_tombstones(self) -> dict:
-        """``{fingerprint: deletion timestamp}`` across all object shards."""
-        objects_dir = self._objects_dir()
-        if not self.backend.isdir(objects_dir):
-            return {}
-        out = {}
-        for name in sorted(self.backend.listdir(objects_dir)):
-            shard_dir = os.path.join(objects_dir, name)
-            if not self.backend.isdir(shard_dir):
-                continue
-            for key, info in self._read_shard_section(
-                shard_dir, "tombstones"
-            ).items():
-                if isinstance(info, dict) and isinstance(
-                    info.get("ts"), (int, float)
-                ):
-                    out[key] = float(info["ts"])
-        return out
-
     def delete_object(self, fingerprint: str) -> None:
-        """Durably delete one object (tombstone-first protocol).
+        """Delete one object: un-record, then remove the file.
 
-        The deletion intent — ``{del objects, set tombstone}`` as one
-        atomic log append — lands before any file is removed, all under
-        the shard lock.  A deleter killed at any point leaves a store
-        that verifies: either nothing happened yet, or the tombstone is
-        durable and :meth:`sweep_tombstones` finishes the file removal.
-        Concurrent writers in the shard are linearized by the lock, so
-        a racing :meth:`write_object` either completes before (and is
-        deleted) or after (clearing the tombstone, object lives)."""
+        Both happen under the shard lock, in that order, so a deleter
+        killed in between leaves an intact file no record points at —
+        it verifies, and the next :meth:`gc` reclaims it — never a
+        record without its file.  A concurrent :meth:`write_object` in
+        the shard lands either before (and is deleted) or after (and
+        lives)."""
         shard_dir = self._object_shard_dir(fingerprint)
         if not (
             self.has_object(fingerprint)
             or fingerprint in self._read_shard_section(shard_dir, "objects")
         ):
-            # Nothing recorded and no file: leave no tombstone
-            # behind (deleting the absent is a no-op, not an intent).
-            return
+            return  # nothing recorded and no file: leave the shard alone
 
         removed = []
 
-        def _remove_files():
+        def _remove_file():
             self._remove(self._object_path(fingerprint))
             removed.append(True)
             self._fault("object-files-removed")
 
-        # Un-record before tombstoning (one append; see write_object for
-        # why every prefix of the pair must read consistent).
         self._apply_shard_ops(
-            shard_dir,
-            [
-                ("objects", "del", fingerprint, None),
-                ("tombstones", "set", fingerprint, {"ts": _now()}),
-            ],
-            between=_remove_files,
+            shard_dir, [("objects", "del", fingerprint, None)], between=_remove_file
         )
         if not removed:
-            # The protocol's bookkeeping is best-effort (an unwritable
-            # log or lock swallows as OSError and skips ``between``) —
-            # but best-effort must stay confined to bookkeeping: the
-            # deletion itself still happens, like the pre-tombstone
-            # behavior.  An injected crash propagates out above, so this
-            # fallback never runs under fault tests.
+            # The bookkeeping is best-effort (an unwritable log or lock
+            # swallows as OSError and skips ``between``); the deletion
+            # is not.  An injected crash propagates out above instead.
             self._remove(self._object_path(fingerprint))
-
-    def sweep_tombstones(self) -> int:
-        """Finish deletions a crashed deleter left half-done.
-
-        For every tombstoned fingerprint whose shard manifest no longer
-        records an object, any surviving data file is removed (under the
-        shard lock, so a concurrent re-add — which clears the tombstone
-        atomically with its object record — can never be reaped).
-        Returns the number of files removed.  Expired tombstones are
-        pruned by every compaction; sweeping only reconciles files.
-        """
-        objects_dir = self._objects_dir()
-        if not self.backend.isdir(objects_dir):
-            return 0
-        removed = 0
-        for name in sorted(self.backend.listdir(objects_dir)):
-            shard_dir = os.path.join(objects_dir, name)
-            if not self.backend.isdir(shard_dir):
-                continue
-            if not self._read_shard_section(shard_dir, "tombstones"):
-                continue
-            try:
-                with self._dir_lock(shard_dir):
-                    # Re-read under the lock: a concurrent write may have
-                    # just cleared a tombstone we saw.
-                    payload = self._read_shard_manifest(shard_dir)
-                    tombstones = payload.get("tombstones")
-                    objects = payload.get("objects")
-                    if not isinstance(tombstones, dict):
-                        continue
-                    recorded = objects if isinstance(objects, dict) else {}
-                    for fingerprint in sorted(tombstones):
-                        if fingerprint in recorded:
-                            continue
-                        if self.has_object(fingerprint):
-                            self._remove(self._object_path(fingerprint))
-                            removed += 1
-            except OSError:
-                continue
-        if self.obs is not None:
-            self.obs["tombstone_sweeps"].inc()
-            if removed:
-                self.obs["tombstones_swept"].inc(removed)
-        return removed
 
     def list_objects(self) -> list:
         """Fingerprints of all stored table objects.
@@ -1069,11 +905,10 @@ class CatalogStore:
 
         Both checks happen under the same shard lock that
         :meth:`write_object` and :meth:`delete_object` take, so the
-        decision is linearized against every writer in the shard.
-
-        Also sweeps tombstones, finishing any deletion a crashed writer
-        left half-done.  Per-pass counts land in :attr:`last_gc` (and
-        the ``gc_skipped`` metric family when metrics are attached).
+        decision is linearized against every writer in the shard.  A
+        file a crashed deleter left behind is just another unreferenced
+        object here.  Per-pass counts land in :attr:`last_gc` (and the
+        ``gc_skipped`` metric family when metrics are attached).
         """
         live = set(live_fingerprints)
         removed = 0
@@ -1115,7 +950,6 @@ class CatalogStore:
                     removed += 1
         finally:
             self.leases.release(gc_lease)
-        self.sweep_tombstones()
         self.last_gc = {
             "removed": removed,
             "skipped_leased": skipped_leased,
@@ -1530,17 +1364,8 @@ class CatalogStore:
                 if not self.backend.isdir(shard_dir):
                     continue
                 recorded = self._read_shard_section(shard_dir, "objects")
-                tombstones = self._read_shard_section(shard_dir, "tombstones")
                 for fingerprint, value in sorted(recorded.items()):
                     version = _record_codec(value)
-                    if fingerprint in tombstones:
-                        # The write/delete protocols update both sections
-                        # in one atomic log append, so a fingerprint both
-                        # recorded live and tombstoned is corruption.
-                        problems.append(
-                            f"shard {name}: object {fingerprint!r} is both "
-                            "recorded live and tombstoned"
-                        )
                     if version != CODEC.version:
                         problems.append(
                             f"shard {name}: object {fingerprint!r} records "
@@ -1575,7 +1400,6 @@ class CatalogStore:
             "objects": len(objects),
             "profile_groups": len(groups),
             "run_records": len(results),
-            "tombstones": len(self.list_tombstones()),
             "problems": problems,
         }
 
@@ -1602,7 +1426,6 @@ class CatalogStore:
             "profile_bytes": self.profile_bytes(),
             "run_records": len(self.list_results()),
             "result_bytes": self.result_bytes(),
-            "tombstones": len(self.list_tombstones()),
             "leases": len(self.leases.active(reap=False)),
             "disk_bytes": self.backend.disk_bytes(),
             "config": manifest["config"],

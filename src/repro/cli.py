@@ -827,7 +827,6 @@ def _run_catalog_command(args) -> int:
         print(f"  profile bytes   {stats['profile_bytes']}B")
         print(f"  run records     {stats['run_records']}")
         print(f"  result bytes    {stats['result_bytes']}B")
-        print(f"  tombstones      {stats['tombstones']}")
         print(f"  disk            {stats['disk_bytes']}B")
         print(f"  config          {stats['config']}")
         return 0
@@ -949,8 +948,8 @@ def _cmd_catalog_watch(args) -> int:
     out-of-band ``catalog build``/``update`` that changed them is
     noticed, like an mtime watch on the parameter file), regenerates
     the synthetic corpus, and refreshes the catalog — changed or
-    removed tables are re-signed or tombstoned off any serving
-    engine's query path.
+    removed tables are re-signed or dropped off any serving engine's
+    query path.
     """
     import time
 

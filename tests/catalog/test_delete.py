@@ -1,18 +1,19 @@
-"""Tombstone-safe deletions: the store's first-class removal protocol.
+"""Deletion: un-record, then remove the file, under the shard lock.
 
-``delete_object`` appends ``{del objects, set tombstone}`` as one atomic
-log record pair *before* removing any file, all under the shard lock —
-so any interleaving of add/remove/compact deltas (threads, processes, or
-crashes at any protocol point) replays to the same live-object set, and
-the store verifies after every prefix of the log.
+``delete_object`` appends the ``objects`` ``del`` record before the
+file goes, so a deleter killed at any protocol point leaves either
+nothing done, or an intact file no record points at — an unreferenced
+object that verifies and that the next gc reclaims — never a record
+without its file.  Any interleaving of add/remove/compact deltas
+(threads, processes, crashes) replays to the same live-object set.
 """
 
+import json
 import os
 
 import pytest
 
 from repro.catalog import Catalog, CatalogStore
-from repro.catalog import store as store_module
 from repro.dataframe.table import Table
 from tests.harness.entries import make_entry, same_shard_fingerprints
 from tests.harness.faults import (
@@ -39,29 +40,33 @@ def write(store, fingerprint):
     )
 
 
+def recorded(store, fingerprint):
+    shard_dir = store._object_shard_dir(fingerprint)
+    return fingerprint in store._read_shard_section(shard_dir, "objects")
+
+
 class TestDeleteProtocol:
-    def test_delete_removes_and_tombstones(self, store):
+    def test_delete_removes_and_unrecords(self, store):
         fp = same_shard_fingerprints(1)[0]
         write(store, fp)
         store.delete_object(fp)
         assert not store.has_object(fp)
         assert store.list_objects() == []
-        assert fp in store.list_tombstones()
-        shard_dir = store._object_shard_dir(fp)
-        assert fp not in store._read_shard_section(shard_dir, "objects")
+        assert not recorded(store, fp)
         assert store.verify()["problems"] == []
 
-    def test_delete_of_absent_leaves_no_tombstone(self, store):
+    def test_delete_of_absent_is_a_no_op(self, store):
         store.delete_object("never-written")
-        assert store.list_tombstones() == {}
+        assert not os.path.exists(store._object_shard_dir("never-written"))
+        assert store.verify()["problems"] == []
 
-    def test_write_after_delete_clears_tombstone(self, store):
+    def test_write_after_delete(self, store):
         fp = same_shard_fingerprints(1)[0]
         write(store, fp)
         store.delete_object(fp)
         write(store, fp)
         assert store.has_object(fp)
-        assert fp not in store.list_tombstones()
+        assert recorded(store, fp)
         assert store.verify()["problems"] == []
 
     def test_delete_write_delete_converges(self, store):
@@ -75,11 +80,11 @@ class TestDeleteProtocol:
         assert store.verify()["problems"] == []
         write(store, fp)
         assert store.has_object(fp)
-        assert fp not in store.list_tombstones()
+        assert recorded(store, fp)
 
-    def test_files_removed_even_when_bookkeeping_fails(self, store, monkeypatch):
+    def test_file_removed_even_when_bookkeeping_fails(self, store, monkeypatch):
         """An unwritable log/lock degrades the *bookkeeping* (swallowed
-        OSError, no tombstone) — it must not veto the deletion itself."""
+        OSError) — it must not veto the deletion itself."""
         fp = same_shard_fingerprints(1)[0]
         write(store, fp)
 
@@ -90,128 +95,91 @@ class TestDeleteProtocol:
         store.delete_object(fp)
         assert not store.has_object(fp)
 
-    def test_tombstones_pruned_after_ttl(self, store, monkeypatch):
-        fp, other = same_shard_fingerprints(2)
-        write(store, fp)
-        store.delete_object(fp)
-        assert fp in store.list_tombstones()
-        # Advance the clock past the TTL; the next compaction in the
-        # shard prunes the expired tombstone.
-        real_now = store_module._now
-        monkeypatch.setattr(
-            store_module, "_now", lambda: real_now() + store.tombstone_ttl + 1
-        )
-        write(store, other)
-        assert fp not in store.list_tombstones()
-        assert store.verify()["problems"] == []
-
-
-class TestTombstonePruningClockSkew:
-    """Pruning judges tombstones by clamped age under a configurable
-    horizon — a lagging local clock or a peer's fast clock must never
-    prune a fresh tombstone early (the satellite regression)."""
-
-    def test_future_stamped_tombstone_is_fresh_not_ancient(
-        self, store, monkeypatch
-    ):
-        """A peer with a faster clock stamps a tombstone 'in the
-        future'; our clamped age reads 0 — fresh — so compactions keep
-        it until a full TTL elapses past the stamp."""
-        fp, other = same_shard_fingerprints(2)
-        write(store, fp)
-        real_now = store_module._now
-        # Stamp the deletion 1h ahead of our clock (the peer's clock).
-        monkeypatch.setattr(store_module, "_now", lambda: real_now() + 3600)
-        store.delete_object(fp)
-        # Back on our (lagging) clock, a compaction runs: the tombstone
-        # has negative raw age and must survive.
-        monkeypatch.setattr(store_module, "_now", real_now)
-        write(store, other)
-        assert fp in store.list_tombstones()
-        assert store.verify()["problems"] == []
-
-    def test_clock_skew_allowance_delays_pruning(self, tmp_path, monkeypatch):
-        """With ``clock_skew=S``, a tombstone aged past the TTL but
-        inside TTL+S survives — a pruner whose clock runs ahead by up
-        to S cannot drop another writer's fresh tombstone."""
-        store = CatalogStore(
-            str(tmp_path / "cat"), tombstone_ttl=100.0, clock_skew=50.0
-        )
-        fp, other, third = same_shard_fingerprints(3)
-        write(store, fp)
-        store.delete_object(fp)
-        real_now = store_module._now
-        monkeypatch.setattr(store_module, "_now", lambda: real_now() + 130)
-        write(store, other)  # ttl < age 130 < ttl + skew: kept
-        assert fp in store.list_tombstones()
-        monkeypatch.setattr(store_module, "_now", lambda: real_now() + 151)
-        write(store, third)  # past ttl + skew: pruned
-        assert fp not in store.list_tombstones()
-        assert store.verify()["problems"] == []
-
-    def test_tombstone_ttl_is_per_store_configurable(
-        self, tmp_path, monkeypatch
-    ):
-        store = CatalogStore(str(tmp_path / "cat"), tombstone_ttl=5.0)
-        fp, other = same_shard_fingerprints(2)
-        write(store, fp)
-        store.delete_object(fp)
-        real_now = store_module._now
-        monkeypatch.setattr(store_module, "_now", lambda: real_now() + 6)
-        write(store, other)
-        assert fp not in store.list_tombstones()
-
 
 class TestCrashedDeleter:
     def test_deleter_dies_before_file_removal(self, store):
-        """Killed after the tombstone append, before any file is gone:
-        the intent is durable, the file still reads, verify is clean,
-        and sweep finishes the removal."""
+        """Killed after the un-record, before the file goes: the file is
+        an intact, unreferenced object — the store verifies, and the
+        next gc reclaims it."""
         fp = same_shard_fingerprints(1)[0]
         write(store, fp)
         with crash_at(store, "shard-log-appended"):
             with pytest.raises(InjectedCrash):
                 store.delete_object(fp)
-        # Tombstone durable via log replay; object file untouched.
-        assert fp in store.list_tombstones()
         assert store.has_object(fp)
+        assert not recorded(store, fp)
         assert store.verify()["problems"] == []
-        swept = store.sweep_tombstones()
-        assert swept == 1
+        assert store.gc([]) == 1
         assert not store.has_object(fp)
         assert store.verify()["problems"] == []
 
     def test_deleter_dies_after_file_removal(self, store):
         """Killed between file removal and compaction: the log replays
-        the deletion, the next writer compacts."""
+        the un-record, the next writer compacts."""
         first, second = same_shard_fingerprints(2)
         write(store, first)
         with crash_at(store, "object-files-removed"):
             with pytest.raises(InjectedCrash):
                 store.delete_object(first)
         assert not store.has_object(first)
-        assert first in store.list_tombstones()
         assert store.verify()["problems"] == []
         write(store, second)  # compacts the shard
         assert not os.path.exists(
             store._shard_log_path(store._object_shard_dir(first))
         )
+        assert not recorded(store, first)
         assert store.verify()["problems"] == []
 
-    def test_write_after_crashed_delete_is_not_reaped(self, store):
-        """A re-add after a half-finished deletion clears the tombstone
-        atomically with its object record, so a later sweep must not
-        reap the fresh write."""
+    def test_write_after_crashed_delete_keeps_the_object(self, store):
+        """Re-adding the fingerprint a crashed deleter left on disk adopts
+        the file (equal fingerprint, equal bytes): the writer's claim
+        spares it from a peer's gc."""
         fp = same_shard_fingerprints(1)[0]
         write(store, fp)
         with crash_at(store, "shard-log-appended"):
             with pytest.raises(InjectedCrash):
                 store.delete_object(fp)
-        write(store, fp)  # tombstoned → treated absent → re-persists
-        assert store.sweep_tombstones() == 0
-        assert store.has_object(fp)
-        assert fp not in store.list_tombstones()
+        write(store, fp)
+        peer = CatalogStore(store.root)
+        assert peer.gc([]) == 0
+        assert peer.last_gc["skipped_leased"] == 1
+        assert store.read_object(fp)[0] == {"name": fp}
         assert store.verify()["problems"] == []
+
+
+class TestShardManifestsFromBeforeThisRelease:
+    """Layout-3 shard manifests written by the tombstone-log releases
+    still open: the leftover ``tombstones`` section is inert."""
+
+    def test_a_crashed_deleters_leftovers_are_adopted_then_reclaimed(
+        self, store
+    ):
+        fp, other = same_shard_fingerprints(2)
+        write(store, fp)
+        write(store, other)
+        store.release_writer_lease()
+        shard_dir = store._object_shard_dir(fp)
+        # What a deleter killed before file removal left: the object
+        # un-recorded and tombstoned, its file intact.
+        objects = store._read_shard_section(shard_dir, "objects")
+        del objects[fp]
+        with open(os.path.join(shard_dir, "manifest.json"), "w") as handle:
+            json.dump(
+                {"objects": objects, "tombstones": {fp: {"ts": 1.0}}}, handle
+            )
+
+        reopened = CatalogStore(store.root)
+        assert reopened.list_objects() == sorted([fp, other])
+        assert reopened.verify()["problems"] == []
+
+        builder = CatalogStore(store.root)
+        assert builder.claim_objects([fp]) == []
+        assert builder.read_object(fp)[0] == {"name": fp}
+        assert reopened.gc([other]) == 0  # claimed: spared
+        builder.release_writer_lease()
+        assert reopened.gc([other]) == 1
+        assert reopened.list_objects() == [other]
+        assert reopened.verify()["problems"] == []
 
 
 def _killed_deleter(root, fingerprint):
@@ -233,9 +201,8 @@ class TestProcessDeleters:
         fp = same_shard_fingerprints(1)[0]
         write(store, fp)
         run_killed(_killed_deleter, (store.root, fp))
-        assert fp in store.list_tombstones()
         assert store.verify()["problems"] == []
-        store.sweep_tombstones()
+        assert store.gc([]) == 1
         assert not store.has_object(fp)
         assert store.verify()["problems"] == []
 
@@ -246,7 +213,7 @@ class TestProcessDeleters:
         chunks = [fingerprints[i::4] for i in range(4)]
         run_ok([(_deleting_writer, (store.root, chunk)) for chunk in chunks])
         assert store.list_objects() == sorted(fingerprints)
-        assert store.list_tombstones() == {}
+        assert all(recorded(store, fp) for fp in fingerprints)
         assert store.verify()["problems"] == []
 
     def test_gc_races_builder(self, tmp_path):
@@ -257,8 +224,7 @@ class TestProcessDeleters:
         temporal, though: the gc may reclaim an object the builder wrote
         but had not yet saved a manifest reference to — the documented
         heal path (refresh against the live corpus recomputes and
-        re-persists, clearing the tombstone) must then restore a fully
-        verifying store."""
+        re-persists) must then restore a fully verifying store."""
         root = str(tmp_path / "cat")
 
         def _keepers():
@@ -316,16 +282,13 @@ def _ops():
     )
 
 
-class TestTombstoneProperties:
+class TestDeleteProperties:
     @settings(max_examples=40, deadline=None)
     @given(ops=_ops())
     def test_interleavings_replay_to_model_live_set(self, tmp_path_factory, ops):
         """Any sequence of add/remove/compact deltas leaves exactly the
-        model's live set, a clean verify, and no stray tombstone for a
-        live object."""
-        store = CatalogStore(
-            str(tmp_path_factory.mktemp("tomb") / "cat")
-        )
+        model's live set, recorded and on disk, and a clean verify."""
+        store = CatalogStore(str(tmp_path_factory.mktemp("del") / "cat"))
         model = set()
         for op, key in ops:
             if op == "add":
@@ -339,18 +302,18 @@ class TestTombstoneProperties:
                 # pass over whatever the log currently holds.
                 store.write_profiles("compactor", {"k": [1.0]})
         assert set(store.list_objects()) == model
-        tombstones = set(store.list_tombstones())
-        assert tombstones.isdisjoint(model)
+        shard_dir = store._object_shard_dir(_KEYS[0])
+        assert set(store._read_shard_section(shard_dir, "objects")) == model
         assert store.verify()["problems"] == []
 
     @settings(max_examples=15, deadline=None)
     @given(ops=_ops())
     def test_every_log_prefix_verifies(self, tmp_path_factory, ops):
         """Replay the same delta sequence as raw log records: after
-        every prefix the shard reads back a consistent section pair
-        (no fingerprint both live and tombstoned) and the full store
-        verifies — the crash guarantee at every possible cut point."""
-        store = CatalogStore(str(tmp_path_factory.mktemp("tomb") / "cat"))
+        every prefix the shard reads back exactly the records applied so
+        far and the full store verifies — the crash guarantee at every
+        possible cut point, torn tail or not."""
+        store = CatalogStore(str(tmp_path_factory.mktemp("del") / "cat"))
         # Materialize every fingerprint once so files exist, then build
         # a pure log-replay scenario over them.
         for key in _KEYS:
@@ -359,30 +322,22 @@ class TestTombstoneProperties:
         records = []
         for op, key in ops:
             if op == "add":
-                # The writer protocol's record order: tombstone clear,
-                # then object record — every prefix stays consistent.
-                records.append(
-                    {"section": "tombstones", "op": "del", "key": key}
-                )
                 records.append(
                     {"section": "objects", "op": "set", "key": key, "value": 2}
                 )
             elif op == "remove":
                 records.append({"section": "objects", "op": "del", "key": key})
-                records.append(
-                    {
-                        "section": "tombstones",
-                        "op": "set",
-                        "key": key,
-                        "value": {"ts": 0.0},
-                    }
-                )
         log_path = store._shard_log_path(shard_dir)
         for prefix in range(len(records) + 1):
+            expected = set(_KEYS)
+            for record in records[:prefix]:
+                if record["op"] == "set":
+                    expected.add(record["key"])
+                else:
+                    expected.discard(record["key"])
             torn_log(log_path, records[:prefix])
             objects = store._read_shard_section(shard_dir, "objects")
-            tombstones = store._read_shard_section(shard_dir, "tombstones")
-            assert set(objects).isdisjoint(set(tombstones))
+            assert set(objects) == expected
             assert store.verify()["problems"] == []
             # A torn tail on top of the prefix must not change the
             # replayed state either.

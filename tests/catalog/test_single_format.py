@@ -6,7 +6,8 @@
   the table is re-derived from the live corpus like a gc'd one;
 * ``has_object`` is one ``exists`` probe and reads no shard manifest;
 * stray files in a shard directory are not objects;
-* degenerate lease / tombstone lifetimes are rejected at construction.
+* degenerate lease lifetimes and clock skews are rejected at
+  construction.
 
 Foreign and flat files are planted through ``store.backend.write_bytes``.
 """
@@ -14,7 +15,6 @@ Foreign and flat files are planted through ``store.backend.write_bytes``.
 import collections
 import json
 import os
-import time
 
 import numpy as np
 import pytest
@@ -256,7 +256,7 @@ class TestObjectProbeCensus:
 # (d) verify() keeps its shard-record checks
 # ----------------------------------------------------------------------
 class TestVerifyShardRecords:
-    def test_flags_foreign_codec_and_live_tombstoned_records(self, tmp_path):
+    def test_flags_foreign_codec_and_missing_file_records(self, tmp_path):
         store = CatalogStore(str(tmp_path / "cat"))
         store.write_object("aaaa0001", {}, {"c": make_entry({"a"})})
         assert store.verify()["problems"] == []
@@ -265,12 +265,12 @@ class TestVerifyShardRecords:
             shard_dir,
             [
                 ("objects", "set", "aaaa0001", {"codec": 3, "lease": 1}),
-                ("tombstones", "set", "aaaa0001", {"ts": time.time()}),
+                ("objects", "set", "bbbb0002", {"codec": 2, "lease": 1}),
             ],
         )
         problems = "\n".join(store.verify()["problems"])
         assert "unknown codec version 3" in problems
-        assert "both recorded live and tombstoned" in problems
+        assert "references missing object 'bbbb0002'" in problems
 
 
 # ----------------------------------------------------------------------
@@ -329,21 +329,16 @@ class TestLifetimesAreValidated:
         else:
             assert repr(lease_ttl) in str(caught.value)
 
-    @pytest.mark.parametrize("name", ["clock_skew", "tombstone_ttl"])
     @pytest.mark.parametrize(
         "value", [-1, float("nan"), float("inf"), None], ids=repr
     )
-    def test_degenerate_skew_and_tombstone_ttl_rejected(self, tmp_path, name, value):
-        with pytest.raises(ValueError, match=name):
-            CatalogStore(str(tmp_path / "cat"), **{name: value})
+    def test_degenerate_skew_rejected(self, tmp_path, value):
+        with pytest.raises(ValueError, match="clock_skew"):
+            CatalogStore(str(tmp_path / "cat"), clock_skew=value)
 
-    def test_zero_skew_and_tombstone_ttl_allowed(self, tmp_path):
-        store = CatalogStore(
-            str(tmp_path / "cat"), clock_skew=0, tombstone_ttl=0, lease_ttl=0.5
-        )
-        assert (store.clock_skew, store.tombstone_ttl, store.lease_ttl) == (
-            0.0, 0.0, 0.5,
-        )
+    def test_zero_skew_allowed(self, tmp_path):
+        store = CatalogStore(str(tmp_path / "cat"), clock_skew=0, lease_ttl=0.5)
+        assert (store.clock_skew, store.lease_ttl) == (0.0, 0.5)
 
     def test_unsaved_writes_survive_a_peer_gc(self, tmp_path):
         """The schedule a zero TTL used to lose: three written-but-unsaved

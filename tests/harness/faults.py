@@ -3,8 +3,8 @@
 The catalog store (and everything layered on it — the catalog facade,
 the background refresher, the persistent result tier) claims crash
 safety at specific protocol points: a writer killed between its log
-append and manifest compaction, a deleter killed between its tombstone
-append and file removal, a torn log tail from a writer killed
+append and manifest compaction, a deleter killed between its un-record
+and file removal, a torn log tail from a writer killed
 mid-append.  These helpers express all three fault shapes once:
 
 ``crash_at(store, point)``
