@@ -50,6 +50,7 @@ expired-before-it-began.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import uuid
@@ -251,6 +252,14 @@ class LeaseManager:
                     _read_claims(payload.get("claims")),
                 )
             except (OSError, ValueError, KeyError, TypeError):
+                continue
+            if not (
+                math.isfinite(lease.acquired)
+                and math.isfinite(lease.ttl)
+                and lease.ttl > 0
+            ):
+                # Malformed like a bad token: a NaN or infinite stamp
+                # never compares as expired and would pin objects forever.
                 continue
             if self._expired(lease, now):
                 if reap:

@@ -368,6 +368,29 @@ class TestHostileLeaseFiles:
         assert store.gc([]) == 0
         assert store.last_gc["skipped_leased"] == 1
 
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            {"acquired": 0, "ttl": float("nan")},
+            {"acquired": 0, "ttl": float("inf")},
+            {"acquired": float("nan"), "ttl": 600.0},
+            {"acquired": float("inf"), "ttl": 600.0},
+        ],
+        ids=["ttl-nan", "ttl-inf", "acquired-nan", "acquired-inf"],
+    )
+    def test_non_finite_stamps_pin_nothing(self, tmp_path, stamp):
+        """Decades after acquisition, a lease whose stamp never compares
+        as expired is malformed, not forever active."""
+        store = CatalogStore(str(tmp_path / "cat"))
+        store.write_object("garbage0", {"name": "t"}, {"c": make_entry({"v"})})
+        store.release_writer_lease()
+        self.plant(
+            store, "writer-1-hostile.json", self.lease(claims=["garbage0"], **stamp)
+        )
+        assert store.leases.active_holds() == (set(), set())
+        assert store.gc([]) == 1
+        assert store.verify()["problems"] == []
+
     def test_a_megabyte_of_junk(self, tmp_path):
         store = CatalogStore(str(tmp_path / "cat"))
         store.write_object("garbage0", {"name": "t"}, {"c": make_entry({"v"})})
