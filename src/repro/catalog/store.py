@@ -102,6 +102,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 import os
 import threading
 import time
@@ -222,6 +223,19 @@ def _seconds(name: str, value, positive: bool = False) -> float:
     return seconds
 
 
+def _byte_budget(name: str, value, optional: bool = True):
+    """``value`` as a byte budget: an int ``>= 0`` (``bool`` is not a
+    byte count), or ``None`` when ``optional``.  Anything else is a
+    ``ValueError`` naming the argument — a negative or NaN budget would
+    evict every entry."""
+    if (value is None and optional) or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+    ):
+        return value
+    allowed = "None or an int >= 0" if optional else "an int >= 0"
+    raise ValueError(f"{name} must be {allowed}, got {value!r}")
+
+
 def _record_codec(value):
     """Codec version from an objects-section record: the
     ``{"codec", "lease"}`` dict this store writes, or the plain int
@@ -284,8 +298,8 @@ class CatalogStore:
         if isinstance(backend, str):
             raise TypeError(f"backend must be a backend instance, not the name {backend!r}")
         self.backend = LocalFSBackend(self.root) if backend is None else backend
-        self.profile_budget_bytes = profile_budget_bytes
-        self.result_budget_bytes = result_budget_bytes
+        self.profile_budget_bytes = _byte_budget("profile_budget_bytes", profile_budget_bytes)
+        self.result_budget_bytes = _byte_budget("result_budget_bytes", result_budget_bytes)
         #: Write-ownership leases: gc consults the active set before
         #: reclaiming anything unreferenced.
         self.leases = LeaseManager(
@@ -640,6 +654,7 @@ class CatalogStore:
     def _evict_lru(inventory, budget_bytes: int, keep, delete):
         """Evict least-recently-touched entries until the section fits
         ``budget_bytes``; returns ``(evicted, freed_bytes)``."""
+        _byte_budget("budget_bytes", budget_bytes, optional=False)
         total = sum(size for _t, _k, size in inventory)
         evicted = 0
         freed = 0

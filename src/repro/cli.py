@@ -110,6 +110,17 @@ def _warn(message: str) -> None:
     _log.warning(message)
 
 
+def _byte_count(text: str) -> int:
+    """argparse type for a byte budget: an integer ``>= 0``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -341,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("dir", help="catalog directory")
     gc.add_argument(
         "--profile-budget",
-        type=int,
+        type=_byte_count,
         default=None,
         metavar="BYTES",
         help="evict least-recently-used cached profile groups until the "
@@ -349,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gc.add_argument(
         "--result-budget",
-        type=int,
+        type=_byte_count,
         default=None,
         metavar="BYTES",
         help="evict least-recently-used persisted run records until the "

@@ -444,6 +444,37 @@ class TestProfileEviction:
         assert store.list_profile_groups() == []
 
 
+class TestBudgetValidation:
+    """A negative, NaN or fractional budget used to evict every entry
+    (``evict_profiles(-1)`` dropped 3 of 3 groups); it is refused."""
+
+    @pytest.mark.parametrize("name", ["profile_budget_bytes", "result_budget_bytes"])
+    @pytest.mark.parametrize(
+        "value", [-5, -1, float("nan"), 1.5, True, "10"], ids=repr
+    )
+    def test_bad_store_budget_rejected(self, tmp_path, name, value):
+        with pytest.raises(ValueError, match=name):
+            CatalogStore(str(tmp_path / "cat"), **{name: value})
+
+    def test_none_and_zero_budgets_allowed(self, tmp_path):
+        store = CatalogStore(
+            str(tmp_path / "cat"), profile_budget_bytes=0, result_budget_bytes=None
+        )
+        assert (store.profile_budget_bytes, store.result_budget_bytes) == (0, None)
+
+    @pytest.mark.parametrize("evict", ["evict_profiles", "evict_results"])
+    @pytest.mark.parametrize("budget", [-1, float("nan"), None], ids=repr)
+    def test_bad_eviction_budget_evicts_nothing(self, tmp_path, evict, budget):
+        store = CatalogStore(str(tmp_path / "cat"))
+        for i in range(3):
+            store.write_profiles(f"g{i}", {"k": np.array([1.0])})
+            store.write_result(f"r{i}", {"i": i})
+        with pytest.raises(ValueError, match="budget_bytes"):
+            getattr(store, evict)(budget)
+        assert len(store.list_profile_groups()) == 3
+        assert len(store.list_results()) == 3
+
+
 def _group_bytes(store, base_fingerprint):
     return os.path.getsize(store._profile_path(base_fingerprint))
 

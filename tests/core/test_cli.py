@@ -381,6 +381,17 @@ class TestGcResultBudget:
         assert "evicted 3 run records" in out
         assert store.list_results() == []
 
+    @pytest.mark.parametrize("flag", ["--profile-budget", "--result-budget"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "1.5"])
+    def test_a_budget_that_is_not_a_byte_count_is_a_usage_error(
+        self, capsys, tmp_path, flag, value
+    ):
+        path = str(tmp_path / "cat")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["catalog", "gc", path, flag, value])
+        assert excinfo.value.code == 2
+        assert "expected an integer >= 0" in capsys.readouterr().err
+
 
 class TestRunStalenessBudget:
     def test_staleness_budget_validated(self, capsys):
