@@ -86,10 +86,12 @@ def _object_writer(root, fingerprints):
 
 
 def _catalog_builder(root, tables):
+    """Add one slice and save.  Added, not refreshed: a refresh against
+    the slice would remove whatever the other process saved before this
+    one opened the store."""
     catalog = Catalog.open(root, num_perm=8, bands=4)
-    catalog.refresh(
-        [Table(name, {"c": values}) for name, values in tables.items()]
-    )
+    for name, values in tables.items():
+        catalog.add(Table(name, {"c": values}))
     catalog.save()
 
 
