@@ -251,7 +251,9 @@ class LeaseManager:
                     payload["ttl"], payload.get("kind", "writer"),
                     _read_claims(payload.get("claims")),
                 )
-            except (OSError, ValueError, KeyError, TypeError):
+            except (OSError, ValueError, KeyError, TypeError, OverflowError):
+                # OverflowError: an infinite token, or an integer stamp
+                # too large for a float.
                 continue
             if not (
                 math.isfinite(lease.acquired)

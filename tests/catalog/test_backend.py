@@ -52,6 +52,16 @@ class TestBackendContract:
             handle.write(b"chunk2")
         assert backend.read_bytes(path) == b"chunk1chunk2"
 
+    def test_failed_write_stream_keeps_the_old_blob(self, backend):
+        path = os.path.join(backend.root, "big.npz")
+        backend.write_bytes(path, b"old")
+        with pytest.raises(RuntimeError):
+            with backend.write_stream(path) as handle:
+                handle.write(b"half")
+                raise RuntimeError("writer died mid-stream")
+        assert backend.read_bytes(path) == b"old"
+        assert backend.listdir(backend.root) == ["big.npz"]  # no temp left
+
     def test_remove_and_missing_errors(self, backend):
         path = os.path.join(backend.root, "gone.bin")
         backend.write_bytes(path, b"x")

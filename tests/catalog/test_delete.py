@@ -82,6 +82,28 @@ class TestDeleteProtocol:
         assert store.has_object(fp)
         assert recorded(store, fp)
 
+    def test_delete_spares_shard_neighbours(self, store):
+        first, second, third = same_shard_fingerprints(3)
+        for fp in (first, second, third):
+            write(store, fp)
+        store.delete_object(second)
+        assert store.list_objects() == sorted([first, third])
+        assert recorded(store, first) and recorded(store, third)
+        assert store.read_object(third)[0] == {"name": third}
+        assert store.verify()["problems"] == []
+
+    def test_a_deleted_object_is_claimed_missing(self, store):
+        """Adoption checks only that the file exists, so a builder that
+        adopts a deleted object learns it must rewrite it."""
+        fp = same_shard_fingerprints(1)[0]
+        write(store, fp)
+        store.delete_object(fp)
+        builder = CatalogStore(store.root)
+        assert builder.claim_objects([fp]) == [fp]
+        write(builder, fp)
+        assert builder.claim_objects([fp]) == []
+        assert store.verify()["problems"] == []
+
     def test_file_removed_even_when_bookkeeping_fails(self, store, monkeypatch):
         """An unwritable log/lock degrades the *bookkeeping* (swallowed
         OSError) — it must not veto the deletion itself."""

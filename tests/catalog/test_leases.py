@@ -375,8 +375,9 @@ class TestHostileLeaseFiles:
             {"acquired": 0, "ttl": float("inf")},
             {"acquired": float("nan"), "ttl": 600.0},
             {"acquired": float("inf"), "ttl": 600.0},
+            {"acquired": float("-inf"), "ttl": 600.0},
         ],
-        ids=["ttl-nan", "ttl-inf", "acquired-nan", "acquired-inf"],
+        ids=["ttl-nan", "ttl-inf", "acquired-nan", "acquired-inf", "acquired--inf"],
     )
     def test_non_finite_stamps_pin_nothing(self, tmp_path, stamp):
         """Decades after acquisition, a lease whose stamp never compares
@@ -386,6 +387,41 @@ class TestHostileLeaseFiles:
         store.release_writer_lease()
         self.plant(
             store, "writer-1-hostile.json", self.lease(claims=["garbage0"], **stamp)
+        )
+        assert store.leases.active_holds() == (set(), set())
+        assert store.gc([]) == 1
+        assert store.verify()["problems"] == []
+
+    @pytest.mark.parametrize("ttl", [0, -600.0], ids=["zero", "negative"])
+    def test_non_positive_ttl_pins_nothing(self, tmp_path, ttl):
+        """Stamped in the future, a lease with no lifetime still reads as
+        malformed rather than fresh."""
+        store = CatalogStore(str(tmp_path / "cat"), clock_skew=3600.0)
+        store.write_object("garbage0", {"name": "t"}, {"c": make_entry({"v"})})
+        store.release_writer_lease()
+        self.plant(
+            store, "writer-1-hostile.json", self.lease(claims=["garbage0"], ttl=ttl)
+        )
+        assert store.leases.active_holds() == (set(), set())
+        assert store.gc([]) == 1
+        assert store.verify()["problems"] == []
+
+    @pytest.mark.parametrize(
+        "field, literal",
+        [("token", "Infinity"), ("ttl", "1" + "0" * 400), ("acquired", "1" + "0" * 400)],
+        ids=["token-inf", "ttl-huge-int", "acquired-huge-int"],
+    )
+    def test_numbers_that_overflow_are_malformed(self, tmp_path, field, literal):
+        """``int(inf)`` and ``float(10**400)`` raise ``OverflowError``,
+        which used to escape gc."""
+        store = CatalogStore(str(tmp_path / "cat"))
+        store.write_object("garbage0", {"name": "t"}, {"c": make_entry({"v"})})
+        store.release_writer_lease()
+        fields = self.lease(claims=["garbage0"])
+        fields[field] = "@"
+        self.plant(
+            store, "writer-1-hostile.json",
+            json.dumps(fields).replace('"@"', literal),
         )
         assert store.leases.active_holds() == (set(), set())
         assert store.gc([]) == 1
