@@ -1,7 +1,7 @@
 """reprolint — invariant-aware static analysis for this codebase.
 
 The checkers encode the contracts the concurrent catalog/engine stack
-depends on (lock ordering, the StoreBackend VFS boundary, atomic-write
+depends on (lock ordering, the catalog backend boundary, atomic-write
 durability, metrics hygiene); the driver runs them over the source
 tree with inline suppressions and a ratchet-down baseline.  Entry
 points: :func:`repro.analysis.driver.lint_paths` programmatically, or

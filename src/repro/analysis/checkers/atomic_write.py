@@ -2,9 +2,9 @@
 
 The store's crash-safety story rests on two write shapes: *atomic
 replace* (write a temp file, ``os.replace`` over the target — what
-``StoreBackend.write_bytes`` does) and *atomic append* (``O_APPEND``
-single-write — ``StoreBackend.append_bytes``).  Durable files —
-manifests, ``index.json``, snapshots, tombstone logs, the lease
+``LocalFSBackend.write_bytes`` does) and *atomic append* (``O_APPEND``
+single-write — ``LocalFSBackend.append_bytes``).  Durable files —
+manifests and their delta logs, snapshots, lease files and the lease
 sequence counter — must only ever be produced by one of those shapes;
 a plain ``open(path, "w")`` can tear on crash and leave a reader with
 half a manifest.
@@ -35,9 +35,7 @@ from repro.analysis.core import (
 #: are caught.
 DURABLE_MARKERS = (
     "manifest",
-    "index.json",
     "snapshot",
-    "tombstone",
     ".seq",
     "lease",
 )
@@ -50,7 +48,7 @@ class AtomicWriteChecker(Checker):
     name = "atomic-write"
     description = (
         "direct (non-atomic) writes to durable files "
-        "(manifest/index.json/snapshot/tombstone/lease paths) — use "
+        "(manifest/snapshot/lease paths) — use "
         "the write-then-rename or O_APPEND helpers"
     )
 

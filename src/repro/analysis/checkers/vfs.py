@@ -1,13 +1,13 @@
-"""Backend-VFS enforcement for ``repro.catalog``.
+"""Backend-boundary enforcement for ``repro.catalog``.
 
-PR 7 routed every byte the catalog store reads or writes through the
-:class:`~repro.catalog.backend.StoreBackend` interface so that the
-``segments`` backend (and future remote backends) see *all* traffic.
-That invariant only survives if no new code quietly calls ``open``/
-``os.*``/``pathlib``/``tempfile``/``shutil`` inside ``repro.catalog``
-— this checker bans raw filesystem I/O everywhere in the package
-except ``backend.py`` itself, which is the one module allowed to touch
-the real filesystem.
+Every byte the catalog store reads or writes goes through its backend,
+:class:`~repro.catalog.backend.LocalFSBackend` — the seam
+``CatalogStore(root, backend=...)`` exposes, where test doubles count
+I/O and a remote backend would plug in.  That only holds while no new
+code quietly calls ``open``/``os.*``/``pathlib``/``tempfile``/``shutil``
+inside ``repro.catalog``, so this checker bans raw filesystem I/O
+everywhere in the package except ``backend.py`` itself, the one module
+allowed to touch the real filesystem.
 
 Pure path arithmetic (``os.path.*``, ``os.sep``) and non-I/O ``os``
 helpers (``os.getpid``, ``os.environ``, ``os._exit``) are fine.
@@ -32,9 +32,9 @@ from repro.analysis.core import (
 _SCOPE_PREFIX = "repro.catalog"
 _EXEMPT_MODULES = {"repro.catalog.backend"}
 
-# Method names unique to pathlib's I/O surface.  Names the StoreBackend
-# interface shares (read_bytes, write_bytes, remove, ...) are left out:
-# calls on a backend are exactly what this checker steers code toward.
+# Method names unique to pathlib's I/O surface.  Names the backend
+# shares (read_bytes, write_bytes, remove, ...) are left out: calls on a
+# backend are exactly what this checker steers code toward.
 _PATHLIB_IO_METHODS = {
     "write_text",
     "read_text",
@@ -50,7 +50,7 @@ class CatalogVfsChecker(Checker):
     description = (
         "raw open/os/pathlib/tempfile/shutil I/O inside repro.catalog "
         "outside backend.py (all store I/O must go through the "
-        "StoreBackend VFS)"
+        "store's backend)"
     )
 
     def check_file(self, ctx: FileContext) -> List[Finding]:
@@ -71,7 +71,7 @@ class CatalogVfsChecker(Checker):
                         node,
                         f"raw filesystem I/O ({reason}) in "
                         f"{ctx.module}; route it through the "
-                        "StoreBackend VFS (backend.py)",
+                        "store's backend (backend.py)",
                     )
                 )
         return findings

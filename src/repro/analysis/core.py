@@ -3,7 +3,7 @@ registry, and inline suppressions.
 
 reprolint is an AST-based lint pass for *this* codebase's invariants —
 the conventions the concurrent catalog/engine stack relies on but no
-generic tool enforces (lock ordering, the StoreBackend VFS boundary,
+generic tool enforces (lock ordering, the catalog backend boundary,
 atomic-rename durability, metrics hygiene).  Checkers are small classes
 registered by name; the driver (:mod:`repro.analysis.driver`) parses
 files in parallel, runs every checker, and applies suppressions and the

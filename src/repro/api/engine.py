@@ -32,6 +32,9 @@ addressed keys, so repeated requests warm-start across processes and
 survive restarts.  Submitting an identical cacheable request while one
 is already in flight *reserves* its cache slot: the follower waits for
 the owner and replays the recorded run instead of searching twice.
+Independently of that cache, runs on the same base table and built-in
+task share one fit of the base utility ``u(Din)`` (the base-utility
+memo); each run is still charged the query.
 
 A :class:`~repro.catalog.CatalogRefresher` can be attached
 (:meth:`attach_refresher`): the engine then swaps the refresher's
@@ -49,6 +52,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 import weakref
 from dataclasses import replace
+from functools import partial
 
 from repro.api.events import (
     AugmentationAccepted,
@@ -92,7 +96,7 @@ from repro.obs.logcfg import get_logger, log_context
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.tracing import Tracer, mark, span
 from repro.profiles.registry import default_registry
-from repro.tasks.base import Task
+from repro.tasks.base import Task, content_key
 from repro.utils.locks import KeyedMutex
 from repro.utils.lru import LruDict
 
@@ -128,6 +132,8 @@ class DiscoveryEngine:
         many (base, spec, seed) combinations, and each set holds every
         candidate's materialized values — without a bound the cache
         grows with the request history instead of the working set.
+        The same bound caps the base-utility memo (one float per
+        base table and task).
     max_workers:
         Size of the bounded worker pool behind :meth:`submit` (created
         lazily on the first submit; :meth:`shutdown` drains it).
@@ -218,6 +224,10 @@ class DiscoveryEngine:
         self._prepare_keys = KeyedMutex()  # one lock per prepare key
         self.max_prepared_sets = max_prepared_sets
         self._prepared = prepared  # prepare key -> candidates (LRU-bounded)
+        #: ``u(Din)`` by (base-table content, task content key), shared by
+        #: every run: the unaugmented table is the base itself, so no
+        #: corpus, catalog or registry change can move the value.
+        self._base_utilities = LruDict(capacity=max_prepared_sets)
         self.max_workers = max_workers
         self._executor = None
         if result_cache_bytes:
@@ -310,6 +320,13 @@ class DiscoveryEngine:
         )
         for event in ("hit", "miss"):
             self._m_prepare_cache.labels(event=event)
+        self._m_base_utility = registry.counter(
+            "repro_engine_base_utility_events_total",
+            "Base-utility memo activity (a hit skips one task fit).",
+            labels=("event",),
+        )
+        for event in ("hit", "miss"):
+            self._m_base_utility.labels(event=event)
         self._m_queue_depth = registry.gauge(
             "repro_engine_submit_queue_depth",
             "Submitted runs accepted but not yet executing.",
@@ -1361,6 +1378,30 @@ class DiscoveryEngine:
             )
         return request.task
 
+    def _base_utility_key(self, query_engine):
+        """Memo key of the run's ``u(Din)``: (base-table content, task
+        content key), or ``None`` when the task has no content key."""
+        task_key = content_key(getattr(query_engine, "task", None))
+        base = getattr(query_engine, "base", None)
+        if task_key is None or not isinstance(base, Table):
+            return None
+        return (self._fingerprint_table(base), task_key)
+
+    def _memo_base_utility(self, key, compute) -> float:
+        """Get-or-compute one base utility.  The fit runs outside the
+        lock, so two racing misses both compute — the same value, by the
+        task determinism contract.  A fit that raises stores nothing."""
+        with self._lock:
+            value = self._base_utilities.get(key)
+        if value is not None:
+            self._m_base_utility.labels(event="hit").inc()
+            return value
+        self._m_base_utility.labels(event="miss").inc()
+        value = float(compute())
+        with self._lock:
+            self._base_utilities.put(key, value)
+        return value
+
     def _attach_hooks(
         self, searcher, emit, cancel: CancellationToken, rounds_box
     ):
@@ -1371,10 +1412,29 @@ class DiscoveryEngine:
         the returned restore callable puts the prior observers back —
         a searcher instance reused across runs must not keep emitting
         into a finished run's event list through a stale closure.
+
+        For a task with a content key, ``evaluate`` serves the base
+        utility from the engine-wide memo; the query is still charged,
+        so budgets, traces and events are those of a fresh engine.
         """
         restores = []
         query_engine = getattr(searcher, "engine", None)
         if query_engine is not None:
+            memo_key = self._base_utility_key(query_engine)
+            if memo_key is not None:
+                prior_evaluate = getattr(query_engine, "evaluate", None)
+
+                def evaluate(aug_ids, compute):
+                    if prior_evaluate is not None:
+                        compute = partial(prior_evaluate, aug_ids, compute)
+                    if aug_ids:
+                        return compute()
+                    return self._memo_base_utility(memo_key, compute)
+
+                query_engine.evaluate = evaluate
+                restores.append(
+                    lambda: setattr(query_engine, "evaluate", prior_evaluate)
+                )
             prior_pre = query_engine.pre_query
             prior_query = query_engine.on_query
             prior_accept = query_engine.on_accept
@@ -1517,6 +1577,8 @@ class DiscoveryEngine:
         result_misses = int(self._m_result_cache.labels(event="miss").value)
         prepare_hits = int(self._m_prepare_cache.labels(event="hit").value)
         prepare_misses = int(self._m_prepare_cache.labels(event="miss").value)
+        base_hits = int(self._m_base_utility.labels(event="hit").value)
+        base_misses = int(self._m_base_utility.labels(event="miss").value)
         with self._lock:
             out = {
                 "runs_started": self.runs_started,
@@ -1539,6 +1601,8 @@ class DiscoveryEngine:
                     if prepare_hits + prepare_misses
                     else 0.0
                 ),
+                "base_utility_hits": base_hits,
+                "base_utility_misses": base_misses,
                 "result_cache_hits": result_hits,
                 "result_cache_misses": result_misses,
                 "result_cache_hit_rate": (

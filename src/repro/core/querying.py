@@ -38,7 +38,7 @@ class QueryEngine:
 
     Hooks
     -----
-    Observers (the serving API's event stream) may set three optional
+    Observers (the serving API's event stream) may set four optional
     callables on an instance; all default to ``None`` and, when unset,
     the engine behaves exactly as before:
 
@@ -51,11 +51,17 @@ class QueryEngine:
     ``on_accept(aug_id, utility, n_selected)``
         Called by :class:`~repro.core.monotonic.MonotoneState` whenever
         the certified solution grows.
+    ``evaluate(aug_ids, compute)``
+        Called on each *charged* query in place of the task fit.
+        ``compute()`` runs the fit; the hook returns its value, or the
+        value an earlier fit of the same table returned (the serving
+        engine's base-utility memo).  The query is charged either way.
     """
 
     pre_query = None
     on_query = None
     on_accept = None
+    evaluate = None
 
     def __init__(self, task, base: Table, corpus: dict, candidates, budget=None):
         self.task = task
@@ -102,7 +108,14 @@ class QueryEngine:
             raise QueryBudgetExhausted(
                 f"query budget of {self.budget} exhausted"
             )
-        value = float(self.task.utility(self._build_table(key)))
+        if self.evaluate is None:
+            value = float(self.task.utility(self._build_table(key)))
+        else:
+            value = float(
+                self.evaluate(
+                    key, lambda: self.task.utility(self._build_table(key))
+                )
+            )
         self.queries += 1
         self._cache[key] = value
         self._best = max(self._best, value)

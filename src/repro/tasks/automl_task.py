@@ -7,7 +7,7 @@ from repro.ml.automl import MiniAutoML
 from repro.ml.metrics import accuracy
 from repro.ml.model_selection import train_test_split
 from repro.ml.preprocessing import LabelEncoder, prepare_features
-from repro.tasks.base import Task
+from repro.tasks.base import Task, checked_columns
 
 
 class AutoMLTask(Task):
@@ -26,7 +26,7 @@ class AutoMLTask(Task):
         seed: int = 0,
     ):
         self.target_column = target_column
-        self.exclude_columns = set(exclude_columns)
+        self.exclude_columns = set(checked_columns("exclude_columns", exclude_columns))
         self.budget = budget
         self.test_fraction = test_fraction
         self.seed = seed

@@ -51,11 +51,77 @@ def canonical_column(column_name: str) -> str:
     return column_name.split("#")[-1]
 
 
+def checked_columns(argument: str, value) -> tuple:
+    """``value`` — a collection of column names — as a tuple, in order.
+
+    A bare string is refused rather than iterated: ``"zipcode"`` would
+    otherwise become the seven one-letter columns ``z``, ``i``, ``p``…
+    and silently exclude nothing.  ``argument`` names the constructor
+    argument in the ``ValueError``.
+    """
+    if isinstance(value, (str, bytes)):
+        raise ValueError(
+            f"{argument} must be a collection of column names, not a "
+            f"{type(value).__name__}; write [{value!r}] for one column"
+        )
+    try:
+        names = tuple(value)
+    except TypeError:
+        raise ValueError(
+            f"{argument} must be a collection of column names, got "
+            f"{type(value).__name__}"
+        ) from None
+    for name in names:
+        if not isinstance(name, str):
+            raise ValueError(
+                f"{argument} must hold column names (str), got {name!r}"
+            )
+    return names
+
+
+_PLAIN = (str, int, float, bool, type(None))
+
+
+def content_key(task):
+    """A hashable key that two tasks share only if they compute the same
+    utility, or ``None`` when the task has no such key.
+
+    Only a library task class used as-is qualifies (``type(task)`` is
+    defined under ``repro.tasks.``; a subclass lives in its user's
+    module), and only while every instance attribute is plain —
+    ``str``/``int``/``float``/``bool``/``None``, or a tuple, list, set or
+    frozenset of those.  Values enter the key by ``repr``, which keeps
+    ``1``, ``1.0``, ``True``, ``"1"`` and ``-0.0`` apart where ``==``
+    would merge them; sets enter sorted.  The key is read fresh on every
+    call, so a task mutated between requests gets a new one.
+    """
+    cls = type(task)
+    if not cls.__module__.startswith("repro.tasks."):
+        return None
+    items = []
+    for name, value in sorted(vars(task).items()):
+        if isinstance(value, _PLAIN):
+            encoded = repr(value)
+        elif isinstance(value, (tuple, list, set, frozenset)):
+            if not all(isinstance(item, _PLAIN) for item in value):
+                return None
+            reprs = [repr(item) for item in value]
+            if isinstance(value, (set, frozenset)):
+                reprs.sort()
+            encoded = (type(value).__name__, tuple(reprs))
+        else:
+            return None
+        items.append((name, encoded))
+    return (f"{cls.__module__}.{cls.__qualname__}", tuple(items))
+
+
 class Task:
     """A downstream task with a utility function in [0, 1] (Definition 5).
 
     Implementations must be deterministic given the same input table —
-    METAM's query cache and trace reproducibility rely on it.  The paper's
+    METAM's query cache and trace reproducibility rely on it, and so does
+    the serving engine's base-utility memo, which reuses ``u(Din)``
+    across requests for tasks with a :func:`content_key`.  The paper's
     guidance applies: the utility need not be monotonic; METAM's
     monotonicity-certification wrapper handles regressions.
     """

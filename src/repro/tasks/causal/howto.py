@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.dataframe.table import Table
 from repro.ml.preprocessing import Imputer
-from repro.tasks.base import Task, canonical_column
+from repro.tasks.base import Task, canonical_column, checked_columns
 from repro.tasks.causal.discovery import dependent_columns
 
 
@@ -28,12 +28,13 @@ class HowToTask(Task):
         alpha: float = 0.05,
         max_cond: int = 1,
     ):
+        truth_causes = checked_columns("truth_causes", truth_causes)
         if not truth_causes:
             raise ValueError("truth_causes must be a non-empty collection")
         self.outcome_column = outcome_column
         self.truth_causes = set(truth_causes)
-        self.base_columns = tuple(base_columns)
-        self.exclude_columns = set(exclude_columns)
+        self.base_columns = checked_columns("base_columns", base_columns)
+        self.exclude_columns = set(checked_columns("exclude_columns", exclude_columns))
         self.alpha = alpha
         self.max_cond = max_cond
 

@@ -6,7 +6,7 @@ from repro.dataframe.table import Table
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.metrics import accuracy, f1_score
 from repro.ml.preprocessing import LabelEncoder, prepare_features
-from repro.tasks.base import Task, split_features
+from repro.tasks.base import Task, checked_columns, split_features
 from repro.utils.validation import check_in_choices
 
 
@@ -38,7 +38,7 @@ class ClassificationTask(Task):
         check_in_choices(metric, "metric", {"accuracy", "f1"})
         self.target_column = target_column
         self.metric = metric
-        self.exclude_columns = set(exclude_columns)
+        self.exclude_columns = set(checked_columns("exclude_columns", exclude_columns))
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.test_fraction = test_fraction

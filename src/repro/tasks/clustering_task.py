@@ -8,7 +8,7 @@ from repro.dataframe.table import Table
 from repro.dataframe.types import to_float_array
 from repro.ml.kmeans import KMeans
 from repro.ml.preprocessing import Imputer
-from repro.tasks.base import Task
+from repro.tasks.base import Task, checked_columns
 
 
 class ClusteringTask(Task):
@@ -33,7 +33,7 @@ class ClusteringTask(Task):
     ):
         self.score_column = score_column
         self.n_clusters = n_clusters
-        self.exclude_columns = set(exclude_columns)
+        self.exclude_columns = set(checked_columns("exclude_columns", exclude_columns))
         self.seed = seed
 
     def utility(self, table: Table) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.dataframe.table import Table
 from repro.dataframe.types import is_missing
-from repro.tasks.base import Task
+from repro.tasks.base import Task, checked_columns
 
 
 class KnowledgeBase:
@@ -60,7 +60,9 @@ class EntityLinkingTask(Task):
         self.mention_column = mention_column
         self.truth_column = truth_column
         self.kb = knowledge_base
-        self.exclude_columns = set(exclude_columns) | {truth_column}
+        self.exclude_columns = set(
+            checked_columns("exclude_columns", exclude_columns)
+        ) | {truth_column}
 
     def _link_row(self, mention, context_cells) -> str:
         candidates = self.kb.candidates(mention)

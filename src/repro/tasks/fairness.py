@@ -7,7 +7,7 @@ from repro.ml.forest import RandomForestClassifier
 from repro.ml.metrics import f1_score
 from repro.ml.model_selection import train_test_split
 from repro.ml.preprocessing import Imputer, LabelEncoder
-from repro.tasks.base import Task
+from repro.tasks.base import Task, checked_columns
 from repro.utils.stats import pearson
 
 
@@ -39,7 +39,7 @@ class FairClassificationTask(Task):
         self.target_column = target_column
         self.sensitive_column = sensitive_column
         self.fairness_threshold = fairness_threshold
-        self.exclude_columns = set(exclude_columns)
+        self.exclude_columns = set(checked_columns("exclude_columns", exclude_columns))
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.test_fraction = test_fraction

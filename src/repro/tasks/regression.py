@@ -10,7 +10,7 @@ from repro.ml.forest import RandomForestRegressor
 from repro.ml.metrics import mean_absolute_error
 from repro.ml.model_selection import train_test_split
 from repro.ml.preprocessing import prepare_features
-from repro.tasks.base import Task
+from repro.tasks.base import Task, checked_columns
 
 
 class RegressionTask(Task):
@@ -38,7 +38,7 @@ class RegressionTask(Task):
         seed: int = 0,
     ):
         self.target_column = target_column
-        self.exclude_columns = set(exclude_columns)
+        self.exclude_columns = set(checked_columns("exclude_columns", exclude_columns))
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.test_fraction = test_fraction

@@ -408,8 +408,8 @@ class TestAtomicWrite:
             {
                 "mod.py": (
                     "import os\n"
-                    "def save(tombstone_log):\n"
-                    "    return os.open(tombstone_log, os.O_WRONLY)\n"
+                    "def save(lease_path):\n"
+                    "    return os.open(lease_path, os.O_WRONLY)\n"
                 )
             },
             checks=["atomic-write"],

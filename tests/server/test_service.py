@@ -235,6 +235,29 @@ class TestLifecycle:
         assert status["error"]["code"] == "internal"
         assert "exploded" in status["error"]["message"]
 
+    def test_string_exclude_columns_fails_like_an_unknown_task_option(self, harness):
+        """A bare string used to be split into one-letter columns and
+        served a different result; now the run fails with the task's
+        ``ValueError``, exactly as an unknown task option fails it."""
+        sid = harness.session()
+
+        def serve(task_options):
+            payload = harness.payload()
+            payload["task"] = "regression"
+            payload["task_options"] = task_options
+            run = harness.service.submit(sid, payload)
+            return harness.wait_terminal(run["run_id"])
+
+        unknown = serve({"target_column": "rent", "bogus": 1})
+        string = serve({"target_column": "rent", "exclude_columns": "zipcode"})
+        listed = serve({"target_column": "rent", "exclude_columns": ["zipcode"]})
+        for status in (unknown, string):
+            assert status["state"] == "failed"
+            assert status["error"]["code"] == "internal"
+        assert unknown["error"]["message"].startswith("TypeError:")
+        assert string["error"]["message"].startswith("ValueError: exclude_columns")
+        assert listed["state"] == "completed"
+
     def test_unknown_run_ids(self, harness):
         with pytest.raises(NotFound):
             harness.service.status("run-424242")
