@@ -4,6 +4,13 @@ Distance between augmentations is the Chebyshev (max-coordinate) distance
 over profile vectors, per the paper's d(P1,P2) = max_i d(r1_i, r2_i).
 Centers are added greedily (Gonzalez) until every augmentation lies within
 ε of its center.
+
+Distances are taken profile-major: over a contiguous ``(p, n)`` transpose,
+``np.maximum.reduce(..., axis=0)`` folds ``p`` whole rows of ``n``
+coordinate gaps instead of running a length-``p`` max per augmentation.
+``abs`` and ``max`` round nothing and a NaN wins either way, so every
+distance — and with it every center and assignment — is exactly the
+row-major one (``tests/core/reference_clustering.py`` holds it).
 """
 
 from __future__ import annotations
@@ -99,10 +106,11 @@ def cluster_partition(vectors: np.ndarray, epsilon: float, seed=None) -> Cluster
         raise ValueError(f"vectors must be finite; row {row} is {vectors[row]}")
     rng = ensure_rng(seed)
     n = len(vectors)
+    columns = np.ascontiguousarray(vectors.T)
 
     centers = [int(rng.integers(0, n))]
     # dist_to_center[i] = Chebyshev distance from i to its nearest center.
-    dist = np.max(np.abs(vectors - vectors[centers[0]]), axis=1)
+    dist = np.maximum.reduce(np.abs(columns - columns[:, centers[0], None]), axis=0)
     assignment = np.zeros(n, dtype=int)
 
     while True:
@@ -110,7 +118,7 @@ def cluster_partition(vectors: np.ndarray, epsilon: float, seed=None) -> Cluster
         if dist[farthest] <= epsilon:
             break
         centers.append(farthest)
-        new_dist = np.max(np.abs(vectors - vectors[farthest]), axis=1)
+        new_dist = np.maximum.reduce(np.abs(columns - columns[:, farthest, None]), axis=0)
         closer = new_dist < dist
         assignment[closer] = len(centers) - 1
         dist = np.where(closer, new_dist, dist)

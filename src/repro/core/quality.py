@@ -13,6 +13,13 @@ Both scores live in length-``n`` arrays.  A query outcome touches one
 cluster, so only that cluster's utility scores are recomputed; the
 profile scores change only when the weights are refit.  Choosing the
 next query is then one masked arg-max.
+
+The refit is ``RidgeRegression.fit`` (``tests/core/reference_quality.py``
+calls it) without the wrappers: the same operands in the same operation
+order — ``np.var``'s and ``np.mean``'s ``np.add.reduce`` then divide, the
+centred gram plus ``alpha * I``, one ``np.linalg.solve`` — over fit arrays
+kept in first-observation order.  A last-ulp change to a weight changes
+which candidate is queried next, so none of it may be reassociated.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from types import MappingProxyType
 import numpy as np
 
 from repro.core.clustering import Clusters
-from repro.ml.linear import RidgeRegression
+from repro.utils.validation import check_non_negative
 
 
 class QualityScorer:
@@ -41,11 +48,16 @@ class QualityScorer:
                 f"profile_matrix must be 2-D, got shape {self.profiles.shape}"
             )
         self.clusters = clusters
-        self.ridge_alpha = ridge_alpha
+        self.ridge_alpha = check_non_negative(ridge_alpha, "ridge_alpha")
         self.min_fit_samples = min_fit_samples
         n, n_profiles = self.profiles.shape
-        self._gains = {}  # index -> gain, in first-observation order
-        self.observed_gains = MappingProxyType(self._gains)
+        self._columns = np.ascontiguousarray(self.profiles.T)  # profile-major
+        self._alpha_eye = ridge_alpha * np.eye(n_profiles)
+        # The ridge fit's rows: row r is the r-th distinct index observed
+        # and its latest gain.
+        self._row_of = {}
+        self._fit_rows = np.zeros(n, dtype=np.intp)
+        self._fit_y = np.zeros(n)
         self._observed = np.zeros(n, dtype=bool)
         self._gain = np.zeros(n)
         self._utility = np.zeros(n)
@@ -66,6 +78,14 @@ class QualityScorer:
         # rounds differently from ``profiles[i] @ weights`` in the last ulp.
         self._profile_score = np.matmul(self.profiles[:, None, :], weights)[:, 0]
         self._quality = self._profile_score + self._utility
+
+    @property
+    def observed_gains(self):
+        """Read-only ``{index: latest gain}`` in first-observation order."""
+        k = len(self._row_of)
+        return MappingProxyType(
+            dict(zip(self._fit_rows[:k].tolist(), self._fit_y[:k].tolist(), strict=True))
+        )
 
     @property
     def qualities(self) -> np.ndarray:
@@ -99,7 +119,11 @@ class QualityScorer:
         # A re-queried index keeps its place in the fit order and has its
         # gain overwritten — possibly downward, which is why the cluster is
         # rescored from its observed members, never max-updated.
-        self._gains[index] = self._gain[index] = float(gain)
+        row = self._row_of.get(index)
+        if row is None:
+            row = self._row_of[index] = len(self._row_of)
+            self._fit_rows[row] = index
+        self._fit_y[row] = self._gain[index] = float(gain)
         self._observed[index] = True
         self._rescore_cluster(self.clusters.cluster_of(index))
 
@@ -115,10 +139,12 @@ class QualityScorer:
         if cluster_id in self._propagation_disabled or not seen.size:
             best = 0.0
         else:
-            vectors = self.profiles
-            distance = np.abs(
-                vectors[members][:, None, :] - vectors[seen][None, :, :]
-            ).max(axis=2)
+            # Chebyshev distances reduced over the leading profile axis
+            # (see ``clustering``: the same values as a per-pair max).
+            columns = self._columns
+            distance = np.maximum.reduce(
+                np.abs(columns[:, members, None] - columns[:, None, seen]), axis=0
+            )
             with np.errstate(invalid="ignore"):  # 0 * inf is a skipped NaN
                 attenuated = (1.0 - distance) * self._gain[seen]
             # fmax skips NaN products and ``> 0`` keeps the floor at +0.0,
@@ -136,15 +162,20 @@ class QualityScorer:
         with gains is simply uninformative for ranking (its low values do
         not make an augmentation *better*).
         """
-        if len(self._gains) < self.min_fit_samples:
+        k = len(self._row_of)
+        if k < self.min_fit_samples:
             return
-        x = self.profiles[list(self._gains)]
-        y = np.array(list(self._gains.values()))
-        if float(np.var(y)) < 1e-12:
+        y = self._fit_y[:k]
+        # np.var(y) and y.mean(): one pairwise sum, then a divide.
+        y_mean = np.add.reduce(y) / k
+        yc = y - y_mean
+        if np.add.reduce(yc * yc) / k < 1e-12:
             return
-        model = RidgeRegression(alpha=self.ridge_alpha).fit(x, y)
-        raw = np.maximum(model.coef_, 0.0)
-        total = raw.sum()
+        x = self.profiles[self._fit_rows[:k]]
+        xc = x - np.add.reduce(x, axis=0) / k  # x.mean(axis=0)
+        coef = np.linalg.solve(xc.T @ xc + self._alpha_eye, xc.T @ yc)
+        raw = np.maximum(coef, 0.0)
+        total = np.add.reduce(raw)  # raw.sum()
         if total <= 0:
             # No profile explains the gains; keep the uniform prior.
             n = len(self.weights)

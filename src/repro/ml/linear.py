@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.validation import check_non_negative
+
 
 class RidgeRegression:
     """L2-regularized least squares, solved in closed form."""
 
     def __init__(self, alpha: float = 1.0, fit_intercept: bool = True):
-        if alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
-        self.alpha = alpha
+        self.alpha = check_non_negative(alpha, "alpha")
         self.fit_intercept = fit_intercept
         self.coef_ = None
         self.intercept_ = 0.0

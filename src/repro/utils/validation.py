@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import numbers
+
 
 def check_fraction(value: float, name: str) -> float:
     """Validate that ``value`` lies in [0, 1]."""
@@ -19,10 +22,17 @@ def check_positive(value, name: str):
 
 
 def check_non_negative(value, name: str):
-    """Validate that ``value`` is >= 0."""
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
+    """Validate that ``value`` is a finite real number >= 0 (``bool`` is
+    not a number here; NaN passes every ``< 0`` test, so it is refused
+    by name, as is inf)."""
+    if (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value >= 0
+    ):
+        return value
+    raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def check_in_choices(value, name: str, choices):

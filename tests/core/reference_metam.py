@@ -1,6 +1,7 @@
 """Executable spec of ``repro.core.metam``: the set-rebuilding round loop it
 replaced, kept verbatim below this paragraph except that it drives the
-retained ``reference_quality`` / ``reference_bandit`` oracles and carries
+retained ``reference_quality`` / ``reference_bandit`` /
+``reference_clustering`` oracles and carries
 the anytime fix (marked in ``_run_round``).
 ``test_search_diff.py`` holds ``Metam.run`` to it bit for bit (result, trace,
 extras and the generator's final state); nothing in ``src/`` imports it.
@@ -21,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from tests.core.reference_bandit import ThompsonGroupSelector
-from repro.core.clustering import cluster_partition, singleton_clusters
+from tests.core.reference_clustering import cluster_partition
+from repro.core.clustering import singleton_clusters
 from repro.core.config import MetamConfig
 from repro.core.homogeneity import check_cluster_homogeneity
 from repro.core.minimality import identify_minimal

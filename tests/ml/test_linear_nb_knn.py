@@ -42,6 +42,23 @@ class TestRidge:
         with pytest.raises(ValueError):
             RidgeRegression(alpha=-1.0)
 
+    @pytest.mark.parametrize(
+        "alpha", [float("nan"), float("inf"), -float("inf"), -1e-300, True, False,
+                  "1.0", None, 1 + 0j, np.float64("nan")],
+    )
+    def test_unusable_alpha_rejected_by_name(self, alpha):
+        # NaN used to pass ``alpha < 0`` and fit NaN coefficients; inf
+        # built a NaN gram.
+        with pytest.raises(ValueError, match="alpha must be a finite number >= 0"):
+            RidgeRegression(alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [0, 0.0, 2, 1e-9, np.float64(3.0), np.int64(1)])
+    def test_finite_non_negative_alpha_accepted(self, alpha):
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        model = RidgeRegression(alpha=alpha).fit(x, np.array([1.0, 2.0, 3.5]))
+        assert model.alpha == alpha
+        assert np.isfinite(model.coef_).all()
+
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):
             RidgeRegression().predict(np.zeros((1, 1)))

@@ -82,8 +82,10 @@ class TestValidation:
 
     def test_non_negative(self):
         assert check_non_negative(0, "x") == 0
-        with pytest.raises(ValueError):
-            check_non_negative(-1, "x")
+        assert check_non_negative(2.5, "x") == 2.5
+        for bad in (-1, float("nan"), float("inf"), True, "1", None):
+            with pytest.raises(ValueError, match="x must be a finite number >= 0"):
+                check_non_negative(bad, "x")
 
     def test_choices(self):
         assert check_in_choices("a", "x", {"a", "b"}) == "a"
