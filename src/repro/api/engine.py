@@ -24,14 +24,12 @@ so N callers can serve requests against one warm engine concurrently
 ``submit`` is the non-blocking variant: it queues the request on a
 bounded worker pool and returns a
 :class:`~repro.api.futures.DiscoveryFuture` immediately.  An optional
-result cache (``result_cache_bytes``) serves repeated identical requests
-from their recorded runs without re-searching; with
-``persist_results=True`` (and a store-backed catalog) completed run
-records additionally spill into the catalog store under content-
-addressed keys, so repeated requests warm-start across processes and
-survive restarts.  Submitting an identical cacheable request while one
-is already in flight *reserves* its cache slot: the follower waits for
-the owner and replays the recorded run instead of searching twice.
+in-memory result cache (``result_cache_bytes``) serves repeated
+identical requests from their recorded runs without re-searching; it
+lives as long as the engine, and the catalog store never holds run
+records.  Submitting an identical cacheable request while one is
+already in flight *reserves* its cache slot: the follower waits for the
+owner and replays the recorded run instead of searching twice.
 Independently of that cache, runs on the same base table and built-in
 task share one fit of the base utility ``u(Din)`` (the base-utility
 memo); each run is still charged the query.
@@ -76,13 +74,7 @@ from repro.api.run import DiscoveryRun
 from repro.catalog import Catalog
 from repro.catalog.refresh import register_refresher_metrics
 from repro.catalog.store import register_store_metrics
-from repro.catalog.fingerprint import (
-    config_fingerprint,
-    corpus_fingerprint,
-    registry_fingerprint,
-    result_key,
-    table_fingerprint,
-)
+from repro.catalog.fingerprint import registry_fingerprint, table_fingerprint
 from repro.dataframe.table import Table, normalize_corpus
 from repro.discovery.candidates import (
     Candidate,
@@ -143,20 +135,8 @@ class DiscoveryEngine:
         disables it.  Cached runs are exact replays — the recorded
         result, events, and timings — keyed by a canonical request
         fingerprint, and the cache is invalidated whenever the corpus
-        or catalog content changes.
-    persist_results:
-        Add the result cache's on-disk tier: completed cacheable runs
-        spill their JSON records into the attached catalog's store,
-        keyed by a content-addressed request fingerprint (base table
-        content + registry + request descriptor + whole-corpus content
-        + catalog config + library version), so identical requests
-        replay across processes and restarts.  Where the in-memory tier
-        invalidates by in-process counters (corpus epoch, catalog
-        mutation count), the persistent tier's keys *embed* the content
-        those counters track — a changed corpus simply makes old
-        records unreachable, and reverting the content makes them valid
-        again.  Requires ``result_cache_bytes``; quietly inactive until
-        a store-backed catalog is attached.
+        or catalog content changes.  Must be ``None`` or an int (not a
+        ``bool``), like ``max_prepared_sets``.
     refresher:
         Optional :class:`~repro.catalog.CatalogRefresher` to adopt
         snapshots from (see :meth:`attach_refresher`).
@@ -190,7 +170,6 @@ class DiscoveryEngine:
         max_prepared_sets: int = 32,
         max_workers: int = 4,
         result_cache_bytes: int = None,
-        persist_results: bool = False,
         refresher=None,
         staleness_budget: float = None,
         metrics=None,
@@ -200,15 +179,23 @@ class DiscoveryEngine:
             prepared = LruDict(capacity=max_prepared_sets)
         except ValueError:
             raise ValueError(
-                f"max_prepared_sets must be >= 1 or None, got {max_prepared_sets}"
+                f"max_prepared_sets must be None or an int >= 1, got "
+                f"{max_prepared_sets!r}"
             ) from None
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if persist_results and not result_cache_bytes:
-            raise ValueError(
-                "persist_results requires result_cache_bytes (the on-disk "
-                "tier extends the result cache, it does not replace it)"
-            )
+        if result_cache_bytes in (None, 0) and not isinstance(
+            result_cache_bytes, (bool, float)
+        ):
+            results = None  # disabled
+        else:
+            try:
+                results = LruDict(max_bytes=result_cache_bytes)
+            except ValueError:
+                raise ValueError(
+                    "result_cache_bytes (the result cache's max_bytes) must be "
+                    f"None, 0 or an int >= 1, got {result_cache_bytes!r}"
+                ) from None
         self.catalog = catalog
         self.searchers = searchers if searchers is not None else default_searchers()
         self.tasks = tasks if tasks is not None else default_tasks()
@@ -230,12 +217,8 @@ class DiscoveryEngine:
         self._base_utilities = LruDict(capacity=max_prepared_sets)
         self.max_workers = max_workers
         self._executor = None
-        if result_cache_bytes:
-            self._results = LruDict(max_bytes=result_cache_bytes)
-        else:
-            self._results = None  # disabled
+        self._results = results
         self.result_cache_bytes = result_cache_bytes
-        self.persist_results = bool(persist_results)
         #: In-flight reservations of result-cache slots: cache-key prefix
         #: -> threading.Event set when the owning submitted run resolves
         #: (completes, fails, or is cancelled while still queued).
@@ -246,25 +229,17 @@ class DiscoveryEngine:
         )
         self._snapshot_epoch = 0  # epoch of the adopted refresher snapshot
         self.last_sync_staleness = None
-        #: Single-slot memo of the corpus-content digest, keyed by the
-        #: corpus dict's identity (corpora are replaced, never mutated).
-        self._corpus_fp_memo = None
         #: Table-content digests memoized by object *identity* (Tables
         #: are immutable by library convention and unhashable, so this
         #: maps ``id(table)`` with a weakref that both guards against id
         #: reuse and evicts dead entries).  The cache key of a request
         #: then hashes its base table once per object — not once per
-        #: submit, once per discover, and once per corpus scan.
+        #: submit and again per discover.
         #: Registry fingerprints are deliberately NOT memoized:
         #: ProfileRegistry mutates in place (``add``/``remove``), and a
         #: stale digest would replay runs recorded under the old
         #: profile set.
         self._table_fp_memo = {}
-        #: Registry mutation counts at construction: the persistent
-        #: result tier stays active only while they are unchanged (a
-        #: factory re-registered mid-life has no content identity the
-        #: on-disk keys could carry, so the tier goes conservative).
-        self._registry_baseline = (self.searchers.mutations, self.tasks.mutations)
         self._next_run_id = 1
         if metrics is False:
             registry = NULL_REGISTRY
@@ -308,10 +283,10 @@ class DiscoveryEngine:
         )
         self._m_result_cache = registry.counter(
             "repro_engine_result_cache_events_total",
-            "Result-cache activity (store_hit rides along with hit).",
+            "Result-cache activity (a spill admits a completed run).",
             labels=("event",),
         )
-        for event in ("hit", "miss", "store_hit", "spill"):
+        for event in ("hit", "miss", "spill"):
             self._m_result_cache.labels(event=event)
         self._m_prepare_cache = registry.counter(
             "repro_engine_prepare_cache_events_total",
@@ -419,10 +394,6 @@ class DiscoveryEngine:
     def result_cache_hits(self) -> int:
         return int(self._m_result_cache.labels(event="hit").value)
 
-    @property
-    def result_store_hits(self) -> int:
-        return int(self._m_result_cache.labels(event="store_hit").value)
-
     # ------------------------------------------------------------------
     # Construction / state
     # ------------------------------------------------------------------
@@ -468,9 +439,6 @@ class DiscoveryEngine:
             self._corpus = normalized
             self._corpus_epoch += 1
             self._prepared.clear()
-            # Drop the content-digest memo too: it pins the previous
-            # corpus dict (and every Table in it) otherwise.
-            self._corpus_fp_memo = None
             self._invalidate_results()
         return self
 
@@ -542,12 +510,6 @@ class DiscoveryEngine:
                 self._prepared.clear()
                 if self._results is not None:
                     self._results.clear()
-                # Seed the content-digest memo from the refresher's scan
-                # — the swap costs no re-fingerprinting.
-                self._corpus_fp_memo = (
-                    self._corpus,
-                    corpus_fingerprint(snapshot.fingerprints),
-                )
 
     def shutdown(self, wait: bool = True) -> None:
         """Drain the async worker pool (no-op when none was created).
@@ -768,9 +730,7 @@ class DiscoveryEngine:
         previously completed one is served as an exact replay: the
         recorded run comes back under a fresh ``run_id`` with
         ``cached=True``, and its recorded events are re-streamed to
-        ``progress`` (they carry the original run's id).  With
-        ``persist_results``, a record spilled by an earlier process is
-        replayed the same way (and re-admitted to the in-memory tier).
+        ``progress`` (they carry the original run's id).
         """
         task = self._resolve_task(request)
         factory = self.searchers.get(request.searcher)  # fail before any work
@@ -790,16 +750,6 @@ class DiscoveryEngine:
                 hit = self._results.get(cache_key + (self._catalog_mutations(),))
             if hit is not None:
                 return self._replay(hit, request, progress)
-            stored = self._load_persistent(cache_key, request)
-            if stored is not None:
-                run, size = stored
-                with self._lock:
-                    # Re-admit to the in-memory tier under the current
-                    # counters, so the next identical request skips disk.
-                    self._results.put(
-                        cache_key + (self._catalog_mutations(),), run, size=size
-                    )
-                return self._replay(run, request, progress, tier="store")
             self._m_result_cache.labels(event="miss").inc()
         with self._lock:
             run_id = self._next_run_id
@@ -837,16 +787,13 @@ class DiscoveryEngine:
             # the run's own catalog refresh) and before its search (a
             # catalog mutated mid-search leaves the entry under the
             # older, unreachable count).
-            record = run.to_record()
-            size = len(json.dumps(record).encode("utf-8"))
-            mutations, corpus_used = context_box[0]
+            size = len(json.dumps(run.to_record()).encode("utf-8"))
             with self._lock:
-                self._results.put(cache_key + (mutations,), run, size=size)
-            self._spill_persistent(cache_key, record, corpus_used)
+                self._results.put(cache_key + (context_box[0],), run, size=size)
             self._m_result_cache.labels(event="spill").inc()
         return run
 
-    def _replay(self, hit: DiscoveryRun, request, progress, tier="memory"):
+    def _replay(self, hit: DiscoveryRun, request, progress):
         """Serve a recorded run as an exact replay (fresh ``run_id``,
         ``cached=True``, recorded events re-streamed to ``progress``)."""
         with self._lock:
@@ -864,8 +811,6 @@ class DiscoveryEngine:
             raise
         self._m_runs.labels(status="completed").inc()
         self._m_result_cache.labels(event="hit").inc()
-        if tier == "store":
-            self._m_result_cache.labels(event="store_hit").inc()
         # The replayed result's queries count as served: accounting
         # stays comparable whether a run executed or replayed.
         self._m_queries.inc(hit.queries)
@@ -873,7 +818,6 @@ class DiscoveryEngine:
             "run replayed from result cache",
             run_id=run_id,
             searcher=request.searcher,
-            tier=tier,
             original_run_id=hit.run_id,
         )
         return replace(
@@ -882,11 +826,7 @@ class DiscoveryEngine:
             request=request,
             events=list(hit.events),
             cached=True,
-            cache_info={
-                **hit.cache_info,
-                "result_cache_hit": True,
-                "result_cache_tier": tier,
-            },
+            cache_info={**hit.cache_info, "result_cache_hit": True},
         )
 
     def submit(
@@ -1065,148 +1005,10 @@ class DiscoveryEngine:
         )
 
     def _invalidate_results(self) -> None:
-        """Drop every cached run (corpus or catalog content changed).
-
-        Only the in-memory tier needs explicit clearing: persistent
-        records embed the content they were recorded under in their
-        keys, so changed content makes them unreachable by construction
-        (and reverting the content makes them valid again)."""
+        """Drop every cached run (corpus or catalog content changed)."""
         with self._lock:
             if self._results is not None:
                 self._results.clear()
-
-    # ------------------------------------------------------------------
-    # Persistent result tier
-    # ------------------------------------------------------------------
-    def _persist_store(self):
-        """The catalog store backing the persistent result tier, or
-        ``None`` when the tier is inactive.
-
-        The tier also deactivates as soon as a searcher or task factory
-        is (re-)registered after construction: a live factory has no
-        content identity the on-disk keys could embed, so neither
-        replaying old records under it nor spilling its runs for other
-        processes is sound.  (Factories registered *before* engine
-        construction are part of the application's cross-process
-        contract, like the library version the keys do embed.  Catalog
-        content mutations, by contrast, need no counter here: the keys
-        embed the corpus content and catalog config, and candidate
-        preparation re-syncs the catalog to the corpus, so a replay
-        always matches what a live run would have produced.)"""
-        if not self.persist_results or self.catalog is None:
-            return None
-        if (
-            self.searchers.mutations,
-            self.tasks.mutations,
-        ) != self._registry_baseline:
-            return None
-        return self.catalog.store
-
-    def _corpus_content_fingerprint(self, corpus: dict):
-        """Content digest of ``corpus`` (a specific corpus dict, not
-        "whatever is attached right now" — the spill path stamps the
-        corpus a run actually used, even if a swap raced the search).
-
-        Memoized by dict identity: corpora are replaced wholesale, never
-        mutated, so one digest per attached corpus suffices.  Snapshot
-        swaps seed the memo from the refresher's scan; a manually
-        attached corpus pays one fingerprint pass on first use.
-        """
-        with self._lock:
-            memo = self._corpus_fp_memo
-        if memo is not None and memo[0] is corpus:
-            return memo[1]
-        fingerprints = {
-            name: self._fingerprint_table(table)
-            for name, table in corpus.items()
-        }
-        digest = corpus_fingerprint(fingerprints)
-        with self._lock:
-            if self._corpus is corpus:
-                self._corpus_fp_memo = (corpus, digest)
-        return digest
-
-    def _persistent_key(self, cache_key, corpus: dict):
-        """On-disk key for one cacheable request served over ``corpus``,
-        or ``None`` when the persistent tier is inactive."""
-        if self._persist_store() is None:
-            return None
-        from repro import __version__
-
-        with self._catalog_lock:
-            catalog_config = config_fingerprint(self.catalog.config)
-        return result_key(
-            cache_key[0],  # base-table content fingerprint
-            cache_key[1],  # profile-registry fingerprint
-            cache_key[2],  # canonical request descriptor
-            self._corpus_content_fingerprint(corpus),
-            catalog_config,
-            __version__,
-        )
-
-    def _load_persistent(self, cache_key, request):
-        """Replayable run from the on-disk tier, or ``None`` on a miss.
-
-        Returns ``(run, record size)``.  Malformed or foreign payloads
-        are treated as misses — persisted runs are a cache, damage
-        degrades to re-running."""
-        store = self._persist_store()
-        if store is None:
-            return None
-        with self._lock:
-            corpus = self._corpus
-        if corpus is None:
-            return None
-        key = self._persistent_key(cache_key, corpus)
-        if key is None:
-            return None
-        payload = store.read_result(key)
-        if not isinstance(payload, dict) or payload.get("version") != 1:
-            return None
-        record = payload.get("record")
-        try:
-            run = DiscoveryRun.from_record(record, request, run_id=0)
-        except (KeyError, ValueError, TypeError, AttributeError):
-            return None
-        if not run.completed:
-            return None
-        # Budget the in-memory admission by the stored file's size (the
-        # wrapper stamp adds a few bytes over the bare record — close
-        # enough for the LRU, and it skips re-serializing the payload
-        # we just parsed).
-        size = store.result_record_size(key) or len(
-            json.dumps(record).encode("utf-8")
-        )
-        return run, size
-
-    def _spill_persistent(self, cache_key, record: dict, corpus: dict) -> None:
-        """Best-effort write of one completed run record to the on-disk
-        tier (a failed spill degrades to a warning — persistence is an
-        optimization, never a serving failure)."""
-        store = self._persist_store()
-        if store is None:
-            return
-        key = self._persistent_key(cache_key, corpus)
-        if key is None:
-            return
-        try:
-            store.write_result(
-                key,
-                {
-                    "version": 1,
-                    "stamp": {
-                        "corpus": self._corpus_content_fingerprint(corpus),
-                        "tables": len(corpus),
-                    },
-                    "record": record,
-                },
-            )
-        except OSError as error:
-            import warnings
-
-            warnings.warn(
-                f"could not persist run record: {error}", stacklevel=2
-            )
 
     def _serve(
         self, request, task, factory, run_id, progress, cancel,
@@ -1293,11 +1095,8 @@ class DiscoveryEngine:
             # Stamp the catalog state the run's inputs reflect *before*
             # the search: a catalog mutated while the search runs must
             # not get this run admitted under its post-mutation key.
-            # The corpus snapshot travels along so the persistent tier
-            # stamps the content this run *actually* searched, even if
-            # an attach_corpus or snapshot swap races the search.
             with self._catalog_lock:
-                context_box.append((self._catalog_mutations(), corpus))
+                context_box.append(self._catalog_mutations())
         prepare_seconds = time.perf_counter() - start
         self._m_prepare_seconds.labels(source=source).observe(prepare_seconds)
         emit(
@@ -1617,8 +1416,6 @@ class DiscoveryEngine:
                     self._results.total_bytes if self._results is not None else 0
                 ),
                 "result_cache_reserved": len(self._reservations),
-                "result_store_hits": self.result_store_hits,
-                "result_store_active": self._persist_store() is not None,
                 "snapshot_epoch": self._snapshot_epoch,
                 "refresher_attached": self._refresher is not None,
                 "last_sync_staleness": self.last_sync_staleness,

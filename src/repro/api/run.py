@@ -44,8 +44,8 @@ class DiscoveryRun:
         Cache behavior of this serving, recorded explicitly so archived
         records (and benchmarks) can assert on it instead of inferring
         from timings: ``prepare_source`` / ``prepare_cache_hit`` for the
-        prepared-candidate cache, ``result_cache_hit`` (plus
-        ``result_cache_tier``, ``"memory"`` or ``"store"``) for replays.
+        prepared-candidate cache, ``result_cache_hit`` for a replay from
+        the engine's in-memory result cache.
     trace:
         Serialized per-run trace tree (``Span.to_record()`` form), or
         ``None`` when tracing was disabled; replays carry the original
@@ -117,8 +117,7 @@ class DiscoveryRun:
         caller supplies the live ``request`` it matched against the
         record's key — exactly like an in-memory replay, which also
         pairs the recorded outcome with the fresh request object.
-        Raises ``ValueError``/``KeyError`` on malformed records; callers
-        treating persisted runs as a cache catch and re-run.
+        Raises ``ValueError``/``KeyError`` on malformed records.
         """
         from repro.api import wire
 

@@ -2,14 +2,14 @@
 
 Requests, run records, events, and errors have their single home
 here: one explicit dataclass↔JSON schema per payload kind, shared by
-the HTTP server, the persistent result tier, and the CLI.
+the HTTP server, the engine's result cache, and the CLI.
 
 Two layers, deliberately separate:
 
 * The **record forms** (:func:`request_to_wire`, :func:`run_to_wire`,
-  :func:`event_to_wire` and their inverses) are the persisted shapes —
-  run records on disk, golden tests, and the result cache all read and
-  write exactly these dicts.
+  :func:`event_to_wire` and their inverses) are the record shapes —
+  served run records, golden tests, and the result cache's size budget
+  all read and write exactly these dicts.
 * The **envelope** (:func:`envelope` / :func:`open_envelope`) stamps
   ``schema_version`` onto a payload for transport.  Everything the HTTP
   server sends is enveloped; everything it accepts is version-checked.
@@ -258,7 +258,7 @@ def event_from_wire(record: Any):
     """Rebuild one event from its :func:`event_to_wire` form.
 
     Raises ``ValueError`` on an unknown kind or mismatched fields — a
-    persisted run record from a future (or corrupt) store must fail the
+    run record from a future (or corrupt) writer must fail the
     reconstruction loudly, never half-build an event."""
     from repro.api.events import EVENT_TYPES
 
@@ -312,8 +312,7 @@ def run_from_wire(record: dict, request, run_id: int):
     The record describes (not embeds) the original request, so the
     caller supplies the live ``request`` it matched against the
     record's key.  Raises ``ValueError``/``KeyError`` on malformed
-    records; callers treating persisted runs as a cache catch and
-    re-run.
+    records.
     """
     from repro.api.run import DiscoveryRun
     from repro.core.serialization import result_from_dict

@@ -53,10 +53,8 @@ from repro.catalog.codec import BinaryCodec
 from repro.catalog.leases import Lease, LeaseManager
 from repro.catalog.fingerprint import (
     config_fingerprint,
-    corpus_fingerprint,
     profile_key,
     registry_fingerprint,
-    result_key,
     shard_of,
     table_fingerprint,
 )
@@ -74,10 +72,8 @@ __all__ = [
     "BinaryCodec",
     "table_fingerprint",
     "config_fingerprint",
-    "corpus_fingerprint",
     "profile_key",
     "registry_fingerprint",
-    "result_key",
     "shard_of",
     "LocalFSBackend",
     "Lease",

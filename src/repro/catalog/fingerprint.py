@@ -110,58 +110,6 @@ def table_fingerprint(table) -> str:
     return digest.hexdigest()
 
 
-def corpus_fingerprint(fingerprints: dict) -> str:
-    """Hex digest of a whole corpus' content: its sorted ``{table name:
-    table fingerprint}`` map.
-
-    This is the content-addressed analogue of the engine's in-process
-    corpus epoch — two processes serving the same tables compute the
-    same digest, so artifacts stamped with it (persisted run records)
-    stay valid across restarts and invalidate exactly when any table's
-    content, name, or membership changes.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    for name in sorted(fingerprints):
-        digest.update(name.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(str(fingerprints[name]).encode("utf-8"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
-
-
-def result_key(
-    base_fingerprint: str,
-    registry_fp: str,
-    descriptor: str,
-    corpus_fp: str,
-    catalog_config_fp: str,
-    version: str,
-) -> str:
-    """On-disk key of one persisted run record.
-
-    Everything that determines a cacheable request's outcome, content-
-    addressed: the base table's content, the profile registry, the
-    request's canonical descriptor, the whole corpus' content, the
-    catalog index configuration (which governs warm-start discovery),
-    and the library version (a new release must never replay records a
-    different implementation produced).  Matching keys imply a valid
-    replay on any process, which is what lets run records warm-start
-    across restarts.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    for part in (
-        base_fingerprint,
-        registry_fp,
-        descriptor,
-        corpus_fp,
-        catalog_config_fp,
-        version,
-    ):
-        digest.update(part.encode("utf-8"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
-
-
 def config_fingerprint(config: dict) -> str:
     """Hex digest of an index/catalog configuration dict."""
     canonical = json.dumps(config, sort_keys=True, default=str)

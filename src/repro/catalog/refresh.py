@@ -41,7 +41,7 @@ import time
 from types import MappingProxyType
 
 from repro.catalog.catalog import Catalog
-from repro.catalog.fingerprint import corpus_fingerprint, table_fingerprint
+from repro.catalog.fingerprint import table_fingerprint
 from repro.catalog.store import CatalogStore
 from repro.dataframe.table import normalize_corpus
 from repro.obs.logcfg import get_logger
@@ -119,10 +119,6 @@ class CatalogSnapshot:
         self.epoch = epoch
         self.diff = diff
         self.created_at = time.time()
-
-    def corpus_fingerprint(self) -> str:
-        """Content digest of the whole snapshot corpus."""
-        return corpus_fingerprint(self.fingerprints)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -15,6 +15,10 @@ One layout, one object format::
     profiles/cd/manifest.json   per-shard LRU bookkeeping ({fp: bytes, touched})
     snapshot.npz                packed signature matrix for warm starts
 
+The store holds discovery artifacts only.  Nothing else under the root
+is read: a ``results/`` tree left by a release before 2.3.0 (which
+persisted run records there) is inert and can be removed.
+
 Sharding keeps every directory and every manifest bounded: a store with
 10⁵ tables spreads them over 256 object shards, so directory scans,
 manifest rewrites, and atomic-rename pressure stay flat as the catalog
@@ -261,11 +265,10 @@ class CatalogStore:
     every :meth:`write_profiles` evicts least-recently-touched profile
     groups until the section fits the budget (the group just written is
     never evicted).  ``None`` disables enforcement (evict on demand with
-    :meth:`evict_profiles`).  ``result_budget_bytes`` does the same for
-    the persisted run-record section (:meth:`write_result` /
-    :meth:`evict_results`).  ``clock_skew`` widens lease expiry so a
+    :meth:`evict_profiles`).  ``clock_skew`` widens lease expiry so a
     collector whose clock runs ahead cannot expire a writer's lease
-    early.
+    early.  The store holds discovery artifacts only — table objects,
+    profile groups and the index snapshot — never run records.
 
     ``backend`` is the I/O object (``None``: a
     :class:`~repro.catalog.backend.LocalFSBackend` over ``root``).
@@ -282,7 +285,6 @@ class CatalogStore:
         self,
         root: str,
         profile_budget_bytes: int = None,
-        result_budget_bytes: int = None,
         clock_skew: float = 0.0,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         backend=None,
@@ -299,7 +301,6 @@ class CatalogStore:
             raise TypeError(f"backend must be a backend instance, not the name {backend!r}")
         self.backend = LocalFSBackend(self.root) if backend is None else backend
         self.profile_budget_bytes = _byte_budget("profile_budget_bytes", profile_budget_bytes)
-        self.result_budget_bytes = _byte_budget("result_budget_bytes", result_budget_bytes)
         #: Write-ownership leases: gc consults the active set before
         #: reclaiming anything unreferenced.
         self.leases = LeaseManager(
@@ -350,7 +351,7 @@ class CatalogStore:
         if rel == ".":
             return "root"
         head = rel.split(os.sep, 1)[0]
-        return head if head in ("objects", "profiles", "results") else "other"
+        return head if head in ("objects", "profiles") else "other"
 
     def _dir_lock(self, directory: str):
         """Advisory file lock guarding one directory's manifest (wait
@@ -581,93 +582,6 @@ class CatalogStore:
                 self._remove(self._shard_log_path(shard_dir))
         except OSError:
             pass
-
-    # ------------------------------------------------------------------
-    # Shared LRU bookkeeping (profile groups and run records both keep
-    # {bytes, touched} entries in their shard manifests)
-    # ------------------------------------------------------------------
-    def _touch_section_entry(
-        self, shard_dir: str, section: str, key: str, path: str
-    ) -> None:
-        """Refresh one entry's LRU clock — pure bookkeeping, so any
-        failure is swallowed (eviction falls back to file mtimes)."""
-        try:
-            info = self._read_shard_section(shard_dir, section).get(key)
-            if isinstance(info, dict):
-                info = dict(info)
-            else:
-                info = {"bytes": self._size(path)}
-            info["touched"] = _now()
-            self._update_shard_manifest(shard_dir, section, "set", key, info)
-        except Exception:
-            pass
-
-    def _sharded_inventory(self, root_dir: str, section: str, suffix: str):
-        """``([(touched, key, bytes)], seen keys)`` over one sharded
-        store section.
-
-        Walks shard by shard — one manifest parse per shard directory,
-        not per entry — and heals stale bookkeeping from the filesystem
-        (entries missing from their shard manifest get the file's
-        mtime/size, so eviction still orders sensibly after a manifest
-        loss)."""
-        inventory = []
-        seen = set()
-        if not self.backend.isdir(root_dir):
-            return inventory, seen
-        for name in sorted(self.backend.listdir(root_dir)):
-            shard_dir = os.path.join(root_dir, name)
-            if not self.backend.isdir(shard_dir):
-                continue
-            recorded = self._read_shard_section(shard_dir, section)
-            for entry in sorted(self.backend.listdir(shard_dir)):
-                if not entry.endswith(suffix) or entry == "manifest.json":
-                    continue
-                key = entry[: -len(suffix)]
-                path = os.path.join(shard_dir, entry)
-                info = recorded.get(key)
-                size = None
-                if isinstance(info, dict) and isinstance(
-                    info.get("touched"), (int, float)
-                ):
-                    touched = float(info["touched"])
-                    if isinstance(info.get("bytes"), int):
-                        size = info["bytes"]
-                else:
-                    try:
-                        touched = self.backend.mtime(path)
-                    except OSError:
-                        # Deleted between the listing and the stat (a
-                        # concurrent eviction or gc): the entry is gone,
-                        # not merely unbookkept — skip it rather than
-                        # inventory a ghost (or crash the caller).
-                        if not self.backend.exists(path):
-                            continue
-                        touched = 0.0
-                if size is None:
-                    size = self._size(path)
-                seen.add(key)
-                inventory.append((touched, key, size))
-        return inventory, seen
-
-    @staticmethod
-    def _evict_lru(inventory, budget_bytes: int, keep, delete):
-        """Evict least-recently-touched entries until the section fits
-        ``budget_bytes``; returns ``(evicted, freed_bytes)``."""
-        _byte_budget("budget_bytes", budget_bytes, optional=False)
-        total = sum(size for _t, _k, size in inventory)
-        evicted = 0
-        freed = 0
-        for _touched, key, size in sorted(inventory):
-            if total <= budget_bytes:
-                break
-            if key in keep:
-                continue
-            delete(key)
-            total -= size
-            freed += size
-            evicted += 1
-        return evicted, freed
 
     # ------------------------------------------------------------------
     # Table objects
@@ -1172,12 +1086,21 @@ class CatalogStore:
             )
 
     def _touch_profile_group(self, base_fingerprint: str) -> None:
-        self._touch_section_entry(
-            self._profile_shard_dir(base_fingerprint),
-            "groups",
-            base_fingerprint,
-            self._profile_path(base_fingerprint),
-        )
+        """Refresh one group's LRU clock — pure bookkeeping, so any
+        failure is swallowed (eviction falls back to file mtimes)."""
+        shard_dir = self._profile_shard_dir(base_fingerprint)
+        try:
+            info = self._read_shard_section(shard_dir, "groups").get(base_fingerprint)
+            if isinstance(info, dict):
+                info = dict(info)
+            else:
+                info = {"bytes": self._size(self._profile_path(base_fingerprint))}
+            info["touched"] = _now()
+            self._update_shard_manifest(
+                shard_dir, "groups", "set", base_fingerprint, info
+            )
+        except Exception:
+            pass
 
     def delete_profiles(self, base_fingerprint: str) -> None:
         """Drop one base table's cached profile group."""
@@ -1188,23 +1111,55 @@ class CatalogStore:
                 shard_dir, "groups", "del", base_fingerprint
             )
 
-    def list_profile_groups(self) -> list:
-        profiles_dir = self._profiles_dir()
-        if not self.backend.isdir(profiles_dir):
-            return []
-        found = set()
-        for name in self.backend.listdir(profiles_dir):
-            path = os.path.join(profiles_dir, name)
-            if self.backend.isdir(path):
-                for entry in self.backend.listdir(path):
-                    if entry.endswith(".npz"):
-                        found.add(entry[: -len(".npz")])
-        return sorted(found)
-
     def _profile_inventory(self) -> list:
-        """``(touched, base_fingerprint, bytes)`` for every profile
-        group (the shared sharded inventory)."""
-        return self._sharded_inventory(self._profiles_dir(), "groups", ".npz")[0]
+        """``[(touched, base_fingerprint, bytes)]`` for every profile
+        group.
+
+        Walks shard by shard — one manifest parse per shard directory,
+        not per group — and heals stale bookkeeping from the filesystem
+        (groups missing from their shard manifest get the file's
+        mtime/size, so eviction still orders sensibly after a manifest
+        loss)."""
+        profiles_dir = self._profiles_dir()
+        inventory = []
+        if not self.backend.isdir(profiles_dir):
+            return inventory
+        for name in sorted(self.backend.listdir(profiles_dir)):
+            shard_dir = os.path.join(profiles_dir, name)
+            if not self.backend.isdir(shard_dir):
+                continue
+            recorded = self._read_shard_section(shard_dir, "groups")
+            for entry in sorted(self.backend.listdir(shard_dir)):
+                if not entry.endswith(".npz"):
+                    continue
+                group = entry[: -len(".npz")]
+                path = os.path.join(shard_dir, entry)
+                info = recorded.get(group)
+                size = None
+                if isinstance(info, dict) and isinstance(
+                    info.get("touched"), (int, float)
+                ):
+                    touched = float(info["touched"])
+                    if isinstance(info.get("bytes"), int):
+                        size = info["bytes"]
+                else:
+                    try:
+                        touched = self.backend.mtime(path)
+                    except OSError:
+                        # Deleted between the listing and the stat (a
+                        # concurrent eviction or gc): the group is gone,
+                        # not merely unbookkept — skip it rather than
+                        # inventory a ghost (or crash the caller).
+                        if not self.backend.exists(path):
+                            continue
+                        touched = 0.0
+                if size is None:
+                    size = self._size(path)
+                inventory.append((touched, group, size))
+        return inventory
+
+    def list_profile_groups(self) -> list:
+        return sorted({group for _t, group, _s in self._profile_inventory()})
 
     def profile_bytes(self) -> int:
         """Total on-disk size of the cached-profile section."""
@@ -1215,113 +1170,21 @@ class CatalogStore:
         fits ``budget_bytes``.  ``keep`` groups are never evicted (the
         writer protects the group it just flushed).  Returns
         ``(evicted_groups, freed_bytes)``."""
-        return self._evict_lru(
-            self._profile_inventory(), budget_bytes, keep, self.delete_profiles
-        )
-
-    # ------------------------------------------------------------------
-    # Persisted run records (the result cache's on-disk tier)
-    # ------------------------------------------------------------------
-    def _results_dir(self) -> str:
-        return os.path.join(self.root, "results")
-
-    def _result_shard_dir(self, key: str) -> str:
-        return os.path.join(self._results_dir(), shard_of(key))
-
-    def _result_path(self, key: str) -> str:
-        return os.path.join(self._result_shard_dir(key), f"{key}.json")
-
-    def write_result(self, key: str, payload: dict) -> None:
-        """Persist one run record under its canonical request key.
-
-        Same shard layout, lock, and LRU bookkeeping as profile groups;
-        ``result_budget_bytes`` (when set) evicts least-recently-touched
-        records after every write, never the one just written."""
-        path = self._result_path(key)
-        shard_dir = os.path.dirname(path)
-        self.backend.makedirs(shard_dir)
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        with self._dir_lock(shard_dir):
-            self.backend.write_bytes(path, blob)
-            self._count("writes", "results")
-            self._count("write_bytes", "results", len(blob))
-            self._update_shard_manifest(
-                shard_dir,
-                "results",
-                "set",
-                key,
-                {"bytes": len(blob), "touched": _now()},
-            )
-        if self.result_budget_bytes is not None:
-            self.evict_results(self.result_budget_bytes, keep=frozenset({key}))
-
-    def read_result(self, key: str):
-        """Stored payload for ``key``, or ``None`` when absent or corrupt
-        (persisted runs are a pure optimization — damage degrades to
-        re-running, and the next write overwrites the bad file).
-
-        Reading touches the record's LRU clock, so replayed requests
-        survive budget enforcement."""
-        try:
-            raw = self.backend.read_bytes(self._result_path(key))
-            payload = json.loads(raw.decode("utf-8"))
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, UnicodeDecodeError):
-            return None
-        if not isinstance(payload, dict):
-            return None
-        self._touch_result(key)
-        self._count("reads", "results")
-        self._count("read_bytes", "results", len(raw))
-        return payload
-
-    def _touch_result(self, key: str) -> None:
-        self._touch_section_entry(
-            self._result_shard_dir(key), "results", key, self._result_path(key)
-        )
-
-    def result_record_size(self, key: str) -> int:
-        """On-disk byte size of one stored record (0 when absent) — lets
-        a caller that just read the record budget it without
-        re-serializing the payload."""
-        return self._size(self._result_path(key))
-
-    def delete_result(self, key: str) -> None:
-        self._remove(self._result_path(key))
-        shard_dir = self._result_shard_dir(key)
-        if self._read_shard_section(shard_dir, "results").get(key):
-            self._update_shard_manifest(shard_dir, "results", "del", key)
-
-    def list_results(self) -> list:
-        results_dir = self._results_dir()
-        if not self.backend.isdir(results_dir):
-            return []
-        found = set()
-        for name in self.backend.listdir(results_dir):
-            shard_dir = os.path.join(results_dir, name)
-            if not self.backend.isdir(shard_dir):
+        _byte_budget("budget_bytes", budget_bytes, optional=False)
+        inventory = self._profile_inventory()
+        total = sum(size for _t, _fp, size in inventory)
+        evicted = 0
+        freed = 0
+        for _touched, group, size in sorted(inventory):
+            if total <= budget_bytes:
+                break
+            if group in keep:
                 continue
-            for entry in self.backend.listdir(shard_dir):
-                if entry.endswith(".json") and entry != "manifest.json":
-                    found.add(entry[: -len(".json")])
-        return sorted(found)
-
-    def _result_inventory(self) -> list:
-        """``(touched, key, bytes)`` for every stored run record (the
-        shared sharded inventory)."""
-        return self._sharded_inventory(self._results_dir(), "results", ".json")[0]
-
-    def result_bytes(self) -> int:
-        """Total on-disk size of the persisted run-record section."""
-        return sum(size for _t, _k, size in self._result_inventory())
-
-    def evict_results(self, budget_bytes: int, keep=frozenset()):
-        """Evict least-recently-touched run records until the section
-        fits ``budget_bytes``; returns ``(evicted, freed_bytes)``."""
-        return self._evict_lru(
-            self._result_inventory(), budget_bytes, keep, self.delete_result
-        )
+            self.delete_profiles(group)
+            total -= size
+            freed += size
+            evicted += 1
+        return evicted, freed
 
     # ------------------------------------------------------------------
     # Auxiliary metadata
@@ -1397,24 +1260,9 @@ class CatalogStore:
             loaded = self._read_profile_file(self._profile_path(group))
             if loaded is self._CORRUPT_PROFILES:
                 problems.append(f"profile group {group!r}: corrupt archive")
-        results = self.list_results()
-        for key in results:
-            try:
-                payload = json.loads(
-                    self.backend.read_bytes(self._result_path(key)).decode(
-                        "utf-8"
-                    )
-                )
-                if not isinstance(payload, dict):
-                    raise ValueError("not a dict")
-            except FileNotFoundError:
-                continue
-            except (OSError, ValueError, UnicodeDecodeError):
-                problems.append(f"run record {key!r}: corrupt")
         return {
             "objects": len(objects),
             "profile_groups": len(groups),
-            "run_records": len(results),
             "problems": problems,
         }
 
@@ -1423,7 +1271,8 @@ class CatalogStore:
         """Counts and on-disk footprint of the store."""
         manifest = self.read_manifest() or {"config": {}, "tables": {}}
         n_profiles = 0
-        for group in self.list_profile_groups():
+        groups = self.list_profile_groups()
+        for group in groups:
             # Count keys off the ``keys`` member alone — stats must not
             # load every cached vector.
             try:
@@ -1436,11 +1285,9 @@ class CatalogStore:
             "version": manifest.get("version", VERSION),
             "tables": len(manifest["tables"]),
             "objects": len(self.list_objects()),
-            "profile_groups": len(self.list_profile_groups()),
+            "profile_groups": len(groups),
             "profile_entries": n_profiles,
             "profile_bytes": self.profile_bytes(),
-            "run_records": len(self.list_results()),
-            "result_bytes": self.result_bytes(),
             "leases": len(self.leases.active(reap=False)),
             "disk_bytes": self.backend.disk_bytes(),
             "config": manifest["config"],

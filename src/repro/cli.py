@@ -40,12 +40,11 @@ Commands
     corpus into a catalog directory, ``update`` incrementally refreshes
     it (only new/changed tables are re-signed),
     ``stats`` reports its contents and footprint, ``gc`` reclaims
-    unreferenced objects and (with ``--profile-budget`` /
-    ``--result-budget``) evicts least-recently-used cached profile
-    groups and persisted run records, and ``watch`` runs the background
-    refresh loop in the foreground: every ``--interval`` seconds the
-    recorded corpus parameters are re-read and the catalog re-synced,
-    so changed parameters (an out-of-band build/update) or changed
+    unreferenced objects and (with ``--profile-budget``) evicts
+    least-recently-used cached profile groups, and ``watch`` runs the
+    background refresh loop in the foreground: every ``--interval``
+    seconds the recorded corpus parameters are re-read and the catalog
+    re-synced, so changed parameters (an out-of-band build/update) or changed
     synthetic content are re-signed off any serving engine's query
     path.  ``repro run --staleness-budget`` serves through a background
     refresher, bounding how stale the served snapshot may be.
@@ -357,14 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="evict least-recently-used cached profile groups until the "
         "profile section fits this many bytes",
-    )
-    gc.add_argument(
-        "--result-budget",
-        type=_byte_count,
-        default=None,
-        metavar="BYTES",
-        help="evict least-recently-used persisted run records until the "
-        "result section fits this many bytes",
     )
 
     watch = catsub.add_parser(
@@ -836,8 +827,6 @@ def _run_catalog_command(args) -> int:
         print(f"  profile groups  {stats['profile_groups']}")
         print(f"  profile entries {stats['profile_entries']}")
         print(f"  profile bytes   {stats['profile_bytes']}B")
-        print(f"  run records     {stats['run_records']}")
-        print(f"  result bytes    {stats['result_bytes']}B")
         print(f"  disk            {stats['disk_bytes']}B")
         print(f"  config          {stats['config']}")
         return 0
@@ -858,12 +847,6 @@ def _run_catalog_command(args) -> int:
             print(
                 f"gc: evicted {evicted} profile groups ({freed}B freed, "
                 f"budget {args.profile_budget}B)"
-            )
-        if args.result_budget is not None:
-            evicted, freed = catalog.store.evict_results(args.result_budget)
-            print(
-                f"gc: evicted {evicted} run records ({freed}B freed, "
-                f"budget {args.result_budget}B)"
             )
         return 0
 

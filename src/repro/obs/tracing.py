@@ -3,7 +3,7 @@
 A trace is a tree of :class:`Span` objects rooted at one request:
 ``discover`` → ``prepare`` → per-round ``round`` marks → ``query``
 evaluations and cache/store/lock operations.  The tree serializes into
-the run's JSON record (:meth:`Span.to_record`), so every persisted run
+the run's JSON record (:meth:`Span.to_record`), so every run record
 carries its own timeline.
 
 Usage is two-layered:

@@ -8,6 +8,20 @@ capacity) exists exactly once.
 
 from __future__ import annotations
 
+import numbers
+
+
+def _bound(name: str, value):
+    """``value`` as an LRU bound: ``None`` or an int ``>= 1`` (a
+    ``bool`` is not a count).  Anything else is a ``ValueError`` naming
+    the argument — a NaN bound compares false against every size and
+    would admit everything."""
+    if value is None or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+    ):
+        return value
+    raise ValueError(f"{name} must be None or an int >= 1, got {value!r}")
+
 
 class LruDict:
     """Mapping bounded to ``capacity`` entries, LRU-evicted.
@@ -24,12 +38,8 @@ class LruDict:
     """
 
     def __init__(self, capacity: int = None, max_bytes: int = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1 or None, got {max_bytes}")
-        self.capacity = capacity
-        self.max_bytes = max_bytes
+        self.capacity = _bound("capacity", capacity)
+        self.max_bytes = _bound("max_bytes", max_bytes)
         self._entries = {}  # insertion order = recency (moved on touch)
         self._sizes = {}
         self.total_bytes = 0

@@ -125,6 +125,58 @@ class TestPrepare:
         with pytest.raises(ValueError, match="max_prepared_sets"):
             DiscoveryEngine(corpus=scenario.corpus, max_prepared_sets=0)
 
+    @pytest.mark.parametrize(
+        "bound", [float("nan"), float("inf"), 2.5, True, -1], ids=repr
+    )
+    @pytest.mark.parametrize("name", ["max_prepared_sets", "result_cache_bytes"])
+    def test_cache_bounds_must_be_ints(self, scenario, name, bound):
+        with pytest.raises(ValueError, match=name):
+            DiscoveryEngine(corpus=scenario.corpus, **{name: bound})
+
+    @pytest.mark.parametrize("disabled", [0, None])
+    def test_zero_or_none_disables_result_cache(self, scenario, disabled):
+        engine = DiscoveryEngine(corpus=scenario.corpus, result_cache_bytes=disabled)
+        assert engine._results is None
+
+    def test_persist_results_is_not_a_parameter(self, scenario):
+        with pytest.raises(TypeError, match="persist_results"):
+            DiscoveryEngine(
+                corpus=scenario.corpus, result_cache_bytes=1 << 20, persist_results=True
+            )
+
+    def test_stats_keys(self, scenario):
+        engine = DiscoveryEngine(corpus=scenario.corpus, result_cache_bytes=1 << 20)
+        assert set(engine.stats()) == {
+            "runs_started",
+            "runs_completed",
+            "runs_cancelled",
+            "runs_failed",
+            "queries_served",
+            "prepared_candidate_sets",
+            "active_prepares",
+            "async_pool_active",
+            "queue_depth",
+            "pool_active",
+            "pool_utilization",
+            "prepare_cache_hits",
+            "prepare_cache_misses",
+            "prepare_cache_hit_rate",
+            "base_utility_hits",
+            "base_utility_misses",
+            "result_cache_hits",
+            "result_cache_misses",
+            "result_cache_hit_rate",
+            "result_cache_entries",
+            "result_cache_bytes",
+            "result_cache_reserved",
+            "snapshot_epoch",
+            "refresher_attached",
+            "last_sync_staleness",
+            "corpus_tables",
+            "searchers",
+        }
+        assert not hasattr(engine, "result_store_hits")
+
 
 class TestDiscover:
     def test_metam_run_matches_supplied_candidates(self, engine, scenario):

@@ -266,7 +266,7 @@ class TestRecordCacheInfo:
         }
         warm = engine.discover(request)
         assert warm.cache_info["result_cache_hit"] is True
-        assert warm.cache_info["result_cache_tier"] == "memory"
+        assert "result_cache_tier" not in warm.cache_info  # one tier
         # The replay's record still knows how its original prepared.
         assert warm.cache_info["prepare_source"] == "prepared"
         assert warm.to_record()["caches"] == warm.cache_info

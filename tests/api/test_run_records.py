@@ -1,4 +1,4 @@
-"""Round-trips of events and run records (the persistent tier's codec)."""
+"""Round-trips of events and run records (the wire schema's record codec)."""
 
 import pytest
 

@@ -17,7 +17,6 @@ from repro.catalog import (
     Catalog,
     CatalogRefresher,
     CatalogStore,
-    corpus_fingerprint,
     table_fingerprint,
 )
 from repro.dataframe.table import Table
@@ -153,15 +152,20 @@ class TestCycles:
         assert not store.has_object(object_id)
         assert Catalog.load(root).verify()["problems"] == []
 
-    def test_corpus_fingerprint_tracks_content(self, source, tmp_path):
+    def test_fingerprints_track_content(self, source, tmp_path):
         refresher = CatalogRefresher(source, store=str(tmp_path / "cat"))
         first = refresher.refresh_now()
-        digest = first.corpus_fingerprint()
-        assert digest == corpus_fingerprint(
-            {name: table_fingerprint(t) for name, t in source.corpus.items()}
-        )
+        assert dict(first.fingerprints) == {
+            name: table_fingerprint(t) for name, t in source.corpus.items()
+        }
         source.replace("t0", Table("t0", {"key": ["z"], "val": ["z"]}))
-        assert refresher.refresh_now().corpus_fingerprint() != digest
+        second = refresher.refresh_now()
+        changed = {
+            name
+            for name in second.fingerprints
+            if second.fingerprints[name] != first.fingerprints[name]
+        }
+        assert changed == {"t0"}
 
     def test_storeless_refresher_works(self, source):
         refresher = CatalogRefresher(source)

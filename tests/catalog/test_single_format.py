@@ -7,7 +7,9 @@
 * ``has_object`` is one ``exists`` probe and reads no shard manifest;
 * stray files in a shard directory are not objects;
 * degenerate lease lifetimes and clock skews are rejected at
-  construction.
+  construction;
+* a ``results/`` tree of run records left by a release before 2.3.0 is
+  inert: nothing reads, verifies or collects it.
 
 Foreign and flat files are planted through ``store.backend.write_bytes``.
 """
@@ -150,6 +152,56 @@ def _same_candidates(got, want):
     assert [c.aug_id for c in got] == [c.aug_id for c in want]
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a.profile_vector, b.profile_vector)
+
+
+def _warm_prepare(root, scenario):
+    engine = DiscoveryEngine.open(root, create=False).attach_corpus(
+        scenario.corpus
+    )
+    try:
+        return engine.prepare(scenario.base)
+    finally:
+        engine.shutdown()
+
+
+class TestLeftoverRunRecordTree:
+    """Release 2.2.0 could persist run records under ``results/``
+    (sharded like profile groups, with an LRU shard manifest).  Such a
+    root still opens: the tree is inert and ``rm -r DIR/results``
+    removes it."""
+
+    def test_results_tree_changes_nothing(self, tmp_path, scenario):
+        roots = {}
+        for name in ("plain", "legacy"):
+            roots[name] = str(tmp_path / name)
+            catalog = Catalog(CatalogStore(roots[name]), min_containment=0.3, seed=0)
+            catalog.refresh(scenario.corpus)
+            catalog.save()
+        store = CatalogStore(roots["legacy"])
+        key = "c0ffee" * 5 + "00"
+        record = json.dumps(
+            {"version": 1, "stamp": {"tables": 3}, "record": {"status": "completed"}}
+        ).encode("utf-8")
+        record_path = _plant(store, f"results/{shard_of(key)}/{key}.json", record)
+        _plant(
+            store,
+            f"results/{shard_of(key)}/manifest.json",
+            json.dumps(
+                {"results": {key: {"bytes": len(record), "touched": 1.0}}}
+            ).encode("utf-8"),
+        )
+        objects = store.list_objects()
+
+        assert Catalog.load(roots["legacy"]).verify()["problems"] == []
+        _same_candidates(
+            _warm_prepare(roots["legacy"], scenario),
+            _warm_prepare(roots["plain"], scenario),
+        )
+        assert Catalog.load(roots["legacy"]).gc() == 0
+        assert store.list_objects() == objects
+        assert store.verify()["problems"] == []
+        with open(record_path, "rb") as handle:
+            assert handle.read() == record  # never read, never rewritten
 
 
 class TestForeignFilesAreMissingObjects:

@@ -448,31 +448,65 @@ class TestBudgetValidation:
     """A negative, NaN or fractional budget used to evict every entry
     (``evict_profiles(-1)`` dropped 3 of 3 groups); it is refused."""
 
-    @pytest.mark.parametrize("name", ["profile_budget_bytes", "result_budget_bytes"])
     @pytest.mark.parametrize(
         "value", [-5, -1, float("nan"), 1.5, True, "10"], ids=repr
     )
-    def test_bad_store_budget_rejected(self, tmp_path, name, value):
-        with pytest.raises(ValueError, match=name):
-            CatalogStore(str(tmp_path / "cat"), **{name: value})
+    def test_bad_store_budget_rejected(self, tmp_path, value):
+        with pytest.raises(ValueError, match="profile_budget_bytes"):
+            CatalogStore(str(tmp_path / "cat"), profile_budget_bytes=value)
 
-    def test_none_and_zero_budgets_allowed(self, tmp_path):
-        store = CatalogStore(
-            str(tmp_path / "cat"), profile_budget_bytes=0, result_budget_bytes=None
-        )
-        assert (store.profile_budget_bytes, store.result_budget_bytes) == (0, None)
+    @pytest.mark.parametrize("budget", [0, None])
+    def test_none_and_zero_budgets_allowed(self, tmp_path, budget):
+        store = CatalogStore(str(tmp_path / "cat"), profile_budget_bytes=budget)
+        assert store.profile_budget_bytes == budget
 
-    @pytest.mark.parametrize("evict", ["evict_profiles", "evict_results"])
     @pytest.mark.parametrize("budget", [-1, float("nan"), None], ids=repr)
-    def test_bad_eviction_budget_evicts_nothing(self, tmp_path, evict, budget):
+    def test_bad_eviction_budget_evicts_nothing(self, tmp_path, budget):
         store = CatalogStore(str(tmp_path / "cat"))
         for i in range(3):
             store.write_profiles(f"g{i}", {"k": np.array([1.0])})
-            store.write_result(f"r{i}", {"i": i})
         with pytest.raises(ValueError, match="budget_bytes"):
-            getattr(store, evict)(budget)
+            store.evict_profiles(budget)
         assert len(store.list_profile_groups()) == 3
-        assert len(store.list_results()) == 3
+
+
+class TestRemovedRunRecordSurface:
+    """Release 2.3.0 removed the store's run-record section: the budget
+    knob, its methods and its report keys are gone, not ignored."""
+
+    def test_result_budget_is_not_a_parameter(self, tmp_path):
+        with pytest.raises(TypeError, match="result_budget_bytes"):
+            CatalogStore(str(tmp_path / "cat"), result_budget_bytes=1)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "write_result",
+            "read_result",
+            "delete_result",
+            "list_results",
+            "result_bytes",
+            "evict_results",
+            "result_record_size",
+        ],
+    )
+    def test_run_record_methods_are_gone(self, store, name):
+        assert not hasattr(store, name)
+
+    def test_report_keys(self, store):
+        store.write_profiles("basefp", {"k": np.array([1.0])})
+        assert set(store.stats()) == {
+            "version",
+            "tables",
+            "objects",
+            "profile_groups",
+            "profile_entries",
+            "profile_bytes",
+            "leases",
+            "disk_bytes",
+            "config",
+        }
+        assert set(store.verify()) == {"objects", "profile_groups", "problems"}
 
 
 def _group_bytes(store, base_fingerprint):
@@ -509,13 +543,3 @@ class TestEvictionVanishedFileRace:
         evicted, _freed = store.evict_profiles(0)
         assert evicted == 1  # the real group; the ghost neither
         assert store.list_profile_groups() == []  # crashed nor counted
-
-    def test_result_ghost_skipped(self, store, monkeypatch):
-        store.write_result("cafe0001", {"run": 1})
-        ghost_path = store._result_path("dead0002")
-        os.makedirs(os.path.dirname(ghost_path), exist_ok=True)
-        with open(ghost_path, "w") as handle:
-            json.dump({"run": 2}, handle)
-        self._vanish_on_listing(store, monkeypatch, ghost_path)
-        evicted, _freed = store.evict_results(0)
-        assert evicted == 1

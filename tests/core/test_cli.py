@@ -366,31 +366,29 @@ class TestCatalogWatch:
         assert "cycle 2: epoch 1, unchanged" in out
 
 
-class TestGcResultBudget:
-    def test_gc_evicts_run_records(self, capsys, tmp_path):
-        from repro.catalog import CatalogStore
-
-        path = str(tmp_path / "cat")
-        assert main(["catalog", "build", path, "--tables", "4"]) == 0
-        capsys.readouterr()
-        store = CatalogStore(path)
-        for i in range(3):
-            store.write_result(f"key{i}", {"version": 1, "pad": "x" * 50})
-        assert main(["catalog", "gc", path, "--result-budget", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "evicted 3 run records" in out
-        assert store.list_results() == []
-
-    @pytest.mark.parametrize("flag", ["--profile-budget", "--result-budget"])
+class TestGcBudget:
     @pytest.mark.parametrize("value", ["-1", "nan", "1.5"])
     def test_a_budget_that_is_not_a_byte_count_is_a_usage_error(
-        self, capsys, tmp_path, flag, value
+        self, capsys, tmp_path, value
     ):
         path = str(tmp_path / "cat")
         with pytest.raises(SystemExit) as excinfo:
-            main(["catalog", "gc", path, flag, value])
+            main(["catalog", "gc", path, "--profile-budget", value])
         assert excinfo.value.code == 2
         assert "expected an integer >= 0" in capsys.readouterr().err
+
+    def test_result_budget_flag_is_gone(self, capsys, tmp_path):
+        path = str(tmp_path / "cat")
+        assert main(["catalog", "build", path, "--tables", "4"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["catalog", "gc", path, "--result-budget", "1"])
+        assert excinfo.value.code == 2
+        assert "--result-budget" in capsys.readouterr().err
+        main(["catalog", "stats", path])
+        out = capsys.readouterr().out
+        assert "profile bytes" in out
+        assert "run records" not in out and "result bytes" not in out
 
 
 class TestRunStalenessBudget:

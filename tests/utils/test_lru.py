@@ -48,6 +48,16 @@ class TestLruDict:
         with pytest.raises(ValueError, match="capacity"):
             LruDict(capacity=0)
 
+    @pytest.mark.parametrize(
+        "bound", [float("nan"), float("inf"), 2.5, True, -1, "3"], ids=repr
+    )
+    @pytest.mark.parametrize("name", ["capacity", "max_bytes"])
+    def test_bound_must_be_a_positive_int(self, name, bound):
+        """A NaN bound compared false against every size: 1 000 puts of
+        10**6 bytes under ``max_bytes=nan`` left all 1 000 resident."""
+        with pytest.raises(ValueError, match=name):
+            LruDict(**{name: bound})
+
 
 class TestByteBudget:
     def test_budget_evicts_oldest_first(self):
