@@ -443,6 +443,66 @@ class TestProfileEviction:
         assert evicted == 2
         assert store.list_profile_groups() == []
 
+    def test_partial_budget_evicts_oldest_first(self, tmp_path, monkeypatch):
+        self.clock(monkeypatch)
+        store = CatalogStore(str(tmp_path / "cat"))
+        vector = np.arange(64, dtype=float)
+        for group in ("a", "b", "c", "d"):  # t=1..4
+            store.write_profiles(group, {"k": vector})
+        sizes = {group: _group_bytes(store, group) for group in "abcd"}
+        evicted, freed = store.evict_profiles(sizes["c"] + sizes["d"])
+        assert evicted == 2
+        assert freed == sizes["a"] + sizes["b"]
+        assert store.list_profile_groups() == ["c", "d"]
+        assert store.read_profiles("a") == {}
+        assert store.read_profiles("d")["k"].tobytes() == vector.tobytes()
+
+    def test_write_budget_keeps_the_newest_groups(self, tmp_path, monkeypatch):
+        self.clock(monkeypatch)
+        store = CatalogStore(str(tmp_path / "cat"))
+        vector = np.arange(64, dtype=float)
+        store.write_profiles("a", {"k": vector})
+        store.profile_budget_bytes = 2 * _group_bytes(store, "a")
+        for group in ("b", "c"):
+            store.write_profiles(group, {"k": vector})
+        assert store.list_profile_groups() == ["b", "c"]
+        assert store.profile_bytes() <= store.profile_budget_bytes
+
+    def test_keep_protects_named_groups(self, tmp_path, monkeypatch):
+        self.clock(monkeypatch)
+        store = CatalogStore(str(tmp_path / "cat"))
+        for group in ("a", "b", "c"):
+            store.write_profiles(group, {"k": np.arange(8, dtype=float)})
+        sizes = {group: _group_bytes(store, group) for group in "abc"}
+        # "a" is the oldest, so plain LRU order would evict it first.
+        evicted, freed = store.evict_profiles(0, keep=frozenset({"a"}))
+        assert (evicted, freed) == (2, sizes["b"] + sizes["c"])
+        assert store.list_profile_groups() == ["a"]
+        assert store.profile_bytes() == sizes["a"]
+
+    def test_stats_and_verify_count_groups(self, store):
+        store.write_profiles("a", {"k1": np.ones(3), "k2": np.ones(1), "k3": np.ones(2)})
+        store.write_profiles("b", {"k1": np.ones(4), "k2": np.ones(4)})
+        on_disk = _group_bytes(store, "a") + _group_bytes(store, "b")
+        stats = store.stats()
+        assert (stats["profile_groups"], stats["profile_entries"]) == (2, 5)
+        assert stats["profile_bytes"] == store.profile_bytes() == on_disk
+        assert store.verify() == {"objects": 0, "profile_groups": 2, "problems": []}
+        assert store.evict_profiles(0) == (2, on_disk)
+        stats = store.stats()
+        assert (stats["profile_groups"], stats["profile_entries"]) == (0, 0)
+        assert stats["profile_bytes"] == 0
+        assert store.verify() == {"objects": 0, "profile_groups": 0, "problems": []}
+
+    def test_delete_profiles_drops_one_group(self, store):
+        store.write_profiles("a", {"k": np.ones(2)})
+        store.write_profiles("b", {"k": np.ones(2)})
+        store.delete_profiles("a")
+        store.delete_profiles("never-written")
+        assert store.list_profile_groups() == ["b"]
+        assert store.read_profiles("a") == {}
+        assert store.verify()["problems"] == []
+
 
 class TestBudgetValidation:
     """A negative, NaN or fractional budget used to evict every entry
