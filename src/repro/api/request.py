@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 from repro.core.config import MetamConfig
 from repro.dataframe.table import Table
+from repro.utils.validation import check_fraction, check_positive_int
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,16 @@ class CandidateSpec:
     include_unions: bool = False
     min_union_shared: float = 0.5
     sample_size: int = 100
+
+    def __post_init__(self):
+        # Out-of-range values would not fail loudly later: a negative
+        # fanout slices off each column's last joinable, and a NaN or
+        # above-one containment silently empties the candidate set.
+        check_fraction(self.min_containment, "min_containment")
+        check_fraction(self.min_union_shared, "min_union_shared")
+        check_positive_int(self.max_hops, "max_hops")
+        check_positive_int(self.max_fanout, "max_fanout")
+        check_positive_int(self.sample_size, "sample_size")
 
     def to_record(self) -> dict:
         return asdict(self)

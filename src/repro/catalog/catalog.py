@@ -268,10 +268,7 @@ class Catalog:
     def _compute_and_persist(self, table: Table, object_id: str) -> dict:
         """Sign every column of ``table`` and (with a store) persist the
         object under ``object_id``."""
-        entries = {
-            column: self._index.compute_column_entry(table, column)
-            for column in table.column_names
-        }
+        entries = self._index.compute_column_entries(table)
         self.computed_columns += len(entries)
         # Written here, so owned by the write-time stamp, not a claim.
         self._adopted.pop(table.name, None)

@@ -1,23 +1,35 @@
 """The discovery index: joinable-column lookup over a table repository.
 
-This is our Aurum substitute.  Every indexed column gets a MinHash
-signature inserted into an LSH index; a *joinable* query returns columns
-whose LSH buckets collide and whose verified containment passes a
-threshold.  Like Aurum, the output is noisy: semantically wrong joins with
-overlapping value domains do surface (the paper relies on this — ~60% of
-discovered candidates are erroneous in §VI-A).
+This is our Aurum substitute.  A *joinable* query returns the columns
+whose MinHash signature shares an LSH band bucket with the query's and
+whose verified containment passes a threshold.  Like Aurum, the output is
+noisy: semantically wrong joins with overlapping value domains do surface
+(the paper relies on this — ~60% of discovered candidates are erroneous
+in §VI-A).
 
 The per-column state lives in :class:`ColumnEntry` objects (distinct
-sample, normalized value set, MinHash signature).  Entries can be computed
-here or supplied precomputed — that is how the persistent catalog
+sample, normalized value set, MinHash signature).  Entries can be
+supplied precomputed — that is how the persistent catalog
 (:mod:`repro.catalog`) warm-starts an index without re-signing unchanged
 tables — and tables can be removed incrementally, so the catalog can keep
 an index in sync with a changing corpus without full rebuilds.
+
+A column indexed from its live table is signed on demand.  Adding the
+table computes only its value sets; a query first narrows the unsigned
+columns to those whose exact containment passes the threshold, then signs
+just those survivors in one batch and inserts them into the LSH before
+probing.  Both tests are pairwise and exact, so a query returns what it
+would have returned had every column been signed up front.  Anything that
+reads a signature (:meth:`DiscoveryIndex.signature_of`,
+:meth:`DiscoveryIndex.column_entries`) signs first, so no entry leaves the
+index unsigned.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +38,7 @@ from repro import kernels
 from repro.dataframe.table import Table
 from repro.discovery.lsh import LshIndex
 from repro.discovery.minhash import MinHasher
+from repro.utils.validation import check_fraction
 
 
 @dataclass(frozen=True)
@@ -92,6 +105,14 @@ def _sample_seed(seed: int, table: str, column: str) -> int:
 class DiscoveryIndex:
     """Joinable-column index over a corpus of tables.
 
+    Tables added with precomputed entries (or hydrated from signatures)
+    arrive signed.  Columns computed here from the live table are signed
+    when a query could first return them: a query narrows the unsigned
+    columns by exact containment, signs the survivors in one batch and
+    inserts them into the LSH, then probes as usual.  Narrowing and
+    signing run under one per-index lock, so queries on a shared index
+    stay safe.
+
     Parameters
     ----------
     num_perm / bands:
@@ -115,6 +136,7 @@ class DiscoveryIndex:
         hash_version: int = 1,
     ):
         self.hash_version = kernels.check_hash_version(hash_version)
+        check_fraction(min_containment, "min_containment")
         self._hasher = MinHasher(
             num_perm=num_perm, seed=seed, hash_version=hash_version
         )
@@ -127,6 +149,13 @@ class DiscoveryIndex:
         self._entries = {}
         self._tables = {}
         self._entry_loader = None
+        # Columns not yet signed: ref -> (distinct, normalized).  They
+        # are in neither ``_entries`` nor the LSH.
+        self._unsigned = {}
+        # Value-hash arrays over ``_unsigned`` for narrowing; None means
+        # stale (lazy columns were added since the last build).
+        self._narrowing = None
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @property
@@ -142,7 +171,8 @@ class DiscoveryIndex:
 
     @property
     def num_indexed_columns(self) -> int:
-        return len(self._lsh)
+        """Indexed columns, signed or not."""
+        return len(self._lsh) + len(self._unsigned)
 
     @property
     def config(self) -> dict:
@@ -177,21 +207,11 @@ class DiscoveryIndex:
             distinct = set(picks.tolist())
         return distinct
 
-    def compute_column_entry(self, table: Table, column: str) -> ColumnEntry:
-        """Signature + value sets for one column (the expensive step)."""
-        distinct = self._distinct_sample(table, column)
-        return ColumnEntry(
-            distinct=frozenset(distinct),
-            normalized=frozenset(kernels.normalize_strings(distinct)),
-            signature=self._hasher.signature(distinct),
-        )
-
     def compute_column_entries(self, table: Table, columns=None) -> dict:
-        """Entries for many columns with one batched signing pass.
-
-        Row-for-row identical to calling :meth:`compute_column_entry`
-        per column; the MinHash permutation work is batched into a few
-        large kernel calls instead of one per column.
+        """Signed entries (signature + value sets) for ``columns`` of
+        ``table`` (default: all of them) with one batched signing pass —
+        the MinHash permutation work runs as a few large kernel calls
+        instead of one per column.
         """
         columns = table.column_names if columns is None else list(columns)
         distincts = [self._distinct_sample(table, column) for column in columns]
@@ -210,8 +230,10 @@ class DiscoveryIndex:
         """Index every column of ``table``.
 
         ``entries`` optionally supplies precomputed :class:`ColumnEntry`
-        objects by column name (e.g. loaded from a persistent catalog); any
-        column not covered is computed here.
+        objects by column name (e.g. loaded from a persistent catalog);
+        those columns arrive signed.  Any column not covered gets its
+        value sets computed here and is signed when a query could first
+        return it.
         """
         if table.name in self._tables:
             raise ValueError(f"table {table.name!r} already indexed")
@@ -224,30 +246,32 @@ class DiscoveryIndex:
             )
         # Resolve and validate everything before touching index state, so
         # a bad precomputed entry cannot leave a half-indexed table.
-        to_compute = [c for c in table.column_names if not entries.get(c)]
-        computed = (
-            self.compute_column_entries(table, to_compute) if to_compute else {}
-        )
-        resolved = {
-            column: entries.get(column) or computed[column]
-            for column in table.column_names
-        }
-        for column, entry in resolved.items():
+        signed = {c: entries[c] for c in table.column_names if entries.get(c)}
+        for column, entry in signed.items():
             if entry.signature.shape != (self.num_perm,):
                 raise ValueError(
                     f"entry for {table.name}.{column} has signature shape "
                     f"{entry.signature.shape}, expected ({self.num_perm},)"
                 )
-        refs = [ColumnRef(table.name, column) for column in resolved]
-        if refs:
-            # One bulk LSH insert (validates before mutating, like the
-            # per-column path did via the shape check above).
-            self._lsh.insert_many(
-                refs, np.stack([entry.signature for entry in resolved.values()])
-            )
-        self._tables[table.name] = table
-        for ref, entry in zip(refs, resolved.values(), strict=True):
-            self._entries[ref] = entry
+        lazy = [c for c in table.column_names if c not in signed]
+        distincts = [self._distinct_sample(table, column) for column in lazy]
+        normalized = kernels.normalize_many(distincts)
+        refs = [ColumnRef(table.name, column) for column in signed]
+        with self._lock:
+            if refs:
+                # insert_many validates before mutating any bucket.
+                self._lsh.insert_many(
+                    refs, np.stack([entry.signature for entry in signed.values()])
+                )
+            self._tables[table.name] = table
+            self._entries.update(zip(refs, signed.values(), strict=True))
+            for column, distinct, norm in zip(lazy, distincts, normalized, strict=True):
+                self._unsigned[ColumnRef(table.name, column)] = (
+                    frozenset(distinct),
+                    frozenset(norm),
+                )
+            if lazy:
+                self._narrowing = None
 
     def add_table_hydrated(self, table: Table, signatures: dict) -> None:
         """Index a table from precomputed signatures alone (warm start).
@@ -309,14 +333,19 @@ class DiscoveryIndex:
         only this table's LSH buckets)."""
         if table_name not in self._tables:
             raise KeyError(f"table {table_name!r} not indexed")
-        table = self._tables.pop(table_name)
-        for column in table.column_names:
-            ref = ColumnRef(table_name, column)
-            self._entries.pop(ref, None)
-            self._lsh.remove(ref)
+        with self._lock:
+            table = self._tables.pop(table_name)
+            for column in table.column_names:
+                ref = ColumnRef(table_name, column)
+                self._entries.pop(ref, None)
+                if self._unsigned.pop(ref, None) is None:
+                    self._lsh.remove(ref)
 
     def signature_of(self, ref: ColumnRef) -> np.ndarray:
-        """Stored MinHash signature of an indexed column."""
+        """MinHash signature of an indexed column (signed on demand)."""
+        with self._lock:
+            if ref in self._unsigned:
+                self._sign([ref])
         return self._lsh.signature_of(ref)
 
     def rebind_table(self, table: Table) -> None:
@@ -332,13 +361,15 @@ class DiscoveryIndex:
 
     def column_entries(self, table_name: str) -> dict:
         """Stored :class:`ColumnEntry` objects of one table, by column
-        (forces lazy entries to load)."""
+        (signs unsigned columns and forces lazy entries to load)."""
         if table_name not in self._tables:
             raise KeyError(f"table {table_name!r} not indexed")
         refs = [
             ColumnRef(table_name, column)
             for column in self._tables[table_name].column_names
         ]
+        with self._lock:
+            self._sign([ref for ref in refs if ref in self._unsigned])
         self._page_in(refs)
         return {ref.column: self._entries[ref] for ref in refs}
 
@@ -349,6 +380,82 @@ class DiscoveryIndex:
         return self
 
     # ------------------------------------------------------------------
+    def _sign(self, refs) -> None:
+        """MinHash the unsigned ``refs`` in one batch and insert them into
+        the LSH with one bulk insert (caller holds ``_lock``)."""
+        if not refs:
+            return
+        pending = [self._unsigned[ref] for ref in refs]
+        signatures = self._hasher.signatures([distinct for distinct, _ in pending])
+        self._lsh.insert_many(refs, signatures)
+        for i, (ref, (distinct, normalized)) in enumerate(zip(refs, pending, strict=True)):
+            self._entries[ref] = ColumnEntry(distinct, normalized, signatures[i])
+            del self._unsigned[ref]
+        if not self._unsigned:
+            self._narrowing = None  # nothing left to narrow: free the arrays
+
+    def _narrowing_arrays(self):
+        """``(refs, sizes, keys, offsets, owners)`` over the unsigned
+        columns: ``keys`` is the sorted distinct ``hash()`` of their
+        normalized values, and ``owners[offsets[k]:offsets[k + 1]]`` the
+        positions in ``refs`` of the columns holding a value with hash
+        ``keys[k]``.  Built once, rebuilt only after lazy tables were
+        added (caller holds ``_lock``)."""
+        if self._narrowing is None:
+            refs = list(self._unsigned)
+            value_sets = [normalized for _, normalized in self._unsigned.values()]
+            sizes = np.fromiter(map(len, value_sets), np.int64, len(value_sets))
+            hashes = np.fromiter(
+                map(hash, itertools.chain.from_iterable(value_sets)),
+                np.int64,
+                int(sizes.sum()),
+            )
+            order = np.argsort(hashes)
+            hashes = hashes[order]
+            owners = np.repeat(np.arange(len(refs)), sizes)[order]
+            firsts = np.flatnonzero(
+                np.concatenate(([hashes.size > 0], hashes[1:] != hashes[:-1]))
+            )
+            # A largest-possible key with an empty owner range ends
+            # ``keys``, so every probe's searchsorted slot is in bounds.
+            keys = np.append(hashes[firsts], np.iinfo(np.int64).max)
+            offsets = np.append(firsts, [hashes.size, hashes.size])
+            self._narrowing = (refs, sizes, keys, offsets, owners)
+        return self._narrowing
+
+    def _sign_survivors(self, query_values, exclude_table) -> None:
+        """Sign every unsigned column a query with ``query_values`` could
+        return: containment ``>= min_containment`` and not in
+        ``exclude_table`` (caller holds ``_lock``).
+
+        Value hashes give an upper bound on each column's overlap in one
+        ``searchsorted`` + ``bincount`` pass (a hash collision can only
+        over-count); the columns the bound keeps are confirmed exactly.
+        """
+        if not self._unsigned:
+            return
+        refs, sizes, keys, offsets, owners = self._narrowing_arrays()
+        size = len(query_values)
+        probes = np.fromiter(map(hash, query_values), np.int64, size)
+        at = np.searchsorted(keys, probes)
+        at = at[keys[at] == probes]
+        lo = offsets[at]
+        counts = offsets[at + 1] - lo
+        # Positions lo[k] .. lo[k] + counts[k] - 1 of every matched probe.
+        starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        hits = owners[starts + np.arange(starts.size)]
+        bound = np.bincount(hits, minlength=len(refs))
+        theta = self.min_containment
+        survivors = []
+        for i in np.flatnonzero((bound / size >= theta) & (sizes / size >= theta)):
+            ref = refs[i]
+            pending = self._unsigned.get(ref)
+            if pending is None or ref.table == exclude_table:
+                continue  # excluded, or signed or removed since the build
+            if len(query_values & pending[1]) / size >= theta:
+                survivors.append(ref)
+        self._sign(survivors)
+
     @staticmethod
     def _normalized_array(entry: ColumnEntry):
         """Sorted unicode array of ``entry.normalized`` for searchsorted
@@ -361,12 +468,15 @@ class DiscoveryIndex:
         return arr
 
     def _verified(self, query_values, signature, exclude_table=None) -> list:
-        """LSH probe + containment verification, shared by the live-table
-        and stored-entry query paths."""
+        """Sign the unsigned columns this query could return, then LSH
+        probe + containment verification, shared by the live-table and
+        stored-entry query paths."""
         query_arr = kernels.sorted_unique_array(query_values)
-        refs = [
-            ref for ref in self._lsh.query(signature) if ref.table != exclude_table
-        ]
+        with self._lock:
+            self._sign_survivors(query_values, exclude_table)
+            refs = [
+                ref for ref in self._lsh.query(signature) if ref.table != exclude_table
+            ]
         self._page_in(refs)
         results = []
         for ref in refs:

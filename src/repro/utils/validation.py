@@ -7,11 +7,15 @@ import numbers
 
 
 def check_fraction(value: float, name: str) -> float:
-    """Validate that ``value`` lies in [0, 1]."""
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return value
+    """Validate that ``value`` is a real number in [0, 1] (``bool`` is not
+    a number here, and NaN fails the range test)."""
+    if (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and 0.0 <= value <= 1.0
+    ):
+        return value
+    raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
 def check_positive(value, name: str):
@@ -19,6 +23,13 @@ def check_positive(value, name: str):
     if value <= 0:
         raise ValueError(f"{name} must be > 0, got {value}")
     return value
+
+
+def check_positive_int(value, name: str) -> int:
+    """Validate that ``value`` is an int >= 1 (``bool`` is not)."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1:
+        return value
+    raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
 def check_non_negative(value, name: str):

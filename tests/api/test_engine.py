@@ -133,6 +133,29 @@ class TestPrepare:
         with pytest.raises(ValueError, match=name):
             DiscoveryEngine(corpus=scenario.corpus, **{name: bound})
 
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [
+            ("max_fanout", -1),
+            ("max_hops", 0),
+            ("max_hops", False),
+            ("sample_size", -5),
+            ("sample_size", 100.0),
+            ("min_containment", float("nan")),
+            ("min_containment", 1.5),
+            ("min_containment", True),
+            ("min_union_shared", float("nan")),
+            ("min_union_shared", -0.5),
+        ],
+        ids=repr,
+    )
+    def test_candidate_spec_rejects_values_that_change_the_result(self, name, value):
+        """Each of these used to run: a negative fanout sliced off every
+        column's last joinable, a NaN, bool or above-one containment gave
+        no candidates, a negative sample size failed deep in numpy."""
+        with pytest.raises(ValueError, match=name):
+            CandidateSpec(**{name: value})
+
     @pytest.mark.parametrize("disabled", [0, None])
     def test_zero_or_none_disables_result_cache(self, scenario, disabled):
         engine = DiscoveryEngine(corpus=scenario.corpus, result_cache_bytes=disabled)

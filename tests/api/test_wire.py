@@ -172,6 +172,23 @@ class TestRequestFromWire:
             ),
             ({"base": "orders", "task": "t", "options": [1]}, "options"),
             ({"base": "orders", "task": "t", "spec": {"bogus": 1}}, "bogus"),
+            *(
+                ({"base": "orders", "task": "t", "spec": {name: value}}, name)
+                for name, value in [
+                    ("max_fanout", -1),
+                    ("max_fanout", 0),
+                    ("max_hops", 0),
+                    ("max_hops", True),
+                    ("sample_size", -5),
+                    ("sample_size", 2.5),
+                    ("min_containment", float("nan")),
+                    ("min_containment", 1.5),
+                    ("min_containment", True),
+                    ("min_containment", "0.3"),
+                    ("min_union_shared", float("inf")),
+                    ("min_union_shared", -0.1),
+                ]
+            ),
             (
                 {"base": "orders", "task": "t", "spec": "fast"},
                 "must be an object",

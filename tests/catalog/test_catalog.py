@@ -61,12 +61,10 @@ class TestIncrementalMaintenance:
         catalog.refresh(corpus)
         signed_before = catalog.computed_columns
 
-        def boom(table, column):
-            raise AssertionError(
-                f"re-signed unchanged column {table.name}.{column}"
-            )
+        def boom(table, columns=None):
+            raise AssertionError(f"re-signed unchanged table {table.name}")
 
-        monkeypatch.setattr(catalog.index, "compute_column_entry", boom)
+        monkeypatch.setattr(catalog.index, "compute_column_entries", boom)
         diff = catalog.refresh(dict(corpus))
         assert diff.unchanged == sorted(corpus)
         assert catalog.computed_columns == signed_before

@@ -282,10 +282,12 @@ class TestCatalogCommands:
     def test_stats_missing_catalog(self, capsys, tmp_path):
         assert main(["catalog", "stats", str(tmp_path / "none")]) == 1
 
-    def test_invalid_index_params_report_cleanly(self, capsys, tmp_path):
-        code = main(
-            ["catalog", "build", str(tmp_path / "c"), "--num-perm", "60"]
-        )
+    @pytest.mark.parametrize(
+        "flags",
+        [["--num-perm", "60"], ["--min-containment", "nan"], ["--min-containment", "1.5"]],
+    )
+    def test_invalid_index_params_report_cleanly(self, capsys, tmp_path, flags):
+        code = main(["catalog", "build", str(tmp_path / "c"), *flags])
         assert code == 1
         assert "error:" in capsys.readouterr().err
 

@@ -135,6 +135,22 @@ class TestIndexRemoval:
         with pytest.raises(KeyError):
             DiscoveryIndex().remove_table("ghost")
 
+    def test_remove_unsigned_table_leaves_lsh_alone(self):
+        t1, t2 = two_tables()
+        index = DiscoveryIndex(num_perm=16, bands=8, min_containment=0.1)
+        index.add_table(t1)
+        index.add_table(t2)
+        index.column_entries("t1")  # signs t1 only
+        index.remove_table("t2")
+        assert len(index._lsh) == 2 and not index._unsigned
+        assert index.num_indexed_columns == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5, True, "0.3"], ids=repr)
+def test_min_containment_validated(bad):
+    with pytest.raises(ValueError, match="min_containment"):
+        DiscoveryIndex(min_containment=bad)
+
 
 class TestPrecomputedEntries:
     def test_add_with_entries_matches_cold(self):
@@ -152,7 +168,7 @@ class TestPrecomputedEntries:
     def test_unknown_entry_column_rejected(self):
         t1, _ = two_tables()
         index = DiscoveryIndex(num_perm=16, bands=8)
-        entry = index.compute_column_entry(t1, "key")
+        entry = index.compute_column_entries(t1, ["key"])["key"]
         with pytest.raises(ValueError):
             index.add_table(t1, entries={"ghost": entry})
 
@@ -161,8 +177,8 @@ class TestPrecomputedEntries:
         index = DiscoveryIndex(num_perm=16, bands=8, min_containment=0.1)
         narrow = DiscoveryIndex(num_perm=8, bands=4)
         bad = {
-            column: narrow.compute_column_entry(t1, column).signature
-            for column in t1.column_names
+            column: entry.signature
+            for column, entry in narrow.compute_column_entries(t1).items()
         }
         with pytest.raises(ValueError):
             index.add_table_hydrated(t1, bad)
@@ -174,7 +190,7 @@ class TestPrecomputedEntries:
         t1, _ = two_tables()
         index = DiscoveryIndex(num_perm=16, bands=8, min_containment=0.1)
         narrow = DiscoveryIndex(num_perm=8, bands=4)
-        bad = {c: narrow.compute_column_entry(t1, c) for c in t1.column_names}
+        bad = narrow.compute_column_entries(t1)
         with pytest.raises(ValueError):
             index.add_table(t1, entries=bad)
         assert "t1" not in index
@@ -185,7 +201,7 @@ class TestPrecomputedEntries:
     def test_hydrated_requires_all_signatures(self):
         t1, _ = two_tables()
         index = DiscoveryIndex(num_perm=16, bands=8)
-        sig = index.compute_column_entry(t1, "key").signature
+        sig = index.compute_column_entries(t1, ["key"])["key"].signature
         with pytest.raises(ValueError):
             index.add_table_hydrated(t1, {"key": sig})
 
@@ -248,7 +264,7 @@ class TestDownSampling:
 
     def test_sample_is_not_lexicographic_prefix(self):
         index = DiscoveryIndex(num_perm=16, bands=8, max_distinct=50, seed=0)
-        entry = index.compute_column_entry(self.big_table(), "col")
+        entry = index.compute_column_entries(self.big_table())["col"]
         assert len(entry.distinct) == 50
         lexicographic = set(sorted(f"value_{i:05d}" for i in range(400))[:50])
         assert entry.distinct != lexicographic
@@ -257,8 +273,8 @@ class TestDownSampling:
         a = DiscoveryIndex(num_perm=16, bands=8, max_distinct=50, seed=0)
         b = DiscoveryIndex(num_perm=16, bands=8, max_distinct=50, seed=0)
         table = self.big_table()
-        ea = a.compute_column_entry(table, "col")
-        eb = b.compute_column_entry(table, "col")
+        ea = a.compute_column_entries(table)["col"]
+        eb = b.compute_column_entries(table)["col"]
         assert ea.distinct == eb.distinct
         assert np.array_equal(ea.signature, eb.signature)
 
@@ -266,13 +282,14 @@ class TestDownSampling:
         table = self.big_table()
         a = DiscoveryIndex(num_perm=16, bands=8, max_distinct=50, seed=0)
         b = DiscoveryIndex(num_perm=16, bands=8, max_distinct=50, seed=7)
-        assert a.compute_column_entry(table, "col").distinct != b.compute_column_entry(
-            table, "col"
-        ).distinct
+        assert (
+            a.compute_column_entries(table)["col"].distinct
+            != b.compute_column_entries(table)["col"].distinct
+        )
 
     def test_small_columns_keep_all_values(self):
         index = DiscoveryIndex(num_perm=16, bands=8, max_distinct=50)
         table = Table("small", {"col": ["a", "b", "c"]})
-        assert index.compute_column_entry(table, "col").distinct == frozenset(
+        assert index.compute_column_entries(table)["col"].distinct == frozenset(
             {"a", "b", "c"}
         )

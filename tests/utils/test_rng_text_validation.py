@@ -74,6 +74,9 @@ class TestValidation:
             check_fraction(1.5, "x")
         with pytest.raises(ValueError):
             check_fraction(-0.1, "x")
+        for bad in (float("nan"), True, "0.5", None):
+            with pytest.raises(ValueError, match="x must be a number in"):
+                check_fraction(bad, "x")
 
     def test_positive(self):
         assert check_positive(3, "x") == 3
