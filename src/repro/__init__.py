@@ -20,12 +20,12 @@ from repro.api import (
     DiscoveryRequest,
     DiscoveryRun,
 )
-from repro.catalog import Catalog, CatalogRefresher, CatalogSnapshot, CatalogStore
+from repro.catalog import Catalog, CatalogStore
 from repro.core.config import MetamConfig
 from repro.core.metam import Metam
 from repro.core.result import SearchResult
 
-__version__ = "2.3.0"
+__version__ = "2.4.0"
 
 __all__ = [
     "DiscoveryEngine",
@@ -34,8 +34,6 @@ __all__ = [
     "CandidateSpec",
     "CancellationToken",
     "Catalog",
-    "CatalogRefresher",
-    "CatalogSnapshot",
     "CatalogStore",
     "MetamConfig",
     "Metam",

@@ -55,14 +55,10 @@ FILE_LOCK_CALLS = {
 #: Each entry needs a justification here — this list is the allowlist
 #: the blocking-under-lock checker honors.
 BLOCKING_ALLOWLIST = {
-    # The refresher serializes whole re-sign cycles (scan → refresh →
-    # save → gc) under one lock on purpose: cycles must never overlap,
-    # and only the daemon thread and explicit poke() contend on it.
-    ("repro.catalog.refresh", "_refresh_lock"),
     # The engine deliberately holds the catalog lock across catalog
-    # refresh/save: catalog mutations must be serialized with snapshot
-    # swaps, and every reader path takes a snapshot reference instead
-    # of this lock.
+    # refresh/save: catalog mutations must be serialized with each
+    # other and with index paging, and every reader path takes a
+    # corpus reference instead of this lock.
     ("repro.api.engine", "_catalog_lock"),
 }
 

@@ -33,12 +33,6 @@ owner and replays the recorded run instead of searching twice.
 Independently of that cache, runs on the same base table and built-in
 task share one fit of the base utility ``u(Din)`` (the base-utility
 memo); each run is still charged the query.
-
-A :class:`~repro.catalog.CatalogRefresher` can be attached
-(:meth:`attach_refresher`): the engine then swaps the refresher's
-published :class:`~repro.catalog.CatalogSnapshot` in atomically between
-requests — reads never block on background maintenance — and a
-``staleness_budget`` bounds how old a served snapshot may be.
 """
 
 from __future__ import annotations
@@ -72,7 +66,6 @@ from repro.api.futures import DiscoveryFuture
 from repro.api.request import CandidateSpec, DiscoveryRequest
 from repro.api.run import DiscoveryRun
 from repro.catalog import Catalog
-from repro.catalog.refresh import register_refresher_metrics
 from repro.catalog.store import register_store_metrics
 from repro.catalog.fingerprint import registry_fingerprint, table_fingerprint
 from repro.dataframe.table import Table, normalize_corpus
@@ -91,6 +84,7 @@ from repro.profiles.registry import default_registry
 from repro.tasks.base import Task, content_key
 from repro.utils.locks import KeyedMutex
 from repro.utils.lru import LruDict
+from repro.utils.validation import check_positive_int
 
 _log = get_logger(__name__)
 
@@ -137,21 +131,15 @@ class DiscoveryEngine:
         fingerprint, and the cache is invalidated whenever the corpus
         or catalog content changes.  Must be ``None`` or an int (not a
         ``bool``), like ``max_prepared_sets``.
-    refresher:
-        Optional :class:`~repro.catalog.CatalogRefresher` to adopt
-        snapshots from (see :meth:`attach_refresher`).
-    staleness_budget:
-        Default bound (seconds) on the age of the served snapshot when
-        a refresher is attached; ``None`` serves whatever is current.
     metrics:
         Telemetry registry wiring: ``None`` (default) gives the engine
         its own private :class:`~repro.obs.MetricsRegistry`; pass a
         registry to share one across engines; ``False`` installs the
         no-op registry (instrumentation compiled out — the honest
         baseline ``benchmarks/bench_obs_overhead.py`` measures against).
-        The attached catalog store and refresher record into the same
-        registry.  Serving counters (``runs_started`` & co.) are views
-        over the registry either way.
+        The attached catalog store records into the same registry.
+        Serving counters (``runs_started`` & co.) are views over the
+        registry either way.
     tracing:
         ``True`` (default) records a per-run trace tree (request →
         prepare → per-round query evaluation) into every
@@ -170,8 +158,6 @@ class DiscoveryEngine:
         max_prepared_sets: int = 32,
         max_workers: int = 4,
         result_cache_bytes: int = None,
-        refresher=None,
-        staleness_budget: float = None,
         metrics=None,
         tracing: bool = True,
     ):
@@ -182,8 +168,7 @@ class DiscoveryEngine:
                 f"max_prepared_sets must be None or an int >= 1, got "
                 f"{max_prepared_sets!r}"
             ) from None
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+        check_positive_int(max_workers, "max_workers")
         if result_cache_bytes in (None, 0) and not isinstance(
             result_cache_bytes, (bool, float)
         ):
@@ -223,12 +208,6 @@ class DiscoveryEngine:
         #: -> threading.Event set when the owning submitted run resolves
         #: (completes, fails, or is cancelled while still queued).
         self._reservations = {}
-        self._refresher = None
-        self._staleness_budget = (
-            float(staleness_budget) if staleness_budget is not None else None
-        )
-        self._snapshot_epoch = 0  # epoch of the adopted refresher snapshot
-        self.last_sync_staleness = None
         #: Table-content digests memoized by object *identity* (Tables
         #: are immutable by library convention and unhashable, so this
         #: maps ``id(table)`` with a weakref that both guards against id
@@ -256,15 +235,13 @@ class DiscoveryEngine:
             self.catalog.store.attach_metrics(registry)
         if corpus is not None:
             self.attach_corpus(corpus)
-        if refresher is not None:
-            self.attach_refresher(refresher, staleness_budget=staleness_budget)
 
     def _init_metrics(self, registry) -> None:
         """Register (get-or-create) every engine family on ``registry``,
-        plus the store and refresher families — so a metrics snapshot
-        names the full catalog of series even before a catalog or
-        refresher is attached.  Labeled children the serving path uses
-        are pre-touched for the same reason: zero shows as zero."""
+        plus the store families — so a metrics snapshot names the full
+        catalog of series even before a catalog is attached.  Labeled
+        children the serving path uses are pre-touched for the same
+        reason: zero shows as zero."""
         self.metrics = registry
         self._m_runs_started = registry.counter(
             "repro_engine_runs_started_total",
@@ -331,15 +308,6 @@ class DiscoveryEngine:
             "repro_engine_result_cache_reserved",
             "In-flight reservations of result-cache slots.",
         )
-        self._m_staleness_gauge = registry.gauge(
-            "repro_engine_last_sync_staleness_seconds",
-            "Refresher staleness observed at the last snapshot sync.",
-        )
-        self._m_staleness = registry.histogram(
-            "repro_engine_staleness_served_seconds",
-            "Refresher staleness at each request-boundary sync.",
-            buckets=(0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0),
-        )
         self._m_run_seconds = registry.histogram(
             "repro_engine_run_seconds",
             "End-to-end wall time of live runs, by terminal status.",
@@ -366,7 +334,6 @@ class DiscoveryEngine:
         )
         # Pre-register the families instrumented layers record into.
         register_store_metrics(registry)
-        register_refresher_metrics(registry)
 
     # Serving counters are read-only views over the metrics registry —
     # one source of truth for stats(), exposition, and tests alike.
@@ -442,75 +409,6 @@ class DiscoveryEngine:
             self._invalidate_results()
         return self
 
-    def attach_refresher(self, refresher, staleness_budget: float = None) -> "DiscoveryEngine":
-        """Adopt snapshots from a :class:`~repro.catalog.CatalogRefresher`.
-
-        From now on every request first swaps in the refresher's latest
-        published :class:`~repro.catalog.CatalogSnapshot` (corpus +
-        hydrated catalog together, atomically, between requests — an
-        in-flight run keeps the snapshot it started with).
-        ``staleness_budget`` (default: the refresher's own) bounds how
-        old the served snapshot may be; exceeding it forces one
-        synchronous refresh before serving.  The engine does not own the
-        refresher's lifecycle — start/stop it yourself (or use it as a
-        context manager).  Returns ``self``; the initial snapshot is
-        adopted immediately (running a first cycle if none exists yet).
-        """
-        self._refresher = refresher
-        refresher.attach_metrics(self.metrics)
-        # A different refresher numbers its epochs from 1 again; reset
-        # so its first snapshot is always adopted.
-        self._snapshot_epoch = 0
-        if staleness_budget is not None:
-            self._staleness_budget = float(staleness_budget)
-        elif refresher.staleness_budget is not None:
-            self._staleness_budget = refresher.staleness_budget
-        self._sync_snapshot()
-        return self
-
-    def _sync_snapshot(self, staleness_budget: float = None) -> None:
-        """Swap in the refresher's current snapshot if it is newer than
-        the one being served (no-op without a refresher).
-
-        Runs at request boundaries only, so the swap is atomic from any
-        run's point of view: corpus, catalog, and the caches keyed on
-        them change together under the engine locks, and runs already
-        executing keep their own corpus/catalog snapshot to the end.
-        """
-        refresher = self._refresher
-        if refresher is None:
-            return
-        budget = (
-            staleness_budget
-            if staleness_budget is not None
-            else self._staleness_budget
-        )
-        snapshot = refresher.ensure_fresh(budget)
-        staleness = refresher.staleness()
-        self.last_sync_staleness = staleness
-        if staleness != float("inf"):
-            self._m_staleness.observe(staleness)
-            self._m_staleness_gauge.set(staleness)
-        # <= not ==: a request that raced a background cycle may hold an
-        # *older* snapshot than one a concurrent request just adopted —
-        # installing it would regress the served corpus.
-        if snapshot is None or snapshot.epoch <= self._snapshot_epoch:
-            return
-        # Same nesting order as the prepare path (catalog lock outside
-        # the engine lock) — never the reverse, which would deadlock
-        # against a prepare invalidating the result cache.
-        with self._catalog_lock:
-            with self._lock:
-                if snapshot.epoch <= self._snapshot_epoch:
-                    return
-                self._snapshot_epoch = snapshot.epoch
-                self.catalog = snapshot.catalog
-                self._corpus = dict(snapshot.corpus)
-                self._corpus_epoch += 1
-                self._prepared.clear()
-                if self._results is not None:
-                    self._results.clear()
-
     def shutdown(self, wait: bool = True) -> None:
         """Drain the async worker pool (no-op when none was created).
 
@@ -565,7 +463,6 @@ class DiscoveryEngine:
         parallel (catalog mutations are serialized internally, and the
         catalog store's own writes are concurrency-safe).
         """
-        self._sync_snapshot()
         candidates, _from_cache, _corpus = self._prepare_cached(
             base, spec, registry, seed
         )
@@ -714,7 +611,6 @@ class DiscoveryEngine:
         request: DiscoveryRequest,
         progress=None,
         cancel: CancellationToken = None,
-        staleness_budget: float = None,
     ) -> DiscoveryRun:
         """Serve one request; returns the completed :class:`DiscoveryRun`.
 
@@ -722,9 +618,7 @@ class DiscoveryEngine:
         :class:`~repro.api.events.RunEvent`) streams every event as it
         happens; ``cancel`` stops the run cooperatively at its next
         utility query (the run then finishes with status
-        ``"cancelled"`` and ``result=None``).  ``staleness_budget``
-        overrides the engine's default bound on snapshot age for this
-        request (only meaningful with a refresher attached).
+        ``"cancelled"`` and ``result=None``).
 
         With the result cache enabled, a request identical to a
         previously completed one is served as an exact replay: the
@@ -734,7 +628,6 @@ class DiscoveryEngine:
         """
         task = self._resolve_task(request)
         factory = self.searchers.get(request.searcher)  # fail before any work
-        self._sync_snapshot(staleness_budget)
         self.corpus  # fail fast when none is attached
         cache_key = self._result_cache_key(request)
         if cancel is not None and cancel.cancelled:
@@ -834,7 +727,6 @@ class DiscoveryEngine:
         request: DiscoveryRequest,
         progress=None,
         cancel: CancellationToken = None,
-        staleness_budget: float = None,
     ) -> DiscoveryFuture:
         """Non-blocking :meth:`discover`: returns immediately.
 
@@ -880,7 +772,7 @@ class DiscoveryEngine:
             # it failed/cancelled, in which case this executes a normal
             # run) — either way a plain discover is correct.
             wait_for.wait()
-            return self.discover(request, progress, token, staleness_budget)
+            return self.discover(request, progress, token)
 
         # Reservation registration and enqueueing happen under ONE lock
         # acquisition: a follower can only observe a reservation whose
@@ -906,12 +798,7 @@ class DiscoveryEngine:
                 future = self._executor.submit(_tracked, _follow)
             else:
                 future = self._executor.submit(
-                    _tracked,
-                    self.discover,
-                    request,
-                    progress,
-                    token,
-                    staleness_budget,
+                    _tracked, self.discover, request, progress, token
                 )
 
         def _queue_drop(f):
@@ -1342,7 +1229,6 @@ class DiscoveryEngine:
         pass; the stored config's seed applies); otherwise computed from
         the live corpus with a transient index seeded by ``seed``.
         """
-        self._sync_snapshot()
         if self.catalog is not None and self.catalog.store is not None:
             # The catalog-backed pass pages lazy index entries — shared
             # mutable state, serialized against concurrent prepares.
@@ -1416,9 +1302,6 @@ class DiscoveryEngine:
                     self._results.total_bytes if self._results is not None else 0
                 ),
                 "result_cache_reserved": len(self._reservations),
-                "snapshot_epoch": self._snapshot_epoch,
-                "refresher_attached": self._refresher is not None,
-                "last_sync_staleness": self.last_sync_staleness,
                 "corpus_tables": len(self._corpus) if self._corpus else 0,
                 "searchers": self.searchers.names(),
             }

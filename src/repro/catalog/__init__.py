@@ -58,14 +58,11 @@ from repro.catalog.fingerprint import (
     shard_of,
     table_fingerprint,
 )
-from repro.catalog.refresh import CatalogRefresher, CatalogSnapshot
 from repro.catalog.store import CatalogStore, CatalogStoreError
 
 __all__ = [
     "Catalog",
     "CatalogDiff",
-    "CatalogRefresher",
-    "CatalogSnapshot",
     "ProfileCache",
     "CatalogStore",
     "CatalogStoreError",

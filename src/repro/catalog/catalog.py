@@ -341,14 +341,11 @@ class Catalog:
         self._removed_fingerprints[table_name] = removed_fingerprint
         self.mutations += 1
 
-    def update(self, table: Table, fingerprint: str = None) -> bool:
+    def update(self, table: Table) -> bool:
         """Re-catalog a table if its content changed.
 
         Returns ``True`` when the table was stale and re-signed, ``False``
         when the fingerprint matched and nothing was recomputed.
-        ``fingerprint`` may be supplied by callers that already digested
-        the table's content (the background refresher's scan) to skip
-        the second pass over its cells.
         """
         if table.name not in self._fingerprints:
             raise KeyError(f"table {table.name!r} not cataloged; use add()")
@@ -356,8 +353,7 @@ class Catalog:
             # The very object already indexed: Tables are immutable by
             # library convention, so skip the full-content fingerprint.
             return False
-        if fingerprint is None:
-            fingerprint = table_fingerprint(table)
+        fingerprint = table_fingerprint(table)
         if fingerprint == self._fingerprints[table.name]:
             self._index.rebind_table(table)
             return False
@@ -374,14 +370,9 @@ class Catalog:
         )
         return recorded is None or recorded != table_fingerprint(table)
 
-    def refresh(self, corpus, fingerprints: dict = None) -> CatalogDiff:
+    def refresh(self, corpus) -> CatalogDiff:
         """Synchronize the catalog with ``corpus`` (dict or iterable of
         Tables): add new tables, re-sign stale ones, drop missing ones.
-
-        ``fingerprints`` (``{name: content digest}``) lets a caller that
-        already fingerprinted the corpus — the background refresher's
-        change scan — skip the second pass over every table's cells;
-        entries must be the tables' true content digests.
 
         The diff is relative to what the catalog knew before — including
         the saved manifest, so re-opening a catalog in a fresh process and
@@ -434,17 +425,16 @@ class Catalog:
                     self._removed_fingerprints[name] = previous
                 self.mutations += 1
             diff.removed.append(name)
-        known_fp = fingerprints or {}
         for name in sorted(tables):
             table = tables[name]
             if name in self._fingerprints:
-                if self.update(table, fingerprint=known_fp.get(name)):
+                if self.update(table):
                     diff.updated.append(name)
                 else:
                     diff.unchanged.append(name)
                 continue
             previous = self._persisted.get(name)
-            fingerprint = self.add(table, fingerprint=known_fp.get(name))
+            fingerprint = self.add(table)
             if previous is None:
                 diff.added.append(name)
             elif previous == fingerprint:

@@ -13,7 +13,7 @@ Commands
     cancels the comparison cooperatively and exits with status 130.
 ``stats``
     Run one small discovery twice on a telemetry-instrumented engine
-    (store-backed refresher attached, second request served from the
+    (store-backed catalog attached, second request served from the
     result cache) and print the engine's metrics in Prometheus text
     exposition format (``--json`` for the JSON snapshot).  ``repro run
     --metrics-out/--trace-out`` capture the same telemetry from a real
@@ -35,19 +35,14 @@ Commands
     or, with ``--catalog DIR``, serve the report straight from a saved
     catalog's disk artifacts (no corpus generation, no column
     re-signing).
-``catalog build|update|stats|gc|watch``
+``catalog build|update|stats|gc``
     Maintain a persistent discovery catalog on disk: ``build`` indexes a
     corpus into a catalog directory, ``update`` incrementally refreshes
-    it (only new/changed tables are re-signed),
-    ``stats`` reports its contents and footprint, ``gc`` reclaims
-    unreferenced objects and (with ``--profile-budget``) evicts
-    least-recently-used cached profile groups, and ``watch`` runs the
-    background refresh loop in the foreground: every ``--interval``
-    seconds the recorded corpus parameters are re-read and the catalog
-    re-synced, so changed parameters (an out-of-band build/update) or changed
-    synthetic content are re-signed off any serving engine's query
-    path.  ``repro run --staleness-budget`` serves through a background
-    refresher, bounding how stale the served snapshot may be.
+    it (only new/changed tables are re-signed; run it on whatever
+    schedule keeps the catalog fresh enough), ``stats`` reports its
+    contents and footprint, and ``gc`` reclaims unreferenced objects
+    and (with ``--profile-budget``) evicts least-recently-used cached
+    profile groups.
 ``lint``
     Run reprolint, the repo's invariant-aware static analysis pass
     (see :mod:`repro.analysis`): lock-order inversions and bare
@@ -167,16 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve METAM and the baselines concurrently through the "
         "engine's worker pool (engine.submit); results are identical to "
         "the sequential path",
-    )
-    run.add_argument(
-        "--staleness-budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="serve through a background catalog refresher and bound "
-        "how old (seconds) the served corpus snapshot may be — each "
-        "request re-verifies the snapshot when the budget is exceeded; "
-        "results are identical to the refresher-less path",
     )
     run.add_argument(
         "--metrics-out",
@@ -358,28 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         "profile section fits this many bytes",
     )
 
-    watch = catsub.add_parser(
-        "watch",
-        help="run the background refresh loop in the foreground: poll "
-        "the recorded corpus parameters and re-sync the catalog each "
-        "interval",
-    )
-    watch.add_argument("dir", help="catalog directory")
-    watch.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="poll period between refresh cycles (default 2s)",
-    )
-    watch.add_argument(
-        "--cycles",
-        type=int,
-        default=None,
-        metavar="N",
-        help="stop after N cycles (default: run until Ctrl-C)",
-    )
-
     lint = sub.add_parser(
         "lint",
         help="run reprolint, the invariant-aware static analysis pass "
@@ -492,28 +455,6 @@ def _cmd_run(args) -> int:
         corpus=scenario.corpus,
         result_cache_bytes=0 if args.no_result_cache else _RESULT_CACHE_BYTES,
     )
-    refresher = None
-    if args.staleness_budget is not None:
-        if args.staleness_budget <= 0:
-            _error(
-                f"--staleness-budget must be > 0, got {args.staleness_budget}"
-            )
-            return 2
-        from repro.catalog import CatalogRefresher
-
-        # The scenario corpus is static, so the refresher's cycles are
-        # cheap no-ops; the flag still exercises the full serving path:
-        # every request verifies the snapshot against the budget and
-        # candidate preparation warm-starts through the refresher's
-        # catalog.  The catalog seed matches the run seed so warm-start
-        # discovery reproduces the cold path exactly.
-        refresher = CatalogRefresher(
-            lambda: scenario.corpus,
-            interval=max(args.staleness_budget / 2, 0.1),
-            staleness_budget=args.staleness_budget,
-            seed=args.seed,
-        ).start()
-        engine.attach_refresher(refresher)
     if "iarda" in baselines:
         _error(
             "the 'iarda' baseline needs a target column and is not "
@@ -557,8 +498,6 @@ def _cmd_run(args) -> int:
     finally:
         restore_sigint()
         engine.shutdown()
-        if refresher is not None:
-            refresher.stop()
     print(f"Scenario: {scenario.name} "
           f"({scenario.base.num_rows} rows, {len(scenario.corpus)} repo tables)\n")
     print(report.table())
@@ -600,30 +539,29 @@ def _write_metrics(engine: DiscoveryEngine, path: str) -> None:
 def _cmd_stats(args) -> int:
     """One small discovery on a fully instrumented engine.
 
-    The engine serves through a store-backed refresher (shard-lock and
-    store read/write metrics included), the first request goes through
-    ``submit()`` (queue/pool gauges move), and the second identical
+    The engine serves from a store-backed catalog (its warm-start
+    refresh + save put shard-lock and store read/write samples on the
+    board), the first request goes through ``submit()`` (queue/pool
+    gauges move), and the second identical
     ``discover()`` replays from the result cache — so the exposition
     covers every subsystem with real, nonzero samples.
     """
     import tempfile
 
     from repro.api.request import DiscoveryRequest
-    from repro.catalog import CatalogRefresher, CatalogStore
+    from repro.catalog import Catalog, CatalogStore
 
     scenario = SCENARIOS[args.scenario](seed=args.seed)
-    engine = DiscoveryEngine(
-        corpus=scenario.corpus, result_cache_bytes=_RESULT_CACHE_BYTES
-    )
     with tempfile.TemporaryDirectory() as tmp:
-        refresher = CatalogRefresher(
-            lambda: scenario.corpus,
-            store=CatalogStore(os.path.join(tmp, "catalog")),
-            interval=60.0,
-            staleness_budget=300.0,
-            seed=args.seed,
-        ).start()
-        engine.attach_refresher(refresher)
+        # The catalog seed matches the run seed so warm-start discovery
+        # reproduces the cold path exactly.
+        engine = DiscoveryEngine(
+            corpus=scenario.corpus,
+            catalog=Catalog(
+                CatalogStore(os.path.join(tmp, "catalog")), seed=args.seed
+            ),
+            result_cache_bytes=_RESULT_CACHE_BYTES,
+        )
         # The task goes in by registry *name*: task objects are
         # uncacheable by design, and the second request must replay
         # from the result cache to put a hit on the board.
@@ -646,7 +584,6 @@ def _cmd_stats(args) -> int:
             engine.discover(request)
         finally:
             engine.shutdown()
-            refresher.stop()
     if args.as_json:
         print(json.dumps(engine.metrics_snapshot(), indent=2, sort_keys=True))
     else:
@@ -663,6 +600,15 @@ def _cmd_serve(args) -> int:
         raise InvalidRequest("--scenario and --catalog are mutually exclusive")
     if args.workers < 1:
         raise InvalidRequest(f"--workers must be >= 1, got {args.workers}")
+    try:
+        config = ServiceConfig(
+            max_queue_depth=args.max_queue_depth,
+            tenant_rate=args.tenant_rate,
+            tenant_burst=args.tenant_burst,
+            drain_timeout=args.drain_timeout,
+        )
+    except ValueError as error:
+        raise InvalidRequest(str(error)) from None
 
     if args.catalog is not None:
         catalog_dir = args.catalog
@@ -719,12 +665,7 @@ def _cmd_serve(args) -> int:
     service = DiscoveryService(
         {name: factory},
         bases=bases if args.catalog is None else None,
-        config=ServiceConfig(
-            max_queue_depth=args.max_queue_depth,
-            tenant_rate=args.tenant_rate,
-            tenant_burst=args.tenant_burst,
-            drain_timeout=args.drain_timeout,
-        ),
+        config=config,
     )
     server = serve_http(service, host=args.host, port=args.port)
     # The bound address goes on stdout (port 0 picks a free one): the
@@ -850,9 +791,6 @@ def _run_catalog_command(args) -> int:
             )
         return 0
 
-    if args.catalog_command == "watch":
-        return _cmd_catalog_watch(args)
-
     # Open/validate the catalog before the (potentially expensive) corpus
     # generation, so bad paths and bad parameters fail fast.
     if args.catalog_command == "build":
@@ -933,81 +871,6 @@ def _run_catalog_command(args) -> int:
         f"{catalog.loaded_columns} loaded from disk, {elapsed:.2f}s"
     )
     return 0
-
-
-def _cmd_catalog_watch(args) -> int:
-    """Foreground background-refresh loop over a CLI-built catalog.
-
-    Each cycle re-reads the recorded corpus parameters (so an
-    out-of-band ``catalog build``/``update`` that changed them is
-    noticed, like an mtime watch on the parameter file), regenerates
-    the synthetic corpus, and refreshes the catalog — changed or
-    removed tables are re-signed or dropped off any serving engine's
-    query path.
-    """
-    import time
-
-    from repro.catalog import CatalogRefresher, CatalogStore, CatalogStoreError
-    from repro.data import generate_corpus
-
-    store = CatalogStore(args.dir)
-    if not store.exists():
-        _error(f"no catalog at {args.dir}")
-        return 1
-    if args.interval <= 0:
-        _error(f"--interval must be > 0, got {args.interval}")
-        return 2
-    if args.cycles is not None and args.cycles < 1:
-        _error(f"--cycles must be >= 1, got {args.cycles}")
-        return 2
-    if not _load_corpus_args(args.dir):
-        _error(
-            f"catalog at {args.dir!r} has no recorded corpus parameters "
-            "(was it built outside the CLI?); run 'catalog build' or "
-            "'catalog update' with explicit flags first"
-        )
-        return 1
-
-    def source():
-        params = _load_corpus_args(args.dir)
-        if not params:
-            raise CatalogStoreError(
-                f"recorded corpus parameters at {args.dir!r} disappeared"
-            )
-        return generate_corpus(
-            params["tables"], style=params["style"], seed=params["seed"]
-        )
-
-    refresher = CatalogRefresher(source, store=store, interval=args.interval)
-    limit = args.cycles
-    print(
-        f"watching catalog at {args.dir} (interval {args.interval}s"
-        + (f", {limit} cycles" if limit is not None else ", Ctrl-C to stop")
-        + ")"
-    )
-    cycle = 0
-    last_epoch = None
-    try:
-        while True:
-            cycle += 1
-            snapshot = refresher.refresh_now()
-            # An unchanged cycle republishes the previous snapshot —
-            # whose recorded diff is the *old* change — so "did this
-            # cycle change anything" is the epoch, not snapshot.diff.
-            if snapshot.epoch != last_epoch and snapshot.diff.changed:
-                print(
-                    f"cycle {cycle}: epoch {snapshot.epoch}, "
-                    f"{snapshot.diff.summary()}"
-                )
-            else:
-                print(f"cycle {cycle}: epoch {snapshot.epoch}, unchanged")
-            last_epoch = snapshot.epoch
-            if limit is not None and cycle >= limit:
-                return 0
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        print(f"\nstopped after {cycle} cycles")
-        return 0
 
 
 _CORPUS_ARGS_FILE = "cli_corpus.json"

@@ -305,9 +305,8 @@ class Table:
 def normalize_corpus(corpus) -> dict:
     """``{name: Table}`` from a dict or iterable of Tables.
 
-    The one corpus-normalization rule shared by every surface that
-    accepts a repository (the serving engine, the background catalog
-    refresher): entries must be Tables, and two *distinct* table objects
+    The corpus-normalization rule of the serving engine's
+    ``attach_corpus``: entries must be Tables, and two *distinct* table objects
     may not share a name (the same object listed twice is fine — every
     internal map is name-keyed, and silently collapsing different
     content would corrupt discovery).

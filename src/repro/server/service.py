@@ -55,6 +55,7 @@ from repro.api.wire import request_from_wire, run_to_wire
 from repro.obs.logcfg import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.server.quota import TenantQuotas
+from repro.utils.validation import check_finite, check_non_negative, check_positive
 
 _log = get_logger("server")
 
@@ -76,7 +77,10 @@ class ServiceConfig:
         are refused with :class:`~repro.api.errors.Overloaded`.
     tenant_rate / tenant_burst:
         Token-bucket refill rate (requests/second) and capacity shared
-        by every tenant's bucket.  ``rate <= 0`` disables refill.
+        by every tenant's bucket.  ``rate <= 0`` disables refill; the
+        burst must be > 0.  Both must be finite: a NaN burst refuses
+        every request, an infinite one turns admission control off,
+        and a NaN rate silently disables refill.
     overload_retry_after:
         ``Retry-After`` seconds suggested when the refusal has no
         natural deadline (queue full, draining).
@@ -93,6 +97,13 @@ class ServiceConfig:
     overload_retry_after: float = 1.0
     max_sessions: int = 1024
     drain_timeout: float = 30.0
+
+    def __post_init__(self):
+        check_finite(self.tenant_rate, "tenant_rate")
+        check_finite(self.tenant_burst, "tenant_burst")
+        check_positive(self.tenant_burst, "tenant_burst")
+        check_non_negative(self.overload_retry_after, "overload_retry_after")
+        check_non_negative(self.drain_timeout, "drain_timeout")
 
 
 @dataclass

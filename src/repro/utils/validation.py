@@ -18,6 +18,18 @@ def check_fraction(value: float, name: str) -> float:
     raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
+def check_finite(value, name: str):
+    """Validate that ``value`` is a finite real number (``bool`` is not a
+    number here; NaN and inf are refused by name)."""
+    if (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    ):
+        return value
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def check_positive(value, name: str):
     """Validate that ``value`` is strictly positive."""
     if value <= 0:

@@ -232,6 +232,24 @@ class TestBlockingUnderLock:
         result = lint_tree(
             tmp_path,
             {
+                "src/repro/api/engine.py": (
+                    "import time\n"
+                    "class DiscoveryEngine:\n"
+                    "    def _prepare(self):\n"
+                    "        with self._catalog_lock:\n"
+                    "            time.sleep(0.1)\n"
+                )
+            },
+            checks=["blocking-under-lock"],
+        )
+        assert result.findings == []
+
+    def test_positive_removed_refresher_lock_is_not_allowlisted(self, tmp_path):
+        # The background refresher and its allowlist entry are gone; a
+        # lock of that name elsewhere is an ordinary in-process mutex.
+        result = lint_tree(
+            tmp_path,
+            {
                 "src/repro/catalog/refresh.py": (
                     "import time\n"
                     "class Refresher:\n"
@@ -242,7 +260,7 @@ class TestBlockingUnderLock:
             },
             checks=["blocking-under-lock"],
         )
-        assert result.findings == []
+        assert [f.check for f in result.findings] == ["blocking-under-lock"]
 
     def test_negative_nested_def_not_under_lock(self, tmp_path):
         # A callback defined under a lock runs later, not under it.

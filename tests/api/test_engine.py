@@ -128,8 +128,12 @@ class TestPrepare:
     @pytest.mark.parametrize(
         "bound", [float("nan"), float("inf"), 2.5, True, -1], ids=repr
     )
-    @pytest.mark.parametrize("name", ["max_prepared_sets", "result_cache_bytes"])
+    @pytest.mark.parametrize(
+        "name", ["max_prepared_sets", "result_cache_bytes", "max_workers"]
+    )
     def test_cache_bounds_must_be_ints(self, scenario, name, bound):
+        """``max_workers`` too: a NaN pool size never spawns a thread, so
+        every ``submit()`` used to hang."""
         with pytest.raises(ValueError, match=name):
             DiscoveryEngine(corpus=scenario.corpus, **{name: bound})
 
@@ -167,6 +171,25 @@ class TestPrepare:
                 corpus=scenario.corpus, result_cache_bytes=1 << 20, persist_results=True
             )
 
+    @pytest.mark.parametrize("name", ["refresher", "staleness_budget"])
+    def test_refresher_arguments_are_gone(self, scenario, name):
+        with pytest.raises(TypeError, match=name):
+            DiscoveryEngine(corpus=scenario.corpus, **{name: None})
+        assert not hasattr(DiscoveryEngine, "attach_refresher")
+
+    @pytest.mark.parametrize("method", ["discover", "submit"])
+    def test_staleness_budget_is_not_a_request_argument(
+        self, engine, scenario, method
+    ):
+        with pytest.raises(TypeError, match="staleness_budget"):
+            getattr(engine, method)(request_for(scenario), staleness_budget=5.0)
+
+    def test_metrics_carry_no_refresher_families(self, scenario):
+        snapshot = DiscoveryEngine(corpus=scenario.corpus).metrics_snapshot()
+        assert "repro_engine_runs_total" in snapshot
+        for family in snapshot:
+            assert "staleness" not in family and "refresher" not in family
+
     def test_stats_keys(self, scenario):
         engine = DiscoveryEngine(corpus=scenario.corpus, result_cache_bytes=1 << 20)
         assert set(engine.stats()) == {
@@ -192,9 +215,6 @@ class TestPrepare:
             "result_cache_entries",
             "result_cache_bytes",
             "result_cache_reserved",
-            "snapshot_epoch",
-            "refresher_attached",
-            "last_sync_staleness",
             "corpus_tables",
             "searchers",
         }

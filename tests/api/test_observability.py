@@ -1,4 +1,4 @@
-"""Engine/catalog/refresher telemetry: metrics, traces, and stats().
+"""Engine/catalog telemetry: metrics, traces, and stats().
 
 The golden rule under test: observability is *passive*.  Results must
 be byte-identical with telemetry on, off, or shared; every counter the
@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.api import DiscoveryEngine, DiscoveryRequest
-from repro.catalog import CatalogRefresher, CatalogStore
+from repro.catalog import Catalog, CatalogStore
 from repro.core.config import MetamConfig
 from repro.core.metam import Metam
 from repro.core.serialization import result_to_dict
@@ -164,9 +164,7 @@ class TestMetricsExports:
             "repro_engine_run_seconds",
             "repro_engine_run_rounds",
             "repro_engine_round_utility_gain",
-            "repro_engine_staleness_served_seconds",
             "repro_store_lock_wait_seconds",
-            "repro_refresher_cycles_total",
         ):
             assert f"# TYPE {family}" in text, f"{family} missing"
         assert 'repro_engine_result_cache_events_total{event="hit"} 1' in text
@@ -180,27 +178,21 @@ class TestMetricsExports:
         assert completed and completed[0]["count"] == 1
         assert "p99" in completed[0]
 
-    def test_shared_registry_collects_engine_and_refresher(self, scenario, tmp_path):
+    def test_shared_registry_collects_engine_and_store(self, scenario, tmp_path):
+        """A store-backed catalog records into the engine's registry: the
+        warm-start refresh + save of the first request puts store writes
+        and shard-lock waits beside the engine's own run counters."""
         registry = MetricsRegistry()
-        engine = DiscoveryEngine(corpus=scenario.corpus, metrics=registry)
-        refresher = CatalogRefresher(
-            lambda: scenario.corpus,
-            store=CatalogStore(str(tmp_path / "cat")),
-            interval=60.0,
-            staleness_budget=300.0,
-            seed=0,
+        engine = DiscoveryEngine(
+            corpus=scenario.corpus,
+            catalog=Catalog(CatalogStore(str(tmp_path / "cat")), seed=0),
+            metrics=registry,
         )
-        # Attach first: instrumenting after the first cycle would count
-        # that cycle on the refresher's private registry instead.
-        engine.attach_refresher(refresher)
-        refresher.refresh_now()
         engine.discover(request_for(scenario))
-        assert registry.value("repro_refresher_cycles_total", changed="true") == 1.0
+        assert registry.value("repro_engine_runs_total", status="completed") == 1.0
         assert registry.value("repro_store_writes_total", section="objects") > 0
         lock_series = registry.get("repro_store_lock_wait_seconds").series()
         assert lock_series, "no shard lock waits recorded"
-        staleness = registry.get("repro_engine_staleness_served_seconds")
-        assert staleness.state()[3] >= 1  # observed at the request sync
 
 
 class TestHookHygiene:

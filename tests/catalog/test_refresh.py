@@ -1,24 +1,26 @@
-"""The background refresher: snapshots, change detection, crash safety.
+"""``Catalog.refresh``: the one way to sync a catalog with its corpus.
 
-Covers the tentpole contract: immutable published snapshots, unchanged
-cycles that leave the store byte-identical (golden), changed cycles that
-re-sign exactly the changed tables off the query path, staleness
-accounting, the background thread's error resilience, and a refresh
-subprocess killed mid-save leaving a store that verifies.
+Freshness is a command (``repro catalog update``, or ``refresh`` +
+``save`` from the library) run on the operator's schedule.  The
+contract held here:
+
+* only new or changed tables are signed; regenerated objects with
+  identical content report ``unchanged`` and sign nothing;
+* an unchanged refresh of a loaded catalog writes nothing, and the
+  following ``save()`` leaves every store file byte-identical except
+  the lease sequence counter;
+* a removed table leaves the manifest and ``gc()`` reclaims its object;
+* a refresh process killed at any store write protocol point leaves a
+  store that verifies, and the next refresh finishes the job.
 """
 
+import hashlib
 import os
-import threading
-import time
 
 import pytest
 
-from repro.catalog import (
-    Catalog,
-    CatalogRefresher,
-    CatalogStore,
-    table_fingerprint,
-)
+from repro import DiscoveryEngine
+from repro.catalog import Catalog, CatalogStore, table_fingerprint
 from repro.dataframe.table import Table
 from tests.harness.faults import exit_hook, run_killed
 
@@ -36,308 +38,201 @@ def make_corpus(n=4, version=0):
     }
 
 
-class MutableSource:
-    """A corpus source the test can swap under the refresher."""
-
-    def __init__(self, corpus):
-        self.corpus = dict(corpus)
-
-    def __call__(self):
-        return self.corpus
-
-    def replace(self, name, table):
-        corpus = dict(self.corpus)
-        corpus[name] = table
-        self.corpus = corpus
-
-    def drop(self, name):
-        corpus = dict(self.corpus)
-        del corpus[name]
-        self.corpus = corpus
-
-
-@pytest.fixture
-def source():
-    return MutableSource(make_corpus())
-
-
-def store_bytes(root):
-    """Byte content of every store file (the golden comparison)."""
+def store_digests(root):
+    """sha256 of every store file, keyed by its path under ``root``."""
     out = {}
     for dirpath, _dirnames, filenames in os.walk(root):
         for name in filenames:
             path = os.path.join(dirpath, name)
             with open(path, "rb") as handle:
-                out[os.path.relpath(path, root)] = handle.read()
+                out[os.path.relpath(path, root)] = hashlib.sha256(
+                    handle.read()
+                ).hexdigest()
     return out
 
 
-class TestCycles:
-    def test_first_cycle_publishes_epoch_one(self, source, tmp_path):
-        refresher = CatalogRefresher(source, store=str(tmp_path / "cat"))
-        snapshot = refresher.refresh_now()
-        assert snapshot.epoch == 1
-        assert set(snapshot.corpus) == set(source.corpus)
-        assert snapshot.fingerprints["t0"] == table_fingerprint(
-            source.corpus["t0"]
-        )
-        assert refresher.changed_cycles == 1
+def saved_catalog(root, corpus):
+    catalog = Catalog(CatalogStore(root), seed=0)
+    catalog.refresh(corpus)
+    catalog.save()
+    return catalog
 
-    def test_unchanged_cycle_republished_same_object(self, source, tmp_path):
-        refresher = CatalogRefresher(source, store=str(tmp_path / "cat"))
-        first = refresher.refresh_now()
-        second = refresher.refresh_now()
-        assert second is first  # the very object, not an equal copy
-        assert refresher.cycles == 2
-        assert refresher.changed_cycles == 1
 
-    def test_unchanged_cycle_is_byte_identical_golden(self, source, tmp_path):
-        """Golden: a refresh cycle over an unchanged corpus must leave
-        every store file byte-identical — no manifest rewrite, no
-        snapshot repack, no spurious invalidation signal for any cache
-        keyed on store content."""
-        root = str(tmp_path / "cat")
-        refresher = CatalogRefresher(source, store=root)
-        refresher.refresh_now()
-        before = store_bytes(root)
-        refresher.refresh_now()
-        assert store_bytes(root) == before
+class TestDiff:
+    def test_first_refresh_adds_every_table(self, tmp_path):
+        catalog = Catalog(CatalogStore(str(tmp_path / "cat")), seed=0)
+        diff = catalog.refresh(make_corpus())
+        assert diff.added == ["t0", "t1", "t2", "t3"]
+        assert diff.changed
+        assert catalog.computed_columns == 8
 
-    def test_regenerated_identical_content_is_unchanged(self, source, tmp_path):
+    def test_regenerated_identical_content_is_unchanged(self, tmp_path):
         """New Table objects with identical content (a re-read corpus)
-        must not bump the epoch: identity misses fall back to the
-        fingerprint scan, which sees equal content."""
-        refresher = CatalogRefresher(source, store=str(tmp_path / "cat"))
-        first = refresher.refresh_now()
-        source.corpus = dict(make_corpus())  # fresh objects, same content
-        second = refresher.refresh_now()
-        assert second is first
-        assert second.epoch == 1
+        miss the identity fast path and fall back to fingerprints, which
+        see equal content: nothing is signed."""
+        catalog = Catalog(CatalogStore(str(tmp_path / "cat")), seed=0)
+        catalog.refresh(make_corpus())
+        signed = catalog.computed_columns
+        diff = catalog.refresh(make_corpus())  # fresh objects, same content
+        assert diff.unchanged == ["t0", "t1", "t2", "t3"]
+        assert not diff.changed
+        assert catalog.computed_columns == signed
 
-    def test_changed_table_bumps_epoch_and_resigns_only_it(
-        self, source, tmp_path
+    def test_regenerated_identical_content_after_load_is_unchanged(
+        self, tmp_path
     ):
         root = str(tmp_path / "cat")
-        refresher = CatalogRefresher(source, store=root)
-        first = refresher.refresh_now()
-        source.replace(
-            "t1", Table("t1", {"key": ["a", "b"], "val": ["x", "y"]})
-        )
-        second = refresher.refresh_now()
-        assert second is not first
-        assert second.epoch == 2
-        assert second.diff.updated == ["t1"]
-        assert sorted(second.diff.unchanged) == ["t0", "t2", "t3"]
-        # Only the changed table was signed from scratch; the rest
-        # hydrated from the previous save.
-        assert second.catalog.computed_columns == 2
-        # The previous snapshot stays fully intact (immutability).
-        assert first.epoch == 1
-        assert set(first.corpus) == {"t0", "t1", "t2", "t3"}
+        saved_catalog(root, make_corpus())
+        loaded = Catalog.load(root)
+        diff = loaded.refresh(make_corpus())
+        assert diff.unchanged == ["t0", "t1", "t2", "t3"]
+        assert loaded.computed_columns == 0
 
-    def test_removed_table_is_dropped_and_reclaimed(self, source, tmp_path):
+    def test_changed_table_resigns_only_it(self, tmp_path):
         root = str(tmp_path / "cat")
-        refresher = CatalogRefresher(source, store=root)
-        refresher.refresh_now()
-        dropped_fp = table_fingerprint(source.corpus["t2"])
-        source.drop("t2")
-        snapshot = refresher.refresh_now()
-        assert snapshot.diff.removed == ["t2"]
-        assert "t2" not in snapshot.corpus
+        corpus = make_corpus()
+        saved_catalog(root, corpus)
+        corpus["t1"] = Table("t1", {"key": ["a", "b"], "val": ["x", "y"]})
+        loaded = Catalog.load(root)
+        diff = loaded.refresh(corpus)
+        assert diff.updated == ["t1"]
+        assert diff.unchanged == ["t0", "t2", "t3"]
+        assert loaded.computed_columns == 2  # t1's two columns only
+        assert not loaded.is_stale(corpus["t1"])
+
+    def test_storeless_catalog_refreshes(self):
+        catalog = Catalog()
+        corpus = make_corpus()
+        assert catalog.refresh(corpus).added == sorted(corpus)
+        corpus["t0"] = Table("t0", {"key": ["z"], "val": ["z"]})
+        diff = catalog.refresh(corpus)
+        assert diff.updated == ["t0"]
+        assert catalog.store is None
+
+    def test_daemon_only_parameters_are_gone(self):
+        """``refresh(fingerprints=)`` and ``update(fingerprint=)`` let a
+        background scan skip a second fingerprint pass; with no daemon
+        left, no caller supplies a digest."""
+        catalog = Catalog()
+        corpus = make_corpus(1)
+        with pytest.raises(TypeError):
+            catalog.refresh(corpus, fingerprints={})
+        catalog.refresh(corpus)
+        with pytest.raises(TypeError):
+            catalog.update(corpus["t0"], fingerprint="x")
+
+
+class TestByteIdentity:
+    def test_unchanged_refresh_writes_nothing(self, tmp_path):
+        """A refresh of a loaded catalog over unchanged content is
+        read-only: every store file keeps its sha256."""
+        root = str(tmp_path / "cat")
+        saved_catalog(root, make_corpus())
+        before = store_digests(root)
+        Catalog.load(root).refresh(make_corpus())
+        assert store_digests(root) == before
+
+    def test_save_after_unchanged_refresh_moves_only_the_lease_counter(
+        self, tmp_path
+    ):
+        """The save claims and releases a writer lease (bumping
+        ``leases/.seq``); the manifest, ``snapshot.npz`` and every
+        ``.bin`` stay byte-identical."""
+        root = str(tmp_path / "cat")
+        saved_catalog(root, make_corpus())
+        before = store_digests(root)
+        loaded = Catalog.load(root)
+        loaded.refresh(make_corpus())
+        loaded.save()
+        after = store_digests(root)
+        assert set(after) == set(before)
+        changed = {path for path in before if before[path] != after[path]}
+        assert changed <= {os.path.join("leases", ".seq")}
+        assert "snapshot.npz" in after and "manifest.json" in after
+        assert any(path.endswith(".bin") for path in after)
+
+    def test_unchanged_update_keeps_the_result_cache(self, tmp_path):
+        """A warm engine whose catalog is refreshed against unchanged
+        content keeps replaying cached runs: nothing moved, so nothing
+        is invalidated."""
+        from repro.api import DiscoveryRequest
+        from repro.core.config import MetamConfig
+        from repro.data import clustering_scenario
+
+        scenario = clustering_scenario(seed=0)
+        catalog = Catalog(CatalogStore(str(tmp_path / "cat")), seed=0)
+        engine = DiscoveryEngine(
+            corpus=scenario.corpus, catalog=catalog, result_cache_bytes=8 << 20
+        )
+        engine.tasks.register("t", lambda **_o: scenario.task)
+        request = DiscoveryRequest(
+            base=scenario.base,
+            task="t",
+            searcher="metam",
+            config=MetamConfig(theta=0.6, query_budget=10, seed=0),
+        )
+        engine.discover(request)
+        assert not catalog.refresh(dict(scenario.corpus)).changed
+        assert engine.discover(request).cached
+
+
+class TestRemoval:
+    def test_removed_table_is_dropped_and_reclaimed(self, tmp_path):
+        root = str(tmp_path / "cat")
+        corpus = make_corpus()
+        saved_catalog(root, corpus)
+        dropped_fp = table_fingerprint(corpus.pop("t2"))
+        loaded = Catalog.load(root)
+        diff = loaded.refresh(corpus)
+        assert diff.removed == ["t2"]
+        loaded.save()
         store = CatalogStore(root)
-        manifest = store.read_manifest()
-        assert "t2" not in manifest["tables"]
-        # The dropped table's object was reclaimed.
-        object_id = f"{snapshot.catalog._artifact_config}-{dropped_fp}"
+        assert "t2" not in store.read_manifest()["tables"]
+        object_id = f"{loaded._artifact_config}-{dropped_fp}"
+        assert store.has_object(object_id)  # still on disk until gc
+        assert loaded.gc() >= 1
         assert not store.has_object(object_id)
         assert Catalog.load(root).verify()["problems"] == []
 
-    def test_fingerprints_track_content(self, source, tmp_path):
-        refresher = CatalogRefresher(source, store=str(tmp_path / "cat"))
-        first = refresher.refresh_now()
-        assert dict(first.fingerprints) == {
-            name: table_fingerprint(t) for name, t in source.corpus.items()
-        }
-        source.replace("t0", Table("t0", {"key": ["z"], "val": ["z"]}))
-        second = refresher.refresh_now()
-        changed = {
-            name
-            for name in second.fingerprints
-            if second.fingerprints[name] != first.fingerprints[name]
-        }
-        assert changed == {"t0"}
 
-    def test_storeless_refresher_works(self, source):
-        refresher = CatalogRefresher(source)
-        snapshot = refresher.refresh_now()
-        assert snapshot.epoch == 1
-        assert snapshot.catalog.store is None
-        source.replace("t0", Table("t0", {"key": ["z"], "val": ["z"]}))
-        assert refresher.refresh_now().epoch == 2
-
-    def test_duplicate_names_rejected(self, tmp_path):
-        tables = [Table("t", {"c": ["a"]}), Table("t", {"c": ["b"]})]
-        refresher = CatalogRefresher(lambda: tables, store=str(tmp_path / "c"))
-        with pytest.raises(ValueError, match="duplicate table name"):
-            refresher.refresh_now()
-
-
-class TestStaleness:
-    def test_staleness_clock(self, source, tmp_path):
-        refresher = CatalogRefresher(source, store=str(tmp_path / "cat"))
-        assert refresher.staleness() == float("inf")
-        refresher.refresh_now()
-        assert refresher.staleness() < 5.0
-
-    def test_ensure_fresh_serves_current_within_budget(self, source, tmp_path):
-        refresher = CatalogRefresher(source, store=str(tmp_path / "cat"))
-        first = refresher.refresh_now()
-        cycles = refresher.cycles
-        assert refresher.ensure_fresh(budget=60.0) is first
-        assert refresher.cycles == cycles  # no extra cycle ran
-
-    def test_ensure_fresh_refreshes_past_budget(self, source, tmp_path):
-        refresher = CatalogRefresher(source, store=str(tmp_path / "cat"))
-        refresher.refresh_now()
-        time.sleep(0.05)
-        snapshot = refresher.ensure_fresh(budget=0.01)
-        assert refresher.cycles == 2
-        assert refresher.staleness() <= 0.05 + 1.0
-        assert snapshot.epoch == 1  # unchanged content, re-verified
-
-    def test_ensure_fresh_without_snapshot_runs_first_cycle(
-        self, source, tmp_path
-    ):
-        refresher = CatalogRefresher(source, store=str(tmp_path / "cat"))
-        snapshot = refresher.ensure_fresh()
-        assert snapshot is not None and snapshot.epoch == 1
-
-    def test_interval_validated(self, source):
-        with pytest.raises(ValueError, match="interval"):
-            CatalogRefresher(source, interval=0)
-
-
-class TestBackgroundThread:
-    def test_thread_publishes_and_tracks_changes(self, source, tmp_path):
-        events = []
-        refresher = CatalogRefresher(
-            source,
-            store=str(tmp_path / "cat"),
-            interval=0.02,
-            on_cycle=lambda snap, changed: events.append((snap.epoch, changed)),
-        )
-        with refresher:
-            deadline = time.monotonic() + 10
-            while refresher.current() is None and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert refresher.current() is not None
-            source.replace("t0", Table("t0", {"key": ["q"], "val": ["q"]}))
-            while (
-                refresher.current().epoch < 2 and time.monotonic() < deadline
-            ):
-                time.sleep(0.01)
-            assert refresher.current().epoch == 2
-        assert not refresher.running
-        assert (1, True) in events and (2, True) in events
-
-    def test_source_error_keeps_last_snapshot(self, source, tmp_path):
-        refresher = CatalogRefresher(
-            source, store=str(tmp_path / "cat"), interval=0.02
-        )
-        snapshot = refresher.refresh_now()
-        bomb = threading.Event()
-        original = source.corpus
-
-        def exploding():
-            if bomb.is_set():
-                raise RuntimeError("source down")
-            return original
-
-        refresher._source = exploding
-        bomb.set()
-        with pytest.raises(RuntimeError):
-            refresher.refresh_now()
-        assert refresher.current() is snapshot  # stale-but-available
-        refresher.start()
-        deadline = time.monotonic() + 10
-        while refresher.errors == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        refresher.stop()
-        assert refresher.errors >= 1
-        assert "source down" in (refresher.stats()["last_error"] or "")
-        assert refresher.current() is snapshot
-
-    def test_restart_after_nonblocking_stop_leaves_one_loop(
-        self, source, tmp_path
-    ):
-        """stop(wait=False) + start() must never leave the old loop
-        running next to the new one (each start gets its own stop
-        event; the orphan keeps observing its already-set one)."""
-        refresher = CatalogRefresher(
-            source, store=str(tmp_path / "cat"), interval=0.02
-        )
-        refresher.start()
-        deadline = time.monotonic() + 10
-        while refresher.current() is None and time.monotonic() < deadline:
-            time.sleep(0.01)
-        refresher.stop(wait=False)
-        refresher.start()
-        time.sleep(0.3)  # old loop (if resurrected) would still be alive
-        alive = [
-            t
-            for t in threading.enumerate()
-            if t.name == "repro-catalog-refresh"
-        ]
-        assert len(alive) == 1
-        refresher.stop()
-        assert not refresher.running
-
-    def test_stats_shape(self, source, tmp_path):
-        refresher = CatalogRefresher(source, store=str(tmp_path / "cat"))
-        refresher.refresh_now()
-        stats = refresher.stats()
-        assert stats["epoch"] == 1
-        assert stats["tables"] == 4
-        assert stats["cycles"] == 1
-        assert not stats["running"]
-
-
-def _killed_refresh_worker(root, corpus_spec):
-    """A refresh subprocess killed mid-save (between its shard-log
-    append and manifest compaction) — the benchmark's crash scenario."""
+def _killed_refresh_worker(root, corpus_spec, point):
+    """``Catalog.load(root).refresh(changed); save()`` killed at
+    ``point`` — a real process death, no cleanup."""
     corpus = {
         name: Table(name, {"key": values}) for name, values in corpus_spec.items()
     }
     store = CatalogStore(root)
-    store.fault_hook = exit_hook("shard-log-appended")
-    refresher = CatalogRefresher(lambda: corpus, store=store)
-    refresher.refresh_now()
+    store.fault_hook = exit_hook(point)
+    catalog = Catalog.load(store)
+    catalog.refresh(corpus)
+    catalog.save()
 
 
 class TestKilledRefreshProcess:
-    def test_store_verifies_after_killed_refresh(self, tmp_path):
+    @pytest.mark.parametrize(
+        "point",
+        ["shard-log-appended", "shard-manifest-compacted", "claims-published"],
+    )
+    def test_store_verifies_after_killed_refresh(self, tmp_path, point):
         root = str(tmp_path / "cat")
         base = {f"t{i}": [f"v{i}", f"w{i}"] for i in range(3)}
-        seeded = CatalogRefresher(
-            lambda: {n: Table(n, {"key": v}) for n, v in base.items()},
-            store=root,
-            num_perm=8,
-            bands=4,
-        )
-        seeded.refresh_now()
+        seeded = Catalog(CatalogStore(root), num_perm=8, bands=4)
+        seeded.refresh({n: Table(n, {"key": v}) for n, v in base.items()})
+        seeded.save()
 
         changed = dict(base)
         changed["t0"] = ["CHANGED", "w0"]
-        run_killed(_killed_refresh_worker, (root, changed))
+        run_killed(_killed_refresh_worker, (root, changed, point))
 
-        # The killed cycle left a verifiable store...
+        # The killed refresh left a verifiable store...
         assert CatalogStore(root).verify()["problems"] == []
         assert Catalog.load(root).verify()["problems"] == []
-        # ...and the next refresher finishes the job.
-        recovered = CatalogRefresher(
-            lambda: {n: Table(n, {"key": v}) for n, v in changed.items()},
-            store=root,
-        )
-        snapshot = recovered.refresh_now()
-        assert set(snapshot.corpus) == set(changed)
-        assert Catalog.load(root).verify()["problems"] == []
+        # ...and the next refresh finishes the job.
+        recovered = Catalog.load(root)
+        corpus = {n: Table(n, {"key": v}) for n, v in changed.items()}
+        diff = recovered.refresh(corpus)
+        assert set(diff.unchanged) | set(diff.updated) == set(changed)
+        recovered.save()
+        final = Catalog.load(root)
+        assert final.verify()["problems"] == []
+        assert final.refresh(corpus).unchanged == sorted(changed)

@@ -304,70 +304,6 @@ class TestCatalogCommands:
             build_parser().parse_args(["catalog"])
 
 
-class TestCatalogWatch:
-    def test_watch_cycles_and_stops(self, capsys, tmp_path):
-        path = str(tmp_path / "cat")
-        assert main(["catalog", "build", path, "--tables", "6"]) == 0
-        capsys.readouterr()
-        code = main(
-            ["catalog", "watch", path, "--interval", "0.01", "--cycles", "2"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "watching catalog" in out
-        assert "cycle 1: epoch 1" in out
-        assert "cycle 2: epoch 1" in out  # unchanged corpus, same epoch
-
-    def test_watch_requires_catalog(self, capsys, tmp_path):
-        assert main(["catalog", "watch", str(tmp_path / "none")]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_watch_requires_recorded_corpus_params(self, capsys, tmp_path):
-        from repro.catalog import Catalog, CatalogStore
-        from repro.dataframe.table import Table
-
-        path = str(tmp_path / "api-cat")
-        catalog = Catalog(CatalogStore(path), seed=0)
-        catalog.refresh({"t": Table("t", {"key": ["a", "b"]})})
-        catalog.save()
-        assert main(["catalog", "watch", path, "--cycles", "1"]) == 1
-        assert "no recorded corpus parameters" in capsys.readouterr().err
-
-    def test_watch_validates_flags(self, capsys, tmp_path):
-        path = str(tmp_path / "cat")
-        assert main(["catalog", "build", path, "--tables", "4"]) == 0
-        capsys.readouterr()
-        assert main(["catalog", "watch", path, "--interval", "0"]) == 2
-        assert main(["catalog", "watch", path, "--cycles", "0"]) == 2
-
-    def test_watch_picks_up_parameter_change(self, capsys, tmp_path):
-        """An out-of-band corpus-parameter change (what 'catalog
-        update' records) is noticed on the next cycle and re-signed."""
-        import json as json_module
-        import os
-
-        path = str(tmp_path / "cat")
-        assert main(["catalog", "build", path, "--tables", "4"]) == 0
-        capsys.readouterr()
-        params_path = os.path.join(path, "cli_corpus.json")
-        with open(params_path, encoding="utf-8") as handle:
-            params = json_module.load(handle)
-        params["tables"] = 6
-        with open(params_path, "w", encoding="utf-8") as handle:
-            json_module.dump(params, handle)
-        assert (
-            main(
-                ["catalog", "watch", path, "--interval", "0.01", "--cycles", "2"]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "cycle 1: epoch 1, +2 added" in out
-        # The follow-up cycle republishes the same snapshot: it must
-        # report "unchanged", not replay the previous cycle's diff.
-        assert "cycle 2: epoch 1, unchanged" in out
-
-
 class TestGcBudget:
     @pytest.mark.parametrize("value", ["-1", "nan", "1.5"])
     def test_a_budget_that_is_not_a_byte_count_is_a_usage_error(
@@ -393,10 +329,49 @@ class TestGcBudget:
         assert "run records" not in out and "result bytes" not in out
 
 
-class TestRunStalenessBudget:
-    def test_staleness_budget_validated(self, capsys):
-        code = main(
-            ["run", "clustering", "--staleness-budget", "0", "--budget", "5"]
-        )
-        assert code == 2
-        assert "staleness-budget" in capsys.readouterr().err
+class TestRemovedRefreshSurface:
+    """Freshness is ``catalog update`` on the operator's schedule: the
+    in-process refresh loop and its flags are gone."""
+
+    def test_staleness_budget_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "clustering", "--budget", "5", "--staleness-budget", "5"])
+        assert excinfo.value.code == 2
+        assert "--staleness-budget" in capsys.readouterr().err
+
+    def test_catalog_watch_is_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["catalog", "watch", str(tmp_path / "cat")])
+        assert excinfo.value.code == 2
+        assert "watch" in capsys.readouterr().err
+
+    def test_refresher_is_not_exported(self):
+        import repro
+        import repro.catalog
+
+        for module in (repro, repro.catalog):
+            assert not hasattr(module, "CatalogRefresher")
+            assert not hasattr(module, "CatalogSnapshot")
+        with pytest.raises(ModuleNotFoundError):
+            import repro.catalog.refresh  # noqa: F401
+
+
+class TestStats:
+    def test_stats_json_covers_store_and_result_cache(self, capsys):
+        """``repro stats`` serves from a plain store-backed engine: its
+        warm-start refresh + save write objects under shard locks, and
+        the second identical request replays from the result cache."""
+        assert main(["stats", "--budget", "5", "--json"]) == 0
+        snapshot = json.loads(capsys.readouterr().out)
+
+        def value(family, **labels):
+            for series in snapshot[family]["series"]:
+                if series["labels"] == labels:
+                    return series
+            raise AssertionError(f"{family}{labels} missing")
+
+        assert value("repro_store_writes_total", section="objects")["value"] > 0
+        assert snapshot["repro_store_lock_wait_seconds"]["series"]
+        hits = value("repro_engine_result_cache_events_total", event="hit")
+        assert hits["value"] == 1
+        assert not any("refresher" in family for family in snapshot)

@@ -1,8 +1,7 @@
 """Reusable fault-injection helpers for crash-safety tests.
 
-The catalog store (and everything layered on it — the catalog facade
-and the background refresher) claims crash safety at specific
-protocol points: a writer killed between its log append and manifest
+The catalog store (and the catalog facade layered on it) claims crash
+safety at specific protocol points: a writer killed between its log append and manifest
 compaction, a deleter killed between its un-record and file removal,
 a torn log tail from a writer killed mid-append.  These helpers express all three fault shapes once:
 

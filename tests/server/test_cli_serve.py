@@ -174,3 +174,30 @@ class TestServeRoundTrip:
         process.send_signal(signal.SIGINT)
         out, err = process.communicate(timeout=60)
         assert process.returncode == 0, f"unclean drain: {err}"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--tenant-burst", "nan"],
+        ["--tenant-burst", "inf"],
+        ["--tenant-rate", "nan"],
+        ["--tenant-rate", "inf"],
+        ["--drain-timeout", "nan"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_admission_flags_exit_2(flags):
+    """Refused before the server binds a port: these values used to
+    serve with admission control silently broken."""
+    done = subprocess.run(
+        SERVE_ARGS + flags,
+        capture_output=True,
+        text=True,
+        env=_env(),
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert "error:" in done.stderr
+    assert flags[0].removeprefix("--").replace("-", "_") in done.stderr
+    assert " on http://" not in done.stdout

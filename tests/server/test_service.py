@@ -315,6 +315,39 @@ class TestDrain:
         h.release("g")
 
 
+class TestServiceConfig:
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [
+            ("tenant_rate", float("nan")),
+            ("tenant_rate", float("inf")),
+            ("tenant_rate", True),
+            ("tenant_burst", float("nan")),
+            ("tenant_burst", float("inf")),
+            ("tenant_burst", True),
+            ("tenant_burst", 0.0),
+            ("tenant_burst", -1.0),
+            ("overload_retry_after", float("nan")),
+            ("overload_retry_after", float("inf")),
+            ("overload_retry_after", -1.0),
+            ("drain_timeout", float("nan")),
+            ("drain_timeout", float("inf")),
+            ("drain_timeout", -1.0),
+        ],
+        ids=repr,
+    )
+    def test_values_that_break_admission_are_refused(self, name, value):
+        """A NaN burst refused every request with ``Retry-After: nan``,
+        an infinite one admitted everything, and a NaN rate silently
+        disabled refill."""
+        with pytest.raises(ValueError, match=name):
+            ServiceConfig(**{name: value})
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_non_positive_rate_still_means_no_refill(self, rate):
+        assert ServiceConfig(tenant_rate=rate, tenant_burst=1.0).tenant_rate == rate
+
+
 class TestTokenBucket:
     def test_burst_then_deny(self):
         clock = [0.0]

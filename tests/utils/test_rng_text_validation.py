@@ -90,6 +90,15 @@ class TestValidation:
             with pytest.raises(ValueError, match="x must be a finite number >= 0"):
                 check_non_negative(bad, "x")
 
+    def test_finite(self):
+        from repro.utils.validation import check_finite
+
+        assert check_finite(-2.5, "x") == -2.5
+        assert check_finite(0, "x") == 0
+        for bad in (float("nan"), float("inf"), float("-inf"), True, "1", None):
+            with pytest.raises(ValueError, match="x must be a finite number"):
+                check_finite(bad, "x")
+
     def test_choices(self):
         assert check_in_choices("a", "x", {"a", "b"}) == "a"
         with pytest.raises(ValueError):
