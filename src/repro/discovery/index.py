@@ -23,6 +23,13 @@ would have returned had every column been signed up front.  Anything that
 reads a signature (:meth:`DiscoveryIndex.signature_of`,
 :meth:`DiscoveryIndex.column_entries`) signs first, so no entry leaves the
 index unsigned.
+
+A float-or-missing column stays numbers until then: it is held as the
+sorted bit patterns of its non-NaN values (:func:`repro.kernels.float_domain`)
+and narrowed by probing those with the query strings that are exactly a
+float's ``repr`` (:func:`repro.kernels.float_probe`).  A float's repr
+round-trips and is already normalized, so that count is the exact
+containment, and only a survivor's values are ever turned into strings.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from repro import kernels
 from repro.dataframe.table import Table
 from repro.discovery.lsh import LshIndex
 from repro.discovery.minhash import MinHasher
-from repro.utils.validation import check_fraction
+from repro.utils.validation import check_fraction, check_positive_int
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,46 @@ def _sample_seed(seed: int, table: str, column: str) -> int:
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
 
+class _Postings:
+    """Posting lists of int64 keys over a list of columns, for counting in
+    one ``searchsorted`` + ``bincount`` pass how many probe keys each
+    column holds.
+
+    ``values`` concatenates every column's keys (``sizes[i]`` of them for
+    ``refs[i]``); ``keys`` is their sorted distinct set and
+    ``owners[offsets[k]:offsets[k + 1]]`` the positions in ``refs`` of the
+    columns holding key ``keys[k]``.
+    """
+
+    def __init__(self, refs, sizes, values):
+        self.refs = refs
+        self.sizes = sizes
+        order = np.argsort(values)
+        values = values[order]
+        self.owners = np.repeat(np.arange(len(refs)), sizes)[order]
+        firsts = np.flatnonzero(
+            np.concatenate(([values.size > 0], values[1:] != values[:-1]))
+        )
+        # A largest-possible key with an empty owner range ends ``keys``,
+        # so every probe's searchsorted slot is in bounds.
+        self.keys = np.append(values[firsts], np.iinfo(np.int64).max)
+        self.offsets = np.append(firsts, [values.size, values.size])
+
+    def passing(self, probes, size, theta) -> list:
+        """Refs whose count of ``probes`` (and own size), over the query
+        size ``size``, reaches ``theta``."""
+        at = np.searchsorted(self.keys, probes)
+        at = at[self.keys[at] == probes]
+        lo = self.offsets[at]
+        counts = self.offsets[at + 1] - lo
+        # Positions lo[k] .. lo[k] + counts[k] - 1 of every matched probe.
+        starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        hits = self.owners[starts + np.arange(starts.size)]
+        counts = np.bincount(hits, minlength=len(self.refs))
+        keep = (counts / size >= theta) & (self.sizes / size >= theta)
+        return [self.refs[i] for i in np.flatnonzero(keep)]
+
+
 class DiscoveryIndex:
     """Joinable-column index over a corpus of tables.
 
@@ -109,9 +156,12 @@ class DiscoveryIndex:
     arrive signed.  Columns computed here from the live table are signed
     when a query could first return them: a query narrows the unsigned
     columns by exact containment, signs the survivors in one batch and
-    inserts them into the LSH, then probes as usual.  Narrowing and
-    signing run under one per-index lock, so queries on a shared index
-    stay safe.
+    inserts them into the LSH, then probes as usual.  An unsigned string
+    column waits as its value sets, narrowed by value hashes and
+    confirmed by set intersection; an unsigned float-or-missing column
+    waits as its float domain, narrowed exactly on bit patterns, and
+    becomes strings only when signed.  Narrowing and signing run under
+    one per-index lock, so queries on a shared index stay safe.
 
     Parameters
     ----------
@@ -123,7 +173,8 @@ class DiscoveryIndex:
     max_distinct:
         Columns with more distinct values than this are still indexed but
         down-sampled with a seeded uniform sample (keeps signatures cheap
-        on wide corpora without biasing containment estimates).
+        on wide corpora without biasing containment estimates).  An int
+        >= 1.
     """
 
     def __init__(
@@ -137,10 +188,12 @@ class DiscoveryIndex:
     ):
         self.hash_version = kernels.check_hash_version(hash_version)
         check_fraction(min_containment, "min_containment")
+        check_positive_int(max_distinct, "max_distinct")
+        # The LSH validates num_perm and bands, so it is built first.
+        self._lsh = LshIndex(num_perm=num_perm, bands=bands)
         self._hasher = MinHasher(
             num_perm=num_perm, seed=seed, hash_version=hash_version
         )
-        self._lsh = LshIndex(num_perm=num_perm, bands=bands)
         self.num_perm = num_perm
         self.bands = bands
         self.min_containment = min_containment
@@ -149,11 +202,13 @@ class DiscoveryIndex:
         self._entries = {}
         self._tables = {}
         self._entry_loader = None
-        # Columns not yet signed: ref -> (distinct, normalized).  They
-        # are in neither ``_entries`` nor the LSH.
+        # Columns not yet signed: ref -> (distinct, normalized), or the
+        # float domain array of a float-or-missing column.  They are in
+        # neither ``_entries`` nor the LSH.
         self._unsigned = {}
-        # Value-hash arrays over ``_unsigned`` for narrowing; None means
-        # stale (lazy columns were added since the last build).
+        # Posting lists over ``_unsigned`` for narrowing, one per
+        # representation; None means stale (lazy columns were added since
+        # the last build).
         self._narrowing = None
         self._lock = threading.Lock()
 
@@ -254,8 +309,19 @@ class DiscoveryIndex:
                     f"{entry.signature.shape}, expected ({self.num_perm},)"
                 )
         lazy = [c for c in table.column_names if c not in signed]
-        distincts = [self._distinct_sample(table, column) for column in lazy]
+        pending, strings = {}, []
+        for column in lazy:
+            domain = kernels.float_domain(table.column(column))
+            # A domain over max_distinct keeps the string path: its seeded
+            # down-sample draws from the sorted strings.
+            if domain is not None and domain.size <= self.max_distinct:
+                pending[column] = domain
+            else:
+                strings.append(column)
+        distincts = [self._distinct_sample(table, column) for column in strings]
         normalized = kernels.normalize_many(distincts)
+        for column, distinct, norm in zip(strings, distincts, normalized, strict=True):
+            pending[column] = (frozenset(distinct), frozenset(norm))
         refs = [ColumnRef(table.name, column) for column in signed]
         with self._lock:
             if refs:
@@ -265,11 +331,8 @@ class DiscoveryIndex:
                 )
             self._tables[table.name] = table
             self._entries.update(zip(refs, signed.values(), strict=True))
-            for column, distinct, norm in zip(lazy, distincts, normalized, strict=True):
-                self._unsigned[ColumnRef(table.name, column)] = (
-                    frozenset(distinct),
-                    frozenset(norm),
-                )
+            for column in lazy:
+                self._unsigned[ColumnRef(table.name, column)] = pending[column]
             if lazy:
                 self._narrowing = None
 
@@ -382,10 +445,18 @@ class DiscoveryIndex:
     # ------------------------------------------------------------------
     def _sign(self, refs) -> None:
         """MinHash the unsigned ``refs`` in one batch and insert them into
-        the LSH with one bulk insert (caller holds ``_lock``)."""
+        the LSH with one bulk insert (caller holds ``_lock``).  The one
+        place a float domain becomes strings: its reprs are both value
+        sets, as :func:`repro.kernels.float_domain` documents."""
         if not refs:
             return
-        pending = [self._unsigned[ref] for ref in refs]
+        pending = []
+        for ref in refs:
+            value_sets = self._unsigned[ref]
+            if isinstance(value_sets, np.ndarray):
+                distinct = frozenset(map(repr, value_sets.view(np.float64).tolist()))
+                value_sets = (distinct, distinct)
+            pending.append(value_sets)
         signatures = self._hasher.signatures([distinct for distinct, _ in pending])
         self._lsh.insert_many(refs, signatures)
         for i, (ref, (distinct, normalized)) in enumerate(zip(refs, pending, strict=True)):
@@ -395,32 +466,32 @@ class DiscoveryIndex:
             self._narrowing = None  # nothing left to narrow: free the arrays
 
     def _narrowing_arrays(self):
-        """``(refs, sizes, keys, offsets, owners)`` over the unsigned
-        columns: ``keys`` is the sorted distinct ``hash()`` of their
-        normalized values, and ``owners[offsets[k]:offsets[k + 1]]`` the
-        positions in ``refs`` of the columns holding a value with hash
-        ``keys[k]``.  Built once, rebuilt only after lazy tables were
-        added (caller holds ``_lock``)."""
+        """``(strings, floats)`` posting lists over the unsigned columns,
+        each a :class:`_Postings`: ``strings`` keyed by the ``hash()`` of
+        the string columns' normalized values, ``floats`` by the float
+        columns' bit patterns.  Built once, rebuilt only after lazy tables
+        were added (caller holds ``_lock``)."""
         if self._narrowing is None:
-            refs = list(self._unsigned)
-            value_sets = [normalized for _, normalized in self._unsigned.values()]
-            sizes = np.fromiter(map(len, value_sets), np.int64, len(value_sets))
+            strings, floats = {}, {}
+            for ref, value_sets in self._unsigned.items():
+                if isinstance(value_sets, np.ndarray):
+                    floats[ref] = value_sets
+                else:
+                    strings[ref] = value_sets[1]
+            sizes = np.fromiter(map(len, strings.values()), np.int64, len(strings))
             hashes = np.fromiter(
-                map(hash, itertools.chain.from_iterable(value_sets)),
+                map(hash, itertools.chain.from_iterable(strings.values())),
                 np.int64,
                 int(sizes.sum()),
             )
-            order = np.argsort(hashes)
-            hashes = hashes[order]
-            owners = np.repeat(np.arange(len(refs)), sizes)[order]
-            firsts = np.flatnonzero(
-                np.concatenate(([hashes.size > 0], hashes[1:] != hashes[:-1]))
+            self._narrowing = (
+                _Postings(list(strings), sizes, hashes),
+                _Postings(
+                    list(floats),
+                    np.fromiter(map(len, floats.values()), np.int64, len(floats)),
+                    np.concatenate([np.empty(0, np.int64), *floats.values()]),
+                ),
             )
-            # A largest-possible key with an empty owner range ends
-            # ``keys``, so every probe's searchsorted slot is in bounds.
-            keys = np.append(hashes[firsts], np.iinfo(np.int64).max)
-            offsets = np.append(firsts, [hashes.size, hashes.size])
-            self._narrowing = (refs, sizes, keys, offsets, owners)
         return self._narrowing
 
     def _sign_survivors(self, query_values, exclude_table) -> None:
@@ -428,32 +499,30 @@ class DiscoveryIndex:
         return: containment ``>= min_containment`` and not in
         ``exclude_table`` (caller holds ``_lock``).
 
-        Value hashes give an upper bound on each column's overlap in one
-        ``searchsorted`` + ``bincount`` pass (a hash collision can only
-        over-count); the columns the bound keeps are confirmed exactly.
+        String columns: value hashes give an upper bound on each column's
+        overlap (a hash collision can only over-count); the columns the
+        bound keeps are confirmed exactly.  Float columns: the query's
+        float reprs, as bit patterns, count the overlap exactly.
         """
         if not self._unsigned:
             return
-        refs, sizes, keys, offsets, owners = self._narrowing_arrays()
+        strings, floats = self._narrowing_arrays()
         size = len(query_values)
-        probes = np.fromiter(map(hash, query_values), np.int64, size)
-        at = np.searchsorted(keys, probes)
-        at = at[keys[at] == probes]
-        lo = offsets[at]
-        counts = offsets[at + 1] - lo
-        # Positions lo[k] .. lo[k] + counts[k] - 1 of every matched probe.
-        starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        hits = owners[starts + np.arange(starts.size)]
-        bound = np.bincount(hits, minlength=len(refs))
         theta = self.min_containment
         survivors = []
-        for i in np.flatnonzero((bound / size >= theta) & (sizes / size >= theta)):
-            ref = refs[i]
-            pending = self._unsigned.get(ref)
-            if pending is None or ref.table == exclude_table:
-                continue  # excluded, or signed or removed since the build
-            if len(query_values & pending[1]) / size >= theta:
-                survivors.append(ref)
+        if strings.refs:
+            probes = np.fromiter(map(hash, query_values), np.int64, size)
+            for ref in strings.passing(probes, size, theta):
+                pending = self._unsigned.get(ref)
+                if pending is None or ref.table == exclude_table:
+                    continue  # excluded, or signed or removed since the build
+                if len(query_values & pending[1]) / size >= theta:
+                    survivors.append(ref)
+        if floats.refs:
+            probes = kernels.float_probe(query_values)
+            for ref in floats.passing(probes, size, theta):
+                if ref in self._unsigned and ref.table != exclude_table:
+                    survivors.append(ref)
         self._sign(survivors)
 
     @staticmethod

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.validation import check_positive_int
+
 
 class LshIndex:
     """Split signatures into ``bands`` bands; items sharing any band bucket
@@ -14,6 +16,8 @@ class LshIndex:
     """
 
     def __init__(self, num_perm: int = 64, bands: int = 16):
+        check_positive_int(num_perm, "num_perm")
+        check_positive_int(bands, "bands")
         if num_perm % bands != 0:
             raise ValueError(
                 f"num_perm ({num_perm}) must be divisible by bands ({bands})"

@@ -40,6 +40,8 @@ from repro.kernels.sets import (
     containment_count_arrays,
     count_non_missing,
     distinct_strings,
+    float_domain,
+    float_probe,
     normalize_many,
     normalize_strings,
     sorted_unique_array,
@@ -70,6 +72,8 @@ __all__ = [
     "containment_count_arrays",
     "count_non_missing",
     "distinct_strings",
+    "float_domain",
+    "float_probe",
     "normalize_many",
     "normalize_strings",
     "sorted_unique_array",

@@ -1,5 +1,5 @@
-"""Set-shaped kernels: distinct values, missing counts, normalization,
-containment/overlap estimation.
+"""Set-shaped kernels: distinct values, float domains, missing counts,
+normalization, containment/overlap estimation.
 
 The containment kernels work on sorted numpy unicode arrays so a query
 can be matched against many candidate columns with ``searchsorted``
@@ -21,6 +21,8 @@ __all__ = [
     "containment_count_arrays",
     "count_non_missing",
     "distinct_strings",
+    "float_domain",
+    "float_probe",
     "normalize_many",
     "normalize_strings",
     "sorted_unique_array",
@@ -50,6 +52,50 @@ def distinct_strings(cells) -> set:
         out.discard("nan")
         return out
     return reference.distinct_strings(cells)
+
+
+def float_domain(cells):
+    """A float-or-missing column's distinct values as numbers: the sorted
+    unique ``int64`` views of its non-NaN cells, or ``None`` outside the
+    ``type_census(cells) <= {float, NoneType}`` precondition.
+
+    ``map(repr, domain.view(np.float64).tolist())`` is exactly
+    :func:`distinct_strings` of the same cells: a float's repr round-trips
+    and only NaNs share one across bit patterns, so bit patterns and
+    strings are in one-to-one correspondence (``-0.0`` and ``0.0`` stay
+    apart on both sides).
+    """
+    cells = list(cells)
+    if not type_census(cells) <= {float, type(None)}:
+        return None
+    values = np.array(cells, dtype=np.float64)
+    return np.unique(values[~np.isnan(values)].view(np.int64))
+
+
+#: The first characters a float repr can start with (``inf``, ``-1.0``,
+#: ``1e+16``, ``0.5``; ``nan`` is never a value).
+_FLOAT_REPR_HEADS = frozenset("0123456789-i")
+
+
+def float_probe(strings) -> np.ndarray:
+    """Sorted unique ``int64`` views of the floats whose ``repr`` is one
+    of ``strings`` (NaN excluded): the query side of :func:`float_domain`.
+    A string is in a float column's :func:`distinct_strings` exactly when
+    its probe bits are in the column's domain.
+    """
+    found = []
+    for value in strings:
+        if value[:1] not in _FLOAT_REPR_HEADS:
+            continue  # cheap reject: most key strings are not numbers
+        try:
+            number = float(value)
+        except ValueError:
+            continue
+        # repr equality rejects every other spelling ("1", "1.00",
+        # " 1.0", "Infinity", "1E+16", "1_0.0"); NaN is never a value.
+        if number == number and repr(number) == value:
+            found.append(number)
+    return np.unique(np.array(found, dtype=np.float64).view(np.int64))
 
 
 def count_non_missing(values) -> int:

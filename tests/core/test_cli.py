@@ -284,12 +284,19 @@ class TestCatalogCommands:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--num-perm", "60"], ["--min-containment", "nan"], ["--min-containment", "1.5"]],
+        [
+            ["--num-perm", "60"],
+            ["--min-containment", "nan"],
+            ["--min-containment", "1.5"],
+            ["--bands", "0"],
+            ["--bands", "-4"],
+        ],
     )
     def test_invalid_index_params_report_cleanly(self, capsys, tmp_path, flags):
         code = main(["catalog", "build", str(tmp_path / "c"), *flags])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_corrupt_manifest_reports_cleanly(self, capsys, tmp_path):
         path = tmp_path / "cat"

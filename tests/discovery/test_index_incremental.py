@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.catalog import Catalog
 from repro.dataframe.table import Table
 from repro.discovery.index import ColumnRef, DiscoveryIndex
 from repro.discovery.lsh import LshIndex
@@ -150,6 +151,28 @@ class TestIndexRemoval:
 def test_min_containment_validated(bad):
     with pytest.raises(ValueError, match="min_containment"):
         DiscoveryIndex(min_containment=bad)
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, 2.5, float("nan"), "5"], ids=repr)
+def test_max_distinct_validated(bad):
+    """0 used to empty every value set and nan to turn down-sampling
+    off, silently; -1, True and 2.5 failed only at the first add."""
+    with pytest.raises(ValueError, match="max_distinct"):
+        DiscoveryIndex(max_distinct=bad)
+    with pytest.raises(ValueError, match="max_distinct"):
+        Catalog(max_distinct=bad)
+
+
+@pytest.mark.parametrize(
+    "params, name",
+    [({"bands": 0}, "bands"), ({"num_perm": 64.0}, "num_perm")],
+    ids=repr,
+)
+def test_lsh_params_validated(params, name):
+    """The index's own LSH checks its parameters before anything uses
+    them (bands=0 was a ZeroDivisionError, num_perm=64.0 a TypeError)."""
+    with pytest.raises(ValueError, match=name):
+        DiscoveryIndex(**params)
 
 
 class TestPrecomputedEntries:

@@ -8,9 +8,12 @@ anything a caller can see: ``joinable`` / ``joinable_for_entry`` lists
 signatures, stored entries and the indexed-column count, under any
 interleaving of queries, removals and re-adds.  Corpora mix ``str``,
 ``int``, ``float`` and ``None`` cells, case and whitespace variants,
-NUL-bearing strings and empty columns; a small ``max_distinct`` makes
-down-sampling fire.  Narrowing reads in-process ``str`` hashes, so this
-file runs under several ``PYTHONHASHSEED`` values in CI.
+NUL-bearing strings and empty columns, and about half the columns are
+wholly float-or-missing (narrowed on bit patterns) beside query strings
+that are, or merely resemble, a float's repr; a small ``max_distinct``
+makes down-sampling fire and sends wide float columns down the string
+path.  String narrowing reads in-process ``str`` hashes, so this file
+runs under several ``PYTHONHASHSEED`` values in CI.
 """
 
 import sys
@@ -21,6 +24,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.spine import inputs
 from repro import kernels
 from repro.api import CandidateSpec, DiscoveryEngine
 from repro.data import generate_corpus, housing_scenario
@@ -37,6 +41,13 @@ CELLS = (
     "x\x00", "x", "\x00", "", "  ",
     1, 2, 3, 1.0, 2.5, -0.0, "1", "2", " 2 ", "2.5", "-0.0",
     None, float("nan"),
+    "1.0", "1e+16", " INF", "0.30000000000000004", "1.00", "1E+16",
+)  # fmt: skip
+#: Cells of a whole float-or-missing column, the path that narrows on bit
+#: patterns; the float-repr strings in ``CELLS`` are their query side.
+FLOATS = (
+    1.0, 2.5, -0.0, 0.0, 1e16, 0.1 + 0.2, float("inf"), float("-inf"),
+    5e-324, None, float("nan"),
 )  # fmt: skip
 COLUMNS = ("k", "v", "w")
 THETAS = st.one_of(
@@ -49,7 +60,10 @@ THETAS = st.one_of(
 def tables(draw, name):
     names = draw(st.lists(st.sampled_from(COLUMNS), min_size=1, max_size=3, unique=True))
     rows = draw(st.integers(min_value=0, max_value=8))
-    cells = st.lists(st.sampled_from(CELLS), min_size=rows, max_size=rows)
+    cells = st.one_of(
+        st.lists(st.sampled_from(CELLS), min_size=rows, max_size=rows),
+        st.lists(st.sampled_from(FLOATS), min_size=rows, max_size=rows),
+    )
     return Table(name, {column: draw(cells) for column in names})
 
 
@@ -257,6 +271,32 @@ class TestSigningWork:
         assert queries and expected
         assert Counter(signed) == Counter(expected)
         assert len(signed) < eager.num_indexed_columns
+
+    def test_cold_prepare_stringifies_no_unreturnable_float_column(self):
+        """The stringify cap: on the spine's portal corpus, a cold index
+        keeps every float column it does not sign as numbers — no
+        ``("distinct", column)`` set is ever built for one."""
+        corpus = inputs.make_tables(inputs.portal_corpus(150, 7))
+        base = inputs.make_table(inputs.join_base(7))
+        index = DiscoveryIndex(min_containment=0.3).build(corpus)
+        generate_candidates(base, index, max_hops=1, max_fanout=500)
+        signed = {(ref.table, ref.column) for ref in index._entries}
+        floats = [
+            (table, column)
+            for table in corpus
+            for column in table.column_names
+            if kernels.float_domain(table.column(column)) is not None
+        ]
+        assert len(floats) == 362
+        stringified = [
+            f"{table.name}.{column}"
+            for table, column in floats
+            if (table.name, column) not in signed
+            and ("distinct", column) in table._derived_cache
+        ]
+        assert stringified == []
+        assert len(index._lsh) == 60 and len(index._unsigned) == 452
+        assert index.num_indexed_columns == 512
 
     def test_shared_cold_index_is_thread_safe(self):
         """Eight threads query one cold index at once: identical answers,

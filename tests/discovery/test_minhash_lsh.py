@@ -100,6 +100,18 @@ class TestLsh:
         with pytest.raises(ValueError):
             LshIndex(num_perm=64, bands=7)
 
+    @pytest.mark.parametrize("bands", [0, -4, True, 2.5, "4"], ids=repr)
+    def test_bands_must_be_a_positive_int(self, bands):
+        """0 used to raise ZeroDivisionError, -4 a numpy dtype error, and
+        True was accepted."""
+        with pytest.raises(ValueError, match="bands must be an int >= 1"):
+            LshIndex(num_perm=64, bands=bands)
+
+    @pytest.mark.parametrize("num_perm", [0, -64, True, 64.0], ids=repr)
+    def test_num_perm_must_be_a_positive_int(self, num_perm):
+        with pytest.raises(ValueError, match="num_perm must be an int >= 1"):
+            LshIndex(num_perm=num_perm, bands=4)
+
     def test_len(self):
         h = MinHasher(num_perm=16)
         lsh = LshIndex(num_perm=16, bands=4)
