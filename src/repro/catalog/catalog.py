@@ -212,15 +212,22 @@ class Catalog:
         already computed it (fingerprinting is the expensive step on
         large tables).
 
-        Ownership: an object signed here is stamped with this writer's
-        lease as it is written; an object adopted from disk is only
+        Ownership: an object signed here is claimed on this writer's
+        lease before its file lands; an object adopted from disk is only
         *remembered* — nothing is written until :meth:`save` claims
         every adopted object at once, so hydrating an unchanged corpus
         is read-only.
         """
         if fingerprint is None:
             fingerprint = table_fingerprint(table)
+        return self._add(table, fingerprint)
+
+    def _add(self, table: Table, fingerprint: str, present: bool = None) -> str:
+        """:meth:`add` for a fingerprinted table; ``present`` is whether
+        its object is on disk, when the caller already probed."""
         object_id = self._object_id(fingerprint)
+        if self.store is not None and present is None:
+            present = self.store.has_object(object_id)
         # Fastest path: the last save()'s snapshot covers this exact
         # content (directly, or via a remove+re-add cycle of identical
         # content) — hydrate the LSH index from packed signatures and
@@ -236,7 +243,7 @@ class Catalog:
                 # The lazy entry loader will need the object later; if it
                 # vanished (external deletion, stale snapshot), fall through
                 # to the eager path, which recomputes and re-persists.
-                and self.store.has_object(object_id)
+                and present
             ):
                 self._adopted[table.name] = object_id
                 self._index.add_table_hydrated(table, signatures)
@@ -247,14 +254,14 @@ class Catalog:
                 self.mutations += 1
                 return fingerprint
         entries = None
-        if self.store is not None and self.store.has_object(object_id):
+        if present:
             try:
                 _meta, entries = self.store.read_object(object_id)
                 self._adopted[table.name] = object_id
                 self.loaded_columns += len(entries)
-            except CatalogStoreError:
-                # Corrupt object: recompute from the live table below and
-                # overwrite the damaged file.
+            except (KeyError, CatalogStoreError):
+                # Corrupt (or gc'd since the probe): recompute from the
+                # live table below and overwrite the damaged file.
                 entries = None
         if entries is None:
             entries = self._compute_and_persist(table, object_id)
@@ -270,7 +277,7 @@ class Catalog:
         object under ``object_id``."""
         entries = self._index.compute_column_entries(table)
         self.computed_columns += len(entries)
-        # Written here, so owned by the write-time stamp, not a claim.
+        # Written here, so claimed by the write, not at save.
         self._adopted.pop(table.name, None)
         if self.store is not None:
             meta = {
@@ -425,22 +432,50 @@ class Catalog:
                     self._removed_fingerprints[name] = previous
                 self.mutations += 1
             diff.removed.append(name)
+        # Fingerprint first, so every object this refresh will write is
+        # claimed in one lease write before the first file lands.
+        incoming = {}
         for name in sorted(tables):
             table = tables[name]
             if name in self._fingerprints:
-                if self.update(table):
-                    diff.updated.append(name)
-                else:
+                if table is self._index.get_table(name):
                     diff.unchanged.append(name)
+                    continue
+                fingerprint = table_fingerprint(table)
+                if fingerprint == self._fingerprints[name]:
+                    self._index.rebind_table(table)
+                    diff.unchanged.append(name)
+                    continue
+            else:
+                fingerprint = table_fingerprint(table)
+            incoming[name] = fingerprint
+        present = {}
+        if self.store is not None:
+            present = {
+                name: self.store.has_object(self._object_id(fingerprint))
+                for name, fingerprint in incoming.items()
+            }
+            self.store.claim(
+                self._object_id(incoming[name])
+                for name, on_disk in present.items()
+                if not on_disk
+            )
+        for name, fingerprint in incoming.items():
+            if name in self._fingerprints:
+                self.remove(name)
+                self._add(tables[name], fingerprint, present.get(name))
+                diff.updated.append(name)
                 continue
             previous = self._persisted.get(name)
-            fingerprint = self.add(table)
+            self._add(tables[name], fingerprint, present.get(name))
             if previous is None:
                 diff.added.append(name)
             elif previous == fingerprint:
                 diff.unchanged.append(name)
             else:
                 diff.updated.append(name)
+        diff.unchanged.sort()
+        diff.updated.sort()
         return diff
 
     # ------------------------------------------------------------------

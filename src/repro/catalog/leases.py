@@ -176,24 +176,39 @@ class LeaseManager:
             self._write(lease)
         return lease
 
-    def renew(
-        self, lease: Lease, claims: Optional[Iterable[str]] = None
-    ) -> Lease:
+    def renew(self, lease: Lease, claims: Iterable[str] = ()) -> Lease:
         """Push a held lease's expiry forward (token unchanged — renewal
-        extends ownership, it does not re-order it).  ``claims`` replaces
-        the lease's claimed object ids; ``None`` carries them over, so a
-        routine renewal never drops a published claim."""
-        renewed = Lease(
-            lease.owner,
-            lease.token,
-            self.clock(),
-            self.ttl,
-            lease.kind,
-            lease.claims if claims is None else claims,
-        )
+        extends ownership, it does not re-order it) and add ``claims``
+        to the object ids it claims.
+
+        Claims only grow while a lease lives: the ones already in the
+        lease file are read back and kept, under the lease lock, so two
+        threads publishing claims through one store never drop each
+        other's, and a routine renewal never drops a published claim."""
         with self._lock():
+            renewed = Lease(
+                lease.owner,
+                lease.token,
+                self.clock(),
+                self.ttl,
+                lease.kind,
+                lease.claims | frozenset(claims) | self._claims_on_disk(lease.owner),
+            )
             self._write(renewed)
         return renewed
+
+    def _claims_on_disk(self, owner: str) -> FrozenSet[str]:
+        """The ``claims`` a lease file currently holds (none when it is
+        absent or unreadable)."""
+        try:
+            payload = json.loads(
+                self.backend.read_bytes(self._lease_path(owner)).decode("utf-8")
+            )
+        except (OSError, ValueError):
+            return frozenset()
+        if not isinstance(payload, dict):
+            return frozenset()
+        return _read_claims(payload.get("claims"))
 
     def release(self, lease: Lease) -> None:
         """Return a lease; absent files (an expired lease a peer already
@@ -274,22 +289,17 @@ class LeaseManager:
             out.append(lease)
         return out
 
-    def active_holds(
-        self, exclude: Iterable[Optional[Lease]] = ()
-    ) -> Tuple[Set[int], Set[str]]:
-        """``(fencing tokens, claimed object ids)`` of active leases,
-        minus ``exclude`` (a gc pass excludes its own leases when
-        deciding what to skip) — both from one pass over the lease
-        directory."""
-        excluded = {lease.token for lease in exclude if lease is not None}
-        tokens: Set[int] = set()
+    def active_claims(self, exclude: Iterable[Optional[Lease]] = ()) -> Set[str]:
+        """Object ids claimed by active leases, minus those of
+        ``exclude`` (a gc pass excludes its own store's writer lease)."""
+        excluded = {lease.owner for lease in exclude if lease is not None}
         claims: Set[str] = set()
         for lease in self.active():
-            if lease.token not in excluded:
-                tokens.add(lease.token)
+            if lease.owner not in excluded:
                 claims |= lease.claims
-        return tokens, claims
+        return claims
 
     def active_tokens(self, exclude: Iterable[Optional[Lease]] = ()) -> Set[int]:
         """Fencing tokens of active leases, minus ``exclude``."""
-        return self.active_holds(exclude)[0]
+        excluded = {lease.token for lease in exclude if lease is not None}
+        return {lease.token for lease in self.active() if lease.token not in excluded}

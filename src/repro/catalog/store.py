@@ -651,41 +651,64 @@ class CatalogStore:
         if lease is not None:
             self.leases.release(lease)
 
-    def claim_objects(self, fingerprints) -> list:
-        """Take ownership of *existing* objects this writer is about to
-        reference (warm-start hits on content some earlier writer
-        persisted); returns the ids that are gone — the caller
-        re-derives those, and :meth:`write_object` stamps them.
+    def claim(self, fingerprints) -> None:
+        """Make ``fingerprints`` durable claims of this writer's lease:
+        one lease write, none when the lease already claims them all.
 
-        Claim, then verify: the ids are first published as the
-        ``claims`` of this writer's lease file (one atomic write, merged
-        with what the lease already claims), and only then is each
-        checked for presence under its shard lock, one lock per shard.
-        :meth:`gc` reads the claims under that same lock before
-        deleting, so either it went first (the id comes back missing) or
-        it sees the claim and spares the object until
-        :meth:`release_writer_lease`."""
+        :meth:`write_object` and :meth:`claim_objects` claim through
+        here; :meth:`Catalog.refresh` calls it once with every id it is
+        about to write, so the writes that follow publish nothing."""
         wanted = set(fingerprints)
         if not wanted:
-            return []
+            return
         lease = self.writer_lease()
-        claimed = self.leases.renew(lease, claims=lease.claims | wanted)
+        wanted -= lease.claims
+        if not wanted:
+            return
+        claimed = self.leases.renew(lease, claims=wanted)
         if self.obs is not None:
             self.obs["lease_renewals"].inc()
         with self._writer_lease_guard:
             held = self._writer_lease
-            # Same lease, whichever thread stamped it last: the slot
-            # must carry the claims so the next renewal keeps them.
-            if held is not None and held.token == claimed.token:
+            # A lease's claims only grow, so of two writes by racing
+            # threads the larger set is the later one: keep it, so the
+            # skip above sees every published claim.
+            if (
+                held is not None
+                and held.owner == claimed.owner
+                and len(claimed.claims) >= len(held.claims)
+            ):
                 self._writer_lease = claimed
-        self._fault("claims-published")
-        by_shard = {}
-        for fingerprint in sorted(wanted):
-            by_shard.setdefault(
+
+    def _by_shard(self, fingerprints) -> dict:
+        """``{shard directory: [fingerprint, ...]}``, in input order."""
+        groups = {}
+        for fingerprint in fingerprints:
+            groups.setdefault(
                 self._object_shard_dir(fingerprint), []
             ).append(fingerprint)
+        return groups
+
+    def claim_objects(self, fingerprints) -> list:
+        """Take ownership of *existing* objects this writer is about to
+        reference (warm-start hits on content some earlier writer
+        persisted); returns the ids that are gone — the caller
+        re-derives those with :meth:`write_object`.
+
+        Claim, then verify: the ids are first published as claims of
+        this writer's lease (the same publish :meth:`write_object`
+        makes), and only then is each checked for presence under its
+        shard lock, one lock per shard.  :meth:`gc` reads the claims
+        under that same lock before deleting, so either it went first
+        (the id comes back missing) or it sees the claim and spares the
+        object until :meth:`release_writer_lease`."""
+        wanted = set(fingerprints)
+        if not wanted:
+            return []
+        self.claim(wanted)
+        self._fault("claims-published")
         missing = []
-        for shard_dir, group in by_shard.items():
+        for shard_dir, group in self._by_shard(sorted(wanted)).items():
             with self._dir_lock(shard_dir):
                 missing.extend(fp for fp in group if not self.has_object(fp))
         return missing
@@ -698,18 +721,13 @@ class CatalogStore:
         content).  ``overwrite`` forces the write — used when healing a
         corrupt file with freshly recomputed content.
 
-        The data file lands, and is then recorded, under the shard lock,
-        linearizing the write against any concurrent
-        :meth:`delete_object` in the shard."""
-        if (
-            not overwrite
-            and self.has_object(fingerprint)
-            and not self.claim_objects([fingerprint])
-        ):
-            # Present already, and now claimed: this writer is about to
-            # depend on it, so it owns it exactly as if it had written
-            # it.  (Gone under the lock: write it.)
-            return
+        Claim, then write: the id becomes a claim of this writer's lease
+        before the file lands, so writing and adopting are one path.
+        The presence check and the write then run under the shard lock,
+        linearizing them against a concurrent :meth:`gc` pass in the
+        shard."""
+        self.claim([fingerprint])
+        self._fault("claims-published")
         # The record carries the writer's fencing token.
         record = {"codec": CODEC.version, "lease": self.writer_lease().token}
         path = self._object_path(fingerprint)
@@ -717,6 +735,8 @@ class CatalogStore:
         self.backend.makedirs(shard_dir)
         blob = CODEC.encode(meta, entries)
         with self._dir_lock(shard_dir):
+            if not overwrite and self.has_object(fingerprint):
+                return
             self.backend.write_bytes(path, blob)
             self._count("writes", "objects")
             self._count("write_bytes", "objects", len(blob))
@@ -816,69 +836,59 @@ class CatalogStore:
     def gc(self, live_fingerprints, live_check=None) -> int:
         """Delete objects not in ``live_fingerprints``; returns the count.
 
-        The live set is a *scan-time* snapshot, so before reclaiming
-        each candidate gc re-checks, under that object's shard lock:
+        The live set is a *scan-time* snapshot, so gc re-checks each
+        shard's candidates under that shard's lock, reading once per
+        shard:
 
-        1. **Lease ownership** — an object whose record carries the
-           fencing token of a currently active lease, or whose id is in
-           an active lease's ``claims`` (:meth:`claim_objects`), is a
-           concurrent writer's in-flight work (written or adopted after
-           the scan, references not yet saved) and is skipped.  Crashed
-           writers stop renewing, their leases expire, and their
-           orphans become collectible on a later pass — leases defer
-           reclamation, they never leak it.
+        1. **Claims** — an object whose id is in another active lease's
+           ``claims`` is a concurrent writer's in-flight work (written
+           or adopted after the scan, references not yet saved) and is
+           skipped.  Crashed writers stop renewing, their leases
+           expire, and their orphans become collectible on a later pass
+           — leases defer reclamation, they never leak it.
         2. **Fresh liveness** — ``live_check``, when given, is called to
            produce an up-to-date live set (the catalog re-reads the root
            manifest); an object a just-landed save references is live,
            not garbage.
 
-        Both checks happen under the same shard lock that
-        :meth:`write_object` and :meth:`delete_object` take, so the
-        decision is linearized against every writer in the shard.  A
-        file a crashed deleter left behind is just another unreferenced
-        object here.  Per-pass counts land in :attr:`last_gc` (and the
-        ``gc_skipped`` metric family when metrics are attached).
+        Claims are read first: a saver writes its manifest before it
+        releases its lease, so a claim gone by the first read is a
+        reference the second sees.  Both happen under the same shard
+        lock that :meth:`write_object`, :meth:`claim_objects` and
+        :meth:`delete_object` take, and a claim is durable before its
+        claimer takes that lock, so the decision is linearized against
+        every writer in the shard.  Per-pass counts land in
+        :attr:`last_gc` (and the ``gc_skipped`` metric family when
+        metrics are attached).
         """
         live = set(live_fingerprints)
+        candidates = self._by_shard(
+            fp for fp in self.list_objects() if fp not in live
+        )
         removed = 0
         skipped_leased = 0
         skipped_live = 0
-        gc_lease = self.leases.acquire(kind="gc")
-        if self.obs is not None:
-            self.obs["lease_acquires"].labels(kind="gc").inc()
         # Leases protect *other* writers' in-flight work.  This store's
         # own writer lease never shields a candidate: the caller just
         # declared its own live set, so anything it owns outside that
         # set is garbage by its own account.
-        own_leases = (gc_lease, self._writer_lease)
-        try:
-            for fingerprint in self.list_objects():
-                if fingerprint in live:
-                    continue
-                shard_dir = self._object_shard_dir(fingerprint)
-                with self._dir_lock(shard_dir):
-                    record = self._read_shard_section(
-                        shard_dir, "objects"
-                    ).get(fingerprint)
-                    tokens, claims = self.leases.active_holds(
-                        exclude=own_leases
-                    )
-                    if fingerprint in claims or _record_lease(record) in tokens:
+        own = (self._writer_lease,)
+        for shard_dir, group in candidates.items():
+            with self._dir_lock(shard_dir):
+                claims = self.leases.active_claims(exclude=own)
+                fresh = set(live_check()) if live_check is not None else set()
+                for fingerprint in group:
+                    if fingerprint in claims:
                         skipped_leased += 1
                         if self.obs is not None:
                             self.obs["gc_skipped"].labels(reason="leased").inc()
-                        continue
-                    if live_check is not None and fingerprint in set(
-                        live_check()
-                    ):
+                    elif fingerprint in fresh:
                         skipped_live += 1
                         if self.obs is not None:
                             self.obs["gc_skipped"].labels(reason="live").inc()
-                        continue
-                    self.delete_object(fingerprint)
-                    removed += 1
-        finally:
-            self.leases.release(gc_lease)
+                    else:
+                        self.delete_object(fingerprint)
+                        removed += 1
         self.last_gc = {
             "removed": removed,
             "skipped_leased": skipped_leased,

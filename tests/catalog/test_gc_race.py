@@ -26,6 +26,7 @@ import time
 
 from repro.catalog import Catalog, CatalogStore
 from repro.catalog import store as store_module
+from repro.catalog.fingerprint import shard_of
 from repro.catalog.leases import DEFAULT_LEASE_TTL
 from repro.dataframe.table import Table
 from tests.harness.entries import make_entry
@@ -35,6 +36,7 @@ from tests.harness.faults import (
     fork_context,
     run_killed,
 )
+from tests.harness.spy import SpyBackend
 
 
 def write(store, fingerprint):
@@ -112,6 +114,32 @@ class TestLiveCheckUnderLock:
         peer.save()
         assert catalog.gc() == 0
         assert peer.verify()["problems"] == []
+
+
+class TestGcReadsOncePerShard:
+    def test_listings_and_manifest_reads_follow_shards_not_objects(
+        self, tmp_path
+    ):
+        """gc groups its candidates by shard: under each shard lock it
+        reads the active claims and the root manifest once, then
+        deletes — 400 candidates cost one read per shard touched, not
+        one per object."""
+        root = str(tmp_path / "cat")
+        Catalog(CatalogStore(root)).save()
+        builder = CatalogStore(root)
+        garbage = [f"{i:08x}" for i in range(400)]
+        builder.claim(garbage)
+        for fingerprint in garbage:
+            write(builder, fingerprint)
+        builder.release_writer_lease()
+        spy = SpyBackend(root)
+        catalog = Catalog.load(CatalogStore(root, backend=spy))
+        spy.reads.clear()
+        assert catalog.gc() == 400
+        shards = len({shard_of(fp) for fp in garbage})
+        assert spy.reads[("listdir", "leases")] <= shards + 1
+        assert spy.reads[("read_bytes", "manifest.json")] <= shards + 1
+        assert shards < 400
 
 
 def _doomed_builder(root, fingerprint):

@@ -239,14 +239,14 @@ class TestStoreIntegration:
 class TestClaims:
     def test_claims_survive_renewal_and_die_with_release(self, manager, clock):
         lease = manager.renew(manager.acquire(), claims={"obj-b", "obj-a"})
-        assert manager.active_holds() == ({lease.token}, {"obj-a", "obj-b"})
+        assert manager.active_claims() == {"obj-a", "obj-b"}
         clock.now += 8
         renewed = manager.renew(lease)  # a routine TTL/2 renewal
         assert renewed.claims == {"obj-a", "obj-b"}
-        assert manager.active_holds()[1] == {"obj-a", "obj-b"}
-        assert manager.active_holds(exclude=(renewed,)) == (set(), set())
+        assert manager.active_claims() == {"obj-a", "obj-b"}
+        assert manager.active_claims(exclude=(renewed,)) == set()
         manager.release(renewed)
-        assert manager.active_holds() == (set(), set())
+        assert manager.active_claims() == set()
 
     def test_claims_are_written_sorted_and_only_when_present(self, manager, tmp_path):
         lease = manager.acquire()
@@ -260,7 +260,7 @@ class TestClaims:
     def test_claims_expire_with_the_lease(self, manager, clock):
         manager.renew(manager.acquire(), claims={"obj"})
         clock.now += 11
-        assert manager.active_holds() == (set(), set())
+        assert manager.active_claims() == set()
 
 
 def _corpus(n=5):
@@ -355,8 +355,9 @@ class TestHostileLeaseFiles:
         store.write_object("garbage0", {"name": "t"}, {"c": make_entry({"v"})})
         store.release_writer_lease()
         self.plant(store, "writer-1-hostile.json", self.lease(claims=claims))
-        # The lease itself is well-formed, so its token still counts...
-        assert store.leases.active_holds() == ({99}, set())
+        # The lease itself is well-formed, so it is active...
+        assert len(store.leases.active()) == 1
+        assert store.leases.active_claims() == set()
         # ...but it claims nothing: the unreferenced object is reclaimed.
         assert store.gc([]) == 1
 
@@ -388,7 +389,7 @@ class TestHostileLeaseFiles:
         self.plant(
             store, "writer-1-hostile.json", self.lease(claims=["garbage0"], **stamp)
         )
-        assert store.leases.active_holds() == (set(), set())
+        assert store.leases.active() == []
         assert store.gc([]) == 1
         assert store.verify()["problems"] == []
 
@@ -402,7 +403,7 @@ class TestHostileLeaseFiles:
         self.plant(
             store, "writer-1-hostile.json", self.lease(claims=["garbage0"], ttl=ttl)
         )
-        assert store.leases.active_holds() == (set(), set())
+        assert store.leases.active() == []
         assert store.gc([]) == 1
         assert store.verify()["problems"] == []
 
@@ -423,7 +424,7 @@ class TestHostileLeaseFiles:
             store, "writer-1-hostile.json",
             json.dumps(fields).replace('"@"', literal),
         )
-        assert store.leases.active_holds() == (set(), set())
+        assert store.leases.active() == []
         assert store.gc([]) == 1
         assert store.verify()["problems"] == []
 
@@ -434,6 +435,7 @@ class TestHostileLeaseFiles:
         self.plant(store, "writer-2-junk.json", "\x00{[" * (1 << 18))
         self.plant(store, "writer-3-junk.json", self.lease(claims="x" * (1 << 20)))
         self.plant(store, "writer-4-junk.json", ["not", "an", "object"])
-        assert store.leases.active_holds() == ({99}, set())
+        assert len(store.leases.active()) == 1
+        assert store.leases.active_claims() == set()
         assert store.gc([]) == 1
         assert store.verify()["problems"] == []

@@ -23,6 +23,7 @@ from repro import DiscoveryEngine
 from repro.catalog import Catalog, CatalogStore, table_fingerprint
 from repro.dataframe.table import Table
 from tests.harness.faults import exit_hook, run_killed
+from tests.harness.spy import SpyBackend
 
 
 def make_corpus(n=4, version=0):
@@ -174,6 +175,40 @@ class TestByteIdentity:
         engine.discover(request)
         assert not catalog.refresh(dict(scenario.corpus)).changed
         assert engine.discover(request).cached
+
+
+class TestClaimBeforeWrite:
+    @staticmethod
+    def lease_writes(root, n_tables):
+        spy = SpyBackend(root)
+        catalog = Catalog(CatalogStore(root, backend=spy), seed=0)
+        catalog.refresh(make_corpus(n_tables))
+        assert catalog.computed_columns == 2 * n_tables
+        claimed = set().union(*(w.get("claims", ()) for w in spy.lease_writes))
+        assert claimed == {
+            catalog._object_id(fp) for fp in catalog.fingerprints.values()
+        }
+        return len(spy.lease_writes)
+
+    def test_lease_writes_do_not_grow_with_the_refresh(self, tmp_path):
+        """Every id a refresh writes is claimed in one lease write before
+        the first object lands — not one growing rewrite per object."""
+        small = self.lease_writes(str(tmp_path / "small"), 20)
+        large = self.lease_writes(str(tmp_path / "large"), 80)
+        assert small == large <= 2
+
+    def test_claims_cover_objects_before_save(self, tmp_path):
+        """Between refresh and save the manifest references nothing new,
+        so only the claims keep a peer's gc off the fresh objects."""
+        root = str(tmp_path / "cat")
+        saved_catalog(root, make_corpus(2))
+        builder = Catalog.load(root)
+        builder.refresh(make_corpus(5))
+        peer = Catalog.load(root)
+        assert peer.gc() == 0
+        assert peer.store.last_gc["skipped_leased"] == 3
+        builder.save()
+        assert Catalog.load(root).verify()["problems"] == []
 
 
 class TestRemoval:

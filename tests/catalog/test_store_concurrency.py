@@ -56,6 +56,27 @@ class TestThreadedWriters:
         assert report["problems"] == []
         assert report["objects"] == len(fingerprints)
 
+    def test_threads_sharing_one_store_keep_every_claim(self, store):
+        """Eight threads write through *one* store, so every claim lands
+        on one lease file: no thread's publish may drop another's, and
+        a peer's gc spares every object until the lease is returned."""
+        fingerprints = [f"{i:04x}{i:04x}" for i in range(64)]
+
+        def write(fp):
+            store.write_object(fp, {"name": fp}, {"c": make_entry({fp})})
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(write, fingerprints))
+
+        (lease,) = store.leases.active()
+        assert lease.claims == set(fingerprints)
+        assert store.writer_lease().claims == set(fingerprints)
+        peer = CatalogStore(store.root)
+        assert peer.gc([]) == 0
+        assert peer.last_gc["skipped_leased"] == len(fingerprints)
+        store.release_writer_lease()
+        assert peer.gc([]) == len(fingerprints)
+
     def test_threaded_profile_writes_merge(self, store):
         base = "basefp"
 

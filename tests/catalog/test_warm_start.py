@@ -1,20 +1,19 @@
 """Warm-start equivalence: catalog-served discovery == cold build —
 and a warm start on an unchanged corpus only *reads* the store."""
 
-import collections
-import json
 import os
 
 import numpy as np
 import pytest
 
 from repro import CandidateSpec, DiscoveryEngine
-from repro.catalog import Catalog, CatalogStore, LocalFSBackend
+from repro.catalog import Catalog, CatalogStore
 from repro.data import housing_scenario
 from repro.dataframe.table import Table
 from repro.discovery import ColumnRef, MinHasher, generate_candidates
 from repro.kernels import normalize_strings
 from repro.profiles.registry import default_registry
+from tests.harness.spy import SpyBackend
 
 
 @pytest.fixture(scope="module")
@@ -159,54 +158,6 @@ class TestWarmStartEquivalence:
         )
         cache = catalog.profile_cache(other_base, registry, seed=0)
         assert all(cache.get(c) is None for c in candidates)
-
-
-class SpyBackend(LocalFSBackend):
-    """The local backend, counting every mutating primitive by the store
-    section (first path component under the root) it lands in, and
-    recording every object file read.  A guard that counts calls instead
-    of reading a clock."""
-
-    def __init__(self, root):
-        super().__init__(root)
-        self.spy_root = str(root)
-        self.calls = collections.Counter()
-        self.lease_writes = []
-        self.object_reads = []
-
-    def read_bytes(self, path):
-        if path.endswith(".bin"):
-            self.object_reads.append(os.path.basename(path))
-        return super().read_bytes(path)
-
-    def _note(self, op, path):
-        section = os.path.relpath(path, self.spy_root).split(os.sep, 1)[0]
-        self.calls[(op, section)] += 1
-
-    def write_bytes(self, path, data):
-        self._note("write_bytes", path)
-        if os.path.basename(path).startswith("writer-"):
-            self.lease_writes.append(json.loads(data))
-        return super().write_bytes(path, data)
-
-    def append_bytes(self, path, data):
-        self._note("append_bytes", path)
-        return super().append_bytes(path, data)
-
-    def write_stream(self, path):
-        self._note("write_stream", path)
-        return super().write_stream(path)
-
-    def remove(self, path):
-        self._note("remove", path)
-        return super().remove(path)
-
-    def lock(self, path):
-        self._note("lock", path)
-        return super().lock(path)
-
-    def in_section(self, section):
-        return {op: n for (op, where), n in self.calls.items() if where == section}
 
 
 def _portal(n_tables):
