@@ -240,24 +240,6 @@ def _byte_budget(name: str, value, optional: bool = True):
     raise ValueError(f"{name} must be {allowed}, got {value!r}")
 
 
-def _record_codec(value):
-    """Codec version from an objects-section record: the
-    ``{"codec", "lease"}`` dict this store writes, or the plain int
-    older lease-free writers left (read tolerantly, never written)."""
-    if isinstance(value, dict):
-        return value.get("codec")
-    return value
-
-
-def _record_lease(value):
-    """Fencing token from an objects-section record, or ``None`` when
-    the record carries none."""
-    if isinstance(value, dict):
-        token = value.get("lease")
-        return token if isinstance(token, int) else None
-    return None
-
-
 class CatalogStore:
     """Filesystem persistence for catalog artifacts.
 
@@ -728,8 +710,6 @@ class CatalogStore:
         shard."""
         self.claim([fingerprint])
         self._fault("claims-published")
-        # The record carries the writer's fencing token.
-        record = {"codec": CODEC.version, "lease": self.writer_lease().token}
         path = self._object_path(fingerprint)
         shard_dir = os.path.dirname(path)
         self.backend.makedirs(shard_dir)
@@ -740,9 +720,6 @@ class CatalogStore:
             self.backend.write_bytes(path, blob)
             self._count("writes", "objects")
             self._count("write_bytes", "objects", len(blob))
-            self._update_shard_manifest(
-                shard_dir, "objects", "set", fingerprint, record
-            )
 
     def _read_decoded(self, fingerprint: str, decode):
         """One read + one decode of the object's file.  ``KeyError``
@@ -778,35 +755,12 @@ class CatalogStore:
         return self._read_decoded(fingerprint, CODEC.decode_meta)
 
     def delete_object(self, fingerprint: str) -> None:
-        """Delete one object: un-record, then remove the file.
-
-        Both happen under the shard lock, in that order, so a deleter
-        killed in between leaves an intact file no record points at —
-        it verifies, and the next :meth:`gc` reclaims it — never a
-        record without its file.  A concurrent :meth:`write_object` in
-        the shard lands either before (and is deleted) or after (and
-        lives)."""
-        shard_dir = self._object_shard_dir(fingerprint)
-        if not (
-            self.has_object(fingerprint)
-            or fingerprint in self._read_shard_section(shard_dir, "objects")
-        ):
-            return  # nothing recorded and no file: leave the shard alone
-
-        removed = []
-
-        def _remove_file():
-            self._remove(self._object_path(fingerprint))
-            removed.append(True)
-            self._fault("object-files-removed")
-
-        self._apply_shard_ops(
-            shard_dir, [("objects", "del", fingerprint, None)], between=_remove_file
-        )
-        if not removed:
-            # The bookkeeping is best-effort (an unwritable log or lock
-            # swallows as OSError and skips ``between``); the deletion
-            # is not.  An injected crash propagates out above instead.
+        """Delete one object: remove its file under the shard lock, so a
+        concurrent :meth:`write_object` in the shard lands either before
+        (and is deleted) or after (and lives)."""
+        if not self.has_object(fingerprint):
+            return  # no file: leave the shard alone
+        with self._dir_lock(self._object_shard_dir(fingerprint)):
             self._remove(self._object_path(fingerprint))
 
     def list_objects(self) -> list:
@@ -887,7 +841,7 @@ class CatalogStore:
                         if self.obs is not None:
                             self.obs["gc_skipped"].labels(reason="live").inc()
                     else:
-                        self.delete_object(fingerprint)
+                        self._remove(self._object_path(fingerprint))
                         removed += 1
         self.last_gc = {
             "removed": removed,
@@ -1221,12 +1175,11 @@ class CatalogStore:
     # Integrity
     # ------------------------------------------------------------------
     def verify(self) -> dict:
-        """Deep integrity check of every manifest and artifact.
+        """Deep integrity check of every artifact.
 
-        Decodes every stored object, loads every profile group, parses
-        the root manifest, and cross-checks each shard manifest entry
-        against the files it claims — the post-condition multi-writer
-        and crash tests assert on.  Returns ``{"objects": n,
+        Decodes every stored object, loads every profile group and
+        parses the root manifest — the post-condition multi-writer and
+        crash tests assert on.  Returns ``{"objects": n,
         "profile_groups": n, "problems": [...]}``; an intact store
         reports no problems."""
         problems = []
@@ -1245,26 +1198,6 @@ class CatalogStore:
                 continue  # deleted since the listing: gone, not damaged
             except CatalogStoreError as error:
                 problems.append(f"object {fingerprint!r} at {path!r}: {error}")
-        objects_dir = self._objects_dir()
-        if self.backend.isdir(objects_dir):
-            for name in sorted(self.backend.listdir(objects_dir)):
-                shard_dir = os.path.join(objects_dir, name)
-                if not self.backend.isdir(shard_dir):
-                    continue
-                recorded = self._read_shard_section(shard_dir, "objects")
-                for fingerprint, value in sorted(recorded.items()):
-                    version = _record_codec(value)
-                    if version != CODEC.version:
-                        problems.append(
-                            f"shard {name}: object {fingerprint!r} records "
-                            f"unknown codec version {version!r}"
-                        )
-                        continue
-                    if not self.has_object(fingerprint):
-                        problems.append(
-                            f"shard {name}: manifest references missing "
-                            f"object {fingerprint!r}"
-                        )
         groups = self.list_profile_groups()
         for group in groups:
             loaded = self._read_profile_file(self._profile_path(group))

@@ -113,6 +113,9 @@ class TestBackendSeam:
         assert os.path.isfile(path)
         with open(path, "rb") as handle:
             assert handle.read() == store.backend.read_bytes(path)
-        manifest = os.path.join(os.path.dirname(path), "manifest.json")
-        with open(manifest) as handle:
-            json.load(handle)  # a real JSON file on disk
+        lease = os.path.join(
+            store.root, "leases", f"{store.writer_lease().owner}.json"
+        )
+        with open(lease) as handle:
+            # A real JSON file on disk, holding the writer's claim.
+            assert json.load(handle)["claims"] == ["fp1"]

@@ -1,11 +1,9 @@
-"""Deletion: un-record, then remove the file, under the shard lock.
+"""Deletion: remove the file under the shard lock.
 
-``delete_object`` appends the ``objects`` ``del`` record before the
-file goes, so a deleter killed at any protocol point leaves either
-nothing done, or an intact file no record points at — an unreferenced
-object that verifies and that the next gc reclaims — never a record
-without its file.  Any interleaving of add/remove/compact deltas
-(threads, processes, crashes) replays to the same live-object set.
+An object is its file, so deleting one is a single ``remove`` under the
+shard lock: a deleter killed at any moment leaves either nothing done
+or the object gone — never a half-deleted object.  Any interleaving of
+adds and removes (threads, processes) ends in the model's live set.
 """
 
 import json
@@ -13,17 +11,10 @@ import os
 
 import pytest
 
-from repro.catalog import Catalog, CatalogStore
+from repro.catalog import Catalog, CatalogStore, LocalFSBackend
 from repro.dataframe.table import Table
 from tests.harness.entries import make_entry, same_shard_fingerprints
-from tests.harness.faults import (
-    InjectedCrash,
-    crash_at,
-    exit_hook,
-    run_killed,
-    run_ok,
-    torn_log,
-)
+from tests.harness.faults import KILLED_EXIT_CODE, run_killed, run_ok
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -40,19 +31,14 @@ def write(store, fingerprint):
     )
 
 
-def recorded(store, fingerprint):
-    shard_dir = store._object_shard_dir(fingerprint)
-    return fingerprint in store._read_shard_section(shard_dir, "objects")
-
-
 class TestDeleteProtocol:
-    def test_delete_removes_and_unrecords(self, store):
+    def test_delete_removes_the_file(self, store):
         fp = same_shard_fingerprints(1)[0]
         write(store, fp)
         store.delete_object(fp)
         assert not store.has_object(fp)
         assert store.list_objects() == []
-        assert not recorded(store, fp)
+        assert os.listdir(store._object_shard_dir(fp)) == [".lock"]
         assert store.verify()["problems"] == []
 
     def test_delete_of_absent_is_a_no_op(self, store):
@@ -66,7 +52,7 @@ class TestDeleteProtocol:
         store.delete_object(fp)
         write(store, fp)
         assert store.has_object(fp)
-        assert recorded(store, fp)
+        assert store.read_object(fp)[0] == {"name": fp}
         assert store.verify()["problems"] == []
 
     def test_delete_write_delete_converges(self, store):
@@ -80,7 +66,6 @@ class TestDeleteProtocol:
         assert store.verify()["problems"] == []
         write(store, fp)
         assert store.has_object(fp)
-        assert recorded(store, fp)
 
     def test_delete_spares_shard_neighbours(self, store):
         first, second, third = same_shard_fingerprints(3)
@@ -88,7 +73,6 @@ class TestDeleteProtocol:
             write(store, fp)
         store.delete_object(second)
         assert store.list_objects() == sorted([first, third])
-        assert recorded(store, first) and recorded(store, third)
         assert store.read_object(third)[0] == {"name": third}
         assert store.verify()["problems"] == []
 
@@ -104,109 +88,76 @@ class TestDeleteProtocol:
         assert builder.claim_objects([fp]) == []
         assert store.verify()["problems"] == []
 
-    def test_file_removed_even_when_bookkeeping_fails(self, store, monkeypatch):
-        """An unwritable log/lock degrades the *bookkeeping* (swallowed
-        OSError) — it must not veto the deletion itself."""
+
+class TestRewriteClaims:
+    def test_rewrite_of_an_unreferenced_object_claims_it(self, store):
+        """Re-adding a fingerprint whose file is still on disk (nothing
+        references it, no lease claims it) adopts the file — equal
+        fingerprint, equal bytes — and the writer's claim spares it
+        from a peer's gc."""
         fp = same_shard_fingerprints(1)[0]
         write(store, fp)
-
-        def broken(self, shard_dir, ops, between=None):
-            return  # what the OSError swallow leaves: nothing ran
-
-        monkeypatch.setattr(CatalogStore, "_apply_shard_ops", broken)
-        store.delete_object(fp)
-        assert not store.has_object(fp)
-
-
-class TestCrashedDeleter:
-    def test_deleter_dies_before_file_removal(self, store):
-        """Killed after the un-record, before the file goes: the file is
-        an intact, unreferenced object — the store verifies, and the
-        next gc reclaims it."""
-        fp = same_shard_fingerprints(1)[0]
-        write(store, fp)
-        with crash_at(store, "shard-log-appended"):
-            with pytest.raises(InjectedCrash):
-                store.delete_object(fp)
-        assert store.has_object(fp)
-        assert not recorded(store, fp)
-        assert store.verify()["problems"] == []
-        assert store.gc([]) == 1
-        assert not store.has_object(fp)
-        assert store.verify()["problems"] == []
-
-    def test_deleter_dies_after_file_removal(self, store):
-        """Killed between file removal and compaction: the log replays
-        the un-record, the next writer compacts."""
-        first, second = same_shard_fingerprints(2)
-        write(store, first)
-        with crash_at(store, "object-files-removed"):
-            with pytest.raises(InjectedCrash):
-                store.delete_object(first)
-        assert not store.has_object(first)
-        assert store.verify()["problems"] == []
-        write(store, second)  # compacts the shard
-        assert not os.path.exists(
-            store._shard_log_path(store._object_shard_dir(first))
-        )
-        assert not recorded(store, first)
-        assert store.verify()["problems"] == []
-
-    def test_write_after_crashed_delete_keeps_the_object(self, store):
-        """Re-adding the fingerprint a crashed deleter left on disk adopts
-        the file (equal fingerprint, equal bytes): the writer's claim
-        spares it from a peer's gc."""
-        fp = same_shard_fingerprints(1)[0]
-        write(store, fp)
-        with crash_at(store, "shard-log-appended"):
-            with pytest.raises(InjectedCrash):
-                store.delete_object(fp)
-        write(store, fp)
+        store.release_writer_lease()
+        builder = CatalogStore(store.root)
+        write(builder, fp)
         peer = CatalogStore(store.root)
         assert peer.gc([]) == 0
         assert peer.last_gc["skipped_leased"] == 1
         assert store.read_object(fp)[0] == {"name": fp}
         assert store.verify()["problems"] == []
+        builder.release_writer_lease()
+        assert peer.gc([]) == 1
 
 
-class TestShardManifestsFromBeforeThisRelease:
-    """Layout-3 shard manifests written by the tombstone-log releases
-    still open: the leftover ``tombstones`` section is inert."""
+class TestLeftoverShardManifestsAreInert:
+    """Shard ``manifest.json`` / ``manifest.log`` files, as a layout-3
+    writer left them, are not objects and carry no ownership: listing,
+    verify, claims and gc go by the ``.bin`` files and the lease claims
+    alone, and never touch them."""
 
-    def test_a_crashed_deleters_leftovers_are_adopted_then_reclaimed(
-        self, store
-    ):
+    def test_leftover_bookkeeping_is_neither_read_nor_collected(self, store):
         fp, other = same_shard_fingerprints(2)
         write(store, fp)
         write(store, other)
         store.release_writer_lease()
         shard_dir = store._object_shard_dir(fp)
-        # What a deleter killed before file removal left: the object
-        # un-recorded and tombstoned, its file intact.
-        objects = store._read_shard_section(shard_dir, "objects")
-        del objects[fp]
-        with open(os.path.join(shard_dir, "manifest.json"), "w") as handle:
-            json.dump(
-                {"objects": objects, "tombstones": {fp: {"ts": 1.0}}}, handle
-            )
+        leftovers = {
+            "manifest.json": json.dumps(
+                {
+                    "objects": {fp: {"codec": 2, "lease": 1}, "ghost": 2},
+                    "tombstones": {fp: {"ts": 1.0}},
+                }
+            ).encode(),
+            "manifest.log": b'{"section": "objects", "op": "del", "key": "',
+        }
+        for name, data in leftovers.items():
+            store.backend.write_bytes(os.path.join(shard_dir, name), data)
 
         reopened = CatalogStore(store.root)
         assert reopened.list_objects() == sorted([fp, other])
         assert reopened.verify()["problems"] == []
 
         builder = CatalogStore(store.root)
-        assert builder.claim_objects([fp]) == []
-        assert builder.read_object(fp)[0] == {"name": fp}
+        assert builder.claim_objects([fp, "ghost"]) == ["ghost"]
         assert reopened.gc([other]) == 0  # claimed: spared
         builder.release_writer_lease()
         assert reopened.gc([other]) == 1
         assert reopened.list_objects() == [other]
         assert reopened.verify()["problems"] == []
+        for name, data in leftovers.items():
+            assert store.backend.read_bytes(os.path.join(shard_dir, name)) == data
+
+
+class _DyingRemoveBackend(LocalFSBackend):
+    """Dies (a real process exit) at the moment a file would be
+    removed."""
+
+    def remove(self, path):
+        os._exit(KILLED_EXIT_CODE)
 
 
 def _killed_deleter(root, fingerprint):
-    store = CatalogStore(root)
-    store.fault_hook = exit_hook("shard-log-appended")
+    store = CatalogStore(root, backend=_DyingRemoveBackend(root))
     store.delete_object(fingerprint)
 
 
@@ -220,9 +171,14 @@ def _deleting_writer(root, fingerprints):
 
 class TestProcessDeleters:
     def test_killed_deleter_process_leaves_verifiable_store(self, store):
+        """Killed holding the shard lock, before the file goes: the
+        object is intact (and the lock released with the process), the
+        store verifies and the next gc reclaims it."""
         fp = same_shard_fingerprints(1)[0]
         write(store, fp)
+        store.release_writer_lease()
         run_killed(_killed_deleter, (store.root, fp))
+        assert store.read_object(fp)[0] == {"name": fp}
         assert store.verify()["problems"] == []
         assert store.gc([]) == 1
         assert not store.has_object(fp)
@@ -235,7 +191,6 @@ class TestProcessDeleters:
         chunks = [fingerprints[i::4] for i in range(4)]
         run_ok([(_deleting_writer, (store.root, chunk)) for chunk in chunks])
         assert store.list_objects() == sorted(fingerprints)
-        assert all(recorded(store, fp) for fp in fingerprints)
         assert store.verify()["problems"] == []
 
     def test_gc_races_builder(self, tmp_path):
@@ -288,7 +243,7 @@ class TestProcessDeleters:
 
 
 # ----------------------------------------------------------------------
-# Property tests: interleaved deltas replay to the model's live set
+# Property test: interleaved adds and removes end in the model's live set
 # ----------------------------------------------------------------------
 _KEYS = same_shard_fingerprints(4)
 
@@ -296,7 +251,7 @@ _KEYS = same_shard_fingerprints(4)
 def _ops():
     return st.lists(
         st.tuples(
-            st.sampled_from(["add", "remove", "compact"]),
+            st.sampled_from(["add", "remove", "profile"]),
             st.sampled_from(_KEYS),
         ),
         min_size=1,
@@ -308,8 +263,9 @@ class TestDeleteProperties:
     @settings(max_examples=40, deadline=None)
     @given(ops=_ops())
     def test_interleavings_replay_to_model_live_set(self, tmp_path_factory, ops):
-        """Any sequence of add/remove/compact deltas leaves exactly the
-        model's live set, recorded and on disk, and a clean verify."""
+        """Any sequence of adds and removes (with unrelated profile
+        writes between them) leaves exactly the model's live set on
+        disk, and a clean verify."""
         store = CatalogStore(str(tmp_path_factory.mktemp("del") / "cat"))
         model = set()
         for op, key in ops:
@@ -320,51 +276,7 @@ class TestDeleteProperties:
                 store.delete_object(key)
                 model.discard(key)
             else:
-                # An unrelated writer in the shard: forces a compaction
-                # pass over whatever the log currently holds.
-                store.write_profiles("compactor", {"k": [1.0]})
+                # An unrelated writer elsewhere in the store.
+                store.write_profiles("profiled", {"k": [1.0]})
         assert set(store.list_objects()) == model
-        shard_dir = store._object_shard_dir(_KEYS[0])
-        assert set(store._read_shard_section(shard_dir, "objects")) == model
         assert store.verify()["problems"] == []
-
-    @settings(max_examples=15, deadline=None)
-    @given(ops=_ops())
-    def test_every_log_prefix_verifies(self, tmp_path_factory, ops):
-        """Replay the same delta sequence as raw log records: after
-        every prefix the shard reads back exactly the records applied so
-        far and the full store verifies — the crash guarantee at every
-        possible cut point, torn tail or not."""
-        store = CatalogStore(str(tmp_path_factory.mktemp("del") / "cat"))
-        # Materialize every fingerprint once so files exist, then build
-        # a pure log-replay scenario over them.
-        for key in _KEYS:
-            write(store, key)
-        shard_dir = store._object_shard_dir(_KEYS[0])
-        records = []
-        for op, key in ops:
-            if op == "add":
-                records.append(
-                    {"section": "objects", "op": "set", "key": key, "value": 2}
-                )
-            elif op == "remove":
-                records.append({"section": "objects", "op": "del", "key": key})
-        log_path = store._shard_log_path(shard_dir)
-        for prefix in range(len(records) + 1):
-            expected = set(_KEYS)
-            for record in records[:prefix]:
-                if record["op"] == "set":
-                    expected.add(record["key"])
-                else:
-                    expected.discard(record["key"])
-            torn_log(log_path, records[:prefix])
-            objects = store._read_shard_section(shard_dir, "objects")
-            assert set(objects) == expected
-            assert store.verify()["problems"] == []
-            # A torn tail on top of the prefix must not change the
-            # replayed state either.
-            torn_log(
-                log_path, records[:prefix], torn_tail='{"section": "obj'
-            )
-            assert store._read_shard_section(shard_dir, "objects") == objects
-        os.remove(log_path)

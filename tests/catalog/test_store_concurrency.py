@@ -1,13 +1,14 @@
 """Concurrency and crash safety of the catalog store.
 
-The store's claim: shard manifests follow an append-then-atomic-rename
-protocol under per-shard advisory file locks, so concurrent writers
-(threads or processes) cannot drop each other's entries, and a writer
-killed between the log append and the manifest rename leaves a store
-that reads back every completed update.
+The store's claim: every file lands whole (temp file + rename) under a
+per-shard advisory file lock, so concurrent writers (threads or
+processes) cannot drop each other's objects or profile vectors, and a
+writer killed between publishing its claim and landing its file leaves
+a store that verifies — the claim only spares a missing object until
+the dead writer's lease expires.
 
-Fault shapes (crash-at-point, torn log tails, killed subprocesses) come
-from the shared harness in ``tests/harness/faults.py``.
+Fault shapes (crash-at-point, killed subprocesses) come from the shared
+harness in ``tests/harness/faults.py``.
 """
 
 import os
@@ -17,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.catalog import Catalog, CatalogStore
-from repro.catalog import store as store_module
 from repro.dataframe.table import Table
 from tests.harness.entries import make_entry, same_shard_fingerprints
 from tests.harness.faults import (
@@ -26,7 +26,6 @@ from tests.harness.faults import (
     exit_hook,
     run_killed,
     run_ok,
-    torn_log,
 )
 
 
@@ -47,11 +46,8 @@ class TestThreadedWriters:
         with ThreadPoolExecutor(max_workers=8) as pool:
             list(pool.map(write, fingerprints))
 
+        # No writer dropped another's object.
         assert store.list_objects() == sorted(fingerprints)
-        shard_dir = store._object_shard_dir(fingerprints[0])
-        recorded = store._read_shard_section(shard_dir, "objects")
-        # The protocol's whole point: no writer dropped another's entry.
-        assert set(recorded) == set(fingerprints)
         report = store.verify()
         assert report["problems"] == []
         assert report["objects"] == len(fingerprints)
@@ -150,10 +146,6 @@ class TestProcessWriters:
         run_ok([(_object_writer, (store.root, chunk)) for chunk in chunks])
 
         assert store.list_objects() == sorted(fingerprints)
-        shard_dir = store._object_shard_dir(fingerprints[0])
-        assert set(store._read_shard_section(shard_dir, "objects")) == set(
-            fingerprints
-        )
         report = store.verify()
         assert report["problems"] == []
         for fp in fingerprints:
@@ -237,89 +229,47 @@ class TestProcessWriters:
 
 def _crashing_writer(root, fingerprint):
     store = CatalogStore(root)
-    store.fault_hook = exit_hook("shard-log-appended")
+    store.fault_hook = exit_hook("claims-published")
     store.write_object(fingerprint, {"name": fingerprint}, {"c": make_entry({"v"})})
 
 
 class TestCrashSafety:
-    def test_writer_dies_between_append_and_rename(self, store):
-        """The delta reaches the log, the writer dies before the
-        manifest rename — the shard must read back consistent (the log
-        replays) and the next writer compacts."""
+    def test_writer_dies_between_claim_and_file(self, store):
+        """The claim is published, the writer dies before its file
+        lands: nothing is half-written, the store verifies, and the next
+        writer of the fingerprint lands it whole."""
         first, second = same_shard_fingerprints(2)
-        shard_dir = store._object_shard_dir(first)
-
-        with crash_at(store, "shard-log-appended"):
+        with crash_at(store, "claims-published"):
             with pytest.raises(InjectedCrash):
                 store.write_object(
                     first, {"name": first}, {"c": make_entry({"v"})}
                 )
-
-        # The data file landed and the appended-but-uncompacted delta is
-        # visible through log replay.
-        log_path = store._shard_log_path(shard_dir)
-        assert os.path.exists(log_path)
-        assert store.has_object(first)
-        record = store._read_shard_section(shard_dir, "objects")[first]
-        assert store_module._record_codec(record) == 2
+        assert not store.has_object(first)
+        assert first in store.writer_lease().claims
         assert store.verify()["problems"] == []
 
-        # The next writer in the shard compacts: log cleared, both
-        # entries durable in the base manifest.
-        store.write_object(second, {"name": second}, {"c": make_entry({"w"})})
-        assert not os.path.exists(log_path)
-        assert set(store._read_shard_section(shard_dir, "objects")) == {
-            first,
-            second,
-        }
+        for fingerprint in (first, second):
+            store.write_object(
+                fingerprint, {"name": fingerprint}, {"c": make_entry({"w"})}
+            )
+        assert store.list_objects() == sorted([first, second])
         assert store.verify()["problems"] == []
 
     def test_killed_writer_process_leaves_consistent_shard(self, store):
         """Same scenario with a real process kill (os._exit), so nothing
-        after the append — no finally blocks, no interpreter teardown —
-        runs in the writer."""
+        after the claim — no finally blocks, no interpreter teardown —
+        runs in the writer.  Its claim outlives it until the lease
+        expires, which is harmless: the object does not exist."""
         first, second = same_shard_fingerprints(2)
         run_killed(_crashing_writer, (store.root, first))
 
-        shard_dir = store._object_shard_dir(first)
-        assert os.path.exists(store._shard_log_path(shard_dir))
-        record = store._read_shard_section(shard_dir, "objects")[first]
-        assert store_module._record_codec(record) == 2
-        assert store.read_object(first)[0] == {"name": first}
+        assert not store.has_object(first)
+        (dead,) = store.leases.active()
+        assert dead.claims == {first}
         assert store.verify()["problems"] == []
 
         store.write_object(second, {"name": second}, {"c": make_entry({"w"})})
-        assert not os.path.exists(store._shard_log_path(shard_dir))
-        assert set(store._read_shard_section(shard_dir, "objects")) == {
-            first,
-            second,
-        }
-
-    def test_torn_log_tail_is_skipped(self, store):
-        """A partial last line (writer killed mid-append) must not hide
-        the complete records before it."""
-        fingerprint = same_shard_fingerprints(1)[0]
-        store.write_object(
-            fingerprint, {"name": fingerprint}, {"c": make_entry({"v"})}
-        )
-        shard_dir = store._object_shard_dir(fingerprint)
-        torn_log(
-            store._shard_log_path(shard_dir),
-            [{"section": "objects", "op": "set", "key": "extra", "value": 2}],
-            torn_tail='{"section": "objects", "op": "se',  # torn mid-record
-        )
-        recorded = store._read_shard_section(shard_dir, "objects")
-        assert store_module._record_codec(recorded[fingerprint]) == 2
-        assert recorded["extra"] == 2  # complete log record applies
-
-    def test_log_delete_record_applies(self, store):
-        fingerprint = same_shard_fingerprints(1)[0]
-        store.write_object(
-            fingerprint, {"name": fingerprint}, {"c": make_entry({"v"})}
-        )
-        shard_dir = store._object_shard_dir(fingerprint)
-        torn_log(
-            store._shard_log_path(shard_dir),
-            [{"section": "objects", "op": "del", "key": fingerprint}],
-        )
-        assert fingerprint not in store._read_shard_section(shard_dir, "objects")
+        store.write_object(first, {"name": first}, {"c": make_entry({"v"})})
+        assert store.read_object(first)[0] == {"name": first}
+        assert store.list_objects() == sorted([first, second])
+        assert store.verify()["problems"] == []

@@ -3,9 +3,11 @@
 Hypothesis drives two builder :class:`CatalogStore` instances (separate
 lease owners on one root) and one gc instance through object writes,
 adoptions (``claim_objects``, then a rewrite of whatever comes back
-missing), saves, drops, gc passes, lease expiry, and a crash at every
-``fault_hook`` point.  A crashed instance is abandoned — its lease left
-to expire — and a fresh one takes its place.  An in-memory model tracks
+missing), saves, drops, gc passes, lease expiry, a builder crash
+between publishing a claim and landing the file (the
+``"claims-published"`` fault point), and a gc pass dying after any
+number of its removals.  A crashed instance is abandoned — its lease
+left to expire — and a fresh one takes its place.  An in-memory model tracks
 what the root manifest references and what each live builder holds;
 after every step the real store must agree with it:
 
@@ -28,7 +30,7 @@ import time
 
 import pytest
 
-from repro.catalog import CatalogStore
+from repro.catalog import CatalogStore, LocalFSBackend
 from repro.catalog import store as store_module
 from repro.catalog.fingerprint import shard_of
 from tests.harness.entries import make_entry, same_shard_fingerprints
@@ -42,8 +44,8 @@ from hypothesis.stateful import (  # noqa: E402
     rule,
 )
 
-#: Three fingerprints share a shard (one lock, one log, one manifest);
-#: the fourth lives elsewhere.
+#: Three fingerprints share a shard (one lock); the fourth lives
+#: elsewhere.
 _SHARED = same_shard_fingerprints(3)
 FINGERPRINTS = _SHARED + same_shard_fingerprints(
     1, shard="00" if shard_of(_SHARED[0]) != "00" else "01"
@@ -51,17 +53,25 @@ FINGERPRINTS = _SHARED + same_shard_fingerprints(
 
 builders = st.sampled_from([0, 1])
 fingerprints = st.sampled_from(FINGERPRINTS)
-#: Where a builder step can die (``None``: it does not), and where a gc
-#: pass can — each actor only reaches its own protocol points.
-builder_crashes = st.one_of(
-    st.none(),
-    st.sampled_from(
-        ["shard-log-appended", "shard-manifest-compacted", "claims-published"]
-    ),
-)
-gc_crashes = st.sampled_from(
-    [None, "shard-log-appended", "object-files-removed", "shard-manifest-compacted"]
-)
+#: Where a builder step can die (``None``: it does not).
+builder_crashes = st.sampled_from([None, "claims-published"])
+#: How many files a gc pass removes before it dies (``None``: it does
+#: not die).
+gc_crashes = st.one_of(st.none(), st.integers(0, 2))
+
+
+class RemovesThenDies(LocalFSBackend):
+    """The local backend, dying after ``survive`` file removals."""
+
+    def __init__(self, root, survive):
+        super().__init__(root)
+        self.survive = survive
+
+    def remove(self, path):
+        if self.survive == 0:
+            raise InjectedCrash(path)
+        self.survive -= 1
+        return super().remove(path)
 
 
 def write(store, fingerprint):
@@ -170,12 +180,14 @@ class StoreProtocol(RuleBasedStateMachine):
         current = self.manifest_tables()
         live, self.scanned = (self.scanned if stale else current), current
         collector = self.collector
-        if not self.survives(
-            collector,
-            crash,
-            lambda: collector.gc(live, live_check=self.manifest_tables),
-        ):
-            self.collector = CatalogStore(self.root)
+        if crash is not None:
+            collector = CatalogStore(
+                self.root, backend=RemovesThenDies(self.root, crash)
+            )
+        try:
+            collector.gc(live, live_check=self.manifest_tables)
+        except InjectedCrash:
+            pass
 
     @rule()
     def expire_leases(self):
