@@ -179,6 +179,7 @@ BACKEND_IO_METHODS = {
     "read_bytes",
     "write_bytes",
     "append_bytes",
+    "touch",
     "remove",
     "exists",
     "isdir",

@@ -34,7 +34,9 @@ _EXEMPT_MODULES = {"repro.catalog.backend"}
 
 # Method names unique to pathlib's I/O surface.  Names the backend
 # shares (read_bytes, write_bytes, remove, ...) are left out: calls on a
-# backend are exactly what this checker steers code toward.
+# backend are exactly what this checker steers code toward.  ``touch``
+# is both — pathlib's, and the backend's mtime update — so it is raw
+# I/O unless called on a ``backend`` attribute.
 _PATHLIB_IO_METHODS = {
     "write_text",
     "read_text",
@@ -96,6 +98,6 @@ class CatalogVfsChecker(Checker):
             return "io.open()"
         if root == "Path" or dotted.startswith("pathlib."):
             return f"{dotted}()"
-        if name in _PATHLIB_IO_METHODS:
+        if name in _PATHLIB_IO_METHODS and not dotted.endswith(f"backend.{name}"):
             return f".{name}() (pathlib-style I/O)"
         return None

@@ -87,6 +87,11 @@ class LocalFSBackend:
         finally:
             os.close(fd)
 
+    def touch(self, path: str, when: float) -> None:
+        """Set one blob's modification time to ``when`` (seconds since
+        the epoch) — a metadata update; the content is not opened."""
+        os.utime(path, (when, when))
+
     def remove(self, path: str) -> None:
         """Delete one blob; ``FileNotFoundError`` when absent."""
         os.remove(path)

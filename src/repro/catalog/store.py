@@ -982,9 +982,10 @@ class CatalogStore:
         entries = self._read_profile_file(path)
         if entries is None or entries is self._CORRUPT_PROFILES:
             return {}
-        # LRU bookkeeping happens outside the load guard: a failed
-        # touch must never discard a successfully loaded cache.
-        self._touch_profile_group(base_fingerprint)
+        # Reading is a use: move the group's mtime (its LRU clock) to
+        # now — a metadata update, not a write.  Outside the load guard:
+        # a failed touch must never discard a successfully loaded cache.
+        self._touch(path)
         self._count("reads", "profiles")
         self._count("read_bytes", "profiles", self._size(path))
         return entries
@@ -1037,53 +1038,28 @@ class CatalogStore:
             self.backend.write_bytes(path, blob)
             self._count("writes", "profiles")
             self._count("write_bytes", "profiles", len(blob))
-            self._update_shard_manifest(
-                shard_dir,
-                "groups",
-                "set",
-                base_fingerprint,
-                {"bytes": len(blob), "touched": _now()},
-            )
+            self._touch(path)
         if self.profile_budget_bytes is not None:
             self.evict_profiles(
                 self.profile_budget_bytes, keep=frozenset({base_fingerprint})
             )
 
-    def _touch_profile_group(self, base_fingerprint: str) -> None:
-        """Refresh one group's LRU clock — pure bookkeeping, so any
-        failure is swallowed (eviction falls back to file mtimes)."""
-        shard_dir = self._profile_shard_dir(base_fingerprint)
+    def _touch(self, path: str) -> None:
+        """Stamp a profile group's mtime — its LRU clock — with the
+        store's clock; best-effort, like all LRU bookkeeping."""
         try:
-            info = self._read_shard_section(shard_dir, "groups").get(base_fingerprint)
-            if isinstance(info, dict):
-                info = dict(info)
-            else:
-                info = {"bytes": self._size(self._profile_path(base_fingerprint))}
-            info["touched"] = _now()
-            self._update_shard_manifest(
-                shard_dir, "groups", "set", base_fingerprint, info
-            )
-        except Exception:
+            self.backend.touch(path, _now())
+        except OSError:
             pass
 
     def delete_profiles(self, base_fingerprint: str) -> None:
         """Drop one base table's cached profile group."""
         self._remove(self._profile_path(base_fingerprint))
-        shard_dir = self._profile_shard_dir(base_fingerprint)
-        if self._read_shard_section(shard_dir, "groups").get(base_fingerprint):
-            self._update_shard_manifest(
-                shard_dir, "groups", "del", base_fingerprint
-            )
 
     def _profile_inventory(self) -> list:
         """``[(touched, base_fingerprint, bytes)]`` for every profile
-        group.
-
-        Walks shard by shard — one manifest parse per shard directory,
-        not per group — and heals stale bookkeeping from the filesystem
-        (groups missing from their shard manifest get the file's
-        mtime/size, so eviction still orders sensibly after a manifest
-        loss)."""
+        group: a listing of each shard directory, then one size and one
+        mtime per group file."""
         profiles_dir = self._profiles_dir()
         inventory = []
         if not self.backend.isdir(profiles_dir):
@@ -1092,34 +1068,19 @@ class CatalogStore:
             shard_dir = os.path.join(profiles_dir, name)
             if not self.backend.isdir(shard_dir):
                 continue
-            recorded = self._read_shard_section(shard_dir, "groups")
             for entry in sorted(self.backend.listdir(shard_dir)):
                 if not entry.endswith(".npz"):
                     continue
-                group = entry[: -len(".npz")]
                 path = os.path.join(shard_dir, entry)
-                info = recorded.get(group)
-                size = None
-                if isinstance(info, dict) and isinstance(
-                    info.get("touched"), (int, float)
-                ):
-                    touched = float(info["touched"])
-                    if isinstance(info.get("bytes"), int):
-                        size = info["bytes"]
-                else:
-                    try:
-                        touched = self.backend.mtime(path)
-                    except OSError:
-                        # Deleted between the listing and the stat (a
-                        # concurrent eviction or gc): the group is gone,
-                        # not merely unbookkept — skip it rather than
-                        # inventory a ghost (or crash the caller).
-                        if not self.backend.exists(path):
-                            continue
-                        touched = 0.0
-                if size is None:
-                    size = self._size(path)
-                inventory.append((touched, group, size))
+                try:
+                    touched = self.backend.mtime(path)
+                    size = self.backend.size(path)
+                except OSError:
+                    # Deleted between the listing and the stat (a
+                    # concurrent eviction): the group is gone — skip it
+                    # rather than inventory a ghost (or crash the caller).
+                    continue
+                inventory.append((touched, entry[: -len(".npz")], size))
         return inventory
 
     def list_profile_groups(self) -> list:

@@ -325,6 +325,24 @@ class TestCatalogVfs:
         assert any("os.remove()" in m for m in reasons)
         assert any("shutil.copyfile()" in m for m in reasons)
 
+    def test_touch_is_raw_unless_called_on_the_backend(self, tmp_path):
+        result = lint_tree(
+            tmp_path,
+            {
+                "src/repro/catalog/store.py": (
+                    "def stamp(self, path, when):\n"
+                    "    self.backend.touch(path, when)\n"
+                    "    self.marker.touch()\n"
+                )
+            },
+            checks=["catalog-vfs"],
+        )
+        assert [f.message for f in result.findings] == [
+            "raw filesystem I/O (.touch() (pathlib-style I/O)) in "
+            "repro.catalog.store; route it through the store's backend "
+            "(backend.py)"
+        ]
+
     def test_negative_backend_module_exempt(self, tmp_path):
         result = lint_tree(
             tmp_path,

@@ -291,18 +291,6 @@ class TestObjectHealing:
         store.write_object("fp", {}, {"c": make_entry({"a"})}, overwrite=True)
         assert store.read_object("fp")[1]["c"] == make_entry({"a"})
 
-    def test_wrong_typed_profile_section_keeps_cache_served(self, store):
-        store.write_profiles("base1", {"k": np.array([0.5, 0.25])})
-        shard_dir = store._profile_shard_dir("base1")
-        with open(os.path.join(shard_dir, "manifest.json"), "w") as handle:
-            json.dump({"groups": []}, handle)
-        # The healthy .npz must still be served (and re-touched), not
-        # discarded because LRU bookkeeping was corrupt.
-        loaded = store.read_profiles("base1")
-        assert np.allclose(loaded["k"], [0.5, 0.25])
-        rebuilt = store._read_shard_section(shard_dir, "groups")
-        assert "base1" in rebuilt  # touch repaired the section
-
     def test_truncated_binary_object_raises_store_error(self, store):
         store.write_object("fp", {}, {"c": make_entry({"a", "b", "c"})})
         path = store._object_path("fp")
@@ -383,23 +371,32 @@ class TestProfileEviction:
         assert store.evict_profiles(10**9) == (0, 0)
         assert store.profile_bytes() > 0
 
-    def test_eviction_survives_manifest_loss(self, tmp_path, monkeypatch):
+    def test_eviction_orders_by_file_mtime(self, tmp_path, monkeypatch):
+        """Recency is the group file's mtime and nothing else: a group
+        whose mtime is moved back (by any tool) is the first evicted."""
         self.clock(monkeypatch)
         store = CatalogStore(str(tmp_path / "cat"))
         vector = np.arange(8, dtype=float)
-        store.write_profiles("a", {"k": vector})
-        store.write_profiles("b", {"k": vector})
-        for group in ("a", "b"):
-            manifest = os.path.join(
-                store._profile_shard_dir(group), "manifest.json"
-            )
-            if os.path.exists(manifest):
-                os.remove(manifest)
-        # Bookkeeping gone: eviction heals from file mtimes/sizes and
-        # still enforces the budget instead of crashing.
-        evicted, _freed = store.evict_profiles(0)
-        assert evicted == 2
-        assert store.list_profile_groups() == []
+        store.write_profiles("a", {"k": vector})  # t=1
+        store.write_profiles("b", {"k": vector})  # t=2
+        os.utime(store._profile_path("b"), (0.5, 0.5))
+        evicted, _freed = store.evict_profiles(_group_bytes(store, "a"))
+        assert evicted == 1
+        assert store.list_profile_groups() == ["a"]
+
+    def test_read_moves_the_group_mtime(self, tmp_path, monkeypatch):
+        self.clock(monkeypatch)
+        store = CatalogStore(str(tmp_path / "cat"))
+        store.write_profiles("a", {"k": np.array([0.5, 0.25])})  # t=1
+        path = store._profile_path("a")
+        assert os.path.getmtime(path) == 1.0
+        before = open(path, "rb").read()
+        loaded = store.read_profiles("a")  # t=2
+        assert np.allclose(loaded["k"], [0.5, 0.25])
+        assert os.path.getmtime(path) == 2.0
+        assert open(path, "rb").read() == before
+        # Nothing but the group file (and the shard lock) in its shard.
+        assert sorted(os.listdir(os.path.dirname(path))) == [".lock", "a.npz"]
 
     def test_partial_budget_evicts_oldest_first(self, tmp_path, monkeypatch):
         self.clock(monkeypatch)
@@ -551,8 +548,7 @@ class TestEvictionVanishedFileRace:
 
     def test_sharded_profile_ghost_skipped(self, store, monkeypatch):
         store.write_profiles("aaaa1111", {"k": np.array([0.5])})
-        # An unbookkept group (no manifest entry → mtime fallback) that
-        # vanishes mid-inventory.
+        # A group that vanishes between the listing and its stat.
         ghost_path = store._profile_path("bbbb2222")
         os.makedirs(os.path.dirname(ghost_path), exist_ok=True)
         with open(ghost_path, "wb") as handle:

@@ -215,6 +215,25 @@ class TestWarmStartOnlyReads:
             ".lock", ".seq",
         ]
 
+    def test_prepare_on_a_cached_profile_group_only_reads(self, tmp_path, scenario):
+        """A warm ``prepare`` whose profile group is cached opens no file
+        for writing and removes none: its LRU touch is an mtime update."""
+        root = str(tmp_path / "cat")
+        catalog = build_catalog(tmp_path, scenario)
+        DiscoveryEngine(corpus=scenario.corpus, catalog=catalog).prepare(scenario.base)
+        assert len(CatalogStore(root).list_profile_groups()) == 1
+        spy = SpyBackend(root)
+        warm = Catalog.load(CatalogStore(root, backend=spy), corpus=scenario.corpus)
+        engine = DiscoveryEngine(corpus=scenario.corpus, catalog=warm)
+        try:
+            assert engine.prepare(scenario.base)
+        finally:
+            engine.shutdown()
+        assert warm.computed_columns == 0
+        assert spy.in_section("objects") == {}
+        assert spy.in_section("leases") == {}
+        assert spy.in_section("profiles") == {"touch": 1}
+
     def test_objects_read_are_the_tables_a_base_column_collided_with(self, tmp_path):
         """Per-column paging: a warm start reads one object per table an
         LSH probe of a base column landed on, and pages in only the

@@ -55,6 +55,10 @@ class SpyBackend(LocalFSBackend):
         self._note("write_stream", path)
         return super().write_stream(path)
 
+    def touch(self, path, when):
+        self._note("touch", path)
+        return super().touch(path, when)
+
     def remove(self, path):
         self._note("remove", path)
         return super().remove(path)
