@@ -178,7 +178,6 @@ BACKEND_IO_METHODS = {
     "open_read",
     "read_bytes",
     "write_bytes",
-    "append_bytes",
     "touch",
     "remove",
     "exists",
@@ -191,4 +190,4 @@ BACKEND_IO_METHODS = {
 }
 
 #: LeaseManager methods that read/write lease files.
-LEASE_IO_METHODS = {"acquire", "renew", "release", "active", "active_tokens"}
+LEASE_IO_METHODS = {"acquire", "renew", "release", "active", "active_claims"}

@@ -3,11 +3,10 @@
 The store's crash-safety story rests on two write shapes: *atomic
 replace* (write a temp file, ``os.replace`` over the target — what
 ``LocalFSBackend.write_bytes`` does) and *atomic append* (``O_APPEND``
-single-write — ``LocalFSBackend.append_bytes``).  Durable files —
-manifests and their delta logs, snapshots, lease files and the lease
-sequence counter — must only ever be produced by one of those shapes;
-a plain ``open(path, "w")`` can tear on crash and leave a reader with
-half a manifest.
+single-write).  Durable files — manifests, snapshots and lease files —
+must only ever be produced by one of those shapes; a plain
+``open(path, "w")`` can tear on crash and leave a reader with half a
+manifest.
 
 This checker flags direct writes to paths whose expression mentions a
 durable-file name.  The temp-file side of the replace idiom never
@@ -36,7 +35,6 @@ from repro.analysis.core import (
 DURABLE_MARKERS = (
     "manifest",
     "snapshot",
-    ".seq",
     "lease",
 )
 

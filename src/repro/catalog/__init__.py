@@ -9,9 +9,9 @@ warm-starts discovery runs from disk instead of re-indexing the corpus.
 
 Store layout
     Objects and profile groups are sharded into 256 hash-prefix
-    directories (``objects/ab/<fp>.bin``), each with an advisory
-    per-shard manifest, so no directory or manifest grows unboundedly as
-    the corpus scales.  There is one layout (version 3).  The catalog is
+    directories (``objects/ab/<fp>.bin``), so no directory grows
+    unboundedly as the corpus scales.  There is one layout (version 4).
+    The catalog is
     derived data: a root this release cannot read raises
     :class:`CatalogStoreError` naming ``repro catalog build`` — it is
     rebuilt from the corpus, not migrated.
@@ -24,8 +24,8 @@ Object format
     missing or corrupt is re-derived from the live table.
 
 Eviction knobs
-    Cached profile groups are LRU-tracked (byte size + last-touch time
-    in the shard manifests).  ``CatalogStore(profile_budget_bytes=...)``
+    Cached profile groups are LRU-tracked by their files' size and
+    mtime (a read moves the mtime).  ``CatalogStore(profile_budget_bytes=...)``
     enforces a size budget on every flush;
     :meth:`Catalog.evict_profiles` / ``repro catalog gc
     --profile-budget`` enforce it on demand.
@@ -39,12 +39,12 @@ Catalog-backed reports
 Backend and write ownership
     All physical I/O goes through one :class:`LocalFSBackend` (plain
     files; ``CatalogStore(root, backend=...)`` takes another instance
-    with the same methods).  Writers hold fencing-token leases
+    with the same methods).  Writers hold leases
     (:class:`~repro.catalog.leases.LeaseManager`) spanning their
-    write→save window, and ``gc`` both skips lease-stamped objects and
-    re-checks liveness under the shard lock — closing the race where a
-    concurrently written object was reclaimed before its ``save()``
-    landed.
+    write→save window and claim every object before they write or adopt
+    it; ``gc`` both skips claimed objects and re-checks liveness under
+    the shard lock — closing the race where a concurrently written
+    object was reclaimed before its ``save()`` landed.
 """
 
 from repro.catalog.backend import LocalFSBackend

@@ -1,7 +1,7 @@
 """The catalog store's one persistence backend.
 
 :class:`CatalogStore` speaks to disk exclusively through a backend — a
-small filesystem-shaped contract (atomic blob writes, atomic appends,
+small filesystem-shaped contract (atomic blob writes, mtime updates,
 directory listings, advisory locks) over *absolute paths under the
 store root*.  :class:`LocalFSBackend` implements it with one real file
 per path, written via unique temp file + rename, so a catalog directory
@@ -51,7 +51,7 @@ class LocalFSBackend:
     """One path is one real file.
 
     Every mutation is atomic at the single-call level: a reader never
-    observes a partially written blob or a torn append.  Errors surface
+    observes a partially written blob.  Errors surface
     as the matching ``OSError`` subclasses (``FileNotFoundError`` for
     missing paths)."""
 
@@ -78,14 +78,6 @@ class LocalFSBackend:
         straight into the temp file, so the snapshot (the largest single
         artifact) is never buffered twice."""
         return _atomic_file(path)
-
-    def append_bytes(self, path: str, data: bytes) -> None:
-        """Atomically append ``data`` to ``path`` (created if absent)."""
-        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            os.write(fd, data)
-        finally:
-            os.close(fd)
 
     def touch(self, path: str, when: float) -> None:
         """Set one blob's modification time to ``when`` (seconds since

@@ -628,7 +628,7 @@ class Catalog:
         """Integrity check of the persisted catalog.
 
         Runs the store's deep :meth:`~CatalogStore.verify` (every object
-        decodes, every shard manifest entry has its file) and
+        and profile group decodes) and
         additionally checks that every table the root manifest references
         still has a readable object — the invariant concurrent writers
         and crash recovery must preserve.  Returns the store report with

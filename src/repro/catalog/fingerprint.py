@@ -31,7 +31,7 @@ def shard_of(key: str) -> str:
     ``<config fp>-<table fp>`` strings whose leading characters are
     identical for every object of one catalog, so a naive prefix would
     put the entire store in a single shard.  256 shards keep directory
-    sizes and per-shard manifests bounded at any corpus scale.
+    sizes bounded at any corpus scale.
     """
     return hashlib.blake2b(key.encode("utf-8"), digest_size=1).hexdigest()
 

@@ -8,43 +8,37 @@ the write and the delete are both individually well-formed; what is
 missing is *ownership* spanning the builder's write→save window.
 
 A :class:`LeaseManager` gives writers exactly that: a time-bounded
-lease with a monotonically increasing **fencing token** drawn from a
-store-wide counter.  The ownership rule has two halves:
+lease whose ``claims`` list names the objects its holder will
+reference.  The ownership rule is one sentence — **claim before you
+write or adopt**:
 
-* **Objects you write are stamped at write time.**  A writer acquires a
-  lease before its first object write, stamps the token on every object
-  record it lands, renews while it works, and releases after its
-  ``save()`` publishes the references.
-* **Objects you adopt are claimed once, at save, then verified.**  A
-  warm start that finds another writer's object already on disk writes
-  nothing; only when its ``save()`` is about to make a manifest
-  reference them does it publish their ids as the ``claims`` list of
-  its own lease file (one atomic write) and *then* check, under each
-  shard lock, that they still exist — re-deriving any a racing gc won.
-  **A process that never saves never writes**: it holds no lease, and a
-  vanished object is recomputed from the live table when first read.
+* a writer acquires a lease before its first claim, publishes the id of
+  every object it is about to write *before* the file lands (a refresh
+  claims all of them in one lease write), renews while it works, and
+  releases after its ``save()`` publishes the references;
+* a warm start that finds another writer's object already on disk
+  writes nothing; only when its ``save()`` is about to make a manifest
+  reference them does it claim their ids the same way and *then* check,
+  under each shard lock, that they still exist — re-deriving any a
+  racing gc won.  **A process that never saves never writes**: it holds
+  no lease, and a vanished object is recomputed from the live table
+  when first read.
 
-``gc`` then refuses to reclaim any unreferenced object whose stamped
-token belongs to, or whose id is claimed by, a currently active lease —
-the object is work in flight, not garbage.  A writer that crashes stops
-renewing; its lease expires after ``ttl`` (+ the configured clock-skew
-allowance) and its orphaned and claimed objects become collectible, so
-leases bound the damage of any failure to one TTL window instead of
-leaking forever.
-
-Fencing tokens are what make the scheme safe across restarts: tokens
-never repeat, so an object stamped by a dead writer's lease can never
-be confused with one stamped by a live writer that happens to reuse
-the same owner name — gc compares tokens, not identities.
+``gc`` then refuses to reclaim any unreferenced object a currently
+active lease claims — the object is work in flight, not garbage.  A
+writer that crashes stops renewing; its lease expires after ``ttl`` (+
+the configured clock-skew allowance) and its claimed objects become
+collectible, so leases bound the damage of any failure to one TTL
+window instead of leaking forever.
 
 Lease state lives in the store itself (``leases/<owner>.json`` — owner,
-token, stamp, and the optional sorted ``claims`` list — plus the
-``leases/.seq`` counter, maintained under a backend lock), so every
-process — and every node, once the backend spans machines — observes
-one coherent ownership map.  Expiry is judged by clamped age
-(``max(0, now - acquired)``): a reader whose clock lags the writer's
-computes a *negative* age and simply sees the lease as fresh, never as
-expired-before-it-began.
+stamp, and the optional sorted ``claims`` list — written atomically;
+claims are merged under a backend lock), so every process — and every
+node, once the backend spans machines — observes one coherent ownership
+map.  An owner id is unique per lease (kind, pid and a random suffix).
+Expiry is judged by clamped age (``max(0, now - acquired)``): a reader
+whose clock lags the writer's computes a *negative* age and simply sees
+the lease as fresh, never as expired-before-it-began.
 """
 
 from __future__ import annotations
@@ -63,7 +57,6 @@ from typing import (
     List,
     Optional,
     Set,
-    Tuple,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only
@@ -75,37 +68,34 @@ if TYPE_CHECKING:  # pragma: no cover - import-time only
 DEFAULT_LEASE_TTL = 600.0
 
 LEASE_DIR = "leases"
-SEQ_NAME = ".seq"
 LOCK_NAME = ".lock"
 
 
 def _read_claims(value: object) -> FrozenSet[str]:
     """The ``claims`` field of a lease file: a list of object ids.  An
     absent or malformed field (not a list, non-string members) reads as
-    no claims — the lease keeps its token, it just claims nothing."""
+    no claims — the lease stays active, it just claims nothing."""
     if isinstance(value, list) and all(isinstance(item, str) for item in value):
         return frozenset(value)
     return frozenset()
 
 
 class Lease:
-    """One granted lease: who holds it, its fencing token, when it
-    expires, and the ids of the objects it claims (adopted, not written,
-    by its holder).  Immutable — renewal returns a fresh instance."""
+    """One granted lease: who holds it, when it expires, and the ids of
+    the objects it claims.  Immutable — renewal returns a fresh
+    instance."""
 
-    __slots__ = ("owner", "token", "acquired", "ttl", "kind", "claims")
+    __slots__ = ("owner", "acquired", "ttl", "kind", "claims")
 
     def __init__(
         self,
         owner: str,
-        token: int,
         acquired: float,
         ttl: float,
         kind: str = "writer",
         claims: Iterable[str] = (),
     ) -> None:
         self.owner = owner
-        self.token = int(token)
         self.acquired = float(acquired)
         self.ttl = float(ttl)
         self.kind = kind
@@ -116,10 +106,7 @@ class Lease:
         return self.acquired + self.ttl
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Lease(owner={self.owner!r}, token={self.token}, "
-            f"kind={self.kind!r}, ttl={self.ttl})"
-        )
+        return f"Lease(owner={self.owner!r}, kind={self.kind!r}, ttl={self.ttl})"
 
 
 class LeaseManager:
@@ -154,32 +141,17 @@ class LeaseManager:
     def _lock(self) -> ContextManager[object]:
         return self.backend.lock(os.path.join(self._dir, LOCK_NAME))
 
-    def _next_token(self) -> int:
-        """Advance the store-wide fencing counter (caller holds the
-        lease lock)."""
-        seq_path = os.path.join(self._dir, SEQ_NAME)
-        try:
-            current = int(self.backend.read_bytes(seq_path).decode("ascii"))
-        except (OSError, ValueError):
-            current = 0
-        token = current + 1
-        self.backend.write_bytes(seq_path, str(token).encode("ascii"))
-        return token
-
     def acquire(self, kind: str = "writer") -> Lease:
-        """Grant a fresh lease with the next fencing token."""
+        """Grant a fresh lease under a new, unique owner id."""
         owner = f"{kind}-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        with self._lock():
-            self.backend.makedirs(self._dir)
-            token = self._next_token()
-            lease = Lease(owner, token, self.clock(), self.ttl, kind)
-            self._write(lease)
+        lease = Lease(owner, self.clock(), self.ttl, kind)
+        self.backend.makedirs(self._dir)
+        self._write(lease)
         return lease
 
     def renew(self, lease: Lease, claims: Iterable[str] = ()) -> Lease:
-        """Push a held lease's expiry forward (token unchanged — renewal
-        extends ownership, it does not re-order it) and add ``claims``
-        to the object ids it claims.
+        """Push a held lease's expiry forward and add ``claims`` to the
+        object ids it claims.
 
         Claims only grow while a lease lives: the ones already in the
         lease file are read back and kept, under the lease lock, so two
@@ -188,7 +160,6 @@ class LeaseManager:
         with self._lock():
             renewed = Lease(
                 lease.owner,
-                lease.token,
                 self.clock(),
                 self.ttl,
                 lease.kind,
@@ -222,7 +193,6 @@ class LeaseManager:
     def _write(self, lease: Lease) -> None:
         payload = {
             "owner": lease.owner,
-            "token": lease.token,
             "acquired": lease.acquired,
             "ttl": lease.ttl,
             "kind": lease.kind,
@@ -262,21 +232,21 @@ class LeaseManager:
                     self.backend.read_bytes(path).decode("utf-8")
                 )
                 lease = Lease(
-                    payload["owner"], payload["token"], payload["acquired"],
-                    payload["ttl"], payload.get("kind", "writer"),
+                    payload["owner"], payload["acquired"], payload["ttl"],
+                    payload.get("kind", "writer"),
                     _read_claims(payload.get("claims")),
                 )
             except (OSError, ValueError, KeyError, TypeError, OverflowError):
-                # OverflowError: an infinite token, or an integer stamp
-                # too large for a float.
+                # OverflowError: an integer stamp too large for a float.
                 continue
             if not (
-                math.isfinite(lease.acquired)
+                isinstance(lease.owner, str)
+                and math.isfinite(lease.acquired)
                 and math.isfinite(lease.ttl)
                 and lease.ttl > 0
             ):
-                # Malformed like a bad token: a NaN or infinite stamp
-                # never compares as expired and would pin objects forever.
+                # Malformed: a NaN or infinite stamp never compares as
+                # expired and would pin objects forever.
                 continue
             if self._expired(lease, now):
                 if reap:
@@ -298,8 +268,3 @@ class LeaseManager:
             if lease.owner not in excluded:
                 claims |= lease.claims
         return claims
-
-    def active_tokens(self, exclude: Iterable[Optional[Lease]] = ()) -> Set[int]:
-        """Fencing tokens of active leases, minus ``exclude``."""
-        excluded = {lease.token for lease in exclude if lease is not None}
-        return {lease.token for lease in self.active() if lease.token not in excluded}

@@ -7,22 +7,19 @@ One layout, one object format::
                                 MinHash signatures, metadata), addressed by
                                 the fingerprint of the source table and
                                 sharded by a 2-hex-digit hash prefix
-    objects/ab/manifest.json    per-shard object index
-                                ({fp: {"codec": 2, "lease": token}})
     profiles/cd/<fp>.npz        cached profile vectors, grouped by the
                                 fingerprint of the base (query) table:
                                 keys, lengths and the concatenated vectors
-    profiles/cd/manifest.json   per-shard LRU bookkeeping ({fp: bytes, touched})
+    leases/<owner>.json         write-ownership leases and their claims
     snapshot.npz                packed signature matrix for warm starts
 
 The store holds discovery artifacts only.  Nothing else under the root
 is read: a ``results/`` tree left by a release before 2.3.0 (which
 persisted run records there) is inert and can be removed.
 
-Sharding keeps every directory and every manifest bounded: a store with
-10⁵ tables spreads them over 256 object shards, so directory scans,
-manifest rewrites, and atomic-rename pressure stay flat as the catalog
-grows.
+Sharding keeps every directory bounded: a store with 10⁵ tables spreads
+them over 256 object shards, so directory scans and atomic-rename
+pressure stay flat as the catalog grows.
 
 An object is exactly one file, ``objects/<shard>/<fingerprint>.bin``,
 encoded by :class:`~repro.catalog.codec.BinaryCodec` — ``has_object`` is
@@ -42,62 +39,47 @@ table references.
 
 Cached profile groups are the one store section that can grow without
 bound (every new base table adds a group), so they carry an LRU eviction
-policy: each group's byte size and last-touch time live in its shard
-manifest, and ``profile_budget_bytes`` (enforced after every write, or on
-demand via :meth:`evict_profiles` / ``repro catalog gc``) drops the
-least-recently-used groups until the total fits the budget.
+policy: a group's size and recency are its file's size and mtime (a
+read moves the mtime with :meth:`LocalFSBackend.touch`, a metadata
+update, not a write), and ``profile_budget_bytes`` (enforced after every
+write, or on demand via :meth:`evict_profiles` / ``repro catalog gc``)
+drops the least-recently-used groups until the total fits the budget.
 
 Mutations are concurrency-safe across threads *and* processes: every
-shard-manifest update runs under a per-shard advisory file lock
-(``<shard>/.lock``) and follows an append-then-atomic-rename protocol —
-the delta (one or more records, appended as a single atomic ``O_APPEND``
-write, so multi-record updates can never tear apart) is first appended
-to ``<shard>/manifest.log``, then compacted into a freshly renamed
-``manifest.json`` and the log cleared.  Readers replay the log over the
-base manifest, so a writer that dies between append and rename leaves a
-store that still reads back every completed update; the next writer
-finishes the compaction.
-
-Every file lands via a unique temp file + rename.  Object writes and
-deletions run under the shard lock, so file + record transitions are
-linearized per shard and concurrent ``build``/``update``/``gc``
-processes can add and remove in any interleaving.  A write lands the
-file, then records it; a deletion un-records, then removes the file.  A
-deleter killed in between leaves an intact file no record points at —
-an unreferenced, content-addressed object, exactly what the next
-:meth:`gc` reclaims (or a writer adopts: equal fingerprint, equal
-bytes) — never a record without its file.
+file lands via a unique temp file + rename, and object writes,
+existence checks and deletions in a shard run under its advisory file
+lock (``<shard>/.lock``), so concurrent ``build``/``update``/``gc``
+processes can add and remove in any interleaving.
 
 All physical I/O goes through one backend object
 (:class:`~repro.catalog.backend.LocalFSBackend` unless the caller
 passes another instance): one plain file per path.
 
-Writers own their in-flight objects through time-bounded, fencing-token
-**leases** (:mod:`repro.catalog.leases`), under one ownership protocol:
+Writers own their in-flight objects through time-bounded **leases**
+(:mod:`repro.catalog.leases`), under one rule: **claim before you write
+or adopt**.  The lease file's ``claims`` list is the one ownership
+record:
 
-* *Objects you write are stamped at write time* — ``write_object``
-  records the writer's token on the object record.
-* *Objects you adopt are claimed once, at save, then verified* — a warm
-  start that finds an object already on disk writes nothing;
-  :meth:`CatalogStore.claim_objects`, called by ``Catalog.save()``
-  before the manifest starts referencing them, publishes their ids as
-  the ``claims`` list of the writer's lease file (one atomic write) and
-  then checks each under its shard lock, reporting the ones that are
-  gone so the caller re-derives them.
-* *A process that never saves never writes* — it holds no lease, and an
+* ``write_object`` publishes the id as a claim before the file lands
+  (nothing, when the lease already claims it — ``Catalog.refresh``
+  claims every id it will write in one lease write up front);
+* :meth:`CatalogStore.claim_objects`, called by ``Catalog.save()``
+  before the manifest starts referencing objects a warm start adopted,
+  claims them the same way and then checks each under its shard lock,
+  reporting the ones that are gone so the caller re-derives them;
+* a process that never saves never writes — it holds no lease, and an
   object that vanishes under it is recomputed from the live table on
   first read.
 
-:meth:`CatalogStore.gc` skips any unreferenced object whose token
-belongs to, or whose id is claimed by, a live lease — then re-checks
-liveness under the shard lock via the caller's ``live_check`` — closing
-the race where a gc scan reclaims an object a concurrent builder wrote
-(or adopted) after the scan but before its save landed.  Claim-then-
-verify is safe because gc's ``[read claims → delete]`` and the
-claimer's existence check run under the same shard lock and the claim
-is durable *before* the claimer takes it: either gc went first (the
-object is reported missing and re-derived, stamped with the claimer's
-own token) or it comes later and sees the claim — the manifest never
+:meth:`CatalogStore.gc` skips any unreferenced object another live lease
+claims — then re-checks liveness via the caller's ``live_check`` — both
+under the shard lock, closing the race where a gc scan reclaims an
+object a concurrent builder wrote (or adopted) after the scan but before
+its save landed.  Claim-then-check is safe because gc's ``[read claims →
+delete]`` and the claimer's existence check or write run under the same
+shard lock and the claim is durable *before* the claimer takes it:
+either gc went first (the object is missing, and is written or
+re-derived) or it comes later and sees the claim — the manifest never
 points at nothing.
 """
 
@@ -118,11 +100,12 @@ from repro.catalog.codec import BinaryCodec
 from repro.catalog.fingerprint import shard_of
 from repro.catalog.leases import DEFAULT_LEASE_TTL, LeaseManager
 
-#: The one layout version this code reads and writes (3: columnar table
-#: fingerprints moved every object address, and a profile group became
-#: one keys / lengths / vectors archive).
-VERSION = 3
-#: The one object codec (its ``version`` is what shard records carry).
+#: The one layout version this code reads and writes (4: ownership is
+#: the lease claims alone — a layout-3 builder's object records, which
+#: this gc no longer reads, must never share a root with it).  Object
+#: addresses are unchanged since 3.
+VERSION = 4
+#: The one object codec.
 CODEC = BinaryCodec()
 
 # Overridable clock for deterministic LRU tests.
@@ -168,10 +151,6 @@ def register_store_metrics(registry):
             "Advisory FileLock acquisition wait time, by store section.",
             labels=("section",),
             buckets=LOCK_WAIT_BUCKETS,
-        ),
-        "manifest_replays": registry.counter(
-            "repro_store_manifest_replays_total",
-            "Shard manifest delta logs replayed by readers.",
         ),
         "lease_acquires": registry.counter(
             "repro_store_lease_acquires_total",
@@ -258,8 +237,6 @@ class CatalogStore:
     must be finite and positive — leases cannot be disabled.
     """
 
-    #: Per-shard delta journal (see the module docstring's protocol).
-    LOG_NAME = "manifest.log"
     #: Advisory lock sidecar, one per locked directory.
     LOCK_NAME = ".lock"
 
@@ -297,12 +274,11 @@ class CatalogStore:
         #: Breakdown of the most recent :meth:`gc` pass on this instance
         #: (``removed`` / ``skipped_leased`` / ``skipped_live``).
         self.last_gc = {"removed": 0, "skipped_leased": 0, "skipped_live": 0}
-        #: Test seam: called with a protocol point name at the matching
-        #: moment — ``"shard-log-appended"`` and ``"shard-manifest-compacted"``
-        #: in every shard-manifest update, ``"object-files-removed"`` in a
-        #: deletion, ``"claims-published"`` between :meth:`claim_objects`'
-        #: lease write and its first existence check.  Fault tests raise
-        #: (or ``os._exit``) from it to kill a writer mid-protocol.
+        #: Test seam: called with ``"claims-published"`` once a claim is
+        #: durable — between :meth:`write_object`'s claim and its file,
+        #: and between :meth:`claim_objects`' claim and its first
+        #: existence check.  Fault tests raise (or ``os._exit``) from it
+        #: to kill a writer mid-protocol.
         self.fault_hook = None
         #: Metric family handles (see :meth:`attach_metrics`); ``None``
         #: keeps every instrumentation site free.
@@ -314,7 +290,7 @@ class CatalogStore:
 
     def attach_metrics(self, registry) -> "CatalogStore":
         """Record store activity (reads/writes/bytes, lock waits,
-        manifest replays, leases, gc skips) on ``registry``.  Families
+        leases, gc skips) on ``registry``.  Families
         are get-or-create, so attaching many stores to one registry
         aggregates them.  Returns ``self``."""
         self.obs = register_store_metrics(registry)
@@ -336,8 +312,8 @@ class CatalogStore:
         return head if head in ("objects", "profiles") else "other"
 
     def _dir_lock(self, directory: str):
-        """Advisory file lock guarding one directory's manifest (wait
-        time lands in the lock-wait histogram when metrics are on)."""
+        """Advisory file lock guarding one directory's files (wait time
+        lands in the lock-wait histogram when metrics are on)."""
         lock = self.backend.lock(os.path.join(directory, self.LOCK_NAME))
         if self.obs is None:
             return lock
@@ -445,127 +421,6 @@ class CatalogStore:
         self._write_json(self.manifest_path, payload)
 
     # ------------------------------------------------------------------
-    # Per-shard manifests (advisory indexes; the directory is the truth)
-    # ------------------------------------------------------------------
-    def _shard_log_path(self, shard_dir: str) -> str:
-        return os.path.join(shard_dir, self.LOG_NAME)
-
-    def _replay_shard_log(self, shard_dir: str, payload: dict) -> dict:
-        """Apply the shard's delta journal over ``payload`` in place.
-
-        Each log line is one ``{"section", "op", "key"[, "value"]}``
-        record; malformed or torn lines (a writer killed mid-append, a
-        partial tail after a crash) are skipped — every complete record
-        still applies, which is exactly the crash guarantee."""
-        try:
-            data = self.backend.read_bytes(self._shard_log_path(shard_dir))
-        except OSError:
-            # No delta log: the overwhelmingly common case, not a replay.
-            return payload
-        if self.obs is not None:
-            self.obs["manifest_replays"].inc()
-        for line in data.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                continue
-            if not isinstance(record, dict):
-                continue
-            section = record.get("section")
-            key = record.get("key")
-            if not isinstance(section, str) or not isinstance(key, str):
-                continue
-            entries = payload.get(section)
-            if not isinstance(entries, dict):
-                entries = {}
-                payload[section] = entries
-            op = record.get("op")
-            if op == "set":
-                entries[key] = record.get("value")
-            elif op == "del":
-                entries.pop(key, None)
-        return payload
-
-    def _read_shard_manifest(self, shard_dir: str) -> dict:
-        """Shard manifest payload (base file + replayed delta log), or
-        ``{}`` when absent or corrupt — a damaged shard manifest degrades
-        to directory probing and is rebuilt by the next write, never
-        trusted over the files."""
-        try:
-            payload = json.loads(
-                self.backend.read_bytes(
-                    os.path.join(shard_dir, "manifest.json")
-                ).decode("utf-8")
-            )
-            if not isinstance(payload, dict):
-                payload = {}
-        except (
-            FileNotFoundError,
-            NotADirectoryError,
-            json.JSONDecodeError,
-            UnicodeDecodeError,
-        ):
-            payload = {}
-        return self._replay_shard_log(shard_dir, payload)
-
-    def _read_shard_section(self, shard_dir: str, section: str) -> dict:
-        """One section of a shard manifest, guaranteed to be a dict — a
-        JSON-valid but wrong-typed section is corruption and degrades to
-        empty exactly like a missing manifest."""
-        value = self._read_shard_manifest(shard_dir).get(section)
-        return value if isinstance(value, dict) else {}
-
-    def _update_shard_manifest(
-        self, shard_dir: str, section: str, op: str, key: str, value=None
-    ) -> None:
-        """Durably apply one ``set``/``del`` to a shard manifest section
-        (single-record form of :meth:`_apply_shard_ops`)."""
-        self._apply_shard_ops(shard_dir, [(section, op, key, value)])
-
-    def _apply_shard_ops(self, shard_dir: str, ops, between=None) -> None:
-        """Durably apply ``ops`` (``(section, op, key, value)`` tuples)
-        to one shard manifest as a unit.
-
-        Append-then-atomic-rename under the shard's advisory file lock:
-        all deltas are appended to ``manifest.log`` first (a *single*
-        ``O_APPEND`` write, so a multi-record update is visible to
-        readers atomically and survives a writer that dies before
-        compaction), then the full log is compacted into a freshly
-        renamed ``manifest.json`` and cleared.  ``between``, when given,
-        runs after the append and before compaction, still under the
-        lock — deletion removes the file there, once the un-record is
-        durable.  The lock serializes concurrent read-modify-writes, so
-        updates from different threads or processes cannot drop each
-        other.  Best-effort like all manifest bookkeeping: an ``OSError``
-        leaves the directory itself as the source of truth."""
-        lines = bytearray()
-        for section, op, key, value in ops:
-            record = {"section": section, "op": op, "key": key}
-            if op == "set":
-                record["value"] = value
-            lines += (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        try:
-            self.backend.makedirs(shard_dir)
-            with self._dir_lock(shard_dir):
-                self.backend.append_bytes(
-                    self._shard_log_path(shard_dir), bytes(lines)
-                )
-                self._fault("shard-log-appended")
-                if between is not None:
-                    between()
-                payload = self._read_shard_manifest(shard_dir)
-                self._write_json(
-                    os.path.join(shard_dir, "manifest.json"), payload
-                )
-                self._fault("shard-manifest-compacted")
-                self._remove(self._shard_log_path(shard_dir))
-        except OSError:
-            pass
-
-    # ------------------------------------------------------------------
     # Table objects
     # ------------------------------------------------------------------
     def has_object(self, fingerprint: str) -> bool:
@@ -576,8 +431,8 @@ class CatalogStore:
     # ------------------------------------------------------------------
     def writer_lease(self):
         """This store's current writer lease (acquired on first use,
-        renewed once half its TTL has passed).  Object records stamp its
-        fencing token so gc can tell in-flight work from garbage.
+        renewed once half its TTL has passed).  Its ``claims`` tell gc
+        in-flight work from garbage.
 
         The guard only protects the ``_writer_lease`` slot; the lease
         *file* work — ``acquire()``/``renew()`` take the store-wide
@@ -617,14 +472,14 @@ class CatalogStore:
                 published = current
             else:
                 # Another thread renewed the same lease first; either
-                # stamp carries the same owner and token — keep theirs.
+                # stamp carries the same owner — keep theirs.
                 published = current
         if surplus is not None:
             self.leases.release(surplus)
         return published
 
     def release_writer_lease(self) -> None:
-        """Give up write ownership, stamps and claims together — called
+        """Give up write ownership and every claim with it — called
         once the writer's references are durably published
         (:meth:`Catalog.save`), after which its objects are protected by
         the manifest, not the lease."""

@@ -39,11 +39,14 @@ class TestBackendContract:
         backend.write_bytes(path, b"second and longer")
         assert backend.read_bytes(path) == b"second and longer"
 
-    def test_append_creates_and_extends(self, backend):
-        path = os.path.join(backend.root, "log.jsonl")
-        backend.append_bytes(path, b"a\n")
-        backend.append_bytes(path, b"b\n")
-        assert backend.read_bytes(path) == b"a\nb\n"
+    def test_touch_moves_only_the_mtime(self, backend):
+        path = os.path.join(backend.root, "group.npz")
+        backend.write_bytes(path, b"vectors")
+        backend.touch(path, 1234.5)
+        assert backend.mtime(path) == 1234.5
+        assert backend.read_bytes(path) == b"vectors"
+        with pytest.raises(FileNotFoundError):
+            backend.touch(os.path.join(backend.root, "absent.npz"), 1.0)
 
     def test_write_stream_lands_atomically(self, backend):
         path = os.path.join(backend.root, "big.npz")

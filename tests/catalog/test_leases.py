@@ -1,4 +1,4 @@
-"""Lease-manager semantics: fencing tokens, expiry, renewal, skew.
+"""Lease-manager semantics: owners, claims, expiry, renewal, skew.
 
 These are the primitives the gc-race fix rests on (see
 ``test_gc_race.py`` for the end-to-end schedules).
@@ -30,6 +30,10 @@ def clock():
     return Clock()
 
 
+def owners(manager):
+    return {lease.owner for lease in manager.active()}
+
+
 @pytest.fixture
 def manager(tmp_path, clock):
     root = str(tmp_path / "store")
@@ -39,14 +43,14 @@ def manager(tmp_path, clock):
 class TestAcquireReleaseExpire:
     def test_acquire_makes_lease_active(self, manager):
         lease = manager.acquire()
-        assert lease.token in manager.active_tokens()
+        assert lease.owner in owners(manager)
         assert lease.kind == "writer"
         assert lease.expires == lease.acquired + 10.0
 
     def test_release_deactivates(self, manager):
         lease = manager.acquire()
         manager.release(lease)
-        assert manager.active_tokens() == set()
+        assert manager.active() == []
 
     def test_double_release_is_harmless(self, manager):
         lease = manager.acquire()
@@ -56,9 +60,9 @@ class TestAcquireReleaseExpire:
     def test_expires_after_ttl(self, manager, clock):
         lease = manager.acquire()
         clock.now += 9.9
-        assert lease.token in manager.active_tokens()
+        assert lease.owner in owners(manager)
         clock.now += 0.2
-        assert lease.token not in manager.active_tokens()
+        assert lease.owner not in owners(manager)
 
     def test_expired_lease_file_is_reaped(self, manager, clock, tmp_path):
         lease = manager.acquire()
@@ -81,38 +85,38 @@ class TestAcquireReleaseExpire:
 
 
 class TestRenewal:
-    def test_renew_extends_expiry_keeps_token(self, manager, clock):
+    def test_renew_extends_expiry_keeps_owner(self, manager, clock):
         lease = manager.acquire()
         clock.now += 8
         renewed = manager.renew(lease)
-        assert renewed.token == lease.token
         assert renewed.owner == lease.owner
         clock.now += 8  # 16s after acquire, 8s after renewal
-        assert renewed.token in manager.active_tokens()
+        assert renewed.owner in owners(manager)
 
 
-class TestFencingTokens:
-    def test_tokens_strictly_increase(self, manager):
-        tokens = [manager.acquire().token for _ in range(5)]
-        assert tokens == sorted(tokens)
-        assert len(set(tokens)) == 5
-
-    def test_tokens_never_repeat_across_managers(self, tmp_path, clock):
-        """The counter is store state, not process state: a restarted
-        writer can never mint a token an earlier incarnation used."""
+class TestOwners:
+    def test_owners_never_repeat_across_managers(self, tmp_path, clock):
+        """An owner id names one lease: a restarted writer (same pid, a
+        new manager) never reuses an earlier incarnation's."""
         root = str(tmp_path / "store")
         first = LeaseManager(LocalFSBackend(root), root, ttl=10, clock=clock)
         a = first.acquire()
         first.release(a)
         second = LeaseManager(LocalFSBackend(root), root, ttl=10, clock=clock)
-        b = second.acquire()
-        assert b.token > a.token
+        assert second.acquire().owner != a.owner
+        assert len({second.acquire().owner for _ in range(5)}) == 5
 
-    def test_active_tokens_excludes_own(self, manager):
-        mine = manager.acquire()
-        other = manager.acquire()
-        assert manager.active_tokens(exclude=(mine,)) == {other.token}
-        assert manager.active_tokens(exclude=(mine, None)) == {other.token}
+    def test_acquire_writes_only_the_lease_file(self, manager, tmp_path):
+        lease = manager.acquire()
+        assert os.listdir(os.path.join(str(tmp_path / "store"), "leases")) == [
+            f"{lease.owner}.json"
+        ]
+
+    def test_active_claims_excludes_own(self, manager):
+        mine = manager.renew(manager.acquire(), claims={"mine"})
+        manager.renew(manager.acquire(), claims={"other"})
+        assert manager.active_claims(exclude=(mine,)) == {"other"}
+        assert manager.active_claims(exclude=(mine, None)) == {"other"}
 
 
 class TestClockSkew:
@@ -122,9 +126,9 @@ class TestClockSkew:
         from the reader's now, never instantly expired."""
         lease = manager.acquire()
         clock.now -= 100  # our clock falls behind the acquisition stamp
-        assert lease.token in manager.active_tokens()
+        assert lease.owner in owners(manager)
         clock.now += 100 + 9.9  # ttl not yet elapsed past the stamp
-        assert lease.token in manager.active_tokens()
+        assert lease.owner in owners(manager)
 
     def test_skew_allowance_widens_expiry(self, tmp_path, clock):
         root = str(tmp_path / "store")
@@ -133,20 +137,21 @@ class TestClockSkew:
         )
         lease = manager.acquire()
         clock.now += 12  # past ttl, inside ttl + skew
-        assert lease.token in manager.active_tokens()
+        assert lease.owner in owners(manager)
         clock.now += 4  # past ttl + skew
-        assert lease.token not in manager.active_tokens()
+        assert lease.owner not in owners(manager)
 
 
 class TestStoreIntegration:
-    def test_write_stamps_writer_lease(self, tmp_path):
+    def test_write_claims_on_writer_lease(self, tmp_path):
         store = CatalogStore(str(tmp_path / "cat"))
         store.write_object("fp1", {"name": "t"}, {"c": make_entry({"v"})})
         lease = store.writer_lease()
-        active = store.leases.active()
-        assert any(entry.token == lease.token for entry in active)
+        assert lease.claims == {"fp1"}
+        (active,) = store.leases.active()
+        assert (active.owner, active.claims) == (lease.owner, {"fp1"})
         store.release_writer_lease()
-        assert store.leases.active_tokens() == set()
+        assert store.leases.active() == []
 
     def test_writer_lease_is_cached_and_renewed(self, tmp_path, monkeypatch):
         from repro.catalog import store as store_module
@@ -161,7 +166,7 @@ class TestStoreIntegration:
             lambda: real_now() + DEFAULT_LEASE_TTL * 0.75,
         )
         renewed = store.writer_lease()
-        assert renewed.token == first.token
+        assert renewed.owner == first.owner
         assert renewed.acquired > first.acquired
 
     def test_writer_lease_io_runs_outside_guard(self, tmp_path, monkeypatch):
@@ -193,7 +198,7 @@ class TestStoreIntegration:
             lambda: real_now() + DEFAULT_LEASE_TTL * 0.75,
         )
         renewed = store.writer_lease()
-        assert renewed.token == first.token
+        assert renewed.owner == first.owner
 
     def test_writer_lease_cold_race_releases_surplus(self, tmp_path):
         # Two threads racing the first writer_lease() may both acquire;
@@ -222,10 +227,10 @@ class TestStoreIntegration:
         for thread in threads:
             thread.join(timeout=10)
         assert len(results) == 2
-        assert results[0].token == results[1].token
+        assert results[0].owner == results[1].owner
         active = store.leases.active()
         assert len(active) == 1
-        assert active[0].token == results[0].token
+        assert active[0].owner == results[0].owner
 
     def test_stats_counts_active_leases(self, tmp_path):
         store = CatalogStore(str(tmp_path / "cat"))
@@ -343,7 +348,7 @@ class TestHostileLeaseFiles:
 
     def lease(self, **fields):
         return {
-            "owner": "writer-1-hostile", "token": 99, "kind": "writer",
+            "owner": "writer-1-hostile", "kind": "writer",
             "acquired": 10.0**12, "ttl": 600.0, **fields,
         }
 
@@ -408,14 +413,28 @@ class TestHostileLeaseFiles:
         assert store.gc([]) == 1
         assert store.verify()["problems"] == []
 
+    @pytest.mark.parametrize("owner", [["writer-1"], 7, None], ids=repr)
+    def test_non_string_owner_is_malformed(self, tmp_path, owner):
+        """An owner id is what gc excludes its own lease by; an unhashable
+        one used to be a ``TypeError`` out of gc."""
+        store = CatalogStore(str(tmp_path / "cat"))
+        store.write_object("garbage0", {"name": "t"}, {"c": make_entry({"v"})})
+        self.plant(
+            store, "writer-1-hostile.json", self.lease(owner=owner, claims=["garbage0"])
+        )
+        assert [lease.owner for lease in store.leases.active()] == [
+            store.writer_lease().owner
+        ]
+        assert store.gc([]) == 1
+
     @pytest.mark.parametrize(
         "field, literal",
-        [("token", "Infinity"), ("ttl", "1" + "0" * 400), ("acquired", "1" + "0" * 400)],
-        ids=["token-inf", "ttl-huge-int", "acquired-huge-int"],
+        [("ttl", "1" + "0" * 400), ("acquired", "1" + "0" * 400)],
+        ids=["ttl-huge-int", "acquired-huge-int"],
     )
     def test_numbers_that_overflow_are_malformed(self, tmp_path, field, literal):
-        """``int(inf)`` and ``float(10**400)`` raise ``OverflowError``,
-        which used to escape gc."""
+        """``float(10**400)`` raises ``OverflowError``, which used to
+        escape gc."""
         store = CatalogStore(str(tmp_path / "cat"))
         store.write_object("garbage0", {"name": "t"}, {"c": make_entry({"v"})})
         store.release_writer_lease()

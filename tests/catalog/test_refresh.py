@@ -7,8 +7,7 @@ contract held here:
 * only new or changed tables are signed; regenerated objects with
   identical content report ``unchanged`` and sign nothing;
 * an unchanged refresh of a loaded catalog writes nothing, and the
-  following ``save()`` leaves every store file byte-identical except
-  the lease sequence counter;
+  following ``save()`` leaves every store file byte-identical;
 * a removed table leaves the manifest and ``gc()`` reclaims its object;
 * a refresh process killed at any store write protocol point leaves a
   store that verifies, and the next refresh finishes the job.
@@ -133,24 +132,19 @@ class TestByteIdentity:
         Catalog.load(root).refresh(make_corpus())
         assert store_digests(root) == before
 
-    def test_save_after_unchanged_refresh_moves_only_the_lease_counter(
-        self, tmp_path
-    ):
-        """The save claims and releases a writer lease (bumping
-        ``leases/.seq``); the manifest, ``snapshot.npz`` and every
-        ``.bin`` stay byte-identical."""
+    def test_save_after_unchanged_refresh_changes_no_file(self, tmp_path):
+        """The save claims and releases a writer lease, and rewrites the
+        manifest and ``snapshot.npz`` with the same bytes: every store
+        file keeps its sha256, and no file appears or disappears."""
         root = str(tmp_path / "cat")
         saved_catalog(root, make_corpus())
         before = store_digests(root)
         loaded = Catalog.load(root)
         loaded.refresh(make_corpus())
         loaded.save()
-        after = store_digests(root)
-        assert set(after) == set(before)
-        changed = {path for path in before if before[path] != after[path]}
-        assert changed <= {os.path.join("leases", ".seq")}
-        assert "snapshot.npz" in after and "manifest.json" in after
-        assert any(path.endswith(".bin") for path in after)
+        assert store_digests(root) == before
+        assert "snapshot.npz" in before and "manifest.json" in before
+        assert any(path.endswith(".bin") for path in before)
 
     def test_unchanged_update_keeps_the_result_cache(self, tmp_path):
         """A warm engine whose catalog is refreshed against unchanged

@@ -4,7 +4,7 @@
   error naming the rebuild command — never migrated, never a traceback;
 * a foreign file beside (or instead of) ``<fp>.bin`` is not an object:
   the table is re-derived from the live corpus like a gc'd one;
-* ``has_object`` is one ``exists`` probe and reads no shard manifest;
+* ``has_object`` is one ``exists`` probe and reads nothing else;
 * stray files in a shard directory are not objects;
 * degenerate lease lifetimes and clock skews are rejected at
   construction;
@@ -37,10 +37,11 @@ from tests.harness.entries import make_entry
 REBUILD = "repro catalog build"
 
 
-@pytest.fixture(params=[1, 2], ids=lambda v: f"v{v}")
+@pytest.fixture(params=[1, 2, 3], ids=lambda v: f"v{v}")
 def old_version(request):
     """Layouts this release refuses: 1 (flat objects), 2 (``repr()``
-    table fingerprints, one ``.npz`` member per profile vector)."""
+    table fingerprints, one ``.npz`` member per profile vector), 3
+    (object records stamped with fencing tokens in shard manifests)."""
     return request.param
 
 
@@ -126,13 +127,13 @@ class TestOldRootIsRefused:
         assert store.list_objects() == []  # nothing written beside the old files
 
     @pytest.mark.parametrize(
-        "version", [True, 1, 2, 4, "3", 3.0, None], ids=repr
+        "version", [True, 1, 2, 3, 5, "4", 4.0, None], ids=repr
     )
-    def test_only_the_integer_three_opens(self, tmp_path, version):
+    def test_only_the_integer_four_opens(self, tmp_path, version):
         store = CatalogStore(str(tmp_path / "cat"))
         store.write_manifest({}, {})
         manifest = json.loads(store.backend.read_bytes(store.manifest_path))
-        assert type(manifest["version"]) is int and manifest["version"] == 3
+        assert type(manifest["version"]) is int and manifest["version"] == 4
         assert store.read_manifest() == manifest
         manifest["version"] = version
         _plant(store, "manifest.json", json.dumps(manifest).encode())
@@ -259,7 +260,7 @@ class TestForeignFilesAreMissingObjects:
 # ----------------------------------------------------------------------
 def counting_backend(root):
     """The backend over ``root``, counting ``exists`` probes and
-    shard-manifest reads beneath ``objects/``."""
+    reads of any (leftover) shard manifest beneath ``objects/``."""
 
     class Counting(LocalFSBackend):
         calls = collections.Counter()

@@ -187,9 +187,7 @@ class TestWarmStartOnlyReads:
         assert spy.in_section("objects") == {}
         assert spy.in_section("leases") == {}
         # Only the builder's released-lease leftovers: no lease file.
-        assert sorted(os.listdir(os.path.join(spy.spy_root, "leases"))) == [
-            ".lock", ".seq",
-        ]
+        assert os.listdir(os.path.join(spy.spy_root, "leases")) == [".lock"]
 
     def test_mutation_count_does_not_grow_with_the_store(self, tmp_path):
         """At the parent of this guard every unchanged table cost ≥ 4
@@ -211,9 +209,7 @@ class TestWarmStartOnlyReads:
         # lease costs a constant few writes, not one per table.
         assert set(spy.in_section("objects")) == {"lock"}
         assert spy.in_section("leases")["write_bytes"] <= 3
-        assert sorted(os.listdir(os.path.join(spy.spy_root, "leases"))) == [
-            ".lock", ".seq",
-        ]
+        assert os.listdir(os.path.join(spy.spy_root, "leases")) == [".lock"]
 
     def test_prepare_on_a_cached_profile_group_only_reads(self, tmp_path, scenario):
         """A warm ``prepare`` whose profile group is cached opens no file

@@ -1,9 +1,9 @@
 """Reusable fault-injection helpers for crash-safety tests.
 
 The catalog store (and the catalog facade layered on it) claims crash
-safety at specific protocol points: a writer killed between its log append and manifest
-compaction, a deleter killed between its un-record and file removal,
-a torn log tail from a writer killed mid-append.  These helpers express all three fault shapes once:
+safety at its protocol points — a writer killed between publishing its
+claim and landing its file is the one the store names
+(``"claims-published"``).  These helpers express the fault shapes once:
 
 ``crash_at(store, point)``
     Context manager raising :class:`InjectedCrash` from the store's
@@ -19,15 +19,10 @@ a torn log tail from a writer killed mid-append.  These helpers express all thre
     Fork-based subprocess drivers: the first asserts the worker died
     with the injected exit code, the second fans out concurrent
     writers and asserts they all succeeded.
-
-``torn_log(path, records, torn_tail)``
-    Write a shard-manifest-style JSON-line log ending in a torn
-    fragment — the on-disk shape a writer killed mid-append leaves.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 from contextlib import contextmanager
@@ -107,14 +102,3 @@ def run_ok(jobs) -> None:
     for worker in workers:
         worker.join()
         assert worker.exitcode == 0, f"worker died with {worker.exitcode}"
-
-
-def torn_log(path: str, records, torn_tail: str = None) -> None:
-    """Write JSON-line ``records`` to ``path``, optionally ending with
-    ``torn_tail`` — a partial record with no newline, exactly what a
-    writer killed mid-append leaves behind."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-        if torn_tail is not None:
-            handle.write(torn_tail)

@@ -47,10 +47,6 @@ class SpyBackend(LocalFSBackend):
             self.lease_writes.append(json.loads(data))
         return super().write_bytes(path, data)
 
-    def append_bytes(self, path, data):
-        self._note("append_bytes", path)
-        return super().append_bytes(path, data)
-
     def write_stream(self, path):
         self._note("write_stream", path)
         return super().write_stream(path)
