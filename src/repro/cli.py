@@ -115,6 +115,18 @@ def _byte_count(text: str) -> int:
     return value
 
 
+def _table_count(text: str) -> int:
+    """argparse type for a corpus size: an integer ``>= 1`` (a
+    non-positive count would build, or shrink a catalog to, nothing)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -274,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     stats = sub.add_parser("corpus-stats", help="Table-I style corpus stats")
-    stats.add_argument("--tables", type=int, default=100)
+    stats.add_argument("--tables", type=_table_count, default=100)
     stats.add_argument("--style", choices=["open_data", "kaggle"], default="open_data")
     stats.add_argument("--seed", type=int, default=0)
     stats.add_argument(
@@ -304,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         "build", help="index a (synthetic) corpus into a catalog directory"
     )
     build.add_argument("dir", help="catalog directory")
-    build.add_argument("--tables", type=int, default=100)
+    build.add_argument("--tables", type=_table_count, default=100)
     build.add_argument("--style", choices=["open_data", "kaggle"], default="open_data")
     build.add_argument("--seed", type=int, default=0)
     build.add_argument("--num-perm", type=int, default=64)
@@ -318,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Default to the corpus parameters recorded at build time, so a bare
     # 'catalog update DIR' refreshes the same corpus instead of silently
     # regenerating a different one and re-signing everything.
-    update.add_argument("--tables", type=int, default=None)
+    update.add_argument("--tables", type=_table_count, default=None)
     update.add_argument(
         "--style", choices=["open_data", "kaggle"], default=None
     )

@@ -10,7 +10,7 @@ from repro.dataframe.noise import (
 from repro.dataframe.table import Table
 from repro.data.generator import make_keys
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_in_choices
+from repro.utils.validation import check_in_choices, check_positive_int
 
 _WORDS = [
     "crime", "taxi", "income", "school", "health", "permit", "budget",
@@ -32,6 +32,7 @@ def generate_corpus(
     tables.  Tables within the same key pool are joinable, so the corpus
     has realistic join structure for Table I's '#Joinable Columns'.
     """
+    check_positive_int(n_tables, "n_tables")
     check_in_choices(style, "style", {"open_data", "kaggle"})
     rng = ensure_rng(seed)
     if style == "open_data":

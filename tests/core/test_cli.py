@@ -336,6 +336,39 @@ class TestGcBudget:
         assert "run records" not in out and "result bytes" not in out
 
 
+class TestTableCount:
+    """``--tables`` is a corpus size: a non-positive count is a usage
+    error before the catalog directory (or its recorded corpus
+    parameters) is touched — it used to shrink a catalog to nothing."""
+
+    @pytest.mark.parametrize("value", ["-1", "0", "1.5", "many"])
+    def test_update_refuses_before_touching_the_catalog(
+        self, capsys, tmp_path, value
+    ):
+        path = tmp_path / "cat"
+        assert main(["catalog", "build", str(path), "--tables", "5"]) == 0
+        capsys.readouterr()
+        before = {p: p.read_bytes() for p in path.rglob("*") if p.is_file()}
+        with pytest.raises(SystemExit) as excinfo:
+            main(["catalog", "update", str(path), "--tables", value, "--gc"])
+        assert excinfo.value.code == 2
+        assert "expected an integer >= 1" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in path.rglob("*") if p.is_file()} == before
+        # A bare update still sees the recorded 5 tables, all unchanged.
+        assert main(["catalog", "update", str(path), "--gc"]) == 0
+        assert "=5 unchanged" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [["catalog", "build"], ["corpus-stats"]])
+    def test_build_and_corpus_stats_refuse(self, capsys, tmp_path, command):
+        path = tmp_path / "cat"
+        args = [str(path)] if command[0] == "catalog" else []
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + args + ["--tables", "-3"])
+        assert excinfo.value.code == 2
+        assert "expected an integer >= 1" in capsys.readouterr().err
+        assert not path.exists()
+
+
 class TestRemovedRefreshSurface:
     """Freshness is ``catalog update`` on the operator's schedule: the
     in-process refresh loop and its flags are gone."""

@@ -58,6 +58,11 @@ class TestCorpus:
         avg = lambda ts: sum(t.num_columns for t in ts) / len(ts)
         assert avg(kaggle) > avg(open_data)
 
+    @pytest.mark.parametrize("n_tables", [0, -1, 2.0, True])
+    def test_table_count_must_be_a_positive_int(self, n_tables):
+        with pytest.raises(ValueError, match="n_tables must be an int >= 1"):
+            generate_corpus(n_tables)
+
     def test_invalid_style(self):
         with pytest.raises(ValueError):
             generate_corpus(5, style="excel")
