@@ -356,17 +356,26 @@ class Catalog:
         """
         if table.name not in self._fingerprints:
             raise KeyError(f"table {table.name!r} not cataloged; use add()")
-        if table is self._index.get_table(table.name):
-            # The very object already indexed: Tables are immutable by
-            # library convention, so skip the full-content fingerprint.
-            return False
-        fingerprint = table_fingerprint(table)
-        if fingerprint == self._fingerprints[table.name]:
-            self._index.rebind_table(table)
+        fingerprint = self._changed_fingerprint(table)
+        if fingerprint is None:
             return False
         self.remove(table.name)
         self.add(table, fingerprint=fingerprint)
         return True
+
+    def _changed_fingerprint(self, table: Table):
+        """The new fingerprint of a cataloged table whose content
+        changed; ``None`` (with the index rebound to ``table``) when it
+        did not."""
+        if table is self._index.get_table(table.name):
+            # The very object already indexed: Tables are immutable by
+            # library convention, so skip the full-content fingerprint.
+            return None
+        fingerprint = table_fingerprint(table)
+        if fingerprint == self._fingerprints[table.name]:
+            self._index.rebind_table(table)
+            return None
+        return fingerprint
 
     def is_stale(self, table: Table) -> bool:
         """True when ``table``'s content differs from the version this
@@ -436,18 +445,13 @@ class Catalog:
         # claimed in one lease write before the first file lands.
         incoming = {}
         for name in sorted(tables):
-            table = tables[name]
             if name in self._fingerprints:
-                if table is self._index.get_table(name):
-                    diff.unchanged.append(name)
-                    continue
-                fingerprint = table_fingerprint(table)
-                if fingerprint == self._fingerprints[name]:
-                    self._index.rebind_table(table)
+                fingerprint = self._changed_fingerprint(tables[name])
+                if fingerprint is None:
                     diff.unchanged.append(name)
                     continue
             else:
-                fingerprint = table_fingerprint(table)
+                fingerprint = table_fingerprint(tables[name])
             incoming[name] = fingerprint
         present = {}
         if self.store is not None:
@@ -462,11 +466,10 @@ class Catalog:
             )
         for name, fingerprint in incoming.items():
             if name in self._fingerprints:
+                previous = self._fingerprints[name]
                 self.remove(name)
-                self._add(tables[name], fingerprint, present.get(name))
-                diff.updated.append(name)
-                continue
-            previous = self._persisted.get(name)
+            else:
+                previous = self._persisted.get(name)
             self._add(tables[name], fingerprint, present.get(name))
             if previous is None:
                 diff.added.append(name)

@@ -9,36 +9,27 @@ missing is *ownership* spanning the builder's write→save window.
 
 A :class:`LeaseManager` gives writers exactly that: a time-bounded
 lease whose ``claims`` list names the objects its holder will
-reference.  The ownership rule is one sentence — **claim before you
-write or adopt**:
+reference, under one rule — **claim before you write or adopt**.  A
+writer publishes the id of every object it is about to write *before*
+the file lands (a refresh claims all of them in one lease write); a
+warm start claims the objects it adopted only at ``save()``, then
+checks under each shard lock that they still exist, re-deriving any a
+racing gc won.  The holder renews while it works and releases once its
+``save()`` publishes the references.  A process that never saves never
+writes: it holds no lease.
 
-* a writer acquires a lease before its first claim, publishes the id of
-  every object it is about to write *before* the file lands (a refresh
-  claims all of them in one lease write), renews while it works, and
-  releases after its ``save()`` publishes the references;
-* a warm start that finds another writer's object already on disk
-  writes nothing; only when its ``save()`` is about to make a manifest
-  reference them does it claim their ids the same way and *then* check,
-  under each shard lock, that they still exist — re-deriving any a
-  racing gc won.  **A process that never saves never writes**: it holds
-  no lease, and a vanished object is recomputed from the live table
-  when first read.
-
-``gc`` then refuses to reclaim any unreferenced object a currently
-active lease claims — the object is work in flight, not garbage.  A
-writer that crashes stops renewing; its lease expires after ``ttl`` (+
-the configured clock-skew allowance) and its claimed objects become
-collectible, so leases bound the damage of any failure to one TTL
-window instead of leaking forever.
+``gc`` refuses to reclaim any unreferenced object an active lease
+claims.  A crashed writer stops renewing; its lease expires after
+``ttl`` (+ the configured clock-skew allowance) and its claims with it,
+so a failure pins objects for one TTL window, never forever.
 
 Lease state lives in the store itself (``leases/<owner>.json`` — owner,
 stamp, and the optional sorted ``claims`` list — written atomically;
-claims are merged under a backend lock), so every process — and every
-node, once the backend spans machines — observes one coherent ownership
-map.  An owner id is unique per lease (kind, pid and a random suffix).
-Expiry is judged by clamped age (``max(0, now - acquired)``): a reader
-whose clock lags the writer's computes a *negative* age and simply sees
-the lease as fresh, never as expired-before-it-began.
+claims merge under a backend lock), so every process observes one
+coherent ownership map.  An owner id is unique per lease (kind, pid,
+random suffix).  Expiry is judged by clamped age (``max(0, now -
+acquired)``): a reader whose clock lags the writer's sees the lease as
+fresh, never as expired-before-it-began.
 """
 
 from __future__ import annotations

@@ -37,50 +37,38 @@ fingerprint and therefore a new object — so incremental updates never
 rewrite artifacts of unchanged tables.  ``gc`` reclaims objects no live
 table references.
 
-Cached profile groups are the one store section that can grow without
-bound (every new base table adds a group), so they carry an LRU eviction
-policy: a group's size and recency are its file's size and mtime (a
-read moves the mtime with :meth:`LocalFSBackend.touch`, a metadata
-update, not a write), and ``profile_budget_bytes`` (enforced after every
-write, or on demand via :meth:`evict_profiles` / ``repro catalog gc``)
-drops the least-recently-used groups until the total fits the budget.
+Cached profile groups are the one section that can grow without bound,
+so they carry an LRU policy: a group's size and recency are its file's
+size and mtime (a read moves the mtime with a backend ``touch``, not a
+write), and ``profile_budget_bytes`` (enforced after every write, or on
+demand via :meth:`evict_profiles`) drops the least-recently-used groups
+until the section fits.
 
-Mutations are concurrency-safe across threads *and* processes: every
-file lands via a unique temp file + rename, and object writes,
+Every file lands via a unique temp file + rename, and object writes,
 existence checks and deletions in a shard run under its advisory file
 lock (``<shard>/.lock``), so concurrent ``build``/``update``/``gc``
-processes can add and remove in any interleaving.
-
-All physical I/O goes through one backend object
-(:class:`~repro.catalog.backend.LocalFSBackend` unless the caller
-passes another instance): one plain file per path.
+processes can add and remove in any interleaving.  All physical I/O
+goes through one backend object (:class:`LocalFSBackend` unless the
+caller passes another instance): one plain file per path.
 
 Writers own their in-flight objects through time-bounded **leases**
-(:mod:`repro.catalog.leases`), under one rule: **claim before you write
+(:mod:`repro.catalog.leases`) under one rule: **claim before you write
 or adopt**.  The lease file's ``claims`` list is the one ownership
-record:
+record.  ``write_object`` claims the id before the file lands (nothing,
+when the lease already claims it — ``Catalog.refresh`` claims every id
+it will write in one lease write up front); :meth:`claim_objects`,
+called by ``Catalog.save()`` for the objects a warm start adopted,
+claims them the same way and then checks each under its shard lock,
+reporting the ones gone so the caller re-derives them.  A process that
+never saves never writes: it holds no lease, and an object that
+vanishes under it is recomputed from the live table on first read.
 
-* ``write_object`` publishes the id as a claim before the file lands
-  (nothing, when the lease already claims it — ``Catalog.refresh``
-  claims every id it will write in one lease write up front);
-* :meth:`CatalogStore.claim_objects`, called by ``Catalog.save()``
-  before the manifest starts referencing objects a warm start adopted,
-  claims them the same way and then checks each under its shard lock,
-  reporting the ones that are gone so the caller re-derives them;
-* a process that never saves never writes — it holds no lease, and an
-  object that vanishes under it is recomputed from the live table on
-  first read.
-
-:meth:`CatalogStore.gc` skips any unreferenced object another live lease
-claims — then re-checks liveness via the caller's ``live_check`` — both
-under the shard lock, closing the race where a gc scan reclaims an
-object a concurrent builder wrote (or adopted) after the scan but before
-its save landed.  Claim-then-check is safe because gc's ``[read claims →
-delete]`` and the claimer's existence check or write run under the same
-shard lock and the claim is durable *before* the claimer takes it:
-either gc went first (the object is missing, and is written or
-re-derived) or it comes later and sees the claim — the manifest never
-points at nothing.
+:meth:`CatalogStore.gc` skips an unreferenced object another live lease
+claims, then re-checks liveness via the caller's ``live_check``, both
+under the shard lock.  That is safe because the claim is durable
+*before* the claimer takes the lock: either gc went first (the object
+is missing, and is written or re-derived) or it comes later and sees
+the claim — the manifest never points at nothing.
 """
 
 from __future__ import annotations
@@ -528,17 +516,14 @@ class CatalogStore:
 
     def claim_objects(self, fingerprints) -> list:
         """Take ownership of *existing* objects this writer is about to
-        reference (warm-start hits on content some earlier writer
-        persisted); returns the ids that are gone — the caller
-        re-derives those with :meth:`write_object`.
+        reference (warm-start hits); returns the ids that are gone — the
+        caller re-derives those with :meth:`write_object`.
 
-        Claim, then verify: the ids are first published as claims of
-        this writer's lease (the same publish :meth:`write_object`
-        makes), and only then is each checked for presence under its
-        shard lock, one lock per shard.  :meth:`gc` reads the claims
-        under that same lock before deleting, so either it went first
-        (the id comes back missing) or it sees the claim and spares the
-        object until :meth:`release_writer_lease`."""
+        Claim, then verify: the ids are claimed first, and only then is
+        each checked for presence under its shard lock, one lock per
+        shard — where :meth:`gc` reads the claims before deleting, so
+        either gc went first (the id comes back missing) or it sees the
+        claim and spares the object until :meth:`release_writer_lease`."""
         wanted = set(fingerprints)
         if not wanted:
             return []
@@ -558,11 +543,9 @@ class CatalogStore:
         content).  ``overwrite`` forces the write — used when healing a
         corrupt file with freshly recomputed content.
 
-        Claim, then write: the id becomes a claim of this writer's lease
-        before the file lands, so writing and adopting are one path.
-        The presence check and the write then run under the shard lock,
-        linearizing them against a concurrent :meth:`gc` pass in the
-        shard."""
+        Claim, then write: the id is claimed before the file lands, so
+        writing and adopting are one path; the presence check and the
+        write run under the shard lock, like a :meth:`gc` pass's."""
         self.claim([fingerprint])
         self._fault("claims-published")
         path = self._object_path(fingerprint)
@@ -645,30 +628,22 @@ class CatalogStore:
     def gc(self, live_fingerprints, live_check=None) -> int:
         """Delete objects not in ``live_fingerprints``; returns the count.
 
-        The live set is a *scan-time* snapshot, so gc re-checks each
-        shard's candidates under that shard's lock, reading once per
-        shard:
+        The live set is a *scan-time* snapshot, so gc groups the other
+        objects by shard and, under each shard's lock, reads once:
 
-        1. **Claims** — an object whose id is in another active lease's
-           ``claims`` is a concurrent writer's in-flight work (written
-           or adopted after the scan, references not yet saved) and is
-           skipped.  Crashed writers stop renewing, their leases
-           expire, and their orphans become collectible on a later pass
-           — leases defer reclamation, they never leak it.
-        2. **Fresh liveness** — ``live_check``, when given, is called to
-           produce an up-to-date live set (the catalog re-reads the root
-           manifest); an object a just-landed save references is live,
-           not garbage.
+        1. **Claims** — an object in another active lease's ``claims``
+           is a concurrent writer's in-flight work (written or adopted
+           after the scan, references not yet saved) and is skipped.
+           A crashed writer's lease expires, and its orphans become
+           collectible on a later pass.
+        2. **Fresh liveness** — ``live_check``, when given, produces an
+           up-to-date live set (the catalog re-reads the root manifest):
+           an object a just-landed save references is not garbage.
 
         Claims are read first: a saver writes its manifest before it
         releases its lease, so a claim gone by the first read is a
-        reference the second sees.  Both happen under the same shard
-        lock that :meth:`write_object`, :meth:`claim_objects` and
-        :meth:`delete_object` take, and a claim is durable before its
-        claimer takes that lock, so the decision is linearized against
-        every writer in the shard.  Per-pass counts land in
-        :attr:`last_gc` (and the ``gc_skipped`` metric family when
-        metrics are attached).
+        reference the second sees.  Per-pass counts land in
+        :attr:`last_gc` (and the ``gc_skipped`` metric family).
         """
         live = set(live_fingerprints)
         candidates = self._by_shard(

@@ -3,10 +3,10 @@
 The race: gc computes its live set (from the saved manifest), a
 concurrent builder then writes a new object, and gc reclaims it before
 the builder's ``save()`` publishes the reference.  The fix is twofold —
-writers stamp fencing-token leases on in-flight objects (gc skips any
-candidate under another holder's active lease), and gc re-checks
-liveness under the shard lock right before deleting (so a save that
-landed after the scan re-animates its objects).
+writers claim every object on their lease before its file lands (gc
+skips any candidate another holder's active lease claims), and gc
+re-checks liveness under the shard lock right before deleting (so a
+save that landed after the scan re-animates its objects).
 
 The same race exists for objects a builder *adopts* (a warm-start hit
 on content already on disk): nothing is written at adoption, so the
@@ -227,7 +227,7 @@ class TestAdoptionRace:
 
         peer_store = _peer_drops_b(root)
         # b went (adoption wrote nothing to protect it); c — written by
-        # the builder, stamped with its lease — was spared.
+        # the builder, claimed on its lease — was spared.
         assert peer_store.last_gc == {
             "removed": 1, "skipped_leased": 1, "skipped_live": 0,
         }
@@ -254,7 +254,7 @@ class TestAdoptionRace:
         builder.store.fault_hook = peer_at_publication
         builder.save()
         # Both of the builder's unreferenced objects were spared: c by
-        # its write-time stamp, b by the claim.
+        # the claim made before its write, b by the claim at save.
         assert peer_gc == [
             {"removed": 0, "skipped_leased": 2, "skipped_live": 0}
         ]
@@ -268,7 +268,7 @@ class TestAdoptionRace:
         self.seed(root)
         run_killed(_killed_saver, (root,))
 
-        # The dead builder's lease still claims a and b and stamps c:
+        # The dead builder's lease still claims a, b and c:
         # within the TTL the peer's gc reclaims nothing.
         peer_store = _peer_drops_b(root)
         assert peer_store.last_gc == {

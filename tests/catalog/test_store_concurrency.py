@@ -11,7 +11,7 @@ Fault shapes (crash-at-point, killed subprocesses) come from the shared
 harness in ``tests/harness/faults.py``.
 """
 
-import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -61,8 +61,13 @@ class TestThreadedWriters:
         def write(fp):
             store.write_object(fp, {"name": fp}, {"c": make_entry({fp})})
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            list(pool.map(write, fingerprints))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                list(pool.map(write, fingerprints, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
 
         (lease,) = store.leases.active()
         assert lease.claims == set(fingerprints)

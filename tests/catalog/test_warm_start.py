@@ -230,6 +230,32 @@ class TestWarmStartOnlyReads:
         assert spy.in_section("leases") == {}
         assert spy.in_section("profiles") == {"touch": 1}
 
+    def test_no_bookkeeping_files_after_build_warm_start_and_gc(
+        self, tmp_path, scenario
+    ):
+        """Objects, profile groups and lease claims are the whole store:
+        no shard manifest, delta log or fencing counter is ever left."""
+        root = str(tmp_path / "cat")
+        catalog = build_catalog(tmp_path, scenario)
+        DiscoveryEngine(corpus=scenario.corpus, catalog=catalog).prepare(scenario.base)
+        tables = list(scenario.corpus.values())
+        warm = Catalog.load(root, corpus=tables)
+        engine = DiscoveryEngine(corpus=tables, catalog=warm)
+        try:
+            assert engine.prepare(scenario.base)
+        finally:
+            engine.shutdown()
+        warm.refresh(tables[1:])
+        warm.save()
+        assert warm.gc() == 1
+        files = [
+            os.path.relpath(os.path.join(dirpath, name), root)
+            for dirpath, _dirnames, names in os.walk(root)
+            for name in names
+        ]
+        assert [f for f in files if "manifest" in f] == ["manifest.json"]
+        assert not [f for f in files if f.endswith(".seq")]
+
     def test_objects_read_are_the_tables_a_base_column_collided_with(self, tmp_path):
         """Per-column paging: a warm start reads one object per table an
         LSH probe of a base column landed on, and pages in only the
