@@ -24,13 +24,15 @@ SearchResult`` and an ``engine`` attribute holding the
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.baselines.arda import IArdaSearcher
 from repro.baselines.join_everything import JoinEverythingSearcher
 from repro.baselines.mw import MultiplicativeWeightsSearcher
 from repro.baselines.overlap_ranking import OverlapSearcher
 from repro.baselines.uniform import UniformSearcher
-from repro.baselines.variants import VARIANT_NAMES, metam_variant
 from repro.core.config import MetamConfig
+from repro.core.metam import Metam
 
 
 class RegistryError(LookupError):
@@ -103,7 +105,21 @@ class Registry:
 # ---------------------------------------------------------------------------
 # Built-in searchers
 # ---------------------------------------------------------------------------
+#: METAM and its Fig. 11b ablations: searcher name -> MetamConfig
+#: overrides.  ``eq`` ranks clusters with equal importance (no
+#: Thompson sampling), ``nc`` makes every augmentation its own cluster
+#: (no clustering), ``nceq`` applies both.
+_METAM_VARIANTS = {
+    "metam": {},
+    "eq": {"use_thompson": False},
+    "nc": {"use_clustering": False},
+    "nceq": {"use_thompson": False, "use_clustering": False},
+}
+
+
 def _metam_factory(variant: str):
+    overrides = _METAM_VARIANTS[variant]
+
     def build(
         candidates,
         base,
@@ -127,7 +143,9 @@ def _metam_factory(variant: str):
                 f"searcher options {sorted(options)} conflict with an "
                 "explicit MetamConfig; set them on the config instead"
             )
-        return metam_variant(variant, candidates, base, corpus, task, config)
+        # replace() copies even without overrides: the searcher never
+        # shares a config object with its caller.
+        return Metam(candidates, base, corpus, task, replace(config, **overrides))
 
     build.__name__ = f"build_{variant}"
     return build
@@ -169,7 +187,7 @@ def _ranking_factory(searcher_class):
 def default_searchers() -> Registry:
     """All built-in searchers: METAM, its ablations, and the baselines."""
     registry = Registry("searcher")
-    for variant in VARIANT_NAMES:  # metam, eq, nc, nceq
+    for variant in _METAM_VARIANTS:
         registry.register(variant, _metam_factory(variant))
     for name, cls in (
         ("mw", MultiplicativeWeightsSearcher),

@@ -1,5 +1,6 @@
-"""Baseline searchers (§III-A, §VI): MW, Overlap, Uniform, iARDA,
-Join-Everything, and the METAM ablation variants Eq / Nc / NcEq.
+"""Baseline searchers (§III-A, §VI): MW, Overlap, Uniform, iARDA and
+Join-Everything.  The METAM ablations Eq / Nc / NcEq are searcher
+registry entries (:func:`repro.api.registries.default_searchers`).
 
 All baselines run through the same :class:`~repro.core.querying.QueryEngine`
 and greedy monotone acceptance as METAM, so query counts are comparable.
@@ -11,7 +12,6 @@ from repro.baselines.overlap_ranking import OverlapSearcher
 from repro.baselines.uniform import UniformSearcher
 from repro.baselines.arda import IArdaSearcher
 from repro.baselines.join_everything import JoinEverythingSearcher
-from repro.baselines.variants import metam_variant, VARIANT_NAMES
 
 __all__ = [
     "RankingSearcher",
@@ -21,6 +21,4 @@ __all__ = [
     "UniformSearcher",
     "IArdaSearcher",
     "JoinEverythingSearcher",
-    "metam_variant",
-    "VARIANT_NAMES",
 ]

@@ -6,19 +6,21 @@ Commands
     Show the built-in evaluation scenarios.
 ``run``
     Run METAM (and optionally baselines) on a scenario and print the
-    utility-vs-queries chart; ``--save`` archives results as JSON.
-    ``--async`` serves every searcher concurrently through the engine's
-    worker pool (identical results, overlapped wall-clock);
-    ``--no-result-cache`` disables the engine's result cache.  Ctrl-C
-    cancels the comparison cooperatively and exits with status 130.
+    utility-vs-queries chart; ``--save`` archives results as JSON.  The
+    command is a client of an in-process :mod:`repro.server` service
+    (one engine worker): each searcher is a wire payload submitted
+    through the same admission path an HTTP client uses, so unknown
+    names and failed runs come back as the same typed errors.  Ctrl-C
+    cancels every run and exits with status 130.
 ``stats``
-    Run one small discovery twice on a telemetry-instrumented engine
-    (store-backed catalog attached, second request served from the
-    result cache) and print the engine's metrics in Prometheus text
-    exposition format (``--json`` for the JSON snapshot).  ``repro run
-    --metrics-out/--trace-out`` capture the same telemetry from a real
-    comparison; the top-level ``--log-level``/``--log-json`` flags
-    control the structured log stream on stderr.
+    Submit one small discovery twice through an in-process service
+    whose engine has a store-backed catalog attached (the second
+    request replays from the result cache) and print the shared
+    metrics registry in Prometheus text exposition format (``--json``
+    for the JSON snapshot).  ``repro run --metrics-out/--trace-out``
+    capture the same telemetry from a real comparison; the top-level
+    ``--log-level``/``--log-json`` flags control the structured log
+    stream on stderr.
 ``serve``
     Serve discovery over HTTP (see :mod:`repro.server`): session
     lifecycle, run submit/status/cancel, typed event streams as SSE,
@@ -63,16 +65,11 @@ import signal
 import sys
 import threading
 
-from repro.api import (
-    CancellationToken,
-    DiscoveryEngine,
-    RunCancelled,
-    default_scenarios,
-)
-from repro.core.config import MetamConfig
+from repro.api import CancellationToken, DiscoveryEngine, default_scenarios
+from repro.api.errors import Cancelled, InvalidRequest
+from repro.api.wire import error_from_wire
 from repro.core.plotting import render_traces
-from repro.core.runner import compare_searchers, validate_comparison
-from repro.core.serialization import save_results
+from repro.core.serialization import result_from_dict, save_results
 from repro.obs.logcfg import _ensure_default_handler, configure_logging, get_logger
 
 _SCENARIO_REGISTRY = default_scenarios()
@@ -168,38 +165,20 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--save", default=None, help="write results JSON here")
     run.add_argument("--no-chart", action="store_true", help="skip ASCII chart")
     run.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="serve METAM and the baselines concurrently through the "
-        "engine's worker pool (engine.submit); results are identical to "
-        "the sequential path",
-    )
-    run.add_argument(
         "--metrics-out",
         default=None,
         metavar="PATH",
-        help="after the comparison, write the serving engine's metrics "
-        "here: Prometheus text exposition format, or a JSON snapshot "
-        "when PATH ends in .json",
+        help="after the comparison, write the serving metrics registry "
+        "(engine and service families) here: Prometheus text exposition "
+        "format, or a JSON snapshot when PATH ends in .json",
     )
     run.add_argument(
         "--trace-out",
         default=None,
         metavar="PATH",
-        help="after the comparison, write the engine's recent per-run "
-        "trace trees here as a JSON list (one tree per served run: "
-        "prepare/search spans with per-round and per-query marks)",
-    )
-    run.add_argument(
-        "--no-result-cache",
-        action="store_true",
-        help="build the serving engine without its result cache.  The "
-        "cache replays repeated identical requests on a long-lived "
-        "engine; a single comparison issues each searcher once with "
-        "pre-prepared candidates (which bypass the cache by design), "
-        "so for 'repro run' itself this only pins down the engine "
-        "configuration",
+        help="after the comparison, write the per-run trace trees here "
+        "as a JSON list (one tree per searcher: prepare/search spans "
+        "with per-round and per-query marks)",
     )
 
     telemetry = sub.add_parser(
@@ -425,20 +404,69 @@ def _cmd_list(_args) -> int:
     return 0
 
 
-#: Result-cache budget for CLI-built engines (``--no-result-cache`` = 0).
+#: Result-cache budget of CLI-built engines.
 _RESULT_CACHE_BYTES = 8 << 20
+
+#: Engine workers behind ``run`` and ``stats``: a comparison's runs share
+#: one prepared candidate set and the GIL, so one worker is the fastest
+#: (four were 1.7x slower on 2 vCPUs) and runs them in submission order.
+_CLI_WORKERS = 1
+
+
+def _scenario_service(name, scenario, *, workers, catalog=None, config=None):
+    """A :class:`~repro.server.DiscoveryService` serving one built-in
+    scenario as catalog ``name``: its base table is a registered request
+    base (the run's input, not a join candidate) and its pre-configured
+    task is registered as ``scenario-task``."""
+    from repro.server import DiscoveryService
+
+    def factory(metrics=None):
+        engine = DiscoveryEngine(
+            corpus=scenario.corpus,
+            catalog=catalog,
+            metrics=metrics,
+            max_workers=workers,
+            result_cache_bytes=_RESULT_CACHE_BYTES,
+        )
+        engine.tasks.register("scenario-task", lambda **_options: scenario.task)
+        return engine
+
+    return DiscoveryService(
+        {name: factory},
+        bases={name: {scenario.base.name: scenario.base}},
+        config=config,
+    )
+
+
+def _payload(scenario, searcher: str, seed: int, **fields) -> dict:
+    """Wire payload of one run on ``scenario``; the top-level ``seed``
+    also seeds candidate preparation."""
+    return {
+        "base": scenario.base.name,
+        "task": "scenario-task",
+        "searcher": searcher,
+        "seed": seed,
+        **fields,
+    }
+
+
+def _metam_payload(scenario, args, epsilon: float) -> dict:
+    config = {
+        "theta": args.theta,
+        "query_budget": args.budget,
+        "epsilon": epsilon,
+        "seed": args.seed,
+    }
+    return _payload(scenario, "metam", args.seed, config=config)
 
 
 def _cancel_on_sigint(token: CancellationToken):
-    """Install a SIGINT handler that fires ``token`` (cooperative cancel
-    instead of a mid-run traceback); returns a restore callable.
-
-    Cancellation is observed at utility queries, so a run deep in
-    candidate preparation takes a moment to stop — a *second* Ctrl-C
-    therefore restores the previous handler and raises
-    ``KeyboardInterrupt``, so the user is never trapped behind a
-    cooperative flag.  In environments without signal support (non-main
-    thread, embedded interpreters) cancellation stays caller-driven."""
+    """Install a SIGINT handler that fires ``token`` and returns a
+    restore callable.  The handler only sets the flag; the waiting main
+    thread cancels the runs.  Cancellation is observed at utility
+    queries, so a second Ctrl-C restores the previous handler and raises
+    ``KeyboardInterrupt``: the user is never trapped behind a cooperative
+    flag.  Without signal support (non-main thread) it does nothing."""
 
     def handler(signum, frame):
         if token.cancelled:
@@ -453,158 +481,141 @@ def _cancel_on_sigint(token: CancellationToken):
     return lambda: signal.signal(signal.SIGINT, previous)
 
 
+def _await_record(service, run_id: str, interrupted: CancellationToken) -> dict:
+    """Wait on ``run_id``'s event stream and return its wire record.
+
+    A failed run raises its wire error (what an HTTP client reads); a
+    cancelled run, or ``interrupted`` firing first, raises ``Cancelled``.
+    """
+    while not interrupted.cancelled:
+        try:
+            for _event in service.events(run_id, timeout=0.1):
+                if interrupted.cancelled:
+                    break
+            else:
+                break  # the stream closed: the run is terminal
+        except TimeoutError:
+            pass  # nothing new within the poll: look at the flag again
+    status = service.status(run_id)
+    if status["state"] == "failed":
+        raise error_from_wire({"error": status["error"]})
+    if status["state"] != "completed":
+        raise Cancelled("run cancelled before completion")
+    return status["record"]
+
+
 def _cmd_run(args) -> int:
-    scenario = SCENARIOS[args.scenario](seed=args.seed)
     baselines = () if args.baselines == "none" else tuple(
-        b.strip() for b in args.baselines.split(",") if b.strip()
+        dict.fromkeys(b.strip() for b in args.baselines.split(",") if b.strip())
     )
-    query_points = tuple(
-        sorted({max(1, args.budget // 10), args.budget // 4, args.budget // 2, args.budget})
-    )
-    # One engine serves every searcher of the run: all of them share the
-    # prepared candidate set (and a warm catalog, if one is ever wired in).
-    engine = DiscoveryEngine(
-        corpus=scenario.corpus,
-        result_cache_bytes=0 if args.no_result_cache else _RESULT_CACHE_BYTES,
-    )
+    # CLI-only rules; the service checks every other name.
+    if "metam" in baselines:
+        # METAM always runs with the flags' config; as a baseline it
+        # would run again under the same key.
+        raise InvalidRequest("'metam' always runs; don't list it as a baseline")
     if "iarda" in baselines:
-        _error(
+        raise InvalidRequest(
             "the 'iarda' baseline needs a target column and is not "
             "available from the CLI; use the library API "
             "(DiscoveryRequest with options={'target_column': ...})"
         )
-        return 2
-    try:
-        # Validated separately so bad flags fail fast with a clean usage
-        # error, while genuine runtime failures keep their traceback.
-        validate_comparison(engine, baselines)
-    except ValueError as error:
-        _error(str(error))
-        return 2
-    cancel = CancellationToken()
-    restore_sigint = _cancel_on_sigint(cancel)
-    try:
-        report = compare_searchers(
-            scenario,
-            budget=args.budget,
-            theta=args.theta,
-            epsilon=args.epsilon,
-            seeds=(args.seed,),
-            baselines=baselines,
-            query_points=query_points,
-            metam_config=MetamConfig(
-                theta=args.theta,
-                query_budget=args.budget,
-                epsilon=args.epsilon,
-                seed=args.seed,
-            ),
-            engine=engine,
-            parallel=args.use_async,
-            cancel=cancel,
+    scenario = SCENARIOS[args.scenario](seed=args.seed)
+    query_points = tuple(
+        sorted({max(1, args.budget // 10), args.budget // 4, args.budget // 2, args.budget})
+    )
+    # METAM first, then the baselines in flag order: one worker serves
+    # them in that order from one prepared candidate set.
+    payloads = {"metam": _metam_payload(scenario, args, args.epsilon)}
+    for name in baselines:
+        payloads[name] = _payload(
+            scenario, name, args.seed, theta=args.theta, query_budget=args.budget
         )
-    except RunCancelled:
-        # A cancelled comparison must be distinguishable from success:
-        # exit like an interrupted process (128 + SIGINT).
-        _error("run cancelled before completion")
-        return 130
+    service = _scenario_service(args.scenario, scenario, workers=_CLI_WORKERS)
+    interrupted = CancellationToken()
+    restore_sigint = _cancel_on_sigint(interrupted)
+    run_ids = {}
+    try:
+        session = service.create_session("cli")["session_id"]
+        for name, payload in payloads.items():
+            run_ids[name] = service.submit(session, payload)["run_id"]
+        records = {
+            name: _await_record(service, run_id, interrupted)
+            for name, run_id in run_ids.items()
+        }
     finally:
         restore_sigint()
-        engine.shutdown()
+        # A no-op on finished runs; an error or Ctrl-C above must not
+        # leave the others running.
+        for run_id in run_ids.values():
+            service.cancel(run_id)
+        service.shutdown()
+    results = {
+        name: result_from_dict(record["result"]) for name, record in records.items()
+    }
     print(f"Scenario: {scenario.name} "
           f"({scenario.base.num_rows} rows, {len(scenario.corpus)} repo tables)\n")
-    print(report.table())
+    print("searcher    " + "".join(f"{q:>8}" for q in query_points))
+    for name, result in results.items():
+        print(f"{name:12s}" + "".join(f"{result.utility_at(q):8.3f}" for q in query_points))
     print()
-    for name, result in report.runs[0].items():
+    for result in results.values():
         print(result.summary())
     if not args.no_chart:
         print()
-        print(render_traces(report.runs[0], max_queries=args.budget))
+        print(render_traces(results, max_queries=args.budget))
     if args.save:
-        save_results(report.runs[0], args.save)
+        save_results(results, args.save)
         print(f"\nResults written to {args.save}")
-    # Telemetry outlives shutdown(): the registry and the trace ring
-    # are plain in-memory state, so exporting after the pool is gone is
-    # safe (and captures the final gauge values).
+    # The registry and the records are in-memory state: exporting them
+    # after shutdown is safe and captures the final gauge values.
     if args.metrics_out:
-        _write_metrics(engine, args.metrics_out)
+        with open(args.metrics_out, "w", encoding="utf-8") as handle:
+            if args.metrics_out.endswith(".json"):
+                json.dump(service.metrics_snapshot(), handle, indent=2)
+            else:
+                handle.write(service.metrics_prometheus())
         print(f"Metrics written to {args.metrics_out}")
     if args.trace_out:
+        traces = [record.get("trace") for record in records.values()]
         with open(args.trace_out, "w", encoding="utf-8") as handle:
-            json.dump(list(engine.recent_traces), handle, indent=2)
+            json.dump(traces, handle, indent=2)
         print(f"Traces written to {args.trace_out}")
     return 0
 
 
-def _write_metrics(engine: DiscoveryEngine, path: str) -> None:
-    payload = (
-        engine.metrics_snapshot()
-        if path.endswith(".json")
-        else engine.metrics_prometheus()
-    )
-    with open(path, "w", encoding="utf-8") as handle:
-        if isinstance(payload, str):
-            handle.write(payload)
-        else:
-            json.dump(payload, handle, indent=2)
-
-
 def _cmd_stats(args) -> int:
-    """One small discovery on a fully instrumented engine.
-
-    The engine serves from a store-backed catalog (its warm-start
-    refresh + save put shard-lock and store read/write samples on the
-    board), the first request goes through ``submit()`` (queue/pool
-    gauges move), and the second identical
-    ``discover()`` replays from the result cache — so the exposition
-    covers every subsystem with real, nonzero samples.
-    """
+    """Submit one small discovery twice through a service whose engine
+    serves from a store-backed catalog (refresh + save put shard-lock
+    and store samples on the board); the second submit replays from the
+    result cache, so every subsystem shows real, nonzero samples."""
     import tempfile
 
-    from repro.api.request import DiscoveryRequest
     from repro.catalog import Catalog, CatalogStore
 
     scenario = SCENARIOS[args.scenario](seed=args.seed)
     with tempfile.TemporaryDirectory() as tmp:
         # The catalog seed matches the run seed so warm-start discovery
         # reproduces the cold path exactly.
-        engine = DiscoveryEngine(
-            corpus=scenario.corpus,
-            catalog=Catalog(
-                CatalogStore(os.path.join(tmp, "catalog")), seed=args.seed
-            ),
-            result_cache_bytes=_RESULT_CACHE_BYTES,
-        )
-        # The task goes in by registry *name*: task objects are
-        # uncacheable by design, and the second request must replay
-        # from the result cache to put a hit on the board.
-        engine.tasks.register(
-            "cli-stats-task", lambda **_options: scenario.task
-        )
-        request = DiscoveryRequest(
-            base=scenario.base,
-            task="cli-stats-task",
-            searcher="metam",
-            config=MetamConfig(
-                theta=args.theta,
-                query_budget=args.budget,
-                epsilon=0.1,
-                seed=args.seed,
-            ),
+        catalog = Catalog(CatalogStore(os.path.join(tmp, "catalog")), seed=args.seed)
+        service = _scenario_service(
+            args.scenario, scenario, workers=_CLI_WORKERS, catalog=catalog
         )
         try:
-            engine.submit(request).result()
-            engine.discover(request)
+            session = service.create_session("cli")["session_id"]
+            for _ in range(2):
+                run = service.submit(session, _metam_payload(scenario, args, 0.1))
+                _await_record(service, run["run_id"], CancellationToken())
         finally:
-            engine.shutdown()
+            service.shutdown()
     if args.as_json:
-        print(json.dumps(engine.metrics_snapshot(), indent=2, sort_keys=True))
+        print(json.dumps(service.metrics_snapshot(), indent=2, sort_keys=True))
     else:
-        print(engine.metrics_prometheus())
+        print(service.metrics_prometheus())
     return 0
 
 
 def _cmd_serve(args) -> int:
-    from repro.api.errors import InvalidRequest, NotFound
+    from repro.api.errors import NotFound
     from repro.server import DiscoveryService, ServiceConfig
     from repro.server.http import serve as serve_http
 
@@ -651,34 +662,13 @@ def _cmd_serve(args) -> int:
                 result_cache_bytes=_RESULT_CACHE_BYTES,
             )
 
+        service = DiscoveryService({name: factory}, config=config)
     else:
-        scenario_name = args.scenario or "clustering"
-        name = scenario_name
-        # Built eagerly: the scenario's base table must be registered as
-        # a request base (it is the run's input, not a join candidate,
-        # so it is not part of the served corpus).
-        scenario = SCENARIOS[scenario_name](seed=args.seed)
-        bases = {name: {scenario.base.name: scenario.base}}
-
-        def factory(metrics=None):
-            engine = DiscoveryEngine(
-                corpus=scenario.corpus,
-                metrics=metrics,
-                max_workers=args.workers,
-                result_cache_bytes=_RESULT_CACHE_BYTES,
-            )
-            # Wire requests name tasks by registry entry; the scenario's
-            # pre-configured task object goes in under a stable name.
-            engine.tasks.register(
-                "scenario-task", lambda **_options: scenario.task
-            )
-            return engine
-
-    service = DiscoveryService(
-        {name: factory},
-        bases=bases if args.catalog is None else None,
-        config=config,
-    )
+        name = args.scenario or "clustering"
+        scenario = SCENARIOS[name](seed=args.seed)
+        service = _scenario_service(
+            name, scenario, workers=args.workers, config=config
+        )
     server = serve_http(service, host=args.host, port=args.port)
     # The bound address goes on stdout (port 0 picks a free one): the
     # line scripts and the CI smoke job parse for readiness.

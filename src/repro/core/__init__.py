@@ -22,13 +22,10 @@ from repro.core.minimality import identify_minimal
 from repro.core.homogeneity import check_cluster_homogeneity
 from repro.core.result import SearchResult
 from repro.core.metam import Metam
-from repro.core.runner import ComparisonReport, compare_searchers
 from repro.core.plotting import render_traces
 from repro.core.serialization import load_results, save_results
 
 __all__ = [
-    "ComparisonReport",
-    "compare_searchers",
     "render_traces",
     "load_results",
     "save_results",

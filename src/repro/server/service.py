@@ -415,7 +415,7 @@ class DiscoveryService:
         ``running``).  Raises :class:`NotFound` for a bad session,
         :class:`Overloaded` on any admission refusal, and
         :class:`InvalidRequest` when the payload does not parse against
-        the session's corpus.
+        the session's corpus or names an unregistered searcher or task.
         """
         with self._lock:
             session = self._sessions.get(session_id)
@@ -463,6 +463,18 @@ class DiscoveryService:
             lookup.setdefault(base_name, table)
         try:
             request = request_from_wire(payload, lookup)
+            # Unknown names are the caller's error: refuse them here,
+            # not as a failed run after the request took a slot.
+            for name, registry in (
+                (request.searcher, engine.searchers),
+                (request.task, engine.tasks),
+            ):
+                if name not in registry:
+                    raise InvalidRequest(
+                        f"unknown {registry.kind} {name!r}; choose from "
+                        f"{registry.names()}",
+                        details={"field": registry.kind, registry.kind: name},
+                    )
         except InvalidRequest:
             self._m_requests.labels(tenant=tenant, outcome="invalid").inc()
             raise
@@ -691,6 +703,16 @@ class DiscoveryService:
     def metrics_prometheus(self) -> str:
         """Prometheus exposition of the shared registry (service and
         engine families together; engine gauges refreshed first)."""
+        self._refresh_engine_gauges()
+        return self.metrics.to_prometheus()
+
+    def metrics_snapshot(self) -> dict:
+        """JSON snapshot of the shared registry (what
+        :meth:`metrics_prometheus` exposes, quantile estimates included)."""
+        self._refresh_engine_gauges()
+        return self.metrics.snapshot()
+
+    def _refresh_engine_gauges(self) -> None:
         with self._lock:
             engines = [
                 e.engine for e in self._entries.values() if e.engine is not None
@@ -698,7 +720,6 @@ class DiscoveryService:
         for engine in engines:
             if engine.metrics is self.metrics:
                 engine.metrics_snapshot()  # refresh derived gauges
-        return self.metrics.to_prometheus()
 
     def stats(self) -> dict:
         with self._lock:

@@ -362,7 +362,7 @@ class TestCatalogVfs:
         result = lint_tree(
             tmp_path,
             {
-                "src/repro/core/runner.py": (
+                "src/repro/core/serialization.py": (
                     "def save(path, data):\n"
                     "    with open(path, 'wb') as fh:\n"
                     "        fh.write(data)\n"

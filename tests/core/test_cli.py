@@ -139,44 +139,158 @@ class TestCommands:
         assert "12" in out
 
 
-class TestAsyncAndCancellation:
-    RUN_ARGS = [
-        "run", "clustering", "--budget", "20", "--theta", "0.6",
-        "--baselines", "uniform", "--no-chart",
-    ]
+#: ``repro run`` stdout and ``--save`` file of :data:`GOLDEN_RUN_ARGS`,
+#: taken from the comparison runner the service path replaced.  The
+#: runs cross the service's worker threads, so neither may depend on the
+#: hash seed or on thread interleaving.
+GOLDEN_RUN_ARGS = [
+    "run", "clustering", "--budget", "20", "--theta", "0.6",
+    "--baselines", "uniform", "--no-chart",
+]
+GOLDEN_RUN_STDOUT = """\
+Scenario: satiety_clustering (120 rows, 8 repo tables)
 
-    def test_async_flags_parse(self):
-        args = build_parser().parse_args(self.RUN_ARGS + ["--async", "--no-result-cache"])
-        assert args.use_async
-        assert args.no_result_cache
-        defaults = build_parser().parse_args(self.RUN_ARGS)
-        assert not defaults.use_async
-        assert not defaults.no_result_cache
+searcher           2       5      10      20
+metam          0.650   0.650   0.650   0.650
+uniform        0.459   0.469   0.658   0.658
 
-    def test_run_async_matches_sync_output(self, capsys):
-        assert main(self.RUN_ARGS) == 0
-        sync_out = capsys.readouterr().out
-        assert main(self.RUN_ARGS + ["--async"]) == 0
-        async_out = capsys.readouterr().out
-        # Concurrent serving is byte-identical: the printed comparison
-        # (curves, summaries) must match the sequential run exactly.
-        assert async_out == sync_out
+metam: utility 0.448 → 0.650 with 1 augmentation(s) in 6 queries
+uniform: utility 0.448 → 0.658 with 4 augmentation(s) in 7 queries
+"""
+GOLDEN_SAVE_SHA256 = (
+    "7f91aa15be2d0ba9d77322090b20b1bfdcf2f67c6e02ba2edc79bebd2e697f85"
+)
 
-    @pytest.mark.parametrize("extra", [[], ["--async"]])
-    def test_cancelled_run_exits_nonzero(self, capsys, monkeypatch, extra):
-        # A run cancelled mid-flight must be distinguishable from
-        # success (previously both exited 0).
-        from repro.api import RunCancelled
 
-        def cancelled(*args, **kwargs):
-            raise RunCancelled("discovery run cancelled")
+class TestServicePath:
+    """``repro run`` is a client of an in-process ``DiscoveryService``."""
 
-        monkeypatch.setattr("repro.cli.compare_searchers", cancelled)
-        code = main(self.RUN_ARGS + extra)
-        assert code == 130
+    def test_stdout_and_save_match_golden(self, capsys, tmp_path):
+        import hashlib
+
+        save = tmp_path / "out.json"
+        assert main(GOLDEN_RUN_ARGS) == 0
+        assert capsys.readouterr().out == GOLDEN_RUN_STDOUT
+        assert main(GOLDEN_RUN_ARGS + ["--save", str(save)]) == 0
+        out = capsys.readouterr().out
+        assert out == GOLDEN_RUN_STDOUT + f"\nResults written to {save}\n"
+        assert hashlib.sha256(save.read_bytes()).hexdigest() == GOLDEN_SAVE_SHA256
+
+    def test_worker_count_does_not_change_results(self):
+        """One worker is a speed choice, not a correctness one: runs
+        that share a prepared candidate set concurrently produce the
+        same records as runs served one at a time."""
+        from repro.api import CancellationToken
+        from repro.cli import _await_record, _payload, _scenario_service
+
+        scenario = SCENARIOS["clustering"](seed=0)
+        payloads = [
+            _payload(scenario, name, 0, theta=0.6, query_budget=20)
+            for name in ("metam", "uniform", "mw", "nc")
+        ]
+
+        def results(workers):
+            service = _scenario_service("clustering", scenario, workers=workers)
+            try:
+                session = service.create_session("cli")["session_id"]
+                run_ids = [
+                    service.submit(session, payload)["run_id"]
+                    for payload in payloads
+                ]
+                return [
+                    _await_record(service, run_id, CancellationToken())["result"]
+                    for run_id in run_ids
+                ]
+            finally:
+                service.shutdown()
+
+        assert results(3) == results(1)
+
+    @pytest.mark.parametrize("flag", ["--async", "--no-result-cache"])
+    def test_removed_run_flags_are_usage_errors(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(GOLDEN_RUN_ARGS + [flag])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "baseline, message",
+        [("metam", "don't list it as a baseline"), ("iarda", "target column")],
+    )
+    def test_cli_only_baseline_rules_exit_2(self, capsys, baseline, message):
+        code = main(["run", "clustering", "--baselines", f"uniform,{baseline}"])
+        assert code == 2
         captured = capsys.readouterr()
-        assert "cancelled" in captured.err
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_unknown_baseline_fails_like_http(self, capsys):
+        """The CLI's error is the service's: the same message an HTTP
+        client gets in its 400 body."""
+        from repro.cli import _scenario_service
+        from repro.server import serve
+        from tests.server.test_http import Client, open_session, submit
+
+        assert main(GOLDEN_RUN_ARGS[:-3] + ["--baselines", "greedy"]) == 2
+        err = capsys.readouterr().err
+        scenario = SCENARIOS["clustering"](seed=0)
+        service = _scenario_service("clustering", scenario, workers=1)
+        server = serve(service)
+        try:
+            client = Client(server)
+            payload = {
+                "base": scenario.base.name,
+                "task": "scenario-task",
+                "searcher": "greedy",
+            }
+            status, body, _ = submit(client, open_session(client), payload)
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.shutdown(timeout=10)
+        assert status == 400
+        assert err == f"error: {body['error']['message']}\n"
+
+    def test_failed_run_exits_with_its_wire_error(self, capsys, monkeypatch):
+        from repro.api import DiscoveryEngine
+
+        def explode(self, request, progress=None, cancel=None):
+            raise RuntimeError(f"{request.searcher} exploded")
+
+        monkeypatch.setattr(DiscoveryEngine, "discover", explode)
+        assert main(GOLDEN_RUN_ARGS) == 1  # internal
+        captured = capsys.readouterr()
+        assert "error: RuntimeError: metam exploded" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_sigint_cancels_every_run_and_exits_130(self, capsys, monkeypatch):
+        """Ctrl-C while METAM prepares: the main thread cancels METAM and
+        the queued baseline, and the command exits 130."""
+        import os
+        import signal
+        import time
+
+        from repro.api import DiscoveryEngine
+
+        original = DiscoveryEngine.discover
+        served = []
+
+        def interrupt(self, request, progress=None, cancel=None):
+            served.append(request.searcher)
+            os.kill(os.getpid(), signal.SIGINT)
+            deadline = time.monotonic() + 30
+            while not cancel.cancelled and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return original(self, request, progress=progress, cancel=cancel)
+
+        monkeypatch.setattr(DiscoveryEngine, "discover", interrupt)
+        assert main(GOLDEN_RUN_ARGS) == 130
+        captured = capsys.readouterr()
+        assert "error: run cancelled before completion" in captured.err
         assert "error" not in captured.out
+        assert served == ["metam"]  # the baseline never left the queue
+        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
 
     def test_sigint_cancels_cooperatively(self):
         import os
@@ -200,6 +314,34 @@ class TestAsyncAndCancellation:
                 token.cancelled  # bytecode boundary so the signal lands
         finally:
             restore()
+
+    def test_metrics_and_trace_files(self, capsys, tmp_path):
+        metrics_json = tmp_path / "metrics.json"
+        traces = tmp_path / "traces.json"
+        assert main(
+            GOLDEN_RUN_ARGS
+            + ["--metrics-out", str(metrics_json), "--trace-out", str(traces)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert f"Metrics written to {metrics_json}" in out
+        assert f"Traces written to {traces}" in out
+        snapshot = json.loads(metrics_json.read_text())
+        completed = [
+            series["value"]
+            for series in snapshot["repro_engine_runs_total"]["series"]
+            if series["labels"] == {"status": "completed"}
+        ]
+        assert completed == [2.0]  # metam + uniform
+        assert snapshot["repro_server_runs_total"]["series"]
+        trees = json.loads(traces.read_text())
+        assert isinstance(trees, list) and len(trees) == 2
+        assert [tree["name"] for tree in trees] == ["discover", "discover"]
+
+        metrics_text = tmp_path / "metrics.prom"
+        assert main(GOLDEN_RUN_ARGS + ["--metrics-out", str(metrics_text)]) == 0
+        exposition = metrics_text.read_text()
+        assert "# TYPE repro_engine_runs_total counter" in exposition
+        assert 'repro_server_runs_total{tenant="cli",status="completed"}' in exposition
 
 
 class TestCatalogCommands:

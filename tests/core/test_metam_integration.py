@@ -92,29 +92,42 @@ class TestMetamEndToEnd:
         assert result.utility >= 0.6
 
     def test_variants_run(self, howto):
-        from repro.baselines import metam_variant
+        from repro.api import default_searchers
 
         scenario, engine = howto
         candidates = engine.prepare(scenario.base)
-        for name in ("eq", "nc", "nceq"):
-            searcher = metam_variant(
+        config = MetamConfig(theta=1.0, query_budget=150, epsilon=0.1, seed=0)
+        for name, thompson, clustering in (
+            ("eq", False, True),
+            ("nc", True, False),
+            ("nceq", False, False),
+        ):
+            searcher = default_searchers().create(
                 name,
                 candidates,
                 scenario.base,
                 scenario.corpus,
                 scenario.task,
-                MetamConfig(theta=1.0, query_budget=150, epsilon=0.1, seed=0),
+                config=config,
             )
+            # The ablation's switches land on a copy: the caller's
+            # config is never the searcher's.
+            assert searcher.config is not config
+            assert searcher.config.use_thompson is thompson
+            assert searcher.config.use_clustering is clustering
             result = searcher.run()
             assert result.utility >= result.base_utility
+        assert config.use_thompson and config.use_clustering
 
     def test_unknown_variant(self, howto):
-        from repro.baselines import metam_variant
+        from repro.api import RegistryError, default_searchers
 
         scenario, engine = howto
         candidates = engine.prepare(scenario.base)
-        with pytest.raises(ValueError):
-            metam_variant("fast", candidates, scenario.base, scenario.corpus, scenario.task)
+        with pytest.raises(RegistryError, match="unknown searcher 'fast'"):
+            default_searchers().create(
+                "fast", candidates, scenario.base, scenario.corpus, scenario.task
+            )
 
 
 class TestMetamClusteringScenario:

@@ -32,6 +32,14 @@ class TestSearchResult:
     def test_utility_at_empty_trace(self):
         assert make(trace=[]).utility_at(10) == 0.2
 
+    def test_utility_at_never_decreases(self):
+        """The ``repro run`` table reads ``utility_at`` at growing query
+        points, so each row is nondecreasing even for a trace whose
+        values dip."""
+        result = make(trace=[(1, 0.6), (3, 0.4), (5, 0.7), (6, 0.1)])
+        curve = [result.utility_at(q) for q in range(8)]
+        assert curve == [0.2, 0.6, 0.6, 0.6, 0.6, 0.7, 0.7, 0.7]
+
     def test_summary_contains_key_facts(self):
         text = make().summary()
         assert "metam" in text

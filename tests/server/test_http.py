@@ -254,6 +254,22 @@ class TestErrorMapping:
         assert status == 400
         assert body["error"]["code"] == "invalid-request"
 
+    @pytest.mark.parametrize("field", ["searcher", "task"])
+    def test_unknown_name_is_400(self, served, field):
+        harness, client = served
+        sid = open_session(client)
+        payload = {**harness.payload(), field: "no-such-name"}
+        status, body, _ = submit(client, sid, payload)
+        assert status == 400
+        assert body["error"]["code"] == "invalid-request"
+        assert body["error"]["details"] == {"field": field, field: "no-such-name"}
+        _, text, _ = client.request("GET", "/metrics")
+        assert (
+            'repro_server_requests_total{tenant="acme",outcome="invalid"} 1'
+            in text.decode("utf-8")
+        )
+        assert harness.service.list_runs() == []
+
     def test_nan_epsilon_is_400(self, served):
         """``json`` writes and parses the bare literal ``NaN``; an ε that
         is not a number used to reach CLUSTER-PARTITION and spin there."""

@@ -131,6 +131,25 @@ class TestAdmission:
             harness.service.submit(sid, harness.payload(), priority="high")
         assert harness.service.list_runs() == []
 
+    @pytest.mark.parametrize(
+        "field, name", [("searcher", "greedy"), ("task", "no-such-task")]
+    )
+    def test_unknown_name_is_invalid_before_queueing(self, harness, field, name):
+        """An unknown searcher or task used to be admitted and then fail
+        the run as ``internal``; it is the caller's error, refused at
+        submit and counted as an invalid request."""
+        sid = harness.session()
+        with pytest.raises(InvalidRequest, match=f"unknown {field} {name!r}") as info:
+            harness.service.submit(sid, {**harness.payload(), field: name})
+        assert info.value.details == {"field": field, field: name}
+        assert harness.service.list_runs() == []
+        snapshot = harness.service.metrics_snapshot()
+        outcomes = {
+            series["labels"]["outcome"]: series["value"]
+            for series in snapshot["repro_server_requests_total"]["series"]
+        }
+        assert outcomes == {"invalid": 1.0}
+
     def test_unknown_session_rejected(self, harness):
         with pytest.raises(NotFound):
             harness.service.submit("s-999999", harness.payload())
