@@ -12,24 +12,24 @@ it::
                                            config=MetamConfig(theta=0.8)))
     print(run.result.summary())
 
-``discover`` is thread-safe: candidate preparation is striped — every
+``discover`` is thread-safe and synchronous — it is the engine's only
+way to serve a request; :class:`~repro.server.DiscoveryService` runs it
+on its own workers when callers need queueing, fairness or
+non-blocking submission.  Candidate preparation is striped: every
 ``(base content, spec, seed, registry)`` key has its own lock, so the
 first request for a key pays, concurrent requests for the same key share
 the result, and requests for *disjoint* keys prepare fully in parallel
 (catalog mutations are serialized internally, and the on-disk store is
-concurrency-safe in its own right).  Each run gets its own searcher, query accounting, and RNG —
-so N callers can serve requests against one warm engine concurrently
-(``benchmarks/bench_engine_concurrency.py``).
+concurrency-safe in its own right).  Each run gets its own searcher,
+query accounting, and RNG — so N callers can serve requests against one
+warm engine concurrently.
 
-``submit`` is the non-blocking variant: it queues the request on a
-bounded worker pool and returns a
-:class:`~repro.api.futures.DiscoveryFuture` immediately.  An optional
-in-memory result cache (``result_cache_bytes``) serves repeated
-identical requests from their recorded runs without re-searching; it
-lives as long as the engine, and the catalog store never holds run
-records.  Submitting an identical cacheable request while one is
-already in flight *reserves* its cache slot: the follower waits for the
-owner and replays the recorded run instead of searching twice.
+An optional in-memory result cache (``result_cache_bytes``) serves
+repeated identical requests from their recorded runs without
+re-searching; it lives as long as the engine, and the catalog store
+never holds run records.  A cacheable request that misses while an
+identical one is executing waits for that owner and replays its
+recorded run instead of searching twice (single-flight).
 Independently of that cache, runs on the same base table and built-in
 task share one fit of the base utility ``u(Din)`` (the base-utility
 memo); each run is still charged the query.
@@ -41,7 +41,6 @@ import json
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 import weakref
 from dataclasses import replace
 from functools import partial
@@ -62,7 +61,6 @@ from repro.api.registries import (
     default_searchers,
     default_tasks,
 )
-from repro.api.futures import DiscoveryFuture
 from repro.api.request import CandidateSpec, DiscoveryRequest
 from repro.api.run import DiscoveryRun
 from repro.catalog import Catalog
@@ -121,8 +119,10 @@ class DiscoveryEngine:
         The same bound caps the base-utility memo (one float per
         base table and task).
     max_workers:
-        Size of the bounded worker pool behind :meth:`submit` (created
-        lazily on the first submit; :meth:`shutdown` drains it).
+        Runs the service executes concurrently on this engine (a
+        per-catalog setting, read by
+        :class:`~repro.server.DiscoveryService`; direct ``discover``
+        callers bring their own threads).
     result_cache_bytes:
         Byte budget of the engine-level result cache (measured as the
         JSON run-record size, LRU-evicted).  ``0``/``None`` (default)
@@ -135,8 +135,7 @@ class DiscoveryEngine:
         Telemetry registry wiring: ``None`` (default) gives the engine
         its own private :class:`~repro.obs.MetricsRegistry`; pass a
         registry to share one across engines; ``False`` installs the
-        no-op registry (instrumentation compiled out — the honest
-        baseline ``benchmarks/bench_obs_overhead.py`` measures against).
+        no-op registry (instrumentation compiled out).
         The attached catalog store records into the same registry.
         Serving counters (``runs_started`` & co.) are views over the
         registry either way.
@@ -201,19 +200,16 @@ class DiscoveryEngine:
         #: corpus, catalog or registry change can move the value.
         self._base_utilities = LruDict(capacity=max_prepared_sets)
         self.max_workers = max_workers
-        self._executor = None
         self._results = results
         self.result_cache_bytes = result_cache_bytes
-        #: In-flight reservations of result-cache slots: cache-key prefix
-        #: -> threading.Event set when the owning submitted run resolves
-        #: (completes, fails, or is cancelled while still queued).
+        #: Reservations of result-cache slots by executing runs: cache-key
+        #: prefix -> threading.Event set when the owning run resolves.
         self._reservations = {}
         #: Table-content digests memoized by object *identity* (Tables
         #: are immutable by library convention and unhashable, so this
         #: maps ``id(table)`` with a weakref that both guards against id
         #: reuse and evicts dead entries).  The cache key of a request
-        #: then hashes its base table once per object — not once per
-        #: submit and again per discover.
+        #: then hashes its base table once per object, not once per run.
         #: Registry fingerprints are deliberately NOT memoized:
         #: ProfileRegistry mutates in place (``add``/``remove``), and a
         #: stale digest would replay runs recorded under the old
@@ -279,19 +275,6 @@ class DiscoveryEngine:
         )
         for event in ("hit", "miss"):
             self._m_base_utility.labels(event=event)
-        self._m_queue_depth = registry.gauge(
-            "repro_engine_submit_queue_depth",
-            "Submitted runs accepted but not yet executing.",
-        )
-        self._m_pool_active = registry.gauge(
-            "repro_engine_pool_active_workers",
-            "Worker-pool threads currently executing runs.",
-        )
-        self._m_pool_max = registry.gauge(
-            "repro_engine_pool_max_workers",
-            "Size of the bounded worker pool behind submit().",
-        )
-        self._m_pool_max.set(self.max_workers)
         self._m_prepared_sets = registry.gauge(
             "repro_engine_prepared_sets",
             "Prepared-candidate sets resident in the LRU cache.",
@@ -409,22 +392,15 @@ class DiscoveryEngine:
             self._invalidate_results()
         return self
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Drain the async worker pool (no-op when none was created).
-
-        ``wait=True`` blocks until queued runs finish.  The engine stays
-        usable — a later :meth:`submit` lazily builds a fresh pool.
-        """
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=wait)
+    def shutdown(self) -> None:
+        """A no-op: the engine serves on its callers' threads and holds
+        nothing to release.  Kept so ``with DiscoveryEngine(...)`` and
+        existing ``shutdown()`` calls keep working."""
 
     def __enter__(self) -> "DiscoveryEngine":
         return self
 
     def __exit__(self, *exc_info):
-        self.shutdown(wait=True)
         return False
 
     @property
@@ -624,51 +600,95 @@ class DiscoveryEngine:
         previously completed one is served as an exact replay: the
         recorded run comes back under a fresh ``run_id`` with
         ``cached=True``, and its recorded events are re-streamed to
-        ``progress`` (they carry the original run's id).
+        ``progress`` (they carry the original run's id).  A cacheable
+        request that misses while an identical run is executing waits
+        for that run and replays it; only when the owner fails or is
+        cancelled does it search on its own.
         """
         task = self._resolve_task(request)
         factory = self.searchers.get(request.searcher)  # fail before any work
         self.corpus  # fail fast when none is attached
         cache_key = self._result_cache_key(request)
-        if cancel is not None and cancel.cancelled:
-            # An already-cancelled token must yield a cancelled run, not
-            # a completed replay — skip the cache and serve normally
-            # (the run stops at its first utility query, as ever).
-            cache_key = None
-        if cache_key is not None:
+        reservation = None
+        while cache_key is not None:
+            if cancel is not None and cancel.cancelled:
+                # An already-cancelled token must yield a cancelled run,
+                # not a completed replay — skip the cache and serve
+                # normally (the run stops at its first utility query).
+                cache_key = None
+                break
             with self._lock:
                 # Lookup under the *current* catalog mutation count:
                 # out-of-band catalog changes (engine.catalog.add/...)
                 # shift the count and make older entries unreachable.
                 hit = self._results.get(cache_key + (self._catalog_mutations(),))
+                owner = self._reservations.get(cache_key)
+                if hit is None and owner is None:
+                    reservation = self._reservations[cache_key] = threading.Event()
             if hit is not None:
                 return self._replay(hit, request, progress)
-            self._m_result_cache.labels(event="miss").inc()
+            if reservation is not None:
+                self._m_result_cache.labels(event="miss").inc()
+                break
+            # Only an executing run holds a reservation, so this wait
+            # always ends; the next lookup replays the owner's record.
+            owner.wait()
+        try:
+            return self._run_live(request, task, factory, progress, cancel, cache_key)
+        finally:
+            if reservation is not None:
+                with self._lock:
+                    del self._reservations[cache_key]
+                reservation.set()
+
+    def _run_live(self, request, task, factory, progress, cancel, cache_key):
+        """Execute one traced run and, when ``cache_key`` is set and it
+        completed, admit its record into the result cache."""
         with self._lock:
             run_id = self._next_run_id
             self._next_run_id += 1
         self._m_runs_started.inc()
         context_box = [] if cache_key is not None else None
         try:
-            run = self._serve(
-                request,
-                task,
-                factory,
-                run_id,
-                progress,
-                cancel,
-                # The cache key leads with the base-table and registry
-                # fingerprints; reuse both so a cache-enabled discover
-                # hashes each input once, not twice.
-                base_fingerprint=cache_key[0] if cache_key else None,
-                registry_fp=cache_key[1] if cache_key else None,
-                context_box=context_box,
-            )
+            with self.tracer.trace(
+                "discover",
+                run_id=run_id,
+                searcher=request.searcher,
+                task=request.task_name(),
+                base=request.base.name,
+            ) as trace_root:
+                # Ambient run/searcher fields: every log line emitted below
+                # this frame (query engine, tasks, catalog) carries them.
+                with log_context(run_id=run_id, searcher=request.searcher):
+                    run = self._serve(
+                        request, task, factory, run_id, progress, cancel,
+                        # The cache key leads with the base-table and
+                        # registry fingerprints; reuse both so a
+                        # cache-enabled run hashes each input once.
+                        cache_key[0] if cache_key else None,
+                        cache_key[1] if cache_key else None,
+                        context_box,
+                    )
         except BaseException:
             # Anything that escapes (bad searcher options, a task that
             # raises, a progress callback bug) still balances the books.
             self._m_runs.labels(status="failed").inc()
             raise
+        _log.debug(
+            "run served",
+            run_id=run_id,
+            searcher=request.searcher,
+            status=run.status,
+            utility=run.utility,
+            queries=run.queries,
+            prepare_seconds=round(run.prepare_seconds, 6),
+            search_seconds=round(run.search_seconds, 6),
+        )
+        if trace_root is not None:
+            trace = trace_root.to_record()
+            run = replace(run, trace=trace)
+            with self._lock:
+                self.recent_traces.append(trace)
         if cache_key is not None and run.completed and context_box:
             # Size by the JSON run record — the serializable footprint
             # the LRU budget is defined over (computed outside the lock).
@@ -722,133 +742,26 @@ class DiscoveryEngine:
             cache_info={**hit.cache_info, "result_cache_hit": True},
         )
 
-    def submit(
-        self,
-        request: DiscoveryRequest,
-        progress=None,
-        cancel: CancellationToken = None,
-    ) -> DiscoveryFuture:
-        """Non-blocking :meth:`discover`: returns immediately.
+    def _fingerprint_table(self, table) -> str:
+        """Content fingerprint of ``table``, memoized by identity.
 
-        The request is queued on the engine's bounded worker pool (at
-        most ``max_workers`` runs execute at once; further submissions
-        wait their turn) and served with exactly the synchronous
-        semantics — same preparation sharing, result cache, events, and
-        records.  The returned :class:`DiscoveryFuture` owns the run's
-        cancellation token (``cancel`` to supply your own), so queued
-        runs can be dropped and executing runs stopped cooperatively.
-
-        A cacheable request *reserves* its result-cache slot while in
-        flight: an identical request submitted meanwhile waits for the
-        owner to resolve and then replays the recorded run instead of
-        executing the same search twice.  The reservation is released
-        when the owning future resolves — including a future cancelled
-        while still queued (its run never executes, so the release rides
-        the future's done callback; anything else would leak the slot
-        until shutdown and leave followers waiting forever).
-        """
-        token = cancel if cancel is not None else CancellationToken()
-        # Computed on the submitting thread because the reservation must
-        # exist before this call returns; the fingerprints it needs are
-        # memoized by object identity, so the worker's own key
-        # computation inside discover() reuses them instead of hashing
-        # the base table a second time.
-        reservation_key = self._result_cache_key(request)
-        owner_event = None
-        wait_for = None
-
-        def _tracked(fn, *args):
-            # Runs on the worker thread: the handoff from "queued" to
-            # "executing" is what the two gauges chart.
-            self._m_queue_depth.dec()
-            self._m_pool_active.inc()
-            try:
-                return fn(*args)
-            finally:
-                self._m_pool_active.dec()
-
-        def _follow():
-            # By the time the owner resolves its record is admitted (or
-            # it failed/cancelled, in which case this executes a normal
-            # run) — either way a plain discover is correct.
-            wait_for.wait()
-            return self.discover(request, progress, token)
-
-        # Reservation registration and enqueueing happen under ONE lock
-        # acquisition: a follower can only observe a reservation whose
-        # owner is already ahead of it in the pool's FIFO queue, so a
-        # follower can never occupy the last worker while its owner
-        # waits behind it.  Holding the lock across submit also means a
-        # racing shutdown() either drains this run or never sees it.
-        with self._lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-engine",
-                )
-            if reservation_key is not None:
-                existing = self._reservations.get(reservation_key)
-                if existing is None:
-                    owner_event = threading.Event()
-                    self._reservations[reservation_key] = owner_event
-                else:
-                    wait_for = existing
-            self._m_queue_depth.inc()
-            if wait_for is not None:
-                future = self._executor.submit(_tracked, _follow)
-            else:
-                future = self._executor.submit(
-                    _tracked, self.discover, request, progress, token
-                )
-
-        def _queue_drop(f):
-            # Cancelled-while-queued is the one resolution path where the
-            # tracked body never runs, so the queue gauge must be
-            # balanced here or it leaks one slot per dropped run.
-            if f.cancelled():
-                self._m_queue_depth.dec()
-
-        future.add_done_callback(_queue_drop)
-        if owner_event is not None:
-            def _release(_inner, key=reservation_key, event=owner_event):
-                with self._lock:
-                    if self._reservations.get(key) is event:
-                        del self._reservations[key]
-                event.set()
-
-            # A done callback fires on completion, failure, *and*
-            # cancellation-while-queued — the one path where the run
-            # body never executes and an in-run release would leak.
-            future.add_done_callback(_release)
-        return DiscoveryFuture(future, token, request)
-
-    def _memo_fingerprint(self, obj, memo: dict, compute) -> str:
-        """Identity-memoized content digest of an immutable object.
-
-        Entries are ``id(obj) -> (weakref, digest)``: the weakref check
-        guards against id reuse after the original object dies, and its
+        Entries are ``id(table) -> (weakref, digest)``: the weakref check
+        guards against id reuse after the original table dies, and its
         callback evicts the entry so the memo never outgrows the set of
-        live objects."""
-        key = id(obj)
+        live tables."""
+        memo, key = self._table_fp_memo, id(table)
         with self._lock:
             entry = memo.get(key)
-            if entry is not None and entry[0]() is obj:
+            if entry is not None and entry[0]() is table:
                 return entry[1]
-        fingerprint = compute(obj)
+        fingerprint = table_fingerprint(table)
         try:
-            ref = weakref.ref(obj, lambda _r, key=key: memo.pop(key, None))
+            ref = weakref.ref(table, lambda _r, key=key: memo.pop(key, None))
         except TypeError:  # pragma: no cover - unweakrefable stub
             return fingerprint
         with self._lock:
             memo[key] = (ref, fingerprint)
         return fingerprint
-
-    def _fingerprint_table(self, table) -> str:
-        """Content fingerprint of ``table``, memoized by identity
-        (Tables are immutable by library convention)."""
-        return self._memo_fingerprint(
-            table, self._table_fp_memo, table_fingerprint
-        )
 
     def _catalog_mutations(self) -> int:
         """The attached catalog's structural mutation count (``-1``
@@ -898,41 +811,6 @@ class DiscoveryEngine:
                 self._results.clear()
 
     def _serve(
-        self, request, task, factory, run_id, progress, cancel,
-        base_fingerprint=None, registry_fp=None, context_box=None,
-    ):
-        with self.tracer.trace(
-            "discover",
-            run_id=run_id,
-            searcher=request.searcher,
-            task=request.task_name(),
-            base=request.base.name,
-        ) as trace_root:
-            # Ambient run/searcher fields: every log line emitted below
-            # this frame (query engine, tasks, catalog) carries them.
-            with log_context(run_id=run_id, searcher=request.searcher):
-                run = self._serve_inner(
-                    request, task, factory, run_id, progress, cancel,
-                    base_fingerprint, registry_fp, context_box,
-                )
-        _log.debug(
-            "run served",
-            run_id=run_id,
-            searcher=request.searcher,
-            status=run.status,
-            utility=run.utility,
-            queries=run.queries,
-            prepare_seconds=round(run.prepare_seconds, 6),
-            search_seconds=round(run.search_seconds, 6),
-        )
-        if trace_root is not None:
-            trace = trace_root.to_record()
-            run = replace(run, trace=trace)
-            with self._lock:
-                self.recent_traces.append(trace)
-        return run
-
-    def _serve_inner(
         self, request, task, factory, run_id, progress, cancel,
         base_fingerprint, registry_fp, context_box,
     ):
@@ -1014,6 +892,10 @@ class DiscoveryEngine:
         try:
             with span("search", n_candidates=len(candidates)):
                 result = searcher.run()
+            # Label the result with the name it was requested under: an
+            # ablation such as ``eq`` runs METAM's class, which calls
+            # itself ``metam``.
+            result = replace(result, searcher=request.searcher)
         except RunCancelled:
             status = "cancelled"
         finally:
@@ -1241,7 +1123,7 @@ class DiscoveryEngine:
         return corpus_characteristics(corpus, index)
 
     def _refresh_gauges(self) -> None:
-        """Bring the derived gauges (cache occupancy, pool shape) up to
+        """Bring the derived gauges (cache occupancy, reservations) up to
         date with the engine's live state — counters and histograms are
         written at the event sites and never need this."""
         with self._lock:
@@ -1253,11 +1135,14 @@ class DiscoveryEngine:
                 self._results.total_bytes if self._results is not None else 0
             )
             self._m_cache_reserved.set(len(self._reservations))
-        self._m_pool_max.set(self.max_workers)
 
     def stats(self) -> dict:
         """Engine-level serving statistics (registry-backed)."""
         self._refresh_gauges()
+
+        def rate(hits, misses):
+            return hits / (hits + misses) if hits + misses else 0.0
+
         result_hits = self.result_cache_hits
         result_misses = int(self._m_result_cache.labels(event="miss").value)
         prepare_hits = int(self._m_prepare_cache.labels(event="hit").value)
@@ -1273,28 +1158,14 @@ class DiscoveryEngine:
                 "queries_served": self.queries_served,
                 "prepared_candidate_sets": len(self._prepared),
                 "active_prepares": len(self._prepare_keys),
-                "async_pool_active": self._executor is not None,
-                "queue_depth": int(self._m_queue_depth.value),
-                "pool_active": int(self._m_pool_active.value),
-                "pool_utilization": (
-                    self._m_pool_active.value / self.max_workers
-                ),
                 "prepare_cache_hits": prepare_hits,
                 "prepare_cache_misses": prepare_misses,
-                "prepare_cache_hit_rate": (
-                    prepare_hits / (prepare_hits + prepare_misses)
-                    if prepare_hits + prepare_misses
-                    else 0.0
-                ),
+                "prepare_cache_hit_rate": rate(prepare_hits, prepare_misses),
                 "base_utility_hits": base_hits,
                 "base_utility_misses": base_misses,
                 "result_cache_hits": result_hits,
                 "result_cache_misses": result_misses,
-                "result_cache_hit_rate": (
-                    result_hits / (result_hits + result_misses)
-                    if result_hits + result_misses
-                    else 0.0
-                ),
+                "result_cache_hit_rate": rate(result_hits, result_misses),
                 "result_cache_entries": (
                     len(self._results) if self._results is not None else 0
                 ),

@@ -8,7 +8,7 @@ Commands
     Run METAM (and optionally baselines) on a scenario and print the
     utility-vs-queries chart; ``--save`` archives results as JSON.  The
     command is a client of an in-process :mod:`repro.server` service
-    (one engine worker): each searcher is a wire payload submitted
+    (one service worker): each searcher is a wire payload submitted
     through the same admission path an HTTP client uses, so unknown
     names and failed runs come back as the same typed errors.  Ctrl-C
     cancels every run and exits with status 130.
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=4,
-        help="engine worker pool size (= concurrent runs per catalog)",
+        help="concurrent runs per catalog",
     )
     serve.add_argument(
         "--max-queue-depth",
@@ -407,7 +407,7 @@ def _cmd_list(_args) -> int:
 #: Result-cache budget of CLI-built engines.
 _RESULT_CACHE_BYTES = 8 << 20
 
-#: Engine workers behind ``run`` and ``stats``: a comparison's runs share
+#: Service workers behind ``run`` and ``stats``: a comparison's runs share
 #: one prepared candidate set and the GIL, so one worker is the fastest
 #: (four were 1.7x slower on 2 vCPUs) and runs them in submission order.
 _CLI_WORKERS = 1

@@ -16,11 +16,12 @@ the engine deliberately does not have:
   ``retry_after`` — the HTTP layer turns it into 429 + ``Retry-After``.
   Quota refusals never consume queue capacity, so a noisy tenant cannot
   starve the queue for the others.
-* **Fair scheduling with priorities.**  The engine's pool is FIFO; the
-  service keeps its own per-tenant queues and dispatches round-robin
-  across tenants (highest ``priority`` first within a tenant, FIFO
-  within a priority) into a slot budget equal to the engine's
-  ``max_workers``.  Two tenants at full blast each get half the pool.
+* **Fair scheduling with priorities.**  The engine is synchronous; the
+  service keeps per-tenant queues and dispatches round-robin across
+  tenants (highest ``priority`` first within a tenant, FIFO within a
+  priority) onto the catalog's own worker pool, whose size is the
+  engine's ``max_workers``.  Each worker runs ``engine.discover``.  Two
+  tenants at full blast each get half the pool.
 * **Run lifecycle and event fan-in.**  Each accepted submission becomes
   a service-scoped run handle (``run-000001``-style ids) whose state
   moves ``queued → running → completed|cancelled|failed``.  The
@@ -32,7 +33,7 @@ the engine deliberately does not have:
   with a terminal event.
 * **Graceful drain.**  :meth:`shutdown` stops admitting (new
   submissions get ``Overloaded``), cancels still-queued runs, waits for
-  executing runs to finish, and shuts the engines down.
+  executing runs to finish, and shuts the worker pools down.
 
 All service metrics are stamped with a ``tenant`` label on the shared
 registry; tenant names pass through a validity gate at session creation
@@ -42,15 +43,17 @@ count under tenant churn (overflow collapses into ``_other_``).
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Optional
 
 from repro.api.errors import Internal, InvalidRequest, NotFound, Overloaded
-from repro.api.events import RunCancelled, RunCompleted
+from repro.api.events import CancellationToken, RunCompleted
 from repro.api.wire import request_from_wire, run_to_wire
 from repro.obs.logcfg import get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -64,6 +67,14 @@ _log = get_logger("server")
 _TENANT_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_."
 )
+
+
+def _report_crash(future) -> None:
+    """Log a pool worker that raised: ``_execute`` records every run's
+    own failure, so an exception here is a service bug that the
+    discarded future would otherwise hide."""
+    if future.exception() is not None:
+        _log.error("service worker crashed", error=repr(future.exception()))
 
 
 @dataclass(frozen=True)
@@ -133,8 +144,7 @@ class _ServiceRun:
     priority: int
     request: object
     state: str = "queued"  # queued | running | completed | cancelled | failed
-    future: object = None
-    cancel_requested: bool = False
+    token: CancellationToken = field(default_factory=CancellationToken)
     record: Optional[dict] = None
     error: Optional[BaseException] = None
     submitted_at: float = field(default_factory=time.monotonic)
@@ -185,8 +195,8 @@ class _ServiceRun:
 
 
 class _CatalogEntry:
-    """One served catalog: its (lazily built) engine plus the fair
-    scheduler state for runs against it."""
+    """One served catalog: its (lazily built) engine, the worker pool
+    that runs ``engine.discover``, and the fair scheduler state."""
 
     def __init__(
         self, name: str, factory: Callable[[], object], bases: dict = None
@@ -197,11 +207,12 @@ class _CatalogEntry:
         # of the served corpus; candidates never join against them).
         self.bases = dict(bases or {})
         self.engine = None
+        self.pool = None  # ThreadPoolExecutor, built with the engine
         # tenant -> deque of queued _ServiceRun (not yet dispatched).
         self.queues: Dict[str, deque] = {}
         # Round-robin pointer: tenants already served this cycle.
         self.rr: deque = deque()
-        self.slots = 0  # free engine workers (set when engine is built)
+        self.slots = 0  # free pool workers (set when engine is built)
         self.active = 0  # dispatched, not yet resolved
 
     def queued_count(self) -> int:
@@ -218,10 +229,13 @@ class DiscoveryService:
         factory is called at most once (on the first session naming the
         catalog) and must return a ready
         :class:`~repro.api.engine.DiscoveryEngine` with a corpus
-        attached.  Factories receive the service's shared
-        ``MetricsRegistry`` via the ``metrics`` keyword when they accept
-        one, so ``/metrics`` exposes engine and service families
-        together.
+        attached; its ``max_workers`` is how many runs the service
+        executes on it at once.  Factories receive the service's shared
+        ``MetricsRegistry`` via the ``metrics`` keyword when their
+        signature accepts one (a ``metrics`` parameter or
+        ``**kwargs``), so ``/metrics`` exposes engine and service
+        families together.  Any exception a factory raises reaches the
+        caller as :class:`~repro.api.errors.Internal`.
     bases:
         Optional ``catalog name -> {table name -> Table}`` of extra
         tables requests may name as their base without the table being
@@ -387,11 +401,14 @@ class DiscoveryService:
             return engine
         # Factory call outside the service lock (it may open stores,
         # generate corpora, ...); first-build races are settled under
-        # the lock below and the loser's engine is shut down.
+        # the lock below and the loser's engine is dropped.
         try:
-            built = entry.factory(metrics=self.metrics)
-        except TypeError:
-            built = entry.factory()
+            inspect.signature(entry.factory).bind_partial(metrics=self.metrics)
+            kwargs = {"metrics": self.metrics}
+        except (TypeError, ValueError):  # no such parameter / no signature
+            kwargs = {}
+        try:
+            built = entry.factory(**kwargs)
         except Exception as error:
             raise Internal(
                 f"catalog {catalog!r} failed to open: {error}"
@@ -400,10 +417,11 @@ class DiscoveryService:
             if entry.engine is None:
                 entry.engine = built
                 entry.slots = built.max_workers
-                return built
-            winner = entry.engine
-        built.shutdown(wait=False)
-        return winner
+                entry.pool = ThreadPoolExecutor(
+                    max_workers=built.max_workers,
+                    thread_name_prefix="repro-service",
+                )
+            return entry.engine
 
     # ------------------------------------------------------------------
     # Run lifecycle
@@ -432,14 +450,7 @@ class DiscoveryService:
         engine = self._engine_for(catalog)
         entry = self._entries[catalog]
         with self._lock:
-            if self._draining:
-                self._m_requests.labels(
-                    tenant=tenant, outcome="rejected_draining"
-                ).inc()
-                raise Overloaded(
-                    "service is draining; run not admitted",
-                    retry_after=self.config.overload_retry_after,
-                )
+            self._refuse_if_draining_locked(tenant)
         # Quota gate first: a rate-limited tenant must be refused before
         # it can occupy queue capacity (never queue starvation).
         admitted, retry_after = self._quotas.try_acquire(tenant)
@@ -479,6 +490,9 @@ class DiscoveryService:
             self._m_requests.labels(tenant=tenant, outcome="invalid").inc()
             raise
         with self._lock:
+            # Again: a shutdown() that raced the parse may have closed
+            # the pools already.
+            self._refuse_if_draining_locked(tenant)
             if entry.queued_count() >= self.config.max_queue_depth:
                 self._m_requests.labels(
                     tenant=tenant, outcome="rejected_queue"
@@ -515,6 +529,14 @@ class DiscoveryService:
         with self._lock:
             return run.describe()
 
+    def _refuse_if_draining_locked(self, tenant: str) -> None:
+        if self._draining:
+            self._m_requests.labels(tenant=tenant, outcome="rejected_draining").inc()
+            raise Overloaded(
+                "service is draining; run not admitted",
+                retry_after=self.config.overload_retry_after,
+            )
+
     def status(self, run_id: str) -> dict:
         """Current description of one run (terminal states carry the
         full wire run record)."""
@@ -530,6 +552,8 @@ class DiscoveryService:
         Still-queued runs never reach an engine (their event stream gets
         a synthesized terminal cancelled event); executing runs stop at
         their next utility query and resolve through the normal path.
+        A run dispatched but not yet inside ``discover`` starts with its
+        token already cancelled and stops at its first query.
         """
         with self._lock:
             run = self._runs.get(run_id)
@@ -547,32 +571,22 @@ class DiscoveryService:
                     float(entry.queued_count())
                 )
                 return run.describe()
-            run.cancel_requested = True
-            future = run.future
-        # Executing (or racing dispatch): fire the token outside the
-        # lock; resolution flows through the future's done callback.  A
-        # cancel that lands in the dispatch window (state "running",
-        # future not yet attached) is caught by the flag — _pump checks
-        # it right after attaching the future.
-        if future is not None:
-            future.cancel()
-        _log.info("run cancel requested", run_id=run_id)
-        with self._lock:
+            run.token.cancel()
+            _log.info("run cancel requested", run_id=run_id)
             return run.describe()
 
     # ------------------------------------------------------------------
     # Fair dispatch
     # ------------------------------------------------------------------
     def _pump(self, entry: _CatalogEntry) -> None:
-        """Dispatch queued runs into free engine slots, fairly.
+        """Dispatch queued runs onto free pool workers, fairly.
 
         Tenants are served round-robin (the ``rr`` deque rotates); within
         a tenant the highest priority wins, FIFO inside a priority
-        level.  Runs are picked under the lock but handed to
-        ``engine.submit`` outside it.
+        level.
         """
-        while True:
-            with self._lock:
+        with self._lock:
+            while True:
                 run = self._pick_locked(entry)
                 if run is None:
                     return
@@ -589,16 +603,9 @@ class DiscoveryService:
                 self._m_queue_wait.labels(tenant=run.tenant).observe(
                     run.started_at - run.submitted_at
                 )
-                engine = entry.engine
-            future = engine.submit(run.request, progress=run.push_event)
-            with self._lock:
-                run.future = future
-                cancel_raced = run.cancel_requested
-            if cancel_raced:
-                future.cancel()
-            future.add_done_callback(
-                lambda f, run=run, entry=entry: self._resolve(entry, run, f)
-            )
+                entry.pool.submit(self._execute, entry, run).add_done_callback(
+                    _report_crash
+                )
 
     def _pick_locked(self, entry: _CatalogEntry):
         """Next run to dispatch, or ``None`` (lock held by caller)."""
@@ -615,19 +622,16 @@ class DiscoveryService:
             return best
         return None
 
-    def _resolve(self, entry: _CatalogEntry, run: _ServiceRun, future) -> None:
-        """Done-callback of one dispatched run (worker thread)."""
+    def _execute(self, entry: _CatalogEntry, run: _ServiceRun) -> None:
+        """Serve one dispatched run on a pool worker, then resolve it."""
         record = None
         error: Optional[BaseException] = None
-        status = "completed"
         try:
-            result = future.result(timeout=0)
+            result = entry.engine.discover(
+                run.request, progress=run.push_event, cancel=run.token
+            )
             status = "cancelled" if result.cancelled else "completed"
             record = run_to_wire(result)
-        except RunCancelled:
-            # Cancelled while queued inside the engine pool: no engine
-            # run ever existed, so the terminal event is synthesized.
-            status = "cancelled"
         except Exception as exc:  # noqa: BLE001 - recorded, not swallowed
             status = "failed"
             error = exc
@@ -743,7 +747,7 @@ class DiscoveryService:
     # ------------------------------------------------------------------
     def shutdown(self, timeout: float = None) -> bool:
         """Graceful drain: refuse new work, cancel queued runs, wait for
-        executing runs, shut engines down.
+        executing runs, shut the worker pools down.
 
         Returns ``True`` when every run reached a terminal state within
         ``timeout`` (default :attr:`ServiceConfig.drain_timeout`).
@@ -767,10 +771,8 @@ class DiscoveryService:
                 if remaining <= 0 or not self._idle.wait(timeout=remaining):
                     clean = False
                     break
-            engines = [
-                e.engine for e in self._entries.values() if e.engine is not None
-            ]
-        for engine in engines:
-            engine.shutdown(wait=clean)
+            pools = [e.pool for e in self._entries.values() if e.pool is not None]
+        for pool in pools:
+            pool.shutdown(wait=clean)
         _log.info("service drained", clean=clean)
         return clean

@@ -8,6 +8,7 @@ from a fresh engine's run except that the task is asked once fewer.
 
 import copy
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -171,7 +172,7 @@ def test_a_run_cancelled_before_its_first_query_stores_nothing(scenario, fits):
     assert len(engine._base_utilities) == 0
 
 
-def test_concurrent_submits_share_one_entry(scenario):
+def test_concurrent_discovers_share_one_entry(scenario):
     seeds = range(1, 9)
     sequential = DiscoveryEngine(corpus=scenario.corpus)
     sequential.prepare(scenario.base, seed=0)
@@ -180,19 +181,21 @@ def test_concurrent_submits_share_one_entry(scenario):
         for seed in seeds
     ]
 
-    engine = DiscoveryEngine(corpus=scenario.corpus, max_workers=4)
+    engine = DiscoveryEngine(corpus=scenario.corpus)
     engine.prepare(scenario.base, seed=0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # hand the GIL over mid-lookup
     try:
-        with engine:
-            futures = [
-                engine.submit(request_for(scenario, seed=seed)) for seed in seeds
-            ]
-            runs = [future.result(timeout=120) for future in futures]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = list(
+                pool.map(
+                    lambda seed: engine.discover(request_for(scenario, seed=seed)),
+                    seeds,
+                )
+            )
     finally:
         sys.setswitchinterval(interval)
-    # Run ids follow pool scheduling; everything else matches run by run.
+    # Run ids follow thread scheduling; everything else matches run by run.
     assert [comparable(run) for run in runs] == expected
     hits, misses = memo_counts(engine)
     assert hits + misses == 8

@@ -121,9 +121,10 @@ class TestPrepare:
         _, from_cache, _ = engine._prepare_cached(scenario.base, None, None, 1)
         assert not from_cache  # seed 1 was the LRU victim
 
-    def test_max_prepared_sets_validated(self, scenario):
-        with pytest.raises(ValueError, match="max_prepared_sets"):
-            DiscoveryEngine(corpus=scenario.corpus, max_prepared_sets=0)
+    @pytest.mark.parametrize("name", ["max_prepared_sets", "max_workers"])
+    def test_bounds_must_be_positive(self, scenario, name):
+        with pytest.raises(ValueError, match=name):
+            DiscoveryEngine(corpus=scenario.corpus, **{name: 0})
 
     @pytest.mark.parametrize(
         "bound", [float("nan"), float("inf"), 2.5, True, -1], ids=repr
@@ -133,7 +134,7 @@ class TestPrepare:
     )
     def test_cache_bounds_must_be_ints(self, scenario, name, bound):
         """``max_workers`` too: a NaN pool size never spawns a thread, so
-        every ``submit()`` used to hang."""
+        every run the service dispatched used to hang."""
         with pytest.raises(ValueError, match=name):
             DiscoveryEngine(corpus=scenario.corpus, **{name: bound})
 
@@ -177,12 +178,35 @@ class TestPrepare:
             DiscoveryEngine(corpus=scenario.corpus, **{name: None})
         assert not hasattr(DiscoveryEngine, "attach_refresher")
 
-    @pytest.mark.parametrize("method", ["discover", "submit"])
-    def test_staleness_budget_is_not_a_request_argument(
-        self, engine, scenario, method
-    ):
+    def test_staleness_budget_is_not_a_request_argument(self, engine, scenario):
         with pytest.raises(TypeError, match="staleness_budget"):
-            getattr(engine, method)(request_for(scenario), staleness_budget=5.0)
+            engine.discover(request_for(scenario), staleness_budget=5.0)
+
+    def test_the_engine_has_no_scheduler(self, scenario):
+        """``discover`` is the only way to serve a request: ``submit``,
+        its pool and ``DiscoveryFuture`` are gone, and ``shutdown`` and
+        the context manager are no-ops that leave the engine usable."""
+        import importlib
+
+        import repro.api
+
+        assert not hasattr(DiscoveryEngine, "submit")
+        assert not hasattr(repro.api, "DiscoveryFuture")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.api.futures")
+        with pytest.raises(TypeError, match="wait"):
+            DiscoveryEngine().shutdown(wait=True)
+        with DiscoveryEngine(corpus=scenario.corpus, max_workers=1) as engine:
+            assert engine.discover(request_for(scenario)).completed
+        engine.shutdown()
+        assert engine.discover(request_for(scenario)).completed
+        families = engine.metrics_snapshot()
+        for family in (
+            "repro_engine_submit_queue_depth",
+            "repro_engine_pool_active_workers",
+            "repro_engine_pool_max_workers",
+        ):
+            assert family not in families
 
     def test_metrics_carry_no_refresher_families(self, scenario):
         snapshot = DiscoveryEngine(corpus=scenario.corpus).metrics_snapshot()
@@ -200,10 +224,6 @@ class TestPrepare:
             "queries_served",
             "prepared_candidate_sets",
             "active_prepares",
-            "async_pool_active",
-            "queue_depth",
-            "pool_active",
-            "pool_utilization",
             "prepare_cache_hits",
             "prepare_cache_misses",
             "prepare_cache_hit_rate",
@@ -246,7 +266,7 @@ class TestDiscover:
             )
         )
         assert run.completed
-        assert run.result.searcher in {searcher, "metam"}
+        assert run.result.searcher == searcher
         assert run.result.queries <= 20
 
     def test_unknown_searcher_fails_before_work(self, engine, scenario):

@@ -106,7 +106,7 @@ class TestStats:
             corpus=scenario.corpus, result_cache_bytes=8 << 20
         )
         request = cacheable_request(engine, scenario)
-        engine.submit(request).result()
+        engine.discover(request)
         engine.discover(request)  # replay
         stats = engine.stats()
         # Legacy keys survive the rewrite...
@@ -115,13 +115,10 @@ class TestStats:
         assert stats["result_cache_hits"] == 1
         assert stats["prepared_candidate_sets"] == 1
         # ...and the telemetry-backed ones arrive.
-        assert stats["queue_depth"] == 0
-        assert stats["pool_active"] == 0
-        assert stats["pool_utilization"] == 0.0
+        assert stats["result_cache_reserved"] == 0
         assert stats["prepare_cache_misses"] == 1
         assert stats["result_cache_misses"] == 1
         assert stats["result_cache_hit_rate"] == 0.5
-        engine.shutdown()
 
     def test_counter_properties_back_onto_registry(self, scenario):
         engine = DiscoveryEngine(corpus=scenario.corpus)
@@ -152,13 +149,11 @@ class TestMetricsExports:
             corpus=scenario.corpus, result_cache_bytes=8 << 20
         )
         request = cacheable_request(engine, scenario)
-        engine.submit(request).result()
         engine.discover(request)
-        engine.shutdown()
+        engine.discover(request)
         text = engine.metrics_prometheus()
         for family in (
-            "repro_engine_submit_queue_depth",
-            "repro_engine_pool_active_workers",
+            "repro_engine_result_cache_reserved",
             "repro_engine_result_cache_events_total",
             "repro_engine_prepare_cache_events_total",
             "repro_engine_run_seconds",

@@ -206,6 +206,23 @@ class TestServicePath:
 
         assert results(3) == results(1)
 
+    def test_ablations_are_labelled_by_their_registry_name(self, capsys, tmp_path):
+        """METAM's ablations used to print and save as ``metam``."""
+        save = tmp_path / "out.json"
+        args = ["run", "clustering", "--budget", "10", "--theta", "0.6",
+                "--baselines", "eq,nc", "--no-chart", "--save", str(save)]
+        assert main(args) == 0
+        summaries = [
+            line.split(":")[0]
+            for line in capsys.readouterr().out.splitlines()
+            if ": utility " in line
+        ]
+        assert summaries == ["metam", "eq", "nc"]
+        saved = json.loads(save.read_text())
+        assert {name: r["searcher"] for name, r in saved.items()} == {
+            "metam": "metam", "eq": "eq", "nc": "nc"
+        }
+
     @pytest.mark.parametrize("flag", ["--async", "--no-result-cache"])
     def test_removed_run_flags_are_usage_errors(self, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:

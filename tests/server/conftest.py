@@ -13,7 +13,7 @@ stub searcher whose behavior is scripted per-request through
 ``hold``
     Name of a gate the searcher parks on before its first query;
     ``harness.release(name)`` lets it proceed.  While parked the run
-    occupies an engine worker, which is how tests fill the pool
+    occupies a service worker, which is how tests fill the pool
     deterministically.
 ``explode``
     Raise ``RuntimeError`` instead of returning a result.
@@ -89,6 +89,7 @@ class ServerHarness:
         self,
         *,
         max_workers=1,
+        result_cache_bytes=0,
         config=None,
         metrics=None,
         clock=None,
@@ -101,6 +102,7 @@ class ServerHarness:
         self._gates = {}
         self._gates_lock = threading.Lock()
         self.max_workers = max_workers
+        self.result_cache_bytes = result_cache_bytes
         kwargs = {}
         if metrics is not None:
             kwargs["metrics"] = metrics
@@ -119,7 +121,7 @@ class ServerHarness:
             corpus=self.corpus,
             metrics=metrics,
             max_workers=self.max_workers,
-            result_cache_bytes=0,
+            result_cache_bytes=self.result_cache_bytes,
         )
         engine.tasks.register("stub-task", lambda **_options: StubTask())
         engine.searchers.register(
@@ -162,6 +164,9 @@ class ServerHarness:
 
     def session(self, tenant="acme", catalog=None) -> str:
         return self.service.create_session(tenant, catalog)["session_id"]
+
+    def engine(self, catalog="default"):
+        return self.service._engine_for(catalog)
 
     def wait_terminal(self, run_id, timeout=60) -> dict:
         """Block until the run is terminal (via its event stream), then

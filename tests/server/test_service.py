@@ -5,8 +5,12 @@ import threading
 
 import pytest
 
-from repro.api.errors import InvalidRequest, NotFound, Overloaded
-from repro.server import ServiceConfig, TokenBucket
+from repro.api import DiscoveryEngine, DiscoveryRequest
+from repro.api.errors import Internal, InvalidRequest, NotFound, Overloaded
+from repro.api.wire import run_to_wire
+from repro.core.config import MetamConfig
+from repro.data import clustering_scenario, generate_corpus
+from repro.server import DiscoveryService, ServiceConfig, TokenBucket
 
 
 class TestSessions:
@@ -224,6 +228,9 @@ class TestLifecycle:
         assert [e.kind for e in events] == ["run-completed"]
         assert events[0].status == "cancelled"
         harness.release("g")
+        harness.service.shutdown(timeout=10)
+        # The cancelled run never reached the engine.
+        assert harness.engine().stats()["runs_started"] == 1
 
     def test_cancel_running_run(self, harness):
         sid = harness.session()
@@ -297,6 +304,158 @@ class TestLifecycle:
         harness.release("g")
 
 
+class TestSingleFlight:
+    """Identical cacheable runs through the service search once, however
+    many workers the catalog has: with one, the follower queues behind
+    its owner and then hits the cache; with two, it waits inside
+    ``discover`` on the owner's reservation."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_identical_runs_search_once(self, make_harness, workers):
+        h = make_harness(max_workers=workers, result_cache_bytes=1 << 20)
+        sid = h.session()
+        payload = h.payload(tag="search", hold="g")
+        owner = h.service.submit(sid, payload)
+        h.wait_started("g")
+        follower = h.service.submit(sid, payload)
+        h.release("g")
+        first = h.wait_terminal(owner["run_id"])
+        second = h.wait_terminal(follower["run_id"])
+        assert h.run_log == ["search"]
+        assert not first["record"]["cached"]
+        assert second["record"]["cached"]
+        assert second["record"]["result"] == first["record"]["result"]
+        assert h.engine().stats()["result_cache_reserved"] == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_racing_identical_runs_never_deadlock(self, make_harness, workers):
+        h = make_harness(max_workers=workers, result_cache_bytes=1 << 20)
+        sid = h.session()
+        ids = [
+            h.service.submit(sid, h.payload(tag="search"))["run_id"]
+            for _ in range(4)
+        ]
+        states = [h.wait_terminal(run_id)["state"] for run_id in ids]
+        assert states == ["completed"] * 4
+        assert h.run_log == ["search"]
+        assert h.engine().stats()["result_cache_reserved"] == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_follower_of_cancelled_owner_runs_its_own_search(
+        self, make_harness, workers
+    ):
+        h = make_harness(max_workers=workers, result_cache_bytes=1 << 20)
+        sid = h.session()
+        payload = h.payload(tag="search", hold="g", queries=3)
+        owner = h.service.submit(sid, payload)
+        h.wait_started("g")
+        follower = h.service.submit(sid, payload)
+        h.service.cancel(owner["run_id"])
+        h.release("g")
+        assert h.wait_terminal(owner["run_id"])["state"] == "cancelled"
+        status = h.wait_terminal(follower["run_id"])
+        assert status["state"] == "completed"
+        assert not status["record"]["cached"]
+        assert h.run_log == ["search", "search"]
+        assert h.engine().stats()["result_cache_reserved"] == 0
+
+
+class TestCatalogFactory:
+    def test_factory_error_is_internal_and_called_once(self):
+        """A factory that takes ``metrics`` and raises ``TypeError``
+        inside used to be called a second time without arguments, and
+        that call's ``TypeError`` escaped untyped."""
+        calls = []
+
+        def factory(metrics=None):
+            calls.append(metrics)
+            raise TypeError("bad corpus")
+
+        service = DiscoveryService({"c": factory})
+        with pytest.raises(Internal, match="catalog 'c' failed to open: bad corpus"):
+            service.create_session("acme")
+        assert calls == [service.metrics]
+
+    @pytest.mark.parametrize("kind", ["none", "kwargs"])
+    def test_metrics_passed_only_when_accepted(self, kind):
+        seen = []
+
+        def plain():
+            seen.append(None)
+            return DiscoveryEngine(corpus=generate_corpus(2, seed=0))
+
+        def open_ended(**kwargs):
+            seen.append(kwargs["metrics"])
+            return DiscoveryEngine(corpus=generate_corpus(2, seed=0), **kwargs)
+
+        factory = plain if kind == "none" else open_ended
+        service = DiscoveryService({"c": factory})
+        service.create_session("acme")
+        service.shutdown(timeout=5)
+        assert seen == [None if kind == "none" else service.metrics]
+
+
+class TestRealEngine:
+    """The service over a real METAM engine serves exactly what a direct
+    ``discover`` does."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        return clustering_scenario(seed=0)
+
+    @staticmethod
+    def serve(scenario, payloads, workers):
+        from repro.cli import _scenario_service
+
+        service = _scenario_service("clustering", scenario, workers=workers)
+        try:
+            sid = service.create_session("acme")["session_id"]
+            ids = [service.submit(sid, p)["run_id"] for p in payloads]
+            for run_id in ids:
+                for _ in service.events(run_id, timeout=120):
+                    pass
+            records = [service.status(run_id)["record"] for run_id in ids]
+            return records, service._engine_for("clustering").stats()
+        finally:
+            service.shutdown()
+
+    @staticmethod
+    def payload(scenario, seed):
+        return {
+            "base": scenario.base.name,
+            "task": "scenario-task",
+            "searcher": "metam",
+            "seed": seed,
+            "prepare_seed": 0,
+            "config": {"theta": 0.6, "query_budget": 25, "epsilon": 0.1, "seed": seed},
+        }
+
+    def test_served_runs_match_discover_and_share_prepare(self, scenario):
+        seeds = range(4)
+        records, stats = self.serve(
+            scenario, [self.payload(scenario, s) for s in seeds], workers=4
+        )
+        engine = DiscoveryEngine(corpus=scenario.corpus)
+        for seed, record in zip(seeds, records):
+            local = engine.discover(
+                DiscoveryRequest(
+                    base=scenario.base,
+                    task=scenario.task,
+                    searcher="metam",
+                    seed=seed,
+                    prepare_seed=0,
+                    config=MetamConfig(
+                        theta=0.6, query_budget=25, epsilon=0.1, seed=seed
+                    ),
+                )
+            )
+            assert record["status"] == "completed"
+            assert record["result"] == run_to_wire(local)["result"]
+        assert stats["prepared_candidate_sets"] == 1  # prepare_seed pinned
+        assert stats["prepare_cache_misses"] == 1
+        assert stats["runs_completed"] == 4
+
+
 class TestDrain:
     def test_drain_cancels_queued_and_waits_for_running(self, make_harness):
         h = make_harness()
@@ -324,6 +483,25 @@ class TestDrain:
             harness.service.submit(sid, harness.payload())
         with pytest.raises(Overloaded):
             harness.service.create_session("late")
+
+    def test_submit_racing_drain_is_refused(self, harness, monkeypatch):
+        """A drain that lands while a submission is parsed closes the
+        worker pools; the run must be refused, not dispatched onto a
+        closed pool."""
+        import repro.server.service as service_module
+
+        sid = harness.session()
+        parse = service_module.request_from_wire
+
+        def parse_then_drain(payload, lookup):
+            request = parse(payload, lookup)
+            harness.service.shutdown(timeout=5)
+            return request
+
+        monkeypatch.setattr(service_module, "request_from_wire", parse_then_drain)
+        with pytest.raises(Overloaded, match="draining"):
+            harness.service.submit(sid, harness.payload())
+        assert harness.service.list_runs() == []
 
     def test_drain_timeout_reports_unclean(self, make_harness):
         h = make_harness()
