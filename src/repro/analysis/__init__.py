@@ -1,11 +1,11 @@
 """reprolint — invariant-aware static analysis for this codebase.
 
 The checkers encode the contracts the concurrent catalog/engine stack
-depends on (lock ordering, the catalog backend boundary, atomic-write
-durability, metrics hygiene); the driver runs them over the source
-tree with inline suppressions and a ratchet-down baseline.  Entry
-points: :func:`repro.analysis.driver.lint_paths` programmatically, or
-``repro lint`` on the command line.
+depends on (lock ordering, no blocking work under in-process mutexes,
+the catalog backend boundary, metrics hygiene); the driver runs them
+over the source tree with inline suppressions and a ratchet-down
+baseline.  Entry points: :func:`repro.analysis.driver.lint_paths`
+programmatically, or ``repro lint`` on the command line.
 """
 
 from repro.analysis.baseline import (
@@ -14,13 +14,8 @@ from repro.analysis.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.analysis.core import (
-    Checker,
-    Finding,
-    all_checkers,
-    checker_catalogue,
-    register,
-)
+from repro.analysis.checkers import all_checkers, checker_catalogue
+from repro.analysis.core import Checker, Finding
 from repro.analysis.driver import LintResult, collect_files, lint_paths
 from repro.analysis.reporters import render_json, render_text
 
@@ -35,7 +30,6 @@ __all__ = [
     "default_baseline_path",
     "lint_paths",
     "load_baseline",
-    "register",
     "render_json",
     "render_text",
     "write_baseline",

@@ -19,6 +19,10 @@ Semantics are strictly ratchet-down:
   CI runs — deleting a baseline entry while the violation still exists
   simply resurfaces the violation as a new finding, so both directions
   of drift fail.
+
+A scoped run (``--select`` or a narrower path) only sees part of the
+baseline: entries whose check did not run or whose file was not linted
+are neither matched nor stale.
 """
 
 from __future__ import annotations
@@ -66,7 +70,9 @@ def finding_keys(
 
 def load_baseline(path: Path) -> List[dict]:
     """Entries from a baseline file; a missing file is an empty
-    baseline.  Raises ``ValueError`` on malformed content."""
+    baseline.  Raises ``ValueError`` on malformed content, including
+    any entry without string ``check``/``path``/``hash`` and an int
+    ``index``."""
     if not path.exists():
         return []
     try:
@@ -82,6 +88,16 @@ def load_baseline(path: Path) -> List[dict]:
             f"baseline {path} is not a version-{BASELINE_VERSION} reprolint "
             "baseline"
         )
+    for entry in payload["entries"]:
+        if not (
+            isinstance(entry, dict)
+            and all(
+                isinstance(entry.get(key), str)
+                for key in ("check", "path", "hash")
+            )
+            and type(entry.get("index")) is int
+        ):
+            raise ValueError(f"baseline {path} has a malformed entry: {entry!r}")
     return payload["entries"]
 
 
@@ -109,25 +125,18 @@ def apply_baseline(
     entries: List[dict],
     sources: Dict[str, List[str]],
 ) -> Tuple[List[Finding], List[dict]]:
-    """Mark findings covered by ``entries`` as baselined.
+    """Mark findings covered by ``entries`` (as validated by
+    :func:`load_baseline`) as baselined.
 
     Returns ``(findings, stale_entries)`` where ``findings`` preserves
     order (covered ones flagged ``baselined=True``) and
     ``stale_entries`` are baseline entries that matched nothing — fixed
     debt whose entries should be removed.
     """
-    available: Dict[Tuple[str, str, str, int], dict] = {}
-    for entry in entries:
-        try:
-            key = (
-                str(entry["check"]),
-                str(entry["path"]),
-                str(entry["hash"]),
-                int(entry.get("index", 0)),
-            )
-        except (KeyError, TypeError, ValueError):
-            continue
-        available[key] = entry
+    available: Dict[Tuple[str, str, str, int], dict] = {
+        (entry["check"], entry["path"], entry["hash"], entry["index"]): entry
+        for entry in entries
+    }
     out: List[Finding] = []
     for finding, key in zip(
         findings, finding_keys(findings, sources), strict=True
@@ -139,11 +148,7 @@ def apply_baseline(
             out.append(finding)
     stale = sorted(
         available.values(),
-        key=lambda entry: (
-            str(entry.get("path")),
-            str(entry.get("check")),
-            int(entry.get("index", 0) or 0),
-        ),
+        key=lambda entry: (entry["path"], entry["check"], entry["index"]),
     )
     return out, stale
 

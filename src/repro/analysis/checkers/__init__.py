@@ -1,16 +1,44 @@
-"""reprolint checkers.  Importing this package registers every
-built-in checker with :mod:`repro.analysis.core`'s registry."""
+"""reprolint checkers: :data:`CHECKERS` lists every one, sorted by
+name."""
 
-from repro.analysis.checkers.atomic_write import AtomicWriteChecker
+from typing import Iterable, List, Optional, Tuple
+
 from repro.analysis.checkers.blocking import BlockingUnderLockChecker
 from repro.analysis.checkers.lock_discipline import LockDisciplineChecker
 from repro.analysis.checkers.metrics_hygiene import MetricsHygieneChecker
 from repro.analysis.checkers.vfs import CatalogVfsChecker
+from repro.analysis.core import Checker
+
+CHECKERS = (
+    BlockingUnderLockChecker,
+    CatalogVfsChecker,
+    LockDisciplineChecker,
+    MetricsHygieneChecker,
+)
+
+
+def all_checkers(only: Optional[Iterable[str]] = None) -> List[Checker]:
+    """Fresh instances of every checker (or the named subset)."""
+    by_name = {cls.name: cls for cls in CHECKERS}
+    names = list(by_name) if only is None else list(only)
+    for name in names:
+        if name not in by_name:
+            known = ", ".join(by_name)
+            raise KeyError(f"unknown check {name!r} (known: {known})")
+    return [by_name[name]() for name in names]
+
+
+def checker_catalogue() -> List[Tuple[str, str]]:
+    """(name, description) for every checker, sorted by name."""
+    return [(cls.name, cls.description) for cls in CHECKERS]
+
 
 __all__ = [
-    "AtomicWriteChecker",
+    "CHECKERS",
     "BlockingUnderLockChecker",
     "CatalogVfsChecker",
     "LockDisciplineChecker",
     "MetricsHygieneChecker",
+    "all_checkers",
+    "checker_catalogue",
 ]

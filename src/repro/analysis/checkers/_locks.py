@@ -1,18 +1,17 @@
 """Shared lock recognition for the concurrency checkers.
 
-The codebase has two families of locks with very different rules:
+The codebase has two families of locks with very different rules, told
+apart by the attribute-naming convention alone:
 
-* **In-process mutexes** (``threading.Lock``/``RLock``/``Condition``
-  attributes) — short critical sections; blocking I/O under one stalls
-  every thread in the process.  These are the attributes named
-  ``_lock``, ``_catalog_lock``, ``_state_lock``, ``_writer_lease_guard``,
-  ``_refresh_lock`` (and anything matching the
-  ``*_lock``/``*_guard``/``*_gate`` suffix convention).
-* **Cross-process critical-section locks** (``FileLock`` and the
-  context-manager factories ``_dir_lock(...)``, ``_ilock()``,
-  ``root_lock()``, ``backend.lock(...)``, striped ``_prepare_keys``
-  guards) — they exist precisely to serialize file I/O, so I/O under
-  them is the intended idiom.
+* **In-process mutexes** — ``threading.Lock``/``RLock`` attributes
+  named ``*_lock``/``*_guard`` and held with ``with self._lock:``.
+  Their critical sections are short; blocking I/O under one stalls
+  every thread in the process.
+* **Cross-process critical-section locks** — a *call* named like a
+  mutex (``self._dir_lock(path)``, ``store.root_lock()``,
+  ``LeaseManager._lock()``: factories returning a backend file lock)
+  and the striped ``_prepare_keys(key)`` guard.  They exist precisely
+  to serialize file I/O, so I/O under them is the intended idiom.
 
 Both families participate in lock-ordering analysis; only the first is
 checked for blocking calls.
@@ -26,41 +25,12 @@ from typing import Optional
 
 from repro.analysis.core import call_root, dotted_name, terminal_name
 
-#: Known in-process mutex attribute names (threading primitives).
-IN_PROCESS_ATTRS = {
-    "_lock",
-    "_catalog_lock",
-    "_state_lock",
-    "_writer_lease_guard",
-    "_refresh_lock",
-}
-
 #: Attribute-name suffixes that mark an in-process lock by convention.
-IN_PROCESS_SUFFIXES = ("_lock", "_guard", "_gate", "_mutex")
+IN_PROCESS_SUFFIXES = ("_lock", "_guard")
 
-#: Context-manager *calls* that yield a lock guard.  These are
-#: cross-process / striped critical-section locks: holding one while
-#: doing file I/O is by design.
-FILE_LOCK_CALLS = {
-    "_dir_lock",
-    "_ilock",
-    "root_lock",
-    "lock",  # backend.lock(path)
-    "FileLock",
-    "_prepare_keys",  # KeyedMutex striped guard: single-flight compute
-}
-
-#: ``(module prefix, lock name)`` pairs where holding the (in-process)
-#: lock across blocking work is an audited, intentional design choice.
-#: Each entry needs a justification here — this list is the allowlist
-#: the blocking-under-lock checker honors.
-BLOCKING_ALLOWLIST = {
-    # The engine deliberately holds the catalog lock across catalog
-    # refresh/save: catalog mutations must be serialized with each
-    # other and with index paging, and every reader path takes a
-    # corpus reference instead of this lock.
-    ("repro.api.engine", "_catalog_lock"),
-}
+#: Context-manager *calls* that yield a lock guard without being named
+#: like a mutex: the engine's striped single-flight guard.
+FILE_LOCK_CALLS = {"_prepare_keys"}
 
 
 @dataclass(frozen=True)
@@ -69,7 +39,6 @@ class LockRef:
 
     name: str  # lock identifier (attribute or factory name)
     in_process: bool  # True → threading mutex, False → file/striped lock
-    node: ast.AST  # the with-item context expression (or acquire call)
 
 
 def classify_with_item(item: ast.withitem) -> Optional[LockRef]:
@@ -77,21 +46,21 @@ def classify_with_item(item: ast.withitem) -> Optional[LockRef]:
     expr = item.context_expr
     if isinstance(expr, ast.Call):
         name = terminal_name(expr.func)
-        if name in FILE_LOCK_CALLS:
-            return LockRef(name=name, in_process=False, node=expr)
-        # ``self._lock()`` — a factory named like a mutex attribute
-        # (LeaseManager._lock) returns a backend file lock.
-        if name is not None and _looks_in_process(name):
-            return LockRef(name=name, in_process=False, node=expr)
+        # A factory named like a mutex (``self._dir_lock(path)``,
+        # ``LeaseManager._lock()``) returns a backend file lock.
+        if name is not None and (
+            name in FILE_LOCK_CALLS or _looks_in_process(name)
+        ):
+            return LockRef(name=name, in_process=False)
         return None
     name = terminal_name(expr)
     if name is not None and _looks_in_process(name):
-        return LockRef(name=name, in_process=True, node=expr)
+        return LockRef(name=name, in_process=True)
     return None
 
 
 def _looks_in_process(name: str) -> bool:
-    return name in IN_PROCESS_ATTRS or name.endswith(IN_PROCESS_SUFFIXES)
+    return name.endswith(IN_PROCESS_SUFFIXES)
 
 
 def is_lock_expr(node: ast.AST) -> bool:
@@ -187,6 +156,7 @@ BACKEND_IO_METHODS = {
     "size",
     "mtime",
     "disk_bytes",
+    "write_stream",
 }
 
 #: LeaseManager methods that read/write lease files.

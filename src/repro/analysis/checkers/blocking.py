@@ -7,12 +7,10 @@ held.  Every thread contending on that mutex stalls for the duration
 of the I/O, which is exactly the latency cliff the engine's
 short-critical-section design avoids.
 
-Cross-process critical-section locks (``FileLock``, ``_dir_lock``,
-``_ilock``, ``root_lock``, striped ``_prepare_keys`` guards) exist to
-serialize I/O and are never flagged.  In-process locks that are
-*documented* to guard long sections are allowlisted in
-:data:`repro.analysis.checkers._locks.BLOCKING_ALLOWLIST`; anything
-else needs an inline ``# reprolint: disable=blocking-under-lock`` with
+Cross-process critical-section locks (``_dir_lock(...)``,
+``root_lock()``, striped ``_prepare_keys`` guards) exist to serialize
+I/O and are never flagged.  Holding an in-process lock across blocking
+work needs an inline ``# reprolint: disable=blocking-under-lock`` with
 a justification, or a fix that moves the work outside the critical
 section.
 """
@@ -22,15 +20,10 @@ from __future__ import annotations
 import ast
 from typing import List
 
-from repro.analysis.checkers._locks import (
-    BLOCKING_ALLOWLIST,
-    blocking_reason,
-    classify_with_item,
-)
-from repro.analysis.core import Checker, FileContext, Finding, register
+from repro.analysis.checkers._locks import blocking_reason, classify_with_item
+from repro.analysis.core import Checker, FileContext, Finding, stmt_bodies
 
 
-@register
 class BlockingUnderLockChecker(Checker):
     name = "blocking-under-lock"
     description = (
@@ -40,12 +33,6 @@ class BlockingUnderLockChecker(Checker):
 
     def check_file(self, ctx: FileContext) -> List[Finding]:
         findings: List[Finding] = []
-
-        def allowed(lock: str) -> bool:
-            return any(
-                ctx.module.startswith(prefix) and lock == name
-                for prefix, name in BLOCKING_ALLOWLIST
-            )
 
         def visit_stmts(stmts: List[ast.stmt], held: List[str]) -> None:
             for stmt in stmts:
@@ -62,11 +49,7 @@ class BlockingUnderLockChecker(Checker):
                     for item in stmt.items:
                         check_calls(item.context_expr, held, stmt)
                         ref = classify_with_item(item)
-                        if (
-                            ref is not None
-                            and ref.in_process
-                            and not allowed(ref.name)
-                        ):
+                        if ref is not None and ref.in_process:
                             acquired.append(ref.name)
                     held.extend(acquired)
                     visit_stmts(stmt.body, held)
@@ -74,7 +57,7 @@ class BlockingUnderLockChecker(Checker):
                         del held[-len(acquired):]
                     continue
                 check_calls(stmt, held, stmt)
-                for body in _bodies(stmt):
+                for body in stmt_bodies(stmt):
                     visit_stmts(body, held)
 
         def check_calls(
@@ -122,22 +105,6 @@ class BlockingUnderLockChecker(Checker):
                     if isinstance(child, ast.stmt):
                         continue
                     stack.append(child)
-
-        def _bodies(stmt: ast.stmt) -> List[List[ast.stmt]]:
-            out = []
-            for attr in ("body", "orelse", "finalbody"):
-                value = getattr(stmt, attr, None)
-                if (
-                    isinstance(value, list)
-                    and value
-                    and isinstance(value[0], ast.stmt)
-                ):
-                    out.append(value)
-            for handler in getattr(stmt, "handlers", []) or []:
-                out.append(handler.body)
-            for case in getattr(stmt, "cases", []) or []:
-                out.append(case.body)
-            return out
 
         visit_stmts(ctx.tree.body, [])
         return findings

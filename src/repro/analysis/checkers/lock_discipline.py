@@ -31,7 +31,7 @@ from repro.analysis.core import (
     FileContext,
     Finding,
     ProjectContext,
-    register,
+    stmt_bodies,
     terminal_name,
 )
 
@@ -118,7 +118,7 @@ def _scan_function(
                 continue
             for expr in _stmt_exprs(stmt):
                 visit_expr(expr, held)
-            for body in _stmt_bodies(stmt):
+            for body in stmt_bodies(stmt):
                 visit_stmts(body, held)
 
     visit_stmts(func.body, [])
@@ -145,21 +145,6 @@ def _stmt_exprs(stmt: ast.stmt) -> List[ast.AST]:
     return out
 
 
-def _stmt_bodies(stmt: ast.stmt) -> List[List[ast.stmt]]:
-    out = []
-    for attr in ("body", "orelse", "finalbody"):
-        value = getattr(stmt, attr, None)
-        if isinstance(value, list) and value and isinstance(
-            value[0], ast.stmt
-        ):
-            out.append(value)
-    for handler in getattr(stmt, "handlers", []) or []:
-        out.append(handler.body)
-    for case in getattr(stmt, "cases", []) or []:
-        out.append(case.body)
-    return out
-
-
 def _iter_functions(tree: ast.AST):
     """Yield ``(class_name, func_node)`` for every function in a
     module, including methods and (named) nested functions."""
@@ -177,7 +162,6 @@ def _iter_functions(tree: ast.AST):
     yield from walk(tree.body, "")
 
 
-@register
 class LockDisciplineChecker(Checker):
     name = "lock-discipline"
     description = (
@@ -242,7 +226,7 @@ class LockDisciplineChecker(Checker):
                     visit(stmt.orelse, class_name, func_name, protected)
                     visit(stmt.finalbody, class_name, func_name, protected)
                 else:
-                    for body in _stmt_bodies(stmt):
+                    for body in stmt_bodies(stmt):
                         visit(body, class_name, func_name, protected)
 
         visit(ctx.tree.body, "", "", set())

@@ -28,7 +28,6 @@ from repro.analysis.core import (
     FileContext,
     Finding,
     ProjectContext,
-    register,
     terminal_name,
 )
 
@@ -86,7 +85,6 @@ def _literal_str_tuple(node: ast.AST) -> Optional[Tuple[str, ...]]:
     return None
 
 
-@register
 class MetricsHygieneChecker(Checker):
     name = "metrics-hygiene"
     description = (

@@ -25,7 +25,6 @@ from repro.analysis.core import (
     Finding,
     call_root,
     dotted_name,
-    register,
     terminal_name,
 )
 
@@ -46,7 +45,6 @@ _PATHLIB_IO_METHODS = {
 }
 
 
-@register
 class CatalogVfsChecker(Checker):
     name = "catalog-vfs"
     description = (
@@ -84,6 +82,8 @@ class CatalogVfsChecker(Checker):
         if isinstance(func, ast.Name):
             if func.id == "open":
                 return "builtin open()"
+            if func.id == "Path":
+                return "Path()"
             return None
         dotted = dotted_name(func) or ""
         root = call_root(func)
@@ -98,6 +98,12 @@ class CatalogVfsChecker(Checker):
             return "io.open()"
         if root == "Path" or dotted.startswith("pathlib."):
             return f"{dotted}()"
+        if (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Call)
+            and CatalogVfsChecker._raw_io_reason(func.value) is not None
+        ):
+            return None  # ``Path(p).write_text()``: reported at ``Path(p)``
         if name in _PATHLIB_IO_METHODS and not dotted.endswith(f"backend.{name}"):
             return f".{name}() (pathlib-style I/O)"
         return None

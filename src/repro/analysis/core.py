@@ -1,13 +1,14 @@
-"""Core model for reprolint: findings, file contexts, the checker
-registry, and inline suppressions.
+"""Core model for reprolint: findings, file contexts, the checker base
+class, and inline suppressions.
 
 reprolint is an AST-based lint pass for *this* codebase's invariants —
 the conventions the concurrent catalog/engine stack relies on but no
-generic tool enforces (lock ordering, the catalog backend boundary,
-atomic-rename durability, metrics hygiene).  Checkers are small classes
-registered by name; the driver (:mod:`repro.analysis.driver`) parses
-files in parallel, runs every checker, and applies suppressions and the
-committed baseline (:mod:`repro.analysis.baseline`).
+generic tool enforces (lock ordering, blocking work under in-process
+mutexes, the catalog backend boundary, metrics hygiene).  Checkers are
+small classes listed in :data:`repro.analysis.checkers.CHECKERS`; the
+driver (:mod:`repro.analysis.driver`) parses every file, runs every
+checker, and applies suppressions and the committed baseline
+(:mod:`repro.analysis.baseline`).
 
 Suppressions are inline comments::
 
@@ -26,11 +27,7 @@ import ast
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Type
-
-#: Severities, mildest last.  ``error`` findings fail the lint run
-#: (unless baselined); ``warning`` findings are reported but advisory.
-SEVERITIES = ("error", "warning")
+from typing import Dict, Iterable, List, Optional, Set
 
 _SUPPRESS_RE = re.compile(
     r"#\s*reprolint:\s*(disable(?:-file)?)\s*=\s*([A-Za-z0-9_\-,\s]+)"
@@ -46,7 +43,6 @@ class Finding:
     line: int
     col: int
     message: str
-    severity: str = "error"
     baselined: bool = False
 
     def as_dict(self) -> dict:
@@ -56,7 +52,6 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "severity": self.severity,
             "baselined": self.baselined,
         }
 
@@ -106,24 +101,13 @@ class FileContext:
         self.suppressions = parse_suppressions(source)
         self.module = module_name(rel)
 
-    def segment(self, node: ast.AST) -> str:
-        """Source text of ``node`` (empty string when unavailable)."""
-        return ast.get_source_segment(self.source, node) or ""
-
-    def finding(
-        self,
-        check: str,
-        node: ast.AST,
-        message: str,
-        severity: str = "error",
-    ) -> Finding:
+    def finding(self, check: str, node: ast.AST, message: str) -> Finding:
         return Finding(
             check=check,
             path=self.rel,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             message=message,
-            severity=severity,
         )
 
 
@@ -145,19 +129,17 @@ def module_name(rel: str) -> str:
 
 class ProjectContext:
     """Everything the project-level (``finish``) pass sees: all file
-    contexts, keyed both by relative path and by module name."""
+    contexts."""
 
     def __init__(self, files: List[FileContext]):
         self.files = list(files)
-        self.by_rel = {ctx.rel: ctx for ctx in self.files}
-        self.by_module = {ctx.module: ctx for ctx in self.files if ctx.module}
 
 
 class Checker:
     """Base class for reprolint checkers.
 
     Subclasses set ``name``/``description`` and override
-    :meth:`check_file` (per-file, runs in parallel) and/or
+    :meth:`check_file` (per-file) and/or
     :meth:`finish` (project-level, runs once after every file parsed —
     the inter-procedural passes live here).
     """
@@ -170,46 +152,6 @@ class Checker:
 
     def finish(self, project: ProjectContext) -> Iterable[Finding]:
         return ()
-
-
-_REGISTRY: Dict[str, Type[Checker]] = {}
-
-
-def register(cls: Type[Checker]) -> Type[Checker]:
-    """Class decorator adding a checker to the global registry."""
-    if not cls.name:
-        raise ValueError(f"checker {cls.__name__} has no name")
-    if cls.name in _REGISTRY and _REGISTRY[cls.name] is not cls:
-        raise ValueError(f"duplicate checker name {cls.name!r}")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def all_checkers(only: Optional[Iterable[str]] = None) -> List[Checker]:
-    """Fresh instances of every registered checker (or the named
-    subset).  Importing :mod:`repro.analysis.checkers` populates the
-    registry."""
-    import repro.analysis.checkers  # noqa: F401  (registration side effect)
-
-    if only is None:
-        names = sorted(_REGISTRY)
-    else:
-        names = []
-        for name in only:
-            if name not in _REGISTRY:
-                known = ", ".join(sorted(_REGISTRY))
-                raise KeyError(f"unknown check {name!r} (known: {known})")
-            names.append(name)
-    return [_REGISTRY[name]() for name in names]
-
-
-def checker_catalogue() -> List[Tuple[str, str]]:
-    """(name, description) for every registered checker, sorted."""
-    import repro.analysis.checkers  # noqa: F401
-
-    return [
-        (name, _REGISTRY[name].description) for name in sorted(_REGISTRY)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -243,3 +185,20 @@ def call_root(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     return None
+
+
+def stmt_bodies(stmt: ast.stmt) -> List[List[ast.stmt]]:
+    """The nested statement blocks of ``stmt``: body/orelse/finalbody,
+    exception handlers, and match cases."""
+    out = []
+    for attr in ("body", "orelse", "finalbody"):
+        value = getattr(stmt, attr, None)
+        if isinstance(value, list) and value and isinstance(
+            value[0], ast.stmt
+        ):
+            out.append(value)
+    for handler in getattr(stmt, "handlers", []) or []:
+        out.append(handler.body)
+    for case in getattr(stmt, "cases", []) or []:
+        out.append(case.body)
+    return out

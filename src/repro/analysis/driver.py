@@ -1,33 +1,18 @@
-"""The reprolint driver: collect files, parse in parallel, run every
+"""The reprolint driver: collect files, parse each one, run every
 checker, apply suppressions and the baseline."""
 
 from __future__ import annotations
 
 import ast
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.analysis import baseline as baseline_mod
-from repro.analysis.core import (
-    Checker,
-    FileContext,
-    Finding,
-    ProjectContext,
-    all_checkers,
-)
+from repro.analysis.checkers import all_checkers
+from repro.analysis.core import FileContext, Finding, ProjectContext
 
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", "node_modules"}
-
-#: ``ast.parse`` is not thread-safe on CPython 3.11: the AST constructor
-#: keeps its recursion counter per interpreter, so a thread switch inside
-#: one conversion (a gc finalizer running Python code is enough) lets
-#: another parse reset it, and the first fails with ``SystemError: AST
-#: constructor recursion depth mismatch``.  Parses run one at a time;
-#: file reads and the checkers stay parallel.
-_PARSE_LOCK = threading.Lock()
 
 
 @dataclass
@@ -43,12 +28,8 @@ class LintResult:
 
     @property
     def active(self) -> List[Finding]:
-        """Findings that fail the run (errors, not baselined)."""
-        return [
-            f
-            for f in self.findings
-            if not f.baselined and f.severity == "error"
-        ]
+        """Findings that fail the run (not baselined)."""
+        return [f for f in self.findings if not f.baselined]
 
     @property
     def baselined(self) -> List[Finding]:
@@ -79,69 +60,58 @@ def collect_files(paths: Iterable[Path], root: Path) -> List[Path]:
     return sorted(set(out))
 
 
-def _parse_one(
-    path: Path, root: Path
-) -> Tuple[Optional[FileContext], Optional[Finding]]:
+def _relative(path: Path, root: Path) -> str:
     try:
-        rel = path.resolve().relative_to(root.resolve()).as_posix()
+        return path.resolve().relative_to(root).as_posix()
     except ValueError:
-        rel = path.as_posix()
+        return path.as_posix()
+
+
+def _parse_one(path: Path, rel: str) -> Union[FileContext, Finding]:
     try:
         source = path.read_text(encoding="utf-8")
-        with _PARSE_LOCK:
-            tree = ast.parse(source, filename=str(path))
+        tree = ast.parse(source, filename=str(path))
     except (OSError, SyntaxError, ValueError) as error:
-        line = getattr(error, "lineno", 1) or 1
-        return None, Finding(
+        return Finding(
             check="parse-error",
             path=rel,
-            line=line,
+            line=getattr(error, "lineno", 1) or 1,
             col=0,
             message=f"could not parse: {error}",
         )
-    return FileContext(path, rel, source, tree), None
+    return FileContext(path, rel, source, tree)
 
 
 def lint_paths(
     paths: Iterable[Path],
     root: Optional[Path] = None,
     checks: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
     baseline_entries: Optional[List[dict]] = None,
 ) -> LintResult:
-    """Lint ``paths`` with the registered checkers.
+    """Lint ``paths`` with every checker.
 
     ``root`` anchors repo-relative paths (default: cwd).  ``checks``
     restricts to named checkers.  ``baseline_entries`` (from
     :func:`repro.analysis.baseline.load_baseline`) marks pre-existing
-    findings as baselined and reports stale entries.
+    findings as baselined and reports stale entries; only entries whose
+    check ran and whose file was linted take part.
     """
     root = (root or Path.cwd()).resolve()
     files = collect_files([Path(p) for p in paths], root)
     checkers = all_checkers(checks)
     result = LintResult()
 
+    linted = {path: _relative(path, root) for path in files}
     contexts: List[FileContext] = []
     findings: List[Finding] = []
-    workers = jobs or min(8, len(files) or 1)
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        for ctx, parse_finding in pool.map(
-            lambda p: _parse_one(p, root), files
-        ):
-            if parse_finding is not None:
-                findings.append(parse_finding)
-            if ctx is not None:
-                contexts.append(ctx)
-
-    def run_file(ctx: FileContext) -> List[Finding]:
-        out: List[Finding] = []
+    for path, rel in linted.items():
+        parsed = _parse_one(path, rel)
+        if isinstance(parsed, Finding):
+            findings.append(parsed)
+            continue
+        contexts.append(parsed)
         for checker in checkers:
-            out.extend(checker.check_file(ctx))
-        return out
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        for file_findings in pool.map(run_file, contexts):
-            findings.extend(file_findings)
+            findings.extend(checker.check_file(parsed))
 
     project = ProjectContext(contexts)
     for checker in checkers:
@@ -161,25 +131,18 @@ def lint_paths(
 
     result.sources = {ctx.rel: ctx.lines for ctx in contexts}
     if baseline_entries:
-        kept, stale = baseline_mod.apply_baseline(
-            kept, baseline_entries, result.sources
-        )
+        ran = {checker.name for checker in checkers} | {"parse-error"}
+        rels = set(linted.values())
+        in_scope = [
+            entry
+            for entry in baseline_entries
+            if entry["check"] in ran and entry["path"] in rels
+        ]
+        kept, stale = baseline_mod.apply_baseline(kept, in_scope, result.sources)
         result.stale_baseline = stale
     result.findings = kept
     result.files_checked = len(contexts)
     return result
 
 
-def self_check_paths(root: Path) -> List[Path]:
-    """The paths a plain ``repro lint`` run covers by default."""
-    src = root / "src"
-    return [src if src.is_dir() else root]
-
-
-__all__ = [
-    "Checker",
-    "LintResult",
-    "collect_files",
-    "lint_paths",
-    "self_check_paths",
-]
+__all__ = ["LintResult", "collect_files", "lint_paths"]

@@ -7,20 +7,15 @@ from typing import List
 from repro.analysis.driver import LintResult
 
 
-def render_text(result: LintResult, verbose_baselined: bool = False) -> str:
+def render_text(result: LintResult) -> str:
     """Human-readable report: one line per active finding, then a
-    summary.  Baselined findings are folded into the summary unless
-    ``verbose_baselined``."""
-    lines: List[str] = []
-    for finding in result.findings:
-        if finding.baselined and not verbose_baselined:
-            continue
-        tag = " (baselined)" if finding.baselined else ""
-        lines.append(
-            f"{finding.path}:{finding.line}:{finding.col}: "
-            f"[{finding.check}] {finding.message}{tag}"
-        )
+    summary.  Baselined findings are folded into the summary."""
     active = result.active
+    lines: List[str] = [
+        f"{finding.path}:{finding.line}:{finding.col}: "
+        f"[{finding.check}] {finding.message}"
+        for finding in active
+    ]
     summary = (
         f"reprolint: {len(active)} finding(s) in "
         f"{result.files_checked} file(s)"

@@ -49,10 +49,10 @@ Commands
     Run reprolint, the repo's invariant-aware static analysis pass
     (see :mod:`repro.analysis`): lock-order inversions and bare
     ``acquire()``, blocking calls under in-process mutexes, raw I/O
-    bypassing the store backend, non-atomic writes to durable
-    files, and metrics hygiene.  ``--json``/``--json-out`` emit the
-    machine-readable report, ``--baseline``/``--update-baseline``
-    manage the ratchet-down debt baseline, and ``--check-baseline``
+    bypassing the store backend, and metrics hygiene.
+    ``--json``/``--json-out`` emit the machine-readable report,
+    ``--baseline``/``--update-baseline`` manage the ratchet-down debt
+    baseline (updated only by a full run), and ``--check-baseline``
     (CI mode) also fails on stale baseline entries.
 """
 
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run reprolint, the invariant-aware static analysis pass "
         "(lock discipline, blocking-under-lock, store-VFS boundary, "
-        "atomic writes, metrics hygiene)",
+        "metrics hygiene)",
     )
     lint.add_argument(
         "paths",
@@ -367,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--update-baseline",
         action="store_true",
         help="rewrite the baseline to exactly the current findings "
-        "(the only way the baseline grows)",
+        "(the only way the baseline grows; needs a full run: every "
+        "check over ./src)",
     )
     lint.add_argument(
         "--check-baseline",
@@ -382,16 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated checker names to run (default: all)",
     )
     lint.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="parallel parse/check workers (default: auto)",
-    )
-    lint.add_argument(
         "--list-checks",
         action="store_true",
-        help="list registered checkers and exit",
+        help="list the checkers and exit",
     )
     return parser
 
@@ -953,6 +947,18 @@ def _cmd_lint(args) -> int:
     checks = None
     if args.select:
         checks = [c.strip() for c in args.select.split(",") if c.strip()]
+    full_run = [p.resolve() for p in paths] == [(root / "src").resolve()] and (
+        checks is None
+        or set(checks) == {name for name, _ in checker_catalogue()}
+    )
+    if args.update_baseline and not full_run:
+        # A scoped run sees only part of the debt; rewriting the file
+        # from it would drop every entry outside the scope.
+        _error(
+            "--update-baseline needs a full run (every check over ./src); "
+            "drop --select and the path arguments"
+        )
+        return 2
 
     baseline_path = (
         Path(args.baseline)
@@ -972,7 +978,6 @@ def _cmd_lint(args) -> int:
             paths,
             root=root,
             checks=checks,
-            jobs=args.jobs,
             baseline_entries=entries,
         )
     except KeyError as error:
@@ -980,11 +985,7 @@ def _cmd_lint(args) -> int:
         return 2
 
     if args.update_baseline:
-        count = write_baseline(
-            baseline_path,
-            [f for f in result.findings if f.severity == "error"],
-            result.sources,
-        )
+        count = write_baseline(baseline_path, result.findings, result.sources)
         print(
             f"reprolint: baselined {count} finding(s) in {baseline_path}"
         )

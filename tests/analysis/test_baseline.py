@@ -106,6 +106,19 @@ class TestBaseline:
         path.write_text("{\"version\": 99}")
         with pytest.raises(ValueError):
             load_baseline(path)
+        good = {"check": "blocking-under-lock", "path": "m.py", "hash": "ab", "index": 0}
+        for entries in (
+            [{"check": "blocking-under-lock"}, {"path": 3}],
+            [{**good, "index": "0"}],
+            [{**good, "index": True}],
+            [{**good, "hash": None}],
+            [["blocking-under-lock", "m.py", "ab", 0]],
+        ):
+            path.write_text(json.dumps({"version": 1, "entries": entries}))
+            with pytest.raises(ValueError, match="malformed entry"):
+                load_baseline(path)
+        path.write_text(json.dumps({"version": 1, "entries": [good]}))
+        assert load_baseline(path) == [good]
 
     def test_missing_baseline_is_empty(self, tmp_path):
         assert load_baseline(tmp_path / "nope.json") == []
@@ -171,6 +184,19 @@ class TestCli:
         )
         assert payload["entries"] == []
 
+    def test_malformed_entry_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        write_tree(tmp_path, {"src/mod.py": OFFENDER})
+        (tmp_path / "reprolint-baseline.json").write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "entries": [{"check": "blocking-under-lock"}, {"path": 3}],
+                }
+            )
+        )
+        assert self.run_cli(tmp_path, monkeypatch, "src", "--check-baseline") == 2
+        assert "malformed entry" in capsys.readouterr().err
+
     def test_list_checks(self, tmp_path, monkeypatch, capsys):
         assert self.run_cli(tmp_path, monkeypatch, "--list-checks") == 0
         out = capsys.readouterr().out
@@ -178,10 +204,10 @@ class TestCli:
             "lock-discipline",
             "blocking-under-lock",
             "catalog-vfs",
-            "atomic-write",
             "metrics-hygiene",
         ):
             assert name in out
+        assert "atomic-write" not in out
 
     def test_select_unknown_check_is_usage_error(
         self, tmp_path, monkeypatch, capsys
@@ -206,3 +232,86 @@ class TestReportShape:
         (finding,) = payload["findings"]
         assert finding["path"] == "src/repro/x.py"
         assert finding["check"] == "metrics-hygiene"
+
+
+class TestScopedRuns:
+    """A run narrowed by ``--select`` or by path sees only the baseline
+    entries whose check ran and whose file was linted."""
+
+    FILES = {
+        "src/mod.py": OFFENDER,
+        "src/repro/catalog/clean.py": "x = 1\n",
+    }
+
+    def seeded(self, tmp_path, monkeypatch):
+        write_tree(tmp_path, self.FILES)
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["lint", "--update-baseline"]) == 0
+        baseline = tmp_path / "reprolint-baseline.json"
+        (entry,) = json.loads(baseline.read_text())["entries"]
+        assert entry["check"] == "blocking-under-lock"
+        return baseline
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["src", "--select", "metrics-hygiene"],
+            ["src/repro/catalog"],
+            ["src/repro/catalog", "--select", "blocking-under-lock"],
+        ],
+    )
+    def test_out_of_scope_entry_is_not_stale(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        self.seeded(tmp_path, monkeypatch)
+        assert cli_main(["lint", *argv, "--check-baseline"]) == 0
+        assert "stale" not in capsys.readouterr().out
+
+    def test_in_scope_entry_still_matches_and_goes_stale(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        self.seeded(tmp_path, monkeypatch)
+        argv = ["lint", "src", "--select", "blocking-under-lock", "--check-baseline"]
+        assert cli_main(argv) == 0
+        write_tree(tmp_path, {"src/mod.py": "x = 1\n"})
+        assert cli_main(argv) == 1
+        assert "stale baseline entry: src/mod.py" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--select", "metrics-hygiene"],
+            ["src/repro/catalog"],
+            ["src", "src/repro/catalog"],
+        ],
+    )
+    def test_update_baseline_refuses_a_scoped_run(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        baseline = self.seeded(tmp_path, monkeypatch)
+        before = baseline.read_bytes()
+        assert cli_main(["lint", *argv, "--update-baseline"]) == 2
+        assert "needs a full run" in capsys.readouterr().err
+        assert baseline.read_bytes() == before
+        assert cli_main(["lint", "--check-baseline"]) == 0
+
+    def test_full_selection_is_a_full_run(self, tmp_path, monkeypatch):
+        baseline = self.seeded(tmp_path, monkeypatch)
+        every = "blocking-under-lock,catalog-vfs,lock-discipline,metrics-hygiene"
+        assert cli_main(["lint", "src", "--select", every, "--update-baseline"]) == 0
+        assert len(json.loads(baseline.read_text())["entries"]) == 1
+
+    def test_library_scope(self, tmp_path):
+        write_tree(tmp_path, self.FILES)
+        first = lint_paths([tmp_path / "src"], root=tmp_path)
+        baseline = tmp_path / "reprolint-baseline.json"
+        write_baseline(baseline, first.findings, first.sources)
+        entries = load_baseline(baseline)
+        for paths, checks in (
+            ([tmp_path / "src"], ["metrics-hygiene"]),
+            ([tmp_path / "src" / "repro"], None),
+        ):
+            result = lint_paths(
+                paths, root=tmp_path, checks=checks, baseline_entries=entries
+            )
+            assert result.stale_baseline == [] and result.ok(check_stale=True)

@@ -6,11 +6,22 @@ Fixtures are written into a temp tree shaped like the real repo
 (``src/repro/...``) because two checkers scope by module path.
 """
 
+import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import lint_paths
+from repro.analysis.checkers._locks import (
+    BACKEND_IO_METHODS,
+    FILE_LOCK_CALLS,
+    IN_PROCESS_SUFFIXES,
+    LEASE_IO_METHODS,
+)
+from repro.analysis.core import terminal_name
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def lint_tree(tmp_path, files, checks=None):
@@ -228,22 +239,6 @@ class TestBlockingUnderLock:
         )
         assert result.findings == []
 
-    def test_negative_allowlisted_lock(self, tmp_path):
-        result = lint_tree(
-            tmp_path,
-            {
-                "src/repro/api/engine.py": (
-                    "import time\n"
-                    "class DiscoveryEngine:\n"
-                    "    def _prepare(self):\n"
-                    "        with self._catalog_lock:\n"
-                    "            time.sleep(0.1)\n"
-                )
-            },
-            checks=["blocking-under-lock"],
-        )
-        assert result.findings == []
-
     def test_positive_removed_refresher_lock_is_not_allowlisted(self, tmp_path):
         # The background refresher and its allowlist entry are gone; a
         # lock of that name elsewhere is an ordinary in-process mutex.
@@ -298,6 +293,51 @@ class TestBlockingUnderLock:
         )
         assert result.findings == []
         assert result.suppressed == 1
+
+
+# ---------------------------------------------------------------------------
+# lock tables
+# ---------------------------------------------------------------------------
+def _public_methods(cls):
+    return {
+        name
+        for name, value in inspect.getmembers(cls)
+        if callable(value) and not name.startswith("_")
+    }
+
+
+class TestLockTables:
+    """The tables in ``checkers/_locks.py`` name what today's code has.
+    The linter itself stays import-free; this test may import."""
+
+    def test_io_tables_match_the_classes(self):
+        from repro.catalog.backend import LocalFSBackend
+        from repro.catalog.leases import LeaseManager
+
+        # ``lock`` is the backend's one method that does no I/O of its
+        # own: it returns the cross-process lock that guards I/O.
+        assert BACKEND_IO_METHODS == _public_methods(LocalFSBackend) - {"lock"}
+        assert LEASE_IO_METHODS <= _public_methods(LeaseManager)
+
+    def test_every_lock_name_matches_a_with_site_in_src(self):
+        calls, attrs = set(), set()
+        for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+            if "analysis" in path.relative_to(REPO_ROOT / "src").parts:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, (ast.With, ast.AsyncWith)):
+                    continue
+                for item in node.items:
+                    expr = item.context_expr
+                    if isinstance(expr, ast.Call):
+                        calls.add(terminal_name(expr.func))
+                    else:
+                        attrs.add(terminal_name(expr))
+        assert FILE_LOCK_CALLS <= calls
+        for suffix in IN_PROCESS_SUFFIXES:
+            assert any(
+                name and name.endswith(suffix) for name in attrs
+            ), suffix
 
 
 # ---------------------------------------------------------------------------
@@ -403,109 +443,6 @@ class TestCatalogVfs:
         )
         assert result.findings == []
         assert result.suppressed == 2
-
-
-# ---------------------------------------------------------------------------
-# atomic-write
-# ---------------------------------------------------------------------------
-class TestAtomicWrite:
-    def test_positive_plain_open_on_manifest(self, tmp_path):
-        result = lint_tree(
-            tmp_path,
-            {
-                "mod.py": (
-                    "import json\n"
-                    "def save(manifest_path, payload):\n"
-                    "    with open(manifest_path, 'w') as fh:\n"
-                    "        json.dump(payload, fh)\n"
-                )
-            },
-            checks=["atomic-write"],
-        )
-        assert len(result.findings) == 1
-        assert "non-atomic open" in result.findings[0].message
-
-    def test_positive_write_text_on_snapshot(self, tmp_path):
-        result = lint_tree(
-            tmp_path,
-            {
-                "mod.py": (
-                    "def save(snapshot_path, text):\n"
-                    "    snapshot_path.write_text(text)\n"
-                )
-            },
-            checks=["atomic-write"],
-        )
-        assert len(result.findings) == 1
-
-    def test_positive_os_open_without_append(self, tmp_path):
-        result = lint_tree(
-            tmp_path,
-            {
-                "mod.py": (
-                    "import os\n"
-                    "def save(lease_path):\n"
-                    "    return os.open(lease_path, os.O_WRONLY)\n"
-                )
-            },
-            checks=["atomic-write"],
-        )
-        assert len(result.findings) == 1
-
-    def test_negative_atomic_idioms(self, tmp_path):
-        result = lint_tree(
-            tmp_path,
-            {
-                "mod.py": (
-                    "import os, tempfile\n"
-                    "def save(manifest_path, data):\n"
-                    "    fd, tmp = tempfile.mkstemp(dir='.')\n"
-                    "    with os.fdopen(fd, 'wb') as fh:\n"
-                    "        fh.write(data)\n"
-                    "    os.replace(tmp, manifest_path)\n"
-                    "def append(manifest_log, data):\n"
-                    "    return os.open(\n"
-                    "        manifest_log,\n"
-                    "        os.O_WRONLY | os.O_APPEND | os.O_CREAT,\n"
-                    "    )\n"
-                    "def read(manifest_path):\n"
-                    "    with open(manifest_path) as fh:\n"
-                    "        return fh.read()\n"
-                )
-            },
-            checks=["atomic-write"],
-        )
-        assert result.findings == []
-
-    def test_negative_ordinary_paths(self, tmp_path):
-        result = lint_tree(
-            tmp_path,
-            {
-                "mod.py": (
-                    "def save(report_path, text):\n"
-                    "    with open(report_path, 'w') as fh:\n"
-                    "        fh.write(text)\n"
-                )
-            },
-            checks=["atomic-write"],
-        )
-        assert result.findings == []
-
-    def test_suppressed(self, tmp_path):
-        result = lint_tree(
-            tmp_path,
-            {
-                "mod.py": (
-                    "def save(manifest_path, text):\n"
-                    "    with open(manifest_path, 'w') as fh:  "
-                    "# reprolint: disable=atomic-write\n"
-                    "        fh.write(text)\n"
-                )
-            },
-            checks=["atomic-write"],
-        )
-        assert result.findings == []
-        assert result.suppressed == 1
 
 
 # ---------------------------------------------------------------------------
