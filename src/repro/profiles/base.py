@@ -82,9 +82,11 @@ class ProfileContext:
 
     def sampled_column(self) -> np.ndarray:
         """Augmented column as floats over the profiling sample (coerced
-        once per candidate; read-only, every profile gets the same array)."""
+        once per candidate; read-only, every profile gets the same array).
+        Only the sampled cells are coerced: coercion is per cell."""
         if self._sampled_column is None:
-            sampled = to_float_array(self.column_values)[self.sample_indices()]
+            values = self.column_values
+            sampled = to_float_array([values[i] for i in self.sample_indices().tolist()])
             sampled.flags.writeable = False
             self._sampled_column = sampled
         return self._sampled_column
@@ -111,13 +113,15 @@ class ProfileContext:
 
     def comparable_base_columns(self) -> list:
         """Base columns worth correlating against: numeric ones plus
-        low-cardinality categoricals (targets, flags)."""
-        columns = []
-        for column in self.base.column_names:
-            kind = self.base.column_type(column)
-            if kind == ColumnType.NUMERIC or kind == ColumnType.CATEGORICAL:
-                columns.append(column)
-        return columns
+        low-cardinality categoricals (targets, flags).  Listed once per
+        profiling pass; treat the list as read-only."""
+
+        def build():
+            base = self.base
+            comparable = (ColumnType.NUMERIC, ColumnType.CATEGORICAL)
+            return [c for c in base.column_names if base.column_type(c) in comparable]
+
+        return self.shared(("comparable_base_columns",), build)
 
 
 class Profile:

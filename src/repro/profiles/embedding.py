@@ -5,6 +5,13 @@ and compares datasets by cosine similarity.  Offline we replace BERT with a
 per-token pseudo-embedding: a fixed-dimension Gaussian vector seeded by a
 stable hash of the token.  Tables sharing vocabulary land close together in
 this space — the property the profile actually relies on.
+
+A token's vector is exactly ``np.random.default_rng(seed).standard_normal
+(dim)`` divided by its norm, with ``seed`` the token's 8-byte blake2b digest
+read big-endian.  The vectors are built in batch (one call seeds all of a
+call's fresh tokens, see :func:`repro.utils.rng.standard_normal_rows`), and
+``tests/profiles/test_profile_diff.py`` pins them bit for bit against
+per-token ``default_rng`` seeding.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import numpy as np
 
 from repro.dataframe.table import Table
 from repro.profiles.base import Profile, ProfileContext
+from repro.utils.rng import standard_normal_rows
 from repro.utils.text import tokenize
 
 
@@ -27,14 +35,30 @@ class TokenEmbedder:
         self.dim = dim
         self._cache = {}
 
+    def _embed_fresh(self, tokens) -> None:
+        """Embed, in one batch, every token of ``tokens`` not cached yet.
+
+        The norms are the stacked ``matmul`` of each row with itself: one
+        dot product per row, rounded like ``np.linalg.norm``'s ``x.dot(x)``.
+        Cached vectors are read-only rows of the batch.
+        """
+        cache = self._cache
+        fresh = [t for t in dict.fromkeys(tokens) if t not in cache]
+        if not fresh:
+            return
+        digests = b"".join(
+            hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest() for t in fresh
+        )
+        vectors = standard_normal_rows(np.frombuffer(digests, dtype=">u8"), self.dim)
+        vectors /= np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None]))[:, 0]
+        vectors.flags.writeable = False
+        cache.update(zip(fresh, vectors, strict=True))
+
     def embed_token(self, token: str) -> np.ndarray:
-        """Unit-norm Gaussian vector derived from a stable token hash."""
+        """Unit-norm Gaussian vector derived from a stable token hash
+        (read-only: every later embedding of this token shares it)."""
         if token not in self._cache:
-            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-            seed = int.from_bytes(digest, "big")
-            rng = np.random.default_rng(seed)
-            vec = rng.standard_normal(self.dim)
-            self._cache[token] = vec / np.linalg.norm(vec)
+            self._embed_fresh((token,))
         return self._cache[token]
 
     def embed_tokens(self, tokens) -> np.ndarray:
@@ -42,7 +66,9 @@ class TokenEmbedder:
         tokens = list(tokens)
         if not tokens:
             return np.zeros(self.dim)
-        return np.mean([self.embed_token(t) for t in tokens], axis=0)
+        self._embed_fresh(tokens)
+        cache = self._cache
+        return np.mean([cache[t] for t in tokens], axis=0)
 
     def embed_table(self, table: Table, max_cells: int = 50) -> np.ndarray:
         """Embed a table from its name, column names, and a slice of cells.

@@ -80,7 +80,9 @@ class ProfileRegistry:
         if not self._profiles:
             raise RuntimeError("registry has no profiles")
         values = np.array([p.compute(context) for p in self._profiles], dtype=float)
-        return np.clip(np.nan_to_num(values, nan=0.0), 0.0, 1.0)
+        np.clip(values, 0.0, 1.0, out=values)
+        values[np.isnan(values)] = 0.0
+        return values
 
     def with_random_profiles(self, n: int, seed: int = 0) -> "ProfileRegistry":
         """Copy of this registry plus ``n`` uninformative profiles."""

@@ -8,6 +8,7 @@ the norm, not the exception.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -23,15 +24,32 @@ def _clean_pair(x, y):
 
 
 def pearson(x, y) -> float:
-    """Pearson correlation in [-1, 1]; 0.0 for degenerate inputs."""
-    x, y = _clean_pair(x, y)
-    if x.size < 2:
+    """Pearson correlation in [-1, 1]; 0.0 for degenerate inputs.
+
+    Rows where either value is NaN or ±inf are dropped: one infinite
+    cell would otherwise turn every moment into NaN.  The moments are
+    ``np.add.reduce`` in ``np.mean``/``np.std``'s own operation order
+    (sum, then divide by the count; the deviations squared in place of
+    a second pass), so the result is theirs bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    keep = np.isfinite(x) & np.isfinite(y)
+    if not keep.all():
+        x, y = x[keep], y[keep]
+    n = x.size
+    if n < 2:
         return 0.0
-    sx = x.std()
-    sy = y.std()
+    dx = x - np.add.reduce(x) / n
+    dy = y - np.add.reduce(y) / n
+    sx = math.sqrt(np.add.reduce(dx * dx) / n)
+    sy = math.sqrt(np.add.reduce(dy * dy) / n)
     if sx == 0.0 or sy == 0.0:
         return 0.0
-    r = float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
+    r = float(np.add.reduce(dx * dy) / n / (sx * sy))
+    if math.isnan(r):
+        # The moments overflowed (or their product underflowed to 0/0).
+        return 0.0
     return max(-1.0, min(1.0, r))
 
 
@@ -91,8 +109,9 @@ def mutual_information(x, y, bins: int = 8, x_bins_cache: dict = None) -> float:
         if xb is None:
             xb = x_bins_cache[key] = _equal_frequency_bins(x, bins)
     yb = _equal_frequency_bins(y, bins)
-    joint = np.zeros((xb.max() + 1, yb.max() + 1), dtype=float)
-    np.add.at(joint, (xb, yb), 1.0)
+    ny = int(yb.max()) + 1
+    cells = np.bincount(xb * ny + yb, minlength=(int(xb.max()) + 1) * ny)
+    joint = cells.reshape(-1, ny).astype(float)
     joint /= joint.sum()
     px = joint.sum(axis=1, keepdims=True)
     py = joint.sum(axis=0, keepdims=True)
@@ -103,13 +122,51 @@ def mutual_information(x, y, bins: int = 8, x_bins_cache: dict = None) -> float:
 
 
 def _equal_frequency_bins(values: np.ndarray, bins: int) -> np.ndarray:
-    """Assign each value to an equal-frequency bin index."""
-    if np.unique(values).size <= bins:
+    """Assign each (NaN-free) value to an equal-frequency bin index.
+
+    A column with at most ``bins`` distinct values keeps one bin per
+    value (its rank among the distinct values, as ``np.unique``'s
+    inverse).  Otherwise the bin edges are ``np.quantile(values,
+    np.linspace(0, 1, bins + 1)[1:-1])`` — numpy's default ``linear``
+    method, pinned bit for bit by ``tests/profiles/test_profile_diff.py``
+    — and a value's bin is the number of edges at or below it.  One sort
+    serves the distinct count, the codes and the quantiles.
+    """
+    ordered = np.sort(values)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    if distinct.size <= bins:
         # Already discrete enough: map each distinct value to its own bin.
-        _, inverse = np.unique(values, return_inverse=True)
-        return inverse
-    quantiles = np.quantile(values, np.linspace(0, 1, bins + 1)[1:-1])
-    return np.searchsorted(quantiles, values, side="right")
+        return np.searchsorted(distinct, values)
+    prev, nxt, gamma, rest, upper = _linear_quantile_plan(values.size, bins)
+    below = ordered[prev]
+    above = ordered[nxt]
+    # numpy's _lerp: from the lower neighbour, or back from the upper
+    # one when gamma >= 0.5.
+    diff = above - below
+    edges = below + diff * gamma
+    np.subtract(above, diff * rest, out=edges, where=upper)
+    return np.searchsorted(edges, values, side="right")
+
+
+@functools.lru_cache(maxsize=64)
+def _linear_quantile_plan(n: int, bins: int) -> tuple:
+    """Neighbour indices and weights of ``np.quantile``'s ``linear``
+    method for the inner ``bins - 1`` equal-frequency edges of ``n > bins``
+    sorted values: virtual index ``(n - 1) q``, its floor and the next
+    index, ``gamma`` the fractional part, ``1 - gamma`` and the ``gamma >=
+    0.5`` mask.  Every ``q <= 1 - 1/bins`` puts the virtual index at most
+    ``n - 2`` (up to rounding), so numpy's clamp to the last index never
+    applies.  Cached read-only: they depend on the sizes only."""
+    virtual = (n - 1) * np.linspace(0, 1, bins + 1)[1:-1]
+    prev = np.floor(virtual).astype(np.intp)
+    gamma = virtual - prev
+    plan = (prev, prev + 1, gamma, 1 - gamma, gamma >= 0.5)
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
 def partial_correlation(data: np.ndarray, i: int, j: int, cond: tuple = ()) -> float:

@@ -100,6 +100,15 @@ class TestEmbedding:
         e = TokenEmbedder()
         assert not np.array_equal(e.embed_token("a"), e.embed_token("b"))
 
+    def test_cached_token_vectors_are_read_only(self):
+        e = TokenEmbedder()
+        before = e.embed_tokens(["taxi", "trips"])
+        with pytest.raises(ValueError):
+            e.embed_token("taxi")[:] = 0
+        with pytest.raises(ValueError):
+            e.embed_token("trips")[0] = 1.0
+        assert np.array_equal(e.embed_tokens(["taxi", "trips"]), before)
+
     def test_empty_tokens_zero_vector(self):
         e = TokenEmbedder(dim=8)
         assert np.array_equal(e.embed_tokens([]), np.zeros(8))

@@ -1,5 +1,7 @@
 """Tests for the statistical primitives."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,36 @@ class TestPearson:
         rng = np.random.default_rng(0)
         ys = rng.normal(size=len(xs))
         assert -1.0 <= pearson(xs, ys) <= 1.0
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_infinite_cells_are_dropped_like_nan(self, rows):
+        x = np.array([r[0] for r in rows], dtype=float)
+        y = np.array([r[1] for r in rows], dtype=float)
+        with np.errstate(all="ignore"):
+            r = pearson(x, y)
+            as_nan = pearson(
+                np.where(np.isinf(x), np.nan, x), np.where(np.isinf(y), np.nan, y)
+            )
+        assert math.isfinite(r) and -1.0 <= r <= 1.0
+        assert r == as_nan
+
+    def test_one_infinite_cell_does_not_read_as_perfect_correlation(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=100)
+        y = rng.normal(size=100)
+        without = pearson(x[1:], y[1:])
+        x[0] = np.inf
+        assert pearson(x, y) == without
+        assert abs(without) < 0.5
 
     @given(st.lists(st.floats(-50, 50), min_size=3, max_size=30))
     @settings(max_examples=30, deadline=None)
