@@ -31,12 +31,15 @@ never holds run records.  A cacheable request that misses while an
 identical one is executing waits for that owner and replays its
 recorded run instead of searching twice (single-flight).
 Independently of that cache, runs on the same base table and built-in
-task share one fit of the base utility ``u(Din)`` (the base-utility
-memo); each run is still charged the query.
+task share every task fit they have in common (the utility memo): one
+fit of the base utility ``u(Din)`` engine-wide, and one fit of each
+augmentation set per prepared candidate set.  Each run is still charged
+the query.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
@@ -87,8 +90,28 @@ from repro.utils.validation import check_positive_int
 _log = get_logger(__name__)
 
 
+#: Entries the utility memo keeps per prepared candidate set (LRU-evicted
+#: beyond it).  An entry is one float under a (base digest, task-key
+#: digest, frozenset of aug ids) key, about 0.5 KB for the small sets a
+#: search charges, so a full set's memo is ~0.5 MB and the default 32
+#: prepared sets hold ~16 MB at most.
+SET_UTILITY_MEMO_ENTRIES = 1024
+
+
 class EngineStateError(RuntimeError):
     """The engine is missing state a call needs (usually a corpus)."""
+
+
+class _PreparedSet:
+    """One prepared candidate set and the utilities of the augmentation
+    sets charged on it.  The memo lives and dies with the set: eviction,
+    ``attach_corpus`` or a re-prepare starts a new, empty one."""
+
+    __slots__ = ("candidates", "utilities")
+
+    def __init__(self, candidates: list):
+        self.candidates = candidates
+        self.utilities = LruDict(capacity=SET_UTILITY_MEMO_ENTRIES)
 
 
 class DiscoveryEngine:
@@ -116,8 +139,10 @@ class DiscoveryEngine:
         many (base, spec, seed) combinations, and each set holds every
         candidate's materialized values — without a bound the cache
         grows with the request history instead of the working set.
-        The same bound caps the base-utility memo (one float per
-        base table and task).
+        The same bound caps the utility memo's ``u(Din)`` entries (one
+        float per base table and task); each prepared set carries its
+        own memo of augmented-set utilities, capped at
+        ``SET_UTILITY_MEMO_ENTRIES``.
     max_workers:
         Runs the service executes concurrently on this engine (a
         per-catalog setting, read by
@@ -194,10 +219,10 @@ class DiscoveryEngine:
         self._catalog_lock = threading.RLock()
         self._prepare_keys = KeyedMutex()  # one lock per prepare key
         self.max_prepared_sets = max_prepared_sets
-        self._prepared = prepared  # prepare key -> candidates (LRU-bounded)
-        #: ``u(Din)`` by (base-table content, task content key), shared by
-        #: every run: the unaugmented table is the base itself, so no
-        #: corpus, catalog or registry change can move the value.
+        self._prepared = prepared  # prepare key -> _PreparedSet (LRU-bounded)
+        #: ``u(Din)`` by (base-table content, task content-key digest),
+        #: shared by every run: the unaugmented table is the base itself,
+        #: so no corpus, catalog or registry change can move the value.
         self._base_utilities = LruDict(capacity=max_prepared_sets)
         self.max_workers = max_workers
         self._results = results
@@ -275,6 +300,13 @@ class DiscoveryEngine:
         )
         for event in ("hit", "miss"):
             self._m_base_utility.labels(event=event)
+        self._m_set_utility = registry.counter(
+            "repro_engine_set_utility_events_total",
+            "Utility-memo activity on augmented sets (a hit skips one task fit).",
+            labels=("event",),
+        )
+        for event in ("hit", "miss"):
+            self._m_set_utility.labels(event=event)
         self._m_prepared_sets = registry.gauge(
             "repro_engine_prepared_sets",
             "Prepared-candidate sets resident in the LRU cache.",
@@ -381,8 +413,9 @@ class DiscoveryEngine:
         """Attach (or replace) the repository; returns ``self``.
 
         Accepts a ``{name: Table}`` dict or an iterable of Tables.
-        Replacing the corpus drops the prepared-candidate cache — cached
-        candidate sets are only valid for the corpus they were built on.
+        Replacing the corpus drops the prepared-candidate cache, and with
+        it the utility memo of every augmented set — cached candidate
+        sets are only valid for the corpus they were built on.
         """
         normalized = normalize_corpus(corpus)
         with self._lock:
@@ -439,10 +472,10 @@ class DiscoveryEngine:
         parallel (catalog mutations are serialized internally, and the
         catalog store's own writes are concurrency-safe).
         """
-        candidates, _from_cache, _corpus = self._prepare_cached(
+        prepared, _from_cache, _corpus = self._prepare_cached(
             base, spec, registry, seed
         )
-        return candidates
+        return list(prepared.candidates)
 
     def _prepare_cached(
         self, base, spec, registry, seed,
@@ -450,12 +483,13 @@ class DiscoveryEngine:
     ):
         """Per-key-locked prepare.
 
-        Returns ``(candidates, from_cache, corpus)`` — the corpus
-        snapshot the candidates were prepared from, taken under the
-        engine lock, so callers run their searcher against exactly the
-        tables the candidates reference even if ``attach_corpus`` races
-        (a prepare that overlaps a corpus swap keeps its own snapshot
-        and is not admitted into the cache of the new corpus).
+        Returns ``(prepared, from_cache, corpus)``: the
+        :class:`_PreparedSet` and the corpus snapshot its candidates
+        were prepared from, taken under the engine lock, so callers run
+        their searcher against exactly the tables the candidates
+        reference even if ``attach_corpus`` races (a prepare that
+        overlaps a corpus swap keeps its own snapshot and is not
+        admitted into the cache of the new corpus).
 
         ``base_fingerprint``/``registry_fp`` let callers that already
         fingerprinted those inputs (the result-cache path) skip the
@@ -474,7 +508,7 @@ class DiscoveryEngine:
             cached = self._prepared.get(key)
             if cached is not None:
                 self._m_prepare_cache.labels(event="hit").inc()
-                return list(cached), True, corpus
+                return cached, True, corpus
         with self._prepare_keys(key):
             with self._lock:
                 # Re-check under the key lock: a concurrent holder may
@@ -484,13 +518,15 @@ class DiscoveryEngine:
                 cached = self._prepared.get(key)
                 if cached is not None:
                     self._m_prepare_cache.labels(event="hit").inc()
-                    return list(cached), True, corpus
+                    return cached, True, corpus
             self._m_prepare_cache.labels(event="miss").inc()
-            candidates = self._prepare_uncached(base, spec, registry, seed, corpus)
+            prepared = _PreparedSet(
+                self._prepare_uncached(base, spec, registry, seed, corpus)
+            )
             with self._lock:
                 if epoch == self._corpus_epoch:
-                    self._prepared.put(key, candidates)
-            return list(candidates), False, corpus
+                    self._prepared.put(key, prepared)
+            return prepared, False, corpus
 
     def _prepare_uncached(self, base, spec, registry, seed, corpus) -> list:
         """The discovery front-end: index (or catalog) → join paths →
@@ -837,7 +873,10 @@ class DiscoveryEngine:
         start = time.perf_counter()
         with span("prepare"):
             if request.candidates is not None:
+                # Request-supplied candidates have no prepared set, so
+                # their augmented sets are never memoized.
                 candidates = list(request.candidates)
+                prepared = None
                 source = "request"
                 with self._lock:
                     corpus = self.corpus
@@ -847,7 +886,7 @@ class DiscoveryEngine:
                     if request.prepare_seed is None
                     else request.prepare_seed
                 )
-                candidates, from_cache, corpus = self._prepare_cached(
+                prepared, from_cache, corpus = self._prepare_cached(
                     request.base,
                     request.spec,
                     request.registry,
@@ -855,6 +894,7 @@ class DiscoveryEngine:
                     base_fingerprint=base_fingerprint,
                     registry_fp=registry_fp,
                 )
+                candidates = list(prepared.candidates)
                 source = "cache" if from_cache else "prepared"
         if context_box is not None:
             # Stamp the catalog state the run's inputs reflect *before*
@@ -884,7 +924,9 @@ class DiscoveryEngine:
             **request.options,
         )
         rounds_box = [0]
-        restore_hooks = self._attach_hooks(searcher, emit, cancel, rounds_box)
+        restore_hooks = self._attach_hooks(
+            searcher, emit, cancel, rounds_box, prepared, corpus
+        )
 
         start = time.perf_counter()
         status = "completed"
@@ -946,32 +988,39 @@ class DiscoveryEngine:
             )
         return request.task
 
-    def _base_utility_key(self, query_engine):
-        """Memo key of the run's ``u(Din)``: (base-table content, task
-        content key), or ``None`` when the task has no content key."""
+    def _utility_key(self, query_engine):
+        """Memo key prefix of the run's queries: (base-table content
+        digest, task content-key digest), or ``None`` when the task has
+        no content key.  Each run builds its own task key, so entries
+        hold a fixed-size digest of it rather than the nested tuple."""
         task_key = content_key(getattr(query_engine, "task", None))
         base = getattr(query_engine, "base", None)
         if task_key is None or not isinstance(base, Table):
             return None
-        return (self._fingerprint_table(base), task_key)
+        task_digest = hashlib.blake2b(
+            repr(task_key).encode("utf-8"), digest_size=16
+        ).hexdigest()
+        return (self._fingerprint_table(base), task_digest)
 
-    def _memo_base_utility(self, key, compute) -> float:
-        """Get-or-compute one base utility.  The fit runs outside the
-        lock, so two racing misses both compute — the same value, by the
-        task determinism contract.  A fit that raises stores nothing."""
+    def _memo_utility(self, memo, counter, key, compute) -> float:
+        """Get-or-compute one utility in ``memo``.  The fit runs outside
+        the lock, so two racing misses both compute — the same value, by
+        the task determinism contract.  A fit that raises stores
+        nothing."""
         with self._lock:
-            value = self._base_utilities.get(key)
+            value = memo.get(key)
         if value is not None:
-            self._m_base_utility.labels(event="hit").inc()
+            counter.labels(event="hit").inc()
             return value
-        self._m_base_utility.labels(event="miss").inc()
+        counter.labels(event="miss").inc()
         value = float(compute())
         with self._lock:
-            self._base_utilities.put(key, value)
+            memo.put(key, value)
         return value
 
     def _attach_hooks(
-        self, searcher, emit, cancel: CancellationToken, rounds_box
+        self, searcher, emit, cancel: CancellationToken, rounds_box,
+        prepared=None, corpus=None,
     ):
         """Wire the run's event stream into the searcher's query engine.
 
@@ -981,23 +1030,44 @@ class DiscoveryEngine:
         a searcher instance reused across runs must not keep emitting
         into a finished run's event list through a stale closure.
 
-        For a task with a content key, ``evaluate`` serves the base
-        utility from the engine-wide memo; the query is still charged,
-        so budgets, traces and events are those of a fresh engine.
+        For a task with a content key, ``evaluate`` serves utilities
+        from the utility memo: ``u(Din)`` from the engine-wide memo, and
+        an augmented set from the memo of ``prepared`` (the run's
+        prepared candidate set; ``None`` for request-supplied
+        candidates, which are never memoized).  The query is still
+        charged, so budgets, traces and events are those of a fresh
+        engine.
         """
         restores = []
         query_engine = getattr(searcher, "engine", None)
         if query_engine is not None:
-            memo_key = self._base_utility_key(query_engine)
+            memo_key = self._utility_key(query_engine)
             if memo_key is not None:
                 prior_evaluate = getattr(query_engine, "evaluate", None)
+                # Augmented tables are built from the corpus the query
+                # engine holds; only over the set's own corpus snapshot
+                # is a set's utility a function of the memo key.
+                set_memo = (
+                    prepared.utilities
+                    if prepared is not None
+                    and getattr(query_engine, "corpus", None) is corpus
+                    else None
+                )
 
                 def evaluate(aug_ids, compute):
                     if prior_evaluate is not None:
                         compute = partial(prior_evaluate, aug_ids, compute)
-                    if aug_ids:
+                    if not aug_ids:
+                        return self._memo_utility(
+                            self._base_utilities, self._m_base_utility,
+                            memo_key, compute,
+                        )
+                    if set_memo is None:
                         return compute()
-                    return self._memo_base_utility(memo_key, compute)
+                    return self._memo_utility(
+                        set_memo, self._m_set_utility,
+                        memo_key + (aug_ids,), compute,
+                    )
 
                 query_engine.evaluate = evaluate
                 restores.append(
@@ -1149,6 +1219,8 @@ class DiscoveryEngine:
         prepare_misses = int(self._m_prepare_cache.labels(event="miss").value)
         base_hits = int(self._m_base_utility.labels(event="hit").value)
         base_misses = int(self._m_base_utility.labels(event="miss").value)
+        set_hits = int(self._m_set_utility.labels(event="hit").value)
+        set_misses = int(self._m_set_utility.labels(event="miss").value)
         with self._lock:
             out = {
                 "runs_started": self.runs_started,
@@ -1163,6 +1235,11 @@ class DiscoveryEngine:
                 "prepare_cache_hit_rate": rate(prepare_hits, prepare_misses),
                 "base_utility_hits": base_hits,
                 "base_utility_misses": base_misses,
+                "set_utility_hits": set_hits,
+                "set_utility_misses": set_misses,
+                "set_utility_entries": sum(
+                    len(prepared.utilities) for prepared in self._prepared.values()
+                ),
                 "result_cache_hits": result_hits,
                 "result_cache_misses": result_misses,
                 "result_cache_hit_rate": rate(result_hits, result_misses),

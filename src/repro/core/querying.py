@@ -54,8 +54,11 @@ class QueryEngine:
     ``evaluate(aug_ids, compute)``
         Called on each *charged* query in place of the task fit.
         ``compute()`` runs the fit; the hook returns its value, or the
-        value an earlier fit of the same table returned (the serving
-        engine's base-utility memo).  The query is charged either way.
+        value an earlier fit of the same table returned.  The serving
+        engine's utility memo does the latter, for ``u(Din)`` and for
+        every augmented set drawn from one of its prepared candidate
+        sets, across all the runs it serves.  The query is charged
+        either way, so budgets, traces and ``on_query`` see a fresh fit.
     """
 
     pre_query = None

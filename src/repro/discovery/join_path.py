@@ -8,6 +8,7 @@ expose the same ``apply`` interface METAM's query engine uses.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from repro.dataframe import ops
@@ -56,8 +57,10 @@ class Augmentation:
     ``materialize`` walks the chain as one gather per hop through the
     join kernel's per-key aggregates (:func:`ops.key_aggregates`) instead
     of full joins, returning cells aligned with the base table's rows;
-    unmatched rows are missing.  Results are cached per (base identity,
-    row count).
+    unmatched rows are missing.  Results are cached per live base table:
+    entries are ``id(base) -> (weakref, result)``, the weakref check
+    guards against id reuse, and its callback drops the entry when the
+    base dies.
     """
 
     def __init__(self, path: JoinPath, output_column: str):
@@ -83,9 +86,9 @@ class Augmentation:
 
     def _materialized(self, base: Table, corpus: dict) -> tuple:
         """``(cells, matched row count)`` of the output column."""
-        cache_key = (id(base), base.num_rows)
-        if cache_key in self._cache:
-            return self._cache[cache_key]
+        entry = self._cache.get(id(base))
+        if entry is not None and entry[0]() is base:
+            return entry[1]
 
         steps = self.path.steps
         if steps[0].left_column not in base:
@@ -106,8 +109,26 @@ class Augmentation:
             values = list(map(aggregate.get, keys))
 
         result = values, sum(map(matched.__contains__, keys))
-        self._cache[cache_key] = result
+        self._remember(base, result)
         return result
+
+    def _remember(self, base: Table, result: tuple) -> None:
+        # The callback reaches the cache through a weakref to ``self``:
+        # a strong one would tie the augmentation, its cache and the
+        # callback into a cycle only the cyclic collector frees.
+        key, owner = id(base), weakref.ref(self)
+
+        def forget(ref):
+            augmentation = owner()
+            if augmentation is not None:
+                entry = augmentation._cache.get(key)
+                if entry is not None and entry[0] is ref:
+                    augmentation._cache.pop(key, None)
+
+        try:
+            self._cache[key] = (weakref.ref(base, forget), result)
+        except TypeError:  # an unweakrefable base is not cached
+            pass
 
     def materialize(self, base: Table, corpus: dict) -> list:
         """Cells of the output column aligned with ``base`` rows."""

@@ -120,10 +120,12 @@ class Task:
 
     Implementations must be deterministic given the same input table —
     METAM's query cache and trace reproducibility rely on it, and so does
-    the serving engine's base-utility memo, which reuses ``u(Din)``
-    across requests for tasks with a :func:`content_key`.  The paper's
-    guidance applies: the utility need not be monotonic; METAM's
-    monotonicity-certification wrapper handles regressions.
+    the serving engine's utility memo, which reuses ``u(Din)`` and the
+    utility of every augmented table (``Din`` plus a set of candidates
+    from one prepared set) across requests for tasks with a
+    :func:`content_key`.  The paper's guidance applies: the utility need
+    not be monotonic; METAM's monotonicity-certification wrapper handles
+    regressions.
     """
 
     name = "task"

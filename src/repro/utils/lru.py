@@ -50,6 +50,10 @@ class LruDict:
     def __contains__(self, key) -> bool:
         return key in self._entries
 
+    def values(self) -> list:
+        """Every value, least recently touched first (recency unchanged)."""
+        return list(self._entries.values())
+
     def get(self, key, default=None):
         """Value for ``key`` (refreshes its recency), or ``default``."""
         if key not in self._entries:

@@ -3,12 +3,15 @@
 Every searcher's first query is the unaugmented base table.  The engine
 serves it from a memo keyed by base-table content and the task's content
 key; the query is still charged, so a memo-hit run is indistinguishable
-from a fresh engine's run except that the task is asked once fewer.
+from a fresh engine's run except that the task is asked fewer times.
+Augmented sets share the same get-or-compute path through their prepared
+set's memo (``tests/api/test_utility_memo.py``).
 """
 
 import copy
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import pytest
 
@@ -29,33 +32,46 @@ def scenario():
     return clustering_scenario(seed=0)
 
 
-@pytest.fixture
-def fits(monkeypatch):
-    """Counts calls of ``ClusteringTask.utility`` — patched on the class,
-    so the tasks stay library objects with a content key."""
+@contextmanager
+def recorded_fits(fail_on=None):
+    """Patches ``ClusteringTask.utility`` on the class (the tasks stay
+    library objects with a content key) to record the column set of
+    every fit; a column set names the augmentation set fitted.
+    ``fail_on(table)`` may raise instead of fitting."""
     calls = []
     original = ClusteringTask.utility
 
     def counted(self, table):
-        calls.append(table.name)
+        if fail_on is not None:
+            fail_on(table)
+        calls.append(frozenset(table.column_names))
         return original(self, table)
 
-    monkeypatch.setattr(ClusteringTask, "utility", counted)
-    return calls
+    ClusteringTask.utility = counted
+    try:
+        yield calls
+    finally:
+        ClusteringTask.utility = original
 
 
-def request_for(scenario, searcher="metam", seed=1, task=None):
+@pytest.fixture
+def fits():
+    with recorded_fits() as calls:
+        yield calls
+
+
+def request_for(scenario, searcher="metam", seed=1, task=None, budget=BUDGET):
     metam = searcher in ("metam", "eq", "nc", "nceq")
     return DiscoveryRequest(
         base=scenario.base,
         task=task if task is not None else scenario.task,
         searcher=searcher,
         theta=0.9,
-        query_budget=BUDGET,
+        query_budget=budget,
         seed=seed,
         prepare_seed=0,
         config=(
-            MetamConfig(theta=0.9, query_budget=BUDGET, epsilon=0.1, seed=seed)
+            MetamConfig(theta=0.9, query_budget=budget, epsilon=0.1, seed=seed)
             if metam
             else None
         ),
@@ -85,27 +101,33 @@ def memo_counts(engine):
 
 
 @pytest.mark.parametrize("searcher", default_searchers().names())
-def test_second_request_equals_a_fresh_engine_with_one_fit_fewer(
+def test_second_request_equals_a_fresh_engine_and_fits_only_its_new_sets(
     scenario, fits, searcher
 ):
     warm = DiscoveryEngine(corpus=scenario.corpus)
     warm.discover(request_for(scenario, searcher, seed=1))
+    first_sets = set(fits)
     before = len(fits)
     served = warm.discover(request_for(scenario, searcher, seed=2))
-    warm_fits = len(fits) - before
+    warm_fits = fits[before:]
 
     fresh = DiscoveryEngine(corpus=scenario.corpus)
     fresh.prepare(scenario.base, seed=0)  # same prepare-cache provenance
     before = len(fits)
     reference = fresh.discover(request_for(scenario, searcher, seed=2))
-    fresh_fits = len(fits) - before
+    fresh_fits = fits[before:]
 
     assert served.completed and reference.completed
     assert comparable(served) == comparable(reference)
     assert served.result.queries == reference.result.queries
     assert served.result.trace == reference.result.trace
     assert served.events_of("query-issued") == reference.events_of("query-issued")
-    assert warm_fits == fresh_fits - 1
+    # A fresh engine fits every set it charges, once; the warm engine
+    # fits exactly the sets request 2 queries that request 1 did not.
+    assert len(fresh_fits) == len(set(fresh_fits)) == reference.result.queries
+    assert sorted(warm_fits, key=sorted) == sorted(
+        set(fresh_fits) - first_sets, key=sorted
+    )
     assert memo_counts(warm) == (1, 1)
     assert memo_counts(fresh) == (0, 1)
 

@@ -229,6 +229,9 @@ class TestPrepare:
             "prepare_cache_hit_rate",
             "base_utility_hits",
             "base_utility_misses",
+            "set_utility_hits",
+            "set_utility_misses",
+            "set_utility_entries",
             "result_cache_hits",
             "result_cache_misses",
             "result_cache_hit_rate",

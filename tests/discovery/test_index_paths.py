@@ -1,5 +1,7 @@
 """Tests for the discovery index, join graph, and path enumeration."""
 
+import gc
+
 import pytest
 
 from repro.dataframe import Table
@@ -134,3 +136,36 @@ class TestJoinPathTypes:
         assert a == b
         assert hash(a) == hash(b)
         assert a != Augmentation(path, "other")
+
+
+class TestMaterializeCache:
+    """``Augmentation`` caches a materialised column per live base table:
+    same-content base objects each get their own entry, and an entry
+    goes when its base dies."""
+
+    @pytest.fixture
+    def aug(self):
+        return Augmentation(JoinPath((JoinStep("zip", "crime", "zipcode"),)), "crimes")
+
+    def test_growth_is_bounded_by_live_bases(self, corpus, aug):
+        expected = aug.materialize(corpus["houses"], corpus)
+        kept = []
+        for i in range(6):
+            base = corpus["houses"].copy()  # fresh object, same content
+            assert aug.materialize(base, corpus) == expected
+            if i % 2 == 0:
+                kept.append(base)
+            del base
+            assert len(aug._cache) == 1 + len(kept)
+        kept.clear()
+        assert len(aug._cache) == 1
+
+    def test_a_collected_base_leaves_no_entry(self, corpus, aug):
+        base = corpus["houses"].copy()
+        # A cycle through the base: only the cyclic collector frees it.
+        base.self_ref = base
+        aug.materialize(base, corpus)
+        assert len(aug._cache) == 1
+        del base
+        gc.collect()
+        assert aug._cache == {}
