@@ -10,8 +10,9 @@ apart by the attribute-naming convention alone:
 * **Cross-process critical-section locks** — a *call* named like a
   mutex (``self._dir_lock(path)``, ``store.root_lock()``,
   ``LeaseManager._lock()``: factories returning a backend file lock)
-  and the striped ``_prepare_keys(key)`` guard.  They exist precisely
-  to serialize file I/O, so I/O under them is the intended idiom.
+  and the engine caches' ``single_flight(key)`` slots.  They exist
+  precisely to serialize file I/O or a build of one key, so I/O under
+  them is the intended idiom.
 
 Both families participate in lock-ordering analysis; only the first is
 checked for blocking calls.
@@ -29,8 +30,9 @@ from repro.analysis.core import call_root, dotted_name, terminal_name
 IN_PROCESS_SUFFIXES = ("_lock", "_guard")
 
 #: Context-manager *calls* that yield a lock guard without being named
-#: like a mutex: the engine's striped single-flight guard.
-FILE_LOCK_CALLS = {"_prepare_keys"}
+#: like a mutex: ``LruDict.single_flight``, whose owner holds its key
+#: while it builds (prepares, searches, fits) the value.
+FILE_LOCK_CALLS = {"single_flight"}
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,7 @@ class LockRef:
     """One recognized lock acquisition site."""
 
     name: str  # lock identifier (attribute or factory name)
-    in_process: bool  # True → threading mutex, False → file/striped lock
+    in_process: bool  # True → threading mutex, False → file lock or slot
 
 
 def classify_with_item(item: ast.withitem) -> Optional[LockRef]:

@@ -8,8 +8,9 @@ of the I/O, which is exactly the latency cliff the engine's
 short-critical-section design avoids.
 
 Cross-process critical-section locks (``_dir_lock(...)``,
-``root_lock()``, striped ``_prepare_keys`` guards) exist to serialize
-I/O and are never flagged.  Holding an in-process lock across blocking
+``root_lock()``) and single-flight slots (``single_flight(key)``, held
+while a cache owner builds its value) exist to serialize I/O or a
+build, and are never flagged.  Holding an in-process lock across blocking
 work needs an inline ``# reprolint: disable=blocking-under-lock`` with
 a justification, or a fix that moves the work outside the critical
 section.

@@ -15,36 +15,38 @@ it::
 ``discover`` is thread-safe and synchronous — it is the engine's only
 way to serve a request; :class:`~repro.server.DiscoveryService` runs it
 on its own workers when callers need queueing, fairness or
-non-blocking submission.  Candidate preparation is striped: every
-``(base content, spec, seed, registry)`` key has its own lock, so the
-first request for a key pays, concurrent requests for the same key share
-the result, and requests for *disjoint* keys prepare fully in parallel
-(catalog mutations are serialized internally, and the on-disk store is
-concurrency-safe in its own right).  Each run gets its own searcher,
-query accounting, and RNG — so N callers can serve requests against one
-warm engine concurrently.
+non-blocking submission.  Every engine cache is an
+:class:`~repro.utils.lru.LruDict` read through its single-flight slot:
+the first request for a ``(base content, spec, seed, registry, corpus
+epoch)`` key prepares it, concurrent requests for the same key wait
+and share the result, and requests for *disjoint* keys prepare fully
+in parallel (catalog mutations are serialized internally, and the
+on-disk store is concurrency-safe in its own right).  Each run gets its
+own searcher, query accounting, and RNG — so N callers can serve
+requests against one warm engine concurrently.
 
 An optional in-memory result cache (``result_cache_bytes``) serves
 repeated identical requests from their recorded runs without
 re-searching; it lives as long as the engine, and the catalog store
 never holds run records.  A cacheable request that misses while an
 identical one is executing waits for that owner and replays its
-recorded run instead of searching twice (single-flight).
+recorded run instead of searching twice.
 Independently of that cache, runs on the same base table and built-in
 task share every task fit they have in common (the utility memo): one
 fit of the base utility ``u(Din)`` engine-wide, and one fit of each
-augmentation set per prepared candidate set.  Each run is still charged
-the query.
+augmentation set per prepared candidate set; a run that misses on a
+utility another run is fitting waits for that fit.  Each run is still
+charged the query.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import threading
 import time
 from collections import deque
-import weakref
 from dataclasses import replace
 from functools import partial
 
@@ -83,7 +85,6 @@ from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.tracing import Tracer, mark, span
 from repro.profiles.registry import default_registry
 from repro.tasks.base import Task, content_key
-from repro.utils.locks import KeyedMutex
 from repro.utils.lru import LruDict
 from repro.utils.validation import check_positive_int
 
@@ -96,6 +97,12 @@ _log = get_logger(__name__)
 #: search charges, so a full set's memo is ~0.5 MB and the default 32
 #: prepared sets hold ~16 MB at most.
 SET_UTILITY_MEMO_ENTRIES = 1024
+
+
+def _table_digest(table: Table) -> str:
+    """Content fingerprint of ``table``, kept with the (immutable) table
+    so a request's cache keys hash its base once per object."""
+    return table.derived(("fingerprint",), partial(table_fingerprint, table))
 
 
 class EngineStateError(RuntimeError):
@@ -139,10 +146,12 @@ class DiscoveryEngine:
         many (base, spec, seed) combinations, and each set holds every
         candidate's materialized values — without a bound the cache
         grows with the request history instead of the working set.
-        The same bound caps the utility memo's ``u(Din)`` entries (one
-        float per base table and task); each prepared set carries its
-        own memo of augmented-set utilities, capped at
-        ``SET_UTILITY_MEMO_ENTRIES``.
+        A set prepared under a corpus that ``attach_corpus`` replaced
+        meanwhile is unreachable (its key carries the old corpus epoch)
+        and ages out like any other entry.  The same bound caps the
+        utility memo's ``u(Din)`` entries (one float per base table and
+        task); each prepared set carries its own memo of augmented-set
+        utilities, capped at ``SET_UTILITY_MEMO_ENTRIES``.
     max_workers:
         Runs the service executes concurrently on this engine (a
         per-catalog setting, read by
@@ -215,9 +224,9 @@ class DiscoveryEngine:
         self._lock = threading.RLock()
         # Catalog mutations (refresh/save, lazy index paging, profile
         # cache construction) stay serialized even though preparation is
-        # locked per key: the in-memory index is shared mutable state.
+        # single-flight per key: the in-memory index is shared mutable
+        # state.
         self._catalog_lock = threading.RLock()
-        self._prepare_keys = KeyedMutex()  # one lock per prepare key
         self.max_prepared_sets = max_prepared_sets
         self._prepared = prepared  # prepare key -> _PreparedSet (LRU-bounded)
         #: ``u(Din)`` by (base-table content, task content-key digest),
@@ -225,22 +234,10 @@ class DiscoveryEngine:
         #: so no corpus, catalog or registry change can move the value.
         self._base_utilities = LruDict(capacity=max_prepared_sets)
         self.max_workers = max_workers
+        #: Result-cache key -> (catalog mutation count, recorded run).
         self._results = results
         self.result_cache_bytes = result_cache_bytes
-        #: Reservations of result-cache slots by executing runs: cache-key
-        #: prefix -> threading.Event set when the owning run resolves.
-        self._reservations = {}
-        #: Table-content digests memoized by object *identity* (Tables
-        #: are immutable by library convention and unhashable, so this
-        #: maps ``id(table)`` with a weakref that both guards against id
-        #: reuse and evicts dead entries).  The cache key of a request
-        #: then hashes its base table once per object, not once per run.
-        #: Registry fingerprints are deliberately NOT memoized:
-        #: ProfileRegistry mutates in place (``add``/``remove``), and a
-        #: stale digest would replay runs recorded under the old
-        #: profile set.
-        self._table_fp_memo = {}
-        self._next_run_id = 1
+        self._run_ids = itertools.count(1)  # next() is atomic
         if metrics is False:
             registry = NULL_REGISTRY
         elif metrics is None:
@@ -453,7 +450,7 @@ class DiscoveryEngine:
             return self._profile_registry
 
     # ------------------------------------------------------------------
-    # Candidate preparation (striped per-key locks, cached)
+    # Candidate preparation (single-flight per key, cached)
     # ------------------------------------------------------------------
     def prepare(
         self,
@@ -466,11 +463,12 @@ class DiscoveryEngine:
 
         Returns profiled :class:`~repro.discovery.candidates.Candidate`
         objects — the common input of METAM and every baseline.  Results
-        are cached by (base content, spec, seed, profile registry), and
-        preparation is locked per key: concurrent requests for the same
-        key share one preparation, while disjoint keys prepare in
-        parallel (catalog mutations are serialized internally, and the
-        catalog store's own writes are concurrency-safe).
+        are cached by (base content, spec, seed, profile registry, corpus
+        epoch), and preparation is single-flight per key: concurrent
+        requests for the same key share one preparation, while disjoint
+        keys prepare in parallel (catalog mutations are serialized
+        internally, and the catalog store's own writes are
+        concurrency-safe).
         """
         prepared, _from_cache, _corpus = self._prepare_cached(
             base, spec, registry, seed
@@ -481,15 +479,15 @@ class DiscoveryEngine:
         self, base, spec, registry, seed,
         base_fingerprint=None, registry_fp=None,
     ):
-        """Per-key-locked prepare.
+        """Single-flight prepare.
 
         Returns ``(prepared, from_cache, corpus)``: the
         :class:`_PreparedSet` and the corpus snapshot its candidates
-        were prepared from, taken under the engine lock, so callers run
-        their searcher against exactly the tables the candidates
-        reference even if ``attach_corpus`` races (a prepare that
-        overlaps a corpus swap keeps its own snapshot and is not
-        admitted into the cache of the new corpus).
+        were prepared from, taken with the corpus epoch that keys them,
+        so callers run their searcher against exactly the tables the
+        candidates reference even if ``attach_corpus`` races (a prepare
+        that overlaps a corpus swap lands under the old epoch, where no
+        request of the new corpus looks).
 
         ``base_fingerprint``/``registry_fp`` let callers that already
         fingerprinted those inputs (the result-cache path) skip the
@@ -497,35 +495,24 @@ class DiscoveryEngine:
         """
         spec = spec or CandidateSpec()
         registry = registry if registry is not None else self.profile_registry()
+        with self._lock:
+            corpus, epoch = self.corpus, self._corpus_epoch
         key = (
-            base_fingerprint or self._fingerprint_table(base),
+            base_fingerprint or _table_digest(base),
             spec,
             int(seed),
             registry_fp or registry_fingerprint(registry),
+            epoch,
         )
-        with self._lock:
-            corpus = self.corpus
-            cached = self._prepared.get(key)
-            if cached is not None:
+        with self._prepared.single_flight(key) as slot:
+            if slot.hit:
                 self._m_prepare_cache.labels(event="hit").inc()
-                return cached, True, corpus
-        with self._prepare_keys(key):
-            with self._lock:
-                # Re-check under the key lock: a concurrent holder may
-                # have prepared this exact key while we waited.
-                corpus = self.corpus
-                epoch = self._corpus_epoch
-                cached = self._prepared.get(key)
-                if cached is not None:
-                    self._m_prepare_cache.labels(event="hit").inc()
-                    return cached, True, corpus
+                return slot.value, True, corpus
             self._m_prepare_cache.labels(event="miss").inc()
             prepared = _PreparedSet(
                 self._prepare_uncached(base, spec, registry, seed, corpus)
             )
-            with self._lock:
-                if epoch == self._corpus_epoch:
-                    self._prepared.put(key, prepared)
+            slot.store(prepared)
             return prepared, False, corpus
 
     def _prepare_uncached(self, base, spec, registry, seed, corpus) -> list:
@@ -645,46 +632,39 @@ class DiscoveryEngine:
         factory = self.searchers.get(request.searcher)  # fail before any work
         self.corpus  # fail fast when none is attached
         cache_key = self._result_cache_key(request)
-        reservation = None
-        while cache_key is not None:
-            if cancel is not None and cancel.cancelled:
-                # An already-cancelled token must yield a cancelled run,
-                # not a completed replay — skip the cache and serve
-                # normally (the run stops at its first utility query).
-                cache_key = None
-                break
-            with self._lock:
-                # Lookup under the *current* catalog mutation count:
-                # out-of-band catalog changes (engine.catalog.add/...)
-                # shift the count and make older entries unreachable.
-                hit = self._results.get(cache_key + (self._catalog_mutations(),))
-                owner = self._reservations.get(cache_key)
-                if hit is None and owner is None:
-                    reservation = self._reservations[cache_key] = threading.Event()
-            if hit is not None:
-                return self._replay(hit, request, progress)
-            if reservation is not None:
-                self._m_result_cache.labels(event="miss").inc()
-                break
-            # Only an executing run holds a reservation, so this wait
-            # always ends; the next lookup replays the owner's record.
-            owner.wait()
-        try:
-            return self._run_live(request, task, factory, progress, cancel, cache_key)
-        finally:
-            if reservation is not None:
-                with self._lock:
-                    del self._reservations[cache_key]
-                reservation.set()
+        if cache_key is None or (cancel is not None and cancel.cancelled):
+            # An already-cancelled token must yield a cancelled run, not
+            # a completed replay (the run stops at its first query).
+            return self._run_live(request, task, factory, progress, cancel)[0]
+        with self._results.single_flight(cache_key) as slot:
+            if cancel is not None and cancel.cancelled:  # while waiting
+                return self._run_live(request, task, factory, progress, cancel)[0]
+            # A hit recorded under another catalog mutation count is a
+            # miss: out-of-band catalog changes (engine.catalog.add/...)
+            # shift the count.
+            if slot.hit and slot.value[0] == self._catalog_mutations():
+                return self._replay(slot.value[1], request, progress)
+            self._m_result_cache.labels(event="miss").inc()
+            run, mutations = self._run_live(
+                request, task, factory, progress, cancel, cache_key
+            )
+            if run.completed:
+                # Size by the JSON run record — the serializable
+                # footprint the LRU budget is defined over.  The key
+                # embeds the corpus epoch this run was requested under,
+                # so a run that raced attach_corpus lands where no
+                # request of the new corpus looks.
+                size = len(json.dumps(run.to_record()).encode("utf-8"))
+                slot.store((mutations, run), size=size)
+                self._m_result_cache.labels(event="spill").inc()
+            return run
 
-    def _run_live(self, request, task, factory, progress, cancel, cache_key):
-        """Execute one traced run and, when ``cache_key`` is set and it
-        completed, admit its record into the result cache."""
-        with self._lock:
-            run_id = self._next_run_id
-            self._next_run_id += 1
+    def _run_live(self, request, task, factory, progress, cancel, cache_key=None):
+        """Execute one traced run; returns ``(run, catalog mutation
+        count stamped after its prepare)``, the count ``None`` for an
+        uncacheable run (no ``cache_key``)."""
+        run_id = next(self._run_ids)
         self._m_runs_started.inc()
-        context_box = [] if cache_key is not None else None
         try:
             with self.tracer.trace(
                 "discover",
@@ -696,14 +676,9 @@ class DiscoveryEngine:
                 # Ambient run/searcher fields: every log line emitted below
                 # this frame (query engine, tasks, catalog) carries them.
                 with log_context(run_id=run_id, searcher=request.searcher):
-                    run = self._serve(
+                    run, mutations = self._serve(
                         request, task, factory, run_id, progress, cancel,
-                        # The cache key leads with the base-table and
-                        # registry fingerprints; reuse both so a
-                        # cache-enabled run hashes each input once.
-                        cache_key[0] if cache_key else None,
-                        cache_key[1] if cache_key else None,
-                        context_box,
+                        cache_key,
                     )
         except BaseException:
             # Anything that escapes (bad searcher options, a task that
@@ -725,29 +700,12 @@ class DiscoveryEngine:
             run = replace(run, trace=trace)
             with self._lock:
                 self.recent_traces.append(trace)
-        if cache_key is not None and run.completed and context_box:
-            # Size by the JSON run record — the serializable footprint
-            # the LRU budget is defined over (computed outside the lock).
-            # The key embeds the corpus epoch this run was requested
-            # under; if attach_corpus raced the search, the entry lands
-            # under the superseded epoch and no future request can hit
-            # it (their keys carry the new epoch).  The catalog mutation
-            # count was stamped after this run's prepare (it reflects
-            # the run's own catalog refresh) and before its search (a
-            # catalog mutated mid-search leaves the entry under the
-            # older, unreachable count).
-            size = len(json.dumps(run.to_record()).encode("utf-8"))
-            with self._lock:
-                self._results.put(cache_key + (context_box[0],), run, size=size)
-            self._m_result_cache.labels(event="spill").inc()
-        return run
+        return run, mutations
 
     def _replay(self, hit: DiscoveryRun, request, progress):
         """Serve a recorded run as an exact replay (fresh ``run_id``,
         ``cached=True``, recorded events re-streamed to ``progress``)."""
-        with self._lock:
-            run_id = self._next_run_id
-            self._next_run_id += 1
+        run_id = next(self._run_ids)
         self._m_runs_started.inc()
         try:
             if progress is not None:
@@ -778,27 +736,6 @@ class DiscoveryEngine:
             cache_info={**hit.cache_info, "result_cache_hit": True},
         )
 
-    def _fingerprint_table(self, table) -> str:
-        """Content fingerprint of ``table``, memoized by identity.
-
-        Entries are ``id(table) -> (weakref, digest)``: the weakref check
-        guards against id reuse after the original table dies, and its
-        callback evicts the entry so the memo never outgrows the set of
-        live tables."""
-        memo, key = self._table_fp_memo, id(table)
-        with self._lock:
-            entry = memo.get(key)
-            if entry is not None and entry[0]() is table:
-                return entry[1]
-        fingerprint = table_fingerprint(table)
-        try:
-            ref = weakref.ref(table, lambda _r, key=key: memo.pop(key, None))
-        except TypeError:  # pragma: no cover - unweakrefable stub
-            return fingerprint
-        with self._lock:
-            memo[key] = (ref, fingerprint)
-        return fingerprint
-
     def _catalog_mutations(self) -> int:
         """The attached catalog's structural mutation count (``-1``
         without one) — the cache-key component that makes entries
@@ -806,17 +743,17 @@ class DiscoveryEngine:
         return self.catalog.mutations if self.catalog is not None else -1
 
     def _result_cache_key(self, request: DiscoveryRequest):
-        """Cache-key prefix for ``request``, or ``None`` when uncacheable
+        """Result-cache key for ``request``, or ``None`` when uncacheable
         (cache disabled, candidates supplied, task given as an object, or
         options without a canonical form).
 
-        The prefix embeds the current corpus epoch: entries recorded
-        under a previous corpus are unreachable by construction, so a
-        run that races an ``attach_corpus`` can never be replayed
-        against the new corpus (the explicit clear then just reclaims
-        the memory).  Callers append the catalog mutation count — at
-        lookup time for reads, at admission time for writes (a run's own
-        prepare may legitimately refresh the catalog)."""
+        The key embeds the current corpus epoch: entries recorded under
+        a previous corpus are unreachable by construction, so a run that
+        races an ``attach_corpus`` can never be replayed against the new
+        corpus (the explicit clear then just reclaims the memory).  The
+        catalog mutation count is not part of the key but of the entry:
+        a run's own prepare may legitimately refresh the catalog, so the
+        count is stamped after it."""
         if self._results is None:
             return None
         descriptor = request.cache_descriptor()
@@ -827,13 +764,13 @@ class DiscoveryEngine:
             if request.registry is not None
             else self.profile_registry()
         )
-        with self._lock:
-            epoch = self._corpus_epoch
         return (
-            self._fingerprint_table(request.base),
+            _table_digest(request.base),
+            # Registry fingerprints are deliberately not memoized:
+            # ProfileRegistry mutates in place (``add``/``remove``).
             registry_fingerprint(registry),
             descriptor,
-            epoch,
+            self._corpus_epoch,
             # Re-registering a searcher or task under the same name
             # (overwrite=True) must not replay runs of the old factory.
             self.searchers.mutations,
@@ -842,13 +779,11 @@ class DiscoveryEngine:
 
     def _invalidate_results(self) -> None:
         """Drop every cached run (corpus or catalog content changed)."""
-        with self._lock:
-            if self._results is not None:
-                self._results.clear()
+        if self._results is not None:
+            self._results.clear()
 
     def _serve(
-        self, request, task, factory, run_id, progress, cancel,
-        base_fingerprint, registry_fp, context_box,
+        self, request, task, factory, run_id, progress, cancel, cache_key,
     ):
         events = []
 
@@ -867,7 +802,7 @@ class DiscoveryEngine:
         )
 
         # The corpus snapshot travels with the candidates: prepared runs
-        # use the snapshot taken under the prepare lock, so a concurrent
+        # use the snapshot their prepare key's epoch names, so a concurrent
         # attach_corpus() can never pair one corpus's candidates with
         # another corpus's tables.
         start = time.perf_counter()
@@ -878,8 +813,7 @@ class DiscoveryEngine:
                 candidates = list(request.candidates)
                 prepared = None
                 source = "request"
-                with self._lock:
-                    corpus = self.corpus
+                corpus = self.corpus
             else:
                 prepare_seed = (
                     request.seed
@@ -891,17 +825,20 @@ class DiscoveryEngine:
                     request.spec,
                     request.registry,
                     prepare_seed,
-                    base_fingerprint=base_fingerprint,
-                    registry_fp=registry_fp,
+                    # The cache key leads with the base-table and
+                    # registry fingerprints: hash each input once.
+                    base_fingerprint=cache_key and cache_key[0],
+                    registry_fp=cache_key and cache_key[1],
                 )
                 candidates = list(prepared.candidates)
                 source = "cache" if from_cache else "prepared"
-        if context_box is not None:
+        mutations = None
+        if cache_key is not None:
             # Stamp the catalog state the run's inputs reflect *before*
             # the search: a catalog mutated while the search runs must
-            # not get this run admitted under its post-mutation key.
+            # not get this run replayed under the post-mutation count.
             with self._catalog_lock:
-                context_box.append(self._catalog_mutations())
+                mutations = self._catalog_mutations()
         prepare_seconds = time.perf_counter() - start
         self._m_prepare_seconds.labels(source=source).observe(prepare_seconds)
         emit(
@@ -962,7 +899,7 @@ class DiscoveryEngine:
         self._m_search_seconds.observe(search_seconds)
         if rounds_box[0]:
             self._m_run_rounds.observe(rounds_box[0])
-        return DiscoveryRun(
+        run = DiscoveryRun(
             run_id=run_id,
             request=request,
             status=status,
@@ -978,6 +915,7 @@ class DiscoveryEngine:
                 "result_cache_hit": False,
             },
         )
+        return run, mutations
 
     def _resolve_task(self, request: DiscoveryRequest) -> Task:
         if isinstance(request.task, str):
@@ -1000,23 +938,7 @@ class DiscoveryEngine:
         task_digest = hashlib.blake2b(
             repr(task_key).encode("utf-8"), digest_size=16
         ).hexdigest()
-        return (self._fingerprint_table(base), task_digest)
-
-    def _memo_utility(self, memo, counter, key, compute) -> float:
-        """Get-or-compute one utility in ``memo``.  The fit runs outside
-        the lock, so two racing misses both compute — the same value, by
-        the task determinism contract.  A fit that raises stores
-        nothing."""
-        with self._lock:
-            value = memo.get(key)
-        if value is not None:
-            counter.labels(event="hit").inc()
-            return value
-        counter.labels(event="miss").inc()
-        value = float(compute())
-        with self._lock:
-            memo.put(key, value)
-        return value
+        return (_table_digest(base), task_digest)
 
     def _attach_hooks(
         self, searcher, emit, cancel: CancellationToken, rounds_box,
@@ -1058,16 +980,25 @@ class DiscoveryEngine:
                     if prior_evaluate is not None:
                         compute = partial(prior_evaluate, aug_ids, compute)
                     if not aug_ids:
-                        return self._memo_utility(
-                            self._base_utilities, self._m_base_utility,
-                            memo_key, compute,
+                        memo, counter, key = (
+                            self._base_utilities, self._m_base_utility, memo_key
                         )
-                    if set_memo is None:
+                    elif set_memo is None:
                         return compute()
-                    return self._memo_utility(
-                        set_memo, self._m_set_utility,
-                        memo_key + (aug_ids,), compute,
-                    )
+                    else:
+                        memo, counter, key = (
+                            set_memo, self._m_set_utility, memo_key + (aug_ids,)
+                        )
+                    # A fit that raises (or is cancelled) stores nothing,
+                    # and the next caller for the key fits instead.
+                    with memo.single_flight(key) as slot:
+                        if slot.hit:
+                            counter.labels(event="hit").inc()
+                            return slot.value
+                        counter.labels(event="miss").inc()
+                        value = float(compute())
+                        slot.store(value)
+                        return value
 
                 query_engine.evaluate = evaluate
                 restores.append(
@@ -1196,19 +1127,16 @@ class DiscoveryEngine:
         """Bring the derived gauges (cache occupancy, reservations) up to
         date with the engine's live state — counters and histograms are
         written at the event sites and never need this."""
-        with self._lock:
-            self._m_prepared_sets.set(len(self._prepared))
-            self._m_cache_entries.set(
-                len(self._results) if self._results is not None else 0
-            )
-            self._m_cache_bytes.set(
-                self._results.total_bytes if self._results is not None else 0
-            )
-            self._m_cache_reserved.set(len(self._reservations))
+        results = self._results if self._results is not None else LruDict()
+        self._m_prepared_sets.set(len(self._prepared))
+        self._m_cache_entries.set(len(results))
+        self._m_cache_bytes.set(results.total_bytes)
+        self._m_cache_reserved.set(results.in_flight)
 
     def stats(self) -> dict:
         """Engine-level serving statistics (registry-backed)."""
         self._refresh_gauges()
+        results = self._results if self._results is not None else LruDict()
 
         def rate(hits, misses):
             return hits / (hits + misses) if hits + misses else 0.0
@@ -1221,44 +1149,35 @@ class DiscoveryEngine:
         base_misses = int(self._m_base_utility.labels(event="miss").value)
         set_hits = int(self._m_set_utility.labels(event="hit").value)
         set_misses = int(self._m_set_utility.labels(event="miss").value)
-        with self._lock:
-            out = {
-                "runs_started": self.runs_started,
-                "runs_completed": self.runs_completed,
-                "runs_cancelled": self.runs_cancelled,
-                "runs_failed": self.runs_failed,
-                "queries_served": self.queries_served,
-                "prepared_candidate_sets": len(self._prepared),
-                "active_prepares": len(self._prepare_keys),
-                "prepare_cache_hits": prepare_hits,
-                "prepare_cache_misses": prepare_misses,
-                "prepare_cache_hit_rate": rate(prepare_hits, prepare_misses),
-                "base_utility_hits": base_hits,
-                "base_utility_misses": base_misses,
-                "set_utility_hits": set_hits,
-                "set_utility_misses": set_misses,
-                "set_utility_entries": sum(
-                    len(prepared.utilities) for prepared in self._prepared.values()
-                ),
-                "result_cache_hits": result_hits,
-                "result_cache_misses": result_misses,
-                "result_cache_hit_rate": rate(result_hits, result_misses),
-                "result_cache_entries": (
-                    len(self._results) if self._results is not None else 0
-                ),
-                "result_cache_bytes": (
-                    self._results.total_bytes if self._results is not None else 0
-                ),
-                "result_cache_reserved": len(self._reservations),
-                "corpus_tables": len(self._corpus) if self._corpus else 0,
-                "searchers": self.searchers.names(),
-            }
-        # Catalog state is guarded by the catalog lock, not the engine
-        # lock — and deliberately taken *after* releasing it: a prepare
-        # holds the catalog lock while it invalidates the result cache
-        # (engine lock), so nesting them here in the opposite order
-        # would deadlock.  A catalog mid-refresh must still not leak a
-        # half-applied view into stats.
+        out = {
+            "runs_started": self.runs_started,
+            "runs_completed": self.runs_completed,
+            "runs_cancelled": self.runs_cancelled,
+            "runs_failed": self.runs_failed,
+            "queries_served": self.queries_served,
+            "prepared_candidate_sets": len(self._prepared),
+            "active_prepares": self._prepared.in_flight,
+            "prepare_cache_hits": prepare_hits,
+            "prepare_cache_misses": prepare_misses,
+            "prepare_cache_hit_rate": rate(prepare_hits, prepare_misses),
+            "base_utility_hits": base_hits,
+            "base_utility_misses": base_misses,
+            "set_utility_hits": set_hits,
+            "set_utility_misses": set_misses,
+            "set_utility_entries": sum(
+                len(prepared.utilities) for prepared in self._prepared.values()
+            ),
+            "result_cache_hits": result_hits,
+            "result_cache_misses": result_misses,
+            "result_cache_hit_rate": rate(result_hits, result_misses),
+            "result_cache_entries": len(results),
+            "result_cache_bytes": results.total_bytes,
+            "result_cache_reserved": results.in_flight,
+            "corpus_tables": len(self._corpus) if self._corpus else 0,
+            "searchers": self.searchers.names(),
+        }
+        # A catalog mid-refresh must not leak a half-applied view into
+        # stats.
         if self.catalog is not None:
             with self._catalog_lock:
                 out["catalog"] = self.catalog.stats()

@@ -33,6 +33,7 @@ from repro.dataframe.table import Table
 from repro.discovery.index import ColumnRef, DiscoveryIndex
 from repro.discovery.lsh import LshIndex
 from repro.utils.lru import LruDict
+from repro.utils.validation import check_positive_int
 
 
 @dataclass
@@ -744,17 +745,11 @@ class Catalog:
         return self.store.evict_profiles(budget_bytes)
 
     def _stats_batches(self, names, combined, batch_tables):
-        """Table names grouped for the streaming stats passes.
-
-        ``batch_tables=None`` keeps the legacy shape (one batch holding
-        everything); otherwise names are grouped by the on-disk shard of
-        their object (so each batch reads one directory) and chunked to
-        at most ``batch_tables`` tables.
+        """Table names grouped for the streaming stats passes: by the
+        on-disk shard of their object (so each batch reads one
+        directory), chunked to at most ``batch_tables`` tables.
         """
-        if batch_tables is None:
-            return [list(names)]
-        if batch_tables < 1:
-            raise ValueError(f"batch_tables must be >= 1, got {batch_tables}")
+        check_positive_int(batch_tables, "batch_tables")
         by_shard = {}
         for name in names:
             shard = shard_of(self._object_id(combined[name]))
@@ -815,9 +810,8 @@ class Catalog:
         with a same-sized LRU of decoded objects for cross-batch
         containment checks, so peak memory is bounded by the batch size
         instead of the catalog size (only the compact LSH signature
-        index spans the whole catalog).  ``batch_tables=None`` restores
-        the previous hold-everything behavior; both paths return
-        identical reports.  Tables live in this process fall back to
+        index spans the whole catalog); a batch at least as large as the
+        catalog holds everything.  Tables live in this process fall back to
         their in-memory artifacts; a missing or corrupt object heals by
         recomputation when its live table is attached and raises
         :class:`CatalogStoreError` otherwise (never a silently wrong
@@ -837,28 +831,22 @@ class Catalog:
         lsh = LshIndex(num_perm=config["num_perm"], bands=config["bands"])
         threshold = config["min_containment"]
         batches = self._stats_batches(sorted(combined), combined, batch_tables)
-        keep_resident = batch_tables is None
-        resident = {}
         # The pass-2 entry cache is seeded during pass 1, so a catalog
-        # that fits one batch is decoded exactly once (matching the old
-        # hold-everything pass), and larger catalogs start pass 2 with
-        # the tail batch warm.
-        cache = LruDict(capacity=batch_tables or 1)
+        # that fits one batch is decoded exactly once, and larger
+        # catalogs start pass 2 with the tail batch warm.
+        cache = LruDict(capacity=batch_tables)
         n_columns = 0
         size_bytes = 0
         unsized = []
         # Pass 1 — metadata and LSH signatures, one batch resident at a
         # time (signatures are compact; the bulky value sets are dropped
-        # with each batch unless the legacy hold-everything mode is on).
+        # with each batch).
         for batch in batches:
             for name in batch:
                 entries, size = self._stats_entries(
                     name, combined[name], size_sample, unsized
                 )
-                if keep_resident:
-                    resident[name] = entries
-                else:
-                    cache.put(name, entries)
+                cache.put(name, entries)
                 n_columns += len(entries)
                 size_bytes += int(size)
                 refs = [ColumnRef(name, column) for column in entries]
@@ -881,14 +869,12 @@ class Catalog:
             )
         # Pass 2 — joinable verification.  Membership is order-
         # independent (a column counts iff *some* query column verifies
-        # it), so streaming batch order yields the same set as the
-        # hold-everything pass.  All reads go through one LRU, so a
-        # table decoded as a cross-batch candidate is not re-decoded
-        # when its own batch arrives (and vice versa); peak memory stays
-        # bounded by the batch plus the same-sized cache.
+        # it), so any batch size yields the same set.  All reads go
+        # through one LRU, so a table decoded as a cross-batch candidate
+        # is not re-decoded when its own batch arrives (and vice versa);
+        # peak memory stays bounded by the batch plus the same-sized
+        # cache.
         def load_entries(name):
-            if keep_resident:
-                return resident[name]
             entries = cache.get(name)
             if entries is None:
                 entries = self._stats_entries(

@@ -113,8 +113,9 @@ def _byte_count(text: str) -> int:
 
 
 def _table_count(text: str) -> int:
-    """argparse type for a corpus size: an integer ``>= 1`` (a
-    non-positive count would build, or shrink a catalog to, nothing)."""
+    """argparse type for a table count: an integer ``>= 1`` (a
+    non-positive corpus size would build, or shrink a catalog to,
+    nothing; a non-positive batch would hold no table)."""
     try:
         value = int(text)
     except ValueError:
@@ -279,12 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "--batch-tables",
-        type=int,
+        type=_table_count,
         default=None,
         metavar="N",
         help="tables resident per batch during the catalog-backed "
-        "joinable pass (bounds peak memory; default 256; 0 = hold "
-        "everything in memory, the pre-streaming behavior; only "
+        "joinable pass (bounds peak memory; default 256; only "
         "meaningful with --catalog)",
     )
 
@@ -703,18 +703,11 @@ def _cmd_corpus_stats(args) -> int:
     from repro.catalog import CatalogStoreError
     from repro.data import generate_corpus
 
-    if args.batch_tables is not None and args.batch_tables < 0:
-        _error(
-            f"--batch-tables must be >= 0 (0 = hold everything in "
-            f"memory), got {args.batch_tables}"
-        )
-        return 2
     if args.batch_tables is not None and args.catalog is None:
         # The in-memory path has no streaming pass; a silent no-op would
         # read as "memory is bounded" when it is not.
         _warn("--batch-tables only applies with --catalog; ignored")
-    batch_tables = args.batch_tables if args.batch_tables is not None else 256
-    batch = batch_tables if batch_tables > 0 else None
+    batch = args.batch_tables if args.batch_tables is not None else 256
     try:
         if args.catalog is not None:
             engine = DiscoveryEngine.open(args.catalog, create=False)

@@ -58,9 +58,11 @@ class Augmentation:
     join kernel's per-key aggregates (:func:`ops.key_aggregates`) instead
     of full joins, returning cells aligned with the base table's rows;
     unmatched rows are missing.  Results are cached per live base table:
-    entries are ``id(base) -> (weakref, result)``, the weakref check
-    guards against id reuse, and its callback drops the entry when the
-    base dies.
+    entries are ``id(base) -> (weakref, right-table weakrefs, result)``.
+    The weakref check guards against id reuse, and its callback drops
+    the entry when the base dies; a hit also needs every right-hand
+    table on the path to be the same object in the given corpus, since
+    the cells come from those tables.
     """
 
     def __init__(self, path: JoinPath, output_column: str):
@@ -86,19 +88,23 @@ class Augmentation:
 
     def _materialized(self, base: Table, corpus: dict) -> tuple:
         """``(cells, matched row count)`` of the output column."""
-        entry = self._cache.get(id(base))
-        if entry is not None and entry[0]() is base:
-            return entry[1]
-
         steps = self.path.steps
+        rights = [corpus.get(step.right_table) for step in steps]
+        entry = self._cache.get(id(base))
+        if (
+            entry is not None
+            and entry[0]() is base
+            and all(ref() is right for ref, right in zip(entry[1], rights))
+        ):
+            return entry[2]
+
         if steps[0].left_column not in base:
             raise KeyError(
                 f"join column {steps[0].left_column!r} missing from base table"
             )
         # keys[i] is the current join key for base row i (None = dead row).
         keys = ops.join_keys(base, steps[0].left_column)
-        for hop, step in enumerate(steps):
-            right = corpus.get(step.right_table)
+        for hop, (step, right) in enumerate(zip(steps, rights)):
             if right is None:
                 raise KeyError(f"table {step.right_table!r} not in corpus")
             if hop:
@@ -109,10 +115,10 @@ class Augmentation:
             values = list(map(aggregate.get, keys))
 
         result = values, sum(map(matched.__contains__, keys))
-        self._remember(base, result)
+        self._remember(base, rights, result)
         return result
 
-    def _remember(self, base: Table, result: tuple) -> None:
+    def _remember(self, base: Table, rights: list, result: tuple) -> None:
         # The callback reaches the cache through a weakref to ``self``:
         # a strong one would tie the augmentation, its cache and the
         # callback into a cycle only the cyclic collector frees.
@@ -126,8 +132,12 @@ class Augmentation:
                     augmentation._cache.pop(key, None)
 
         try:
-            self._cache[key] = (weakref.ref(base, forget), result)
-        except TypeError:  # an unweakrefable base is not cached
+            self._cache[key] = (
+                weakref.ref(base, forget),
+                [weakref.ref(right) for right in rights],
+                result,
+            )
+        except TypeError:  # unweakrefable tables are not cached
             pass
 
     def materialize(self, base: Table, corpus: dict) -> list:

@@ -62,6 +62,11 @@ from repro.utils.validation import check_finite, check_non_negative, check_posit
 
 _log = get_logger("server")
 
+#: Finished runs whose records the service keeps; when one more
+#: finishes, the oldest finished run is dropped (its id then answers
+#: ``NotFound``).  Queued and running runs are never dropped.
+MAX_FINISHED_RUNS = 1024
+
 #: Characters allowed in tenant names (they become metric label values
 #: and appear in URLs; keep them boring).
 _TENANT_CHARS = frozenset(
@@ -273,6 +278,7 @@ class DiscoveryService:
         )
         self._sessions: Dict[str, _Session] = {}
         self._runs: Dict[str, _ServiceRun] = {}
+        self._finished: deque = deque()  # finished run ids, oldest first
         self._session_seq = itertools.count(1)
         self._run_seq = itertools.count(1)
         self._draining = False
@@ -657,6 +663,9 @@ class DiscoveryService:
                 RunCompleted(status=status, utility=0.0, queries=0, seconds=0.0)
             )
         run.close_events()
+        self._finished.append(run.run_id)
+        while len(self._finished) > MAX_FINISHED_RUNS:
+            del self._runs[self._finished.popleft()]
         self._idle.notify_all()
 
     # ------------------------------------------------------------------

@@ -1,19 +1,12 @@
-"""Locking primitives shared by the concurrent engine and catalog store.
+"""Advisory inter-process file locking for the catalog store.
 
-Two small tools with one job each:
-
-:class:`KeyedMutex`
-    In-process striped locking: one mutex per *key*, created on first
-    use and dropped when the last holder releases, so disjoint keys
-    never contend and the registry stays bounded by the number of keys
-    currently being worked on (not the key history).
-
-:class:`FileLock`
-    Advisory inter-process lock on a sidecar file (``fcntl.flock``),
-    layered over an in-process re-entrant lock so the same lock path is
-    safe to take from many threads of one process *and* from many
-    processes at once.  On platforms without ``fcntl`` it degrades to
-    the in-process layer only (best-effort, like every advisory lock).
+:class:`FileLock` takes an advisory lock on a sidecar file
+(``fcntl.flock``), layered over an in-process re-entrant lock so the
+same lock path is safe to take from many threads of one process *and*
+from many processes at once.  On platforms without ``fcntl`` it
+degrades to the in-process layer only (best-effort, like every advisory
+lock).  In-process get-or-build belongs to
+:meth:`repro.utils.lru.LruDict.single_flight`.
 """
 
 from __future__ import annotations
@@ -25,62 +18,6 @@ try:  # POSIX only; the in-process layer still applies elsewhere.
     import fcntl
 except ImportError:  # pragma: no cover - exercised only on non-POSIX
     fcntl = None
-
-
-class KeyedMutex:
-    """One lock per key, with automatic cleanup.
-
-    ``with mutex(key):`` serializes holders of equal keys while holders
-    of different keys proceed concurrently.  Lock objects are created on
-    demand and removed when no thread holds or waits on them, so the
-    internal registry never grows with the history of keys seen.
-    """
-
-    def __init__(self):
-        self._guard = threading.Lock()
-        self._entries = {}  # key -> [lock, active holders + waiters]
-
-    def __call__(self, key):
-        return _KeyedMutexGuard(self, key)
-
-    def __len__(self) -> int:
-        """Number of keys currently locked or waited on."""
-        with self._guard:
-            return len(self._entries)
-
-    def _checkout(self, key):
-        with self._guard:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = self._entries[key] = [threading.Lock(), 0]
-            entry[1] += 1
-            return entry
-
-    def _checkin(self, key, entry) -> None:
-        with self._guard:
-            entry[1] -= 1
-            if entry[1] == 0:
-                self._entries.pop(key, None)
-
-
-class _KeyedMutexGuard:
-    """Context manager for one :class:`KeyedMutex` key."""
-
-    def __init__(self, mutex: KeyedMutex, key):
-        self._mutex = mutex
-        self._key = key
-        self._entry = None
-
-    def __enter__(self):
-        self._entry = self._mutex._checkout(self._key)
-        self._entry[0].acquire()
-        return self
-
-    def __exit__(self, *exc_info):
-        entry, self._entry = self._entry, None
-        entry[0].release()
-        self._mutex._checkin(self._key, entry)
-        return False
 
 
 class _PathEntry:

@@ -42,15 +42,15 @@ class Mutation(NamedTuple):
 
 CASES = {
     # -- lock-discipline: inversions --------------------------------------
-    # stats() reads the catalog after releasing _lock because a prepare
-    # holds _catalog_lock while it invalidates results under _lock.
-    "engine-stats-catalog-lock-inside-lock": Mutation(
+    # A prepare owns its single-flight slot while it takes _catalog_lock,
+    # so claiming a slot under _catalog_lock can deadlock against it.
+    "engine-single-flight-inside-catalog-lock": Mutation(
         "lock-discipline",
         ENGINE,
-        "out = {",
+        'out["catalog"] = self.catalog.stats()',
         (
-            "with self._catalog_lock:",
-            "    catalog_stats = self.catalog.stats() if self.catalog else None",
+            "with self._prepared.single_flight(None):",
+            "    pass",
         ),
     ),
     # -- lock-discipline: bare acquire ------------------------------------
@@ -64,7 +64,7 @@ CASES = {
     "engine-open-under-lock": Mutation(
         "blocking-under-lock",
         ENGINE,
-        "self._m_prepared_sets.set(len(self._prepared))",
+        "self.recent_traces.append(trace)",
         ('open(self._gauge_log, "a").write("refresh\\n")',),
     ),
     # The allowlist that exempted the engine's catalog lock is gone.

@@ -1,5 +1,6 @@
 """Thread-safety of one shared engine serving concurrent requests."""
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -80,3 +81,36 @@ class TestConcurrentDiscover:
         assert shared.stats()["prepared_candidate_sets"] == 1
         traces = {tuple(r.result.trace) for r in runs}
         assert len(traces) == 1  # identical requests, identical runs
+
+    def test_a_prepare_racing_attach_corpus_is_not_served_after_it(
+        self, scenario, monkeypatch
+    ):
+        """The prepare key carries the corpus epoch: a set prepared from
+        the old corpus while ``attach_corpus`` swapped it is never a hit
+        for the new corpus."""
+        changed = dict(scenario.corpus)
+        table = changed["nutrition_db"]
+        changed["nutrition_db"] = table.with_column(
+            "oni_score", table.column("oni_score")[::-1]
+        )
+        engine = DiscoveryEngine(corpus=scenario.corpus)
+        started, release = threading.Event(), threading.Event()
+        original = engine._prepare_uncached
+
+        def parked(*args):
+            started.set()
+            assert release.wait(timeout=60)
+            return original(*args)
+
+        monkeypatch.setattr(engine, "_prepare_uncached", parked)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            old = pool.submit(engine.prepare, scenario.base)
+            assert started.wait(timeout=60)
+            engine.attach_corpus(changed)
+            release.set()
+            old_candidates = old.result(timeout=120)
+        served = engine.prepare(scenario.base)
+        want = DiscoveryEngine(corpus=changed).prepare(scenario.base)
+        assert [c.values for c in served] == [c.values for c in want]
+        assert [c.values for c in served] != [c.values for c in old_candidates]
+        assert engine.stats()["prepare_cache_misses"] == 2

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.api import CancellationToken, DiscoveryEngine, DiscoveryRequest
 from repro.api.registries import default_searchers
 from repro.data import clustering_scenario
+from repro.discovery import Augmentation
 from repro.tasks import ClusteringTask
 from repro.tasks.base import content_key
 
@@ -179,10 +180,31 @@ def test_a_searcher_over_another_corpus_is_never_memoized(scenario):
     warm, fresh = engines
     warm.discover(request_for(scenario, "uniform", seed=1, budget=6))
     request = request_for(scenario, "own_corpus", seed=1, budget=6)
-    served = warm.discover(request)
+    fitted = []
+    with recorded_fits(fitted.append):
+        served = warm.discover(request)
     fresh.prepare(scenario.base, seed=0)
     assert comparable(served) == comparable(fresh.discover(request))
     assert set_counts(warm)[0] == 0
+    # The fits saw the searcher's own tables, not the prepared corpus's.
+    def cells(aug, corpus):  # a fresh Augmentation: no cached cells
+        fresh_aug = Augmentation(aug.path, aug.output_column)
+        return fresh_aug.materialize(scenario.base, corpus)
+
+    oni = [
+        c.aug
+        for c in warm.prepare(scenario.base, seed=0)
+        if c.aug.final_table == "nutrition_db" and c.aug.output_column == "oni_score"
+    ]
+    checked = 0
+    for table in fitted:
+        for aug in oni:
+            if aug.aug_id in table.column_names:
+                own = cells(aug, changed)
+                assert own != cells(aug, scenario.corpus)
+                assert table.column(aug.aug_id) == own
+                checked += 1
+    assert checked > 0
 
 
 def test_a_cancelled_or_failing_fit_stores_nothing(scenario):
@@ -245,7 +267,7 @@ def test_threaded_runs_share_entries(scenario):
     hits, misses, entries = set_counts(engine)
     assert hits + misses == sum(len(charged[seed] - {base}) for seed in seeds)
     assert entries == len(distinct)
-    assert misses >= entries  # racing misses may both fit; one entry stays
+    assert misses == entries  # a racing miss waits for the fit in flight
 
 
 def test_set_utility_metric_family_is_exposed(scenario):

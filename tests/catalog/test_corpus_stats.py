@@ -37,21 +37,22 @@ class TestCorpusStatsEquality:
 
     def test_streamed_matches_in_memory_path(self, tmp_path, corpus, reference):
         # The shard-batched joinable pass (bounded resident entries) must
-        # report exactly what the hold-everything pass reports, at any
-        # batch size — including 1 (every cross-table check goes through
-        # the LRU) and sizes larger than the catalog.
+        # report exactly what the in-memory index reports, at any batch
+        # size — including 1 (every cross-table check goes through the
+        # LRU) and sizes larger than the catalog (everything resident).
         build(tmp_path, corpus)
         loaded = Catalog.load(str(tmp_path / "cat"))
-        in_memory = loaded.corpus_stats(batch_tables=None)
-        assert in_memory == reference
         for batch_tables in (1, 3, N_TABLES + 10):
-            assert loaded.corpus_stats(batch_tables=batch_tables) == in_memory
+            assert loaded.corpus_stats(batch_tables=batch_tables) == reference
 
-    def test_streamed_rejects_bad_batch_size(self, tmp_path, corpus):
+    @pytest.mark.parametrize("batch_tables", [0, -1, None])
+    def test_streamed_rejects_bad_batch_size(self, tmp_path, corpus, batch_tables):
+        # None used to select a hold-everything path; a batch at least
+        # as large as the catalog does that now.
         build(tmp_path, corpus)
         loaded = Catalog.load(str(tmp_path / "cat"))
         with pytest.raises(ValueError, match="batch_tables"):
-            loaded.corpus_stats(batch_tables=0)
+            loaded.corpus_stats(batch_tables=batch_tables)
 
     def test_store_only_catalog_matches_in_memory(self, tmp_path, corpus, reference):
         build(tmp_path, corpus)
@@ -151,9 +152,9 @@ class TestCorpusStatsCli:
         assert main(["corpus-stats", "--catalog", root]) == 0
         streamed = capsys.readouterr().out
         assert main(["corpus-stats", "--catalog", root,
-                     "--batch-tables", "0"]) == 0
-        in_memory = capsys.readouterr().out
-        assert streamed == in_memory
+                     "--batch-tables", "1000"]) == 0
+        one_batch = capsys.readouterr().out
+        assert streamed == one_batch
 
     def test_missing_catalog_errors_cleanly(self, tmp_path, capsys):
         assert main(

@@ -53,12 +53,14 @@ class TestErrorPaths:
         assert "no catalog manifest" in captured.err
         assert captured.out == ""
 
-    def test_negative_batch_tables_rejected(self, capsys):
-        # A negative value must not silently select the unbounded
-        # hold-everything pass (only 0 means that).
-        code = main(["corpus-stats", "--tables", "5", "--batch-tables", "-5"])
-        assert code == 2
-        assert "--batch-tables must be >= 0" in capsys.readouterr().err
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_batch_tables_rejected(self, capsys, value):
+        # There is no hold-everything pass to select: a batch holds at
+        # least one table.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["corpus-stats", "--tables", "5", "--batch-tables", value])
+        assert excinfo.value.code == 2
+        assert "--batch-tables" in capsys.readouterr().err
 
     def test_batch_tables_without_catalog_warns(self, capsys):
         # The in-memory path has no streaming pass — the flag must not

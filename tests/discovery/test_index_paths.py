@@ -169,3 +169,14 @@ class TestMaterializeCache:
         del base
         gc.collect()
         assert aug._cache == {}
+
+    def test_a_hit_needs_the_same_right_tables(self, corpus, aug):
+        """The cells come from the corpus: the same base over another
+        corpus must not get the first corpus's column back."""
+        base = corpus["houses"]
+        crime = corpus["crime"]
+        other = dict(corpus)
+        other["crime"] = crime.with_column("crimes", crime.column("crimes")[::-1])
+        first = aug.materialize(base, corpus)
+        assert aug.materialize(base, other) == first[::-1]
+        assert aug.materialize(base, corpus) == first

@@ -11,6 +11,7 @@ from repro.api.wire import run_to_wire
 from repro.core.config import MetamConfig
 from repro.data import clustering_scenario, generate_corpus
 from repro.server import DiscoveryService, ServiceConfig, TokenBucket
+from repro.server import service as service_module
 
 
 class TestSessions:
@@ -291,6 +292,34 @@ class TestLifecycle:
             harness.service.cancel("run-424242")
         with pytest.raises(NotFound):
             list(harness.service.events("run-424242"))
+
+    def test_only_the_newest_finished_runs_are_kept(self, harness, monkeypatch):
+        """Beyond the bound the oldest finished run goes, and its id
+        answers NotFound; queued and running runs always stay."""
+        monkeypatch.setattr(service_module, "MAX_FINISHED_RUNS", 2)
+        sid = harness.session()
+        held = harness.service.submit(sid, harness.payload(hold="g"))["run_id"]
+        harness.wait_started("g")
+        queued = harness.service.submit(sid, harness.payload(seed=1))["run_id"]
+        cancelled = []
+        for seed in range(2, 5):
+            run_id = harness.service.submit(sid, harness.payload(seed=seed))["run_id"]
+            harness.service.cancel(run_id)  # finishes at once
+            cancelled.append(run_id)
+        for call in (
+            harness.service.status,
+            harness.service.cancel,
+            lambda run_id: list(harness.service.events(run_id)),
+        ):
+            with pytest.raises(NotFound):
+                call(cancelled[0])
+        kept = {run["run_id"] for run in harness.service.list_runs()}
+        assert kept == {held, queued, *cancelled[1:]}
+        harness.release("g")
+        harness.wait_terminal(queued)
+        kept = {run["run_id"] for run in harness.service.list_runs()}
+        assert kept == {held, queued}
+        assert harness.service.stats()["runs"] == 2
 
     def test_subscriber_timeout_raises(self, harness):
         sid = harness.session()
