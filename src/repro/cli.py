@@ -45,15 +45,6 @@ Commands
     contents and footprint, and ``gc`` reclaims unreferenced objects
     and (with ``--profile-budget``) evicts least-recently-used cached
     profile groups.
-``lint``
-    Run reprolint, the repo's invariant-aware static analysis pass
-    (see :mod:`repro.analysis`): lock-order inversions and bare
-    ``acquire()``, blocking calls under in-process mutexes, raw I/O
-    bypassing the store backend, and metrics hygiene.
-    ``--json``/``--json-out`` emit the machine-readable report,
-    ``--baseline``/``--update-baseline`` manage the ratchet-down debt
-    baseline (updated only by a full run), and ``--check-baseline``
-    (CI mode) also fails on stale baseline entries.
 """
 
 from __future__ import annotations
@@ -101,28 +92,27 @@ def _warn(message: str) -> None:
     _log.warning(message)
 
 
-def _byte_count(text: str) -> int:
-    """argparse type for a byte budget: an integer ``>= 0``."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+def _int_in(low: int, high=None):
+    """argparse type for an integer in ``[low, high]`` (no upper bound
+    when ``high`` is None)."""
+    bound = f">= {low}" if high is None else f"in {low}..{high}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _table_count(text: str) -> int:
-    """argparse type for a table count: an integer ``>= 1`` (a
-    non-positive corpus size would build, or shrink a catalog to,
-    nothing; a non-positive batch would hold no table)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+#: Byte budgets; table counts (a non-positive corpus size would build,
+#: or shrink a catalog to, nothing; a non-positive batch would hold no
+#: table); TCP ports (0 picks a free one).
+_byte_count, _table_count, _port = _int_in(0), _int_in(1), _int_in(0, 65535)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=8765,
         help="TCP port (0 = pick a free ephemeral port; the bound "
         "address is printed on stdout)",
@@ -334,59 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         "profile section fits this many bytes",
     )
 
-    lint = sub.add_parser(
-        "lint",
-        help="run reprolint, the invariant-aware static analysis pass "
-        "(lock discipline, blocking-under-lock, store-VFS boundary, "
-        "metrics hygiene)",
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: ./src)",
-    )
-    lint.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable JSON report on stdout",
-    )
-    lint.add_argument(
-        "--json-out",
-        metavar="FILE",
-        default=None,
-        help="also write the JSON report to FILE (the CI artifact)",
-    )
-    lint.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="baseline file of accepted pre-existing findings "
-        "(default: ./reprolint-baseline.json when present)",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to exactly the current findings "
-        "(the only way the baseline grows; needs a full run: every "
-        "check over ./src)",
-    )
-    lint.add_argument(
-        "--check-baseline",
-        action="store_true",
-        help="also fail on stale baseline entries (fixed findings "
-        "whose entries were not removed) — what CI runs",
-    )
-    lint.add_argument(
-        "--select",
-        metavar="CHECKS",
-        default=None,
-        help="comma-separated checker names to run (default: all)",
-    )
-    lint.add_argument(
-        "--list-checks",
-        action="store_true",
-        help="list the checkers and exit",
-    )
     return parser
 
 
@@ -513,6 +450,15 @@ def _cmd_run(args) -> int:
             "available from the CLI; use the library API "
             "(DiscoveryRequest with options={'target_column': ...})"
         )
+    # A bad destination fails now, not after every searcher has run.
+    for flag, path in (
+        ("--save", args.save),
+        ("--metrics-out", args.metrics_out),
+        ("--trace-out", args.trace_out),
+    ):
+        folder = os.path.dirname(os.path.abspath(path or "."))
+        if path and (os.path.isdir(path) or not os.path.isdir(folder)):
+            raise InvalidRequest(f"{flag} {path}: not a file in an existing directory")
     scenario = SCENARIOS[args.scenario](seed=args.seed)
     query_points = tuple(
         sorted({max(1, args.budget // 10), args.budget // 4, args.budget // 2, args.budget})
@@ -609,7 +555,6 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.api.errors import NotFound
     from repro.server import DiscoveryService, ServiceConfig
     from repro.server.http import serve as serve_http
 
@@ -628,29 +573,32 @@ def _cmd_serve(args) -> int:
         raise InvalidRequest(str(error)) from None
 
     if args.catalog is not None:
+        from repro.catalog import Catalog, CatalogStore
+        from repro.data import generate_corpus
+
         catalog_dir = args.catalog
         name = os.path.basename(os.path.normpath(catalog_dir)) or "catalog"
+        # Checked before binding, as `catalog stats` does: a server that
+        # announced itself must be able to answer its first request.
+        if not CatalogStore(catalog_dir).exists():
+            _error(f"no catalog at {catalog_dir}")
+            return 1
+        params = _load_corpus_args(catalog_dir)
+        if not params:
+            _error(
+                f"catalog at {catalog_dir!r} has no recorded corpus "
+                "parameters (was it built outside the CLI?); serve a "
+                "--scenario instead"
+            )
+            return 1
 
         def factory(metrics=None):
-            from repro.catalog import Catalog, CatalogStore
-            from repro.data import generate_corpus
-
-            store = CatalogStore(catalog_dir)
-            if not store.exists():
-                raise NotFound(f"no catalog at {catalog_dir}")
-            params = _load_corpus_args(catalog_dir)
-            if not params:
-                raise NotFound(
-                    f"catalog at {catalog_dir!r} has no recorded corpus "
-                    "parameters (was it built outside the CLI?); serve a "
-                    "--scenario instead"
-                )
             corpus = generate_corpus(
                 params["tables"], style=params["style"], seed=params["seed"]
             )
             return DiscoveryEngine(
                 corpus=corpus,
-                catalog=Catalog.load(store),
+                catalog=Catalog.load(catalog_dir),
                 metrics=metrics,
                 max_workers=args.workers,
                 result_cache_bytes=_RESULT_CACHE_BYTES,
@@ -663,7 +611,12 @@ def _cmd_serve(args) -> int:
         service = _scenario_service(
             name, scenario, workers=args.workers, config=config
         )
-    server = serve_http(service, host=args.host, port=args.port)
+    try:
+        server = serve_http(service, host=args.host, port=args.port)
+    except OSError as error:  # unresolvable host, port in use, ...
+        service.shutdown()
+        _error(f"cannot serve on {args.host}:{args.port}: {error}")
+        return 1
     # The bound address goes on stdout (port 0 picks a free one): the
     # line scripts and the CI smoke job parse for readiness.
     print(f"serving catalog {name!r} on {server.url}", flush=True)
@@ -913,90 +866,6 @@ def _save_corpus_args(catalog_dir: str, corpus_args: dict) -> None:
     CatalogStore(catalog_dir).write_aux(_CORPUS_ARGS_FILE, corpus_args)
 
 
-def _cmd_lint(args) -> int:
-    from pathlib import Path
-
-    from repro.analysis import (
-        checker_catalogue,
-        default_baseline_path,
-        lint_paths,
-        load_baseline,
-        render_json,
-        render_text,
-        write_baseline,
-    )
-
-    if args.list_checks:
-        for name, description in checker_catalogue():
-            print(f"{name}: {description}")
-        return 0
-
-    root = Path.cwd()
-    paths = [Path(p) for p in args.paths] if args.paths else [root / "src"]
-    missing = [p for p in paths if not p.exists()]
-    if missing:
-        _error(f"no such path: {missing[0]}")
-        return 2
-    checks = None
-    if args.select:
-        checks = [c.strip() for c in args.select.split(",") if c.strip()]
-    full_run = [p.resolve() for p in paths] == [(root / "src").resolve()] and (
-        checks is None
-        or set(checks) == {name for name, _ in checker_catalogue()}
-    )
-    if args.update_baseline and not full_run:
-        # A scoped run sees only part of the debt; rewriting the file
-        # from it would drop every entry outside the scope.
-        _error(
-            "--update-baseline needs a full run (every check over ./src); "
-            "drop --select and the path arguments"
-        )
-        return 2
-
-    baseline_path = (
-        Path(args.baseline)
-        if args.baseline
-        else default_baseline_path(root)
-    )
-    entries = []
-    if not args.update_baseline:
-        try:
-            entries = load_baseline(baseline_path)
-        except ValueError as error:
-            _error(str(error))
-            return 2
-
-    try:
-        result = lint_paths(
-            paths,
-            root=root,
-            checks=checks,
-            baseline_entries=entries,
-        )
-    except KeyError as error:
-        _error(str(error.args[0]) if error.args else str(error))
-        return 2
-
-    if args.update_baseline:
-        count = write_baseline(baseline_path, result.findings, result.sources)
-        print(
-            f"reprolint: baselined {count} finding(s) in {baseline_path}"
-        )
-        return 0
-
-    report = render_json(result)
-    if args.json_out:
-        Path(args.json_out).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_text(result))
-    return 0 if result.ok(check_stale=args.check_baseline) else 1
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # (Re)configure on every entry so repeated in-process invocations
@@ -1020,8 +889,6 @@ def main(argv=None) -> int:
             return _cmd_corpus_stats(args)
         if args.command == "catalog":
             return _cmd_catalog(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
     except ReproError as error:
         # One taxonomy, one mapping: the same typed errors the HTTP
         # layer turns into statuses exit here with their pinned codes

@@ -334,6 +334,22 @@ class TestServicePath:
         finally:
             restore()
 
+    @pytest.mark.parametrize("flag", ["--save", "--metrics-out", "--trace-out"])
+    def test_bad_output_path_fails_before_any_run(
+        self, capsys, tmp_path, monkeypatch, flag
+    ):
+        import repro.cli
+
+        def no_service(*args, **kwargs):
+            pytest.fail("a run started before the output path was checked")
+
+        monkeypatch.setattr(repro.cli, "_scenario_service", no_service)
+        for path in (tmp_path / "missing" / "out.json", tmp_path):
+            assert main(GOLDEN_RUN_ARGS + [flag, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert f"error: {flag} {path}: not a file in an existing directory" in captured.err
+            assert captured.out == ""
+
     def test_metrics_and_trace_files(self, capsys, tmp_path):
         metrics_json = tmp_path / "metrics.json"
         traces = tmp_path / "traces.json"

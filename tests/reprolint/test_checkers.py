@@ -1,6 +1,6 @@
 """Fixture-file suite for every reprolint checker: each checker gets a
 positive (flagged), a negative (clean), and a suppressed fixture; the
-baseline path is covered in ``test_baseline.py``.
+command line is covered in ``test_command.py``.
 
 Fixtures are written into a temp tree shaped like the real repo
 (``src/repro/...``) because two checkers scope by module path.
@@ -12,14 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_paths
-from repro.analysis.checkers._locks import (
+from tools.reprolint import lint_paths
+from tools.reprolint.checkers._locks import (
     BACKEND_IO_METHODS,
     FILE_LOCK_CALLS,
     IN_PROCESS_SUFFIXES,
     LEASE_IO_METHODS,
 )
-from repro.analysis.core import terminal_name
+from tools.reprolint.core import terminal_name
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -322,8 +322,6 @@ class TestLockTables:
     def test_every_lock_name_matches_a_with_site_in_src(self):
         calls, attrs = set(), set()
         for path in sorted((REPO_ROOT / "src").rglob("*.py")):
-            if "analysis" in path.relative_to(REPO_ROOT / "src").parts:
-                continue
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if not isinstance(node, (ast.With, ast.AsyncWith)):
                     continue

@@ -21,7 +21,7 @@ from typing import NamedTuple, Tuple
 
 import pytest
 
-from repro.analysis import checker_catalogue, lint_paths
+from tools.reprolint import checker_catalogue, lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 

@@ -1,12 +1,11 @@
-"""Self-checks: the shipped source tree lints clean, the committed
-baseline is current, and the analysis package holds itself to its own
-rules."""
+"""Self-checks: the shipped source tree lints clean, and reprolint
+holds itself to its own rules."""
 
 import sys
 import time
 from pathlib import Path
 
-from repro.analysis import lint_paths, load_baseline
+from tools.reprolint import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -27,29 +26,22 @@ class _YieldingGarbage:
 
 
 class TestSelfLint:
-    def test_analysis_package_lints_itself_clean(self):
-        result = lint_paths(
-            [REPO_ROOT / "src" / "repro" / "analysis"], root=REPO_ROOT
-        )
-        assert result.active == [], [f.as_dict() for f in result.active]
+    def test_reprolint_lints_itself_clean(self):
+        result = lint_paths([REPO_ROOT / "tools" / "reprolint"], root=REPO_ROOT)
+        assert result.findings == [], [f.as_dict() for f in result.findings]
+        assert result.files_checked > 10
 
-    def test_whole_src_tree_lints_clean_against_baseline(self):
-        # The acceptance bar for `repro lint` in CI: zero non-baselined
-        # findings over src/, and no stale baseline entries.
-        entries = load_baseline(REPO_ROOT / "reprolint-baseline.json")
-        result = lint_paths(
-            [REPO_ROOT / "src"],
-            root=REPO_ROOT,
-            baseline_entries=entries,
-        )
-        assert result.active == [], [f.as_dict() for f in result.active]
-        assert result.stale_baseline == []
+    def test_whole_src_tree_lints_clean(self):
+        # The acceptance bar of the CI reprolint job: zero findings over
+        # src/.
+        result = lint_paths([REPO_ROOT / "src"], root=REPO_ROOT)
+        assert result.findings == [], [f.as_dict() for f in result.findings]
 
     def test_src_tree_is_actually_scanned(self):
         result = lint_paths([REPO_ROOT / "src"], root=REPO_ROOT)
         # Guard against a silent no-op (wrong root, empty collection):
         # the tree is >100 modules and must stay that way.
-        assert result.files_checked > 50
+        assert result.files_checked > 100
 
     def test_lint_survives_thread_switches_inside_parse(self):
         # On CPython 3.11 the AST constructor's recursion counter is per
@@ -68,7 +60,7 @@ class TestSelfLint:
                 assert [
                     f for f in result.findings if f.check == "parse-error"
                 ] == []
-                assert result.files_checked > 50
+                assert result.files_checked > 100
         finally:
             _YieldingGarbage.live = False
             sys.setswitchinterval(interval)

@@ -6,6 +6,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -201,3 +202,84 @@ def test_non_finite_admission_flags_exit_2(flags):
     assert "error:" in done.stderr
     assert flags[0].removeprefix("--").replace("-", "_") in done.stderr
     assert " on http://" not in done.stdout
+
+
+def _serve_exits(*flags):
+    """Run ``repro serve`` with only ``flags``, expecting it to exit
+    before announcing a URL."""
+    done = subprocess.run(
+        SERVE_ARGS[:4] + list(flags),
+        capture_output=True,
+        text=True,
+        env=_env(),
+        timeout=60,
+    )
+    assert " on http://" not in done.stdout
+    return done
+
+
+@pytest.mark.parametrize("port", ["99999", "65536", "-1"])
+def test_out_of_range_port_is_a_usage_error(port):
+    done = _serve_exits("--port", port)
+    assert done.returncode == 2
+    assert f"argument --port: expected an integer in 0..65535, got '{port}'" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+class TestBindFailures:
+    """A port or address the server cannot bind ends in the CLI's
+    ``error:`` line, not a traceback."""
+
+    def test_port_in_use(self):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            done = _serve_exits("--host", "127.0.0.1", "--port", str(port))
+        assert done.returncode == 1
+        assert f"error: cannot serve on 127.0.0.1:{port}:" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_address_not_on_this_machine(self):
+        # TEST-NET-1 (RFC 5737): never a local address, and a literal
+        # needs no name lookup.
+        done = _serve_exits("--host", "192.0.2.1", "--port", "0")
+        assert done.returncode == 1
+        assert "error: cannot serve on 192.0.2.1:0:" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_unresolvable_host(self, capsys, monkeypatch):
+        from repro.cli import main
+        from repro.server import http
+
+        def unresolvable(service, host, port):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(http, "serve", unresolvable)
+        assert main(["serve", "--host", "no.such.host.invalid", "--port", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "error: cannot serve on no.such.host.invalid:0:" in err
+        assert "Name or service not known" in err
+
+
+class TestCatalogCheckedBeforeBinding:
+    """``--catalog DIR`` is validated before the server announces
+    itself, not on the first request."""
+
+    def test_missing_catalog(self, tmp_path):
+        missing = tmp_path / "nonexistent"
+        done = _serve_exits("--catalog", str(missing), "--port", "0")
+        assert done.returncode == 1
+        assert f"error: no catalog at {missing}" in done.stderr
+
+    def test_catalog_without_recorded_corpus_params(self, tmp_path):
+        from repro.catalog import Catalog, CatalogStore
+        from repro.dataframe.table import Table
+
+        path = tmp_path / "api-cat"
+        catalog = Catalog(CatalogStore(str(path)), seed=0)
+        catalog.refresh({"real": Table("real", {"key": ["a", "b"]})})
+        catalog.save()
+        done = _serve_exits("--catalog", str(path), "--port", "0")
+        assert done.returncode == 1
+        assert "has no recorded corpus parameters" in done.stderr

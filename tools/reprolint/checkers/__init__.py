@@ -3,11 +3,11 @@ name."""
 
 from typing import Iterable, List, Optional, Tuple
 
-from repro.analysis.checkers.blocking import BlockingUnderLockChecker
-from repro.analysis.checkers.lock_discipline import LockDisciplineChecker
-from repro.analysis.checkers.metrics_hygiene import MetricsHygieneChecker
-from repro.analysis.checkers.vfs import CatalogVfsChecker
-from repro.analysis.core import Checker
+from tools.reprolint.checkers.blocking import BlockingUnderLockChecker
+from tools.reprolint.checkers.lock_discipline import LockDisciplineChecker
+from tools.reprolint.checkers.metrics_hygiene import MetricsHygieneChecker
+from tools.reprolint.checkers.vfs import CatalogVfsChecker
+from tools.reprolint.core import Checker
 
 CHECKERS = (
     BlockingUnderLockChecker,
@@ -33,12 +33,4 @@ def checker_catalogue() -> List[Tuple[str, str]]:
     return [(cls.name, cls.description) for cls in CHECKERS]
 
 
-__all__ = [
-    "CHECKERS",
-    "BlockingUnderLockChecker",
-    "CatalogVfsChecker",
-    "LockDisciplineChecker",
-    "MetricsHygieneChecker",
-    "all_checkers",
-    "checker_catalogue",
-]
+__all__ = ["CHECKERS", "all_checkers", "checker_catalogue"]

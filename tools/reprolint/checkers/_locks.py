@@ -24,7 +24,7 @@ import ast
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.core import call_root, dotted_name, terminal_name
+from tools.reprolint.core import call_root, dotted_name, terminal_name
 
 #: Attribute-name suffixes that mark an in-process lock by convention.
 IN_PROCESS_SUFFIXES = ("_lock", "_guard")

@@ -21,8 +21,8 @@ from __future__ import annotations
 import ast
 from typing import List
 
-from repro.analysis.checkers._locks import blocking_reason, classify_with_item
-from repro.analysis.core import Checker, FileContext, Finding, stmt_bodies
+from tools.reprolint.checkers._locks import blocking_reason, classify_with_item
+from tools.reprolint.core import Checker, FileContext, Finding, stmt_bodies
 
 
 class BlockingUnderLockChecker(Checker):

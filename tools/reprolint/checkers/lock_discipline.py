@@ -2,7 +2,7 @@
 
 Builds an inter-procedural lock-acquisition graph from ``with``
 statements over the repo's known lock objects (see
-:mod:`repro.analysis.checkers._locks`).  Nodes are ``(owner, lock)``
+:mod:`tools.reprolint.checkers._locks`).  Nodes are ``(owner, lock)``
 pairs — the class (or module) whose attribute the lock is — and an edge
 ``A → B`` means "somewhere, B is acquired while A is held", either
 directly (nested ``with``) or transitively through a call to a method
@@ -25,12 +25,11 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.analysis.checkers._locks import classify_with_item, is_lock_expr
-from repro.analysis.core import (
+from tools.reprolint.checkers._locks import classify_with_item, is_lock_expr
+from tools.reprolint.core import (
     Checker,
     FileContext,
     Finding,
-    ProjectContext,
     stmt_bodies,
     terminal_name,
 )
@@ -235,9 +234,9 @@ class LockDisciplineChecker(Checker):
     # ------------------------------------------------------------------
     # Project-level: the acquisition graph and its cycles
     # ------------------------------------------------------------------
-    def finish(self, project: ProjectContext) -> List[Finding]:
+    def finish(self, files: List[FileContext]) -> List[Finding]:
         scans: Dict[Tuple[str, str, str], _FuncScan] = {}
-        for ctx in project.files:
+        for ctx in files:
             for class_name, func in _iter_functions(ctx.tree):
                 scan = _scan_function(ctx.module, class_name, func)
                 # Re-defined names (overloads across branches) merge.

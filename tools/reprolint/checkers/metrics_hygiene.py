@@ -23,11 +23,10 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.core import (
+from tools.reprolint.core import (
     Checker,
     FileContext,
     Finding,
-    ProjectContext,
     terminal_name,
 )
 
@@ -142,12 +141,12 @@ class MetricsHygieneChecker(Checker):
                         )
         return findings
 
-    def finish(self, project: ProjectContext) -> List[Finding]:
+    def finish(self, files: List[FileContext]) -> List[Finding]:
         seen: Dict[
             str, Tuple[str, Optional[Tuple[str, ...]], str, int]
         ] = {}
         findings: List[Finding] = []
-        for ctx in sorted(project.files, key=lambda c: c.rel):
+        for ctx in sorted(files, key=lambda c: c.rel):
             for name, kind, labels, node in _registrations(ctx):
                 previous = seen.get(name)
                 if previous is None:

@@ -18,8 +18,8 @@ from __future__ import annotations
 import ast
 from typing import List
 
-from repro.analysis.checkers._locks import OS_IO_FUNCS
-from repro.analysis.core import (
+from tools.reprolint.checkers._locks import OS_IO_FUNCS
+from tools.reprolint.core import (
     Checker,
     FileContext,
     Finding,

@@ -5,10 +5,9 @@ reprolint is an AST-based lint pass for *this* codebase's invariants —
 the conventions the concurrent catalog/engine stack relies on but no
 generic tool enforces (lock ordering, blocking work under in-process
 mutexes, the catalog backend boundary, metrics hygiene).  Checkers are
-small classes listed in :data:`repro.analysis.checkers.CHECKERS`; the
-driver (:mod:`repro.analysis.driver`) parses every file, runs every
-checker, and applies suppressions and the committed baseline
-(:mod:`repro.analysis.baseline`).
+small classes listed in :data:`tools.reprolint.checkers.CHECKERS`; the
+driver (:mod:`tools.reprolint.driver`) parses every file, runs every
+checker, and applies suppressions.
 
 Suppressions are inline comments::
 
@@ -16,16 +15,16 @@ Suppressions are inline comments::
 
 suppress the named check(s) on that line (comma-separated, or ``all``).
 A ``# reprolint: disable-file=<check>`` comment anywhere in a file
-suppresses the check for the whole file.  Suppressions are deliberate,
-visible exemptions; the baseline is for pre-existing debt that should
-ratchet down.
+suppresses the check for the whole file.  Suppressions are the one
+escape hatch: deliberate, visible exemptions; every other finding
+fails the run.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set
 
@@ -43,20 +42,9 @@ class Finding:
     line: int
     col: int
     message: str
-    baselined: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "baselined": self.baselined,
-        }
-
-    def with_baselined(self) -> "Finding":
-        return replace(self, baselined=True)
+        return asdict(self)
 
 
 @dataclass
@@ -127,14 +115,6 @@ def module_name(rel: str) -> str:
     return ".".join(stem)
 
 
-class ProjectContext:
-    """Everything the project-level (``finish``) pass sees: all file
-    contexts."""
-
-    def __init__(self, files: List[FileContext]):
-        self.files = list(files)
-
-
 class Checker:
     """Base class for reprolint checkers.
 
@@ -150,7 +130,7 @@ class Checker:
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         return ()
 
-    def finish(self, project: ProjectContext) -> Iterable[Finding]:
+    def finish(self, files: List[FileContext]) -> Iterable[Finding]:
         return ()
 
 
