@@ -36,7 +36,9 @@ task share every task fit they have in common (the utility memo): one
 fit of the base utility ``u(Din)`` engine-wide, and one fit of each
 augmentation set per prepared candidate set; a run that misses on a
 utility another run is fitting waits for that fit.  Each run is still
-charged the query.
+charged the query.  METAM runs on a prepared set likewise share its
+CLUSTER-PARTITION: one ε-cover per ``(ε, first center)`` (the partition
+memo).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import operator
 import threading
 import time
 from collections import deque
@@ -71,6 +74,8 @@ from repro.api.run import DiscoveryRun
 from repro.catalog import Catalog
 from repro.catalog.store import register_store_metrics
 from repro.catalog.fingerprint import registry_fingerprint, table_fingerprint
+from repro.core.clustering import draw_first_center, greedy_cover
+from repro.core.metam import Metam
 from repro.dataframe.table import Table, normalize_corpus
 from repro.discovery.candidates import (
     Candidate,
@@ -98,6 +103,13 @@ _log = get_logger(__name__)
 #: prepared sets hold ~16 MB at most.
 SET_UTILITY_MEMO_ENTRIES = 1024
 
+#: ε-covers the partition memo keeps per prepared candidate set
+#: (LRU-evicted beyond it).  A cover is keyed (ε, first center), so one ε
+#: needs at most one entry per candidate.  An entry is the cover's index
+#: arrays — about 16 bytes per candidate plus 16 per cluster, ~3 KB at 80
+#: candidates — and the set's entries share one read-only profile matrix.
+PARTITION_MEMO_ENTRIES = 128
+
 
 def _table_digest(table: Table) -> str:
     """Content fingerprint of ``table``, kept with the (immutable) table
@@ -110,15 +122,29 @@ class EngineStateError(RuntimeError):
 
 
 class _PreparedSet:
-    """One prepared candidate set and the utilities of the augmentation
-    sets charged on it.  The memo lives and dies with the set: eviction,
-    ``attach_corpus`` or a re-prepare starts a new, empty one."""
+    """One prepared candidate set, the utilities of the augmentation sets
+    charged on it and the ε-covers METAM drew on it.  The memos live and
+    die with the set: eviction, ``attach_corpus`` or a re-prepare starts
+    a new, empty one."""
 
-    __slots__ = ("candidates", "utilities")
+    __slots__ = ("candidates", "utilities", "partitions", "_profiles")
 
     def __init__(self, candidates: list):
         self.candidates = candidates
         self.utilities = LruDict(capacity=SET_UTILITY_MEMO_ENTRIES)
+        self.partitions = LruDict(capacity=PARTITION_MEMO_ENTRIES)
+        self._profiles = None
+
+    def profiles(self, vectors):
+        """The set's profile matrix, read-only, for its memoized covers to
+        share: adopted from the first run that clusters the set (every
+        run's matrix is built from the same candidates, so all are
+        equal).  Two first runs racing may each keep their own copy."""
+        if self._profiles is None:
+            profiles = vectors.copy()
+            profiles.flags.writeable = False
+            self._profiles = profiles
+        return self._profiles
 
 
 class DiscoveryEngine:
@@ -304,6 +330,13 @@ class DiscoveryEngine:
         )
         for event in ("hit", "miss"):
             self._m_set_utility.labels(event=event)
+        self._m_partition = registry.counter(
+            "repro_engine_partition_events_total",
+            "Partition-memo activity (a hit skips one CLUSTER-PARTITION).",
+            labels=("event",),
+        )
+        for event in ("hit", "miss"):
+            self._m_partition.labels(event=event)
         self._m_prepared_sets = registry.gauge(
             "repro_engine_prepared_sets",
             "Prepared-candidate sets resident in the LRU cache.",
@@ -959,6 +992,11 @@ class DiscoveryEngine:
         candidates, which are never memoized).  The query is still
         charged, so budgets, traces and events are those of a fresh
         engine.
+
+        A plain :class:`~repro.core.metam.Metam` over ``prepared``'s own
+        candidates has its CLUSTER-PARTITION served from the set's
+        partition memo (:meth:`_memo_partition`); plug-in searcher
+        classes and request-supplied candidates cluster as usual.
         """
         restores = []
         query_engine = getattr(searcher, "engine", None)
@@ -1094,12 +1132,39 @@ class DiscoveryEngine:
                         pass
 
             restores.append(restore_round)
+        if (
+            prepared is not None
+            and type(searcher) is Metam
+            and "partition" not in searcher.__dict__
+            and len(searcher.candidates) == len(prepared.candidates)
+            and all(map(operator.is_, searcher.candidates, prepared.candidates))
+        ):
+            # Only over the set's own candidates, in the set's order, is
+            # the cover a function of (ε, first center).
+            searcher.partition = partial(self._memo_partition, prepared)
+            restores.append(lambda: delattr(searcher, "partition"))
 
         def restore():
             for undo in reversed(restores):
                 undo()
 
         return restore
+
+    def _memo_partition(self, prepared, vectors, epsilon, seed=None):
+        """CLUSTER-PARTITION through ``prepared``'s partition memo: the
+        first center is drawn from the run's generator exactly as
+        :func:`~repro.core.clustering.cluster_partition` draws it, and the
+        cover from that center is computed once per ``(ε, center)``.  A
+        cover that raises stores nothing."""
+        vectors, start = draw_first_center(vectors, epsilon, seed)
+        with prepared.partitions.single_flight((epsilon, start)) as slot:
+            if slot.hit:
+                self._m_partition.labels(event="hit").inc()
+                return slot.value
+            self._m_partition.labels(event="miss").inc()
+            clusters = greedy_cover(prepared.profiles(vectors), epsilon, start)
+            slot.store(clusters)
+            return clusters
 
     # ------------------------------------------------------------------
     # Reporting
@@ -1149,6 +1214,9 @@ class DiscoveryEngine:
         base_misses = int(self._m_base_utility.labels(event="miss").value)
         set_hits = int(self._m_set_utility.labels(event="hit").value)
         set_misses = int(self._m_set_utility.labels(event="miss").value)
+        partition_hits = int(self._m_partition.labels(event="hit").value)
+        partition_misses = int(self._m_partition.labels(event="miss").value)
+        prepared_sets = self._prepared.values()
         out = {
             "runs_started": self.runs_started,
             "runs_completed": self.runs_completed,
@@ -1165,7 +1233,12 @@ class DiscoveryEngine:
             "set_utility_hits": set_hits,
             "set_utility_misses": set_misses,
             "set_utility_entries": sum(
-                len(prepared.utilities) for prepared in self._prepared.values()
+                len(prepared.utilities) for prepared in prepared_sets
+            ),
+            "partition_hits": partition_hits,
+            "partition_misses": partition_misses,
+            "partition_entries": sum(
+                len(prepared.partitions) for prepared in prepared_sets
             ),
             "result_cache_hits": result_hits,
             "result_cache_misses": result_misses,

@@ -11,6 +11,13 @@ coordinate gaps instead of running a length-``p`` max per augmentation.
 ``abs`` and ``max`` round nothing and a NaN wins either way, so every
 distance — and with it every center and assignment — is exactly the
 row-major one (``tests/core/reference_clustering.py`` holds it).
+
+The random first center is the partition's only random input, so the
+algorithm is split in two: :func:`draw_first_center` consumes the one
+``rng.integers(0, n)`` draw, and :func:`greedy_cover` is deterministic
+from that center.  A caller that clusters one matrix many times may
+therefore keep one cover per ``(ε, first center)``; a :class:`Clusters`
+is read-only once built, so such a cover can be shared.
 """
 
 from __future__ import annotations
@@ -25,8 +32,15 @@ def chebyshev(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(np.asarray(a, float) - np.asarray(b, float))))
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` that raises on every write."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 class Clusters:
-    """Result of CLUSTER-PARTITION over ``n`` augmentations.
+    """Result of CLUSTER-PARTITION over ``n`` augmentations (read-only).
 
     Attributes
     ----------
@@ -37,15 +51,17 @@ class Clusters:
     """
 
     def __init__(self, vectors: np.ndarray, centers, assignment):
-        self.vectors = vectors
+        # Read-only views: one partition may serve many searches at once
+        # (see :func:`greedy_cover`), so none of them may write into it;
+        # :meth:`dissolve` builds a new one instead.
+        self.vectors = _read_only(vectors)
         self.centers = list(centers)
-        self.assignment = np.asarray(assignment, dtype=int)
+        self.assignment = _read_only(np.asarray(assignment, dtype=int))
         # Members grouped by cluster id, ascending within a cluster:
         # cluster c owns _order[_starts[c]:_starts[c + 1]].
-        self._order = np.argsort(self.assignment, kind="stable")
-        self._order.flags.writeable = False
+        self._order = _read_only(np.argsort(self.assignment, kind="stable"))
         counts = np.bincount(self.assignment, minlength=len(self.centers))
-        self._starts = np.concatenate(([0], np.cumsum(counts)))
+        self._starts = _read_only(np.concatenate(([0], np.cumsum(counts))))
 
     @property
     def n_clusters(self) -> int:
@@ -93,6 +109,17 @@ class Clusters:
 
 def cluster_partition(vectors: np.ndarray, epsilon: float, seed=None) -> Clusters:
     """Greedy k-center ε-cover of profile vectors (Algorithm 2)."""
+    vectors, start = draw_first_center(vectors, epsilon, seed)
+    return greedy_cover(vectors, epsilon, start)
+
+
+def draw_first_center(vectors: np.ndarray, epsilon: float, seed=None):
+    """Check CLUSTER-PARTITION's inputs and draw its first center.
+
+    Returns ``(vectors as a float array, first center)``.  The draw is
+    the partition's one use of ``seed``: exactly one
+    ``rng.integers(0, n)``, made only once the inputs are valid.
+    """
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or len(vectors) == 0:
         raise ValueError(f"vectors must be a non-empty 2-D array, got {vectors.shape}")
@@ -104,24 +131,45 @@ def cluster_partition(vectors: np.ndarray, epsilon: float, seed=None) -> Cluster
         # add a center per iteration without bound.
         row = int(finite.argmin())
         raise ValueError(f"vectors must be finite; row {row} is {vectors[row]}")
-    rng = ensure_rng(seed)
+    return vectors, int(ensure_rng(seed).integers(0, len(vectors)))
+
+
+def greedy_cover(vectors: np.ndarray, epsilon: float, start: int) -> Clusters:
+    """Gonzalez's greedy k-center from first center ``start`` until every
+    row lies within ``epsilon`` of its center — deterministic, over
+    inputs :func:`draw_first_center` has checked.
+
+    The loop allocates no array per center: gaps, distances and the
+    closer-mask land in buffers made once, and the running distance is
+    lowered in place.  ``np.minimum`` keeps exactly what
+    ``np.where(new < dist, new, dist)`` would — every distance is finite
+    or +inf, and equal ones are the same value.
+    """
     n = len(vectors)
     columns = np.ascontiguousarray(vectors.T)
+    points = np.ascontiguousarray(vectors)[:, :, None]  # points[i]: (p, 1)
+    gaps = np.empty_like(columns)
+    new_dist = np.empty(n)
+    closer = np.empty(n, dtype=bool)
 
-    centers = [int(rng.integers(0, n))]
-    # dist_to_center[i] = Chebyshev distance from i to its nearest center.
-    dist = np.maximum.reduce(np.abs(columns - columns[:, centers[0], None]), axis=0)
+    centers = [start]
+    np.subtract(columns, points[start], out=gaps)
+    np.abs(gaps, out=gaps)
+    # dist[i] = Chebyshev distance from i to its nearest center.
+    dist = np.maximum.reduce(gaps, axis=0)
     assignment = np.zeros(n, dtype=int)
 
     while True:
-        farthest = int(np.argmax(dist))
+        farthest = int(dist.argmax())
         if dist[farthest] <= epsilon:
             break
         centers.append(farthest)
-        new_dist = np.maximum.reduce(np.abs(columns - columns[:, farthest, None]), axis=0)
-        closer = new_dist < dist
-        assignment[closer] = len(centers) - 1
-        dist = np.where(closer, new_dist, dist)
+        np.subtract(columns, points[farthest], out=gaps)
+        np.abs(gaps, out=gaps)
+        np.maximum.reduce(gaps, axis=0, out=new_dist)
+        np.less(new_dist, dist, out=closer)
+        np.putmask(assignment, closer, len(centers) - 1)
+        np.minimum(dist, new_dist, out=dist)
     return Clusters(vectors, centers, assignment)
 
 

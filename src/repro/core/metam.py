@@ -73,9 +73,17 @@ class Metam:
     ``on_round`` (optional observer, default ``None``) is called after
     each outer-loop round with ``(round_index, utility, queries,
     committed)`` — the serving API's round-complete event.
+
+    ``partition`` is CLUSTER-PARTITION, called once per run as
+    ``partition(profiles, epsilon, seed=rng)``.  Like ``on_round`` it is
+    a class-level seam an instance may shadow — the serving engine
+    serves it from a memo of covers — with any callable that returns
+    the same partition and draws from ``rng`` exactly what
+    :func:`~repro.core.clustering.cluster_partition` draws.
     """
 
     on_round = None
+    partition = staticmethod(cluster_partition)
 
     def __init__(
         self,
@@ -113,7 +121,7 @@ class Metam:
         rng = ensure_rng(config.seed)
 
         if config.use_clustering:
-            clusters = cluster_partition(self._profiles, config.epsilon, seed=rng)
+            clusters = self.partition(self._profiles, config.epsilon, seed=rng)
         else:
             clusters = singleton_clusters(self._profiles)
         scorer = QualityScorer(self._profiles, clusters)

@@ -201,7 +201,21 @@ class _ServiceRun:
 
 class _CatalogEntry:
     """One served catalog: its (lazily built) engine, the worker pool
-    that runs ``engine.discover``, and the fair scheduler state."""
+    that runs ``engine.discover``, and the fair scheduler.
+
+    The scheduler holds only tenants with queued runs.  It serves them
+    in cycles: ``rr[:fresh]`` have not had a turn this cycle and go
+    first, in arrival order; ``rr[fresh:]`` have, in the order of their
+    turns.  A tenant whose queue empties leaves ``queues`` and ``rr`` at
+    once; if it had a turn this cycle it is remembered in ``served``,
+    and a return rejoins behind every tenant still waiting instead of
+    jumping them.  A cycle ends when every queued tenant has had its
+    turn or nothing is queued, and also as soon as ``served`` outgrows
+    the rotation by more than one tenant — which bounds what the entry
+    remembers by its queue, whatever the tenant churn.  Ending a cycle
+    reorders nobody: it only forgets ``served``.  Every method runs
+    under the service lock.
+    """
 
     def __init__(
         self, name: str, factory: Callable[[], object], bases: dict = None
@@ -213,15 +227,83 @@ class _CatalogEntry:
         self.bases = dict(bases or {})
         self.engine = None
         self.pool = None  # ThreadPoolExecutor, built with the engine
-        # tenant -> deque of queued _ServiceRun (not yet dispatched).
+        # tenant -> deque of its queued _ServiceRun (never empty).
         self.queues: Dict[str, deque] = {}
-        # Round-robin pointer: tenants already served this cycle.
-        self.rr: deque = deque()
+        self.rr: deque = deque()  # tenants with queued runs, in turn order
+        self.fresh = 0  # rr[:fresh] have not had a turn this cycle
+        self.served: set = set()  # had a turn this cycle, queue since emptied
         self.slots = 0  # free pool workers (set when engine is built)
         self.active = 0  # dispatched, not yet resolved
 
     def queued_count(self) -> int:
         return sum(len(q) for q in self.queues.values())
+
+    def enqueue(self, run) -> None:
+        """Queue ``run`` behind its tenant's other runs."""
+        tenant = run.tenant
+        queue = self.queues.get(tenant)
+        if queue is None:
+            queue = self.queues[tenant] = deque()
+            if tenant in self.served:
+                self.served.discard(tenant)
+                self.rr.append(tenant)
+            else:
+                self.rr.insert(self.fresh, tenant)
+                self.fresh += 1
+        queue.append(run)
+
+    def pick(self):
+        """Take the next run to dispatch (highest priority of the next
+        tenant's runs, FIFO within a priority), or ``None``."""
+        if not self.rr or not self.fresh:
+            self._new_cycle()
+        if not self.rr:
+            return None
+        tenant = self.rr.popleft()
+        self.fresh -= 1
+        queue = self.queues[tenant]
+        run = max(queue, key=lambda r: r.priority)
+        queue.remove(run)
+        if queue:
+            self.rr.append(tenant)
+        else:
+            self._leave(tenant, had_turn=True)
+        return run
+
+    def remove(self, run) -> None:
+        """Withdraw a queued run (a cancel)."""
+        queue = self.queues.get(run.tenant)
+        if queue is None or run not in queue:
+            return
+        queue.remove(run)
+        if not queue:
+            position = self.rr.index(run.tenant)
+            del self.rr[position]
+            had_turn = position >= self.fresh
+            if not had_turn:
+                self.fresh -= 1
+            self._leave(run.tenant, had_turn)
+
+    def drain(self) -> list:
+        """Take every queued run, leaving the scheduler empty."""
+        runs = [run for queue in self.queues.values() for run in queue]
+        self.queues.clear()
+        self.rr.clear()
+        self.served.clear()
+        self.fresh = 0
+        return runs
+
+    def _leave(self, tenant: str, had_turn: bool) -> None:
+        """Forget a tenant whose queue emptied (already out of ``rr``)."""
+        del self.queues[tenant]
+        if had_turn:
+            self.served.add(tenant)
+            if len(self.served) > len(self.rr) + 1:
+                self._new_cycle()
+
+    def _new_cycle(self) -> None:
+        self.served.clear()
+        self.fresh = len(self.rr)
 
 
 class DiscoveryService:
@@ -518,12 +600,7 @@ class DiscoveryService:
                 request=request,
             )
             self._runs[run.run_id] = run
-            entry.queues.setdefault(tenant, deque()).append(run)
-            if tenant not in entry.rr:
-                # A tenant new to the rotation has not had a turn this
-                # cycle: it enters at the front, ahead of tenants that
-                # were already served.
-                entry.rr.appendleft(tenant)
+            entry.enqueue(run)
             self._m_requests.labels(tenant=tenant, outcome="accepted").inc()
             self._m_queue_depth.labels(catalog=catalog).set(
                 float(entry.queued_count())
@@ -569,9 +646,7 @@ class DiscoveryService:
                 return run.describe()
             entry = self._entries[run.catalog]
             if run.state == "queued":
-                queue = entry.queues.get(run.tenant)
-                if queue is not None and run in queue:
-                    queue.remove(run)
+                entry.remove(run)
                 self._finalize_locked(run, "cancelled", synthesize=True)
                 self._m_queue_depth.labels(catalog=run.catalog).set(
                     float(entry.queued_count())
@@ -587,9 +662,9 @@ class DiscoveryService:
     def _pump(self, entry: _CatalogEntry) -> None:
         """Dispatch queued runs onto free pool workers, fairly.
 
-        Tenants are served round-robin (the ``rr`` deque rotates); within
-        a tenant the highest priority wins, FIFO inside a priority
-        level.
+        Tenants are served round-robin, in cycles (see
+        :class:`_CatalogEntry`); within a tenant the highest priority
+        wins, FIFO inside a priority level.
         """
         with self._lock:
             while True:
@@ -617,16 +692,7 @@ class DiscoveryService:
         """Next run to dispatch, or ``None`` (lock held by caller)."""
         if entry.slots <= 0 or entry.engine is None:
             return None
-        for _ in range(len(entry.rr)):
-            tenant = entry.rr[0]
-            entry.rr.rotate(-1)
-            queue = entry.queues.get(tenant)
-            if not queue:
-                continue
-            best = max(queue, key=lambda r: r.priority)
-            queue.remove(best)
-            return best
-        return None
+        return entry.pick()
 
     def _execute(self, entry: _CatalogEntry, run: _ServiceRun) -> None:
         """Serve one dispatched run on a pool worker, then resolve it."""
@@ -767,11 +833,8 @@ class DiscoveryService:
             self._draining = True
             # Queued runs never got a slot; they end here, cancelled.
             for entry in self._entries.values():
-                for queue in entry.queues.values():
-                    while queue:
-                        self._finalize_locked(
-                            queue.popleft(), "cancelled", synthesize=True
-                        )
+                for run in entry.drain():
+                    self._finalize_locked(run, "cancelled", synthesize=True)
                 self._m_queue_depth.labels(catalog=entry.name).set(0.0)
             deadline = time.monotonic() + max(0.0, timeout)
             clean = True

@@ -232,6 +232,9 @@ class TestPrepare:
             "set_utility_hits",
             "set_utility_misses",
             "set_utility_entries",
+            "partition_hits",
+            "partition_misses",
+            "partition_entries",
             "result_cache_hits",
             "result_cache_misses",
             "result_cache_hit_rate",

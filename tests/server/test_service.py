@@ -2,8 +2,11 @@
 drain — everything the HTTP layer relies on, tested without a socket."""
 
 import threading
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api import DiscoveryEngine, DiscoveryRequest
 from repro.api.errors import Internal, InvalidRequest, NotFound, Overloaded
@@ -12,6 +15,8 @@ from repro.core.config import MetamConfig
 from repro.data import clustering_scenario, generate_corpus
 from repro.server import DiscoveryService, ServiceConfig, TokenBucket
 from repro.server import service as service_module
+
+from tests.server.conftest import ServerHarness, StubSearcher
 
 
 class TestSessions:
@@ -192,6 +197,171 @@ class TestFairness:
         h.wait_terminal(low["run_id"])
         h.wait_terminal(high["run_id"])
         assert h.run_log == ["first", "high", "low"]
+
+
+class _EchoSearcher(StubSearcher):
+    """A stub run that logs its dispatch and, while ``left`` > 0,
+    resubmits for its own session from inside the run — before the
+    single worker can dispatch anything else."""
+
+    def __init__(self, harness, log, *, session, tenant, left):
+        super().__init__(harness)
+        self._log = log
+        self._session, self._tenant, self._left = session, tenant, left
+
+    def run(self):
+        self._log.append(("dispatch", self._tenant))
+        if self._left > 0:
+            self._harness.service.submit(
+                self._session, echo_payload(self._harness, self._session,
+                                            self._tenant, self._left - 1)
+            )
+            self._log.append(("submit", self._tenant))
+        return super().run()
+
+
+def echo_payload(harness, session, tenant, left):
+    payload = harness.payload()
+    payload["searcher"] = "echo"
+    payload["options"] = {"session": session, "tenant": tenant, "left": left}
+    return payload
+
+
+def wait_idle(service, timeout=60):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        stats = service.stats()["catalogs"]["default"]
+        if stats["queued"] == 0 and stats["active"] == 0:
+            return
+        time.sleep(0.01)
+    raise AssertionError("service never went idle")
+
+
+class TestSchedulerChurn:
+    """The scheduler forgets a tenant whose queue empties, and a tenant
+    that comes back does not jump the rotation."""
+
+    def test_one_shot_tenants_leave_nothing_behind(self, make_harness):
+        h = make_harness(config=ServiceConfig(
+            tenant_rate=0.0, tenant_burst=10_000.0, max_queue_depth=1_000
+        ))
+        h.service.submit(h.session("holder"), h.payload(tag="hold", hold="g"))
+        h.wait_started("g")
+        tenants = [f"t{i}" for i in range(1_000)]
+        ids = [
+            h.service.submit(h.session(t), h.payload(tag=t))["run_id"]
+            for t in tenants
+        ]
+        entry = h.service._entries["default"]
+        assert len(entry.queues) == len(entry.rr) == entry.queued_count() == 1_000
+        h.release("g")
+        for run_id in ids:
+            h.wait_terminal(run_id)
+        assert entry.queues == {} and not entry.rr
+        assert entry.queued_count() == 0
+        assert len(entry.served) <= 1
+        # Tenants new to the cycle take their turns in arrival order.
+        assert h.run_log == ["hold"] + tenants
+
+    def test_churn_under_load_keeps_the_scheduler_bounded(self, harness):
+        """Two chains of one-shot tenants: each run admits its chain's
+        next new tenant while it runs, so the queue never empties and no
+        cycle ends on its own.  The scheduler must still forget the
+        tenants it has served."""
+        entry = harness.service._entries["default"]
+        remembered = []
+
+        def relay(candidates, base, corpus, task, *, theta, query_budget,
+                  seed, config=None, chain, hop):
+            remembered.append(len(entry.served) + len(entry.rr))
+            if hop < 150:
+                submit(chain, hop + 1)
+            return StubSearcher(harness)
+
+        def submit(chain, hop):
+            payload = harness.payload()
+            payload["searcher"] = "relay"
+            payload["options"] = {"chain": chain, "hop": hop}
+            harness.service.submit(harness.session(f"c{chain}-{hop}"), payload)
+
+        harness.engine().searchers.register("relay", relay)
+        submit(0, 0)
+        submit(1, 0)
+        wait_idle(harness.service)
+        assert len(remembered) == 302
+        assert max(remembered) <= 4
+        assert entry.queues == {} and not entry.rr
+
+    def test_cancelling_a_tenants_last_run_drops_the_tenant(self, harness):
+        harness.service.submit(harness.session("acme"), harness.payload(hold="g"))
+        harness.wait_started("g")
+        queued = harness.service.submit(harness.session("globex"), harness.payload())
+        entry = harness.service._entries["default"]
+        assert list(entry.rr) == ["globex"]
+        harness.service.cancel(queued["run_id"])
+        assert entry.queues == {} and not entry.rr and entry.queued_count() == 0
+        harness.release("g")
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        submissions=st.lists(
+            # (tenant, resubmissions): tenant 0 is the one under test.
+            st.tuples(st.integers(1, 3), st.integers(0, 2)),
+            max_size=8,
+        ),
+        position=st.integers(0, 8),
+        loops=st.integers(1, 4),
+    )
+    def test_a_resubmitting_tenant_never_jumps_a_waiting_one(
+        self, submissions, position, loops
+    ):
+        """One worker; the tenant under test resubmits each time it is
+        dispatched.  Between two of its dispatches, every other tenant
+        that had a run queued at the first one is dispatched too."""
+        h = ServerHarness()
+        try:
+            log = []
+            engine = h.engine()
+            engine.searchers.register(
+                "echo",
+                lambda candidates, base, corpus, task, *, theta, query_budget,
+                seed, config=None, **options: _EchoSearcher(h, log, **options),
+            )
+            h.service.submit(h.session("gate"), h.payload(hold="g"))
+            h.wait_started("g")
+            plan = list(submissions)
+            plan.insert(min(position, len(plan)), (0, loops))
+            sessions = {}
+            for tenant_no, left in plan:
+                tenant = f"tenant{tenant_no}"
+                if tenant not in sessions:
+                    sessions[tenant] = h.session(tenant)
+                h.service.submit(
+                    sessions[tenant],
+                    echo_payload(h, sessions[tenant], tenant, left),
+                )
+                log.append(("submit", tenant))
+            h.release("g")
+            wait_idle(h.service)
+        finally:
+            h.close()
+        mine = [i for i, (kind, tenant) in enumerate(log)
+                if kind == "dispatch" and tenant == "tenant0"]
+        assert len(mine) == loops + 1
+        for first, second in zip(mine, mine[1:]):
+            for other in {tenant for _kind, tenant in log} - {"tenant0"}:
+                before = log[:first]
+                waiting = before.count(("submit", other)) > before.count(
+                    ("dispatch", other)
+                )
+                if waiting:
+                    assert ("dispatch", other) in log[first:second], (other, log)
+        entry = h.service._entries["default"]
+        assert entry.queues == {} and not entry.rr
 
 
 class TestLifecycle:
