@@ -86,7 +86,7 @@ from repro.discovery.candidates import (
 from repro.discovery.index import DiscoveryIndex
 from repro.discovery.unions import find_union_candidates
 from repro.obs.logcfg import get_logger, log_context
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer, mark, span
 from repro.profiles.registry import default_registry
 from repro.tasks.base import Task, content_key
@@ -192,18 +192,14 @@ class DiscoveryEngine:
         or catalog content changes.  Must be ``None`` or an int (not a
         ``bool``), like ``max_prepared_sets``.
     metrics:
-        Telemetry registry wiring: ``None`` (default) gives the engine
-        its own private :class:`~repro.obs.MetricsRegistry`; pass a
-        registry to share one across engines; ``False`` installs the
-        no-op registry (instrumentation compiled out).
-        The attached catalog store records into the same registry.
-        Serving counters (``runs_started`` & co.) are views over the
-        registry either way.
-    tracing:
-        ``True`` (default) records a per-run trace tree (request →
-        prepare → per-round query evaluation) into every
-        :class:`DiscoveryRun`; ``False`` skips span bookkeeping
-        entirely (``run.trace`` stays ``None``).
+        Telemetry registry: ``None`` (default) gives the engine its own
+        private :class:`~repro.obs.MetricsRegistry`; pass a registry to
+        share one across engines (the service passes its own).  The
+        attached catalog store records into the same registry, and the
+        serving counters (``runs_started`` & co.) are views over it.
+
+    Every live run records a trace tree (request → prepare → per-round
+    query evaluation) into its :class:`DiscoveryRun`.
     """
 
     def __init__(
@@ -217,8 +213,7 @@ class DiscoveryEngine:
         max_prepared_sets: int = 32,
         max_workers: int = 4,
         result_cache_bytes: int = None,
-        metrics=None,
-        tracing: bool = True,
+        metrics: MetricsRegistry = None,
     ):
         try:
             prepared = LruDict(capacity=max_prepared_sets)
@@ -228,6 +223,10 @@ class DiscoveryEngine:
                 f"{max_prepared_sets!r}"
             ) from None
         check_positive_int(max_workers, "max_workers")
+        if metrics is not None and not isinstance(metrics, MetricsRegistry):
+            raise TypeError(
+                f"metrics must be None or a MetricsRegistry, got {metrics!r}"
+            )
         if result_cache_bytes in (None, 0) and not isinstance(
             result_cache_bytes, (bool, float)
         ):
@@ -264,14 +263,9 @@ class DiscoveryEngine:
         self._results = results
         self.result_cache_bytes = result_cache_bytes
         self._run_ids = itertools.count(1)  # next() is atomic
-        if metrics is False:
-            registry = NULL_REGISTRY
-        elif metrics is None:
-            registry = MetricsRegistry()
-        else:
-            registry = metrics
+        registry = metrics if metrics is not None else MetricsRegistry()
         self._init_metrics(registry)
-        self.tracer = Tracer(enabled=tracing)
+        self.tracer = Tracer()
         #: Serialized trace trees of the most recent live runs (replays
         #: carry their original trace) — what ``--trace-out`` dumps.
         self.recent_traces = deque(maxlen=32)
@@ -283,76 +277,71 @@ class DiscoveryEngine:
     def _init_metrics(self, registry) -> None:
         """Register (get-or-create) every engine family on ``registry``,
         plus the store families — so a metrics snapshot names the full
-        catalog of series even before a catalog is attached.  Labeled
-        children the serving path uses are pre-touched for the same
-        reason: zero shows as zero."""
+        catalog of series even before a catalog is attached.  Every child
+        the serving path writes is resolved here, once (zero shows as
+        zero): label-less families as their one child, labeled counters
+        as ``{label value: child}`` maps.  The two histograms labeled by
+        status or source grow a series at its first observation."""
         self.metrics = registry
+
+        def events(name, help_text, values=("hit", "miss")):
+            family = registry.counter(name, help_text, labels=("event",))
+            return {event: family.labels(event=event) for event in values}
+
         self._m_runs_started = registry.counter(
             "repro_engine_runs_started_total",
             "Runs started, live executions and cache replays alike.",
-        )
-        self._m_runs = registry.counter(
+        ).labels()
+        runs = registry.counter(
             "repro_engine_runs_total",
             "Runs finished, by terminal status.",
             labels=("status",),
         )
-        for status in ("completed", "cancelled", "failed"):
-            self._m_runs.labels(status=status)
+        self._m_runs = {
+            status: runs.labels(status=status)
+            for status in ("completed", "cancelled", "failed")
+        }
         self._m_queries = registry.counter(
             "repro_engine_queries_served_total",
             "Utility queries charged across all served runs.",
-        )
-        self._m_result_cache = registry.counter(
+        ).labels()
+        self._m_result_cache = events(
             "repro_engine_result_cache_events_total",
             "Result-cache activity (a spill admits a completed run).",
-            labels=("event",),
+            ("hit", "miss", "spill"),
         )
-        for event in ("hit", "miss", "spill"):
-            self._m_result_cache.labels(event=event)
-        self._m_prepare_cache = registry.counter(
+        self._m_prepare_cache = events(
             "repro_engine_prepare_cache_events_total",
             "Prepared-candidate cache activity.",
-            labels=("event",),
         )
-        for event in ("hit", "miss"):
-            self._m_prepare_cache.labels(event=event)
-        self._m_base_utility = registry.counter(
+        self._m_base_utility = events(
             "repro_engine_base_utility_events_total",
             "Base-utility memo activity (a hit skips one task fit).",
-            labels=("event",),
         )
-        for event in ("hit", "miss"):
-            self._m_base_utility.labels(event=event)
-        self._m_set_utility = registry.counter(
+        self._m_set_utility = events(
             "repro_engine_set_utility_events_total",
             "Utility-memo activity on augmented sets (a hit skips one task fit).",
-            labels=("event",),
         )
-        for event in ("hit", "miss"):
-            self._m_set_utility.labels(event=event)
-        self._m_partition = registry.counter(
+        self._m_partition = events(
             "repro_engine_partition_events_total",
             "Partition-memo activity (a hit skips one CLUSTER-PARTITION).",
-            labels=("event",),
         )
-        for event in ("hit", "miss"):
-            self._m_partition.labels(event=event)
         self._m_prepared_sets = registry.gauge(
             "repro_engine_prepared_sets",
             "Prepared-candidate sets resident in the LRU cache.",
-        )
+        ).labels()
         self._m_cache_entries = registry.gauge(
             "repro_engine_result_cache_entries",
             "Recorded runs resident in the result cache.",
-        )
+        ).labels()
         self._m_cache_bytes = registry.gauge(
             "repro_engine_result_cache_bytes",
             "Result-cache footprint (JSON run-record bytes).",
-        )
+        ).labels()
         self._m_cache_reserved = registry.gauge(
             "repro_engine_result_cache_reserved",
             "In-flight reservations of result-cache slots.",
-        )
+        ).labels()
         self._m_run_seconds = registry.histogram(
             "repro_engine_run_seconds",
             "End-to-end wall time of live runs, by terminal status.",
@@ -366,17 +355,17 @@ class DiscoveryEngine:
         self._m_search_seconds = registry.histogram(
             "repro_engine_search_seconds",
             "Searcher wall time of live runs.",
-        )
+        ).labels()
         self._m_run_rounds = registry.histogram(
             "repro_engine_run_rounds",
             "Search rounds per live run.",
             buckets=(1, 2, 3, 5, 8, 13, 21, 34, 55, 89),
-        )
+        ).labels()
         self._m_round_gain = registry.histogram(
             "repro_engine_round_utility_gain",
             "Utility gained per completed search round.",
             buckets=(0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.25, 0.5, 0.75, 1.0),
-        )
+        ).labels()
         # Pre-register the families instrumented layers record into.
         register_store_metrics(registry)
 
@@ -388,15 +377,15 @@ class DiscoveryEngine:
 
     @property
     def runs_completed(self) -> int:
-        return int(self._m_runs.labels(status="completed").value)
+        return int(self._m_runs["completed"].value)
 
     @property
     def runs_cancelled(self) -> int:
-        return int(self._m_runs.labels(status="cancelled").value)
+        return int(self._m_runs["cancelled"].value)
 
     @property
     def runs_failed(self) -> int:
-        return int(self._m_runs.labels(status="failed").value)
+        return int(self._m_runs["failed"].value)
 
     @property
     def queries_served(self) -> int:
@@ -404,7 +393,7 @@ class DiscoveryEngine:
 
     @property
     def result_cache_hits(self) -> int:
-        return int(self._m_result_cache.labels(event="hit").value)
+        return int(self._m_result_cache["hit"].value)
 
     # ------------------------------------------------------------------
     # Construction / state
@@ -420,11 +409,10 @@ class DiscoveryEngine:
         """Engine backed by the persistent catalog at ``catalog_dir``.
 
         ``create=True`` (default) creates the catalog when none exists
-        (``config`` applies only then — including ``hash_version=2`` for
-        the blake2-free vectorized hash family); ``create=False``
-        requires a saved catalog and raises
-        :class:`~repro.catalog.CatalogStoreError` otherwise.  ``corpus``
-        is attached when given.
+        (``config`` — the :class:`~repro.catalog.Catalog` parameters —
+        applies only then); ``create=False`` requires a saved catalog
+        and raises :class:`~repro.catalog.CatalogStoreError` otherwise.
+        ``corpus`` is attached when given.
         """
         from repro.catalog.store import CatalogStore
 
@@ -539,9 +527,9 @@ class DiscoveryEngine:
         )
         with self._prepared.single_flight(key) as slot:
             if slot.hit:
-                self._m_prepare_cache.labels(event="hit").inc()
+                self._m_prepare_cache["hit"].inc()
                 return slot.value, True, corpus
-            self._m_prepare_cache.labels(event="miss").inc()
+            self._m_prepare_cache["miss"].inc()
             prepared = _PreparedSet(
                 self._prepare_uncached(base, spec, registry, seed, corpus)
             )
@@ -677,7 +665,7 @@ class DiscoveryEngine:
             # shift the count.
             if slot.hit and slot.value[0] == self._catalog_mutations():
                 return self._replay(slot.value[1], request, progress)
-            self._m_result_cache.labels(event="miss").inc()
+            self._m_result_cache["miss"].inc()
             run, mutations = self._run_live(
                 request, task, factory, progress, cancel, cache_key
             )
@@ -689,7 +677,7 @@ class DiscoveryEngine:
                 # request of the new corpus looks.
                 size = len(json.dumps(run.to_record()).encode("utf-8"))
                 slot.store((mutations, run), size=size)
-                self._m_result_cache.labels(event="spill").inc()
+                self._m_result_cache["spill"].inc()
             return run
 
     def _run_live(self, request, task, factory, progress, cancel, cache_key=None):
@@ -716,7 +704,7 @@ class DiscoveryEngine:
         except BaseException:
             # Anything that escapes (bad searcher options, a task that
             # raises, a progress callback bug) still balances the books.
-            self._m_runs.labels(status="failed").inc()
+            self._m_runs["failed"].inc()
             raise
         _log.debug(
             "run served",
@@ -728,11 +716,10 @@ class DiscoveryEngine:
             prepare_seconds=round(run.prepare_seconds, 6),
             search_seconds=round(run.search_seconds, 6),
         )
-        if trace_root is not None:
-            trace = trace_root.to_record()
-            run = replace(run, trace=trace)
-            with self._lock:
-                self.recent_traces.append(trace)
+        trace = trace_root.to_record()
+        run = replace(run, trace=trace)
+        with self._lock:
+            self.recent_traces.append(trace)
         return run, mutations
 
     def _replay(self, hit: DiscoveryRun, request, progress):
@@ -747,10 +734,10 @@ class DiscoveryEngine:
         except BaseException:
             # A progress callback bug during a replay still balances the
             # books, exactly like a live run's.
-            self._m_runs.labels(status="failed").inc()
+            self._m_runs["failed"].inc()
             raise
-        self._m_runs.labels(status="completed").inc()
-        self._m_result_cache.labels(event="hit").inc()
+        self._m_runs["completed"].inc()
+        self._m_result_cache["hit"].inc()
         # The replayed result's queries count as served: accounting
         # stays comparable whether a run executed or replayed.
         self._m_queries.inc(hit.queries)
@@ -925,7 +912,7 @@ class DiscoveryEngine:
             )
         )
         self._m_queries.inc(queries)
-        self._m_runs.labels(status=status).inc()
+        self._m_runs[status].inc()
         self._m_run_seconds.labels(status=status).observe(
             prepare_seconds + search_seconds
         )
@@ -1031,9 +1018,9 @@ class DiscoveryEngine:
                     # and the next caller for the key fits instead.
                     with memo.single_flight(key) as slot:
                         if slot.hit:
-                            counter.labels(event="hit").inc()
+                            counter["hit"].inc()
                             return slot.value
-                        counter.labels(event="miss").inc()
+                        counter["miss"].inc()
                         value = float(compute())
                         slot.store(value)
                         return value
@@ -1159,9 +1146,9 @@ class DiscoveryEngine:
         vectors, start = draw_first_center(vectors, epsilon, seed)
         with prepared.partitions.single_flight((epsilon, start)) as slot:
             if slot.hit:
-                self._m_partition.labels(event="hit").inc()
+                self._m_partition["hit"].inc()
                 return slot.value
-            self._m_partition.labels(event="miss").inc()
+            self._m_partition["miss"].inc()
             clusters = greedy_cover(prepared.profiles(vectors), epsilon, start)
             slot.store(clusters)
             return clusters
@@ -1207,15 +1194,15 @@ class DiscoveryEngine:
             return hits / (hits + misses) if hits + misses else 0.0
 
         result_hits = self.result_cache_hits
-        result_misses = int(self._m_result_cache.labels(event="miss").value)
-        prepare_hits = int(self._m_prepare_cache.labels(event="hit").value)
-        prepare_misses = int(self._m_prepare_cache.labels(event="miss").value)
-        base_hits = int(self._m_base_utility.labels(event="hit").value)
-        base_misses = int(self._m_base_utility.labels(event="miss").value)
-        set_hits = int(self._m_set_utility.labels(event="hit").value)
-        set_misses = int(self._m_set_utility.labels(event="miss").value)
-        partition_hits = int(self._m_partition.labels(event="hit").value)
-        partition_misses = int(self._m_partition.labels(event="miss").value)
+        result_misses = int(self._m_result_cache["miss"].value)
+        prepare_hits = int(self._m_prepare_cache["hit"].value)
+        prepare_misses = int(self._m_prepare_cache["miss"].value)
+        base_hits = int(self._m_base_utility["hit"].value)
+        base_misses = int(self._m_base_utility["miss"].value)
+        set_hits = int(self._m_set_utility["hit"].value)
+        set_misses = int(self._m_set_utility["miss"].value)
+        partition_hits = int(self._m_partition["hit"].value)
+        partition_misses = int(self._m_partition["miss"].value)
         prepared_sets = self._prepared.values()
         out = {
             "runs_started": self.runs_started,
@@ -1258,12 +1245,12 @@ class DiscoveryEngine:
 
     def metrics_snapshot(self) -> dict:
         """JSON-safe snapshot of every registered metric family (derived
-        gauges refreshed first).  Empty with ``metrics=False``."""
+        gauges refreshed first)."""
         self._refresh_gauges()
         return self.metrics.snapshot()
 
     def metrics_prometheus(self) -> str:
         """Prometheus text exposition of the engine's registry (derived
-        gauges refreshed first).  Empty with ``metrics=False``."""
+        gauges refreshed first)."""
         self._refresh_gauges()
         return self.metrics.to_prometheus()

@@ -16,6 +16,7 @@ embed the fingerprints of every table on the candidate's join path).
 
 from __future__ import annotations
 
+import inspect
 import weakref
 from dataclasses import dataclass, field
 
@@ -34,6 +35,10 @@ from repro.discovery.index import ColumnRef, DiscoveryIndex
 from repro.discovery.lsh import LshIndex
 from repro.utils.lru import LruDict
 from repro.utils.validation import check_positive_int
+
+#: The keys of a stored config: the index's construction parameters,
+#: which ``DiscoveryIndex.config`` reports one for one.
+_CONFIG_KEYS = frozenset(inspect.signature(DiscoveryIndex).parameters)
 
 
 @dataclass
@@ -97,7 +102,6 @@ class Catalog:
         min_containment: float = 0.3,
         max_distinct: int = 5000,
         seed: int = 0,
-        hash_version: int = 1,
     ):
         self._index = DiscoveryIndex(
             num_perm=num_perm,
@@ -105,7 +109,6 @@ class Catalog:
             min_containment=min_containment,
             max_distinct=max_distinct,
             seed=seed,
-            hash_version=hash_version,
         )
         self.store = store
         # Objects on disk are addressed by (artifact config, table content)
@@ -113,17 +116,9 @@ class Catalog:
         # can never be reused by mistake — even when a crash left objects
         # behind without a manifest to guard them.  bands/min_containment
         # only affect querying, not the stored artifacts.
-        artifact_params = {
-            "num_perm": num_perm,
-            "seed": seed,
-            "max_distinct": max_distinct,
-        }
-        # hash_version changes every signature, so it addresses artifacts
-        # too — but only when non-default, keeping every existing v1
-        # store's object fingerprints (and golden bytes) unchanged.
-        if hash_version != 1:
-            artifact_params["hash_version"] = hash_version
-        self._artifact_config = config_fingerprint(artifact_params)
+        self._artifact_config = config_fingerprint(
+            {"num_perm": num_perm, "seed": seed, "max_distinct": max_distinct}
+        )
         self._fingerprints = {}
         # Snapshot recorded by the last save(); lets refresh() distinguish
         # "new table" from "known table being re-hydrated in this process".
@@ -665,7 +660,15 @@ class Catalog:
         manifest = store.read_manifest()
         if manifest is None:
             raise CatalogStoreError(f"no catalog manifest at {store.root!r}")
-        catalog = cls(store=store, **manifest["config"])
+        config = manifest.get("config")
+        if not isinstance(config, dict) or config.keys() != _CONFIG_KEYS:
+            raise CatalogStoreError(
+                f"catalog at {store.root!r} records config {config!r}; this "
+                f"release builds only configs with the keys {sorted(_CONFIG_KEYS)} "
+                "and does not migrate — the catalog is derived data: remove "
+                f"the directory and rebuild with `repro catalog build {store.root}`"
+            )
+        catalog = cls(store=store, **config)
         if corpus is not None:
             catalog.refresh(corpus)
         return catalog

@@ -184,16 +184,12 @@ class DiscoveryIndex:
         min_containment: float = 0.25,
         max_distinct: int = 5000,
         seed: int = 0,
-        hash_version: int = 1,
     ):
-        self.hash_version = kernels.check_hash_version(hash_version)
         check_fraction(min_containment, "min_containment")
         check_positive_int(max_distinct, "max_distinct")
         # The LSH validates num_perm and bands, so it is built first.
         self._lsh = LshIndex(num_perm=num_perm, bands=bands)
-        self._hasher = MinHasher(
-            num_perm=num_perm, seed=seed, hash_version=hash_version
-        )
+        self._hasher = MinHasher(num_perm=num_perm, seed=seed)
         self.num_perm = num_perm
         self.bands = bands
         self.min_containment = min_containment
@@ -233,18 +229,13 @@ class DiscoveryIndex:
     def config(self) -> dict:
         """Construction parameters (what a catalog must match to reuse
         persisted signatures)."""
-        config = {
+        return {
             "num_perm": self.num_perm,
             "bands": self.bands,
             "min_containment": self.min_containment,
             "max_distinct": self.max_distinct,
             "seed": self.seed,
         }
-        # hash_version appears only when non-default so every manifest
-        # and artifact id written before the key existed stays valid.
-        if self.hash_version != 1:
-            config["hash_version"] = self.hash_version
-        return config
 
     def __contains__(self, table_name: str) -> bool:
         return table_name in self._tables

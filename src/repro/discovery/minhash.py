@@ -21,19 +21,16 @@ class MinHasher:
     """k-permutation MinHash over string sets.
 
     Uses the standard ``(a*h + b) mod p`` universal hash family.  The
-    same ``(num_perm, seed, hash_version)`` triple always produces
-    comparable signatures.  Hashing and permutation run on the batch
-    kernels (:mod:`repro.kernels`); ``hash_version=1`` is the pinned
-    blake2b compatibility hash every stored signature was computed
-    with, ``hash_version=2`` the vectorized tabulation family.
+    same ``(num_perm, seed)`` pair always produces comparable
+    signatures.  Hashing and permutation run on the batch kernels
+    (:mod:`repro.kernels`); values are hashed with the pinned blake2b
+    hash every stored signature was computed with.
     """
 
-    def __init__(self, num_perm: int = 64, seed: int = 0, hash_version: int = 1):
+    def __init__(self, num_perm: int = 64, seed: int = 0):
         if num_perm < 4:
             raise ValueError(f"num_perm must be >= 4, got {num_perm}")
         self.num_perm = num_perm
-        self.hash_version = kernels.check_hash_version(hash_version)
-        self._hash_seed = int(seed)
         rng = ensure_rng(seed)
         self._a = rng.integers(1, _MERSENNE, size=num_perm, dtype=np.uint64)
         self._b = rng.integers(0, _MERSENNE, size=num_perm, dtype=np.uint64)
@@ -46,7 +43,7 @@ class MinHasher:
             values = set(values)
         if not kernels.type_census(values) <= {str}:
             values = [str(v) for v in values]
-        return kernels.hash_strings(values, self.hash_version, seed=self._hash_seed)
+        return kernels.hash_strings(values)
 
     def signature(self, values) -> np.ndarray:
         """MinHash signature (uint64 array of length ``num_perm``).

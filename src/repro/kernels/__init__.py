@@ -7,7 +7,9 @@ else the scalar function": inputs outside a fast path's preconditions
 (exotic cell types, NUL-embedded strings) take the per-value loop in
 :mod:`repro.kernels.reference`, so the result is exact on every input.
 The differential suite (``tests/kernels/``) pins every fast path
-against its scalar counterpart.
+against its scalar counterpart.  Stable hashing has one family, the
+pinned blake2b hash every stored signature was computed with
+(:mod:`repro.kernels.hashing`).
 """
 
 from __future__ import annotations
@@ -21,15 +23,7 @@ from repro.kernels.coerce import (
     to_float_array,
     type_census,
 )
-from repro.kernels.hashing import (
-    HASH_VERSIONS,
-    MAX_HASH,
-    MERSENNE,
-    check_hash_version,
-    hash_strings,
-    stable_hash,
-    tabulation_tables,
-)
+from repro.kernels.hashing import MAX_HASH, MERSENNE, hash_strings, stable_hash
 from repro.kernels.minhash import (
     empty_signature,
     minhash_from_hashes,
@@ -49,13 +43,10 @@ from repro.kernels.sets import (
 
 __all__ = [
     # hashing
-    "HASH_VERSIONS",
     "MAX_HASH",
     "MERSENNE",
-    "check_hash_version",
     "hash_strings",
     "stable_hash",
-    "tabulation_tables",
     # minhash
     "empty_signature",
     "minhash_from_hashes",

@@ -26,13 +26,6 @@ import numpy as np
 MERSENNE = (1 << 61) - 1
 MAX_HASH = (1 << 32) - 1
 
-_U64 = (1 << 64) - 1
-#: Multiplier/fold constants of the hash_version-2 finalizer (the
-#: splitmix64/murmur3 mixers; any fixed odd constants work, these are
-#: the well-studied ones).
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX = 0xFF51AFD7ED558CCD
-
 
 def stable_hash_v1(value: str) -> int:
     """Stable 32-bit hash of a string (independent of PYTHONHASHSEED).
@@ -42,47 +35,6 @@ def stable_hash_v1(value: str) -> int:
     """
     digest = hashlib.blake2b(value.encode("utf-8"), digest_size=4).digest()
     return int.from_bytes(digest, "big")
-
-
-def tabulation_tables(seed: int) -> np.ndarray:
-    """The ``(8, 256)`` uint64 tabulation tables of hash_version 2.
-
-    Derived from ``seed`` via counter-mode blake2b so the tables are
-    stable across numpy and Python versions forever (no RNG stream
-    dependency).  Shared by the scalar and vectorized paths — the hash
-    *function* is identical, only the evaluation strategy differs.
-    """
-    blob = bytearray()
-    counter = 0
-    while len(blob) < 8 * 256 * 8:
-        digest = hashlib.blake2b(
-            f"repro-tab64:{seed}:{counter}".encode("utf-8"), digest_size=64
-        ).digest()
-        blob += digest
-        counter += 1
-    table = np.frombuffer(bytes(blob[: 8 * 256 * 8]), dtype="<u8")
-    return table.reshape(8, 256).astype(np.uint64)
-
-
-def stable_hash_v2(value: str, tables: np.ndarray) -> int:
-    """Scalar hash_version-2 tabulation hash (32-bit output).
-
-    XOR of per-byte table lookups, each multiplied by an odd
-    position-dependent constant (so transposed bytes never collide
-    structurally), length-mixed and splitmix-folded to 32 bits.  The
-    vectorized kernel computes exactly this expression with numpy
-    uint64 wraparound arithmetic.
-    """
-    data = value.encode("utf-8")
-    h = 0
-    for i, byte in enumerate(data):
-        term = (int(tables[i & 7, byte]) * (2 * i + 1)) & _U64
-        h ^= term
-    h = (h * _GOLDEN + len(data)) & _U64
-    h ^= h >> 33
-    h = (h * _MIX) & _U64
-    h ^= h >> 33
-    return h & MAX_HASH
 
 
 # ----------------------------------------------------------------------

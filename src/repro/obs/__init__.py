@@ -8,6 +8,9 @@ Zero external dependencies.  The three pillars:
   scoped through contextvars; ``span()`` is free when no trace is live.
 - :mod:`repro.obs.logcfg` — structured logging with ambient run/session
   context and text/JSON formatters.
+
+Metrics and tracing have no off switch: every engine records into a
+registry (its own or a shared one), and every live run carries a trace.
 """
 
 from repro.obs.logcfg import (
@@ -21,13 +24,11 @@ from repro.obs.logcfg import (
 )
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsError,
     MetricsRegistry,
-    NullRegistry,
 )
 from repro.obs.tracing import MAX_CHILDREN, Span, Tracer, active_span, mark, span
 
@@ -40,8 +41,6 @@ __all__ = [
     "MAX_CHILDREN",
     "MetricsError",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "Span",
     "StructuredLogger",
     "TextFormatter",

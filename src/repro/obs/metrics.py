@@ -5,7 +5,7 @@ Three instrument kinds, modeled on the Prometheus data model:
 :class:`Counter`
     A monotone float (``inc``); negative increments are rejected.
 :class:`Gauge`
-    A float that goes both ways (``set``/``inc``/``dec``).
+    A float that is written whole (``set``).
 :class:`Histogram`
     Fixed upper-bound buckets, plus ``sum`` and ``count``; quantiles are
     estimated from the bucket counts (``quantile(0.99)`` returns the
@@ -26,9 +26,7 @@ growing the registry without limit.
 
 Everything is safe under concurrent writers: each child guards its own
 state with a lock, and :meth:`MetricsRegistry.snapshot` reads a
-consistent copy of every series.  :data:`NULL_REGISTRY` is a shared
-no-op registry for callers that want instrumentation compiled out
-(``DiscoveryEngine(metrics=False)`` uses it).
+consistent copy of every series.
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down."""
+    """A value that is set, not accumulated."""
 
     __slots__ = ("_lock", "_value")
 
@@ -90,14 +88,6 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
 
     @property
     def value(self) -> float:
@@ -138,10 +128,6 @@ class Histogram:
             self._sum += value
             self._count += 1
 
-    def time(self):
-        """``with histogram.time():`` observes the block's wall time."""
-        return _HistogramTimer(self)
-
     @property
     def count(self) -> int:
         with self._lock:
@@ -176,25 +162,6 @@ class Histogram:
             if cumulative >= rank:
                 return bound
         return bounds[-1]
-
-
-class _HistogramTimer:
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram: Histogram):
-        self._histogram = histogram
-
-    def __enter__(self):
-        import time
-
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info):
-        import time
-
-        self._histogram.observe(time.perf_counter() - self._start)
-        return False
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
@@ -255,17 +222,11 @@ class MetricFamily:
     def inc(self, amount: float = 1.0) -> None:
         self.labels().inc(amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.labels().dec(amount)
-
     def set(self, value: float) -> None:
         self.labels().set(value)
 
     def observe(self, value: float) -> None:
         self.labels().observe(value)
-
-    def time(self):
-        return self.labels().time()
 
     @property
     def value(self) -> float:
@@ -468,100 +429,3 @@ def _label_text(labels: dict) -> str:
         for name, value in labels.items()
     )
     return "{" + inner + "}"
-
-
-# ----------------------------------------------------------------------
-# The no-op registry (instrumentation compiled out)
-# ----------------------------------------------------------------------
-class _NullInstrument:
-    """Accepts every instrument call and records nothing."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def labels(self, **labels):
-        return self
-
-    def time(self):
-        return _NULL_TIMER
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-    @property
-    def value(self) -> float:
-        return 0.0
-
-    @property
-    def count(self) -> int:
-        return 0
-
-    @property
-    def sum(self) -> float:
-        return 0.0
-
-
-class _NullTimerCtx:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-
-_NULL_TIMER = _NullTimerCtx()
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """A :class:`MetricsRegistry` look-alike that records nothing.
-
-    Used when instrumentation is explicitly disabled; every accessor
-    returns the shared no-op instrument, and the exports are empty.
-    """
-
-    max_series_per_metric = 0
-
-    def counter(self, name, help="", labels=()):
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name, help="", labels=()):
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name, help="", labels=(), buckets=DEFAULT_BUCKETS):
-        return _NULL_INSTRUMENT
-
-    def get(self, name):
-        return None
-
-    def names(self) -> list:
-        return []
-
-    def value(self, name, **labels) -> float:
-        return 0.0
-
-    def snapshot(self) -> dict:
-        return {}
-
-    def to_json(self, indent=None) -> str:
-        return "{}"
-
-    def to_prometheus(self) -> str:
-        return ""
-
-
-#: Shared no-op registry (``DiscoveryEngine(metrics=False)``).
-NULL_REGISTRY = NullRegistry()

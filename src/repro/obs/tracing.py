@@ -17,7 +17,7 @@ Usage is two-layered:
 
 The "nothing at all" path is the design center: ``span()`` returns one
 shared null context manager when no trace is active, so instrumented
-code costs a single ContextVar read when tracing is off.  Spans cap
+code outside a traced request costs a single ContextVar read.  Spans cap
 their children at :data:`MAX_CHILDREN` (the drop count is recorded), so
 a pathological run cannot balloon its own record.
 """
@@ -165,36 +165,28 @@ def active_span() -> Optional[Span]:
 class _RootCtx:
     __slots__ = ("_root", "_token")
 
-    def __init__(self, root: Optional[Span]) -> None:
+    def __init__(self, root: Span) -> None:
         self._root = root
-        self._token: Optional[Token] = None
 
     def __enter__(self):
-        if self._root is not None:
-            self._token = _ACTIVE.set(self._root)
+        self._token = _ACTIVE.set(self._root)
         return self._root
 
     def __exit__(self, exc_type, exc, tb):
-        if self._root is not None and self._token is not None:
-            if exc_type is not None:
-                self._root.annotate(error=exc_type.__name__)
-            self._root.finish()
-            _ACTIVE.reset(self._token)
+        if exc_type is not None:
+            self._root.annotate(error=exc_type.__name__)
+        self._root.finish()
+        _ACTIVE.reset(self._token)
         return False
 
 
 class Tracer:
-    """Factory for trace roots; ``Tracer(enabled=False)`` yields ``None``
-    roots and every downstream ``span()`` stays on the null path."""
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = bool(enabled)
+    """Factory for trace roots."""
 
     def trace(self, name: str, **attrs):
         """Open a trace root: ``with tracer.trace("discover") as root:``.
 
-        Yields the root :class:`Span` (or ``None`` when disabled); the
-        caller keeps the reference and serializes ``root.to_record()``
-        after the block exits.
+        Yields the root :class:`Span`; the caller keeps the reference
+        and serializes ``root.to_record()`` after the block exits.
         """
-        return _RootCtx(Span(name, attrs) if self.enabled else None)
+        return _RootCtx(Span(name, attrs))

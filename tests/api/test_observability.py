@@ -1,7 +1,7 @@
 """Engine/catalog telemetry: metrics, traces, and stats().
 
 The golden rule under test: observability is *passive*.  Results must
-be byte-identical with telemetry on, off, or shared; every counter the
+be byte-identical with a private registry or a shared one; every counter the
 engine reports must reconcile with what actually happened; and the
 searcher hooks the engine borrows for a run must be chained and
 restored, never clobbered.
@@ -54,24 +54,24 @@ def cacheable_request(engine, scenario, seed=0, searcher="metam"):
 
 
 class TestGoldenResults:
-    def test_results_identical_with_telemetry_on_off_and_shared(self, scenario):
-        """Metrics and tracing must never perturb the search."""
+    def test_results_identical_with_private_and_shared_registry(self, scenario):
+        """Metrics and tracing must never perturb the search: a private
+        registry, a fresh shared one and the same shared one already
+        holding another engine's series give one result."""
+        shared = MetricsRegistry()
         outcomes = []
-        for kwargs in (
-            {},  # instrumented defaults
-            {"metrics": False, "tracing": False},  # dark
-            {"metrics": MetricsRegistry()},  # caller-shared registry
-        ):
-            engine = DiscoveryEngine(corpus=scenario.corpus, **kwargs)
+        for metrics in (None, shared, shared):
+            engine = DiscoveryEngine(corpus=scenario.corpus, metrics=metrics)
             run = engine.discover(request_for(scenario))
+            assert run.trace is not None and run.trace["name"] == "discover"
             outcomes.append(result_to_dict(run.result))
         assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert shared.value("repro_engine_runs_total", status="completed") == 2.0
 
-    def test_dark_engine_records_no_trace(self, scenario):
-        engine = DiscoveryEngine(corpus=scenario.corpus, tracing=False)
-        run = engine.discover(request_for(scenario))
-        assert run.trace is None
-        assert list(engine.recent_traces) == []
+    @pytest.mark.parametrize("metrics", [False, True, 0, "shared", {}])
+    def test_metrics_takes_only_none_or_a_registry(self, metrics):
+        with pytest.raises(TypeError, match="MetricsRegistry"):
+            DiscoveryEngine(metrics=metrics)
 
 
 class TestTraces:

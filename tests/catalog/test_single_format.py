@@ -1,7 +1,8 @@
 """One object, one file: the single-format store contract.
 
-* a root written by another layout version is refused with a typed
-  error naming the rebuild command — never migrated, never a traceback;
+* a root written by another layout version, or whose manifest records
+  a config this release cannot build, is refused with a typed error
+  naming the rebuild command — never migrated, never a traceback;
 * a foreign file beside (or instead of) ``<fp>.bin`` is not an object:
   the table is re-derived from the live corpus like a gc'd one;
 * ``has_object`` is one ``exists`` probe and reads nothing else;
@@ -139,6 +140,84 @@ class TestOldRootIsRefused:
         _plant(store, "manifest.json", json.dumps(manifest).encode())
         with pytest.raises(CatalogStoreError, match=REBUILD):
             store.read_manifest()
+
+
+#: Manifest ``config`` values no release of this layout writes: not a
+#: dict, an unknown key, a key missing, and the ``hash_version`` key of
+#: the seeded tabulation hash family, which is gone.
+FOREIGN_CONFIGS = {
+    "unknown-key": {"bogus": 1},
+    "null": None,
+    "list": [1, 2],
+    "missing-keys": {"num_perm": 8, "bands": 4},
+    "hash-v2": {
+        "num_perm": 8,
+        "bands": 4,
+        "min_containment": 0.3,
+        "max_distinct": 5000,
+        "seed": 0,
+        "hash_version": 2,
+    },
+}
+
+
+class TestForeignConfigIsRefused:
+    """A layout-4 manifest whose ``config`` is not exactly the index's
+    parameters is refused with the typed error naming the rebuild
+    command (it once escaped as a raw ``TypeError``)."""
+
+    def foreign_root(self, tmp_path, config):
+        root = str(tmp_path / "foreign")
+        store = CatalogStore(root)
+        store.write_manifest({}, {"t": "cafebabecafebabecafebabecafebabe"})
+        manifest = json.loads(store.backend.read_bytes(store.manifest_path))
+        manifest["config"] = config
+        _plant(store, "manifest.json", json.dumps(manifest).encode())
+        return root
+
+    @pytest.mark.parametrize(
+        "opener",
+        [
+            Catalog.load,
+            Catalog.open,
+            lambda root: DiscoveryEngine.open(root, create=False),
+            DiscoveryEngine.open,
+        ],
+        ids=["Catalog.load", "Catalog.open", "engine-load", "engine-open"],
+    )
+    @pytest.mark.parametrize(
+        "config", FOREIGN_CONFIGS.values(), ids=FOREIGN_CONFIGS.keys()
+    )
+    def test_library_entry_points_raise_the_typed_error(
+        self, tmp_path, config, opener
+    ):
+        root = self.foreign_root(tmp_path, config)
+        with pytest.raises(CatalogStoreError) as caught:
+            opener(root)
+        assert f"{REBUILD} {root}" in str(caught.value)
+        assert repr(config) in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["corpus-stats", "--catalog"],
+            ["catalog", "update", "--tables", "4", "--seed", "0", "--style", "open_data"],
+        ],
+        ids=["corpus-stats", "catalog-update"],
+    )
+    @pytest.mark.parametrize(
+        "config", FOREIGN_CONFIGS.values(), ids=FOREIGN_CONFIGS.keys()
+    )
+    def test_cli_exits_one_with_an_error_line(self, tmp_path, config, argv, capsys):
+        root = self.foreign_root(tmp_path, config)
+        argv = argv[:2] + [root] + argv[2:]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+        assert any(
+            line.startswith("error:") and REBUILD in line
+            for line in captured.err.splitlines()
+        )
 
 
 # ----------------------------------------------------------------------

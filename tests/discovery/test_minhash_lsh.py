@@ -159,7 +159,3 @@ class TestKernelPathEdges:
         assert np.all(batch[0] == kernels.MAX_HASH)
         assert np.all(batch[2] == kernels.MAX_HASH)
         assert np.array_equal(batch[1], h.signature({"a"}))
-
-    def test_unknown_hash_version_rejected(self):
-        with pytest.raises(ValueError, match="hash_version"):
-            MinHasher(num_perm=8, hash_version=99)

@@ -7,22 +7,13 @@ differential suite compares ``kernels.hash_strings`` /
 
 import numpy as np
 
-from repro.kernels.reference import (
-    MAX_HASH,
-    MERSENNE,
-    stable_hash_v1,
-    stable_hash_v2,
-)
+from repro.kernels.reference import MAX_HASH, MERSENNE, stable_hash_v1
 
 
-def hash_strings(values, hash_version: int, tables=None) -> np.ndarray:
+def hash_strings(values) -> np.ndarray:
     """uint64 array of stable hashes, one per value, in input order."""
-    if hash_version == 1:
-        return np.array(
-            [stable_hash_v1(v) for v in values], dtype=np.uint64
-        ).reshape(len(values))
     return np.array(
-        [stable_hash_v2(v, tables) for v in values], dtype=np.uint64
+        [stable_hash_v1(v) for v in values], dtype=np.uint64
     ).reshape(len(values))
 
 

@@ -12,7 +12,6 @@ below — so they pin both.
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.api import DiscoveryEngine, DiscoveryRequest
 from repro.core.config import MetamConfig
 from repro.data import clustering_scenario
@@ -86,7 +85,7 @@ def test_prepared_candidates_match_pinned_values(scenario, seed):
 
 def test_signatures_match_scalar_oracle_seed_matrix():
     """Index-level signatures (what artifacts persist) equal the scalar
-    oracle's for every seed and both hash versions."""
+    oracle's for every seed."""
     from repro.discovery import MinHasher
 
     value_sets = [
@@ -96,14 +95,11 @@ def test_signatures_match_scalar_oracle_seed_matrix():
         {"café", "", " ", "x" * 200},
     ]
     for seed in SEED_MATRIX:
-        for hash_version in kernels.HASH_VERSIONS:
-            hasher = MinHasher(64, seed=seed, hash_version=hash_version)
-            batch = hasher.signatures(value_sets)
-            for values, batch_row in zip(value_sets, batch, strict=True):
-                expected = reference_bulk.minhash_from_hashes(
-                    hash_strings_oracle(list(values), hash_version, seed),
-                    hasher._a,
-                    hasher._b,
-                )
-                assert np.array_equal(hasher.signature(values), expected)
-                assert np.array_equal(batch_row, expected)
+        hasher = MinHasher(64, seed=seed)
+        batch = hasher.signatures(value_sets)
+        for values, batch_row in zip(value_sets, batch, strict=True):
+            expected = reference_bulk.minhash_from_hashes(
+                hash_strings_oracle(values), hasher._a, hasher._b
+            )
+            assert np.array_equal(hasher.signature(values), expected)
+            assert np.array_equal(batch_row, expected)

@@ -5,7 +5,6 @@ from decimal import Decimal
 import numpy as np
 from hypothesis import strategies as st
 
-from repro import kernels
 from tests.kernels import reference_bulk
 
 
@@ -15,11 +14,10 @@ def differential(kernel, oracle, *args):
     return kernel(*args), oracle(*args)
 
 
-def hash_strings_oracle(values, hash_version=1, seed=0):
-    """``reference_bulk.hash_strings`` with ``kernels.hash_strings``'s
-    signature (the oracle takes the tabulation tables, not the seed)."""
-    tables = kernels.tabulation_tables(seed) if hash_version == 2 else None
-    return reference_bulk.hash_strings(list(values), hash_version, tables)
+def hash_strings_oracle(values):
+    """``reference_bulk.hash_strings`` over any collection, as
+    ``kernels.hash_strings`` takes it (a set hashes in iteration order)."""
+    return reference_bulk.hash_strings(list(values))
 
 
 def minhash_many_oracle(hash_columns, a, b):

@@ -1,4 +1,4 @@
-"""Trace trees: span scoping, serialization, and off-mode cost paths."""
+"""Trace trees: span scoping, serialization, and the no-trace cost path."""
 
 import threading
 
@@ -12,12 +12,6 @@ class TestTracer:
             assert root is not None
             assert active_span() is root
         assert active_span() is None
-
-    def test_disabled_tracer_yields_none(self):
-        tracer = Tracer(enabled=False)
-        with tracer.trace("request") as root:
-            assert root is None
-            assert active_span() is None
 
     def test_span_without_active_trace_is_free_noop(self):
         # No trace live: span() must not create anything.
