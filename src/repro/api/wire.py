@@ -250,8 +250,10 @@ def _dataclass_from_wire(cls, payload: Any, field_name: str):
 # ---------------------------------------------------------------------------
 def event_to_wire(event) -> dict:
     """JSON-safe form of one run event: ``kind`` plus the event's
-    fields (what ``RunEvent.to_record`` returns)."""
-    return {"kind": event.kind, **asdict(event)}
+    fields (what ``RunEvent.to_record`` returns).  Events are flat
+    frozen dataclasses of scalars, so their instance dict is exactly
+    their fields (``asdict`` would deep-copy every scalar)."""
+    return {"kind": event.kind, **vars(event)}
 
 
 def event_from_wire(record: Any):

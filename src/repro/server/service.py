@@ -26,8 +26,8 @@ the engine deliberately does not have:
   a service-scoped run handle (``run-000001``-style ids) whose state
   moves ``queued → running → completed|cancelled|failed``.  The
   engine's typed event stream is buffered per run and re-served to any
-  number of subscribers (:meth:`DiscoveryService.events` — the SSE
-  source) — a subscriber that disconnects affects nothing, and a run
+  number of watchers (:meth:`DiscoveryService.subscribe`, the SSE source;
+  ``events`` wraps one) — a subscriber that disconnects affects nothing, and a run
   cancelled before the engine ever saw it gets a synthesized terminal
   ``run-completed(status="cancelled")`` event so streams always end
   with a terminal event.
@@ -156,11 +156,12 @@ class _ServiceRun:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     # Event fan-in buffer: the engine's progress callback appends, any
-    # number of SSE subscribers read.  `_events_done` marks the stream
-    # terminal (no further events will ever arrive).
+    # number of subscribers read, woken by their watchers (called with
+    # no lock held).  `events_done` marks the stream terminal.
     events: list = field(default_factory=list)
-    events_cond: threading.Condition = field(default_factory=threading.Condition)
+    events_lock: threading.Lock = field(default_factory=threading.Lock)
     events_done: bool = False
+    watchers: set = field(default_factory=set)
 
     TERMINAL = frozenset({"completed", "cancelled", "failed"})
 
@@ -169,16 +170,29 @@ class _ServiceRun:
         return self.state in self.TERMINAL
 
     def push_event(self, event) -> None:
-        with self.events_cond:
+        with self.events_lock:
             if self.events_done:
                 return
             self.events.append(event)
-            self.events_cond.notify_all()
+            watchers = list(self.watchers)
+        for watcher in watchers:
+            watcher()
 
     def close_events(self) -> None:
-        with self.events_cond:
+        with self.events_lock:
             self.events_done = True
-            self.events_cond.notify_all()
+            watchers = list(self.watchers)
+        for watcher in watchers:
+            watcher()
+
+    def events_since(self, index: int) -> tuple:
+        """``(events[index:], done)``, read together."""
+        with self.events_lock:
+            return self.events[index:], self.events_done
+
+    def unwatch(self, watcher: Callable[[], None]) -> None:
+        with self.events_lock:
+            self.watchers.discard(watcher)
 
     def describe(self) -> dict:
         out = {
@@ -426,6 +440,10 @@ class DiscoveryService:
                 f"unknown catalog {catalog!r}",
                 details={"catalogs": sorted(self._entries)},
             )
+        # Build the engine first, outside the lock: catalog factories may
+        # do real I/O, and a session then always has its engine (submit
+        # never waits on a factory; one that fails leaves no session).
+        self._engine_for(catalog)
         with self._lock:
             if self._draining:
                 raise Overloaded(
@@ -445,10 +463,6 @@ class DiscoveryService:
             )
             self._sessions[session.session_id] = session
             self._m_sessions.set(float(len(self._sessions)))
-        # Build the engine outside the lock: catalog factories may do
-        # real I/O (opening a persistent store) and must not serialize
-        # the whole service behind it.
-        self._engine_for(catalog)
         return session.describe()
 
     def close_session(self, session_id: str) -> dict:
@@ -748,24 +762,33 @@ class DiscoveryService:
         wait; expiry raises ``TimeoutError`` so a serving layer never
         blocks forever on a wedged run.
         """
+        wake = threading.Event()
+        run = self.subscribe(run_id, wake.set)
+        try:
+            index = 0
+            while True:
+                wake.clear()  # before the read, so no wake-up is lost
+                batch, done = run.events_since(index)
+                for event in batch:
+                    yield event
+                index += len(batch)
+                if done:
+                    return
+                if not batch and not wake.wait(timeout=timeout):
+                    raise TimeoutError(f"no event from {run_id} within {timeout}s")
+        finally:
+            run.unwatch(wake.set)
+
+    def subscribe(self, run_id: str, watcher: Callable[[], None]) -> _ServiceRun:
+        """Add ``watcher`` (called on the appending thread, no lock held:
+        it must only hand off) to a run's event buffer; return the run."""
         with self._lock:
             run = self._runs.get(run_id)
             if run is None:
                 raise NotFound(f"unknown run {run_id!r}")
-        index = 0
-        while True:
-            with run.events_cond:
-                while len(run.events) <= index and not run.events_done:
-                    if not run.events_cond.wait(timeout=timeout):
-                        raise TimeoutError(
-                            f"no event from {run_id} within {timeout}s"
-                        )
-                if len(run.events) <= index and run.events_done:
-                    return
-                batch = list(run.events[index:])
-            for event in batch:
-                yield event
-            index += len(batch)
+        with run.events_lock:
+            run.watchers.add(watcher)
+        return run
 
     # ------------------------------------------------------------------
     # Introspection
@@ -820,7 +843,7 @@ class DiscoveryService:
     # ------------------------------------------------------------------
     # Drain
     # ------------------------------------------------------------------
-    def shutdown(self, timeout: float = None) -> bool:
+    def shutdown(self, timeout: Optional[float] = None) -> bool:
         """Graceful drain: refuse new work, cancel queued runs, wait for
         executing runs, shut the worker pools down.
 

@@ -1,5 +1,6 @@
 """The versioned wire model: golden shapes, envelopes, validation."""
 
+import dataclasses
 import json
 
 import pytest
@@ -13,7 +14,7 @@ from repro.api.errors import (
     Overloaded,
     ReproError,
 )
-from repro.api.events import QueryIssued, RunCompleted
+from repro.api.events import EVENT_TYPES, QueryIssued, RunCompleted
 from repro.api.request import CandidateSpec, DiscoveryRequest
 from repro.api.wire import (
     SCHEMA_VERSION,
@@ -228,6 +229,20 @@ class TestEventWire:
             "best_utility": 0.7,
         }
         assert event.to_record() == event_to_wire(event)
+
+    @pytest.mark.parametrize("kind", sorted(EVENT_TYPES))
+    def test_event_to_wire_matches_asdict(self, kind):
+        """Every event type's wire form is byte-identical to the
+        ``dataclasses.asdict`` form, in the same field order."""
+        cls = EVENT_TYPES[kind]
+        samples = {"int": 7, "float": 0.1 + 0.2, "str": "nameé", "bool": True}
+        event = cls(**{
+            f.name: samples[getattr(f.type, "__name__", f.type)]
+            for f in dataclasses.fields(cls)
+        })
+        reference = {"kind": event.kind, **dataclasses.asdict(event)}
+        assert dumps(event_to_wire(event)) == dumps(reference)
+        assert list(event_to_wire(event)) == list(reference)
 
 
 class TestErrorTaxonomy:

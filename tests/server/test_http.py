@@ -2,15 +2,23 @@
 
 These tests go through a real socket (``serve`` on an ephemeral port)
 with stdlib ``http.client`` so the SSE cases can read the stream
-incrementally and drop connections mid-stream.
+incrementally and drop connections mid-stream; the framing cases
+write raw bytes on a plain socket.
 """
 
 import http.client
 import json
+import logging
+import math
+import socket
+import threading
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.server import ServiceConfig, serve
+from repro.server import DiscoveryService, ServiceConfig, serve
 
 
 class Client:
@@ -318,7 +326,9 @@ class TestErrorMapping:
         status, body, headers = submit(client, sid, harness.payload(seed=1))
         assert status == 429
         assert body["error"]["code"] == "overloaded"
-        assert float(headers["Retry-After"]) >= 0.0
+        # RFC 9110 delay-seconds: a whole number, the envelope's exact
+        # float rounded up.
+        assert int(headers["Retry-After"]) == math.ceil(body["error"]["retry_after"])
 
     def test_draining_is_429(self, served):
         harness, client = served
@@ -408,3 +418,242 @@ class TestSSE:
         status, body, _ = client.request("GET", "/v1/runs/run-424242/events")
         assert status == 404
         assert body["error"]["code"] == "not-found"
+
+
+def raw_exchange(client, data, *, half_close=True, pieces=1, timeout=10):
+    """Send ``data`` on a fresh socket (in ``pieces`` sends), optionally
+    half-close, and return every byte the server sends before it closes.
+    A server that never closes fails with ``socket.timeout``."""
+    with socket.create_connection((client.host, client.port), timeout=timeout) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        step = max(1, -(-len(data) // pieces))
+        for start in range(0, len(data), step):
+            sock.sendall(data[start:start + step])
+            if pieces > 1:
+                time.sleep(0.001)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        received = bytearray()
+        while chunk := sock.recv(65536):
+            received += chunk
+    return bytes(received)
+
+
+def split_responses(raw):
+    """``(status, headers, body)`` of each response in a byte stream."""
+    responses = []
+    while raw:
+        head, sep, rest = raw.partition(b"\r\n\r\n")
+        assert sep, f"truncated response head {raw[:200]!r}"
+        lines = head.decode("latin-1").split("\r\n")
+        status = int(lines[0].split(" ")[1])
+        headers = {
+            name.strip().lower(): value.strip()
+            for name, _, value in (line.partition(":") for line in lines[1:])
+        }
+        length = 0 if status < 200 else int(headers.get("content-length", len(rest)))
+        responses.append((status, headers, rest[:length]))
+        raw = rest[length:]
+    return responses
+
+
+def post_bytes(path, body):
+    return b"POST %s HTTP/1.1\r\nHost: test\r\nContent-Length: %d\r\n\r\n%s" % (
+        path, len(body), body
+    )
+
+
+class TestFraming:
+    """The event-loop front-end's own HTTP/1.1 parsing."""
+
+    def test_pipelined_requests_are_answered_in_order(self, served):
+        _, client = served
+        # The first is answered off the loop (opening a session may call
+        # a catalog factory), the others inline; the order still holds.
+        raw = raw_exchange(
+            client,
+            post_bytes(b"/v1/sessions", b'{"tenant": "acme"}')
+            + b"GET /v1/runs/run-424242 HTTP/1.1\r\nHost: test\r\n\r\n"
+            + b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n",
+        )
+        responses = split_responses(raw)
+        assert [status for status, _, _ in responses] == [201, 404, 200]
+        assert json.loads(responses[0][2])["session"]["tenant"] == "acme"
+        assert json.loads(responses[2][2])["status"] == "ok"
+
+    def test_http_1_0_gets_connection_close(self, served):
+        _, client = served
+        raw = raw_exchange(
+            client, b"GET /healthz HTTP/1.0\r\n\r\n", half_close=False
+        )
+        [(status, headers, body)] = split_responses(raw)
+        assert status == 200
+        assert headers["connection"] == "close"
+        assert json.loads(body)["status"] == "ok"
+
+    def test_body_split_over_many_sends(self, served):
+        _, client = served
+        data = post_bytes(b"/v1/sessions", b'{"schema_version": 1, "tenant": "acme"}')
+        raw = raw_exchange(client, data, pieces=len(data))
+        [(status, _, body)] = split_responses(raw)
+        assert status == 201
+        assert json.loads(body)["session"]["tenant"] == "acme"
+
+    def test_non_integer_content_length_is_400(self, served):
+        _, client = served
+        raw = raw_exchange(
+            client,
+            b"POST /v1/sessions HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: abc\r\n\r\n{}",
+        )
+        [(status, _, body)] = split_responses(raw)
+        assert status == 400
+        assert json.loads(body)["error"]["code"] == "invalid-request"
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(
+                b"POST /v1/sessions HTTP/1.1\r\nHost: test\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b'11\r\n{"tenant": "acme"}\r\n0\r\n\r\n',
+                id="transfer-encoding",
+            ),
+            pytest.param(
+                b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+                id="oversized-head",
+            ),
+            pytest.param(
+                b"GET /healthz HTTP/1.1\r\n"
+                + b"".join(b"X-Field-%d: v\r\n" % i for i in range(120))
+                + b"\r\n",
+                id="too-many-headers",
+            ),
+            pytest.param(b"GET /healthz\r\n\r\n", id="malformed-request-line"),
+        ],
+    )
+    def test_framing_error_is_400_and_closes(self, served, data):
+        """Nothing after a request the server cannot frame is trusted:
+        the pipelined ``/healthz`` behind it is never answered."""
+        _, client = served
+        raw = raw_exchange(
+            client,
+            data + b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n",
+            half_close=False,
+        )
+        [(status, headers, body)] = split_responses(raw)
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert json.loads(body)["error"]["code"] == "invalid-request"
+
+    def test_disconnected_stream_leaves_no_watcher(self, served):
+        harness, client = served
+        sid = open_session(client)
+        _, body, _ = submit(client, sid, harness.payload(hold="g", queries=2))
+        run_id = body["run"]["run_id"]
+        harness.wait_started("g")
+        conn, response = client.stream(f"/v1/runs/{run_id}/events")
+        assert read_frame(response)["event"] == "run-started"
+        run = harness.service._runs[run_id]
+        assert len(run.watchers) == 1
+        response.close()
+        conn.close()
+        deadline = time.monotonic() + 10
+        while run.watchers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not run.watchers
+        harness.release("g")
+        assert harness.wait_terminal(run_id)["state"] == "completed"
+
+    def test_blocked_catalog_factory_leaves_the_loop_serving(self, harness):
+        """Opening a session runs its catalog factory off the loop: while
+        one blocks, another connection is still answered."""
+        entered, release = threading.Event(), threading.Event()
+
+        def factory(metrics=None):
+            entered.set()
+            assert release.wait(timeout=30)
+            return harness._factory(metrics)
+
+        service = DiscoveryService({"default": factory})
+        server = serve(service)
+        client = Client(server)
+        opened = {}
+        opener = threading.Thread(
+            target=lambda: opened.update(
+                result=client.request("POST", "/v1/sessions", {"tenant": "acme"})
+            )
+        )
+        try:
+            opener.start()
+            assert entered.wait(timeout=30)
+            status, body, _ = client.request("GET", "/healthz")
+            assert status == 200
+            assert not opened
+            release.set()
+            opener.join(timeout=30)
+            assert not opener.is_alive()
+            assert opened["result"][0] == 201
+        finally:
+            release.set()
+            server.drain(timeout=10)
+
+
+_request_lines = st.builds(
+    "{} {} {}".format,
+    st.sampled_from(["GET", "POST", "DELETE", "PUT", "get", ""]),
+    st.sampled_from([
+        "/healthz", "/metrics", "/v1/sessions", "/v1/sessions/s-000001",
+        "/v1/runs", "/v1/runs/run-000001", "/v1/runs/run-000001/events",
+        "/", "//", "*", "/healthz?x=1",
+    ]),
+    st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2.0", "HTTP/1.1 x", ""]),
+)
+_header_lines = st.lists(
+    st.builds(
+        "{}: {}".format,
+        st.sampled_from([
+            "Content-Length", "content-length", "Transfer-Encoding",
+            "Connection", "Expect", "X-Any", " Folded",
+        ]),
+        st.one_of(st.sampled_from(["0", "5", "17", "-1", "close", "100-continue"]),
+                  st.text(max_size=12)),
+    ),
+    max_size=5,
+)
+_bodies = st.one_of(
+    st.binary(max_size=40),
+    st.sampled_from([
+        b'{"tenant": "acme"}',
+        b'{"session": "s-000001", "request": {"base": "x", "task": "t"}}',
+        b"[]", b"null", b'{"schema_version": 99}',
+    ]),
+)
+_requests = st.builds(
+    lambda line, headers, body: "\r\n".join([line, *headers, "", ""]).encode("utf-8") + body,
+    _request_lines,
+    _header_lines,
+    _bodies,
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    data=st.one_of(
+        st.binary(max_size=200), _requests, st.lists(_requests, max_size=3).map(b"".join)
+    )
+)
+def test_arbitrary_request_bytes_never_500_or_hang(served, caplog, data):
+    _, client = served
+    raw = raw_exchange(client, data)  # EOF within the timeout: no hang
+    for status, _, body in split_responses(raw):
+        assert status != 500
+        assert b"Traceback" not in body
+    # An exception escaping a loop callback is logged at ERROR by asyncio
+    # (its debug mode also warns of slow callbacks; those are not faults).
+    assert not [r for r in caplog.records if r.name == "asyncio" and r.levelno >= logging.ERROR]
+    assert client.request("GET", "/healthz")[0] == 200

@@ -574,6 +574,9 @@ class TestCatalogFactory:
         with pytest.raises(Internal, match="catalog 'c' failed to open: bad corpus"):
             service.create_session("acme")
         assert calls == [service.metrics]
+        # The engine is built before the session exists: a failed factory
+        # leaves no session holding a slot of the cap.
+        assert service.stats()["sessions"] == 0
 
     @pytest.mark.parametrize("kind", ["none", "kwargs"])
     def test_metrics_passed_only_when_accepted(self, kind):
