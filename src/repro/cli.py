@@ -640,12 +640,14 @@ def _cmd_serve(args) -> int:
                 previous[signum] = signal.signal(signum, _request_stop)
             except ValueError:
                 pass  # non-main thread: caller drives server.drain()
+    # The handlers stay installed through the drain: a second Ctrl-C (or
+    # a supervisor forwarding one twice) must not interrupt it.
     try:
         stop.wait()
+        clean = server.drain(timeout=args.drain_timeout)
     finally:
         for signum, handler in previous.items():
             signal.signal(signum, handler)
-    clean = server.drain(timeout=args.drain_timeout)
     if not clean:
         _warn(f"drain timed out after {args.drain_timeout}s")
     print("drained" if clean else "drain timed out", flush=True)

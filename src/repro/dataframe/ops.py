@@ -9,7 +9,7 @@ with the input table — the semantics augmentation needs (Definition 4).
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -43,24 +43,24 @@ def join_keys(table: Table, column: str) -> list:
     return table.derived(("join_keys", column), build)
 
 
-def build_lookup(table: Table, key_column: str) -> dict:
-    """Map normalized key -> list of row indices in ``table``."""
+def _first_rows(table: Table, key_column: str) -> dict:
+    """Map normalized key -> the first row of ``table`` holding it (no
+    missing key), built in C from the rows read backwards."""
 
     def build():
-        lookup = {}
-        for i, k in enumerate(join_keys(table, key_column)):
-            if k is not None:
-                lookup.setdefault(k, []).append(i)
-        return lookup
+        keys = join_keys(table, key_column)
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        first.pop(None, None)
+        return first
 
-    return table.derived(("join_lookup", key_column), build)
+    return table.derived(("join_first", key_column), build)
 
 
 def _repeated_keys(table: Table, key_column: str) -> list:
     """``[(key, row indices)]`` for the keys on more than one row, in
-    first-occurrence order — what :func:`key_aggregates` redoes per bring
-    column.  Counting runs in C, so a column of distinct keys (the common
-    case) costs no per-row Python."""
+    first-occurrence order — what :func:`_aggregate_rows` redoes per
+    bring column.  Counting runs in C, so a column of distinct keys (the
+    common case) costs no per-row Python."""
 
     def build():
         keys = join_keys(table, key_column)
@@ -76,55 +76,86 @@ def _repeated_keys(table: Table, key_column: str) -> list:
     return table.derived(("join_repeated", key_column), build)
 
 
-def key_aggregates(right: Table, key_column: str, bring_column: str) -> tuple:
-    """The join kernel: ``bring_column`` collapsed to one cell per join key.
+def _aggregate_rows(right: Table, key_column: str, bring_column: str) -> tuple:
+    """``bring_column`` collapsed to one cell per join key, at that key's
+    first row.
 
-    Returns ``(aggregate, matched)``.  ``aggregate`` maps every key of
-    ``right.key_column`` that has a non-missing ``bring_column`` cell to
-    the mean of those cells (numeric columns) or the first of them, so a
-    left join is ``map(aggregate.get, left_keys)``.  ``matched`` holds the
-    keys whose aggregate is itself non-missing — all of them, unless a
-    mean came out NaN (inf - inf).
+    Returns ``(cells, matched)``, two arrays one longer than the table:
+    ``cells`` (objects) holds, at the first row of every key, the mean of
+    the key's non-missing cells (numeric columns) or the first of them,
+    and None where it has none; ``matched`` (bool) marks the rows whose
+    cell is non-missing — all of them, unless a mean came out NaN
+    (inf - inf).  The extra last slot is a missing cell for the keys the
+    table does not hold.
     """
 
     def build():
-        keys = join_keys(right, key_column)
         cells = right.column(bring_column)
-        numeric = right.column_type(bring_column) == ColumnType.NUMERIC
+        n = len(cells)
+        # A float-or-missing column is numeric unless it is all missing,
+        # and then every path collapses it to missing cells.
+        floats = kernels.type_census(cells) <= _FLOAT_OR_NONE
+        numeric = floats or right.column_type(bring_column) == ColumnType.NUMERIC
         # One row per key is the common case, and numpy's mean of one
         # float is 0.0 + that float: the float itself, but for -0.0.
-        if numeric and kernels.type_census(cells) <= _FLOAT_OR_NONE:
+        if floats:
             # None and NaN (the missing cells) both come out NaN.
             values = np.array(cells, dtype=float) + 0.0
-            present = values.tolist()
-            kept = (values == values).tolist()
+            matched = np.append(values == values, False)
+            out = np.fromiter(chain(values.tolist(), (None,)), object, n + 1)
+            out[~matched] = None
+            kept = matched.tolist()
         else:
             if numeric:
                 present = [None if is_missing(v) else 0.0 + float(v) for v in cells]
             else:
                 present = [None if is_missing(v) else v for v in cells]
+            present.append(None)
+            out = np.fromiter(present, object, n + 1)
             kept = [v is not None for v in present]
-        # Only rows with a present cell and a key make an aggregate.
-        aggregate = dict(zip(compress(keys, kept), compress(present, kept), strict=True))
-        aggregate.pop(None, None)
+            # A cell that is not missing can still parse to NaN ("nan").
+            matched = np.array(
+                [v is not None and v == v for v in present] if numeric else kept
+            )
         # Repeated keys are redone from the cells.
         for k, rows in _repeated_keys(right, key_column):
             group = [cells[i] for i in rows if kept[i]]
             if not group:
                 continue
             if numeric:
-                # np.mean, not sum()/len(): pairwise summation in
-                # numpy's order is part of the pinned result.
-                aggregate[k] = float(np.mean([float(v) for v in group]))
+                # np.mean's own arithmetic without its per-call wrapper:
+                # np.add.reduce (pairwise summation in numpy's order is
+                # part of the pinned result), then one division.
+                value = float(
+                    np.add.reduce(np.array([float(v) for v in group])) / len(group)
+                )
+                matched[rows[0]] = value == value
             else:
-                aggregate[k] = group[0]
-        if numeric and np.isnan(
-            np.fromiter(aggregate.values(), dtype=float, count=len(aggregate))
-        ).any():
-            return aggregate, {k for k, v in aggregate.items() if v == v}
-        return aggregate, aggregate.keys()
+                value = group[0]
+                matched[rows[0]] = True
+            out[rows[0]] = value
+        return out, matched
 
     return right.derived(("join_aggregate", key_column, bring_column), build)
+
+
+def join_gather(right: Table, key_column: str, bring_column: str, keys) -> tuple:
+    """The join kernel: the ``bring_column`` cell of each of ``keys``
+    (normalized join keys, None for missing) in ``right.key_column``.
+
+    A key on several rows gets the mean of its non-missing cells (numeric
+    columns) or the first of them; a key the table does not hold, or
+    holds only beside missing cells, gets None.  Returns ``(cells,
+    matched)``: a list aligned with ``keys`` and the number of its cells
+    that are non-missing.  The cells are the aggregates' own objects,
+    shared by every gather.
+    """
+    first = _first_rows(right, key_column)
+    cells, matched = _aggregate_rows(right, key_column, bring_column)
+    rows = np.fromiter(
+        map(first.get, keys, repeat(len(cells) - 1)), np.intp, len(keys)
+    )
+    return cells[rows].tolist(), int(np.count_nonzero(matched[rows]))
 
 
 def left_join(
@@ -147,13 +178,13 @@ def left_join(
     out_cols = {c: list(left.column(c)) for c in left.column_names}
 
     for col in bring:
-        aggregate, _matched = key_aggregates(right, right_on, col)
+        cells, _matched = join_gather(right, right_on, col, left_keys)
         out_name = col
         if out_name in out_cols:
             out_name = f"{col}{suffix}" if suffix else f"{right.name}.{col}"
         while out_name in out_cols:
             out_name += "_"
-        out_cols[out_name] = list(map(aggregate.get, left_keys))
+        out_cols[out_name] = cells
 
     return Table(name or left.name, out_cols, source=left.source)
 
@@ -166,14 +197,14 @@ def inner_join(
     name=None,
 ) -> Table:
     """Inner join keeping the first right match per left row."""
-    lookup = build_lookup(right, right_on)
+    first = _first_rows(right, right_on)
     left_idx = []
     right_idx = []
     for i, k in enumerate(join_keys(left, left_on)):
-        rows = lookup.get(k)
-        if rows:
+        row = first.get(k)
+        if row is not None:
             left_idx.append(i)
-            right_idx.append(rows[0])
+            right_idx.append(row)
 
     out_cols = {
         c: [left.column(c)[i] for i in left_idx] for c in left.column_names
@@ -191,8 +222,7 @@ def inner_join(
 def join_overlap(left: Table, right: Table, left_on: str, right_on: str) -> int:
     """Number of left rows that find at least one right match (cardinality
     of the augmented dataset — the paper's *dataset overlap* profile)."""
-    lookup = build_lookup(right, right_on)
-    return sum(map(lookup.__contains__, join_keys(left, left_on)))
+    return sum(map(_first_rows(right, right_on).__contains__, join_keys(left, left_on)))
 
 
 def union_tables(top: Table, bottom: Table, name=None) -> Table:

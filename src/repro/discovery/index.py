@@ -331,8 +331,9 @@ class DiscoveryIndex:
         """Index a table from precomputed signatures alone (warm start).
 
         ``signatures`` maps every column name to its MinHash signature;
-        the LSH structure hydrates immediately via one bulk insert, while
-        the value sets needed for containment verification are fetched
+        the LSH records them in one bulk insert and buckets every table
+        hydrated this way in one pass on the first query, while the
+        value sets needed for containment verification are fetched
         lazily through the entry loader (:meth:`set_entry_loader`) on the
         first query that collides with one of this table's columns.
         """
@@ -348,8 +349,10 @@ class DiscoveryIndex:
         matrix = np.stack([signatures[ref.column] for ref in refs])
         # insert_many validates shape before mutating; register the table
         # only once the insert succeeded, so failures leave no trace.
-        self._lsh.insert_many(refs, matrix)
-        self._tables[table.name] = table
+        # The LSH buckets the batch on its next read, under this lock.
+        with self._lock:
+            self._lsh.insert_many(refs, matrix)
+            self._tables[table.name] = table
 
     def set_entry_loader(self, loader) -> None:
         """Install the lazy entry source for hydrated tables.
@@ -516,22 +519,10 @@ class DiscoveryIndex:
                     survivors.append(ref)
         self._sign(survivors)
 
-    @staticmethod
-    def _normalized_array(entry: ColumnEntry):
-        """Sorted unicode array of ``entry.normalized`` for searchsorted
-        containment, cached on the entry; ``None`` when the values are
-        outside the array fast path (then set intersection is used)."""
-        arr = getattr(entry, "_norm_array", False)
-        if arr is False:
-            arr = kernels.sorted_unique_array(entry.normalized)
-            object.__setattr__(entry, "_norm_array", arr)
-        return arr
-
     def _verified(self, query_values, signature, exclude_table=None) -> list:
         """Sign the unsigned columns this query could return, then LSH
         probe + containment verification, shared by the live-table and
         stored-entry query paths."""
-        query_arr = kernels.sorted_unique_array(query_values)
         with self._lock:
             self._sign_survivors(query_values, exclude_table)
             refs = [
@@ -540,15 +531,9 @@ class DiscoveryIndex:
         self._page_in(refs)
         results = []
         for ref in refs:
-            entry = self._entries[ref]
-            candidate_arr = (
-                self._normalized_array(entry) if query_arr is not None else None
+            containment = len(query_values & self._entries[ref].normalized) / len(
+                query_values
             )
-            if candidate_arr is not None:
-                count = kernels.containment_count_arrays(query_arr, candidate_arr)
-            else:
-                count = len(query_values & entry.normalized)
-            containment = count / len(query_values)
             if containment >= self.min_containment:
                 results.append((ref, containment))
         results.sort(key=lambda item: (-item[1], str(item[0])))

@@ -54,10 +54,11 @@ class JoinPath:
 class Augmentation:
     """A join path projected to one output column (Γ(Din, P[j])).
 
-    ``materialize`` walks the chain as one gather per hop through the
-    join kernel's per-key aggregates (:func:`ops.key_aggregates`) instead
-    of full joins, returning cells aligned with the base table's rows;
-    unmatched rows are missing.  Results are cached per live base table:
+    ``materialize`` walks the chain as one row gather per hop
+    (:func:`ops.join_gather`: each key's first row in the right table,
+    where that table's per-key aggregate is kept) instead of full joins,
+    returning cells aligned with the base table's rows; unmatched rows
+    are missing.  Results are cached per live base table:
     entries are ``id(base) -> (weakref, right-table weakrefs, result)``.
     The weakref check guards against id reuse, and its callback drops
     the entry when the base dies; a hit also needs every right-hand
@@ -111,10 +112,9 @@ class Augmentation:
                 keys = list(map(ops._key, values))
             is_last = hop == len(steps) - 1
             bring = self.output_column if is_last else steps[hop + 1].left_column
-            aggregate, matched = ops.key_aggregates(right, step.right_column, bring)
-            values = list(map(aggregate.get, keys))
+            values, matched = ops.join_gather(right, step.right_column, bring, keys)
 
-        result = values, sum(map(matched.__contains__, keys))
+        result = values, matched
         self._remember(base, rights, result)
         return result
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import is_not
+
 import numpy as np
 
 from repro.utils.validation import check_positive_int
@@ -34,22 +37,25 @@ class LshIndex:
         self._band = np.dtype((np.void, self.rows_per_band * 8))
         self._buckets = [dict() for _ in range(bands)]
         self._items = {}
+        # Batches recorded in ``_items`` but not yet in any bucket:
+        # bucketed together on the first read, so a warm start's many
+        # one-table inserts cost one bulk pass.
+        self._pending = []
 
     def __len__(self) -> int:
         return len(self._items)
 
-    def _keys(self, signatures: np.ndarray) -> list:
-        """Band keys of a signature (a list) or of each matrix row."""
-        return (
-            np.ascontiguousarray(signatures, dtype=np.uint64).view(self._band).tolist()
-        )
+    def _matrix_keys(self, signatures: np.ndarray) -> np.ndarray:
+        """Band keys as a void array: one per band of a signature, or per
+        row and band of a matrix."""
+        return np.ascontiguousarray(signatures, dtype=np.uint64).view(self._band)
 
     def _band_keys(self, signature: np.ndarray) -> list:
         if signature.shape != (self.num_perm,):
             raise ValueError(
                 f"signature must have shape ({self.num_perm},), got {signature.shape}"
             )
-        return self._keys(signature)
+        return self._matrix_keys(signature).tolist()
 
     def insert(self, item, signature: np.ndarray) -> None:
         """Index ``item`` (hashable id) under its signature."""
@@ -59,7 +65,12 @@ class LshIndex:
         """Index each of ``items`` under its row of the stacked
         ``(len(items), num_perm)`` signature matrix — the hot path of
         warm-start hydration (:meth:`insert` is the one-row case).
-        Validates everything before touching any bucket."""
+
+        Validates the batch and records it at once (``len``,
+        :meth:`signature_of` and the duplicate check see it); its
+        buckets are built on the next :meth:`query` or :meth:`remove`,
+        together with every other batch inserted since.
+        """
         items = list(items)
         if signatures.shape != (len(items), self.num_perm):
             raise ValueError(
@@ -71,16 +82,38 @@ class LshIndex:
             raise ValueError(f"items already indexed: {duplicates!r}")
         if len(set(items)) != len(items):
             raise ValueError("duplicate items within batch")
-        for i, (item, keys) in enumerate(zip(items, self._keys(signatures), strict=True)):
-            self._items[item] = signatures[i]
-            # get-then-add: setdefault(key, set()) would build a set per
-            # band and item only to throw it away.
-            for buckets, key in zip(self._buckets, keys, strict=True):
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = {item}
+        self._items.update(zip(items, signatures, strict=True))
+        self._pending.append((items, signatures))
+
+    def _bucket_pending(self) -> None:
+        """Bucket every pending batch, band by band, in C: a copy of each
+        item's one-element set per key (a copy reuses the element's
+        stored hash), then one merge pass over the items a later item
+        with the same key displaced.  A band that already holds buckets
+        merges the batch's buckets into its own."""
+        if not self._pending:
+            return
+        batches, self._pending = self._pending, []
+        singletons = [{item} for batch, _ in batches for item in batch]
+        columns = np.concatenate(
+            [self._matrix_keys(signatures) for _, signatures in batches]
+        )
+        for band, buckets in enumerate(self._buckets):
+            keys = columns[:, band].tolist()
+            copies = list(map(set.copy, singletons))
+            fresh = dict(zip(keys, copies))
+            if len(fresh) < len(keys):
+                displaced = map(is_not, map(fresh.__getitem__, keys), copies)
+                for key, singleton in compress(zip(keys, singletons), displaced):
+                    fresh[key] |= singleton
+            if not buckets:
+                self._buckets[band] = fresh
+                continue
+            for key, bucket in fresh.items():
+                if key in buckets:
+                    buckets[key] |= bucket
                 else:
-                    bucket.add(item)
+                    buckets[key] = bucket
 
     def remove(self, item) -> None:
         """Drop ``item`` from the index (inverse of :meth:`insert`).
@@ -91,6 +124,7 @@ class LshIndex:
         """
         if item not in self._items:
             raise KeyError(f"item {item!r} not indexed")
+        self._bucket_pending()
         signature = self._items.pop(item)
         for buckets, key in zip(self._buckets, self._band_keys(signature), strict=True):
             bucket = buckets.get(key)
@@ -102,8 +136,10 @@ class LshIndex:
 
     def query(self, signature: np.ndarray) -> set:
         """All items sharing at least one band bucket with ``signature``."""
+        keys = self._band_keys(signature)
+        self._bucket_pending()
         out = set()
-        for buckets, key in zip(self._buckets, self._band_keys(signature), strict=True):
+        for buckets, key in zip(self._buckets, keys, strict=True):
             out.update(buckets.get(key, ()))
         return out
 

@@ -1,7 +1,7 @@
 """Numpy-backed columnar batch kernels.
 
 Every hot per-value loop in the library (stable hashing, MinHash
-signing, coercion, distinct/containment estimation) routes through this
+signing, coercion, distinct values) routes through this
 package.  Each dispatcher is "fast path when its precondition holds,
 else the scalar function": inputs outside a fast path's preconditions
 (exotic cell types, NUL-embedded strings) take the per-value loop in
@@ -30,15 +30,12 @@ from repro.kernels.minhash import (
     minhash_many,
 )
 from repro.kernels.sets import (
-    containment_count,
-    containment_count_arrays,
     count_non_missing,
     distinct_strings,
     float_domain,
     float_probe,
     normalize_many,
     normalize_strings,
-    sorted_unique_array,
 )
 
 __all__ = [
@@ -59,14 +56,11 @@ __all__ = [
     "to_float_array",
     "type_census",
     # sets
-    "containment_count",
-    "containment_count_arrays",
     "count_non_missing",
     "distinct_strings",
     "float_domain",
     "float_probe",
     "normalize_many",
     "normalize_strings",
-    "sorted_unique_array",
     "reference",
 ]

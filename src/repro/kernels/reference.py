@@ -109,10 +109,3 @@ def count_non_missing(values) -> int:
 def normalize_strings(values) -> set:
     """The containment normalization: ``strip().lower()`` of each value."""
     return {v.strip().lower() for v in values}
-
-
-def containment_count(query_values: set, candidate_values) -> int:
-    """``|Q ∩ C|`` by exact set intersection."""
-    if not isinstance(candidate_values, (set, frozenset)):
-        candidate_values = set(candidate_values)
-    return len(query_values & candidate_values)

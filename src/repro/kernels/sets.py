@@ -1,12 +1,9 @@
 """Set-shaped kernels: distinct values, float domains, missing counts,
-normalization, containment/overlap estimation.
+normalization.
 
-The containment kernels work on sorted numpy unicode arrays so a query
-can be matched against many candidate columns with ``searchsorted``
-instead of building a Python set intersection per pair.  Arrays are
-built once per column via :func:`sorted_unique_array` and cached by the
-caller; any value outside the unicode fast path's preconditions (NUL
-bytes, non-str cells) degrades to the exact set-based reference.
+Containment is not a kernel: the discovery index and the catalog's
+corpus statistics both count ``len(query & candidate.normalized)`` over
+the normalized value sets the index already holds.
 """
 
 from __future__ import annotations
@@ -14,18 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels import reference
-from repro.kernels.coerce import is_missing, str_cells, type_census
+from repro.kernels.coerce import is_missing, type_census
 
 __all__ = [
-    "containment_count",
-    "containment_count_arrays",
     "count_non_missing",
     "distinct_strings",
     "float_domain",
     "float_probe",
     "normalize_many",
     "normalize_strings",
-    "sorted_unique_array",
 ]
 
 
@@ -119,39 +113,3 @@ def normalize_strings(values) -> set:
 def normalize_many(collections) -> list:
     """:func:`normalize_strings` of each collection, batched."""
     return [reference.normalize_strings(c) for c in collections]
-
-
-def sorted_unique_array(strings):
-    """Sorted numpy unicode array of ``strings``, or ``None`` when the
-    collection is outside the unicode fast path's preconditions."""
-    strings = list(strings)
-    if not strings:
-        return np.empty(0, dtype=np.str_)
-    if not str_cells(strings):
-        return None
-    return np.unique(np.asarray(strings, dtype=np.str_))
-
-
-def containment_count_arrays(query: np.ndarray, candidate: np.ndarray) -> int:
-    """``|Q ∩ C|`` for two sorted-unique unicode arrays."""
-    if query.size == 0 or candidate.size == 0:
-        return 0
-    idx = np.searchsorted(candidate, query)
-    idx_clipped = np.minimum(idx, candidate.size - 1)
-    return int(((idx < candidate.size) & (candidate[idx_clipped] == query)).sum())
-
-
-def containment_count(query_values, candidate_values) -> int:
-    """``|Q ∩ C|`` with set semantics; accepts sets or prebuilt sorted
-    arrays (mixing is fine — arrays are rebuilt from sets as needed)."""
-    if isinstance(query_values, np.ndarray) and isinstance(
-        candidate_values, np.ndarray
-    ):
-        return containment_count_arrays(query_values, candidate_values)
-    if isinstance(query_values, np.ndarray):
-        query_values = set(query_values.tolist())
-    if isinstance(candidate_values, np.ndarray):
-        candidate_values = set(candidate_values.tolist())
-    if not isinstance(query_values, (set, frozenset)):
-        query_values = set(query_values)
-    return reference.containment_count(query_values, candidate_values)

@@ -8,6 +8,10 @@ table is added, and a query only probes and verifies.
 ``test_index_lazy_diff.py`` holds the lazy index to it (same
 ``(ref, containment)`` lists, same order, same candidates); nothing in
 ``src/`` imports it.
+
+Its containment counts still run on sorted numpy unicode arrays — the
+kernels the index once used, kept verbatim below as well — so the index's
+set intersection is checked against an independent count.
 """
 
 from __future__ import annotations
@@ -17,6 +21,27 @@ import numpy as np
 from repro import kernels
 from repro.dataframe.table import Table
 from repro.discovery.index import ColumnEntry, ColumnRef, DiscoveryIndex
+from repro.kernels.coerce import str_cells
+
+
+def sorted_unique_array(strings):
+    """Sorted numpy unicode array of ``strings``, or ``None`` when the
+    collection is outside the unicode fast path's preconditions."""
+    strings = list(strings)
+    if not strings:
+        return np.empty(0, dtype=np.str_)
+    if not str_cells(strings):
+        return None
+    return np.unique(np.asarray(strings, dtype=np.str_))
+
+
+def containment_count_arrays(query: np.ndarray, candidate: np.ndarray) -> int:
+    """``|Q ∩ C|`` for two sorted-unique unicode arrays."""
+    if query.size == 0 or candidate.size == 0:
+        return 0
+    idx = np.searchsorted(candidate, query)
+    idx_clipped = np.minimum(idx, candidate.size - 1)
+    return int(((idx < candidate.size) & (candidate[idx_clipped] == query)).sum())
 
 
 class EagerIndex(DiscoveryIndex):
@@ -65,10 +90,21 @@ class EagerIndex(DiscoveryIndex):
         for ref, entry in zip(refs, resolved.values(), strict=True):
             self._entries[ref] = entry
 
+    @staticmethod
+    def _normalized_array(entry: ColumnEntry):
+        """Sorted unicode array of ``entry.normalized`` for searchsorted
+        containment, cached on the entry; ``None`` when the values are
+        outside the array fast path (then set intersection is used)."""
+        arr = getattr(entry, "_norm_array", False)
+        if arr is False:
+            arr = sorted_unique_array(entry.normalized)
+            object.__setattr__(entry, "_norm_array", arr)
+        return arr
+
     def _verified(self, query_values, signature, exclude_table=None) -> list:
         """LSH probe + containment verification, shared by the live-table
         and stored-entry query paths."""
-        query_arr = kernels.sorted_unique_array(query_values)
+        query_arr = sorted_unique_array(query_values)
         refs = [
             ref for ref in self._lsh.query(signature) if ref.table != exclude_table
         ]
@@ -80,7 +116,7 @@ class EagerIndex(DiscoveryIndex):
                 self._normalized_array(entry) if query_arr is not None else None
             )
             if candidate_arr is not None:
-                count = kernels.containment_count_arrays(query_arr, candidate_arr)
+                count = containment_count_arrays(query_arr, candidate_arr)
             else:
                 count = len(query_values & entry.normalized)
             containment = count / len(query_values)

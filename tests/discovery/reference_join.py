@@ -1,5 +1,5 @@
-"""Executable spec of the join kernel (``repro.dataframe.ops.key_aggregates``
-and the gathers built on it): the per-row loops it replaced, kept verbatim
+"""Executable spec of the join kernel (``repro.dataframe.ops.join_gather``
+and the joins built on it): the per-row loops it replaced, kept verbatim
 below this paragraph apart from taking their missing-value and type rules
 from ``repro.kernels.reference`` directly.  ``test_join_diff.py`` holds
 ``Augmentation.materialize``, ``materialize_candidates`` overlaps and

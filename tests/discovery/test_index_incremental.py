@@ -1,15 +1,171 @@
-"""Tests for incremental index maintenance and down-sampling behavior."""
+"""Tests for incremental index maintenance and down-sampling behavior.
+
+The LSH buckets pending batches on its first read, band by band in C
+with one merge pass over the keys several items share, so bucket state
+is only compared after a ``query``; :class:`PerItemLsh` (the per-item
+bucketing it replaced) is the oracle.  Collision merges
+walk dict and set orders the hash seed moves, so this file runs under
+several ``PYTHONHASHSEED`` values in CI.
+"""
 
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog import Catalog
 from repro.dataframe.table import Table
 from repro.discovery.index import ColumnRef, DiscoveryIndex
 from repro.discovery.lsh import LshIndex
 from repro.discovery.minhash import MinHasher
+
+
+class PerItemLsh(LshIndex):
+    """The LSH's bucketing before batches were bucketed on first read:
+    every insert loops over items x bands in Python (kept verbatim)."""
+
+    def _keys(self, signatures: np.ndarray) -> list:
+        """Band keys of a signature (a list) or of each matrix row."""
+        return (
+            np.ascontiguousarray(signatures, dtype=np.uint64).view(self._band).tolist()
+        )
+
+    def insert_many(self, items, signatures: np.ndarray) -> None:
+        """Index each of ``items`` under its row of the stacked
+        ``(len(items), num_perm)`` signature matrix — the hot path of
+        warm-start hydration (:meth:`insert` is the one-row case).
+        Validates everything before touching any bucket."""
+        items = list(items)
+        if signatures.shape != (len(items), self.num_perm):
+            raise ValueError(
+                f"signatures must have shape ({len(items)}, {self.num_perm}), "
+                f"got {signatures.shape}"
+            )
+        duplicates = [item for item in items if item in self._items]
+        if duplicates:
+            raise ValueError(f"items already indexed: {duplicates!r}")
+        if len(set(items)) != len(items):
+            raise ValueError("duplicate items within batch")
+        for i, (item, keys) in enumerate(zip(items, self._keys(signatures), strict=True)):
+            self._items[item] = signatures[i]
+            # get-then-add: setdefault(key, set()) would build a set per
+            # band and item only to throw it away.
+            for buckets, key in zip(self._buckets, keys, strict=True):
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = {item}
+                else:
+                    bucket.add(item)
+
+    def remove(self, item) -> None:
+        """Drop ``item`` from the index (inverse of :meth:`insert`).
+
+        Only the buckets the item's stored signature hashes to are
+        touched, and buckets are sets, so removal is O(bands) even when
+        many items share a bucket (e.g. the all-empty-column signature).
+        """
+        if item not in self._items:
+            raise KeyError(f"item {item!r} not indexed")
+        signature = self._items.pop(item)
+        for buckets, key in zip(self._buckets, self._band_keys(signature), strict=True):
+            bucket = buckets.get(key)
+            if bucket is None:
+                continue
+            bucket.discard(item)
+            if not bucket:
+                del buckets[key]
+
+    def query(self, signature: np.ndarray) -> set:
+        """All items sharing at least one band bucket with ``signature``."""
+        out = set()
+        for buckets, key in zip(self._buckets, self._band_keys(signature), strict=True):
+            out.update(buckets.get(key, ()))
+        return out
+
+
+#: Signatures over a three-value alphabet at 8 permutations in 4 bands of
+#: 2: most band keys recur across items, and whole rows repeat.
+SIGNATURES = st.lists(st.integers(0, 2), min_size=8, max_size=8).map(
+    lambda row: np.array(row, dtype=np.uint64)
+)
+OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("insert"),
+            st.lists(SIGNATURES, max_size=12),
+            st.booleans(),  # duplicate the batch's first row into the rest
+        ),
+        st.tuples(st.just("remove"), st.integers(0, 50)),
+        st.tuples(st.just("query"), SIGNATURES),
+        st.tuples(st.just("query_item"), st.integers(0, 50)),
+    ),
+    max_size=25,
+)
+
+
+class TestBulkBucketingMatchesPerItem:
+    @settings(max_examples=200, deadline=None)
+    @given(operations=OPERATIONS)
+    def test_interleaved_operations(self, operations):
+        """Every query answers as the per-item bucketing does, and after
+        a query the buckets are the same, under any interleaving of
+        batches (duplicate rows, band keys shared across items), removals
+        and queries."""
+        bulk = LshIndex(num_perm=8, bands=4)
+        oracle = PerItemLsh(num_perm=8, bands=4)
+        live, fresh = [], 0
+        for op, *args in operations:
+            if op == "insert":
+                rows, duplicate = args
+                if duplicate and rows:
+                    rows = [rows[0]] * len(rows)
+                items = [ColumnRef(f"t{fresh + i}", "c") for i in range(len(rows))]
+                fresh += len(rows)
+                matrix = np.array(rows, dtype=np.uint64).reshape(len(rows), 8)
+                bulk.insert_many(items, matrix)
+                oracle.insert_many(items, matrix)
+                live.extend(items)
+            elif op == "remove" and live:
+                item = live.pop(args[0] % len(live))
+                bulk.remove(item)
+                oracle.remove(item)
+            elif op == "query":
+                assert bulk.query(args[0]) == oracle.query(args[0])
+                assert bulk._buckets == oracle._buckets
+            elif op == "query_item" and live:
+                signature = oracle.signature_of(live[args[0] % len(live)])
+                assert bulk.query(signature) == oracle.query(signature)
+            assert len(bulk) == len(oracle) == len(live)
+        probe = np.zeros(8, dtype=np.uint64)
+        assert bulk.query(probe) == oracle.query(probe)
+        assert bulk._buckets == oracle._buckets
+        for item in live:
+            assert np.array_equal(bulk.signature_of(item), oracle.signature_of(item))
+
+    def test_identical_rows_share_every_bucket(self):
+        """Portal tables with equal key columns collide in every band:
+        one bulk pass leaves one bucket per band holding all of them."""
+        lsh = LshIndex(num_perm=8, bands=4)
+        items = [f"t{i}" for i in range(5)]
+        lsh.insert_many(items, np.ones((5, 8), dtype=np.uint64))
+        assert lsh.query(np.ones(8, dtype=np.uint64)) == set(items)
+        assert [len(buckets) for buckets in lsh._buckets] == [1] * 4
+        assert all(bucket == set(items) for b in lsh._buckets for bucket in b.values())
+
+    def test_batches_wait_for_the_first_read(self):
+        """Inserts record at once (length, signatures, duplicate check)
+        but bucket only on the first read, all pending batches together."""
+        lsh = LshIndex(num_perm=8, bands=4)
+        lsh.insert_many(["a", "b"], np.zeros((2, 8), dtype=np.uint64))
+        lsh.insert("c", np.zeros(8, dtype=np.uint64))
+        assert len(lsh) == 3 and not any(lsh._buckets)
+        assert np.array_equal(lsh.signature_of("c"), np.zeros(8, dtype=np.uint64))
+        with pytest.raises(ValueError):
+            lsh.insert("a", np.zeros(8, dtype=np.uint64))
+        assert lsh.query(np.zeros(8, dtype=np.uint64)) == {"a", "b", "c"}
+        assert all(len(buckets) == 1 for buckets in lsh._buckets)
 
 
 class TestLshRemoval:
@@ -41,8 +197,14 @@ class TestLshRemoval:
     def test_empty_buckets_pruned(self):
         h = MinHasher(num_perm=16)
         lsh = LshIndex(num_perm=16, bands=8)
-        lsh.insert("x", h.signature({"a"}))
+        sig = h.signature({"a"})
+        lsh.insert("x", sig)
+        lsh.insert("y", h.signature({"b"}))
+        assert lsh.query(sig) == {"x"}  # buckets both batches
+        assert all(buckets for buckets in lsh._buckets)
         lsh.remove("x")
+        lsh.remove("y")
+        assert lsh.query(sig) == set()
         assert all(not bucket for bucket in lsh._buckets)
 
 
@@ -72,7 +234,10 @@ class TestLshBulkInsert:
         bulk = LshIndex(num_perm=16, bands=8)
         bulk.insert_many(items[:4], sigs[:4])
         bulk.insert_many(items[4:], sigs[4:])
-        assert one._buckets == bulk._buckets
+        # Buckets are built on the first read; compare them after one.
+        for lsh in (one, bulk):
+            assert items[1] in lsh.query(sigs[1])
+        assert all(one._buckets) and one._buckets == bulk._buckets
         assert one._items.keys() == bulk._items.keys()
         for item in items:
             assert np.array_equal(one.signature_of(item), bulk.signature_of(item))

@@ -198,6 +198,35 @@ class TestMaterialize:
         assert bits(values) == bits([float("nan"), 1.0, float("nan"), None])
         assert aug.overlap_fraction(base, {"right": right}) == 0.25
 
+    def test_gathers_share_the_aggregates_floats(self):
+        """Every gather hands out the aggregates' own float objects: two
+        bases and a left join through one right table box no float
+        afresh (a re-boxed float per row was measurable peak memory)."""
+        right = Table("right", {"k": ["a", "b", "b"], "v": [0.5, 1.0, 2.0]})
+        steps = (JoinStep("key", "right", "k"),)
+        aug = Augmentation(JoinPath(steps), "v")
+        first = aug.materialize(Table("b1", {"key": ["a", "b"]}), {"right": right})
+        second = aug.materialize(Table("b2", {"key": ["b", "a", "a"]}), {"right": right})
+        joined = left_join(Table("b3", {"key": ["a", "b"]}), right, "key", "k")
+        assert first == [0.5, 1.5]
+        assert second[0] is first[1] and second[1] is second[2] is first[0]
+        assert joined.column("v")[0] is first[0]
+        assert joined.column("v")[1] is first[1]
+
+    def test_float_columns_skip_type_inference(self):
+        """A bring column whose cells are all float or None is numeric
+        (or all missing, which every path joins to None) without
+        inferring its type; other columns still infer it."""
+        right = Table(
+            "right", {"k": ["a", "a", "b"], "v": [1.0, None, 2.0], "w": ["x", "y", 3]}
+        )
+        base = Table("base", {"key": ["a", "b", "c"]})
+        for column in ("v", "w"):
+            check_augmentation(
+                (JoinStep("key", "right", "k"),), column, base, {"right": right}
+            )
+        assert "v" not in right._type_cache and "w" in right._type_cache
+
     def test_empty_tables(self):
         empty = Table("right", {"k": [], "v": []})
         steps = (JoinStep("key", "right", "k"),)

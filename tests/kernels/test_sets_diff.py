@@ -1,5 +1,6 @@
 """Differential tests for the set-shaped kernels: distinct values,
-missing counts, normalization, containment estimation."""
+missing counts, normalization.  (Containment is one set intersection in
+the discovery index; ``tests/discovery/test_containment.py`` holds it.)"""
 
 import numpy as np
 import pytest
@@ -37,25 +38,6 @@ mixed_cell = st.one_of(
 def test_distinct_strings_off_fast_path_is_scalar_result(cells, expected):
     vec, ref = differential(kernels.distinct_strings, reference.distinct_strings, cells)
     assert vec == ref == expected
-
-
-@pytest.mark.parametrize(
-    "query, candidate, expected",
-    [
-        # NUL strings have no sorted-array form; sets take the scalar path.
-        ({"a\x00", "b"}, {"a\x00", "c"}, 1),
-        (set(), {"a"}, 0),
-        ({Label("7"), "8"}, np.array(["7", "8", "9"]), 2),
-        (np.array(["7", "8"]), {"8", "a\x00"}, 1),
-    ],
-    ids=["nul-embedded", "empty", "set-vs-array", "array-vs-set"],
-)
-def test_containment_count_off_fast_path_is_scalar_result(query, candidate, expected):
-    """Sets, and a set beside a sorted array, are outside the
-    array-vs-array fast path."""
-    assert kernels.containment_count(query, candidate) == expected
-    scalar = reference.containment_count(set(map(str, query)), set(map(str, candidate)))
-    assert scalar == expected
 
 
 class TestDistinctStrings:
@@ -230,46 +212,3 @@ class TestNormalize:
         assert kernels.normalize_many(collections) == [
             reference.normalize_strings(c) for c in collections
         ]
-
-
-class TestContainment:
-    @settings(max_examples=150, deadline=None)
-    @given(
-        query=st.sets(st.text(min_size=1, max_size=8), max_size=40),
-        candidate=st.sets(st.text(min_size=1, max_size=8), max_size=40),
-    )
-    def test_array_path_matches_set_path(self, query, candidate):
-        # ``sorted_unique_array`` returns None for values outside the
-        # unicode fast path (NUL bytes) — callers must keep the set.
-        q_arr = kernels.sorted_unique_array(query)
-        c_arr = kernels.sorted_unique_array(candidate)
-        exact = reference.containment_count(query, candidate)
-        assert kernels.containment_count(query, candidate) == exact
-        if q_arr is not None and c_arr is not None:
-            assert kernels.containment_count_arrays(q_arr, c_arr) == exact
-            assert kernels.containment_count(q_arr, c_arr) == exact
-        # Mixed set/array invocations agree too.
-        if c_arr is not None:
-            assert kernels.containment_count(query, c_arr) == exact
-        if q_arr is not None:
-            assert kernels.containment_count(q_arr, candidate) == exact
-
-    def test_empty_sides(self):
-        empty = kernels.sorted_unique_array([])
-        some = kernels.sorted_unique_array(["a", "b"])
-        assert kernels.containment_count_arrays(empty, some) == 0
-        assert kernels.containment_count_arrays(some, empty) == 0
-
-    def test_nul_values_degrade_to_reference(self):
-        assert kernels.sorted_unique_array(["a\x00", "b"]) is None
-        vec, ref = differential(
-            kernels.containment_count,
-            reference.containment_count,
-            {"a\x00", "b"},
-            {"a\x00", "c"},
-        )
-        assert vec == ref == 1
-
-    def test_sorted_unique_array_shape(self):
-        arr = kernels.sorted_unique_array(["b", "a", "b", "é"])
-        assert arr.tolist() == ["a", "b", "é"]

@@ -177,6 +177,59 @@ class TestServeRoundTrip:
         assert process.returncode == 0, f"unclean drain: {err}"
 
 
+def test_second_sigint_during_drain_is_absorbed():
+    """A second Ctrl-C while the drain waits for an executing run (or a
+    supervisor forwarding one signal twice) neither interrupts the drain
+    nor prints a traceback: the exit code is the drain verdict.  A
+    ``housing`` run of 80 queries executes for seconds, so the drain is
+    still waiting when the second signal lands."""
+    args = [arg if arg != "clustering" else "housing" for arg in SERVE_ARGS]
+    process = subprocess.Popen(
+        args + ["--drain-timeout", "120"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_env(),
+    )
+    try:
+        url = base = None
+        while base is None:
+            line = process.stdout.readline()
+            assert line, "serve exited before announcing itself"
+            if " on http://" in line:
+                url = line.rsplit(" on ", 1)[1].strip()
+            elif line.startswith("scenario base table: "):
+                base = line.split(": ", 1)[1].split(" ", 1)[0]
+        host, port = url.removeprefix("http://").rsplit(":", 1)
+        port = int(port)
+        status, body = call(host, port, "POST", "/v1/sessions", {"tenant": "twice"})
+        assert status == 201
+        request = dict(REQUEST, base=base, query_budget=80, theta=0.99)
+        status, body = call(
+            host, port, "POST", "/v1/runs",
+            {"session": body["session"]["session_id"], "request": request},
+        )
+        assert status == 202
+        run_path = f"/v1/runs/{body['run']['run_id']}"
+        deadline = time.monotonic() + 60
+        while call(host, port, "GET", run_path)[1]["run"]["state"] != "running":
+            assert time.monotonic() < deadline, "run never started"
+            time.sleep(0.05)
+        process.send_signal(signal.SIGINT)
+        time.sleep(0.3)
+        assert process.poll() is None, "the drain did not wait for the run"
+        process.send_signal(signal.SIGINT)
+        out, err = process.communicate(timeout=120)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate()
+    assert "Traceback" not in err, err
+    verdict = out.strip().splitlines()[-1]
+    assert verdict in ("drained", "drain timed out")
+    assert process.returncode == (0 if verdict == "drained" else 1)
+
+
 @pytest.mark.parametrize(
     "flags",
     [
