@@ -49,7 +49,6 @@ import json
 import operator
 import threading
 import time
-from collections import deque
 from dataclasses import replace
 from functools import partial
 
@@ -63,12 +62,8 @@ from repro.api.events import (
     RunCompleted,
     RunStarted,
 )
-from repro.api.registries import (
-    Registry,
-    default_scenarios,
-    default_searchers,
-    default_tasks,
-)
+from repro.api.errors import InvalidRequest
+from repro.api.registries import default_searchers, default_tasks
 from repro.api.request import CandidateSpec, DiscoveryRequest
 from repro.api.run import DiscoveryRun
 from repro.catalog import Catalog
@@ -159,13 +154,6 @@ class DiscoveryEngine:
         Optional persistent :class:`~repro.catalog.Catalog` — switches
         candidate preparation to warm-start mode (incremental refresh +
         profile-vector cache).
-    profile_registry:
-        Default profile registry for candidate preparation (``None`` =
-        :func:`~repro.profiles.registry.default_registry`).
-    searchers / tasks / scenarios:
-        Registry overrides; defaults carry every built-in.  Mutate them
-        (``engine.searchers.register(...)``) to plug in new strategies
-        without touching core code.
     max_prepared_sets:
         Bound on cached prepared-candidate sets (LRU-evicted beyond it;
         ``None`` disables eviction).  A long-lived serving engine sees
@@ -195,21 +183,20 @@ class DiscoveryEngine:
         Telemetry registry: ``None`` (default) gives the engine its own
         private :class:`~repro.obs.MetricsRegistry`; pass a registry to
         share one across engines (the service passes its own).  The
-        attached catalog store records into the same registry, and the
-        serving counters (``runs_started`` & co.) are views over it.
+        attached catalog store records into the same registry, and
+        :meth:`stats` reads its serving counters from it.
 
-    Every live run records a trace tree (request → prepare → per-round
-    query evaluation) into its :class:`DiscoveryRun`.
+    ``engine.searchers`` / ``engine.tasks`` carry every built-in; register
+    on them to plug in strategies without touching core code.  Requests
+    without a ``registry`` profile with the default one.  Every live run
+    records a trace tree (request → prepare → per-round query
+    evaluation) into its :class:`DiscoveryRun`.
     """
 
     def __init__(
         self,
         corpus=None,
         catalog: Catalog = None,
-        profile_registry=None,
-        searchers: Registry = None,
-        tasks: Registry = None,
-        scenarios: Registry = None,
         max_prepared_sets: int = 32,
         max_workers: int = 4,
         result_cache_bytes: int = None,
@@ -240,10 +227,9 @@ class DiscoveryEngine:
                     f"None, 0 or an int >= 1, got {result_cache_bytes!r}"
                 ) from None
         self.catalog = catalog
-        self.searchers = searchers if searchers is not None else default_searchers()
-        self.tasks = tasks if tasks is not None else default_tasks()
-        self.scenarios = scenarios if scenarios is not None else default_scenarios()
-        self._profile_registry = profile_registry
+        self.searchers = default_searchers()
+        self.tasks = default_tasks()
+        self._profile_registry = None
         self._corpus = None
         self._corpus_epoch = 0
         self._lock = threading.RLock()
@@ -252,7 +238,6 @@ class DiscoveryEngine:
         # single-flight per key: the in-memory index is shared mutable
         # state.
         self._catalog_lock = threading.RLock()
-        self.max_prepared_sets = max_prepared_sets
         self._prepared = prepared  # prepare key -> _PreparedSet (LRU-bounded)
         #: ``u(Din)`` by (base-table content, task content-key digest),
         #: shared by every run: the unaugmented table is the base itself,
@@ -261,14 +246,10 @@ class DiscoveryEngine:
         self.max_workers = max_workers
         #: Result-cache key -> (catalog mutation count, recorded run).
         self._results = results
-        self.result_cache_bytes = result_cache_bytes
         self._run_ids = itertools.count(1)  # next() is atomic
         registry = metrics if metrics is not None else MetricsRegistry()
         self._init_metrics(registry)
         self.tracer = Tracer()
-        #: Serialized trace trees of the most recent live runs (replays
-        #: carry their original trace) — what ``--trace-out`` dumps.
-        self.recent_traces = deque(maxlen=32)
         if self.catalog is not None and self.catalog.store is not None:
             self.catalog.store.attach_metrics(registry)
         if corpus is not None:
@@ -368,32 +349,6 @@ class DiscoveryEngine:
         ).labels()
         # Pre-register the families instrumented layers record into.
         register_store_metrics(registry)
-
-    # Serving counters are read-only views over the metrics registry —
-    # one source of truth for stats(), exposition, and tests alike.
-    @property
-    def runs_started(self) -> int:
-        return int(self._m_runs_started.value)
-
-    @property
-    def runs_completed(self) -> int:
-        return int(self._m_runs["completed"].value)
-
-    @property
-    def runs_cancelled(self) -> int:
-        return int(self._m_runs["cancelled"].value)
-
-    @property
-    def runs_failed(self) -> int:
-        return int(self._m_runs["failed"].value)
-
-    @property
-    def queries_served(self) -> int:
-        return int(self._m_queries.value)
-
-    @property
-    def result_cache_hits(self) -> int:
-        return int(self._m_result_cache["hit"].value)
 
     # ------------------------------------------------------------------
     # Construction / state
@@ -716,11 +671,7 @@ class DiscoveryEngine:
             prepare_seconds=round(run.prepare_seconds, 6),
             search_seconds=round(run.search_seconds, 6),
         )
-        trace = trace_root.to_record()
-        run = replace(run, trace=trace)
-        with self._lock:
-            self.recent_traces.append(trace)
-        return run, mutations
+        return replace(run, trace=trace_root.to_record()), mutations
 
     def _replay(self, hit: DiscoveryRun, request, progress):
         """Serve a recorded run as an exact replay (fresh ``run_id``,
@@ -881,9 +832,7 @@ class DiscoveryEngine:
             **request.options,
         )
         rounds_box = [0]
-        restore_hooks = self._attach_hooks(
-            searcher, emit, cancel, rounds_box, prepared, corpus
-        )
+        self._attach_hooks(searcher, emit, cancel, rounds_box, prepared, corpus)
 
         start = time.perf_counter()
         status = "completed"
@@ -897,8 +846,6 @@ class DiscoveryEngine:
             result = replace(result, searcher=request.searcher)
         except RunCancelled:
             status = "cancelled"
-        finally:
-            restore_hooks()
         search_seconds = time.perf_counter() - start
 
         query_engine = getattr(searcher, "engine", None)
@@ -939,7 +886,14 @@ class DiscoveryEngine:
 
     def _resolve_task(self, request: DiscoveryRequest) -> Task:
         if isinstance(request.task, str):
-            return self.tasks.create(request.task, **request.task_options)
+            try:
+                return self.tasks.create(request.task, **request.task_options)
+            except (TypeError, ValueError) as error:
+                raise InvalidRequest(
+                    f"task {request.task!r} rejects its task_options: "
+                    f"{type(error).__name__}: {error}",
+                    details={"field": "task_options"},
+                ) from error
         if request.task_options:
             raise ValueError(
                 "task_options only apply when the task is given by name"
@@ -960,17 +914,12 @@ class DiscoveryEngine:
         ).hexdigest()
         return (_table_digest(base), task_digest)
 
-    def _attach_hooks(
-        self, searcher, emit, cancel: CancellationToken, rounds_box,
-        prepared=None, corpus=None,
-    ):
-        """Wire the run's event stream into the searcher's query engine.
-
-        Every hook *chains* to whatever observer was already installed
-        (a searcher wired by its creator keeps its own callbacks), and
-        the returned restore callable puts the prior observers back —
-        a searcher instance reused across runs must not keep emitting
-        into a finished run's event list through a stale closure.
+    def _attach_hooks(self, searcher, emit, cancel, rounds_box, prepared, corpus) -> None:
+        """Wire the run's event stream, once, into the searcher its
+        factory has just built; nothing is chained or restored.  A
+        searcher that arrives wired (its factory set an observer, or it
+        served an earlier run and holds that run's query engine) fails
+        with a :class:`TypeError` naming the attribute.
 
         For a task with a content key, ``evaluate`` serves utilities
         from the utility memo: ``u(Din)`` from the engine-wide memo, and
@@ -983,14 +932,23 @@ class DiscoveryEngine:
         A plain :class:`~repro.core.metam.Metam` over ``prepared``'s own
         candidates has its CLUSTER-PARTITION served from the set's
         partition memo (:meth:`_memo_partition`); plug-in searcher
-        classes and request-supplied candidates cluster as usual.
+        classes, a ``partition`` the factory chose and request-supplied
+        candidates cluster as usual.
         """
-        restores = []
         query_engine = getattr(searcher, "engine", None)
+        hooks = ("pre_query", "on_query", "on_accept", "evaluate")
+        wired = [name for name in hooks if getattr(query_engine, name, None) is not None]
+        if getattr(searcher, "__dict__", {}).get("on_round") is not None:
+            wired.append("on_round")
+        if wired:
+            raise TypeError(
+                f"{type(searcher).__name__} arrived with {', '.join(wired)} "
+                "already set; a searcher factory must return a new, unwired "
+                "searcher for every run"
+            )
         if query_engine is not None:
             memo_key = self._utility_key(query_engine)
             if memo_key is not None:
-                prior_evaluate = getattr(query_engine, "evaluate", None)
                 # Augmented tables are built from the corpus the query
                 # engine holds; only over the set's own corpus snapshot
                 # is a set's utility a function of the memo key.
@@ -1002,8 +960,6 @@ class DiscoveryEngine:
                 )
 
                 def evaluate(aug_ids, compute):
-                    if prior_evaluate is not None:
-                        compute = partial(prior_evaluate, aug_ids, compute)
                     if not aug_ids:
                         memo, counter, key = (
                             self._base_utilities, self._m_base_utility, memo_key
@@ -1026,61 +982,21 @@ class DiscoveryEngine:
                         return value
 
                 query_engine.evaluate = evaluate
-                restores.append(
-                    lambda: setattr(query_engine, "evaluate", prior_evaluate)
-                )
-            prior_pre = query_engine.pre_query
-            prior_query = query_engine.on_query
-            prior_accept = query_engine.on_accept
             if cancel is not None:
-
-                def pre_query():
-                    if prior_pre is not None:
-                        prior_pre()
-                    cancel.raise_if_cancelled()
-
-                query_engine.pre_query = pre_query
-                restores.append(
-                    lambda: setattr(query_engine, "pre_query", prior_pre)
-                )
+                query_engine.pre_query = cancel.raise_if_cancelled
 
             def on_query(index, value, best):
-                if prior_query is not None:
-                    prior_query(index, value, best)
                 mark("query", index=index, utility=value, best=best)
-                emit(
-                    QueryIssued(
-                        query_index=index, utility=value, best_utility=best
-                    )
-                )
+                emit(QueryIssued(query_index=index, utility=value, best_utility=best))
 
             query_engine.on_query = on_query
-            restores.append(lambda: setattr(query_engine, "on_query", prior_query))
-
-            def on_accept(aug_id, utility, n_selected):
-                if prior_accept is not None:
-                    prior_accept(aug_id, utility, n_selected)
-                emit(
-                    AugmentationAccepted(
-                        aug_id=aug_id, utility=utility, n_selected=n_selected
-                    )
-                )
-
-            query_engine.on_accept = on_accept
-            restores.append(
-                lambda: setattr(query_engine, "on_accept", prior_accept)
+            query_engine.on_accept = lambda aug_id, utility, n_selected: emit(
+                AugmentationAccepted(aug_id=aug_id, utility=utility, n_selected=n_selected)
             )
         if hasattr(searcher, "on_round"):
-            # ``on_round`` is usually a class-level default (None): track
-            # whether the *instance* carried one, so restoring removes
-            # our shadow instead of pinning the class default in place.
-            had_instance = "on_round" in getattr(searcher, "__dict__", {})
-            prior_round = searcher.on_round
             prev_utility = [None]
 
             def on_round(index, utility, queries, committed):
-                if prior_round is not None:
-                    prior_round(index, utility, queries, committed)
                 prev = prev_utility[0]
                 if prev is None and query_engine is not None:
                     # The base (unaugmented) utility is the first query
@@ -1091,34 +1007,11 @@ class DiscoveryEngine:
                     self._m_round_gain.observe(max(0.0, utility - prev))
                 prev_utility[0] = utility
                 rounds_box[0] = index
-                mark(
-                    "round",
-                    index=index,
-                    utility=utility,
-                    queries=queries,
-                    committed=committed,
-                )
-                emit(
-                    RoundCompleted(
-                        round_index=index,
-                        utility=utility,
-                        queries=queries,
-                        committed=committed,
-                    )
-                )
+                fields = dict(utility=utility, queries=queries, committed=committed)
+                mark("round", index=index, **fields)
+                emit(RoundCompleted(round_index=index, **fields))
 
             searcher.on_round = on_round
-
-            def restore_round():
-                if had_instance:
-                    searcher.on_round = prior_round
-                else:
-                    try:
-                        del searcher.on_round
-                    except AttributeError:
-                        pass
-
-            restores.append(restore_round)
         if (
             prepared is not None
             and type(searcher) is Metam
@@ -1129,13 +1022,6 @@ class DiscoveryEngine:
             # Only over the set's own candidates, in the set's order, is
             # the cover a function of (ε, first center).
             searcher.partition = partial(self._memo_partition, prepared)
-            restores.append(lambda: delattr(searcher, "partition"))
-
-        def restore():
-            for undo in reversed(restores):
-                undo()
-
-        return restore
 
     def _memo_partition(self, prepared, vectors, epsilon, seed=None):
         """CLUSTER-PARTITION through ``prepared``'s partition memo: the
@@ -1193,7 +1079,7 @@ class DiscoveryEngine:
         def rate(hits, misses):
             return hits / (hits + misses) if hits + misses else 0.0
 
-        result_hits = self.result_cache_hits
+        result_hits = int(self._m_result_cache["hit"].value)
         result_misses = int(self._m_result_cache["miss"].value)
         prepare_hits = int(self._m_prepare_cache["hit"].value)
         prepare_misses = int(self._m_prepare_cache["miss"].value)
@@ -1205,11 +1091,11 @@ class DiscoveryEngine:
         partition_misses = int(self._m_partition["miss"].value)
         prepared_sets = self._prepared.values()
         out = {
-            "runs_started": self.runs_started,
-            "runs_completed": self.runs_completed,
-            "runs_cancelled": self.runs_cancelled,
-            "runs_failed": self.runs_failed,
-            "queries_served": self.queries_served,
+            "runs_started": int(self._m_runs_started.value),
+            "runs_completed": int(self._m_runs["completed"].value),
+            "runs_cancelled": int(self._m_runs["cancelled"].value),
+            "runs_failed": int(self._m_runs["failed"].value),
+            "queries_served": int(self._m_queries.value),
             "prepared_candidate_sets": len(self._prepared),
             "active_prepares": self._prepared.in_flight,
             "prepare_cache_hits": prepare_hits,

@@ -1,9 +1,10 @@
 """Pluggable registries: searchers, tasks, and scenarios by name.
 
-The engine never hard-codes a strategy list.  Searchers, tasks, and
-evaluation scenarios live in :class:`Registry` instances with
-entry-point-style registration, so a new baseline or workload plugs in
-without touching core code::
+The engine never hard-codes a strategy list.  Its searchers and tasks
+live in :class:`Registry` instances (``engine.searchers``,
+``engine.tasks``) with entry-point-style registration, so a new
+baseline or workload plugs in without touching core code; evaluation
+scenarios are the CLI's registry (:func:`default_scenarios`)::
 
     engine = DiscoveryEngine(corpus=corpus)
 
@@ -16,16 +17,20 @@ without touching core code::
     engine.discover(DiscoveryRequest(base=b, task=t, searcher="my_ranker"))
 
 Searcher factories receive ``(candidates, base, corpus, task)`` plus the
-request's keyword knobs and must return an object with ``run() ->
-SearchResult`` and an ``engine`` attribute holding the
-:class:`~repro.core.querying.QueryEngine` it spends queries through
-(that is where the event hooks attach).
+request's keyword knobs and must return a new, unwired searcher for
+every run: an object with ``run() -> SearchResult`` and an ``engine``
+attribute holding the :class:`~repro.core.querying.QueryEngine` it
+spends queries through (the engine wires the run's observers into it
+once).  Options a constructor rejects raise
+:class:`~repro.api.errors.InvalidRequest`.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
 
+from repro.api.errors import InvalidRequest
 from repro.baselines.arda import IArdaSearcher
 from repro.baselines.join_everything import JoinEverythingSearcher
 from repro.baselines.mw import MultiplicativeWeightsSearcher
@@ -45,7 +50,7 @@ class Registry:
     def __init__(self, kind: str, entries: dict = None):
         self.kind = kind
         self._entries = dict(entries or {})
-        #: Monotone count of (re-)registrations and removals.  Cheap
+        #: Monotone count of (re-)registrations.  Cheap
         #: change detection for caches keyed on registry contents (the
         #: engine's result cache must not replay a run recorded under a
         #: factory that has since been replaced).
@@ -82,12 +87,6 @@ class Registry:
         self.mutations += 1
         return factory
 
-    def unregister(self, name: str) -> None:
-        if name not in self._entries:
-            raise RegistryError(f"no {self.kind} named {name!r} to unregister")
-        del self._entries[name]
-        self.mutations += 1
-
     def get(self, name: str):
         """The factory for ``name``; unknown names fail with the choices."""
         try:
@@ -117,6 +116,15 @@ _METAM_VARIANTS = {
 }
 
 
+def _invalid_options(searcher: str, error: Exception) -> InvalidRequest:
+    """A searcher's rejection of the request's ``options``, as the
+    caller's error."""
+    return InvalidRequest(
+        f"searcher {searcher!r} rejects its options: {type(error).__name__}: {error}",
+        details={"field": "options"},
+    )
+
+
 def _metam_factory(variant: str):
     overrides = _METAM_VARIANTS[variant]
 
@@ -133,9 +141,12 @@ def _metam_factory(variant: str):
         **options,
     ):
         if config is None:
-            config = MetamConfig(
-                theta=theta, query_budget=query_budget, seed=seed, **options
-            )
+            try:
+                config = MetamConfig(
+                    theta=theta, query_budget=query_budget, seed=seed, **options
+                )
+            except (TypeError, ValueError) as error:
+                raise _invalid_options(variant, error) from error
         elif options:
             # A full config and loose knobs together is ambiguous — the
             # knobs would be silently ignored in favor of the config.
@@ -152,6 +163,8 @@ def _metam_factory(variant: str):
 
 
 def _ranking_factory(searcher_class):
+    signature = inspect.signature(searcher_class)
+
     def build(
         candidates,
         base,
@@ -169,16 +182,13 @@ def _ranking_factory(searcher_class):
                 f"{searcher_class.__name__} takes no MetamConfig; pass "
                 "theta/query_budget/seed directly"
             )
-        return searcher_class(
-            candidates,
-            base,
-            corpus,
-            task,
-            theta=theta,
-            query_budget=query_budget,
-            seed=seed,
-            **options,
-        )
+        args = (candidates, base, corpus, task)
+        knobs = dict(theta=theta, query_budget=query_budget, seed=seed, **options)
+        try:
+            signature.bind(*args, **knobs)
+        except TypeError as error:
+            raise _invalid_options(searcher_class.__name__, error) from error
+        return searcher_class(*args, **knobs)
 
     build.__name__ = f"build_{searcher_class.__name__}"
     return build

@@ -72,13 +72,15 @@ class Metam:
 
     ``on_round`` (optional observer, default ``None``) is called after
     each outer-loop round with ``(round_index, utility, queries,
-    committed)`` — the serving API's round-complete event.
+    committed)`` — the serving API's round-complete event, set once per
+    run on a searcher its factory has just built.
 
     ``partition`` is CLUSTER-PARTITION, called once per run as
-    ``partition(profiles, epsilon, seed=rng)``.  Like ``on_round`` it is
-    a class-level seam an instance may shadow — the serving engine
-    serves it from a memo of covers — with any callable that returns
-    the same partition and draws from ``rng`` exactly what
+    ``partition(profiles, epsilon, seed=rng)``.  A strategy, not an
+    observer: a class-level seam an instance may shadow — the serving
+    engine serves it from a memo of covers unless the factory chose its
+    own — with any callable that returns the same partition and draws
+    from ``rng`` exactly what
     :func:`~repro.core.clustering.cluster_partition` draws.
     """
 

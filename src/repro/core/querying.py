@@ -38,9 +38,9 @@ class QueryEngine:
 
     Hooks
     -----
-    Observers (the serving API's event stream) may set four optional
-    callables on an instance; all default to ``None`` and, when unset,
-    the engine behaves exactly as before:
+    Four optional callables, all ``None`` by default (unset, the engine
+    behaves exactly as before).  The serving engine sets them once per
+    run and refuses a searcher whose query engine arrives with any set:
 
     ``pre_query()``
         Called at every :meth:`utility` entry (cache hits included) —

@@ -3,8 +3,8 @@
 The golden rule under test: observability is *passive*.  Results must
 be byte-identical with a private registry or a shared one; every counter the
 engine reports must reconcile with what actually happened; and the
-searcher hooks the engine borrows for a run must be chained and
-restored, never clobbered.
+engine wires a run's observers only into a searcher its factory has just
+built, refusing one that arrives already wired.
 """
 
 import json
@@ -14,7 +14,6 @@ import pytest
 from repro.api import DiscoveryEngine, DiscoveryRequest
 from repro.catalog import Catalog, CatalogStore
 from repro.core.config import MetamConfig
-from repro.core.metam import Metam
 from repro.core.serialization import result_to_dict
 from repro.data import clustering_scenario
 from repro.obs.metrics import MetricsRegistry
@@ -87,7 +86,6 @@ class TestTraces:
         search = trace["children"][1]
         kinds = {child["name"] for child in search["children"]}
         assert "query" in kinds and "round" in kinds
-        assert trace in engine.recent_traces
 
     def test_trace_round_trips_through_run_record(self, scenario):
         from repro.api.run import DiscoveryRun
@@ -120,17 +118,20 @@ class TestStats:
         assert stats["result_cache_misses"] == 1
         assert stats["result_cache_hit_rate"] == 0.5
 
-    def test_counter_properties_back_onto_registry(self, scenario):
+    def test_stats_counters_back_onto_registry(self, scenario):
         engine = DiscoveryEngine(corpus=scenario.corpus)
         engine.discover(request_for(scenario))
-        assert engine.runs_started == 1
-        assert engine.runs_completed == 1
-        assert (
-            engine.metrics.value("repro_engine_runs_total", status="completed")
-            == 1.0
-        )
-        assert engine.queries_served == engine.metrics.value(
-            "repro_engine_queries_served_total"
+        stats, value = engine.stats(), engine.metrics.value
+        assert stats["runs_started"] == value("repro_engine_runs_started_total") == 1
+        for status in ("completed", "cancelled", "failed"):
+            assert stats[f"runs_{status}"] == value(
+                "repro_engine_runs_total", status=status
+            )
+        assert stats["runs_completed"] == 1
+        assert stats["queries_served"] == value("repro_engine_queries_served_total")
+        assert stats["queries_served"] > 0
+        assert stats["result_cache_hits"] == value(
+            "repro_engine_result_cache_events_total", event="hit"
         )
 
     def test_failed_run_counted(self, scenario):
@@ -191,52 +192,58 @@ class TestMetricsExports:
 
 
 class TestHookHygiene:
-    def test_on_round_callback_chained_and_restored(self, scenario):
-        """Regression: the engine used to overwrite a caller's on_round
-        permanently; it must chain to it and put it back after the run."""
-        calls = []
-
-        def mine(rounds, utility, queries, committed):
-            calls.append(rounds)
-
+    def test_prewired_searcher_is_refused(self, scenario):
+        """A factory that sets an observer itself hands the engine a
+        wired searcher: the run fails naming the attribute, is counted
+        as failed, and the engine serves the next request."""
         engine = DiscoveryEngine(corpus=scenario.corpus)
-        captured = {}
         original_factory = engine.searchers.get("metam")
 
-        def capturing_factory(*args, **kwargs):
+        def prewired_factory(*args, **kwargs):
             searcher = original_factory(*args, **kwargs)
-            searcher.on_round = mine
-            captured["searcher"] = searcher
+            searcher.on_round = lambda *_args: None
             return searcher
 
-        engine.searchers.register(
-            "metam-hooked", capturing_factory, overwrite=False
-        )
-        run = engine.discover(request_for(scenario, searcher="metam-hooked"))
-        assert run.completed
-        # The caller's callback saw every round the event stream did...
-        assert len(calls) == len(run.events_of("round-completed"))
-        assert calls, "caller's on_round never invoked"
-        # ...and the instance attribute is back to exactly the caller's.
-        assert captured["searcher"].on_round is mine
+        engine.searchers.register("metam-prewired", prewired_factory)
+        with pytest.raises(TypeError, match="on_round"):
+            engine.discover(request_for(scenario, searcher="metam-prewired"))
+        stats = engine.stats()
+        assert stats["runs_failed"] == 1
+        assert stats["queries_served"] == 0
+        assert engine.discover(request_for(scenario)).completed
 
-    def test_on_round_restored_to_class_default(self, scenario):
-        """A searcher with no instance-level on_round must come back
-        with the class default visible again (no stale shadow)."""
+    def test_reused_searcher_is_refused(self, scenario):
+        """A factory that returns one instance twice: the second run
+        fails before its first query (the instance still holds the
+        first run's query engine), and the first run's record and
+        events are unchanged."""
         engine = DiscoveryEngine(corpus=scenario.corpus)
-        captured = {}
         original_factory = engine.searchers.get("metam")
+        kept = []
 
-        def capturing_factory(*args, **kwargs):
-            searcher = original_factory(*args, **kwargs)
-            captured["searcher"] = searcher
-            return searcher
+        def reusing_factory(*args, **kwargs):
+            if not kept:
+                kept.append(original_factory(*args, **kwargs))
+            return kept[0]
 
-        engine.searchers.register("metam-capture", capturing_factory)
-        engine.discover(request_for(scenario, searcher="metam-capture"))
-        searcher = captured["searcher"]
-        assert "on_round" not in searcher.__dict__
-        assert searcher.on_round is Metam.on_round is None
+        engine.searchers.register("metam-reused", reusing_factory)
+        first = engine.discover(request_for(scenario, searcher="metam-reused"))
+        record = json.dumps(first.to_record(), sort_keys=True)
+        events = list(first.events)
+        queries = kept[0].engine.queries
+        seen = []
+        with pytest.raises(TypeError, match="on_query"):
+            engine.discover(
+                request_for(scenario, searcher="metam-reused"),
+                progress=seen.append,
+            )
+        assert [event.kind for event in seen] == [
+            "run-started", "candidates-prepared",
+        ]
+        assert kept[0].engine.queries == queries
+        assert json.dumps(first.to_record(), sort_keys=True) == record
+        assert first.events == events
+        assert engine.stats()["runs_failed"] == 1
 
 
 class TestRecordCacheInfo:

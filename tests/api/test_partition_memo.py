@@ -219,19 +219,29 @@ def test_plugin_searchers_never_memoize(scenario):
     assert partition_counts(engine) == (0, 0, 0)
 
 
-def test_the_seam_is_restored_after_the_run(scenario):
+def test_reused_searcher_is_refused(scenario):
+    """A factory that returns one plain ``Metam`` twice: the first run
+    clusters through the memo; the second fails before its first query
+    and leaves the first run's record and the memo as they were."""
     engine = DiscoveryEngine(corpus=scenario.corpus)
     seen = []
 
     def keep(candidates, base, corpus, task, *, config, **_kwargs):
-        seen.append(Metam(candidates, base, corpus, task, config))
-        return seen[-1]
+        if not seen:
+            seen.append(Metam(candidates, base, corpus, task, config))
+        return seen[0]
 
     engine.searchers.register("keep", keep)
-    engine.discover(request_for(scenario, "keep"))
+    first = engine.discover(request_for(scenario, "keep"))
     assert partition_counts(engine)[1] == 1
-    assert "partition" not in vars(seen[0])
-    assert seen[0].partition is Metam.partition
+    record = comparable(first)
+    queries = seen[0].engine.queries
+    with pytest.raises(TypeError, match="on_query"):
+        engine.discover(request_for(scenario, "keep"))
+    assert seen[0].engine.queries == queries
+    assert comparable(first) == record
+    assert partition_counts(engine)[1] == 1
+    assert engine.stats()["runs_failed"] == 1
 
 
 @pytest.mark.parametrize("drop", ["eviction", "attach_corpus"])

@@ -47,14 +47,6 @@ class TestRegistry:
         with pytest.raises(RegistryError, match=r"unknown widget 'beta'.*alpha"):
             registry.get("beta")
 
-    def test_unregister(self):
-        registry = Registry("widget")
-        registry.register("a", lambda: 1)
-        registry.unregister("a")
-        assert "a" not in registry
-        with pytest.raises(RegistryError):
-            registry.unregister("a")
-
 
 class TestDefaults:
     def test_builtin_searchers_present(self):

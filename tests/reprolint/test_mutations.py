@@ -64,7 +64,7 @@ CASES = {
     "engine-open-under-lock": Mutation(
         "blocking-under-lock",
         ENGINE,
-        "self.recent_traces.append(trace)",
+        "corpus, epoch = self.corpus, self._corpus_epoch",
         ('open(self._gauge_log, "a").write("refresh\\n")',),
     ),
     # The allowlist that exempted the engine's catalog lock is gone.

@@ -435,7 +435,8 @@ class TestLifecycle:
     def test_string_exclude_columns_fails_like_an_unknown_task_option(self, harness):
         """A bare string used to be split into one-letter columns and
         served a different result; now the run fails with the task's
-        ``ValueError``, exactly as an unknown task option fails it."""
+        ``ValueError``, exactly as an unknown task option fails it: as
+        the caller's error, not the server's."""
         sid = harness.session()
 
         def serve(task_options):
@@ -450,9 +451,11 @@ class TestLifecycle:
         listed = serve({"target_column": "rent", "exclude_columns": ["zipcode"]})
         for status in (unknown, string):
             assert status["state"] == "failed"
-            assert status["error"]["code"] == "internal"
-        assert unknown["error"]["message"].startswith("TypeError:")
-        assert string["error"]["message"].startswith("ValueError: exclude_columns")
+            assert status["error"]["code"] == "invalid-request"
+            assert status["error"]["http_status"] == 400
+            assert status["error"]["details"] == {"field": "task_options"}
+        assert "task_options: TypeError:" in unknown["error"]["message"]
+        assert "task_options: ValueError: exclude_columns" in string["error"]["message"]
         assert listed["state"] == "completed"
 
     def test_unknown_run_ids(self, harness):

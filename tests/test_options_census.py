@@ -2,7 +2,8 @@
 that once carried knobs no caller set.
 
 ``hash_version`` (a second, seeded tabulation hash family),
-``metrics=False`` (a no-op registry) and ``tracing``/``Tracer(enabled=)``
+``metrics=False`` (a no-op registry), ``tracing``/``Tracer(enabled=)``
+and ``DiscoveryEngine(searchers=, tasks=, scenarios=, profile_registry=)``
 were deleted because nothing outside the tests ever set them.  A
 parameter added to, or dropped from, one of these signatures fails here,
 so an option comes back only on purpose, with this census updated.
@@ -25,10 +26,6 @@ CENSUS = {
         [
             "corpus",
             "catalog",
-            "profile_registry",
-            "searchers",
-            "tasks",
-            "scenarios",
             "max_prepared_sets",
             "max_workers",
             "result_cache_bytes",
@@ -62,6 +59,10 @@ def test_parameter_names_are_pinned(name):
     ("target", "option"),
     [
         (DiscoveryEngine, "tracing"),
+        (DiscoveryEngine, "searchers"),
+        (DiscoveryEngine, "tasks"),
+        (DiscoveryEngine, "scenarios"),
+        (DiscoveryEngine, "profile_registry"),
         (DiscoveryIndex, "hash_version"),
         (Catalog, "hash_version"),
         (MinHasher, "hash_version"),
