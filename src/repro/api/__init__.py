@@ -36,7 +36,6 @@ from repro.api.events import (
 from repro.api.registries import (
     Registry,
     RegistryError,
-    default_scenarios,
     default_searchers,
     default_tasks,
 )
@@ -70,5 +69,4 @@ __all__ = [
     "RegistryError",
     "default_searchers",
     "default_tasks",
-    "default_scenarios",
 ]

@@ -1042,19 +1042,19 @@ class DiscoveryEngine:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def corpus_stats(self, batch_tables: int = 256, seed: int = 0) -> dict:
+    def corpus_stats(self, seed: int = 0) -> dict:
         """Table-I corpus characteristics.
 
         Served from the catalog's disk artifacts when one is attached
-        (``batch_tables`` bounds resident entries during the joinable
-        pass; the stored config's seed applies); otherwise computed from
-        the live corpus with a transient index seeded by ``seed``.
+        (the stored config's seed applies); otherwise computed from the
+        live corpus with a transient index seeded by ``seed``.  Both run
+        :meth:`DiscoveryIndex.joinable_columns`, so they agree.
         """
         if self.catalog is not None and self.catalog.store is not None:
-            # The catalog-backed pass pages lazy index entries — shared
+            # A corrupt object heals through the catalog — shared
             # mutable state, serialized against concurrent prepares.
             with self._catalog_lock:
-                return self.catalog.corpus_stats(batch_tables=batch_tables)
+                return self.catalog.corpus_stats()
         from repro.data import corpus_characteristics
 
         corpus = list(self.corpus.values())

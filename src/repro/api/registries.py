@@ -1,10 +1,10 @@
-"""Pluggable registries: searchers, tasks, and scenarios by name.
+"""Pluggable registries: searchers and tasks by name.
 
 The engine never hard-codes a strategy list.  Its searchers and tasks
 live in :class:`Registry` instances (``engine.searchers``,
 ``engine.tasks``) with entry-point-style registration, so a new
-baseline or workload plugs in without touching core code; evaluation
-scenarios are the CLI's registry (:func:`default_scenarios`)::
+baseline or workload plugs in without touching core code (evaluation
+scenarios are a plain dict, :data:`repro.data.SCENARIOS`)::
 
     engine = DiscoveryEngine(corpus=corpus)
 
@@ -150,9 +150,10 @@ def _metam_factory(variant: str):
         elif options:
             # A full config and loose knobs together is ambiguous — the
             # knobs would be silently ignored in favor of the config.
-            raise ValueError(
+            raise InvalidRequest(
                 f"searcher options {sorted(options)} conflict with an "
-                "explicit MetamConfig; set them on the config instead"
+                "explicit MetamConfig; set them on the config instead",
+                details={"field": "options"},
             )
         # replace() copies even without overrides: the searcher never
         # shares a config object with its caller.
@@ -178,9 +179,10 @@ def _ranking_factory(searcher_class):
         **options,
     ):
         if config is not None:
-            raise ValueError(
+            raise InvalidRequest(
                 f"{searcher_class.__name__} takes no MetamConfig; pass "
-                "theta/query_budget/seed directly"
+                "theta/query_budget/seed directly",
+                details={"field": "config"},
             )
         args = (candidates, base, corpus, task)
         knobs = dict(theta=theta, query_budget=query_budget, seed=seed, **options)
@@ -211,8 +213,8 @@ def default_searchers() -> Registry:
 
 
 # ---------------------------------------------------------------------------
-# Built-in tasks and scenarios (imported lazily: the task/scenario layers
-# pull in the ml/ and data/ packages, which engine users may never need)
+# Built-in tasks (imported lazily: the task layer pulls in the ml/
+# package, which engine users may never need)
 # ---------------------------------------------------------------------------
 def default_tasks() -> Registry:
     """Built-in downstream tasks, constructible by name."""
@@ -239,32 +241,4 @@ def default_tasks() -> Registry:
         ("howto", HowToTask),
     ):
         registry.register(name, cls)
-    return registry
-
-
-def default_scenarios() -> Registry:
-    """Built-in evaluation scenarios (the CLI's ``run`` choices)."""
-    from repro.data import (
-        clustering_scenario,
-        collisions_scenario,
-        entity_linking_scenario,
-        fairness_scenario,
-        housing_scenario,
-        sat_howto_scenario,
-        sat_whatif_scenario,
-        schools_scenario,
-    )
-
-    registry = Registry("scenario")
-    for name, factory in (
-        ("housing", housing_scenario),
-        ("schools", schools_scenario),
-        ("collisions", collisions_scenario),
-        ("sat-whatif", sat_whatif_scenario),
-        ("sat-howto", sat_howto_scenario),
-        ("entity-linking", entity_linking_scenario),
-        ("fairness", fairness_scenario),
-        ("clustering", clustering_scenario),
-    ):
-        registry.register(name, factory)
     return registry

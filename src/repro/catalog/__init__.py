@@ -23,18 +23,19 @@ Object format
     other file beside it is not an object; a table whose ``.bin`` is
     missing or corrupt is re-derived from the live table.
 
-Eviction knobs
+Profile eviction
     Cached profile groups are LRU-tracked by their files' size and
-    mtime (a read moves the mtime).  ``CatalogStore(profile_budget_bytes=...)``
-    enforces a size budget on every flush;
-    :meth:`Catalog.evict_profiles` / ``repro catalog gc
-    --profile-budget`` enforce it on demand.
+    mtime (a read moves the mtime).  :meth:`Catalog.evict_profiles` /
+    ``repro catalog gc --profile-budget`` drop the least-recently-used
+    groups until the section fits a budget, on demand.
 
 Catalog-backed reports
     :meth:`Catalog.corpus_stats` serves the Table-I corpus report
     entirely from disk artifacts (object metadata + stored signatures
-    and value sets) — no corpus loading, no column re-signing; only a
-    transient LSH over the stored signatures is rebuilt in memory.
+    and value sets) — no corpus loading, no column re-signing.  Every
+    stored entry is read once into a transient
+    :class:`~repro.discovery.index.DiscoveryIndex`, whose
+    ``joinable_columns`` pass is the one the in-memory report runs.
 
 Backend and write ownership
     All physical I/O goes through one :class:`LocalFSBackend` (plain

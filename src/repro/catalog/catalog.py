@@ -20,21 +20,15 @@ import inspect
 import weakref
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.catalog.fingerprint import (
     config_fingerprint,
     profile_key,
     registry_fingerprint,
-    shard_of,
     table_fingerprint,
 )
 from repro.catalog.store import CatalogStore, CatalogStoreError
 from repro.dataframe.table import Table
 from repro.discovery.index import ColumnRef, DiscoveryIndex
-from repro.discovery.lsh import LshIndex
-from repro.utils.lru import LruDict
-from repro.utils.validation import check_positive_int
 
 #: The keys of a stored config: the index's construction parameters,
 #: which ``DiscoveryIndex.config`` reports one for one.
@@ -727,18 +721,6 @@ class Catalog:
             store=self.store,
         )
 
-    def joinable_count(self, table) -> int:
-        """Table-I '#Joinable Columns' for one table.
-
-        Pass a live :class:`Table` to query with freshly computed
-        signatures, or the *name* of a table hydrated in this catalog's
-        live index to count from stored entries instead (no raw value
-        access).  Names require a hydrated index — a catalog loaded
-        without a corpus raises ``KeyError``; use :meth:`corpus_stats`
-        for store-only reporting.
-        """
-        return self._index.joinable_count(table)
-
     def evict_profiles(self, budget_bytes: int):
         """Evict least-recently-used cached profile groups until the
         profile section fits ``budget_bytes``; returns
@@ -747,49 +729,21 @@ class Catalog:
             return (0, 0)
         return self.store.evict_profiles(budget_bytes)
 
-    def _stats_batches(self, names, combined, batch_tables):
-        """Table names grouped for the streaming stats passes: by the
-        on-disk shard of their object (so each batch reads one
-        directory), chunked to at most ``batch_tables`` tables.
-        """
-        check_positive_int(batch_tables, "batch_tables")
-        by_shard = {}
-        for name in names:
-            shard = shard_of(self._object_id(combined[name]))
-            by_shard.setdefault(shard, []).append(name)
-        batches = []
-        for shard in sorted(by_shard):
-            group = by_shard[shard]
-            for start in range(0, len(group), batch_tables):
-                batches.append(group[start : start + batch_tables])
-        return batches
+    def _stats_object(self, name: str, fingerprint: str):
+        """``(column names, size in bytes, entries)`` of one table for
+        :meth:`corpus_stats`, from its stored object.
 
-    def _stats_entries(self, name, fingerprint, size_sample, unsized=None):
-        """Entries (+ recorded size) of one table for a stats pass.
-
-        Reads the persisted object; a missing or corrupt object heals by
-        recomputation when a live table is attached and raises otherwise.
-        ``unsized`` (a list, or ``None`` when sizes are not being
-        collected) accumulates tables whose objects predate size
-        recording.
+        A missing or corrupt object heals by recomputation when a live
+        table is attached and raises otherwise.  A meta without
+        ``size_bytes`` is corrupt: every object of this layout was
+        written with one.
         """
         object_id = self._object_id(fingerprint)
-        live = self._index.get_table(name) if name in self._fingerprints else None
         try:
             meta, entries = self.store.read_object(object_id)
-            size = meta.get("size_bytes")
-            if size is None:
-                # Object whose meta carries no size (not written by
-                # this catalog): estimate live if possible,
-                # otherwise count the table as unsized and warn in the
-                # caller — never silently under-report.
-                if live is not None:
-                    size = live.estimated_byte_size(size_sample)
-                else:
-                    size = 0
-                    if unsized is not None:
-                        unsized.append(name)
+            return meta["column_names"], int(meta["size_bytes"]), entries
         except (KeyError, CatalogStoreError):
+            live = self._index.get_table(name) if name in self._fingerprints else None
             if live is None:
                 raise CatalogStoreError(
                     f"corpus stats need catalog object {object_id!r} for "
@@ -797,123 +751,35 @@ class Catalog:
                     "live table is attached to recompute it"
                 ) from None
             entries = self._compute_and_persist(live, object_id)
-            size = live.estimated_byte_size(size_sample)
-        return entries, size
+            return live.column_names, live.estimated_byte_size(), entries
 
-    def corpus_stats(
-        self, size_sample: int = 1000, batch_tables: int = 256
-    ) -> dict:
+    def corpus_stats(self) -> dict:
         """Table-I corpus characteristics served from disk artifacts.
 
-        Runs entirely against the store — persisted object metadata for
-        table/column/size counts, stored signatures + normalized value
-        sets for the joinable count — so no raw corpus is loaded and no
-        column is ever re-signed.  The joinable pass streams: entries are
-        read in per-shard batches of at most ``batch_tables`` tables,
-        with a same-sized LRU of decoded objects for cross-batch
-        containment checks, so peak memory is bounded by the batch size
-        instead of the catalog size (only the compact LSH signature
-        index spans the whole catalog); a batch at least as large as the
-        catalog holds everything.  Tables live in this process fall back to
-        their in-memory artifacts; a missing or corrupt object heals by
-        recomputation when its live table is attached and raises
-        :class:`CatalogStoreError` otherwise (never a silently wrong
-        report).
-
-        Sizes of purely-persisted tables were estimated at signing time
-        (with the default sample); ``size_sample`` only governs live
-        fallbacks.  Matches :func:`repro.data.corpus_characteristics`
-        exactly whenever column values are already normalized (no
-        leading/trailing whitespace or uppercase — true of the synthetic
-        corpora) and no column was down-sampled at indexing time.
+        Reads each cataloged table's object once — metadata for the
+        column and size counts, entries for the joinable count — into a
+        transient index of zero-row tables and runs
+        :meth:`DiscoveryIndex.joinable_columns` on it, the pass
+        :func:`repro.data.corpus_characteristics` runs on a live corpus,
+        so the two reports agree.  No raw corpus is loaded and no stored
+        column is re-signed; every stored entry is resident for the
+        pass.  A missing or corrupt object heals by recomputation when
+        its live table is attached and raises :class:`CatalogStoreError`
+        otherwise (never a silently wrong report).
         """
         if self.store is None:
             raise CatalogStoreError("catalog has no store attached")
         combined = {**self._persisted, **self._fingerprints}
-        config = self.config
-        lsh = LshIndex(num_perm=config["num_perm"], bands=config["bands"])
-        threshold = config["min_containment"]
-        batches = self._stats_batches(sorted(combined), combined, batch_tables)
-        # The pass-2 entry cache is seeded during pass 1, so a catalog
-        # that fits one batch is decoded exactly once, and larger
-        # catalogs start pass 2 with the tail batch warm.
-        cache = LruDict(capacity=batch_tables)
-        n_columns = 0
+        index = DiscoveryIndex(**self.config)
         size_bytes = 0
-        unsized = []
-        # Pass 1 — metadata and LSH signatures, one batch resident at a
-        # time (signatures are compact; the bulky value sets are dropped
-        # with each batch).
-        for batch in batches:
-            for name in batch:
-                entries, size = self._stats_entries(
-                    name, combined[name], size_sample, unsized
-                )
-                cache.put(name, entries)
-                n_columns += len(entries)
-                size_bytes += int(size)
-                refs = [ColumnRef(name, column) for column in entries]
-                if refs:
-                    lsh.insert_many(
-                        refs,
-                        np.stack(
-                            [entries[ref.column].signature for ref in refs]
-                        ),
-                    )
-        if unsized:
-            import warnings
-
-            warnings.warn(
-                f"{len(unsized)} catalog object(s) predate size recording; "
-                "size_bytes under-reports their tables — refresh against "
-                "the corpus (or re-sign via 'catalog update') to record "
-                "sizes",
-                stacklevel=2,
-            )
-        # Pass 2 — joinable verification.  Membership is order-
-        # independent (a column counts iff *some* query column verifies
-        # it), so any batch size yields the same set.  All reads go
-        # through one LRU, so a table decoded as a cross-batch candidate
-        # is not re-decoded when its own batch arrives (and vice versa);
-        # peak memory stays bounded by the batch plus the same-sized
-        # cache.
-        def load_entries(name):
-            entries = cache.get(name)
-            if entries is None:
-                entries = self._stats_entries(
-                    name, combined[name], size_sample
-                )[0]
-                cache.put(name, entries)
-            return entries
-
-        joinable = set()
-        for batch in batches:
-            batch_entries = {name: load_entries(name) for name in batch}
-            for name in batch:
-                for entry in batch_entries[name].values():
-                    query = entry.normalized
-                    if not query:
-                        continue
-                    for ref in lsh.query(entry.signature):
-                        # Once a candidate column is counted it stays
-                        # counted, so skip re-verifying it for later query
-                        # columns — this keeps the verification volume
-                        # near-linear on join-dense corpora.
-                        if ref.table == name or ref in joinable:
-                            continue
-                        if ref.table in batch_entries:
-                            candidate = batch_entries[ref.table][ref.column]
-                        else:
-                            candidate = load_entries(ref.table)[ref.column]
-                        containment = len(query & candidate.normalized) / len(
-                            query
-                        )
-                        if containment >= threshold:
-                            joinable.add(ref)
+        for name in sorted(combined):
+            columns, size, entries = self._stats_object(name, combined[name])
+            index.add_table(Table(name, dict.fromkeys(columns, ())), entries=entries)
+            size_bytes += size
         return {
             "tables": len(combined),
-            "columns": n_columns,
-            "joinable_columns": len(joinable),
+            "columns": index.num_indexed_columns,
+            "joinable_columns": len(index.joinable_columns()),
             "size_bytes": size_bytes,
         }
 

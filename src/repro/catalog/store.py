@@ -40,9 +40,8 @@ table references.
 Cached profile groups are the one section that can grow without bound,
 so they carry an LRU policy: a group's size and recency are its file's
 size and mtime (a read moves the mtime with a backend ``touch``, not a
-write), and ``profile_budget_bytes`` (enforced after every write, or on
-demand via :meth:`evict_profiles`) drops the least-recently-used groups
-until the section fits.
+write), and :meth:`evict_profiles` drops the least-recently-used groups
+until the section fits a budget.
 
 Every file lands via a unique temp file + rename, and object writes,
 existence checks and deletions in a shard run under its advisory file
@@ -194,27 +193,20 @@ def _seconds(name: str, value, positive: bool = False) -> float:
     return seconds
 
 
-def _byte_budget(name: str, value, optional: bool = True):
+def _byte_budget(name: str, value):
     """``value`` as a byte budget: an int ``>= 0`` (``bool`` is not a
-    byte count), or ``None`` when ``optional``.  Anything else is a
-    ``ValueError`` naming the argument — a negative or NaN budget would
-    evict every entry."""
-    if (value is None and optional) or (
-        isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
-    ):
+    byte count).  Anything else is a ``ValueError`` naming the argument
+    — a negative or NaN budget would evict every entry."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0:
         return value
-    allowed = "None or an int >= 0" if optional else "an int >= 0"
-    raise ValueError(f"{name} must be {allowed}, got {value!r}")
+    raise ValueError(f"{name} must be an int >= 0, got {value!r}")
 
 
 class CatalogStore:
     """Filesystem persistence for catalog artifacts.
 
-    ``profile_budget_bytes`` caps the cached-profile section: when set,
-    every :meth:`write_profiles` evicts least-recently-touched profile
-    groups until the section fits the budget (the group just written is
-    never evicted).  ``None`` disables enforcement (evict on demand with
-    :meth:`evict_profiles`).  ``clock_skew`` widens lease expiry so a
+    The cached-profile section is trimmed on demand with
+    :meth:`evict_profiles`.  ``clock_skew`` widens lease expiry so a
     collector whose clock runs ahead cannot expire a writer's lease
     early.  The store holds discovery artifacts only — table objects,
     profile groups and the index snapshot — never run records.
@@ -231,7 +223,6 @@ class CatalogStore:
     def __init__(
         self,
         root: str,
-        profile_budget_bytes: int = None,
         clock_skew: float = 0.0,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         backend=None,
@@ -247,7 +238,6 @@ class CatalogStore:
         if isinstance(backend, str):
             raise TypeError(f"backend must be a backend instance, not the name {backend!r}")
         self.backend = LocalFSBackend(self.root) if backend is None else backend
-        self.profile_budget_bytes = _byte_budget("profile_budget_bytes", profile_budget_bytes)
         #: Write-ownership leases: gc consults the active set before
         #: reclaiming anything unreferenced.
         self.leases = LeaseManager(
@@ -807,7 +797,7 @@ class CatalogStore:
         """Cached ``{profile key: vector}`` for one base table.
 
         Reading touches the group's LRU clock, so actively-used bases
-        survive budget enforcement."""
+        survive eviction."""
         path = self._profile_path(base_fingerprint)
         entries = self._read_profile_file(path)
         if entries is None or entries is self._CORRUPT_PROFILES:
@@ -869,10 +859,6 @@ class CatalogStore:
             self._count("writes", "profiles")
             self._count("write_bytes", "profiles", len(blob))
             self._touch(path)
-        if self.profile_budget_bytes is not None:
-            self.evict_profiles(
-                self.profile_budget_bytes, keep=frozenset({base_fingerprint})
-            )
 
     def _touch(self, path: str) -> None:
         """Stamp a profile group's mtime — its LRU clock — with the
@@ -920,12 +906,10 @@ class CatalogStore:
         """Total on-disk size of the cached-profile section."""
         return sum(size for _t, _fp, size in self._profile_inventory())
 
-    def evict_profiles(self, budget_bytes: int, keep=frozenset()):
+    def evict_profiles(self, budget_bytes: int):
         """Evict least-recently-touched profile groups until the section
-        fits ``budget_bytes``.  ``keep`` groups are never evicted (the
-        writer protects the group it just flushed).  Returns
-        ``(evicted_groups, freed_bytes)``."""
-        _byte_budget("budget_bytes", budget_bytes, optional=False)
+        fits ``budget_bytes``.  Returns ``(evicted_groups, freed_bytes)``."""
+        _byte_budget("budget_bytes", budget_bytes)
         inventory = self._profile_inventory()
         total = sum(size for _t, _fp, size in inventory)
         evicted = 0
@@ -933,8 +917,6 @@ class CatalogStore:
         for _touched, group, size in sorted(inventory):
             if total <= budget_bytes:
                 break
-            if group in keep:
-                continue
             self.delete_profiles(group)
             total -= size
             freed += size

@@ -36,7 +36,8 @@ Commands
     Generate a synthetic corpus and print its Table-I characteristics —
     or, with ``--catalog DIR``, serve the report straight from a saved
     catalog's disk artifacts (no corpus generation, no column
-    re-signing).
+    re-signing; every stored entry is read once into a transient
+    index).  Both count joinable columns with the same pass.
 ``catalog build|update|stats|gc``
     Maintain a persistent discovery catalog on disk: ``build`` indexes a
     corpus into a catalog directory, ``update`` incrementally refreshes
@@ -56,24 +57,13 @@ import signal
 import sys
 import threading
 
-from repro.api import CancellationToken, DiscoveryEngine, default_scenarios
+from repro.api import CancellationToken, DiscoveryEngine
 from repro.api.errors import Cancelled, InvalidRequest
 from repro.api.wire import error_from_wire
 from repro.core.plotting import render_traces
 from repro.core.serialization import result_from_dict, save_results
+from repro.data import SCENARIOS
 from repro.obs.logcfg import _ensure_default_handler, configure_logging, get_logger
-
-_SCENARIO_REGISTRY = default_scenarios()
-
-#: name -> scenario factory: an import-time snapshot of the built-in
-#: scenario registry (kept as a plain dict for backward compatibility).
-#: To serve a custom scenario, register it on an engine's ``scenarios``
-#: registry and drive discovery through the library API; the CLI's
-#: choices are fixed at import.
-SCENARIOS = {
-    name: _SCENARIO_REGISTRY.get(name) for name in _SCENARIO_REGISTRY.names()
-}
-
 
 #: CLI diagnostics go through the structured "repro" logger: the text
 #: formatter keeps the exact ``error: ...`` / ``warning: ...`` stderr
@@ -264,18 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="serve the report from a saved catalog's disk artifacts "
-        "(no corpus generation or column re-signing — a transient LSH "
-        "is rebuilt from stored signatures; the corpus flags are "
-        "ignored)",
-    )
-    stats.add_argument(
-        "--batch-tables",
-        type=_table_count,
-        default=None,
-        metavar="N",
-        help="tables resident per batch during the catalog-backed "
-        "joinable pass (bounds peak memory; default 256; only "
-        "meaningful with --catalog)",
+        "(no corpus generation or column re-signing — every stored "
+        "entry is read once into a transient index; the corpus flags "
+        "are ignored)",
     )
 
     catalog = sub.add_parser("catalog", help="persistent discovery catalog")
@@ -658,11 +639,6 @@ def _cmd_corpus_stats(args) -> int:
     from repro.catalog import CatalogStoreError
     from repro.data import generate_corpus
 
-    if args.batch_tables is not None and args.catalog is None:
-        # The in-memory path has no streaming pass; a silent no-op would
-        # read as "memory is bounded" when it is not.
-        _warn("--batch-tables only applies with --catalog; ignored")
-    batch = args.batch_tables if args.batch_tables is not None else 256
     try:
         if args.catalog is not None:
             engine = DiscoveryEngine.open(args.catalog, create=False)
@@ -671,7 +647,7 @@ def _cmd_corpus_stats(args) -> int:
                 args.tables, style=args.style, seed=args.seed
             )
             engine = DiscoveryEngine(corpus=corpus)
-        stats = engine.corpus_stats(batch_tables=batch, seed=args.seed)
+        stats = engine.corpus_stats(seed=args.seed)
     except CatalogStoreError as error:
         _error(str(error))
         return 1

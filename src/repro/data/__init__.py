@@ -7,6 +7,7 @@ and the planted ground truth — everything an experiment needs.
 
 from repro.data.generator import RepositoryBuilder, make_keys
 from repro.data.scenarios import (
+    SCENARIOS,
     Scenario,
     housing_scenario,
     schools_scenario,
@@ -25,6 +26,7 @@ from repro.data.corpus import generate_corpus, corpus_characteristics
 __all__ = [
     "RepositoryBuilder",
     "make_keys",
+    "SCENARIOS",
     "Scenario",
     "housing_scenario",
     "schools_scenario",

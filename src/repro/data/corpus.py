@@ -68,40 +68,19 @@ def generate_corpus(
     return corpus
 
 
-def corpus_characteristics(
-    corpus=None, index=None, size_sample: int = 1000, catalog=None
-) -> dict:
+def corpus_characteristics(corpus, index=None, size_sample: int = 1000) -> dict:
     """The four Table I columns for a corpus.
 
-    ``#Joinable Columns`` counts indexed columns participating in at least
-    one joinable pair (requires ``index``; reported as 0 without one).
-    Size is the in-memory cell estimate in bytes, sampled via
+    ``#Joinable Columns`` is :meth:`DiscoveryIndex.joinable_columns
+    <repro.discovery.index.DiscoveryIndex.joinable_columns>` on ``index``,
+    the index built from ``corpus`` (reported as 0 without one) — the
+    pass :meth:`repro.catalog.Catalog.corpus_stats` runs over stored
+    entries.  Size is the in-memory cell estimate in bytes, sampled via
     :meth:`Table.estimated_byte_size`.
-
-    ``catalog`` (a :class:`repro.catalog.Catalog`) switches the report to
-    the disk-artifact path: every statistic — including the joinable
-    count — is served from persisted catalog objects, so no corpus needs
-    to be loaded or re-signed and ``corpus`` may be ``None`` (see
-    :meth:`~repro.catalog.Catalog.corpus_stats` for the memory profile).
     """
-    if catalog is not None:
-        return catalog.corpus_stats(size_sample=size_sample)
-    if corpus is None:
-        raise ValueError("corpus_characteristics needs a corpus or a catalog")
-    n_tables = len(corpus)
-    n_columns = sum(t.num_columns for t in corpus)
-    size_bytes = sum(t.estimated_byte_size(size_sample) for t in corpus)
-    joinable = 0
-    if index is not None:
-        seen = set()
-        for table in corpus:
-            for column in table.column_names:
-                for ref, _score in index.joinable(table, column, exclude_table=table.name):
-                    seen.add(ref)
-        joinable = len(seen)
     return {
-        "tables": n_tables,
-        "columns": n_columns,
-        "joinable_columns": joinable,
-        "size_bytes": size_bytes,
+        "tables": len(corpus),
+        "columns": sum(t.num_columns for t in corpus),
+        "joinable_columns": 0 if index is None else len(index.joinable_columns()),
+        "size_bytes": sum(t.estimated_byte_size(size_sample) for t in corpus),
     }

@@ -726,3 +726,17 @@ def themed_scenario(
         truth_columns=truth,
         key_columns=(spec["key"],),
     )
+
+
+#: The built-in evaluation scenarios by name: the CLI's ``run`` and
+#: ``serve --scenario`` choices.
+SCENARIOS = {
+    "housing": housing_scenario,
+    "schools": schools_scenario,
+    "collisions": collisions_scenario,
+    "sat-whatif": sat_whatif_scenario,
+    "sat-howto": sat_howto_scenario,
+    "entity-linking": entity_linking_scenario,
+    "fairness": fairness_scenario,
+    "clustering": clustering_scenario,
+}

@@ -519,10 +519,19 @@ class DiscoveryIndex:
                     survivors.append(ref)
         self._sign(survivors)
 
-    def _verified(self, query_values, signature, exclude_table=None) -> list:
-        """Sign the unsigned columns this query could return, then LSH
-        probe + containment verification, shared by the live-table and
-        stored-entry query paths."""
+    def joinable(self, table: Table, column: str, exclude_table=None) -> list:
+        """Columns joinable with ``table.column``, best-first.
+
+        Returns ``[(ColumnRef, containment)]`` with verified containment of
+        the query column's values in the candidate column, filtered by
+        ``min_containment``.  ``exclude_table`` suppresses self-joins.
+        Signs the unsigned columns the query could return, then probes
+        the LSH and verifies containment.
+        """
+        query_values = kernels.normalize_strings(table.distinct_values(column))
+        if not query_values:
+            return []
+        signature = self._hasher.signature(query_values)
         with self._lock:
             self._sign_survivors(query_values, exclude_table)
             refs = [
@@ -539,50 +548,35 @@ class DiscoveryIndex:
         results.sort(key=lambda item: (-item[1], str(item[0])))
         return results
 
-    def joinable(self, table: Table, column: str, exclude_table=None) -> list:
-        """Columns joinable with ``table.column``, best-first.
+    def joinable_columns(self) -> set:
+        """Table I's '#Joinable Columns': the indexed columns that some
+        column of another table reaches.
 
-        Returns ``[(ColumnRef, containment)]`` with verified containment of
-        the query column's values in the candidate column, filtered by
-        ``min_containment``.  ``exclude_table`` suppresses self-joins.
+        Signs every unsigned column and pages every entry in, then
+        queries with each column's stored normalized set and stored
+        signature, so a report over stored entries (the catalog's) and
+        one over live tables count alike.  Membership does not depend on
+        query order, so a column once counted is not verified again.
         """
-        query_values = kernels.normalize_strings(table.distinct_values(column))
-        if not query_values:
-            return []
-        return self._verified(
-            query_values, self._hasher.signature(query_values), exclude_table
-        )
-
-    def joinable_for_entry(self, entry: ColumnEntry, exclude_table=None) -> list:
-        """Joinable candidates for a column given its stored
-        :class:`ColumnEntry` — the catalog-backed query path: no raw table
-        values are touched, so Table-I style reports can run entirely from
-        persisted artifacts.  Uses the entry's normalized set as the query
-        set and its stored signature for the LSH probe; identical to
-        :meth:`joinable` whenever the column's values are already
-        normalized and were not down-sampled at indexing time.
-        """
-        if not entry.normalized:
-            return []
-        return self._verified(entry.normalized, entry.signature, exclude_table)
-
-    def joinable_count(self, table) -> int:
-        """Number of repository columns joinable with any column of
-        ``table`` — the Table I '#Joinable Columns' statistic.
-
-        Accepts a live :class:`Table` (signatures recomputed from its
-        values) or the *name* of an indexed table, which is served from
-        stored entries instead — the path the persistent catalog routes
-        corpus reports through.
-        """
-        if isinstance(table, str):
-            seen = set()
-            for entry in self.column_entries(table).values():
-                for ref, _ in self.joinable_for_entry(entry, exclude_table=table):
-                    seen.add(ref)
-            return len(seen)
-        seen = set()
-        for column in table.column_names:
-            for ref, _ in self.joinable(table, column, exclude_table=table.name):
-                seen.add(ref)
-        return len(seen)
+        refs = [
+            ColumnRef(name, column)
+            for name, table in self._tables.items()
+            for column in table.column_names
+        ]
+        with self._lock:
+            self._sign([ref for ref in refs if ref in self._unsigned])
+        self._page_in(refs)
+        found = set()
+        for ref in refs:
+            entry = self._entries[ref]
+            if not entry.normalized:
+                continue
+            with self._lock:
+                hits = self._lsh.query(entry.signature)
+            for hit in hits:
+                if hit.table == ref.table or hit in found:
+                    continue
+                overlap = len(entry.normalized & self._entries[hit].normalized)
+                if overlap / len(entry.normalized) >= self.min_containment:
+                    found.add(hit)
+        return found

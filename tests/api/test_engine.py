@@ -11,6 +11,7 @@ from repro.api import (
     DiscoveryEngine,
     DiscoveryRequest,
     EngineStateError,
+    InvalidRequest,
     RegistryError,
 )
 from repro.core.config import MetamConfig
@@ -312,7 +313,7 @@ class TestDiscover:
         # A full MetamConfig plus loose knobs must fail loudly, not
         # silently drop the knobs — and the failed run is accounted.
         failed_before = engine.stats()["runs_failed"]
-        with pytest.raises(ValueError, match="conflict with an explicit"):
+        with pytest.raises(InvalidRequest, match="conflict with an explicit"):
             engine.discover(
                 request_for(scenario, options={"epsilon": 0.2})
             )

@@ -12,6 +12,7 @@ import pytest
 
 from repro.api import DiscoveryEngine, DiscoveryRequest
 from repro.api.errors import InvalidRequest
+from repro.core.config import MetamConfig
 from repro.data import housing_scenario
 
 CASES = {
@@ -21,11 +22,17 @@ CASES = {
     "regression-unknown-task-option": dict(
         searcher="metam", task="regression", task_options={"target": "price"}
     ),
+    "metam-options-beside-config": dict(
+        searcher="metam", config={"theta": 0.6}, options={"epsilon": 0.1}
+    ),
+    "iarda-config": dict(searcher="iarda", config={"theta": 0.6}),
 }
 
 
 def field_of(case):
-    return "task_options" if "task_options" in case else "options"
+    if "task_options" in case:
+        return "task_options"
+    return "config" if "config" in case and "options" not in case else "options"
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +51,7 @@ def test_discover_raises_invalid_request(scenario, name):
         query_budget=5,
         options=case.get("options", {}),
         task_options=case.get("task_options", {}),
+        config=MetamConfig(**case["config"]) if "config" in case else None,
     )
     with pytest.raises(InvalidRequest) as raised:
         engine.discover(request)
@@ -67,7 +75,7 @@ def test_served_run_fails_as_invalid_request(scenario, name):
             "searcher": case["searcher"],
             "query_budget": 5,
         }
-        for key in ("options", "task_options"):
+        for key in ("options", "task_options", "config"):
             if key in case:
                 payload[key] = case[key]
         run_id = service.submit(sid, payload)["run_id"]

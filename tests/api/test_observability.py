@@ -17,6 +17,7 @@ from repro.core.config import MetamConfig
 from repro.core.serialization import result_to_dict
 from repro.data import clustering_scenario
 from repro.obs.metrics import MetricsRegistry
+from repro.tasks.base import Task
 
 CONFIG = dict(theta=0.6, query_budget=25, epsilon=0.1, seed=0)
 
@@ -135,9 +136,13 @@ class TestStats:
         )
 
     def test_failed_run_counted(self, scenario):
+        class FailingTask(Task):
+            def utility(self, table):
+                raise RuntimeError("utility failed")
+
         engine = DiscoveryEngine(corpus=scenario.corpus)
-        with pytest.raises(ValueError):
-            engine.discover(request_for(scenario, searcher="iarda"))
+        with pytest.raises(RuntimeError, match="utility failed"):
+            engine.discover(request_for(scenario, task=FailingTask()))
         assert (
             engine.metrics.value("repro_engine_runs_total", status="failed")
             == 1.0

@@ -7,12 +7,11 @@ from repro.api import (
     DiscoveryRequest,
     Registry,
     RegistryError,
-    default_scenarios,
     default_searchers,
     default_tasks,
 )
 from repro.core.result import SearchResult
-from repro.data import clustering_scenario
+from repro.data import SCENARIOS, clustering_scenario
 
 
 class TestRegistry:
@@ -61,13 +60,12 @@ class TestDefaults:
         assert {"classification", "regression", "clustering", "fairness"} <= names
 
     def test_builtin_scenarios_present(self):
-        names = set(default_scenarios().names())
-        assert {"housing", "clustering", "sat-whatif", "fairness"} <= names
+        assert {"housing", "clustering", "sat-whatif", "fairness"} <= set(SCENARIOS)
 
     def test_cli_scenarios_mirror_registry(self):
-        from repro.cli import SCENARIOS
+        from repro import cli
 
-        assert set(SCENARIOS) == set(default_scenarios().names())
+        assert cli.SCENARIOS is SCENARIOS
 
 
 class TestPluggability:

@@ -1,14 +1,34 @@
-"""Catalog-backed Table-I corpus reports: disk artifacts == in-memory."""
+"""Table-I corpus reports: one joinable pass, so disk artifacts == in-memory.
+
+``corpus_characteristics`` over a live index and ``Catalog.corpus_stats``
+over stored entries both run ``DiscoveryIndex.joinable_columns``.  The
+pass signs and narrows columns through in-process ``str`` hashes, so
+this file runs under several ``PYTHONHASHSEED`` values in CI.
+"""
+
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog import Catalog, CatalogStore, CatalogStoreError
 from repro.cli import main
 from repro.data import corpus_characteristics, generate_corpus
+from repro.dataframe import Table
 from repro.discovery import DiscoveryIndex
 
 SEED = 0
 N_TABLES = 25
+
+WORDS = ("alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "theta")
+#: Cells whose normalized forms collide across case and padding, beside
+#: floats and missing cells: a mixed column takes the string path.
+CELLS = tuple(
+    cell for word in WORDS for cell in (word, word.upper(), f" {word}", f"{word.title()} ")
+) + (0.5, 2.0, None)
+#: Cells of a wholly float-or-missing column (narrowed on bit patterns).
+FLOATS = (0.5, 1.0, 2.0, 2.5, 1e16, None)
 
 
 @pytest.fixture(scope="module")
@@ -22,40 +42,64 @@ def reference(corpus):
     return corpus_characteristics(corpus, index)
 
 
-def build(tmp_path, corpus):
-    catalog = Catalog(CatalogStore(str(tmp_path / "cat")), min_containment=0.3,
-                      seed=SEED)
+def build(root, corpus, seed=SEED):
+    catalog = Catalog(CatalogStore(str(root)), min_containment=0.3, seed=seed)
     catalog.refresh({t.name: t for t in corpus})
     catalog.save()
     return catalog
 
 
+@st.composite
+def corpora(draw):
+    corpus = []
+    for t in range(draw(st.integers(2, 6))):
+        rows = draw(st.integers(1, 12))
+        names = draw(st.lists(st.sampled_from("kvw"), min_size=1, max_size=3, unique=True))
+        columns = {}
+        for name in names:
+            pool = draw(st.sampled_from([CELLS, FLOATS]))
+            columns[name] = draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows))
+        corpus.append(Table(f"t{t}", columns))
+    return corpus
+
+
+class TestOneJoinablePass:
+    @settings(max_examples=60, deadline=None)
+    @given(corpus=corpora(), seed=st.integers(0, 3))
+    def test_live_and_stored_reports_agree(self, corpus, seed):
+        """Values that are not already normalized used to split the
+        in-memory count (normalized query signatures) from the stored one
+        (raw signatures)."""
+        index = DiscoveryIndex(min_containment=0.3, seed=seed).build(corpus)
+        in_memory = corpus_characteristics(corpus, index)
+        with tempfile.TemporaryDirectory() as root:
+            live = build(root, corpus, seed).corpus_stats()
+            stored = Catalog.load(root).corpus_stats()
+        assert in_memory == live == stored
+
+    def test_catalog_index_counts_what_a_fresh_index_counts(self, tmp_path, corpus):
+        fresh = DiscoveryIndex(min_containment=0.3, seed=SEED).build(corpus)
+        expected = fresh.joinable_columns()
+        assert expected
+        assert build(tmp_path / "cat", corpus).index.joinable_columns() == expected
+
+    def test_warm_index_pages_entries_in(self, tmp_path, corpus):
+        """A warm start holds signatures only: the pass pages every
+        entry in through the catalog's loader and re-signs nothing."""
+        fresh = DiscoveryIndex(min_containment=0.3, seed=SEED).build(corpus)
+        build(tmp_path / "cat", corpus)
+        warm = Catalog.load(str(tmp_path / "cat"), corpus={t.name: t for t in corpus})
+        assert not warm.index._entries
+        assert warm.index.joinable_columns() == fresh.joinable_columns()
+        assert warm.computed_columns == 0
+
+
 class TestCorpusStatsEquality:
     def test_live_catalog_matches_in_memory(self, tmp_path, corpus, reference):
-        catalog = build(tmp_path, corpus)
-        assert catalog.corpus_stats() == reference
-
-    def test_streamed_matches_in_memory_path(self, tmp_path, corpus, reference):
-        # The shard-batched joinable pass (bounded resident entries) must
-        # report exactly what the in-memory index reports, at any batch
-        # size — including 1 (every cross-table check goes through the
-        # LRU) and sizes larger than the catalog (everything resident).
-        build(tmp_path, corpus)
-        loaded = Catalog.load(str(tmp_path / "cat"))
-        for batch_tables in (1, 3, N_TABLES + 10):
-            assert loaded.corpus_stats(batch_tables=batch_tables) == reference
-
-    @pytest.mark.parametrize("batch_tables", [0, -1, None])
-    def test_streamed_rejects_bad_batch_size(self, tmp_path, corpus, batch_tables):
-        # None used to select a hold-everything path; a batch at least
-        # as large as the catalog does that now.
-        build(tmp_path, corpus)
-        loaded = Catalog.load(str(tmp_path / "cat"))
-        with pytest.raises(ValueError, match="batch_tables"):
-            loaded.corpus_stats(batch_tables=batch_tables)
+        assert build(tmp_path / "cat", corpus).corpus_stats() == reference
 
     def test_store_only_catalog_matches_in_memory(self, tmp_path, corpus, reference):
-        build(tmp_path, corpus)
+        build(tmp_path / "cat", corpus)
         # Fresh process simulation: no corpus attached at all — the
         # report runs purely from persisted artifacts.
         loaded = Catalog.load(str(tmp_path / "cat"))
@@ -63,30 +107,17 @@ class TestCorpusStatsEquality:
         assert loaded.corpus_stats() == reference
         assert loaded.computed_columns == 0  # and nothing re-signed
 
-    def test_corpus_characteristics_routes_through_catalog(
-        self, tmp_path, corpus, reference
-    ):
-        build(tmp_path, corpus)
-        loaded = Catalog.load(str(tmp_path / "cat"))
-        assert corpus_characteristics(catalog=loaded) == reference
+    def test_removed_parameters_are_refused(self, tmp_path, corpus):
+        loaded = build(tmp_path / "cat", corpus)
+        for option in ("batch_tables", "size_sample"):
+            with pytest.raises(TypeError, match=option):
+                loaded.corpus_stats(**{option: 1})
+        with pytest.raises(TypeError, match="catalog"):
+            corpus_characteristics(corpus, catalog=loaded)
 
-    def test_corpus_characteristics_requires_corpus_or_catalog(self):
-        with pytest.raises(ValueError):
+    def test_corpus_characteristics_requires_a_corpus(self):
+        with pytest.raises(TypeError):
             corpus_characteristics()
-
-
-class TestJoinableCountRouting:
-    def test_indexed_name_matches_live_table(self, tmp_path, corpus):
-        catalog = build(tmp_path, corpus)
-        for table in corpus[:5]:
-            assert catalog.joinable_count(table.name) == catalog.joinable_count(
-                table
-            )
-
-    def test_unknown_name_raises(self, tmp_path, corpus):
-        catalog = build(tmp_path, corpus)
-        with pytest.raises(KeyError):
-            catalog.joinable_count("ghost")
 
 
 class TestCorpusStatsRobustness:
@@ -96,7 +127,7 @@ class TestCorpusStatsRobustness:
             catalog.corpus_stats()
 
     def test_corrupt_object_heals_with_live_table(self, tmp_path, corpus, reference):
-        catalog = build(tmp_path, corpus)
+        catalog = build(tmp_path / "cat", corpus)
         victim = catalog.store.list_objects()[0]
         with open(catalog.store._object_path(victim), "w") as handle:
             handle.write("garbage")
@@ -106,25 +137,32 @@ class TestCorpusStatsRobustness:
         loaded = Catalog.load(str(tmp_path / "cat"))
         assert loaded.corpus_stats() == reference
 
-    def test_pre_v2_objects_without_sizes_warn(self, tmp_path, corpus):
-        # PR-1 era objects carry no size estimate: the store-only report
-        # must say so instead of silently printing a too-small size.
-        import warnings
+    @staticmethod
+    def strip_sizes(store):
+        for fingerprint in store.list_objects():
+            meta, entries = store.read_object(fingerprint)
+            del meta["size_bytes"]
+            store.write_object(fingerprint, meta, entries, overwrite=True)
 
-        catalog = build(tmp_path, corpus)
-        for fingerprint in catalog.store.list_objects():
-            meta, entries = catalog.store.read_object(fingerprint)
-            meta.pop("size_bytes", None)
-            catalog.store.write_object(fingerprint, meta, entries, overwrite=True)
+    def test_meta_without_size_heals_from_live_table(self, tmp_path, corpus, reference):
+        # Every object of this layout is written with its size, so a
+        # meta without one is a corrupt object.
+        catalog = build(tmp_path / "cat", corpus)
+        self.strip_sizes(catalog.store)
+        signed = catalog.computed_columns
+        assert catalog.corpus_stats() == reference
+        assert catalog.computed_columns == 2 * signed
+        assert Catalog.load(str(tmp_path / "cat")).corpus_stats() == reference
+
+    def test_meta_without_size_raises_without_live_table(self, tmp_path, corpus):
+        build(tmp_path / "cat", corpus)
         loaded = Catalog.load(str(tmp_path / "cat"))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            stats = loaded.corpus_stats()
-        assert stats["size_bytes"] == 0
-        assert any("predate size recording" in str(w.message) for w in caught)
+        self.strip_sizes(loaded.store)
+        with pytest.raises(CatalogStoreError, match="missing or corrupt"):
+            loaded.corpus_stats()
 
     def test_missing_object_without_live_table_raises(self, tmp_path, corpus):
-        catalog = build(tmp_path, corpus)
+        build(tmp_path / "cat", corpus)
         loaded = Catalog.load(str(tmp_path / "cat"))
         victim = loaded.store.list_objects()[0]
         loaded.store.delete_object(victim)
@@ -143,18 +181,6 @@ class TestCorpusStatsCli:
         assert main(["corpus-stats", "--catalog", root]) == 0
         from_catalog = capsys.readouterr().out
         assert from_catalog == from_corpus
-
-    def test_catalog_flag_streams_by_default_and_matches(self, tmp_path, capsys):
-        root = str(tmp_path / "cat")
-        assert main(["catalog", "build", root, "--tables", "15",
-                     "--seed", str(SEED)]) == 0
-        capsys.readouterr()
-        assert main(["corpus-stats", "--catalog", root]) == 0
-        streamed = capsys.readouterr().out
-        assert main(["corpus-stats", "--catalog", root,
-                     "--batch-tables", "1000"]) == 0
-        one_batch = capsys.readouterr().out
-        assert streamed == one_batch
 
     def test_missing_catalog_errors_cleanly(self, tmp_path, capsys):
         assert main(

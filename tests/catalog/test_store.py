@@ -334,14 +334,16 @@ class TestProfileEviction:
         ticks = iter(range(1, 10_000))
         monkeypatch.setattr(store_module, "_now", lambda: float(next(ticks)))
 
-    def test_budget_enforced_on_write_evicts_lru(self, tmp_path, monkeypatch):
+    def test_eviction_drops_the_least_recently_written(self, tmp_path, monkeypatch):
         self.clock(monkeypatch)
-        store = CatalogStore(str(tmp_path / "cat"), profile_budget_bytes=1)
+        store = CatalogStore(str(tmp_path / "cat"))
         vector = np.arange(64, dtype=float)
         store.write_profiles("a", {"k": vector})  # t=1
-        store.write_profiles("b", {"k": vector})  # t=2 → evicts a, keeps b
+        store.write_profiles("b", {"k": vector})  # t=2
+        assert store.evict_profiles(_group_bytes(store, "b"))[0] == 1
         assert store.list_profile_groups() == ["b"]
-        store.write_profiles("c", {"k": vector})  # t=3 → evicts b, keeps c
+        store.write_profiles("c", {"k": vector})  # t=3
+        assert store.evict_profiles(_group_bytes(store, "c"))[0] == 1
         assert store.list_profile_groups() == ["c"]
 
     def test_reads_refresh_lru_position(self, tmp_path, monkeypatch):
@@ -356,13 +358,13 @@ class TestProfileEviction:
         assert freed > 0
         assert store.list_profile_groups() == ["a"]
 
-    def test_writer_never_evicts_its_own_group(self, tmp_path, monkeypatch):
+    def test_writes_never_evict(self, tmp_path, monkeypatch):
+        # Eviction runs on demand only: a flush keeps every group.
         self.clock(monkeypatch)
-        store = CatalogStore(str(tmp_path / "cat"), profile_budget_bytes=0)
-        store.write_profiles("only", {"k": np.array([1.0])})
-        # Budget 0 can never fit the group, but the just-written group
-        # must survive its own flush.
-        assert store.list_profile_groups() == ["only"]
+        store = CatalogStore(str(tmp_path / "cat"))
+        for group in ("a", "b", "c"):
+            store.write_profiles(group, {"k": np.array([1.0])})
+        assert store.list_profile_groups() == ["a", "b", "c"]
 
     def test_within_budget_evicts_nothing(self, tmp_path, monkeypatch):
         self.clock(monkeypatch)
@@ -412,28 +414,26 @@ class TestProfileEviction:
         assert store.read_profiles("a") == {}
         assert store.read_profiles("d")["k"].tobytes() == vector.tobytes()
 
-    def test_write_budget_keeps_the_newest_groups(self, tmp_path, monkeypatch):
+    def test_budget_keeps_the_newest_groups(self, tmp_path, monkeypatch):
         self.clock(monkeypatch)
         store = CatalogStore(str(tmp_path / "cat"))
         vector = np.arange(64, dtype=float)
-        store.write_profiles("a", {"k": vector})
-        store.profile_budget_bytes = 2 * _group_bytes(store, "a")
-        for group in ("b", "c"):
+        for group in ("a", "b", "c"):
             store.write_profiles(group, {"k": vector})
+        budget = 2 * _group_bytes(store, "a")
+        store.evict_profiles(budget)
         assert store.list_profile_groups() == ["b", "c"]
-        assert store.profile_bytes() <= store.profile_budget_bytes
+        assert store.profile_bytes() <= budget
 
-    def test_keep_protects_named_groups(self, tmp_path, monkeypatch):
+    def test_zero_budget_evicts_even_the_newest_group(self, tmp_path, monkeypatch):
         self.clock(monkeypatch)
         store = CatalogStore(str(tmp_path / "cat"))
         for group in ("a", "b", "c"):
             store.write_profiles(group, {"k": np.arange(8, dtype=float)})
         sizes = {group: _group_bytes(store, group) for group in "abc"}
-        # "a" is the oldest, so plain LRU order would evict it first.
-        evicted, freed = store.evict_profiles(0, keep=frozenset({"a"}))
-        assert (evicted, freed) == (2, sizes["b"] + sizes["c"])
-        assert store.list_profile_groups() == ["a"]
-        assert store.profile_bytes() == sizes["a"]
+        assert store.evict_profiles(0) == (3, sum(sizes.values()))
+        assert store.list_profile_groups() == []
+        assert store.profile_bytes() == 0
 
     def test_stats_and_verify_count_groups(self, store):
         store.write_profiles("a", {"k1": np.ones(3), "k2": np.ones(1), "k3": np.ones(2)})
@@ -464,16 +464,20 @@ class TestBudgetValidation:
     (``evict_profiles(-1)`` dropped 3 of 3 groups); it is refused."""
 
     @pytest.mark.parametrize(
-        "value", [-5, -1, float("nan"), 1.5, True, "10"], ids=repr
+        "value", [-5, 1.5, True, "10"], ids=repr
     )
-    def test_bad_store_budget_rejected(self, tmp_path, value):
-        with pytest.raises(ValueError, match="profile_budget_bytes"):
-            CatalogStore(str(tmp_path / "cat"), profile_budget_bytes=value)
+    def test_bad_eviction_budget_rejected(self, tmp_path, value):
+        store = CatalogStore(str(tmp_path / "cat"))
+        with pytest.raises(ValueError, match="budget_bytes"):
+            store.evict_profiles(value)
 
-    @pytest.mark.parametrize("budget", [0, None])
-    def test_none_and_zero_budgets_allowed(self, tmp_path, budget):
-        store = CatalogStore(str(tmp_path / "cat"), profile_budget_bytes=budget)
-        assert store.profile_budget_bytes == budget
+    def test_zero_budget_allowed(self, tmp_path):
+        store = CatalogStore(str(tmp_path / "cat"))
+        assert store.evict_profiles(0) == (0, 0)
+
+    def test_store_budget_is_not_a_parameter(self, tmp_path):
+        with pytest.raises(TypeError, match="profile_budget_bytes"):
+            CatalogStore(str(tmp_path / "cat"), profile_budget_bytes=1)
 
     @pytest.mark.parametrize("budget", [-1, float("nan"), None], ids=repr)
     def test_bad_eviction_budget_evicts_nothing(self, tmp_path, budget):

@@ -53,23 +53,13 @@ class TestErrorPaths:
         assert "no catalog manifest" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("value", ["0", "-5"])
-    def test_non_positive_batch_tables_rejected(self, capsys, value):
-        # There is no hold-everything pass to select: a batch holds at
-        # least one table.
+    def test_batch_tables_is_refused(self, capsys):
+        # The catalog-backed report is one pass over every stored entry:
+        # there is no batch size to choose.
         with pytest.raises(SystemExit) as excinfo:
-            main(["corpus-stats", "--tables", "5", "--batch-tables", value])
+            main(["corpus-stats", "--tables", "5", "--batch-tables", "64"])
         assert excinfo.value.code == 2
         assert "--batch-tables" in capsys.readouterr().err
-
-    def test_batch_tables_without_catalog_warns(self, capsys):
-        # The in-memory path has no streaming pass — the flag must not
-        # silently pretend memory is bounded.
-        code = main(["corpus-stats", "--tables", "5", "--batch-tables", "64"])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "only applies with --catalog" in captured.err
-        assert "#Tables" in captured.out
 
 
 class TestCommands:

@@ -3,8 +3,9 @@ eager index it replaced (``reference_index.EagerIndex``).
 
 A cold index signs a column only when a query could return it, so the
 two differ in *when* columns are MinHashed — and must not differ in
-anything a caller can see: ``joinable`` / ``joinable_for_entry`` lists
-(refs, containments, order), join paths, candidates, joinable counts,
+anything a caller can see: ``joinable`` lists (refs, containments,
+order), join paths, candidates, the Table-I ``joinable_columns`` set
+(the eager side's computed from its ``joinable_for_entry``),
 signatures, stored entries and the indexed-column count, under any
 interleaving of queries, removals and re-adds.  Corpora mix ``str``,
 ``int``, ``float`` and ``None`` cells, case and whitespace variants,
@@ -89,11 +90,10 @@ def operations(corpus):
         st.one_of(
             st.tuples(st.just("joinable"), table_refs(corpus), st.booleans()),
             st.tuples(st.just("probe"), st.sampled_from(COLUMNS)),
-            st.tuples(st.just("entry"), table_refs(corpus), st.booleans()),
             st.tuples(st.just("remove"), names),
             st.tuples(st.just("add"), names),
             st.tuples(st.just("paths"), st.integers(1, 2), st.integers(1, 4)),
-            st.tuples(st.just("count"), names, st.booleans()),
+            st.tuples(st.just("columns")),
             st.tuples(st.just("signature"), table_refs(corpus)),
         ),
         max_size=12,
@@ -109,9 +109,22 @@ def candidates(index, base, max_hops, max_fanout):
     return [aug.aug_id for aug in augmentations]
 
 
+def eager_joinable_columns(eager):
+    """The Table-I joinable set by the eager index's stored-entry query:
+    every column some column of another table reaches."""
+    found = set()
+    for name in eager.tables:
+        for entry in eager.column_entries(name).values():
+            found.update(ref for ref, _ in eager.joinable_for_entry(entry, name))
+    return found
+
+
 def step(op, lazy, eager, by_name, probe):
     """Apply ``op`` to both indexes; assert they answer alike."""
     kind = op[0]
+    if kind == "columns":
+        assert lazy.joinable_columns() == eager_joinable_columns(eager)
+        return
     if kind == "probe":
         if op[1] in probe.column_names:
             assert lazy.joinable(probe, op[1]) == eager.joinable(probe, op[1])
@@ -141,18 +154,6 @@ def step(op, lazy, eager, by_name, probe):
         assert lazy.joinable(table, column, exclude) == eager.joinable(
             table, column, exclude
         )
-    elif kind == "entry":
-        (_, column), exclude = op[1], op[2]
-        # The eager index's entry: querying with it leaves the lazy
-        # index's own columns unsigned, so narrowing is what is tested.
-        entry = eager.column_entries(name)[column]
-        exclude = name if exclude else None
-        assert lazy.joinable_for_entry(entry, exclude) == eager.joinable_for_entry(
-            entry, exclude
-        )
-    elif kind == "count":
-        target = name if op[2] else by_name[name]
-        assert lazy.joinable_count(target) == eager.joinable_count(target)
     elif kind == "signature":
         ref = next(r for r in eager._entries if (r.table, r.column) == op[1])
         assert np.array_equal(lazy.signature_of(ref), eager.signature_of(ref))
@@ -174,6 +175,17 @@ class TestLazyMatchesEager:
         # Whatever stayed unsigned, every entry reads back identical.
         for name in eager.tables:
             assert lazy.column_entries(name) == eager.column_entries(name)
+        assert not lazy._unsigned
+
+    @settings(max_examples=100, deadline=None)
+    @given(setup=setups())
+    def test_cold_joinable_columns(self, setup):
+        """Table I's shape: build, then the joinable pass signs every
+        column and counts what the eager index counts."""
+        corpus, _probe, config = setup
+        lazy = DiscoveryIndex(**config).build(corpus)
+        eager = EagerIndex(**config).build(corpus)
+        assert lazy.joinable_columns() == eager_joinable_columns(eager)
         assert not lazy._unsigned
 
     @settings(max_examples=100, deadline=None)

@@ -78,8 +78,13 @@ class TestDiscoveryIndex:
         empty = Table("e", {"k": [None, None]})
         assert index.joinable(empty, "k") == []
 
-    def test_joinable_count_positive(self, corpus, index):
-        assert index.joinable_count(corpus["houses"]) >= 1
+    def test_joinable_columns_cross_tables(self, index):
+        found = {str(ref) for ref in index.joinable_columns()}
+        assert {
+            "crime.zipcode", "crime_city.zipcode",
+            "crime_city.city", "weather.city_name",
+        } <= found  # fmt: skip
+        assert not any(ref.startswith("penguins.") for ref in found)
 
     def test_num_indexed_columns(self, index):
         assert index.num_indexed_columns == 8  # crime(2) + crime_city(2) + weather(2) + penguins(2)

@@ -71,7 +71,7 @@ CASES = {
     "engine-sleep-under-catalog-lock": Mutation(
         "blocking-under-lock",
         ENGINE,
-        "return self.catalog.corpus_stats(batch_tables=batch_tables)",
+        "return self.catalog.corpus_stats()",
         ("time.sleep(0.1)",),
     ),
     "engine-tempfile-under-lock": Mutation(

@@ -2,10 +2,11 @@
 that once carried knobs no caller set.
 
 ``hash_version`` (a second, seeded tabulation hash family),
-``metrics=False`` (a no-op registry), ``tracing``/``Tracer(enabled=)``
-and ``DiscoveryEngine(searchers=, tasks=, scenarios=, profile_registry=)``
-were deleted because nothing outside the tests ever set them.  A
-parameter added to, or dropped from, one of these signatures fails here,
+``metrics=False`` (a no-op registry), ``tracing``/``Tracer(enabled=)``,
+``DiscoveryEngine(searchers=, tasks=, scenarios=, profile_registry=)``
+and ``CatalogStore(profile_budget_bytes=)`` (write-time profile
+eviction) were deleted because nothing outside the tests ever set them.
+A parameter added to, or dropped from, one of these signatures fails here,
 so an option comes back only on purpose, with this census updated.
 """
 
@@ -15,7 +16,7 @@ import pytest
 
 from repro import kernels
 from repro.api import DiscoveryEngine
-from repro.catalog import Catalog
+from repro.catalog import Catalog, CatalogStore
 from repro.discovery import MinHasher
 from repro.discovery.index import DiscoveryIndex
 from repro.obs import MetricsRegistry, Tracer
@@ -40,6 +41,7 @@ CENSUS = {
         Catalog,
         ["store", "num_perm", "bands", "min_containment", "max_distinct", "seed"],
     ),
+    "CatalogStore": (CatalogStore, ["root", "clock_skew", "lease_ttl", "backend"]),
     "MinHasher": (MinHasher, ["num_perm", "seed"]),
     "MetricsRegistry": (MetricsRegistry, ["max_series_per_metric"]),
     "Tracer": (Tracer, []),
@@ -65,6 +67,7 @@ def test_parameter_names_are_pinned(name):
         (DiscoveryEngine, "profile_registry"),
         (DiscoveryIndex, "hash_version"),
         (Catalog, "hash_version"),
+        (CatalogStore, "profile_budget_bytes"),
         (MinHasher, "hash_version"),
         (Tracer, "enabled"),
     ],
