@@ -400,14 +400,8 @@ class DiscoveryEngine:
 
     def shutdown(self) -> None:
         """A no-op: the engine serves on its callers' threads and holds
-        nothing to release.  Kept so ``with DiscoveryEngine(...)`` and
-        existing ``shutdown()`` calls keep working."""
-
-    def __enter__(self) -> "DiscoveryEngine":
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
+        nothing to release.  Kept so existing ``shutdown()`` calls keep
+        working."""
 
     @property
     def corpus(self) -> dict:

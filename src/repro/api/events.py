@@ -51,14 +51,6 @@ class RunEvent:
 
     kind = "event"
 
-    def to_record(self) -> dict:
-        """JSON-serializable form: ``kind`` plus the event's fields
-        (the wire schema; see :func:`repro.api.wire.event_to_wire`)."""
-        from repro.api import wire
-
-        return wire.event_to_wire(self)
-
-
 @dataclass(frozen=True)
 class RunStarted(RunEvent):
     """The engine accepted the request and began serving it."""
@@ -129,7 +121,7 @@ class RunCompleted(RunEvent):
 
 
 #: Concrete event classes by their ``kind`` tag (the inverse of
-#: :meth:`RunEvent.to_record`'s discriminator).
+#: :func:`repro.api.wire.event_to_wire`'s discriminator).
 EVENT_TYPES = {
     cls.kind: cls
     for cls in (

@@ -56,12 +56,6 @@ class Registry:
         #: factory that has since been replaced).
         self.mutations = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(sorted(self._entries))
-
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 

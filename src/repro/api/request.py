@@ -5,10 +5,10 @@ take as loose function arguments — the input dataset, the task, the
 searcher, the candidate-generation knobs — into one declarative object
 the :class:`~repro.api.engine.DiscoveryEngine` can serve, record, and
 replay.  Requests are cheap to construct and JSON-describable
-(:meth:`DiscoveryRequest.to_wire`, schema in :mod:`repro.api.wire`), so
-a serving layer can log every information need it answered — and
-:meth:`DiscoveryRequest.from_wire` rebuilds one from a wire payload
-against a served corpus.
+(:func:`repro.api.wire.request_to_wire`), so a serving layer can log
+every information need it answered — and
+:func:`repro.api.wire.request_from_wire` rebuilds one from a wire
+payload against a served corpus.
 """
 
 from __future__ import annotations
@@ -118,26 +118,6 @@ class DiscoveryRequest:
         if isinstance(self.task, str):
             return self.task
         return getattr(self.task, "name", type(self.task).__name__)
-
-    def to_wire(self) -> dict:
-        """JSON-serializable description of this request (the versioned
-        wire schema; see :func:`repro.api.wire.request_to_wire`).
-
-        Tables and task objects are described, not embedded — a record
-        identifies what was asked, it does not re-ship the data.
-        """
-        from repro.api import wire
-
-        return wire.request_to_wire(self)
-
-    @classmethod
-    def from_wire(cls, payload: dict, corpus: dict) -> "DiscoveryRequest":
-        """Build a request from a wire payload served over ``corpus``
-        (see :func:`repro.api.wire.request_from_wire`; raises
-        :class:`~repro.api.errors.InvalidRequest` on bad payloads)."""
-        from repro.api import wire
-
-        return wire.request_from_wire(payload, corpus)
 
     def cache_descriptor(self) -> str | None:
         """Canonical description of everything (besides engine state)

@@ -7,7 +7,6 @@ serializes the whole thing to a JSON-safe record for archival.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.api.request import DiscoveryRequest
@@ -90,35 +89,9 @@ class DiscoveryRun:
         """Events of one kind, in emission order."""
         return [e for e in self.events if e.kind == kind]
 
-    def summary(self) -> str:
-        if self.result is not None:
-            return f"run {self.run_id} [{self.status}] {self.result.summary()}"
-        return f"run {self.run_id} [{self.status}] no result"
-
     def to_record(self) -> dict:
         """JSON-serializable record of the full run (the wire schema;
         see :func:`repro.api.wire.run_to_wire`)."""
         from repro.api import wire
 
         return wire.run_to_wire(self)
-
-    def save(self, path: str) -> None:
-        """Write the run record as JSON."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_record(), handle, indent=2)
-
-    @classmethod
-    def from_record(
-        cls, record: dict, request: DiscoveryRequest, run_id: int
-    ) -> "DiscoveryRun":
-        """Rebuild a run from its :meth:`to_record` form.
-
-        The record describes (not embeds) the original request, so the
-        caller supplies the live ``request`` it matched against the
-        record's key — exactly like an in-memory replay, which also
-        pairs the recorded outcome with the fresh request object.
-        Raises ``ValueError``/``KeyError`` on malformed records.
-        """
-        from repro.api import wire
-
-        return wire.run_from_wire(record, request, run_id)

@@ -250,7 +250,7 @@ def _dataclass_from_wire(cls, payload: Any, field_name: str):
 # ---------------------------------------------------------------------------
 def event_to_wire(event) -> dict:
     """JSON-safe form of one run event: ``kind`` plus the event's
-    fields (what ``RunEvent.to_record`` returns).  Events are flat
+    fields.  Events are flat
     frozen dataclasses of scalars, so their instance dict is exactly
     their fields (``asdict`` would deep-copy every scalar)."""
     return {"kind": event.kind, **vars(event)}

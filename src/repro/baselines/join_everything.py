@@ -16,9 +16,6 @@ class JoinEverythingSearcher(RankingSearcher):
 
     name = "join_everything"
 
-    def rank(self) -> list:  # pragma: no cover - not used by run()
-        return [c.aug_id for c in self.candidates]
-
     def run(self) -> SearchResult:
         base_utility = self.engine.base_utility()
         all_ids = frozenset(c.aug_id for c in self.candidates)

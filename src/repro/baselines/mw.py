@@ -38,9 +38,6 @@ class MultiplicativeWeightsSearcher(RankingSearcher):
             for position, i in enumerate(orders[:, p]):
                 self._rank_score[p, i] = 1.0 - position / max(1, n - 1)
 
-    def rank(self) -> list:  # pragma: no cover - MW is adaptive, not static
-        return [c.aug_id for c in self.candidates]
-
     def run(self) -> SearchResult:
         rng = ensure_rng(self.seed)
         n_experts = self._profiles.shape[1]

@@ -164,11 +164,6 @@ class Catalog:
         return self._index.config
 
     @property
-    def tables(self) -> dict:
-        """Cataloged tables by name."""
-        return self._index.tables
-
-    @property
     def fingerprints(self) -> dict:
         """Current name → fingerprint map."""
         return dict(self._fingerprints)
@@ -178,9 +173,6 @@ class Catalog:
         """Table names removed since the last save — a save now would
         shrink the persisted catalog by exactly these."""
         return frozenset(self._removed_since_save)
-
-    def __contains__(self, table_name: str) -> bool:
-        return table_name in self._fingerprints
 
     def __len__(self) -> int:
         return len(self._fingerprints)

@@ -200,9 +200,6 @@ class BinaryCodec:
             raise CatalogStoreError("garbled binary object: meta is not a dict")
         return meta
 
-    def decode_meta(self, blob: bytes) -> dict:
-        return self._meta(self._header(blob))
-
     def decode(self, blob: bytes, columns=None):
         """``(meta, {column: ColumnEntry})``.
 
@@ -278,4 +275,3 @@ class BinaryCodec:
                 f"binary object has no column(s) {sorted(wanted - entries.keys())!r}"
             )
         return meta, entries
-

@@ -576,12 +576,6 @@ class CatalogStore:
             fingerprint, lambda blob: CODEC.decode(blob, columns)
         )
 
-    def read_object_meta(self, fingerprint: str) -> dict:
-        """Just the ``meta`` dict of one object — only the uncompressed
-        header is parsed, so Table-I style reports over large catalogs
-        never materialize the value sets."""
-        return self._read_decoded(fingerprint, CODEC.decode_meta)
-
     def delete_object(self, fingerprint: str) -> None:
         """Delete one object: remove its file under the shard lock, so a
         concurrent :meth:`write_object` in the shard lands either before
@@ -1008,5 +1002,3 @@ class CatalogStore:
             "disk_bytes": self.backend.disk_bytes(),
             "config": manifest["config"],
         }
-
-

@@ -77,11 +77,6 @@ def _error(message: str) -> None:
     _log.error(message)
 
 
-def _warn(message: str) -> None:
-    _ensure_default_handler()
-    _log.warning(message)
-
-
 def _int_in(low: int, high=None):
     """argparse type for an integer in ``[low, high]`` (no upper bound
     when ``high`` is None)."""
@@ -630,7 +625,8 @@ def _cmd_serve(args) -> int:
         for signum, handler in previous.items():
             signal.signal(signum, handler)
     if not clean:
-        _warn(f"drain timed out after {args.drain_timeout}s")
+        _ensure_default_handler()
+        _log.warning(f"drain timed out after {args.drain_timeout}s")
     print("drained" if clean else "drain timed out", flush=True)
     return 0 if clean else 1
 

@@ -23,11 +23,10 @@ from repro.core.homogeneity import check_cluster_homogeneity
 from repro.core.result import SearchResult
 from repro.core.metam import Metam
 from repro.core.plotting import render_traces
-from repro.core.serialization import load_results, save_results
+from repro.core.serialization import save_results
 
 __all__ = [
     "render_traces",
-    "load_results",
     "save_results",
     "MetamConfig",
     "QueryEngine",

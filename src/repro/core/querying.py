@@ -78,19 +78,10 @@ class QueryEngine:
         self._best = 0.0
 
     # ------------------------------------------------------------------
-    @property
-    def candidate_ids(self) -> list:
-        return list(self._by_id)
-
     def candidate(self, aug_id: str):
         if aug_id not in self._by_id:
             raise KeyError(f"unknown augmentation {aug_id!r}")
         return self._by_id[aug_id]
-
-    def remaining_budget(self):
-        if self.budget is None:
-            return None
-        return max(0, self.budget - self.queries)
 
     # ------------------------------------------------------------------
     def _build_table(self, aug_ids: frozenset) -> Table:

@@ -44,13 +44,6 @@ def save_results(results: dict, path: str) -> None:
         json.dump(payload, handle, indent=2)
 
 
-def load_results(path: str) -> dict:
-    """Read back a file written by :func:`save_results`."""
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return {name: result_from_dict(p) for name, p in payload.items()}
-
-
 def _jsonable(value):
     """Coerce numpy scalars/arrays inside extras into JSON-safe types."""
     if isinstance(value, dict):

@@ -38,11 +38,6 @@ class Scenario:
     key_columns: tuple
     extras: dict = field(default_factory=dict)
 
-    @property
-    def n_candidates_hint(self) -> int:
-        """Rough candidate count: non-key columns across the repository."""
-        return sum(t.num_columns - 1 for t in self.corpus.values())
-
 
 def _standardize(values: np.ndarray) -> np.ndarray:
     std = values.std()

@@ -8,28 +8,14 @@ object every other subsystem (profiles, discovery, tasks, METAM) consumes.
 
 from repro.dataframe.table import Table
 from repro.dataframe.types import ColumnType, infer_column_type, to_float_array
-from repro.dataframe.ops import left_join, inner_join, union_tables, concat_columns
-from repro.dataframe.io import read_csv, write_csv
-from repro.dataframe.noise import (
-    drop_headers,
-    inject_missing_values,
-    duplicate_rows,
-    shuffle_column,
-)
+from repro.dataframe.noise import drop_headers, inject_missing_values, duplicate_rows
 
 __all__ = [
     "Table",
     "ColumnType",
     "infer_column_type",
     "to_float_array",
-    "left_join",
-    "inner_join",
-    "union_tables",
-    "concat_columns",
-    "read_csv",
-    "write_csv",
     "drop_headers",
     "inject_missing_values",
     "duplicate_rows",
-    "shuffle_column",
 ]

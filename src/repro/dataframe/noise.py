@@ -50,13 +50,3 @@ def duplicate_rows(table: Table, fraction: float, seed=None) -> Table:
     picks = [int(i) for i in rng.integers(0, table.num_rows, size=n_dup)]
     indices = list(range(table.num_rows)) + picks
     return table.select_rows(indices)
-
-
-def shuffle_column(table: Table, column: str, seed=None) -> Table:
-    """Randomly permute one column — used to build *erroneous* candidates
-    whose join key no longer corresponds to the row content."""
-    rng = ensure_rng(seed)
-    cells = list(table.column(column))
-    perm = rng.permutation(len(cells))
-    shuffled = [cells[int(i)] for i in perm]
-    return table.with_column(column, shuffled)

@@ -156,104 +156,3 @@ def join_gather(right: Table, key_column: str, bring_column: str, keys) -> tuple
         map(first.get, keys, repeat(len(cells) - 1)), np.intp, len(keys)
     )
     return cells[rows].tolist(), int(np.count_nonzero(matched[rows]))
-
-
-def left_join(
-    left: Table,
-    right: Table,
-    left_on: str,
-    right_on: str,
-    columns=None,
-    suffix: str = "",
-    name=None,
-) -> Table:
-    """Left-join ``right`` onto ``left``; unmatched rows get missing cells.
-
-    ``columns`` restricts which right-side columns are brought over
-    (default: all except the join key).  Name clashes are resolved with
-    ``suffix`` or, if empty, a ``<right.name>.`` prefix.
-    """
-    left_keys = join_keys(left, left_on)
-    bring = [c for c in (columns or right.column_names) if c != right_on]
-    out_cols = {c: list(left.column(c)) for c in left.column_names}
-
-    for col in bring:
-        cells, _matched = join_gather(right, right_on, col, left_keys)
-        out_name = col
-        if out_name in out_cols:
-            out_name = f"{col}{suffix}" if suffix else f"{right.name}.{col}"
-        while out_name in out_cols:
-            out_name += "_"
-        out_cols[out_name] = cells
-
-    return Table(name or left.name, out_cols, source=left.source)
-
-
-def inner_join(
-    left: Table,
-    right: Table,
-    left_on: str,
-    right_on: str,
-    name=None,
-) -> Table:
-    """Inner join keeping the first right match per left row."""
-    first = _first_rows(right, right_on)
-    left_idx = []
-    right_idx = []
-    for i, k in enumerate(join_keys(left, left_on)):
-        row = first.get(k)
-        if row is not None:
-            left_idx.append(i)
-            right_idx.append(row)
-
-    out_cols = {
-        c: [left.column(c)[i] for i in left_idx] for c in left.column_names
-    }
-    for col in right.column_names:
-        if col == right_on:
-            continue
-        out_name = col if col not in out_cols else f"{right.name}.{col}"
-        while out_name in out_cols:
-            out_name += "_"
-        out_cols[out_name] = [right.column(col)[i] for i in right_idx]
-    return Table(name or f"{left.name}⋈{right.name}", out_cols, source=left.source)
-
-
-def join_overlap(left: Table, right: Table, left_on: str, right_on: str) -> int:
-    """Number of left rows that find at least one right match (cardinality
-    of the augmented dataset — the paper's *dataset overlap* profile)."""
-    return sum(map(_first_rows(right, right_on).__contains__, join_keys(left, left_on)))
-
-
-def union_tables(top: Table, bottom: Table, name=None) -> Table:
-    """Union (row addition) of two tables over their shared columns.
-
-    Columns present in only one table are kept and padded with missing
-    cells, mirroring the open-data union-search setting of [15].
-    """
-    all_cols = list(top.column_names)
-    for c in bottom.column_names:
-        if c not in all_cols:
-            all_cols.append(c)
-    cols = {}
-    for c in all_cols:
-        upper = list(top.column(c)) if c in top else [None] * top.num_rows
-        lower = list(bottom.column(c)) if c in bottom else [None] * bottom.num_rows
-        cols[c] = upper + lower
-    return Table(name or f"{top.name}∪{bottom.name}", cols, source=top.source)
-
-
-def concat_columns(base: Table, extra: Table, name=None) -> Table:
-    """Column-wise concatenation of two row-aligned tables."""
-    if base.num_rows != extra.num_rows:
-        raise ValueError(
-            f"row mismatch: {base.num_rows} vs {extra.num_rows} "
-            f"({base.name!r}, {extra.name!r})"
-        )
-    cols = {c: list(base.column(c)) for c in base.column_names}
-    for c in extra.column_names:
-        out = c
-        while out in cols:
-            out = f"{extra.name}.{out}"
-        cols[out] = list(extra.column(c))
-    return Table(name or base.name, cols, source=base.source)

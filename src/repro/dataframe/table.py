@@ -80,9 +80,6 @@ class Table:
         """Schema order list of column names."""
         return list(self._columns.keys())
 
-    def __len__(self) -> int:
-        return self._n_rows
-
     def __contains__(self, column: str) -> bool:
         return column in self._columns
 
@@ -116,10 +113,6 @@ class Table:
             self._type_cache[name] = infer_column_type(self.column(name))
         return self._type_cache[name]
 
-    def numeric_columns(self) -> list:
-        """Names of all columns inferred as numeric."""
-        return [c for c in self._columns if self.column_type(c) == ColumnType.NUMERIC]
-
     def _frozen(self, key, convert, name: str) -> np.ndarray:
         def build():
             arr = convert(self.column(name))
@@ -151,15 +144,6 @@ class Table:
         if not columns:
             return np.empty((self._n_rows, 0), dtype=float)
         return np.column_stack([self.encoded(c) for c in columns])
-
-    def row(self, index: int) -> dict:
-        """Row ``index`` as a column-name → cell dict."""
-        return {c: cells[index] for c, cells in self._columns.items()}
-
-    def iter_rows(self):
-        """Iterate rows as dicts (for small tables / IO only)."""
-        for i in range(self._n_rows):
-            yield self.row(i)
 
     def distinct_values(self, name: str) -> set:
         """Distinct non-missing values of a column, as strings.
@@ -204,13 +188,6 @@ class Table:
             total += int(round(sampled * len(cells) / len(sample)))
         return total
 
-    def missing_fraction(self, name: str) -> float:
-        """Fraction of missing cells in a column."""
-        cells = self.column(name)
-        if not cells:
-            return 0.0
-        return (len(cells) - kernels.count_non_missing(cells)) / len(cells)
-
     # ------------------------------------------------------------------
     # Schema / row transformations (all return new tables)
     # ------------------------------------------------------------------
@@ -222,31 +199,14 @@ class Table:
             source=self.source,
         )
 
-    def project(self, columns, name=None) -> "Table":
-        """Keep only ``columns``, in the given order."""
-        missing = [c for c in columns if c not in self._columns]
-        if missing:
-            raise KeyError(f"columns {missing!r} not in table {self.name!r}")
-        return Table(
-            name or self.name,
-            {c: list(self._columns[c]) for c in columns},
-            source=self.source,
-        )
-
     def drop_columns(self, columns, name=None) -> "Table":
         """Remove ``columns`` from the schema."""
         drop = set(columns)
-        keep = [c for c in self.column_names if c not in drop]
-        return self.project(keep, name=name)
-
-    def rename_column(self, old: str, new: str) -> "Table":
-        """Rename one column, preserving order."""
-        if old not in self._columns:
-            raise KeyError(f"no column {old!r} in table {self.name!r}")
-        cols = {}
-        for c, cells in self._columns.items():
-            cols[new if c == old else c] = list(cells)
-        return Table(self.name, cols, source=self.source)
+        return Table(
+            name or self.name,
+            {c: list(cells) for c, cells in self._columns.items() if c not in drop},
+            source=self.source,
+        )
 
     def with_column(self, name: str, cells, table_name=None) -> "Table":
         """Append (or replace) a column and return the new table."""
@@ -266,42 +226,9 @@ class Table:
             source=self.source,
         )
 
-    def head(self, n: int = 5) -> "Table":
-        """First ``n`` rows."""
-        return self.select_rows(range(min(n, self._n_rows)))
-
-    def sample_rows(self, n: int, rng) -> "Table":
-        """Uniform row sample without replacement (all rows if n >= len)."""
-        if n >= self._n_rows:
-            return self.copy()
-        indices = rng.choice(self._n_rows, size=n, replace=False)
-        return self.select_rows(sorted(int(i) for i in indices))
-
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
-    @classmethod
-    def from_rows(cls, name: str, column_names, rows, source: str = "") -> "Table":
-        """Build a table from a list of row tuples/lists."""
-        column_names = list(column_names)
-        if len(set(column_names)) != len(column_names):
-            raise ValueError(f"duplicate column names in {column_names!r}")
-        columns = {c: [] for c in column_names}
-        for row in rows:
-            if len(row) != len(column_names):
-                raise ValueError(
-                    f"row has {len(row)} cells, expected {len(column_names)}"
-                )
-            for c, v in zip(column_names, row, strict=True):
-                columns[c].append(v)
-        return cls(name, columns, source=source)
-
-    @classmethod
-    def empty(cls, name: str, source: str = "") -> "Table":
-        """A table with no rows and no columns."""
-        return cls(name, {}, source=source)
-
-
 def normalize_corpus(corpus) -> dict:
     """``{name: Table}`` from a dict or iterable of Tables.
 

@@ -7,11 +7,11 @@ one :class:`Augmentation` per projected column (Definition 4).  Union
 search ([15] substitute) provides row-addition candidates for Fig. 4b.
 """
 
-from repro.discovery.minhash import MinHasher, jaccard
+from repro.discovery.minhash import MinHasher
 from repro.discovery.lsh import LshIndex
 from repro.discovery.index import DiscoveryIndex, ColumnRef
 from repro.discovery.join_path import JoinStep, JoinPath, Augmentation, UnionAugmentation
-from repro.discovery.join_graph import build_join_graph, enumerate_join_paths
+from repro.discovery.join_graph import enumerate_join_paths
 from repro.discovery.candidates import (
     Candidate,
     generate_candidates,
@@ -22,7 +22,6 @@ from repro.discovery.unions import find_union_candidates
 
 __all__ = [
     "MinHasher",
-    "jaccard",
     "LshIndex",
     "DiscoveryIndex",
     "ColumnRef",
@@ -30,7 +29,6 @@ __all__ = [
     "JoinPath",
     "Augmentation",
     "UnionAugmentation",
-    "build_join_graph",
     "enumerate_join_paths",
     "Candidate",
     "generate_candidates",

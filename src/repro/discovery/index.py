@@ -38,6 +38,7 @@ import hashlib
 import itertools
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,27 +49,14 @@ from repro.discovery.minhash import MinHasher
 from repro.utils.validation import check_fraction, check_positive_int
 
 
-@dataclass(frozen=True)
-class ColumnRef:
+class ColumnRef(NamedTuple):
     """A (table, column) pair in the repository.
 
-    Refs key every LSH bucket a column lands in (one per band), so the
-    hash is computed once, at construction — the value the dataclass
-    would compute on every insert."""
+    Refs key every LSH bucket a column lands in (one per band); as a
+    tuple, a ref hashes in C, to ``hash((table, column))``."""
 
     table: str
     column: str
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.table, self.column)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # String hashes are per process: rebuild, never copy, the hash.
-        return ColumnRef, (self.table, self.column)
 
     def __str__(self) -> str:
         return f"{self.table}.{self.column}"

@@ -1,29 +1,10 @@
-"""Join graph construction and join-path enumeration (networkx-backed)."""
+"""Join-path enumeration: breadth-first over the index's joinable columns."""
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.dataframe.table import Table
-from repro.discovery.index import ColumnRef, DiscoveryIndex
+from repro.discovery.index import DiscoveryIndex
 from repro.discovery.join_path import JoinPath, JoinStep
-
-
-def build_join_graph(index: DiscoveryIndex) -> nx.Graph:
-    """Undirected graph over repository columns; edges = joinable pairs.
-
-    Nodes are :class:`ColumnRef`; edge weight is verified containment.
-    """
-    graph = nx.Graph()
-    tables = index.tables
-    for name, table in tables.items():
-        for column in table.column_names:
-            graph.add_node(ColumnRef(name, column))
-    for name, table in tables.items():
-        for column in table.column_names:
-            for ref, score in index.joinable(table, column, exclude_table=name):
-                graph.add_edge(ColumnRef(name, column), ref, weight=score)
-    return graph
 
 
 def enumerate_join_paths(

@@ -200,9 +200,6 @@ class UnionAugmentation:
             return cells[: base.num_rows]
         return cells + [None] * (base.num_rows - len(cells))
 
-    def overlap_fraction(self, base: Table, corpus: dict) -> float:
-        return self.shared_fraction
-
     def apply(self, table: Table, base: Table, corpus: dict) -> Table:
         """Append the candidate's rows over the current table's columns."""
         other = corpus[self.table_name]

@@ -10,13 +10,6 @@ from repro.utils.rng import ensure_rng
 _MERSENNE = kernels.MERSENNE
 
 
-def jaccard(a: set, b: set) -> float:
-    """Exact Jaccard similarity of two sets."""
-    if not a and not b:
-        return 0.0
-    return len(a & b) / len(a | b)
-
-
 class MinHasher:
     """k-permutation MinHash over string sets.
 
@@ -61,12 +54,3 @@ class MinHasher:
         return kernels.minhash_many(
             [self._hashes(values) for values in value_sets], self._a, self._b
         )
-
-    @staticmethod
-    def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
-        """Estimated Jaccard = fraction of matching signature slots."""
-        if sig_a.shape != sig_b.shape:
-            raise ValueError(
-                f"signature shape mismatch: {sig_a.shape} vs {sig_b.shape}"
-            )
-        return float(np.mean(sig_a == sig_b))

@@ -30,7 +30,6 @@ from repro.kernels.minhash import (
     minhash_many,
 )
 from repro.kernels.sets import (
-    count_non_missing,
     distinct_strings,
     float_domain,
     float_probe,
@@ -56,7 +55,6 @@ __all__ = [
     "to_float_array",
     "type_census",
     # sets
-    "count_non_missing",
     "distinct_strings",
     "float_domain",
     "float_probe",

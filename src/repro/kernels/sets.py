@@ -1,5 +1,4 @@
-"""Set-shaped kernels: distinct values, float domains, missing counts,
-normalization.
+"""Set-shaped kernels: distinct values, float domains, normalization.
 
 Containment is not a kernel: the discovery index and the catalog's
 corpus statistics both count ``len(query & candidate.normalized)`` over
@@ -11,10 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels import reference
-from repro.kernels.coerce import is_missing, type_census
+from repro.kernels.coerce import type_census
 
 __all__ = [
-    "count_non_missing",
     "distinct_strings",
     "float_domain",
     "float_probe",
@@ -90,11 +88,6 @@ def float_probe(strings) -> np.ndarray:
         if number == number and repr(number) == value:
             found.append(number)
     return np.unique(np.array(found, dtype=np.float64).view(np.int64))
-
-
-def count_non_missing(values) -> int:
-    """Number of non-missing cells."""
-    return sum(1 for v in values if not is_missing(v))
 
 
 def normalize_strings(values) -> set:

@@ -2,8 +2,9 @@
 
 Implements the models the paper's tasks rely on: CART decision trees,
 random forests (classifier and regressor), linear models, Gaussian naive
-Bayes, k-NN, k-means, the usual metrics, preprocessing, model selection,
-and a small AutoML searcher standing in for TPOT/autosklearn/PyCaret.
+Bayes, k-NN, k-means, the metrics and preprocessing the tasks use, a
+holdout split, and a small AutoML searcher standing in for
+TPOT/autosklearn/PyCaret.
 """
 
 from repro.ml.metrics import (
@@ -11,17 +12,13 @@ from repro.ml.metrics import (
     precision_recall_f1,
     f1_score,
     mean_absolute_error,
-    root_mean_squared_error,
-    r2_score,
-    confusion_matrix,
 )
 from repro.ml.preprocessing import (
     LabelEncoder,
-    StandardScaler,
     Imputer,
     prepare_features,
 )
-from repro.ml.model_selection import train_test_split, kfold_indices, cross_val_score
+from repro.ml.model_selection import train_test_split
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.linear import RidgeRegression, LogisticRegression
@@ -35,16 +32,10 @@ __all__ = [
     "precision_recall_f1",
     "f1_score",
     "mean_absolute_error",
-    "root_mean_squared_error",
-    "r2_score",
-    "confusion_matrix",
     "LabelEncoder",
-    "StandardScaler",
     "Imputer",
     "prepare_features",
     "train_test_split",
-    "kfold_indices",
-    "cross_val_score",
     "DecisionTreeClassifier",
     "DecisionTreeRegressor",
     "RandomForestClassifier",

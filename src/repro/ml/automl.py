@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
+from repro.ml.forest import RandomForestClassifier
 from repro.ml.knn import KNeighborsClassifier
-from repro.ml.linear import LogisticRegression, RidgeRegression
-from repro.ml.metrics import accuracy, mean_absolute_error
+from repro.ml.linear import LogisticRegression
+from repro.ml.metrics import accuracy
 from repro.ml.model_selection import train_test_split
 from repro.ml.naive_bayes import GaussianNB
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
-from repro.utils.validation import check_in_choices
+from repro.ml.tree import DecisionTreeClassifier
 
 
 def _classifier_space(seed):
@@ -31,31 +30,17 @@ def _classifier_space(seed):
     ]
 
 
-def _regressor_space(seed):
-    return [
-        ("rf_small", lambda: RandomForestRegressor(n_estimators=5, max_depth=6, seed=seed)),
-        ("rf_deep", lambda: RandomForestRegressor(n_estimators=8, max_depth=10, seed=seed)),
-        ("tree", lambda: DecisionTreeRegressor(max_depth=8, seed=seed)),
-        ("ridge", lambda: RidgeRegression(alpha=1.0)),
-        ("ridge_strong", lambda: RidgeRegression(alpha=10.0)),
-    ]
-
-
 class MiniAutoML:
-    """Search over model families and return the best holdout score.
+    """Search over classifier families and keep the one with the best
+    holdout accuracy.
 
     Parameters
     ----------
-    mode:
-        ``"classification"`` (maximize accuracy) or ``"regression"``
-        (minimize MAE — reported as the raw MAE; tasks convert to utility).
     budget:
         Number of candidate pipelines to evaluate (in listed order).
     """
 
-    def __init__(self, mode: str = "classification", budget: int = 6, seed=0):
-        check_in_choices(mode, "mode", {"classification", "regression"})
-        self.mode = mode
+    def __init__(self, budget: int = 6, seed=0):
         self.budget = max(1, budget)
         self.seed = seed
         self.best_model_ = None
@@ -68,27 +53,16 @@ class MiniAutoML:
         x_tr, x_te, y_tr, y_te = train_test_split(
             x, y, test_fraction=0.3, seed=self.seed
         )
-        if self.mode == "classification":
-            space = _classifier_space(self.seed)
-            better = lambda a, b: a > b
-            evaluate = lambda m: accuracy(y_te, m.predict(x_te))
-            worst = -np.inf
-        else:
-            space = _regressor_space(self.seed)
-            better = lambda a, b: a < b
-            evaluate = lambda m: mean_absolute_error(y_te, m.predict(x_te))
-            worst = np.inf
-
-        self.best_score_ = worst
-        for name, factory in space[: self.budget]:
+        self.best_score_ = -np.inf
+        for name, factory in _classifier_space(self.seed)[: self.budget]:
             model = factory()
             try:
                 model.fit(x_tr, y_tr)
             except ValueError:
                 # E.g. logistic regression on >2 classes; skip that family.
                 continue
-            score = evaluate(model)
-            if better(score, self.best_score_):
+            score = accuracy(y_te, model.predict(x_te))
+            if score > self.best_score_:
                 self.best_score_ = score
                 self.best_model_ = model
                 self.best_name_ = name

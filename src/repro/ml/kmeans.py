@@ -78,23 +78,3 @@ class KMeans:
         self.labels_ = labels
         dists = np.stack([np.sum((x - c) ** 2, axis=1) for c in centers])
         self.inertia_ = float(np.sum(np.min(dists, axis=0)))
-
-    def predict(self, x) -> np.ndarray:
-        if self.centers_ is None:
-            raise RuntimeError("predict called before fit")
-        x = np.asarray(x, dtype=float)
-        dists = np.stack([np.sum((x - c) ** 2, axis=1) for c in self.centers_])
-        return np.argmin(dists, axis=0)
-
-    def max_cluster_radius(self, x) -> float:
-        """Largest distance from a point to its assigned center — the
-        clustering task's quality measure (inverted into a utility)."""
-        x = np.asarray(x, dtype=float)
-        labels = self.predict(x)
-        radius = 0.0
-        for i in range(self.n_clusters):
-            members = x[labels == i]
-            if len(members):
-                d = np.sqrt(np.max(np.sum((members - self.centers_[i]) ** 2, axis=1)))
-                radius = max(radius, float(d))
-        return radius

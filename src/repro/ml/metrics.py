@@ -21,18 +21,6 @@ def accuracy(y_true, y_pred) -> float:
     return float(np.mean(y_true == y_pred))
 
 
-def confusion_matrix(y_true, y_pred, labels=None) -> np.ndarray:
-    """Counts matrix with rows = true label, columns = predicted label."""
-    y_true, y_pred = _as_arrays(y_true, y_pred)
-    if labels is None:
-        labels = np.unique(np.concatenate([y_true, y_pred]))
-    index = {lab: i for i, lab in enumerate(labels)}
-    out = np.zeros((len(labels), len(labels)), dtype=int)
-    for t, p in zip(y_true, y_pred, strict=True):
-        out[index[t], index[p]] += 1
-    return out
-
-
 def precision_recall_f1(y_true, y_pred, positive=1):
     """Binary precision/recall/F1 treating ``positive`` as the positive class."""
     y_true, y_pred = _as_arrays(y_true, y_pred)
@@ -62,20 +50,3 @@ def mean_absolute_error(y_true, y_pred) -> float:
     """Mean |error|."""
     y_true, y_pred = _as_arrays(y_true, y_pred)
     return float(np.mean(np.abs(y_true.astype(float) - y_pred.astype(float))))
-
-
-def root_mean_squared_error(y_true, y_pred) -> float:
-    """sqrt(mean squared error)."""
-    y_true, y_pred = _as_arrays(y_true, y_pred)
-    return float(np.sqrt(np.mean((y_true.astype(float) - y_pred.astype(float)) ** 2)))
-
-
-def r2_score(y_true, y_pred) -> float:
-    """Coefficient of determination; 0.0 when the target is constant."""
-    y_true, y_pred = _as_arrays(y_true, y_pred)
-    y_true = y_true.astype(float)
-    ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 0.0
-    ss_res = float(np.sum((y_true - y_pred.astype(float)) ** 2))
-    return 1.0 - ss_res / ss_tot

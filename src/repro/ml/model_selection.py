@@ -46,31 +46,3 @@ def group_train_test_split(x, y, groups, test_fraction: float = 0.3, seed=None):
     if test_mask.all() or not test_mask.any():
         raise ValueError("group split produced an empty train or test set")
     return x[~test_mask], x[test_mask], y[~test_mask], y[test_mask]
-
-
-def kfold_indices(n: int, k: int, seed=None):
-    """Yield (train_indices, test_indices) for k roughly equal folds."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if n < k:
-        raise ValueError(f"cannot split {n} samples into {k} folds")
-    rng = ensure_rng(seed)
-    perm = rng.permutation(n)
-    folds = np.array_split(perm, k)
-    for i in range(k):
-        test_idx = folds[i]
-        train_idx = np.concatenate([folds[j] for j in range(k) if j != i])
-        yield train_idx, test_idx
-
-
-def cross_val_score(model_factory, x, y, metric, k: int = 3, seed=None):
-    """Mean metric over k folds; ``model_factory()`` returns a fresh model
-    exposing ``fit(x, y)`` and ``predict(x)``."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    scores = []
-    for train_idx, test_idx in kfold_indices(len(x), k, seed=seed):
-        model = model_factory()
-        model.fit(x[train_idx], y[train_idx])
-        scores.append(metric(y[test_idx], model.predict(x[test_idx])))
-    return float(np.mean(scores))

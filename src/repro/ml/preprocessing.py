@@ -27,9 +27,6 @@ class LabelEncoder:
     def fit_transform(self, labels) -> np.ndarray:
         return self.fit(labels).transform(labels)
 
-    def inverse_transform(self, codes):
-        return [self.classes_[int(c)] for c in codes]
-
 
 class Imputer:
     """Replace NaN by the column mean (numeric) computed at fit time.
@@ -59,29 +56,6 @@ class Imputer:
             col = matrix[:, j]
             col[np.isnan(col)] = self.fill_values_[j]
         return matrix
-
-    def fit_transform(self, matrix: np.ndarray) -> np.ndarray:
-        return self.fit(matrix).transform(matrix)
-
-
-class StandardScaler:
-    """Zero-mean unit-variance scaling; constant columns stay constant."""
-
-    def __init__(self):
-        self.mean_ = None
-        self.scale_ = None
-
-    def fit(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=float)
-        self.mean_ = matrix.mean(axis=0)
-        std = matrix.std(axis=0)
-        self.scale_ = np.where(std == 0.0, 1.0, std)
-        return self
-
-    def transform(self, matrix: np.ndarray) -> np.ndarray:
-        if self.mean_ is None:
-            raise RuntimeError("StandardScaler.transform called before fit")
-        return (np.asarray(matrix, dtype=float) - self.mean_) / self.scale_
 
     def fit_transform(self, matrix: np.ndarray) -> np.ndarray:
         return self.fit(matrix).transform(matrix)

@@ -111,18 +111,6 @@ class _BaseDecisionTree:
         self._n_features = None
 
     # -- subclass hooks -------------------------------------------------
-    def _prepare_target(self, y, rows):
-        """Per-fit form of the target, indexed like ``y``."""
-        raise NotImplementedError
-
-    def _node_stats(self, target, idx, need_impurity):
-        """``(prediction, impurity or None, payload for _child_impurity)``."""
-        raise NotImplementedError
-
-    def _child_impurity(self, payload, order, positions, n_left, n):
-        """Weighted child impurity per candidate position."""
-        raise NotImplementedError
-
     # -- fitting ---------------------------------------------------------
     def fit(self, x, y):
         x, y = check_xy(x, y, self._target_dtype)

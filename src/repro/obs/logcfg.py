@@ -94,13 +94,6 @@ class StructuredLogger:
     def error(self, msg, **fields):
         self._log(logging.ERROR, msg, fields)
 
-    def exception(self, msg, **fields):
-        self._log(logging.ERROR, msg, fields, exc_info=True)
-
-    def isEnabledFor(self, level) -> bool:
-        return self._logger.isEnabledFor(level)
-
-
 def get_logger(name: str) -> StructuredLogger:
     """The structured logger for a module (``get_logger(__name__)``)."""
     if not name.startswith(ROOT_LOGGER):

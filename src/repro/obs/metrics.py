@@ -129,11 +129,6 @@ class Histogram:
             self._count += 1
 
     @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
     def sum(self) -> float:
         with self._lock:
             return self._sum
@@ -228,10 +223,6 @@ class MetricFamily:
     def observe(self, value: float) -> None:
         self.labels().observe(value)
 
-    @property
-    def value(self) -> float:
-        return self.labels().value
-
     def quantile(self, q: float) -> float:
         return self.labels().quantile(q)
 
@@ -303,10 +294,6 @@ class MetricsRegistry:
     def get(self, name) -> Optional[MetricFamily]:
         with self._lock:
             return self._families.get(name)
-
-    def names(self) -> list:
-        with self._lock:
-            return sorted(self._families)
 
     def value(self, name, **labels) -> float:
         """Current value of one counter/gauge series (0.0 when the

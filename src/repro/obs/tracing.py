@@ -49,13 +49,6 @@ class Span:
         self.end: Optional[float] = None
         self.dropped = 0
 
-    @property
-    def duration(self) -> float:
-        """Seconds spent in the span (up to now if still open)."""
-        return (self.end if self.end is not None else time.perf_counter()) - (
-            self.start
-        )
-
     def child(self, name: str, attrs: Optional[dict] = None) -> Optional[Span]:
         """Attach a child span, or ``None`` when the cap is reached."""
         if len(self.children) >= MAX_CHILDREN:

@@ -98,10 +98,6 @@ class ProfileContext:
             lambda: source(column)[self.sample_indices()],
         )
 
-    def sampled_base_numeric(self, column: str) -> np.ndarray:
-        """A numeric base column over the same profiling sample."""
-        return self._sampled_base("numeric", column)
-
     def sampled_base_encoded(self, column: str) -> np.ndarray:
         """Any base column over the sample, encoded to floats.
 

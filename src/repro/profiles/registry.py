@@ -60,13 +60,6 @@ class ProfileRegistry:
         self._profiles.append(profile)
         return self
 
-    def remove(self, name: str) -> "ProfileRegistry":
-        before = len(self._profiles)
-        self._profiles = [p for p in self._profiles if p.name != name]
-        if len(self._profiles) == before:
-            raise KeyError(f"no profile named {name!r}")
-        return self
-
     def subset(self, names) -> "ProfileRegistry":
         """New registry with only ``names``, in the given order."""
         by_name = {p.name: p for p in self._profiles}

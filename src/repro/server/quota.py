@@ -70,12 +70,6 @@ class TokenBucket:
                 return False, float("inf")
             return False, deficit / self.rate
 
-    @property
-    def tokens(self) -> float:
-        """Current token balance (refill not applied; diagnostic only)."""
-        with self._lock:
-            return self._tokens
-
 
 class TenantQuotas:
     """Lazy per-tenant :class:`TokenBucket` map with shared settings.
@@ -107,7 +101,3 @@ class TenantQuotas:
                 bucket = TokenBucket(self.rate, self.burst, self._clock)
                 self._buckets[tenant] = bucket
         return bucket.try_acquire(n)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._buckets)

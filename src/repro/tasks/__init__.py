@@ -12,7 +12,7 @@ from repro.tasks.automl_task import AutoMLTask
 from repro.tasks.entity_linking import EntityLinkingTask, KnowledgeBase
 from repro.tasks.clustering_task import ClusteringTask
 from repro.tasks.fairness import FairClassificationTask
-from repro.tasks.causal import WhatIfTask, HowToTask, CausalGraph, pc_skeleton
+from repro.tasks.causal import WhatIfTask, HowToTask
 
 __all__ = [
     "Task",
@@ -26,6 +26,4 @@ __all__ = [
     "FairClassificationTask",
     "WhatIfTask",
     "HowToTask",
-    "CausalGraph",
-    "pc_skeleton",
 ]

@@ -48,8 +48,6 @@ class AutoMLTask(Task):
         x_tr, x_te, y_tr, y_te = train_test_split(
             x, y, test_fraction=self.test_fraction, seed=self.seed
         )
-        automl = MiniAutoML(
-            mode="classification", budget=self.budget, seed=self.seed
-        )
+        automl = MiniAutoML(budget=self.budget, seed=self.seed)
         automl.fit(x_tr, y_tr)
         return self._clip(accuracy(y_te, automl.predict(x_te)))

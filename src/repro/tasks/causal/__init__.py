@@ -1,19 +1,16 @@
 """Prescriptive-analytics tasks: causal discovery, what-if, how-to.
 
-PC-lite (Fisher-z partial correlation CI tests) replaces causal-learn;
-the synthetic corpus plants a known DAG so ground truth is checkable.
+Fisher-z partial-correlation CI tests replace causal-learn; the
+synthetic corpus plants a known DAG so ground truth is checkable.
 """
 
-from repro.tasks.causal.graph import CausalGraph
 from repro.tasks.causal.citest import fisher_z_independence
-from repro.tasks.causal.discovery import pc_skeleton, dependent_columns
+from repro.tasks.causal.discovery import dependent_columns
 from repro.tasks.causal.whatif import WhatIfTask
 from repro.tasks.causal.howto import HowToTask
 
 __all__ = [
-    "CausalGraph",
     "fisher_z_independence",
-    "pc_skeleton",
     "dependent_columns",
     "WhatIfTask",
     "HowToTask",

@@ -1,9 +1,8 @@
-"""PC-lite causal structure discovery (causal-learn substitute).
+"""Causal dependence screening (causal-learn substitute).
 
-``pc_skeleton`` recovers the undirected adjacency structure with
-order-≤ ``max_cond`` conditional-independence tests; ``dependent_columns``
-is the lighter primitive the what-if/how-to tasks use — which columns stay
-dependent on a pivot variable after conditioning attempts.
+``dependent_columns`` is the primitive the what-if/how-to tasks use:
+which columns stay dependent on a pivot variable after conditioning
+attempts with order-≤ ``max_cond`` Fisher-z independence tests.
 """
 
 from __future__ import annotations
@@ -13,37 +12,6 @@ from itertools import combinations
 import numpy as np
 
 from repro.tasks.causal.citest import fisher_z_independence
-
-
-def pc_skeleton(
-    data: np.ndarray,
-    alpha: float = 0.05,
-    max_cond: int = 1,
-) -> set:
-    """Undirected skeleton as a set of frozenset({i, j}) edges.
-
-    Starts from the complete graph and removes an edge as soon as any
-    conditioning set (up to ``max_cond`` neighbours) renders the pair
-    independent — the standard PC pruning loop.
-    """
-    n_vars = data.shape[1]
-    edges = {frozenset((i, j)) for i, j in combinations(range(n_vars), 2)}
-    for order in range(max_cond + 1):
-        for edge in sorted(edges, key=sorted):
-            i, j = sorted(edge)
-            others = [k for k in range(n_vars) if k not in (i, j)]
-            removed = False
-            for cond in combinations(others, order):
-                independent, _p = fisher_z_independence(
-                    data, i, j, cond=cond, alpha=alpha
-                )
-                if independent:
-                    edges.discard(edge)
-                    removed = True
-                    break
-            if removed:
-                continue
-    return edges
 
 
 def dependent_columns(

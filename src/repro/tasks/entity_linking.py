@@ -35,9 +35,6 @@ class KnowledgeBase:
     def candidates(self, mention: str) -> list:
         return list(self._entities.get(str(mention).strip().lower(), []))
 
-    def __len__(self) -> int:
-        return len(self._entities)
-
 
 class EntityLinkingTask(Task):
     """Link ``mention_column`` cells to knowledge-base entities; utility is

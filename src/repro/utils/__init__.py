@@ -6,7 +6,6 @@ from repro.utils.stats import (
     pearson,
     spearman,
     mutual_information,
-    entropy_discrete,
     fisher_z_pvalue,
     partial_correlation,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "pearson",
     "spearman",
     "mutual_information",
-    "entropy_discrete",
     "fisher_z_pvalue",
     "partial_correlation",
     "tokenize",

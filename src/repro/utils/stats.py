@@ -1,9 +1,9 @@
 """Statistical primitives shared by profiles, tasks and causal inference.
 
-Implemented on numpy/scipy only.  All functions are defensive about
-degenerate inputs (constant columns, tiny samples, NaNs) because profile
-computation runs over noisy open-data-style tables where those cases are
-the norm, not the exception.
+Implemented on numpy and the standard library only.  All functions are
+defensive about degenerate inputs (constant columns, tiny samples, NaNs)
+because profile computation runs over noisy open-data-style tables where
+those cases are the norm, not the exception.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import special
 
 
 def _clean_pair(x, y):
@@ -75,15 +74,6 @@ def spearman(x, y) -> float:
     if x.size < 2:
         return 0.0
     return pearson(_rankdata(x), _rankdata(y))
-
-
-def entropy_discrete(labels) -> float:
-    """Shannon entropy (nats) of a discrete label sequence."""
-    values, counts = np.unique(np.asarray(labels), return_counts=True)
-    if counts.size <= 1:
-        return 0.0
-    p = counts / counts.sum()
-    return float(-np.sum(p * np.log(p)))
 
 
 def mutual_information(x, y, bins: int = 8, x_bins_cache: dict = None) -> float:
@@ -202,4 +192,4 @@ def fisher_z_pvalue(r: float, n: int, n_cond: int = 0) -> float:
 
 
 def _std_normal_cdf(z: float) -> float:
-    return 0.5 * (1.0 + float(special.erf(z / math.sqrt(2.0))))
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))

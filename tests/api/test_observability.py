@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.api import DiscoveryEngine, DiscoveryRequest
+from repro.api.wire import run_from_wire
 from repro.catalog import Catalog, CatalogStore
 from repro.core.config import MetamConfig
 from repro.core.serialization import result_to_dict
@@ -89,12 +90,10 @@ class TestTraces:
         assert "query" in kinds and "round" in kinds
 
     def test_trace_round_trips_through_run_record(self, scenario):
-        from repro.api.run import DiscoveryRun
-
         engine = DiscoveryEngine(corpus=scenario.corpus)
         run = engine.discover(request_for(scenario))
         record = json.loads(json.dumps(run.to_record()))
-        rebuilt = DiscoveryRun.from_record(record, run.request, run_id=99)
+        rebuilt = run_from_wire(record, run.request, run_id=99)
         assert rebuilt.trace == run.trace
         assert rebuilt.cache_info == run.cache_info
 
@@ -271,11 +270,9 @@ class TestRecordCacheInfo:
         assert warm.to_record()["caches"] == warm.cache_info
 
     def test_from_record_defaults_empty_caches(self, scenario):
-        from repro.api.run import DiscoveryRun
-
         engine = DiscoveryEngine(corpus=scenario.corpus)
         run = engine.discover(request_for(scenario))
         record = run.to_record()
         del record["caches"]  # a pre-PR-6 archived record
-        rebuilt = DiscoveryRun.from_record(record, run.request, run_id=1)
+        rebuilt = run_from_wire(record, run.request, run_id=1)
         assert rebuilt.cache_info == {}

@@ -10,7 +10,7 @@ from repro.api.events import (
 )
 from repro.api.run import DiscoveryRun
 from repro.api.request import DiscoveryRequest
-from repro.api.wire import event_from_wire
+from repro.api.wire import event_from_wire, event_to_wire, run_from_wire
 from repro.core.result import SearchResult
 from repro.dataframe.table import Table
 
@@ -26,7 +26,7 @@ def sample_events():
 class TestEventRoundTrip:
     def test_every_kind_round_trips(self):
         for event in sample_events():
-            assert event_from_wire(event.to_record()) == event
+            assert event_from_wire(event_to_wire(event)) == event
 
     def test_kind_registry_is_complete(self):
         assert set(EVENT_TYPES) == {
@@ -78,7 +78,7 @@ class TestRunRecordRoundTrip:
             base=Table("b", {"c": ["x"]}), task="clustering"
         )
         run = sample_run(request)
-        rebuilt = DiscoveryRun.from_record(run.to_record(), request, run_id=9)
+        rebuilt = run_from_wire(run.to_record(), request, run_id=9)
         assert rebuilt.run_id == 9
         assert rebuilt.status == "completed"
         assert rebuilt.result.selected == run.result.selected
@@ -95,7 +95,7 @@ class TestRunRecordRoundTrip:
         run = sample_run(request)
         run.status = "cancelled"
         run.result = None
-        rebuilt = DiscoveryRun.from_record(run.to_record(), request, run_id=1)
+        rebuilt = run_from_wire(run.to_record(), request, run_id=1)
         assert rebuilt.cancelled
         assert rebuilt.result is None
 
@@ -104,4 +104,4 @@ class TestRunRecordRoundTrip:
             base=Table("b", {"c": ["x"]}), task="clustering"
         )
         with pytest.raises((KeyError, ValueError, TypeError)):
-            DiscoveryRun.from_record({"events": [{"kind": "??"}]}, request, 1)
+            run_from_wire({"events": [{"kind": "??"}]}, request, 1)

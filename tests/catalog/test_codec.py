@@ -105,13 +105,6 @@ class TestRoundTripProperties:
         decoded_meta, decoded = codec.decode(blob)
         assert codec.encode(decoded_meta, decoded) == blob
 
-    @settings(max_examples=30, deadline=None)
-    @given(meta=_metas(), entries=_entries())
-    def test_meta_only_read_matches_full_decode(self, meta, entries):
-        codec = CODEC
-        blob = codec.encode(meta, entries)
-        assert codec.decode_meta(blob) == codec.decode(blob)[0]
-
     def test_seeded_random_loop_round_trip(self):
         # Deterministic non-hypothesis sweep, so round-trip coverage
         # survives environments without hypothesis installed.

@@ -301,18 +301,6 @@ class TestObjectHealing:
             store.read_object("fp")
 
 
-class TestReadObjectMeta:
-    def test_meta_matches_full_read(self, store):
-        meta = {"name": "t", "num_rows": 3, "size_bytes": 99}
-        store.write_object("fp", meta, {"c": make_entry({"a"})})
-        assert store.read_object_meta("fp") == meta
-        assert store.read_object("fp")[0] == meta
-
-    def test_missing_raises_keyerror(self, store):
-        with pytest.raises(KeyError):
-            store.read_object_meta("nope")
-
-
 class TestLegacyLayoutReadThrough:
     def test_stray_json_in_objects_root_is_ignored(self, store):
         # Satellite fix: a non-object *.json planted in the objects root

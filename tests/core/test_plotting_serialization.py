@@ -4,12 +4,9 @@ import pytest
 
 from repro.core.plotting import render_traces
 from repro.core.result import SearchResult
-from repro.core.serialization import (
-    load_results,
-    result_from_dict,
-    result_to_dict,
-    save_results,
-)
+import json
+
+from repro.core.serialization import result_from_dict, result_to_dict, save_results
 
 
 def make_result(name="metam", utility=0.8, trace=None):
@@ -41,7 +38,8 @@ class TestSerialization:
         path = str(tmp_path / "results.json")
         results = {"metam": make_result(), "mw": make_result("mw", 0.6)}
         save_results(results, path)
-        back = load_results(path)
+        with open(path, encoding="utf-8") as handle:
+            back = {k: result_from_dict(v) for k, v in json.load(handle).items()}
         assert set(back) == {"metam", "mw"}
         assert back["mw"].utility == 0.6
 
@@ -52,7 +50,8 @@ class TestSerialization:
         result.extras["weights"] = np.array([0.5, 0.5])
         path = str(tmp_path / "r.json")
         save_results({"m": result}, path)
-        assert load_results(path)["m"].extras["weights"] == [0.5, 0.5]
+        with open(path, encoding="utf-8") as handle:
+            assert json.load(handle)["m"]["extras"]["weights"] == [0.5, 0.5]
 
 
 class TestPlotting:

@@ -71,12 +71,6 @@ class TestQueryEngine:
         with pytest.raises(QueryBudgetExhausted):
             engine.utility({"aug2"})
 
-    def test_remaining_budget(self):
-        engine = make_engine({}, budget=3)
-        engine.utility({"aug0"})
-        assert engine.remaining_budget() == 2
-        assert make_engine({}).remaining_budget() is None
-
     def test_trace_best_so_far(self):
         engine = make_engine({("aug0",): 0.9, ("aug1",): 0.3})
         engine.utility({"aug1"})

@@ -1,44 +1,9 @@
-"""Tests for CSV IO and Definition-1 noise models."""
+"""Tests for the Definition-1 noise models."""
 
 import pytest
 
-from repro.dataframe import (
-    Table,
-    read_csv,
-    write_csv,
-    drop_headers,
-    inject_missing_values,
-    duplicate_rows,
-    shuffle_column,
-)
-
-
-class TestCsv:
-    def test_round_trip(self, tmp_path):
-        t = Table("t", {"a": [1, None, 3], "b": ["x", "y", ""]})
-        path = tmp_path / "t.csv"
-        write_csv(t, str(path))
-        back = read_csv(str(path))
-        assert back.num_rows == 3
-        assert back.column("a") == ["1", None, "3"]
-        # Empty string round-trips to missing.
-        assert back.column("b")[2] is None
-
-    def test_name_from_filename(self, tmp_path):
-        path = tmp_path / "crime_stats.csv"
-        write_csv(Table("x", {"a": [1]}), str(path))
-        assert read_csv(str(path)).name == "crime_stats"
-
-    def test_short_rows_padded(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text("a,b\n1\n2,3\n")
-        t = read_csv(str(path))
-        assert t.column("b") == [None, "3"]
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        assert read_csv(str(path)).num_rows == 0
+from repro.dataframe import Table, drop_headers, duplicate_rows, inject_missing_values
+from repro.dataframe.types import is_missing
 
 
 class TestNoise:
@@ -58,11 +23,11 @@ class TestNoise:
 
     def test_inject_missing_fraction(self, table):
         noisy = inject_missing_values(table, 0.25, seed=0)
-        assert noisy.missing_fraction("a") == 0.25
+        assert sum(map(is_missing, noisy.column("a"))) == 5
 
     def test_inject_missing_zero(self, table):
         noisy = inject_missing_values(table, 0.0, seed=0)
-        assert noisy.missing_fraction("a") == 0.0
+        assert not any(map(is_missing, noisy.column("a")))
 
     def test_duplicate_rows_appends(self, table):
         noisy = duplicate_rows(table, 0.5, seed=0)
@@ -71,15 +36,6 @@ class TestNoise:
     def test_duplicate_rows_values_from_original(self, table):
         noisy = duplicate_rows(table, 0.5, seed=0)
         assert set(noisy.column("a")) <= set(range(20))
-
-    def test_shuffle_column_permutes(self, table):
-        noisy = shuffle_column(table, "a", seed=1)
-        assert sorted(noisy.column("a")) == list(range(20))
-        assert noisy.column("b") == list(range(20))
-
-    def test_shuffle_breaks_alignment(self, table):
-        noisy = shuffle_column(table, "a", seed=1)
-        assert noisy.column("a") != list(range(20))
 
     def test_noise_is_deterministic(self, table):
         a = inject_missing_values(table, 0.3, seed=7)

@@ -1,9 +1,15 @@
-"""Tests for relational operations: joins, unions, concatenation."""
+"""Tests for the join kernel: ``join_gather`` over normalized join keys."""
 
 import pytest
 
-from repro.dataframe import Table, left_join, inner_join, union_tables, concat_columns
-from repro.dataframe.ops import join_overlap
+from repro.dataframe import Table
+from repro.dataframe.ops import join_gather, join_keys
+
+
+def gather(left, right, left_on, right_on, bring):
+    """The ``bring`` cell of ``right`` for each row of ``left``, and the
+    number of those cells that are non-missing."""
+    return join_gather(right, right_on, bring, join_keys(left, left_on))
 
 
 @pytest.fixture
@@ -22,109 +28,41 @@ def crime():
     )
 
 
-class TestLeftJoin:
+class TestJoinGather:
     def test_basic_alignment(self, houses, crime):
-        joined = left_join(houses, crime, "zip", "zipcode")
-        assert joined.num_rows == 4
-        assert joined.column("crimes")[0] == 5.0
+        cells, _ = gather(houses, crime, "zip", "zipcode", "crimes")
+        assert len(cells) == 4
+        assert cells[0] == 5.0
 
     def test_one_to_many_numeric_mean(self, houses, crime):
-        joined = left_join(houses, crime, "zip", "zipcode")
-        assert joined.column("crimes")[1] == 8.0  # mean(7, 9)
+        cells, _ = gather(houses, crime, "zip", "zipcode", "crimes")
+        assert cells[1] == 8.0  # mean(7, 9)
 
     def test_unmatched_rows_missing(self, houses, crime):
-        joined = left_join(houses, crime, "zip", "zipcode")
-        assert joined.column("crimes")[2] is None
-        assert joined.column("crimes")[3] is None
+        cells, _ = gather(houses, crime, "zip", "zipcode", "crimes")
+        assert cells[2] is None and cells[3] is None
 
-    def test_join_key_not_duplicated(self, houses, crime):
-        joined = left_join(houses, crime, "zip", "zipcode")
-        assert "zipcode" not in joined
-
-    def test_column_restriction(self, houses):
-        right = Table("r", {"zipcode": ["1"], "a": [1], "b": [2]})
-        joined = left_join(houses, right, "zip", "zipcode", columns=["a"])
-        assert "a" in joined
-        assert "b" not in joined
-
-    def test_name_clash_gets_prefix(self, houses):
-        right = Table("stats", {"zipcode": ["1"], "price": [99]})
-        joined = left_join(houses, right, "zip", "zipcode")
-        assert "stats.price" in joined
-        assert joined.column("price") == [10, 20, 30, 40]
+    def test_matched_counts_non_missing_cells(self, houses, crime):
+        assert gather(houses, crime, "zip", "zipcode", "crimes")[1] == 2
+        other = Table("o", {"zipcode": ["99"], "v": [1.0]})
+        assert gather(houses, other, "zip", "zipcode", "v")[1] == 0
 
     def test_numeric_string_keys_match_ints(self):
         left = Table("l", {"k": [1, 2]})
         right = Table("r", {"k": ["1", "2"], "v": ["a", "b"]})
-        joined = left_join(left, right, "k", "k")
-        assert joined.column("v") == ["a", "b"]
+        assert gather(left, right, "k", "k", "v")[0] == ["a", "b"]
 
     def test_float_integral_keys_match(self):
         left = Table("l", {"k": [1.0, 2.0]})
         right = Table("r", {"k": ["1", "2"], "v": ["a", "b"]})
-        assert left_join(left, right, "k", "k").column("v") == ["a", "b"]
+        assert gather(left, right, "k", "k", "v")[0] == ["a", "b"]
 
     def test_missing_keys_never_match(self):
         left = Table("l", {"k": [None, "1"]})
         right = Table("r", {"k": [None, "1"], "v": ["x", "y"]})
-        joined = left_join(left, right, "k", "k")
-        assert joined.column("v") == [None, "y"]
+        assert gather(left, right, "k", "k", "v")[0] == [None, "y"]
 
     def test_categorical_many_takes_first(self):
         left = Table("l", {"k": ["1"]})
         right = Table("r", {"k": ["1", "1"], "v": ["first", "second"]})
-        assert left_join(left, right, "k", "k").column("v") == ["first"]
-
-
-class TestInnerJoin:
-    def test_drops_unmatched(self, houses, crime):
-        joined = inner_join(houses, crime, "zip", "zipcode")
-        assert joined.num_rows == 2
-        assert joined.column("zip") == ["1", "2"]
-
-    def test_first_match_semantics(self, houses, crime):
-        joined = inner_join(houses, crime, "zip", "zipcode")
-        assert joined.column("crimes") == [5.0, 7.0]
-
-
-class TestOverlap:
-    def test_join_overlap_counts_matching_rows(self, houses, crime):
-        assert join_overlap(houses, crime, "zip", "zipcode") == 2
-
-    def test_join_overlap_zero(self, houses):
-        other = Table("o", {"zipcode": ["99"]})
-        assert join_overlap(houses, other, "zip", "zipcode") == 0
-
-
-class TestUnion:
-    def test_shared_columns_stacked(self):
-        a = Table("a", {"x": [1, 2], "y": [3, 4]})
-        b = Table("b", {"x": [5], "y": [6]})
-        u = union_tables(a, b)
-        assert u.num_rows == 3
-        assert u.column("x") == [1, 2, 5]
-
-    def test_disjoint_columns_padded(self):
-        a = Table("a", {"x": [1]})
-        b = Table("b", {"y": [2]})
-        u = union_tables(a, b)
-        assert u.column("x") == [1, None]
-        assert u.column("y") == [None, 2]
-
-
-class TestConcatColumns:
-    def test_basic(self):
-        a = Table("a", {"x": [1, 2]})
-        b = Table("b", {"y": [3, 4]})
-        c = concat_columns(a, b)
-        assert c.column_names == ["x", "y"]
-
-    def test_clash_prefixed(self):
-        a = Table("a", {"x": [1]})
-        b = Table("b", {"x": [2]})
-        c = concat_columns(a, b)
-        assert c.column("b.x") == [2]
-
-    def test_row_mismatch_raises(self):
-        with pytest.raises(ValueError, match="row mismatch"):
-            concat_columns(Table("a", {"x": [1]}), Table("b", {"y": [1, 2]}))
+        assert gather(left, right, "k", "k", "v")[0] == ["first"]

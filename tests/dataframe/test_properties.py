@@ -4,9 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataframe import Table, left_join, union_tables
-from repro.dataframe.ops import join_overlap
+from repro.dataframe import Table
 from repro.dataframe.types import infer_column_type, to_float_array
+from repro.discovery import Augmentation, JoinPath, JoinStep, UnionAugmentation
 
 cells = st.one_of(
     st.none(),
@@ -27,13 +27,14 @@ def tables(draw, max_rows=8, max_cols=4):
     return Table("t", columns)
 
 
-class TestTableProperties:
-    @given(tables())
-    @settings(max_examples=50, deadline=None)
-    def test_project_preserves_rows(self, table):
-        projected = table.project(table.column_names[:1])
-        assert projected.num_rows == table.num_rows
+def join_augmentation(left, right):
+    """Join ``right`` (as corpus table ``r``) on both tables' first
+    columns and bring its last column."""
+    step = JoinStep(left.column_names[0], "r", right.column_names[0])
+    return Augmentation(JoinPath((step,)), right.column_names[-1])
 
+
+class TestTableProperties:
     @given(tables())
     @settings(max_examples=50, deadline=None)
     def test_copy_equals_original(self, table):
@@ -52,52 +53,39 @@ class TestTableProperties:
         encoded = table.encoded(column)
         assert np.all(np.isfinite(encoded) | np.isnan(encoded))
 
-    @given(tables(), st.integers(0, 10))
+    @given(tables(), st.lists(st.integers(0, 7), max_size=10))
     @settings(max_examples=50, deadline=None)
-    def test_head_bounded(self, table, n):
-        assert table.head(n).num_rows == min(n, table.num_rows)
+    def test_select_rows_keeps_the_indexed_rows(self, table, picks):
+        picks = [i for i in picks if i < table.num_rows]
+        selected = table.select_rows(picks)
+        assert selected.num_rows == len(picks)
+        for column in table.column_names:
+            assert selected.column(column) == [table.column(column)[i] for i in picks]
 
 
 class TestJoinProperties:
-    @given(tables(), tables())
-    @settings(max_examples=40, deadline=None)
-    def test_left_join_preserves_left_rows(self, left, right):
-        joined = left_join(left, right, left.column_names[0], right.column_names[0])
-        assert joined.num_rows == left.num_rows
+    """A join augmentation keeps the input's rows (Definition 4)."""
 
     @given(tables(), tables())
     @settings(max_examples=40, deadline=None)
-    def test_overlap_bounded_by_left_rows(self, left, right):
-        overlap = join_overlap(
-            left, right, left.column_names[0], right.column_names[0]
-        )
-        assert 0 <= overlap <= left.num_rows
+    def test_join_preserves_left_rows(self, left, right):
+        aug = join_augmentation(left, right)
+        assert len(aug.materialize(left, {"r": right})) == left.num_rows
+        assert aug.apply(left, left, {"r": right}).num_rows == left.num_rows
 
-    @given(tables())
+    @given(tables(), tables())
     @settings(max_examples=40, deadline=None)
-    def test_self_join_overlap_counts_non_missing(self, table):
-        key = table.column_names[0]
-        overlap = join_overlap(table, table, key, key)
-        non_missing = sum(
-            1 for v in table.column(key)
-            if v is not None and str(v).strip() != ""
-        )
-        assert overlap == non_missing
+    def test_overlap_is_a_fraction(self, left, right):
+        assert 0.0 <= join_augmentation(left, right).overlap_fraction(left, {"r": right}) <= 1.0
 
 
 class TestUnionProperties:
     @given(tables(), tables())
     @settings(max_examples=40, deadline=None)
     def test_union_row_count_additive(self, top, bottom):
-        unioned = union_tables(top, bottom)
+        unioned = UnionAugmentation("r", 1.0).apply(top, top, {"r": bottom})
         assert unioned.num_rows == top.num_rows + bottom.num_rows
-
-    @given(tables(), tables())
-    @settings(max_examples=40, deadline=None)
-    def test_union_schema_superset(self, top, bottom):
-        unioned = union_tables(top, bottom)
-        assert set(top.column_names) <= set(unioned.column_names)
-        assert set(bottom.column_names) <= set(unioned.column_names)
+        assert unioned.column_names == top.column_names
 
 
 class TestTypeInference:

@@ -2,8 +2,8 @@
 and the joins built on it): the per-row loops it replaced, kept verbatim
 below this paragraph apart from taking their missing-value and type rules
 from ``repro.kernels.reference`` directly.  ``test_join_diff.py`` holds
-``Augmentation.materialize``, ``materialize_candidates`` overlaps and
-``left_join`` to it bit for bit; nothing in ``src/`` imports it.
+``Augmentation.materialize`` and ``materialize_candidates`` overlaps to it
+bit for bit; nothing in ``src/`` imports it.
 
 A left join with a one-to-many match aggregates the right side per key
 (mean for numeric columns, first value otherwise), one base row at a time.
@@ -51,41 +51,6 @@ def build_lookup(table: Table, key_column: str) -> dict:
             continue
         lookup.setdefault(k, []).append(i)
     return lookup
-
-
-def left_join(
-    left: Table,
-    right: Table,
-    left_on: str,
-    right_on: str,
-    columns=None,
-    suffix: str = "",
-    name=None,
-) -> Table:
-    """Left-join ``right`` onto ``left``; unmatched rows get missing cells."""
-    lookup = build_lookup(right, right_on)
-    bring = [c for c in (columns or right.column_names) if c != right_on]
-    out_cols = {c: list(left.column(c)) for c in left.column_names}
-
-    for col in bring:
-        cells = right.column(col)
-        numeric = _is_numeric(cells)
-        new_cells = []
-        for cell in left.column(left_on):
-            k = _key(cell)
-            rows = lookup.get(k) if k is not None else None
-            if not rows:
-                new_cells.append(None)
-            else:
-                new_cells.append(_aggregate([cells[i] for i in rows], numeric))
-        out_name = col
-        if out_name in out_cols:
-            out_name = f"{col}{suffix}" if suffix else f"{right.name}.{col}"
-        while out_name in out_cols:
-            out_name += "_"
-        out_cols[out_name] = new_cells
-
-    return Table(name or left.name, out_cols, source=left.source)
 
 
 def materialize(steps, output_column: str, base: Table, corpus: dict) -> list:

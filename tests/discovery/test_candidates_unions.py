@@ -90,7 +90,7 @@ class TestMaterialize:
         path = JoinPath((JoinStep("zip", "crime", "zipcode"),))
         aug = Augmentation(path, "crimes")
         with pytest.raises(ValueError, match="alignment"):
-            aug.apply(base.head(3), base, corpus)
+            aug.apply(base.select_rows(range(3)), base, corpus)
 
     def test_materialize_cached(self, base, corpus):
         path = JoinPath((JoinStep("zip", "crime", "zipcode"),))

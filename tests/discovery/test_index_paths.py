@@ -1,4 +1,4 @@
-"""Tests for the discovery index, join graph, and path enumeration."""
+"""Tests for the discovery index and join-path enumeration."""
 
 import gc
 
@@ -11,7 +11,6 @@ from repro.discovery import (
     DiscoveryIndex,
     JoinPath,
     JoinStep,
-    build_join_graph,
     enumerate_join_paths,
 )
 
@@ -90,16 +89,10 @@ class TestDiscoveryIndex:
         assert index.num_indexed_columns == 8  # crime(2) + crime_city(2) + weather(2) + penguins(2)
 
 
-class TestJoinGraph:
-    def test_graph_has_edge_between_joinable(self, index):
-        graph = build_join_graph(index)
-        a = ColumnRef("crime", "zipcode")
-        b = ColumnRef("crime_city", "zipcode")
-        assert graph.has_edge(a, b)
-
-    def test_all_columns_are_nodes(self, index):
-        graph = build_join_graph(index)
-        assert graph.number_of_nodes() == 8
+class TestJoinableEdges:
+    def test_joinable_columns_of_other_tables_are_found(self, corpus, index):
+        found = [ref for ref, _ in index.joinable(corpus["crime"], "zipcode", exclude_table="crime")]
+        assert ColumnRef("crime_city", "zipcode") in found
 
 
 class TestEnumeratePaths:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataframe import Table, left_join
+from repro.dataframe import Table
 from repro.discovery import Augmentation, JoinPath, JoinStep, materialize_candidates
 from tests.discovery import reference_join
 
@@ -200,18 +200,15 @@ class TestMaterialize:
 
     def test_gathers_share_the_aggregates_floats(self):
         """Every gather hands out the aggregates' own float objects: two
-        bases and a left join through one right table box no float
-        afresh (a re-boxed float per row was measurable peak memory)."""
+        bases joined through one right table box no float afresh (a
+        re-boxed float per row was measurable peak memory)."""
         right = Table("right", {"k": ["a", "b", "b"], "v": [0.5, 1.0, 2.0]})
         steps = (JoinStep("key", "right", "k"),)
         aug = Augmentation(JoinPath(steps), "v")
         first = aug.materialize(Table("b1", {"key": ["a", "b"]}), {"right": right})
         second = aug.materialize(Table("b2", {"key": ["b", "a", "a"]}), {"right": right})
-        joined = left_join(Table("b3", {"key": ["a", "b"]}), right, "key", "k")
         assert first == [0.5, 1.5]
         assert second[0] is first[1] and second[1] is second[2] is first[0]
-        assert joined.column("v")[0] is first[0]
-        assert joined.column("v")[1] is first[1]
 
     def test_float_columns_skip_type_inference(self):
         """A bring column whose cells are all float or None is numeric
@@ -252,39 +249,3 @@ class TestMaterialize:
                 reference_join.materialize(steps, column, base, corpus)
             with pytest.raises(KeyError):
                 Augmentation(JoinPath(steps), column).materialize(base, corpus)
-
-
-class TestLeftJoin:
-    @settings(max_examples=150, deadline=None)
-    @given(
-        left=column_of(KEY_CELLS),
-        right=keyed_tables("right", "k", NUMERIC_CELLS),
-        text=st.data(),
-    )
-    def test_matches_reference(self, left, right, text):
-        # A second, non-numeric bring column, and a name clash with left.
-        labels = text.draw(
-            st.lists(
-                st.sampled_from(TEXT_CELLS),
-                min_size=right.num_rows,
-                max_size=right.num_rows,
-            )
-        )
-        right = right.with_column("label", labels)
-        left = Table("left", {"key": left, "v": list(range(len(left)))})
-        expected = reference_join.left_join(left, right, "key", "k")
-        joined = left_join(left, right, "key", "k")
-        assert joined.column_names == expected.column_names == [
-            "key", "v", "right.v", "label"
-        ]  # fmt: skip
-        for column in expected.column_names:
-            assert bits(joined.column(column)) == bits(expected.column(column))
-
-    def test_missing_columns_raise_key_error(self):
-        left = Table("left", {"key": ["a"]})
-        right = Table("right", {"k": ["a"], "v": [1.0]})
-        for args in (("nope", "k"), ("key", "nope")):
-            with pytest.raises(KeyError):
-                left_join(left, right, *args)
-        with pytest.raises(KeyError):
-            left_join(left, right, "key", "k", columns=["nope"])

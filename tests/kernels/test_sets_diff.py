@@ -182,24 +182,6 @@ class TestFloatDomain:
         assert reference.distinct_strings(cells) == set()
 
 
-class TestCountNonMissing:
-    @settings(max_examples=100, deadline=None)
-    @given(cells=st.lists(mixed_cell, max_size=60))
-    def test_matches_reference(self, cells):
-        vec, ref = differential(kernels.count_non_missing, reference.count_non_missing, cells)
-        assert vec == ref
-
-    def test_unhashable_cells_fall_back(self):
-        cells = [[1, 2], None, "x", [1, 2]]
-        vec, ref = differential(kernels.count_non_missing, reference.count_non_missing, cells)
-        assert vec == ref == 3
-
-    def test_missing_shapes(self):
-        cells = [None, float("nan"), "", "   ", "\t\n", 0, 0.0, "0"]
-        vec, ref = differential(kernels.count_non_missing, reference.count_non_missing, cells)
-        assert vec == ref == 3
-
-
 class TestNormalize:
     @settings(max_examples=100, deadline=None)
     @given(values=st.lists(st.text(max_size=16), max_size=40))

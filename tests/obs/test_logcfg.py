@@ -80,11 +80,10 @@ class TestJsonFormat:
 
     def test_exception_payload(self):
         stream = _capture(fmt="json")
-        log = get_logger("jsonfmt")
         try:
             raise RuntimeError("kaboom")
         except RuntimeError:
-            log.exception("failed")
+            logging.getLogger("repro.jsonfmt").exception("failed")
         payload = json.loads(stream.getvalue().strip())
         assert "kaboom" in payload["exc"]
 

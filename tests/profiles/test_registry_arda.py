@@ -66,15 +66,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             reg.add(reg._profiles[0])
 
-    def test_remove(self):
-        reg = default_registry().remove("overlap")
-        assert "overlap" not in reg.names
-        assert len(reg) == 4
-
-    def test_remove_unknown(self):
-        with pytest.raises(KeyError):
-            default_registry().remove("nope")
-
     def test_subset_order(self):
         reg = default_registry().subset(["overlap", "correlation"])
         assert reg.names == ["overlap", "correlation"]

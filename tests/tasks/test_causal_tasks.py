@@ -1,39 +1,11 @@
-"""Tests for causal graph, CI tests, PC-lite and what-if/how-to tasks."""
+"""Tests for CI tests, dependence screening and what-if/how-to tasks."""
 
 import numpy as np
 import pytest
 
 from repro.dataframe import Table
-from repro.tasks import CausalGraph, HowToTask, WhatIfTask, pc_skeleton
+from repro.tasks import HowToTask, WhatIfTask
 from repro.tasks.causal import dependent_columns, fisher_z_independence
-
-
-class TestCausalGraph:
-    def test_descendants(self):
-        g = CausalGraph()
-        g.add_edge("a", "b").add_edge("b", "c")
-        assert g.descendants("a") == {"b", "c"}
-
-    def test_parents(self):
-        g = CausalGraph()
-        g.add_edge("a", "c").add_edge("b", "c")
-        assert g.parents("c") == {"a", "b"}
-
-    def test_cycle_rejected(self):
-        g = CausalGraph()
-        g.add_edge("a", "b")
-        with pytest.raises(ValueError, match="cycle"):
-            g.add_edge("b", "a")
-
-    def test_topological_order(self):
-        g = CausalGraph()
-        g.add_edge("a", "b").add_edge("b", "c")
-        order = g.topological_order()
-        assert order.index("a") < order.index("b") < order.index("c")
-
-    def test_contains(self):
-        g = CausalGraph().add_variable("x")
-        assert "x" in g and "y" not in g
 
 
 class TestCiTest:
@@ -74,23 +46,6 @@ class TestCiTest:
         data = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
         independent, p = fisher_z_independence(data, 0, 1)
         assert independent and p == 1.0
-
-
-class TestPcSkeleton:
-    def test_chain_recovered(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=600)
-        b = a + rng.normal(scale=0.3, size=600)
-        c = b + rng.normal(scale=0.3, size=600)
-        edges = pc_skeleton(np.column_stack([a, b, c]), max_cond=1)
-        assert frozenset((0, 1)) in edges
-        assert frozenset((1, 2)) in edges
-        assert frozenset((0, 2)) not in edges  # separated by b
-
-    def test_independent_pair_no_edge(self):
-        rng = np.random.default_rng(1)
-        edges = pc_skeleton(rng.normal(size=(300, 2)), max_cond=0)
-        assert edges == set()
 
 
 class TestDependentColumns:
@@ -136,7 +91,8 @@ class TestWhatIfTask:
         assert task.utility(table) == 0.5  # 1 of 2 truths found
 
     def test_augmented_column_canonicalized(self):
-        table = build_whatif_table().rename_column("writing", "path#writing")
+        full = build_whatif_table()
+        table = full.drop_columns(["writing"]).with_column("path#writing", full.column("writing"))
         task = WhatIfTask("reading", truth_affected={"writing"})
         assert task.utility(table) == 1.0
 

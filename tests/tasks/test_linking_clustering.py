@@ -24,9 +24,6 @@ class TestKnowledgeBase:
     def test_unknown_mention(self, kb):
         assert kb.candidates("atlantis") == []
 
-    def test_len_counts_mentions(self, kb):
-        assert len(kb) == 2
-
 
 class TestEntityLinkingTask:
     def test_unambiguous_links_without_context(self, kb):

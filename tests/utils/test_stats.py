@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils import (
-    entropy_discrete,
     fisher_z_pvalue,
     mutual_information,
     partial_correlation,
@@ -96,17 +95,6 @@ class TestSpearman:
         assert spearman([], []) == 0.0
 
 
-class TestEntropy:
-    def test_uniform_two_classes(self):
-        assert entropy_discrete([0, 1]) == pytest.approx(np.log(2))
-
-    def test_single_class_zero(self):
-        assert entropy_discrete([7, 7, 7]) == 0.0
-
-    def test_more_classes_more_entropy(self):
-        assert entropy_discrete([0, 1, 2, 3]) > entropy_discrete([0, 0, 1, 1])
-
-
 class TestMutualInformation:
     def test_identical_high(self):
         x = np.random.default_rng(0).normal(size=200)
@@ -172,3 +160,27 @@ class TestFisherZ:
 
     def test_more_samples_more_significant(self):
         assert fisher_z_pvalue(0.3, 200) < fisher_z_pvalue(0.3, 20)
+
+    # p-values of the scipy.special.erf implementation this one replaced
+    # (math.erf): the what-if/how-to CI tests decide at alpha = 0.05, so
+    # the p-value must not move.
+    @pytest.mark.parametrize(
+        "r, n, n_cond, expected",
+        [
+            (0.0, 50, 0, 1.0),
+            (0.1, 50, 0, 0.4915381212226384),
+            (0.3, 100, 2, 0.002554381350936552),
+            (-0.3, 100, 2, 0.002554381350936552),
+            (0.5, 20, 1, 0.028004411147890096),
+            (0.6, 30, 0, 0.00031614501225663005),
+            (0.95, 30, 0, 0.0),
+            (1.0, 200, 3, 0.0),
+            (0.2, 4, 1, 1.0),
+            (0.05, 1000, 5, 0.11499909964384791),
+            (0.196, 100, 0, 0.0505027300280938),
+            (0.7, 8, 2, 0.13304324981512794),
+            (0.15, 174, 2, 0.04943441838610996),
+        ],
+    )
+    def test_pinned_values(self, r, n, n_cond, expected):
+        assert fisher_z_pvalue(r, n, n_cond) == pytest.approx(expected, rel=0, abs=1e-15)
