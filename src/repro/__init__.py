@@ -25,7 +25,7 @@ from repro.core.config import MetamConfig
 from repro.core.metam import Metam
 from repro.core.result import SearchResult
 
-__version__ = "2.5.0"
+__version__ = "2.6.0"
 
 __all__ = [
     "DiscoveryEngine",

@@ -10,10 +10,10 @@ warm-starts discovery runs from disk instead of re-indexing the corpus.
 Store layout
     Objects and profile groups are sharded into 256 hash-prefix
     directories (``objects/ab/<fp>.bin``), so no directory grows
-    unboundedly as the corpus scales.  There is one layout (version 4).
-    The catalog is
-    derived data: a root this release cannot read raises
-    :class:`CatalogStoreError` naming ``repro catalog build`` — it is
+    unboundedly as the corpus scales.  There is one layout (version 5).
+    The catalog is derived data: a root this release cannot read, or a
+    manifest of any other shape, raises :class:`CatalogStoreError`
+    naming ``repro catalog build`` — it is
     rebuilt from the corpus, not migrated.
 
 Object format
@@ -37,21 +37,21 @@ Catalog-backed reports
     :class:`~repro.discovery.index.DiscoveryIndex`, whose
     ``joinable_columns`` pass is the one the in-memory report runs.
 
-Backend and write ownership
+Backend and the two locked transitions
     All physical I/O goes through one :class:`LocalFSBackend` (plain
     files; ``CatalogStore(root, backend=...)`` takes another instance
-    with the same methods).  Writers hold leases
-    (:class:`~repro.catalog.leases.LeaseManager`) spanning their
-    write→save window and claim every object before they write or adopt
-    it; ``gc`` both skips claimed objects and re-checks liveness under
-    the shard lock — closing the race where a concurrently written
-    object was reclaimed before its ``save()`` landed.
+    with the same methods).  Object writes take only their shard's
+    lock, so concurrent builders interleave them.  The two transitions
+    that change what the store references run under the root lock:
+    :meth:`Catalog.save` checks that every object its new manifest newly
+    references exists (re-deriving any a ``gc`` reclaimed) before it
+    writes the manifest, and :meth:`Catalog.gc` reads the manifest once
+    and deletes what nothing references.
 """
 
 from repro.catalog.backend import LocalFSBackend
 from repro.catalog.catalog import Catalog, CatalogDiff, ProfileCache
 from repro.catalog.codec import BinaryCodec
-from repro.catalog.leases import Lease, LeaseManager
 from repro.catalog.fingerprint import (
     config_fingerprint,
     profile_key,
@@ -74,6 +74,4 @@ __all__ = [
     "registry_fingerprint",
     "shard_of",
     "LocalFSBackend",
-    "Lease",
-    "LeaseManager",
 ]

@@ -129,10 +129,6 @@ class Catalog:
         # re-added with identical content can still hydrate from the
         # snapshot instead of re-reading its per-column object.
         self._removed_fingerprints = {}
-        # {table name: object id} of objects found on disk and adopted —
-        # not written — since the last save: save() claims them on the
-        # writer lease before the manifest starts referencing them.
-        self._adopted = {}
         # Instrumentation: columns signed from scratch vs hydrated from disk.
         self.computed_columns = 0
         self.loaded_columns = 0
@@ -194,11 +190,9 @@ class Catalog:
         already computed it (fingerprinting is the expensive step on
         large tables).
 
-        Ownership: an object signed here is claimed on this writer's
-        lease before its file lands; an object adopted from disk is only
-        *remembered* — nothing is written until :meth:`save` claims
-        every adopted object at once, so hydrating an unchanged corpus
-        is read-only.
+        Adopting an object from disk writes nothing, so hydrating an
+        unchanged corpus is read-only; :meth:`save` checks that the
+        object still exists before the manifest references it.
         """
         if fingerprint is None:
             fingerprint = table_fingerprint(table)
@@ -227,7 +221,6 @@ class Catalog:
                 # to the eager path, which recomputes and re-persists.
                 and present
             ):
-                self._adopted[table.name] = object_id
                 self._index.add_table_hydrated(table, signatures)
                 self._fingerprints[table.name] = fingerprint
                 self._removed_since_save.discard(table.name)
@@ -239,7 +232,6 @@ class Catalog:
         if present:
             try:
                 _meta, entries = self.store.read_object(object_id)
-                self._adopted[table.name] = object_id
                 self.loaded_columns += len(entries)
             except (KeyError, CatalogStoreError):
                 # Corrupt (or gc'd since the probe): recompute from the
@@ -259,8 +251,6 @@ class Catalog:
         object under ``object_id``."""
         entries = self._index.compute_column_entries(table)
         self.computed_columns += len(entries)
-        # Written here, so claimed by the write, not at save.
-        self._adopted.pop(table.name, None)
         if self.store is not None:
             meta = {
                 "name": table.name,
@@ -325,7 +315,6 @@ class Catalog:
         # re-added table "unchanged") — but remember the fingerprint so an
         # identical re-add can still use the snapshot fast path.
         self._persisted.pop(table_name, None)
-        self._adopted.pop(table_name, None)
         self._removed_since_save.add(table_name)
         self._removed_fingerprints[table_name] = removed_fingerprint
         self.mutations += 1
@@ -423,8 +412,6 @@ class Catalog:
                     self._removed_fingerprints[name] = previous
                 self.mutations += 1
             diff.removed.append(name)
-        # Fingerprint first, so every object this refresh will write is
-        # claimed in one lease write before the first file lands.
         incoming = {}
         for name in sorted(tables):
             if name in self._fingerprints:
@@ -441,11 +428,6 @@ class Catalog:
                 name: self.store.has_object(self._object_id(fingerprint))
                 for name, fingerprint in incoming.items()
             }
-            self.store.claim(
-                self._object_id(incoming[name])
-                for name, on_disk in present.items()
-                if not on_disk
-            )
         for name, fingerprint in incoming.items():
             if name in self._fingerprints:
                 previous = self._fingerprints[name]
@@ -492,25 +474,22 @@ class Catalog:
         corpus).  A store whose on-disk config differs is a genuine
         conflict and raises.
 
-        This is the only moment the manifest can start referencing an
-        object this process adopted rather than wrote, so it is where
-        adoption is paid for: every adopted object is claimed on the
-        writer lease in one write, then verified under its shard lock
-        (:meth:`CatalogStore.claim_objects`); any that a racing ``gc``
-        reclaimed first is re-derived from its live table before the
-        manifest is written.  The lease, and the claims with it, is
-        returned once the manifest holds the references.
+        The manifest starts referencing an object only here, so this is
+        where a reference is checked: under the same lock, every live
+        table whose fingerprint the on-disk manifest does not already
+        list — written or adopted by this process — must have its object
+        on disk, and one that is missing (a ``gc`` reclaimed it since it
+        was written or adopted) is re-derived from the live table before
+        the manifest is written.  :meth:`gc` runs under the same lock,
+        so nothing can reclaim it between the check and the manifest.
         """
         if self.store is None:
             raise CatalogStoreError("catalog has no store attached")
-        missing = set(self.store.claim_objects(self._adopted.values()))
-        for name, object_id in sorted(self._adopted.items()):
-            if object_id in missing:
-                self._compute_and_persist(self._index.get_table(name), object_id)
         with self.store.root_lock():
             on_disk = self.store.read_manifest()
             foreign = {}
             persisted = dict(self._persisted)
+            listed = set()
             if on_disk is not None:
                 if on_disk["config"] != self.config:
                     raise CatalogStoreError(
@@ -519,6 +498,7 @@ class Catalog:
                         f"catalog's {self.config!r}; refusing to merge the "
                         "save"
                     )
+                listed = set(on_disk["tables"].values())
                 known = (
                     set(self._fingerprints)
                     | set(self._persisted)
@@ -536,6 +516,10 @@ class Catalog:
                     for name, fingerprint in persisted.items()
                     if name in on_disk["tables"] or name in self._fingerprints
                 }
+            for name, fingerprint in sorted(self._fingerprints.items()):
+                object_id = self._object_id(fingerprint)
+                if fingerprint not in listed and not self.store.has_object(object_id):
+                    self._compute_and_persist(self._index.get_table(name), object_id)
             combined = {**foreign, **persisted, **self._fingerprints}
             tables = self._index.tables
             disk_snapshot = None
@@ -571,11 +555,6 @@ class Catalog:
             # store.
             self.store.write_snapshot(rows)
             self.store.write_manifest(self.config, combined)
-        # The manifest now references everything this catalog wrote or
-        # adopted; ownership transfers from the writer lease to the
-        # manifest, so the lease can be returned.
-        self.store.release_writer_lease()
-        self._adopted = {}
         self._persisted = combined
         self._removed_since_save = set()
         self._removed_fingerprints = {}
@@ -589,16 +568,14 @@ class Catalog:
         on-disk manifest — a freshly loaded catalog that was never
         refreshed, and unsaved removals (an in-memory refresh against a
         filtered corpus), must not reclaim objects the saved manifest
-        still points at.
+        still points at.  The manifest is read once, under the root
+        lock the whole pass holds, so no save lands in between.
         """
         if self.store is None:
             return 0
-
-        def live_now():
-            # Re-read the manifest *at check time*: a peer's save() that
-            # landed after this gc's initial scan re-animates its objects.
+        with self.store.root_lock():
             manifest = self.store.read_manifest() or {"tables": {}}
-            return {
+            live = {
                 self._object_id(fingerprint)
                 for fingerprint in (
                     *self._fingerprints.values(),
@@ -606,8 +583,7 @@ class Catalog:
                     *manifest["tables"].values(),
                 )
             }
-
-        return self.store.gc(live_now(), live_check=live_now)
+            return self.store.gc(live)
 
     def verify(self) -> dict:
         """Integrity check of the persisted catalog.
@@ -646,8 +622,8 @@ class Catalog:
         manifest = store.read_manifest()
         if manifest is None:
             raise CatalogStoreError(f"no catalog manifest at {store.root!r}")
-        config = manifest.get("config")
-        if not isinstance(config, dict) or config.keys() != _CONFIG_KEYS:
+        config = manifest["config"]
+        if config.keys() != _CONFIG_KEYS:
             raise CatalogStoreError(
                 f"catalog at {store.root!r} records config {config!r}; this "
                 f"release builds only configs with the keys {sorted(_CONFIG_KEYS)} "

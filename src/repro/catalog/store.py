@@ -10,8 +10,8 @@ One layout, one object format::
     profiles/cd/<fp>.npz        cached profile vectors, grouped by the
                                 fingerprint of the base (query) table:
                                 keys, lengths and the concatenated vectors
-    leases/<owner>.json         write-ownership leases and their claims
     snapshot.npz                packed signature matrix for warm starts
+    .lock                       root advisory lock: save and gc
 
 The store holds discovery artifacts only.  Nothing else under the root
 is read: a ``results/`` tree left by a release before 2.3.0 (which
@@ -45,39 +45,32 @@ until the section fits a budget.
 
 Every file lands via a unique temp file + rename, and object writes,
 existence checks and deletions in a shard run under its advisory file
-lock (``<shard>/.lock``), so concurrent ``build``/``update``/``gc``
-processes can add and remove in any interleaving.  All physical I/O
-goes through one backend object (:class:`LocalFSBackend` unless the
-caller passes another instance): one plain file per path.
+lock (``<shard>/.lock``).  All physical I/O goes through one backend
+object (:class:`LocalFSBackend` unless the caller passes another
+instance): one plain file per path.
 
-Writers own their in-flight objects through time-bounded **leases**
-(:mod:`repro.catalog.leases`) under one rule: **claim before you write
-or adopt**.  The lease file's ``claims`` list is the one ownership
-record.  ``write_object`` claims the id before the file lands (nothing,
-when the lease already claims it — ``Catalog.refresh`` claims every id
-it will write in one lease write up front); :meth:`claim_objects`,
-called by ``Catalog.save()`` for the objects a warm start adopted,
-claims them the same way and then checks each under its shard lock,
-reporting the ones gone so the caller re-derives them.  A process that
-never saves never writes: it holds no lease, and an object that
-vanishes under it is recomputed from the live table on first read.
+Two transitions change what the store references, and both run under
+the root advisory lock (``<root>/.lock``), taken before any shard lock:
 
-:meth:`CatalogStore.gc` skips an unreferenced object another live lease
-claims, then re-checks liveness via the caller's ``live_check``, both
-under the shard lock.  That is safe because the claim is durable
-*before* the claimer takes the lock: either gc went first (the object
-is missing, and is written or re-derived) or it comes later and sees
-the claim — the manifest never points at nothing.
+* ``Catalog.save()`` checks that every object its new manifest newly
+  references exists — re-deriving any that is missing from the live
+  table — and then writes the snapshot and the manifest;
+* :meth:`CatalogStore.gc` deletes the objects nothing references, for
+  a live set its caller read under the same lock.
+
+Object writes themselves take no root lock, so concurrent builders
+interleave them freely.  An object written but not yet saved is not
+protected: a ``gc`` may reclaim it, and the writer's ``save()`` then
+re-derives it.  A writer killed before its ``save()`` leaves only
+unreferenced objects, which the next ``gc`` reclaims.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import math
 import numbers
 import os
-import threading
 import time
 
 import numpy as np
@@ -85,13 +78,12 @@ import numpy as np
 from repro.catalog.backend import CatalogStoreError, LocalFSBackend
 from repro.catalog.codec import BinaryCodec
 from repro.catalog.fingerprint import shard_of
-from repro.catalog.leases import DEFAULT_LEASE_TTL, LeaseManager
 
-#: The one layout version this code reads and writes (4: ownership is
-#: the lease claims alone — a layout-3 builder's object records, which
-#: this gc no longer reads, must never share a root with it).  Object
-#: addresses are unchanged since 3.
-VERSION = 4
+#: The one layout version this code reads and writes (5: a saver checks
+#: what it references under the root lock — a layout-4 builder, which
+#: expects gc to honour the write claims it files instead, must never
+#: share a root with this gc).  Object addresses are unchanged since 3.
+VERSION = 5
 #: The one object codec.
 CODEC = BinaryCodec()
 
@@ -139,22 +131,6 @@ def register_store_metrics(registry):
             labels=("section",),
             buckets=LOCK_WAIT_BUCKETS,
         ),
-        "lease_acquires": registry.counter(
-            "repro_store_lease_acquires_total",
-            "Write-ownership leases acquired, by holder kind.",
-            labels=("kind",),
-        ),
-        "lease_renewals": registry.counter(
-            "repro_store_lease_renewals_total",
-            "Write-ownership lease renewals.",
-        ),
-        "gc_skipped": registry.counter(
-            "repro_store_gc_skipped_total",
-            "Unreferenced gc candidates preserved by the under-lock "
-            "re-check, by reason (an active writer lease, or liveness "
-            "re-established by a save that landed after the scan).",
-            labels=("reason",),
-        ),
     }
 
 
@@ -177,22 +153,6 @@ class _TimedLock:
         return self._lock.__exit__(*exc_info)
 
 
-def _seconds(name: str, value, positive: bool = False) -> float:
-    """``value`` as a finite duration in seconds (``> 0`` when
-    ``positive``, else ``>= 0``); anything else is a ``ValueError``
-    naming the argument — a zero, negative, NaN or infinite lifetime
-    would silently switch the protection it parameterises off (or make
-    it permanent)."""
-    try:
-        seconds = float(value)
-    except (TypeError, ValueError):
-        seconds = math.nan
-    if not math.isfinite(seconds) or seconds < 0 or (positive and seconds == 0):
-        bound = "> 0" if positive else ">= 0"
-        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
-    return seconds
-
-
 def _byte_budget(name: str, value):
     """``value`` as a byte budget: an int ``>= 0`` (``bool`` is not a
     byte count).  Anything else is a ``ValueError`` naming the argument
@@ -206,70 +166,29 @@ class CatalogStore:
     """Filesystem persistence for catalog artifacts.
 
     The cached-profile section is trimmed on demand with
-    :meth:`evict_profiles`.  ``clock_skew`` widens lease expiry so a
-    collector whose clock runs ahead cannot expire a writer's lease
-    early.  The store holds discovery artifacts only — table objects,
-    profile groups and the index snapshot — never run records.
+    :meth:`evict_profiles`.  The store holds discovery artifacts only —
+    table objects, profile groups and the index snapshot — never run
+    records.
 
     ``backend`` is the I/O object (``None``: a
     :class:`~repro.catalog.backend.LocalFSBackend` over ``root``).
-    ``lease_ttl`` is the write-ownership lease lifetime in seconds; it
-    must be finite and positive — leases cannot be disabled.
     """
 
     #: Advisory lock sidecar, one per locked directory.
     LOCK_NAME = ".lock"
 
-    def __init__(
-        self,
-        root: str,
-        clock_skew: float = 0.0,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
-        backend=None,
-    ):
-        if lease_ttl is None:
-            raise ValueError(
-                "lease_ttl must be a number of seconds, got None: leases "
-                "can no longer be disabled"
-            )
-        self.lease_ttl = _seconds("lease_ttl", lease_ttl, positive=True)
-        self.clock_skew = _seconds("clock_skew", clock_skew)
+    def __init__(self, root: str, backend=None):
         self.root = str(root)
         if isinstance(backend, str):
             raise TypeError(f"backend must be a backend instance, not the name {backend!r}")
         self.backend = LocalFSBackend(self.root) if backend is None else backend
-        #: Write-ownership leases: gc consults the active set before
-        #: reclaiming anything unreferenced.
-        self.leases = LeaseManager(
-            self.backend,
-            self.root,
-            ttl=self.lease_ttl,
-            clock_skew=self.clock_skew,
-            clock=lambda: _now(),
-        )
-        self._writer_lease = None
-        self._writer_lease_guard = threading.Lock()
-        #: Breakdown of the most recent :meth:`gc` pass on this instance
-        #: (``removed`` / ``skipped_leased`` / ``skipped_live``).
-        self.last_gc = {"removed": 0, "skipped_leased": 0, "skipped_live": 0}
-        #: Test seam: called with ``"claims-published"`` once a claim is
-        #: durable — between :meth:`write_object`'s claim and its file,
-        #: and between :meth:`claim_objects`' claim and its first
-        #: existence check.  Fault tests raise (or ``os._exit``) from it
-        #: to kill a writer mid-protocol.
-        self.fault_hook = None
         #: Metric family handles (see :meth:`attach_metrics`); ``None``
         #: keeps every instrumentation site free.
         self.obs = None
 
-    def _fault(self, point: str) -> None:
-        if self.fault_hook is not None:
-            self.fault_hook(point)
-
     def attach_metrics(self, registry) -> "CatalogStore":
-        """Record store activity (reads/writes/bytes, lock waits,
-        leases, gc skips) on ``registry``.  Families
-        are get-or-create, so attaching many stores to one registry
+        """Record store activity (reads/writes/bytes, lock waits) on
+        ``registry``.  Families are get-or-create, so attaching many stores to one registry
         aggregates them.  Returns ``self``."""
         self.obs = register_store_metrics(registry)
         return self
@@ -301,9 +220,11 @@ class CatalogStore:
         )
 
     def root_lock(self):
-        """Advisory file lock guarding whole-store transitions (the root
-        manifest + snapshot pair); taken by :meth:`Catalog.save` so
-        concurrent savers merge instead of overwriting each other."""
+        """Advisory file lock guarding the two transitions that change
+        what the store references: :meth:`Catalog.save` (check, then
+        snapshot + manifest), so concurrent savers merge instead of
+        overwriting each other, and :meth:`gc`, so no save lands during
+        a pass.  Take it before any shard lock."""
         return self._dir_lock(self.root)
 
     # ------------------------------------------------------------------
@@ -365,9 +286,13 @@ class CatalogStore:
     def read_manifest(self):
         """Manifest dict, or ``None`` if the store was never saved.
 
-        Only layout :data:`VERSION` opens (the integer, not ``True``):
-        the catalog is derived data, so a root written by any other
-        version is rebuilt from the corpus, never migrated."""
+        Only layout :data:`VERSION` opens (the integer, not ``True``),
+        and only with a ``config`` object and a ``tables`` object mapping
+        names to fingerprint strings: the catalog is derived data, so a
+        root written by any other version, or a manifest of any other
+        shape, is rebuilt from the corpus, never migrated or guessed at
+        (a ``gc`` that read non-string fingerprints would reference
+        nothing and reclaim every object)."""
         try:
             raw = self.backend.read_bytes(self.manifest_path)
         except FileNotFoundError:
@@ -385,6 +310,22 @@ class CatalogStore:
                 f"this release reads only version {VERSION} and does not "
                 "migrate — the catalog is derived data: remove the "
                 f"directory and rebuild with `repro catalog build {self.root}`"
+            )
+        config, tables = manifest.get("config"), manifest.get("tables")
+        if not isinstance(config, dict):
+            problem = f"config {config!r} is not an object"
+        elif not isinstance(tables, dict):
+            problem = f"tables is a {type(tables).__name__}, not an object"
+        else:
+            bad = [name for name, fp in tables.items() if type(fp) is not str]
+            problem = bad and (
+                f"table {bad[0]!r} has fingerprint {tables[bad[0]]!r}, not a string"
+            )
+        if problem:
+            raise CatalogStoreError(
+                f"catalog at {self.root!r} has a malformed manifest ({problem}); "
+                "the catalog is derived data: remove the directory and "
+                f"rebuild with `repro catalog build {self.root}`"
             )
         return manifest
 
@@ -404,127 +345,6 @@ class CatalogStore:
     def has_object(self, fingerprint: str) -> bool:
         return self.backend.exists(self._object_path(fingerprint))
 
-    # ------------------------------------------------------------------
-    # Write-ownership leases
-    # ------------------------------------------------------------------
-    def writer_lease(self):
-        """This store's current writer lease (acquired on first use,
-        renewed once half its TTL has passed).  Its ``claims`` tell gc
-        in-flight work from garbage.
-
-        The guard only protects the ``_writer_lease`` slot; the lease
-        *file* work — ``acquire()``/``renew()`` take the store-wide
-        lease lock and write through the backend — runs outside it, so
-        a slow disk (or contended lease lock) never stalls every other
-        thread's ``writer_lease()`` behind an in-process mutex.  Two
-        threads racing the cold path may both acquire; the loser's
-        surplus lease is released immediately and both return the
-        published one.
-        """
-        with self._writer_lease_guard:
-            lease = self._writer_lease
-        if lease is not None and _now() - lease.acquired <= self.leases.ttl / 2:
-            return lease
-        if lease is None:
-            fresh = self.leases.acquire(kind="writer")
-            if self.obs is not None:
-                self.obs["lease_acquires"].labels(kind="writer").inc()
-        else:
-            fresh = self.leases.renew(lease)
-            if self.obs is not None:
-                self.obs["lease_renewals"].inc()
-        surplus = None
-        with self._writer_lease_guard:
-            current = self._writer_lease
-            if current is lease or current is None:
-                # Uncontended (or a release landed meanwhile): publish
-                # ours.  Publishing a renewal after a concurrent
-                # release re-establishes ownership, which is exactly
-                # what this caller asked for.
-                self._writer_lease = fresh
-                published = fresh
-            elif lease is None:
-                # Another thread's acquire won the race; ours is
-                # surplus and must be returned, not leaked until TTL.
-                surplus = fresh
-                published = current
-            else:
-                # Another thread renewed the same lease first; either
-                # stamp carries the same owner — keep theirs.
-                published = current
-        if surplus is not None:
-            self.leases.release(surplus)
-        return published
-
-    def release_writer_lease(self) -> None:
-        """Give up write ownership and every claim with it — called
-        once the writer's references are durably published
-        (:meth:`Catalog.save`), after which its objects are protected by
-        the manifest, not the lease."""
-        with self._writer_lease_guard:
-            lease, self._writer_lease = self._writer_lease, None
-        if lease is not None:
-            self.leases.release(lease)
-
-    def claim(self, fingerprints) -> None:
-        """Make ``fingerprints`` durable claims of this writer's lease:
-        one lease write, none when the lease already claims them all.
-
-        :meth:`write_object` and :meth:`claim_objects` claim through
-        here; :meth:`Catalog.refresh` calls it once with every id it is
-        about to write, so the writes that follow publish nothing."""
-        wanted = set(fingerprints)
-        if not wanted:
-            return
-        lease = self.writer_lease()
-        wanted -= lease.claims
-        if not wanted:
-            return
-        claimed = self.leases.renew(lease, claims=wanted)
-        if self.obs is not None:
-            self.obs["lease_renewals"].inc()
-        with self._writer_lease_guard:
-            held = self._writer_lease
-            # A lease's claims only grow, so of two writes by racing
-            # threads the larger set is the later one: keep it, so the
-            # skip above sees every published claim.
-            if (
-                held is not None
-                and held.owner == claimed.owner
-                and len(claimed.claims) >= len(held.claims)
-            ):
-                self._writer_lease = claimed
-
-    def _by_shard(self, fingerprints) -> dict:
-        """``{shard directory: [fingerprint, ...]}``, in input order."""
-        groups = {}
-        for fingerprint in fingerprints:
-            groups.setdefault(
-                self._object_shard_dir(fingerprint), []
-            ).append(fingerprint)
-        return groups
-
-    def claim_objects(self, fingerprints) -> list:
-        """Take ownership of *existing* objects this writer is about to
-        reference (warm-start hits); returns the ids that are gone — the
-        caller re-derives those with :meth:`write_object`.
-
-        Claim, then verify: the ids are claimed first, and only then is
-        each checked for presence under its shard lock, one lock per
-        shard — where :meth:`gc` reads the claims before deleting, so
-        either gc went first (the id comes back missing) or it sees the
-        claim and spares the object until :meth:`release_writer_lease`."""
-        wanted = set(fingerprints)
-        if not wanted:
-            return []
-        self.claim(wanted)
-        self._fault("claims-published")
-        missing = []
-        for shard_dir, group in self._by_shard(sorted(wanted)).items():
-            with self._dir_lock(shard_dir):
-                missing.extend(fp for fp in group if not self.has_object(fp))
-        return missing
-
     def write_object(
         self, fingerprint: str, meta: dict, entries: dict, overwrite: bool = False
     ) -> None:
@@ -533,11 +353,8 @@ class CatalogStore:
         content).  ``overwrite`` forces the write — used when healing a
         corrupt file with freshly recomputed content.
 
-        Claim, then write: the id is claimed before the file lands, so
-        writing and adopting are one path; the presence check and the
-        write run under the shard lock, like a :meth:`gc` pass's."""
-        self.claim([fingerprint])
-        self._fault("claims-published")
+        The presence check and the write run under the shard lock, like
+        a :meth:`gc` pass's removals."""
         path = self._object_path(fingerprint)
         shard_dir = os.path.dirname(path)
         self.backend.makedirs(shard_dir)
@@ -609,59 +426,28 @@ class CatalogStore:
                     found.append(stem)
         return sorted(found)
 
-    def gc(self, live_fingerprints, live_check=None) -> int:
+    def gc(self, live_fingerprints) -> int:
         """Delete objects not in ``live_fingerprints``; returns the count.
 
-        The live set is a *scan-time* snapshot, so gc groups the other
-        objects by shard and, under each shard's lock, reads once:
-
-        1. **Claims** — an object in another active lease's ``claims``
-           is a concurrent writer's in-flight work (written or adopted
-           after the scan, references not yet saved) and is skipped.
-           A crashed writer's lease expires, and its orphans become
-           collectible on a later pass.
-        2. **Fresh liveness** — ``live_check``, when given, produces an
-           up-to-date live set (the catalog re-reads the root manifest):
-           an object a just-landed save references is not garbage.
-
-        Claims are read first: a saver writes its manifest before it
-        releases its lease, so a claim gone by the first read is a
-        reference the second sees.  Per-pass counts land in
-        :attr:`last_gc` (and the ``gc_skipped`` metric family).
-        """
+        The whole pass runs under :meth:`root_lock`, so no save lands
+        during it: a caller that reads the root manifest under the same
+        (re-entrant) lock, as :meth:`Catalog.gc` does, gets a live set
+        that stays current until the pass ends.  Removals are grouped by
+        shard, each under its shard lock, so an object write racing the
+        pass lands either before its removal or after it."""
         live = set(live_fingerprints)
-        candidates = self._by_shard(
-            fp for fp in self.list_objects() if fp not in live
-        )
         removed = 0
-        skipped_leased = 0
-        skipped_live = 0
-        # Leases protect *other* writers' in-flight work.  This store's
-        # own writer lease never shields a candidate: the caller just
-        # declared its own live set, so anything it owns outside that
-        # set is garbage by its own account.
-        own = (self._writer_lease,)
-        for shard_dir, group in candidates.items():
-            with self._dir_lock(shard_dir):
-                claims = self.leases.active_claims(exclude=own)
-                fresh = set(live_check()) if live_check is not None else set()
-                for fingerprint in group:
-                    if fingerprint in claims:
-                        skipped_leased += 1
-                        if self.obs is not None:
-                            self.obs["gc_skipped"].labels(reason="leased").inc()
-                    elif fingerprint in fresh:
-                        skipped_live += 1
-                        if self.obs is not None:
-                            self.obs["gc_skipped"].labels(reason="live").inc()
-                    else:
+        with self.root_lock():
+            candidates = {}
+            for fingerprint in self.list_objects():
+                if fingerprint not in live:
+                    shard_dir = self._object_shard_dir(fingerprint)
+                    candidates.setdefault(shard_dir, []).append(fingerprint)
+            for shard_dir, group in candidates.items():
+                with self._dir_lock(shard_dir):
+                    for fingerprint in group:
                         self._remove(self._object_path(fingerprint))
                         removed += 1
-        self.last_gc = {
-            "removed": removed,
-            "skipped_leased": skipped_leased,
-            "skipped_live": skipped_live,
-        }
         return removed
 
     # ------------------------------------------------------------------
@@ -998,7 +784,6 @@ class CatalogStore:
             "profile_groups": len(groups),
             "profile_entries": n_profiles,
             "profile_bytes": self.profile_bytes(),
-            "leases": len(self.leases.active(reap=False)),
             "disk_bytes": self.backend.disk_bytes(),
             "config": manifest["config"],
         }

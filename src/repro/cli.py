@@ -679,7 +679,6 @@ def _run_catalog_command(args) -> int:
         stats = store.stats()
         print(f"catalog at {args.dir} (layout v{stats['version']})")
         print(f"  tables          {stats['tables']}")
-        print(f"  active leases   {stats['leases']}")
         print(f"  objects         {stats['objects']}")
         print(f"  profile groups  {stats['profile_groups']}")
         print(f"  profile entries {stats['profile_entries']}")
@@ -692,13 +691,6 @@ def _run_catalog_command(args) -> int:
         catalog = Catalog.load(args.dir)
         dropped = catalog.gc()
         print(f"gc: dropped {dropped} orphaned objects")
-        preserved = catalog.store.last_gc
-        if preserved["skipped_leased"] or preserved["skipped_live"]:
-            print(
-                f"gc: preserved {preserved['skipped_leased']} objects under "
-                f"active writer leases and {preserved['skipped_live']} "
-                "re-referenced by a concurrent save"
-            )
         if args.profile_budget is not None:
             evicted, freed = catalog.evict_profiles(args.profile_budget)
             print(

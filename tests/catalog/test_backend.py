@@ -6,7 +6,6 @@ namespace queries, locks), that ``CatalogStore`` uses a backend instance
 it is given, and that the layout stays plain files.
 """
 
-import json
 import os
 
 import pytest
@@ -116,9 +115,7 @@ class TestBackendSeam:
         assert os.path.isfile(path)
         with open(path, "rb") as handle:
             assert handle.read() == store.backend.read_bytes(path)
-        lease = os.path.join(
-            store.root, "leases", f"{store.writer_lease().owner}.json"
-        )
-        with open(lease) as handle:
-            # A real JSON file on disk, holding the writer's claim.
-            assert json.load(handle)["claims"] == ["fp1"]
+        # An object write leaves the object, its shard's lock sidecar,
+        # and nothing else: no write-claim file beside it or at the root.
+        assert sorted(os.listdir(os.path.dirname(path))) == [".lock", "fp1.bin"]
+        assert os.listdir(store.root) == ["objects"]

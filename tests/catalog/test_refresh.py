@@ -9,8 +9,10 @@ contract held here:
 * an unchanged refresh of a loaded catalog writes nothing, and the
   following ``save()`` leaves every store file byte-identical;
 * a removed table leaves the manifest and ``gc()`` reclaims its object;
-* a refresh process killed at any store write protocol point leaves a
-  store that verifies, and the next refresh finishes the job.
+* a save checks only the objects its manifest newly references, and
+  re-derives any a ``gc`` reclaimed since the refresh wrote it;
+* a refresh process killed at any store write leaves a store that
+  verifies, and the next refresh finishes the job.
 """
 
 import hashlib
@@ -19,9 +21,9 @@ import os
 import pytest
 
 from repro import DiscoveryEngine
-from repro.catalog import Catalog, CatalogStore, LocalFSBackend, table_fingerprint
+from repro.catalog import Catalog, CatalogStore, table_fingerprint
 from repro.dataframe.table import Table
-from tests.harness.faults import KILLED_EXIT_CODE, exit_hook, run_killed
+from tests.harness.faults import DyingBackend, run_killed
 from tests.harness.spy import SpyBackend
 
 
@@ -133,8 +135,8 @@ class TestByteIdentity:
         assert store_digests(root) == before
 
     def test_save_after_unchanged_refresh_changes_no_file(self, tmp_path):
-        """The save claims and releases a writer lease, and rewrites the
-        manifest and ``snapshot.npz`` with the same bytes: every store
+        """The save rewrites the manifest and ``snapshot.npz`` with the
+        same bytes: every store
         file keeps its sha256, and no file appears or disappears."""
         root = str(tmp_path / "cat")
         saved_catalog(root, make_corpus())
@@ -171,37 +173,42 @@ class TestByteIdentity:
         assert engine.discover(request).cached
 
 
-class TestClaimBeforeWrite:
+class TestSaveChecksWhatItReferences:
     @staticmethod
-    def lease_writes(root, n_tables):
+    def save_probes(root, saved, refreshed):
+        """Existence probes under ``objects/`` made by the ``save()``
+        that follows a refresh from ``saved`` to ``refreshed`` tables."""
+        saved_catalog(root, make_corpus(saved))
         spy = SpyBackend(root)
-        catalog = Catalog(CatalogStore(root, backend=spy), seed=0)
-        catalog.refresh(make_corpus(n_tables))
-        assert catalog.computed_columns == 2 * n_tables
-        claimed = set().union(*(w.get("claims", ()) for w in spy.lease_writes))
-        assert claimed == {
-            catalog._object_id(fp) for fp in catalog.fingerprints.values()
-        }
-        return len(spy.lease_writes)
+        catalog = Catalog.load(CatalogStore(root, backend=spy))
+        catalog.refresh(make_corpus(refreshed))
+        spy.reads.clear()
+        catalog.save()
+        assert Catalog.load(root).verify()["problems"] == []
+        return spy.reads[("exists", "objects")]
 
-    def test_lease_writes_do_not_grow_with_the_refresh(self, tmp_path):
-        """Every id a refresh writes is claimed in one lease write before
-        the first object lands — not one growing rewrite per object."""
-        small = self.lease_writes(str(tmp_path / "small"), 20)
-        large = self.lease_writes(str(tmp_path / "large"), 80)
-        assert small == large <= 2
+    def test_save_probes_only_newly_referenced_objects(self, tmp_path):
+        """Tables the on-disk manifest already lists are protected by
+        it; the save checks only the rest, one probe each."""
+        assert self.save_probes(str(tmp_path / "a"), 20, 20) == 0
+        assert self.save_probes(str(tmp_path / "b"), 20, 25) == 5
+        assert self.save_probes(str(tmp_path / "c"), 80, 85) == 5
 
-    def test_claims_cover_objects_before_save(self, tmp_path):
+    def test_objects_reclaimed_before_save_are_rederived(self, tmp_path):
         """Between refresh and save the manifest references nothing new,
-        so only the claims keep a peer's gc off the fresh objects."""
+        so a peer's gc reclaims the fresh objects; the save signs them
+        again before the manifest names them."""
         root = str(tmp_path / "cat")
         saved_catalog(root, make_corpus(2))
         builder = Catalog.load(root)
         builder.refresh(make_corpus(5))
-        peer = Catalog.load(root)
-        assert peer.gc() == 0
-        assert peer.store.last_gc["skipped_leased"] == 3
+        assert builder.computed_columns == 6
+        assert Catalog.load(root).gc() == 3
         builder.save()
+        assert builder.computed_columns == 12
+        assert sorted(CatalogStore(root).read_manifest()["tables"]) == sorted(
+            make_corpus(5)
+        )
         assert Catalog.load(root).verify()["problems"] == []
 
 
@@ -224,40 +231,22 @@ class TestRemoval:
         assert Catalog.load(root).verify()["problems"] == []
 
 
-class _DyingWriteBackend(LocalFSBackend):
-    """Dies (a real process exit) as it is about to write a file whose
-    name ends with ``suffix``."""
-
-    def __init__(self, root, suffix):
-        super().__init__(root)
-        self.suffix = suffix
-
-    def write_bytes(self, path, data):
-        if path.endswith(self.suffix):
-            os._exit(KILLED_EXIT_CODE)
-        return super().write_bytes(path, data)
-
-
 def _killed_refresh_worker(root, corpus_spec, point):
-    """``Catalog.load(root).refresh(changed); save()`` killed at
-    ``point`` — a ``fault_hook`` point, or the write of a file ending
-    with it — a real process death, no cleanup."""
+    """``Catalog.load(root).refresh(changed); save()`` killed as it is
+    about to write a file ending with ``point`` — a real process death,
+    no cleanup."""
     corpus = {
         name: Table(name, {"key": values}) for name, values in corpus_spec.items()
     }
-    if "." in point:
-        store = CatalogStore(root, backend=_DyingWriteBackend(root, point))
-    else:
-        store = CatalogStore(root)
-        store.fault_hook = exit_hook(point)
-    catalog = Catalog.load(store)
+    backend = DyingBackend(root, point, exit=True)
+    catalog = Catalog.load(CatalogStore(root, backend=backend))
     catalog.refresh(corpus)
     catalog.save()
 
 
 class TestKilledRefreshProcess:
     @pytest.mark.parametrize(
-        "point", ["claims-published", ".bin", "manifest.json"]
+        "point", [".bin", "snapshot.npz", "manifest.json"]
     )
     def test_store_verifies_after_killed_refresh(self, tmp_path, point):
         root = str(tmp_path / "cat")

@@ -1,14 +1,14 @@
 """One object, one file: the single-format store contract.
 
 * a root written by another layout version, or whose manifest records
-  a config this release cannot build, is refused with a typed error
-  naming the rebuild command — never migrated, never a traceback;
+  a config this release cannot build or tables that are not a map of
+  names to fingerprint strings, is refused with a typed error naming
+  the rebuild command — never migrated, never a traceback, and never
+  collected as if it referenced nothing;
 * a foreign file beside (or instead of) ``<fp>.bin`` is not an object:
   the table is re-derived from the live corpus like a gc'd one;
 * ``has_object`` is one ``exists`` probe and reads nothing else;
 * stray files in a shard directory are not objects;
-* degenerate lease lifetimes and clock skews are rejected at
-  construction;
 * a ``results/`` tree of run records left by a release before 2.3.0 is
   inert: nothing reads, verifies or collects it.
 
@@ -18,6 +18,7 @@ Foreign and flat files are planted through ``store.backend.write_bytes``.
 import collections
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -35,14 +36,19 @@ from repro.data import housing_scenario
 from repro.dataframe.table import Table
 from tests.harness.entries import make_entry
 
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
 REBUILD = "repro catalog build"
 
 
-@pytest.fixture(params=[1, 2, 3], ids=lambda v: f"v{v}")
+@pytest.fixture(params=[1, 2, 3, 4], ids=lambda v: f"v{v}")
 def old_version(request):
     """Layouts this release refuses: 1 (flat objects), 2 (``repr()``
     table fingerprints, one ``.npz`` member per profile vector), 3
-    (object records stamped with fencing tokens in shard manifests)."""
+    (object records stamped with fencing tokens in shard manifests), 4
+    (unsaved objects protected by write claims a layout-5 gc does not
+    read)."""
     return request.param
 
 
@@ -128,13 +134,13 @@ class TestOldRootIsRefused:
         assert store.list_objects() == []  # nothing written beside the old files
 
     @pytest.mark.parametrize(
-        "version", [True, 1, 2, 3, 5, "4", 4.0, None], ids=repr
+        "version", [True, 1, 2, 3, 4, 6, "5", 5.0, None], ids=repr
     )
-    def test_only_the_integer_four_opens(self, tmp_path, version):
+    def test_only_the_integer_five_opens(self, tmp_path, version):
         store = CatalogStore(str(tmp_path / "cat"))
         store.write_manifest({}, {})
         manifest = json.loads(store.backend.read_bytes(store.manifest_path))
-        assert type(manifest["version"]) is int and manifest["version"] == 4
+        assert type(manifest["version"]) is int and manifest["version"] == 5
         assert store.read_manifest() == manifest
         manifest["version"] = version
         _plant(store, "manifest.json", json.dumps(manifest).encode())
@@ -426,38 +432,90 @@ class TestStrayFilesInShardDirectories:
 
 
 # ----------------------------------------------------------------------
-# Bugfix: "leases off" must not sneak back through the number
+# Bugfix: a malformed ``tables`` map must not read as "nothing referenced"
 # ----------------------------------------------------------------------
-class TestLifetimesAreValidated:
-    @pytest.mark.parametrize(
-        "lease_ttl", [None, 0, -5, float("nan"), float("inf"), "soon"], ids=repr
-    )
-    def test_degenerate_lease_ttl_rejected(self, tmp_path, lease_ttl):
-        with pytest.raises(ValueError, match="lease_ttl") as caught:
-            CatalogStore(str(tmp_path / "cat"), lease_ttl=lease_ttl)
-        if lease_ttl is None:
-            assert "leases can no longer be disabled" in str(caught.value)
-        else:
-            assert repr(lease_ttl) in str(caught.value)
+#: Manifest ``tables`` values of the current layout version that are not
+#: a map of table names to fingerprint strings.  The first once made
+#: ``repro catalog gc`` reclaim every object the manifest names; the
+#: other shapes escaped as a ``TypeError`` traceback.
+MALFORMED_TABLES = {
+    "int-fingerprints": lambda names: dict.fromkeys(names, 5),
+    "null-fingerprints": lambda names: dict.fromkeys(names),
+    "list-fingerprints": lambda names: {name: [name] for name in names},
+    "object-fingerprints": lambda names: {name: {"fp": name} for name in names},
+    "list": lambda _names: [1, 2],
+    "int": lambda _names: 5,
+    "null": lambda _names: None,
+}
 
-    @pytest.mark.parametrize(
-        "value", [-1, float("nan"), float("inf"), None], ids=repr
-    )
-    def test_degenerate_skew_rejected(self, tmp_path, value):
-        with pytest.raises(ValueError, match="clock_skew"):
-            CatalogStore(str(tmp_path / "cat"), clock_skew=value)
 
-    def test_zero_skew_allowed(self, tmp_path):
-        store = CatalogStore(str(tmp_path / "cat"), clock_skew=0, lease_ttl=0.5)
-        assert (store.clock_skew, store.lease_ttl) == (0.0, 0.5)
+@pytest.fixture(scope="module")
+def cli_built(tmp_path_factory):
+    """A 10-table store built by ``repro catalog build``."""
+    root = str(tmp_path_factory.mktemp("built") / "cat")
+    assert main(["catalog", "build", root, "--tables", "10"]) == 0
+    return root
 
-    def test_unsaved_writes_survive_a_peer_gc(self, tmp_path):
-        """The schedule a zero TTL used to lose: three written-but-unsaved
-        objects against a peer's ``gc(set())``."""
+
+class TestMalformedTablesAreRefused:
+    def malformed_root(self, tmp_path, cli_built, shape):
         root = str(tmp_path / "cat")
-        builder = CatalogStore(root)
-        for fingerprint in ("aaaa0001", "bbbb0002", "cccc0003"):
-            builder.write_object(fingerprint, {}, {"c": make_entry({fingerprint})})
-        peer = CatalogStore(root)
-        assert peer.gc(set()) == 0
-        assert peer.last_gc["skipped_leased"] == 3
+        shutil.copytree(cli_built, root)
+        store = CatalogStore(root)
+        manifest = json.loads(store.backend.read_bytes(store.manifest_path))
+        manifest["tables"] = MALFORMED_TABLES[shape](sorted(manifest["tables"]))
+        _plant(store, "manifest.json", json.dumps(manifest).encode())
+        return root
+
+    @pytest.mark.parametrize("command", ["gc", "stats", "update"])
+    @pytest.mark.parametrize("shape", MALFORMED_TABLES)
+    def test_cli_exits_one_and_removes_nothing(
+        self, tmp_path, cli_built, shape, command, capsys
+    ):
+        root = self.malformed_root(tmp_path, cli_built, shape)
+        store = CatalogStore(root)
+        objects = store.list_objects()
+        assert len(objects) == 10
+        before = store.backend.read_bytes(store.manifest_path)
+        assert main(["catalog", command, root]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and f"{REBUILD} {root}" in line
+        assert "malformed manifest" in line
+        assert store.list_objects() == objects
+        assert store.backend.read_bytes(store.manifest_path) == before
+
+    @pytest.mark.parametrize("shape", MALFORMED_TABLES)
+    def test_library_entry_points_raise_the_typed_error(
+        self, tmp_path, cli_built, shape
+    ):
+        root = self.malformed_root(tmp_path, cli_built, shape)
+        for opener in (
+            lambda: Catalog.load(root),
+            lambda: Catalog.open(root),
+            lambda: DiscoveryEngine.open(root, create=False),
+            lambda: CatalogStore(root).stats(),
+        ):
+            with pytest.raises(CatalogStoreError, match=f"{REBUILD} {root}"):
+                opener()
+        (problem,) = [
+            p for p in CatalogStore(root).verify()["problems"] if "root manifest" in p
+        ]
+        assert "malformed manifest" in problem
+        assert len(CatalogStore(root).list_objects()) == 10
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    tables=st.dictionaries(
+        st.text(min_size=1, max_size=8), st.text(max_size=40), max_size=6
+    )
+)
+def test_every_manifest_the_store_writes_reads_back(tmp_path_factory, tables):
+    """The shape check refuses nothing ``write_manifest`` produces."""
+    store = CatalogStore(str(tmp_path_factory.mktemp("rt") / "cat"))
+    store.write_manifest({"num_perm": 8}, tables)
+    manifest = store.read_manifest()
+    assert manifest["tables"] == tables
+    assert manifest["config"] == {"num_perm": 8}

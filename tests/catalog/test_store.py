@@ -509,11 +509,46 @@ class TestRemovedRunRecordSurface:
             "profile_groups",
             "profile_entries",
             "profile_bytes",
-            "leases",
             "disk_bytes",
             "config",
         }
         assert set(store.verify()) == {"objects", "profile_groups", "problems"}
+
+
+class TestRemovedWriteClaimSurface:
+    """Layout 5 removed write claims: ``save()`` checks what it
+    references and ``gc`` runs under the root lock, so the claim API,
+    its fault seam and its gc bookkeeping are gone, not ignored."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "leases",
+            "writer_lease",
+            "release_writer_lease",
+            "claim",
+            "claim_objects",
+            "fault_hook",
+            "last_gc",
+            "lease_ttl",
+            "clock_skew",
+        ],
+    )
+    def test_claim_attributes_are_gone(self, store, name):
+        assert not hasattr(store, name)
+
+    def test_gc_takes_no_liveness_callback(self, store):
+        with pytest.raises(TypeError):
+            store.gc([], live_check=lambda: set())
+
+    def test_no_metric_family_for_claims_or_gc_skips(self):
+        from repro.catalog.store import register_store_metrics
+        from repro.obs import MetricsRegistry
+
+        families = register_store_metrics(MetricsRegistry())
+        assert set(families) == {
+            "reads", "writes", "read_bytes", "write_bytes", "lock_wait",
+        }
 
 
 def _group_bytes(store, base_fingerprint):

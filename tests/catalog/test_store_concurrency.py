@@ -2,12 +2,12 @@
 
 The store's claim: every file lands whole (temp file + rename) under a
 per-shard advisory file lock, so concurrent writers (threads or
-processes) cannot drop each other's objects or profile vectors, and a
-writer killed between publishing its claim and landing its file leaves
-a store that verifies — the claim only spares a missing object until
-the dead writer's lease expires.
+processes) cannot drop each other's objects or profile vectors; a
+writer killed before its file lands leaves a store that verifies; and a
+writer killed inside ``save()``, holding the root lock, blocks no one
+after it — the kernel releases a dead process's flocks.
 
-Fault shapes (crash-at-point, killed subprocesses) come from the shared
+Fault shapes (dying backends, killed subprocesses) come from the shared
 harness in ``tests/harness/faults.py``.
 """
 
@@ -21,9 +21,8 @@ from repro.catalog import Catalog, CatalogStore
 from repro.dataframe.table import Table
 from tests.harness.entries import make_entry, same_shard_fingerprints
 from tests.harness.faults import (
+    DyingBackend,
     InjectedCrash,
-    crash_at,
-    exit_hook,
     run_killed,
     run_ok,
 )
@@ -52,10 +51,10 @@ class TestThreadedWriters:
         assert report["problems"] == []
         assert report["objects"] == len(fingerprints)
 
-    def test_threads_sharing_one_store_keep_every_claim(self, store):
-        """Eight threads write through *one* store, so every claim lands
-        on one lease file: no thread's publish may drop another's, and
-        a peer's gc spares every object until the lease is returned."""
+    def test_threads_sharing_one_store_land_every_object(self, store):
+        """Eight threads write through *one* store: every object lands
+        whole, and — with nothing saved — a peer's gc reclaims all of
+        them in one pass."""
         fingerprints = [f"{i:04x}{i:04x}" for i in range(64)]
 
         def write(fp):
@@ -69,14 +68,10 @@ class TestThreadedWriters:
         finally:
             sys.setswitchinterval(interval)
 
-        (lease,) = store.leases.active()
-        assert lease.claims == set(fingerprints)
-        assert store.writer_lease().claims == set(fingerprints)
-        peer = CatalogStore(store.root)
-        assert peer.gc([]) == 0
-        assert peer.last_gc["skipped_leased"] == len(fingerprints)
-        store.release_writer_lease()
-        assert peer.gc([]) == len(fingerprints)
+        assert store.list_objects() == sorted(fingerprints)
+        assert store.verify()["problems"] == []
+        assert CatalogStore(store.root).gc([]) == len(fingerprints)
+        assert store.list_objects() == []
 
     def test_threaded_profile_writes_merge(self, store):
         base = "basefp"
@@ -98,6 +93,65 @@ class TestThreadedWriters:
         store.write_profiles("b", {"old": np.zeros(2)})
         store.write_profiles("b", {"new": np.ones(2)}, merge=False)
         assert set(store.read_profiles("b")) == {"new"}
+
+
+class TestThreadedTransitions:
+    """Threads of one process take the root lock like processes do: its
+    in-process layer serializes saves and gc passes across threads."""
+
+    def test_threads_saving_disjoint_slices_merge(self, tmp_path):
+        root = str(tmp_path / "cat")
+        Catalog.open(root, num_perm=8, bands=4).save()
+
+        def build(prefix):
+            catalog = Catalog.load(root)
+            for table in _slice_tables([f"{prefix}{i}" for i in range(4)]):
+                catalog.add(table)
+                catalog.save()
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(build, "abcd", timeout=60))
+        manifest = CatalogStore(root).read_manifest()
+        assert set(manifest["tables"]) == {f"{p}{i}" for p in "abcd" for i in range(4)}
+        assert Catalog.load(root).verify()["problems"] == []
+
+    def test_threads_interleaving_saves_and_gc(self, tmp_path):
+        """Two builder threads add and save table by table while a third
+        loops gc: a gc may reclaim a builder's object between its write
+        and its save, and the save re-derives it, so every table ends up
+        referenced with its object, and one more gc finds no garbage."""
+        root = str(tmp_path / "cat")
+        Catalog.open(root, num_perm=8, bands=4).save()
+        done = []
+
+        def build(prefix):
+            catalog = Catalog.load(root)
+            for table in _slice_tables([f"{prefix}{i}" for i in range(6)]):
+                catalog.add(table)
+                catalog.save()
+            done.append(prefix)
+
+        def collect():
+            while len(done) < 2:
+                Catalog.load(root).gc()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                futures = [pool.submit(collect)] + [
+                    pool.submit(build, prefix) for prefix in "ab"
+                ]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        catalog = Catalog.load(root)
+        assert set(catalog.store.read_manifest()["tables"]) == {
+            f"{p}{i}" for p in "ab" for i in range(6)
+        }
+        assert catalog.verify()["problems"] == []
+        assert catalog.gc() == 0
 
 
 def _object_writer(root, fingerprints):
@@ -182,10 +236,10 @@ class TestProcessWriters:
     def test_adopting_builders_race_a_collector(self, tmp_path):
         """Two builders adopt overlapping, currently unreferenced objects
         while a third process loops add → save → remove → save → gc.
-        Whichever side of each builder's claim a gc pass lands on
-        (object reclaimed first and re-derived at save, or claimed first
-        and spared), every builder's table ends up in the manifest with
-        its object."""
+        Whichever side of each builder's save a gc pass lands on (object
+        reclaimed first and re-derived at save, or referenced first and
+        spared), every builder's table ends up in the manifest with its
+        object."""
         root = str(tmp_path / "cat")
         shared = [f"s{i}" for i in range(6)]
         seeded = Catalog.open(root, num_perm=8, bands=4)
@@ -207,7 +261,6 @@ class TestProcessWriters:
         assert set(manifest["tables"]) == {*shared, "keep", "a0", "a1", "b0", "b1"}
         catalog = Catalog.load(root)
         assert catalog.verify()["problems"] == []
-        assert catalog.store.leases.active() == []
 
     def test_peer_removal_not_resurrected(self, tmp_path):
         """A writer that merely carries a table forward must honor a
@@ -232,25 +285,31 @@ class TestProcessWriters:
         assert Catalog.load(root).verify()["problems"] == []
 
 
-def _crashing_writer(root, fingerprint):
-    store = CatalogStore(root)
-    store.fault_hook = exit_hook("claims-published")
+def _killed_writer(root, fingerprint):
+    store = CatalogStore(root, backend=DyingBackend(root, ".bin", exit=True))
     store.write_object(fingerprint, {"name": fingerprint}, {"c": make_entry({"v"})})
 
 
+def _killed_saver(root, names):
+    """Adds ``names`` and dies as the save writes the manifest —
+    holding the root lock."""
+    backend = DyingBackend(root, "manifest.json", exit=True)
+    catalog = Catalog.load(CatalogStore(root, backend=backend))
+    for table in _slice_tables(names):
+        catalog.add(table)
+    catalog.save()
+
+
 class TestCrashSafety:
-    def test_writer_dies_between_claim_and_file(self, store):
-        """The claim is published, the writer dies before its file
-        lands: nothing is half-written, the store verifies, and the next
-        writer of the fingerprint lands it whole."""
+    def test_writer_dies_before_its_file_lands(self, store):
+        """The writer dies as its object is about to land: nothing is
+        half-written, the store verifies, and the next writer of the
+        fingerprint lands it whole."""
         first, second = same_shard_fingerprints(2)
-        with crash_at(store, "claims-published"):
-            with pytest.raises(InjectedCrash):
-                store.write_object(
-                    first, {"name": first}, {"c": make_entry({"v"})}
-                )
+        dying = CatalogStore(store.root, backend=DyingBackend(store.root, ".bin"))
+        with pytest.raises(InjectedCrash):
+            dying.write_object(first, {"name": first}, {"c": make_entry({"v"})})
         assert not store.has_object(first)
-        assert first in store.writer_lease().claims
         assert store.verify()["problems"] == []
 
         for fingerprint in (first, second):
@@ -261,16 +320,14 @@ class TestCrashSafety:
         assert store.verify()["problems"] == []
 
     def test_killed_writer_process_leaves_consistent_shard(self, store):
-        """Same scenario with a real process kill (os._exit), so nothing
-        after the claim — no finally blocks, no interpreter teardown —
-        runs in the writer.  Its claim outlives it until the lease
-        expires, which is harmless: the object does not exist."""
+        """Same scenario with a real process kill (os._exit) holding the
+        shard lock, so nothing after it — no finally blocks, no
+        interpreter teardown — runs in the writer.  The lock dies with
+        the process: the next writer of the shard does not wait."""
         first, second = same_shard_fingerprints(2)
-        run_killed(_crashing_writer, (store.root, first))
+        run_killed(_killed_writer, (store.root, first))
 
         assert not store.has_object(first)
-        (dead,) = store.leases.active()
-        assert dead.claims == {first}
         assert store.verify()["problems"] == []
 
         store.write_object(second, {"name": second}, {"c": make_entry({"w"})})
@@ -278,3 +335,23 @@ class TestCrashSafety:
         assert store.read_object(first)[0] == {"name": first}
         assert store.list_objects() == sorted([first, second])
         assert store.verify()["problems"] == []
+
+    def test_saver_killed_holding_the_root_lock(self, tmp_path):
+        """A saver killed as its manifest is about to land, inside the
+        root lock: the old manifest stands and verifies, the next save
+        and gc take the lock at once, and the gc reclaims the dead
+        saver's unreferenced objects."""
+        root = str(tmp_path / "cat")
+        seeded = Catalog.open(root, num_perm=8, bands=4)
+        seeded.refresh(_slice_tables(["keep"]))
+        seeded.save()
+        run_killed(_killed_saver, (root, ["d0", "d1"]))
+
+        assert set(CatalogStore(root).read_manifest()["tables"]) == {"keep"}
+        assert Catalog.load(root).verify()["problems"] == []
+        survivor = Catalog.load(root)
+        survivor.add(_slice_tables(["s0"])[0])
+        survivor.save()
+        assert survivor.gc() == 2  # d0 and d1
+        assert set(CatalogStore(root).read_manifest()["tables"]) == {"keep", "s0"}
+        assert survivor.verify()["problems"] == []

@@ -1,40 +1,40 @@
-"""The store protocol as a state machine: two builders and one collector.
+"""The store protocol as a state machine: two builders and a collector.
 
-Hypothesis drives two builder :class:`CatalogStore` instances (separate
-lease owners on one root) and one gc instance through object writes,
-adoptions (``claim_objects``, then a rewrite of whatever comes back
-missing), saves, drops, gc passes, lease expiry, a builder crash
-between publishing a claim and landing the file (the
-``"claims-published"`` fault point), and a gc pass dying after any
-number of its removals.  A crashed instance is abandoned — its lease
-left to expire — and a fresh one takes its place.  An in-memory model tracks
-what the root manifest references and what each live builder holds;
-after every step the real store must agree with it:
+Hypothesis drives two builder catalogs (separate :class:`Catalog` and
+:class:`CatalogStore` instances on one root, as two processes would
+hold them) and a collector through adds, updates, removes, refreshes,
+saves and gc passes, with a crash at every store write: a builder dying
+as an object, the snapshot or the manifest is about to land (a save
+dies holding the root lock), and a gc dying after any number of its
+removals.  A crashed builder is abandoned and a fresh one opens the
+root in its place.  The collector either opens the root afresh for
+each pass or keeps a stale catalog across steps.
+
+After every step:
 
 * every object the saved manifest references exists and decodes to its
-  content;
-* every object a live, unexpired builder wrote or claimed still exists
-  — gc never removes an object a live builder will reference;
+  table;
 * ``verify()`` reports no problems;
-* only objects that were ever written are listed, and once every lease
-  has expired one gc leaves exactly the referenced set.
+* only objects of the table pool are ever listed.
 
-The machine uses only the store's public protocol, so it holds whatever
-bookkeeping the store keeps for deletions.
+After every clean save, the manifest lists each table live in the
+saving builder under its current fingerprint — whatever a gc reclaimed
+since the builder wrote or adopted the object.  At teardown, with no
+builder pending, one gc leaves exactly the referenced set.
+
+There is no clock in the machine: nothing expires, and a dead builder's
+work is garbage as soon as it dies.
 """
 
 import os
 import shutil
 import tempfile
-import time
 
 import pytest
 
-from repro.catalog import CatalogStore, LocalFSBackend
-from repro.catalog import store as store_module
-from repro.catalog.fingerprint import shard_of
-from tests.harness.entries import make_entry, same_shard_fingerprints
-from tests.harness.faults import InjectedCrash, crash_at
+from repro.catalog import Catalog, CatalogStore, table_fingerprint
+from repro.dataframe.table import Table
+from tests.harness.faults import DyingBackend, InjectedCrash
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, settings, strategies as st  # noqa: E402
@@ -44,51 +44,34 @@ from hypothesis.stateful import (  # noqa: E402
     rule,
 )
 
-#: Three fingerprints share a shard (one lock); the fourth lives
-#: elsewhere.
-_SHARED = same_shard_fingerprints(3)
-FINGERPRINTS = _SHARED + same_shard_fingerprints(
-    1, shard="00" if shard_of(_SHARED[0]) != "00" else "01"
-)
+CONFIG = {"num_perm": 8, "bands": 4}
+
+#: Four names, two contents each: adding the other version of a cataloged
+#: name is an update.
+POOL = [
+    Table(f"t{n}", {"c": [f"t{n}-v{version}-{i}" for i in range(3)]})
+    for n in range(4)
+    for version in range(2)
+]
 
 builders = st.sampled_from([0, 1])
-fingerprints = st.sampled_from(FINGERPRINTS)
-#: Where a builder step can die (``None``: it does not).
-builder_crashes = st.sampled_from([None, "claims-published"])
+tables = st.sampled_from(POOL)
+names = st.sampled_from(sorted({table.name for table in POOL}))
+#: A corpus: at most one version per name.
+corpora = st.lists(tables, max_size=4, unique_by=lambda table: table.name)
+#: Where a builder's step dies (``None``: it does not).
+add_crashes = st.sampled_from([None, ".bin"])
+save_crashes = st.sampled_from([None, ".bin", "snapshot.npz", "manifest.json"])
 #: How many files a gc pass removes before it dies (``None``: it does
 #: not die).
 gc_crashes = st.one_of(st.none(), st.integers(0, 2))
 
 
-class RemovesThenDies(LocalFSBackend):
-    """The local backend, dying after ``survive`` file removals."""
-
-    def __init__(self, root, survive):
-        super().__init__(root)
-        self.survive = survive
-
-    def remove(self, path):
-        if self.survive == 0:
-            raise InjectedCrash(path)
-        self.survive -= 1
-        return super().remove(path)
-
-
-def write(store, fingerprint):
-    store.write_object(
-        fingerprint, {"name": fingerprint}, {"c": make_entry({fingerprint})}
-    )
-
-
-class Builder:
-    """A builder's store handle and what the model says it holds."""
-
-    def __init__(self, root):
-        self.store = CatalogStore(root)
-        #: Written or claimed since the last save, under a live lease.
-        self.held = set()
-        #: To be un-referenced by the next save.
-        self.dropped = set()
+def open_catalog(root, op="write"):
+    """A catalog on ``root`` whose backend can be armed to die at one
+    ``op`` (see :class:`DyingBackend`); it starts disarmed."""
+    backend = DyingBackend(root, None, op=op)
+    return Catalog(CatalogStore(root, backend=backend), **CONFIG)
 
 
 class StoreProtocol(RuleBasedStateMachine):
@@ -96,139 +79,117 @@ class StoreProtocol(RuleBasedStateMachine):
         super().__init__()
         self.tmp = tempfile.mkdtemp(prefix="store-model-")
         self.root = os.path.join(self.tmp, "cat")
-        self.real_now = store_module._now
-        start = time.time()
-        self.elapsed = 0.0
-        store_module._now = lambda: start + self.elapsed
-        self.builders = [Builder(self.root), Builder(self.root)]
-        self.collector = CatalogStore(self.root)
-        #: The model of the saved root manifest.
-        self.referenced = set()
-        #: Every fingerprint ever handed to ``write_object``.
-        self.written = set()
-        #: The manifest as the previous gc pass read it: a stale pass
-        #: starts from this scan-time snapshot.
-        self.scanned = set()
+        self.builders = [open_catalog(self.root), open_catalog(self.root)]
+        self.collector = open_catalog(self.root, op="remove")
+        artifact = self.collector._artifact_config
+        self.pool_objects = {
+            f"{artifact}-{table_fingerprint(table)}" for table in POOL
+        }
 
     def manifest_tables(self):
-        manifest = self.collector.read_manifest()
-        return set(manifest["tables"]) if manifest else set()
+        manifest = CatalogStore(self.root).read_manifest()
+        return manifest["tables"] if manifest else {}
 
-    @staticmethod
-    def survives(store, point, step):
-        """Run ``step``, under a crash at ``point`` when one is given.
-        False when the crash hit: the caller abandons ``store``."""
-        if point is None:
-            step()
-            return True
-        with crash_at(store, point):
-            try:
-                step()
-            except InjectedCrash:
-                return False
-        return True
-
-    def builder_step(self, index, fingerprint, crash, step):
+    def step(self, index, crash, action):
+        """Run ``action`` on builder ``index`` with its backend armed to
+        die at ``crash``; a builder that died is replaced by a fresh
+        one.  True when the step completed."""
         builder = self.builders[index]
-        self.written.add(fingerprint)
-        if self.survives(builder.store, crash, step):
-            builder.held.add(fingerprint)
-            builder.dropped.discard(fingerprint)
-        else:
-            self.builders[index] = Builder(self.root)
+        builder.store.backend.suffix = crash
+        try:
+            action(builder)
+        except InjectedCrash:
+            self.builders[index] = open_catalog(self.root)
+            return False
+        builder.store.backend.suffix = None
+        return True
 
     # ------------------------------------------------------------------
     # Rules
     # ------------------------------------------------------------------
-    @rule(index=builders, fingerprint=fingerprints, crash=builder_crashes)
-    def write_object(self, index, fingerprint, crash):
-        store = self.builders[index].store
-        self.builder_step(index, fingerprint, crash, lambda: write(store, fingerprint))
+    @rule(index=builders, table=tables, crash=add_crashes)
+    def add(self, index, table, crash):
+        def add_or_update(builder):
+            if table.name in builder.fingerprints:
+                builder.update(table)
+            else:
+                builder.add(table)
 
-    @rule(index=builders, fingerprint=fingerprints, crash=builder_crashes)
-    def adopt(self, index, fingerprint, crash):
-        store = self.builders[index].store
+        self.step(index, crash, add_or_update)
 
-        def claim_then_rewrite():
-            for missing in store.claim_objects([fingerprint]):
-                write(store, missing)
-
-        self.builder_step(index, fingerprint, crash, claim_then_rewrite)
-
-    @rule(index=builders, fingerprint=fingerprints)
-    def drop(self, index, fingerprint):
+    @rule(index=builders, name=names)
+    def remove(self, index, name):
         builder = self.builders[index]
-        builder.held.discard(fingerprint)
-        builder.dropped.add(fingerprint)
+        if name in builder.fingerprints:
+            builder.remove(name)
+
+    @rule(index=builders, corpus=corpora, crash=add_crashes)
+    def refresh(self, index, corpus, crash):
+        self.step(index, crash, lambda builder: builder.refresh(corpus))
+
+    @rule(index=builders, crash=save_crashes)
+    def save(self, index, crash):
+        live = self.builders[index].fingerprints
+        if self.step(index, crash, Catalog.save):
+            tables = self.manifest_tables()
+            for name, fingerprint in live.items():
+                assert tables.get(name) == fingerprint, name
 
     @rule(index=builders)
-    def save(self, index):
-        builder = self.builders[index]
-        store = builder.store
-        with store.root_lock():
-            manifest = store.read_manifest()
-            tables = set(manifest["tables"]) if manifest else set()
-            tables = (tables - builder.dropped) | builder.held
-            store.write_manifest({}, {fp: fp for fp in tables})
-        store.release_writer_lease()
-        self.referenced = tables
-        builder.held = set()
-        builder.dropped = set()
+    def reopen(self, index):
+        self.builders[index] = open_catalog(self.root)
 
-    @rule(stale=st.booleans(), crash=gc_crashes)
-    def gc(self, stale, crash):
-        current = self.manifest_tables()
-        live, self.scanned = (self.scanned if stale else current), current
-        collector = self.collector
+    @rule(fresh=st.booleans(), crash=gc_crashes)
+    def gc(self, fresh, crash):
+        if fresh:
+            self.collector = open_catalog(self.root, op="remove")
+        backend = self.collector.store.backend
         if crash is not None:
-            collector = CatalogStore(
-                self.root, backend=RemovesThenDies(self.root, crash)
-            )
+            backend.suffix, backend.survive = ".bin", crash
         try:
-            collector.gc(live, live_check=self.manifest_tables)
+            self.collector.gc()
         except InjectedCrash:
             pass
+        backend.suffix = None
 
-    @rule()
-    def expire_leases(self):
-        self.elapsed += self.collector.lease_ttl + 1
-        for builder in self.builders:
-            builder.held = set()
+    @rule(index=builders)
+    def builder_gc(self, index):
+        """A builder collects too: its own unsaved work is live to it,
+        the other builder's is garbage."""
+        self.builders[index].gc()
 
     # ------------------------------------------------------------------
     # Invariants
     # ------------------------------------------------------------------
     @invariant()
     def referenced_objects_exist_and_decode(self):
-        assert self.manifest_tables() == self.referenced
-        for fingerprint in self.referenced:
-            meta, entries = self.collector.read_object(fingerprint)
-            assert meta == {"name": fingerprint}
-            assert entries["c"].distinct == {fingerprint}
-
-    @invariant()
-    def live_builders_keep_their_objects(self):
-        for builder in self.builders:
-            for fingerprint in builder.held:
-                assert builder.store.has_object(fingerprint), fingerprint
+        store = CatalogStore(self.root)
+        artifact = self.collector._artifact_config
+        for name, fingerprint in self.manifest_tables().items():
+            meta, entries = store.read_object(f"{artifact}-{fingerprint}")
+            assert meta["name"] == name
+            assert set(entries) == {"c"}
 
     @invariant()
     def store_verifies(self):
-        assert self.collector.verify()["problems"] == []
+        if CatalogStore(self.root).exists():
+            assert Catalog.load(self.root).verify()["problems"] == []
 
     @invariant()
-    def only_written_objects_exist(self):
-        assert set(self.collector.list_objects()) <= self.written
+    def only_pool_objects_exist(self):
+        assert set(CatalogStore(self.root).list_objects()) <= self.pool_objects
 
     def teardown(self):
         try:
-            self.expire_leases()
-            store = CatalogStore(self.root)
-            store.gc(self.manifest_tables(), live_check=self.manifest_tables)
-            assert set(store.list_objects()) == self.referenced
-            assert store.verify()["problems"] == []
+            catalog = Catalog(CatalogStore(self.root), **CONFIG)
+            catalog.gc()
+            referenced = {
+                catalog._object_id(fingerprint)
+                for fingerprint in self.manifest_tables().values()
+            }
+            assert set(catalog.store.list_objects()) == referenced
+            assert catalog.store.verify()["problems"] == []
         finally:
-            store_module._now = self.real_now
             shutil.rmtree(self.tmp, ignore_errors=True)
 
 

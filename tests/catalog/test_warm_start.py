@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro import CandidateSpec, DiscoveryEngine
-from repro.catalog import Catalog, CatalogStore
+from repro.catalog import Catalog, CatalogStore, LocalFSBackend
 from repro.data import housing_scenario
 from repro.dataframe.table import Table
 from repro.discovery import ColumnRef, MinHasher, generate_candidates
@@ -88,6 +88,42 @@ class TestWarmStartEquivalence:
         loaded = Catalog.load(str(tmp_path / "auto"))
         diff = loaded.refresh(scenario.corpus)
         assert not diff.changed  # manifest/snapshot were saved automatically
+
+    def test_implicit_save_rederives_what_a_peer_gc_reclaimed(
+        self, tmp_path, scenario
+    ):
+        """A warm engine signs the one table its catalog lacks; a peer's
+        gc reclaims that object right after it lands (nothing references
+        it yet), and the engine's implicit save signs it again before the
+        manifest names it.  The engine takes no lock of its own."""
+        root = str(tmp_path / "cat")
+        full = dict(scenario.corpus)
+        missing = sorted(full)[-1]
+        seeded = Catalog(CatalogStore(root), min_containment=0.3, seed=0)
+        seeded.refresh([t for name, t in full.items() if name != missing])
+        seeded.save()
+
+        class GcAfterFirstObject(LocalFSBackend):
+            collected = []
+
+            def write_bytes(self, path, data):
+                super().write_bytes(path, data)
+                if path.endswith(".bin") and not self.collected:
+                    self.collected.append(Catalog.load(root).gc())
+
+        warm = Catalog.load(CatalogStore(root, backend=GcAfterFirstObject(root)))
+        engine = DiscoveryEngine(corpus=scenario.corpus, catalog=warm)
+        try:
+            got = engine.prepare(scenario.base)
+        finally:
+            engine.shutdown()
+        columns = len(full[missing].column_names)
+        assert GcAfterFirstObject.collected == [1]
+        assert warm.computed_columns == 2 * columns  # signed, then re-signed
+        assert sorted(CatalogStore(root).read_manifest()["tables"]) == sorted(full)
+        assert Catalog.load(root).verify()["problems"] == []
+        cold = DiscoveryEngine(corpus=scenario.corpus).prepare(scenario.base)
+        assert [c.aug_id for c in got] == [c.aug_id for c in cold]
 
     def test_partial_corpus_does_not_shrink_saved_catalog(self, tmp_path, scenario):
         catalog = build_catalog(tmp_path, scenario)
@@ -182,12 +218,14 @@ class TestWarmStartOnlyReads:
         assert warm.loaded_columns == 2 * n_tables
         return warm, spy
 
-    def test_load_writes_nothing_under_objects_or_leases(self, tmp_path):
+    def test_load_writes_nothing(self, tmp_path):
+        """A load on an unchanged corpus mutates no file anywhere under
+        the root: no object, no lock taken, no bookkeeping."""
         _warm, spy = self.warm_start(tmp_path, 20)
-        assert spy.in_section("objects") == {}
-        assert spy.in_section("leases") == {}
-        # Only the builder's released-lease leftovers: no lease file.
-        assert os.listdir(os.path.join(spy.spy_root, "leases")) == [".lock"]
+        assert spy.calls == {}
+        assert sorted(os.listdir(spy.spy_root)) == [
+            ".lock", "manifest.json", "objects", "snapshot.npz",
+        ]
 
     def test_mutation_count_does_not_grow_with_the_store(self, tmp_path):
         """At the parent of this guard every unchanged table cost ≥ 4
@@ -196,20 +234,21 @@ class TestWarmStartOnlyReads:
         _warm, large = self.warm_start(tmp_path, 80)
         assert sum(large.calls.values()) == sum(small.calls.values())
 
-    def test_save_claims_every_adopted_object_in_one_lease_write(self, tmp_path):
+    def test_save_after_a_warm_start_checks_no_adopted_object(self, tmp_path):
+        """Every adopted object is one the on-disk manifest already
+        references, so the save probes none of them and touches nothing
+        under ``objects/``: one root lock, the snapshot and the manifest."""
         warm, spy = self.warm_start(tmp_path, 20)
         spy.calls.clear()
+        spy.reads.clear()
         warm.save()
-        claiming = [w["claims"] for w in spy.lease_writes if "claims" in w]
-        adopted = sorted(
-            warm._object_id(fingerprint) for fingerprint in warm.fingerprints.values()
-        )
-        assert claiming == [adopted]  # one write, all ids, sorted
-        # Verification locks shards and writes nothing beneath them; the
-        # lease costs a constant few writes, not one per table.
-        assert set(spy.in_section("objects")) == {"lock"}
-        assert spy.in_section("leases")["write_bytes"] <= 3
-        assert os.listdir(os.path.join(spy.spy_root, "leases")) == [".lock"]
+        assert spy.in_section("objects") == {}
+        assert spy.reads[("exists", "objects")] == 0
+        assert spy.calls == {
+            ("lock", ".lock"): 1,
+            ("write_stream", "snapshot.npz"): 1,
+            ("write_bytes", "manifest.json"): 1,
+        }
 
     def test_prepare_on_a_cached_profile_group_only_reads(self, tmp_path, scenario):
         """A warm ``prepare`` whose profile group is cached opens no file
@@ -227,14 +266,14 @@ class TestWarmStartOnlyReads:
             engine.shutdown()
         assert warm.computed_columns == 0
         assert spy.in_section("objects") == {}
-        assert spy.in_section("leases") == {}
         assert spy.in_section("profiles") == {"touch": 1}
 
     def test_no_bookkeeping_files_after_build_warm_start_and_gc(
         self, tmp_path, scenario
     ):
-        """Objects, profile groups and lease claims are the whole store:
-        no shard manifest, delta log or fencing counter is ever left."""
+        """Objects, profile groups, the snapshot and the manifest are
+        the whole store: no shard manifest, delta log, fencing counter
+        or write-claim file is ever left."""
         root = str(tmp_path / "cat")
         catalog = build_catalog(tmp_path, scenario)
         DiscoveryEngine(corpus=scenario.corpus, catalog=catalog).prepare(scenario.base)
@@ -254,7 +293,10 @@ class TestWarmStartOnlyReads:
             for name in names
         ]
         assert [f for f in files if "manifest" in f] == ["manifest.json"]
-        assert not [f for f in files if f.endswith(".seq")]
+        assert not [f for f in files if f.endswith((".seq", ".json.tmp"))]
+        assert sorted(os.listdir(root)) == [
+            ".lock", "manifest.json", "objects", "profiles", "snapshot.npz",
+        ]
 
     def test_objects_read_are_the_tables_a_base_column_collided_with(self, tmp_path):
         """Per-column paging: a warm start reads one object per table an
@@ -309,3 +351,64 @@ class TestWarmStartOnlyReads:
         assert set(warm.index._entries) == collided
         assert len(spy.object_reads) == len({ref.table for ref in collided})
         assert len(set(spy.object_reads)) == len(spy.object_reads)
+
+
+def _reader_corpus(n=5):
+    return [
+        Table(f"t{i}", {"k": [f"v{j}" for j in range(8)], "x": [f"{i}-{j}" for j in range(8)]})
+        for i in range(n)
+    ]
+
+
+def _object_files(root):
+    """Every file under ``objects/`` with its bytes and mtime."""
+    files = {}
+    for dirpath, _dirnames, filenames in os.walk(os.path.join(root, "objects")):
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as handle:
+                files[path] = (handle.read(), os.stat(path).st_mtime_ns)
+    return files
+
+
+class TestReaderLeavesNothingBehind:
+    """A process that only reads (load + refresh of an unchanged corpus,
+    never a save) rewrites no object and leaves nothing that could keep
+    a peer's gc off its garbage: the peer reclaims a dropped table's
+    object on its first pass."""
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        root = str(tmp_path / "cat")
+        catalog = Catalog(CatalogStore(root), num_perm=8, bands=4)
+        catalog.refresh(_reader_corpus())
+        catalog.save()
+        return root
+
+    def check_peer_reclaims_first_pass(self, root):
+        peer = Catalog.load(root, corpus=_reader_corpus()[1:])  # drops t0
+        peer.save()
+        assert peer.gc() == 1
+        assert peer.verify()["problems"] == []
+
+    def test_catalog_load_on_unchanged_corpus(self, root):
+        before = _object_files(root)
+        listing = sorted(os.listdir(root))
+        reader = Catalog.load(root, corpus=_reader_corpus())
+        assert reader.computed_columns == 0
+        assert _object_files(root) == before
+        assert sorted(os.listdir(root)) == listing
+        self.check_peer_reclaims_first_pass(root)
+
+    def test_engine_prepare_on_unchanged_corpus(self, root):
+        before = _object_files(root)
+        listing = sorted(os.listdir(root))
+        base = Table("base", {"k": [f"v{j}" for j in range(8)], "y": list(range(8))})
+        engine = DiscoveryEngine.open(root, create=False).attach_corpus(_reader_corpus())
+        try:
+            assert engine.prepare(base)
+        finally:
+            engine.shutdown()
+        assert _object_files(root) == before
+        assert set(os.listdir(root)) - set(listing) <= {"profiles"}
+        self.check_peer_reclaims_first_pass(root)

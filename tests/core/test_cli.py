@@ -390,6 +390,20 @@ class TestCatalogCommands:
         assert main(["catalog", "stats", path]) == 0
         out = capsys.readouterr().out
         assert "tables          10" in out
+        assert "(layout v5)" in out
+        assert "leases" not in out
+
+    def test_gc_reports_only_what_it_dropped(self, capsys, tmp_path):
+        """There is nothing left for gc to preserve: it reclaims every
+        unreferenced object and says how many, in one line."""
+        path = str(tmp_path / "cat")
+        assert main(["catalog", "build", path, "--tables", "8"]) == 0
+        assert main(["catalog", "update", path, "--tables", "5"]) == 0
+        capsys.readouterr()
+        assert main(["catalog", "gc", path]) == 0
+        assert capsys.readouterr().out == "gc: dropped 3 orphaned objects\n"
+        assert main(["catalog", "gc", path]) == 0
+        assert capsys.readouterr().out == "gc: dropped 0 orphaned objects\n"
 
     def test_build_refuses_api_built_catalog(self, capsys, tmp_path):
         from repro.catalog import Catalog, CatalogStore

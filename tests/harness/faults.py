@@ -1,19 +1,16 @@
 """Reusable fault-injection helpers for crash-safety tests.
 
-The catalog store (and the catalog facade layered on it) claims crash
-safety at its protocol points — a writer killed between publishing its
-claim and landing its file is the one the store names
-(``"claims-published"``).  These helpers express the fault shapes once:
+The catalog store claims crash safety at every file it writes or
+removes: a writer killed before an object, the snapshot or the manifest
+lands, or a ``gc`` killed after any number of its removals, leaves a
+store that verifies.  These helpers express the fault shapes once:
 
-``crash_at(store, point)``
-    Context manager raising :class:`InjectedCrash` from the store's
-    ``fault_hook`` at the named protocol point — an in-process
-    "writer death" that unit tests can assert around.
-
-``exit_hook(point, code)``
-    A ``fault_hook`` that ``os._exit``\\ s at the point — a *real*
-    process death (no ``finally`` blocks, no interpreter teardown) for
-    forked subprocess writers.
+``DyingBackend(root, suffix, ...)``
+    The local backend, dying as it is about to write (or remove) a file
+    whose name ends with ``suffix`` — by raising :class:`InjectedCrash`
+    (an in-process "writer death" unit tests can assert around), or by
+    ``os._exit`` (a *real* process death: no ``finally`` blocks, no
+    interpreter teardown, every flock released by the kernel).
 
 ``run_killed(target, args, exitcode)`` / ``run_ok(jobs)``
     Fork-based subprocess drivers: the first asserts the worker died
@@ -25,10 +22,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from contextlib import contextmanager
 
-#: Exit code every ``exit_hook`` worker dies with (asserted by
-#: ``run_killed`` so an unrelated crash can't pass as the injected one).
+from repro.catalog import LocalFSBackend
+
+#: Exit code every killed worker dies with (asserted by ``run_killed``
+#: so an unrelated crash can't pass as the injected one).
 KILLED_EXIT_CODE = 17
 
 
@@ -36,48 +34,48 @@ class InjectedCrash(BaseException):
     """Simulated writer death (BaseException so no handler eats it)."""
 
 
-def crash_hook(point: str, exception=InjectedCrash):
-    """A ``fault_hook`` raising ``exception`` at ``point``."""
+class DyingBackend(LocalFSBackend):
+    """The local backend, dying at the ``survive + 1``-th ``op`` (a
+    ``"write"`` — ``write_bytes`` or ``write_stream`` — or a
+    ``"remove"``) of a path ending with ``suffix``, before the file
+    changes.  ``exit`` kills the process; otherwise the call raises
+    :class:`InjectedCrash`.  A ``suffix`` of ``None`` disarms it: set
+    the attributes between steps to arm it for one step only."""
 
-    def hook(name: str) -> None:
-        if name == point:
-            raise exception(name)
+    def __init__(self, root, suffix, op="write", survive=0, exit=False):
+        super().__init__(root)
+        self.suffix = suffix
+        self.op = op
+        self.survive = survive
+        self.exit = exit
 
-    return hook
+    def _maybe_die(self, op, path):
+        if op != self.op or self.suffix is None or not path.endswith(self.suffix):
+            return
+        if self.survive > 0:
+            self.survive -= 1
+            return
+        if self.exit:
+            os._exit(KILLED_EXIT_CODE)
+        raise InjectedCrash(path)
 
+    def write_bytes(self, path, data):
+        self._maybe_die("write", path)
+        return super().write_bytes(path, data)
 
-@contextmanager
-def crash_at(store, point: str):
-    """Install a crash hook on ``store`` for the duration of the block.
+    def write_stream(self, path):
+        self._maybe_die("write", path)
+        return super().write_stream(path)
 
-    The protected operation is expected to die with
-    :class:`InjectedCrash` (assert with ``pytest.raises``); the previous
-    hook is restored afterwards, so one test can crash several points in
-    sequence."""
-    previous = store.fault_hook
-    store.fault_hook = crash_hook(point)
-    try:
-        yield store
-    finally:
-        store.fault_hook = previous
-
-
-def exit_hook(point: str, code: int = KILLED_EXIT_CODE):
-    """A ``fault_hook`` that kills the *process* at ``point``.
-
-    ``os._exit`` skips every ``finally`` block and all interpreter
-    teardown — the closest a test can get to ``kill -9`` from inside."""
-
-    def hook(name: str) -> None:
-        if name == point:
-            os._exit(code)
-
-    return hook
+    def remove(self, path):
+        self._maybe_die("remove", path)
+        return super().remove(path)
 
 
 def fork_context():
-    """The fork start method (these tests inject faults into inherited
-    store objects, which spawn's pickling path cannot carry)."""
+    """The fork start method (these tests hand inherited store objects
+    and closures to workers, which spawn's pickling path cannot
+    carry)."""
     return multiprocessing.get_context("fork")
 
 

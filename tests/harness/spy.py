@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import json
 import os
 
 from repro.catalog import LocalFSBackend
@@ -12,17 +11,15 @@ from repro.catalog import LocalFSBackend
 class SpyBackend(LocalFSBackend):
     """The local backend, counting calls by the store section (first
     path component under the root) they land in: mutating primitives
-    in :attr:`calls`, manifest reads and directory listings in
-    :attr:`reads`.  Every lease-file write and object file read is
-    recorded too.  A guard that counts calls instead of reading a
-    clock."""
+    in :attr:`calls`, file reads, existence probes and directory
+    listings in :attr:`reads`.  Every object file read is recorded too.
+    A guard that counts calls instead of reading a clock."""
 
     def __init__(self, root):
         super().__init__(root)
         self.spy_root = str(root)
         self.calls = collections.Counter()
         self.reads = collections.Counter()
-        self.lease_writes = []
         self.object_reads = []
 
     def _section(self, path):
@@ -37,14 +34,16 @@ class SpyBackend(LocalFSBackend):
         self.reads[("read_bytes", self._section(path))] += 1
         return super().read_bytes(path)
 
+    def exists(self, path):
+        self.reads[("exists", self._section(path))] += 1
+        return super().exists(path)
+
     def listdir(self, path):
         self.reads[("listdir", self._section(path))] += 1
         return super().listdir(path)
 
     def write_bytes(self, path, data):
         self._note("write_bytes", path)
-        if os.path.basename(path).startswith("writer-"):
-            self.lease_writes.append(json.loads(data))
         return super().write_bytes(path, data)
 
     def write_stream(self, path):

@@ -17,7 +17,6 @@ from tools.reprolint.checkers._locks import (
     BACKEND_IO_METHODS,
     FILE_LOCK_CALLS,
     IN_PROCESS_SUFFIXES,
-    LEASE_IO_METHODS,
 )
 from tools.reprolint.core import terminal_name
 
@@ -191,12 +190,12 @@ class TestBlockingUnderLock:
             {
                 "mod.py": (
                     "class Store:\n"
-                    "    def lease(self):\n"
-                    "        with self._writer_lease_guard:\n"
-                    "            return self.leases.acquire()\n"
                     "    def blob(self):\n"
                     "        with self._lock:\n"
                     "            return self.backend.read_bytes('p')\n"
+                    "    def stamp(self):\n"
+                    "        with self._state_guard:\n"
+                    "            self.store.backend.touch('p', 0.0)\n"
                 )
             },
             checks=["blocking-under-lock"],
@@ -312,12 +311,10 @@ class TestLockTables:
 
     def test_io_tables_match_the_classes(self):
         from repro.catalog.backend import LocalFSBackend
-        from repro.catalog.leases import LeaseManager
 
         # ``lock`` is the backend's one method that does no I/O of its
         # own: it returns the cross-process lock that guards I/O.
         assert BACKEND_IO_METHODS == _public_methods(LocalFSBackend) - {"lock"}
-        assert LEASE_IO_METHODS <= _public_methods(LeaseManager)
 
     def test_every_lock_name_matches_a_with_site_in_src(self):
         calls, attrs = set(), set()
@@ -414,11 +411,11 @@ class TestCatalogVfs:
         result = lint_tree(
             tmp_path,
             {
-                "src/repro/catalog/leases.py": (
+                "src/repro/catalog/fingerprint.py": (
                     "import os\n"
-                    "def lease_path(root, owner):\n"
+                    "def shard_path(root, fingerprint):\n"
                     "    os.getpid()\n"
-                    "    return os.path.join(root, owner)\n"
+                    "    return os.path.join(root, fingerprint[:2])\n"
                 )
             },
             checks=["catalog-vfs"],

@@ -28,7 +28,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 ENGINE = "src/repro/api/engine.py"
 SERVICE = "src/repro/server/service.py"
 STORE = "src/repro/catalog/store.py"
-LEASES = "src/repro/catalog/leases.py"
 INDEX = "src/repro/discovery/index.py"
 
 
@@ -98,20 +97,15 @@ CASES = {
         "# insert_many validates before mutating any bucket.",
         ("os.makedirs(self._spill_dir, exist_ok=True)",),
     ),
-    "store-write-stream-under-lease-guard": Mutation(
+    # The store's backend is I/O like any other, under any mutex.
+    "engine-store-write-stream-under-lock": Mutation(
         "blocking-under-lock",
-        STORE,
-        "lease, self._writer_lease = self._writer_lease, None",
+        ENGINE,
+        "corpus, epoch = self.corpus, self._corpus_epoch",
         (
-            "with self.backend.write_stream(self.snapshot_path) as handle:",
+            "with self.catalog.store.backend.write_stream(path) as handle:",
             '    handle.write(b"")',
         ),
-    ),
-    "store-lease-renew-under-lease-guard": Mutation(
-        "blocking-under-lock",
-        STORE,
-        "current = self._writer_lease",
-        ("fresh = self.leases.renew(fresh)",),
     ),
     # -- catalog-vfs --------------------------------------------------------
     "store-raw-os-replace": Mutation(
@@ -156,11 +150,11 @@ CASES = {
         "rows = list(rows)",
         ('io.open(self.snapshot_path, "wb").close()',),
     ),
-    "leases-os-open-without-append": Mutation(
+    "store-os-open-without-append": Mutation(
         "catalog-vfs",
-        LEASES,
-        "if lease.claims:",
-        ("os.open(self._lease_path(lease.owner), os.O_WRONLY | os.O_CREAT)",),
+        STORE,
+        "self._write_json(self.manifest_path, payload)",
+        ("os.open(self.manifest_path, os.O_WRONLY | os.O_CREAT)",),
     ),
     # -- metrics-hygiene ---------------------------------------------------
     "service-engine-family-as-gauge": Mutation(

@@ -4,8 +4,11 @@ that once carried knobs no caller set.
 ``hash_version`` (a second, seeded tabulation hash family),
 ``metrics=False`` (a no-op registry), ``tracing``/``Tracer(enabled=)``,
 ``DiscoveryEngine(searchers=, tasks=, scenarios=, profile_registry=)``
-and ``CatalogStore(profile_budget_bytes=)`` (write-time profile
-eviction) were deleted because nothing outside the tests ever set them.
+``CatalogStore(profile_budget_bytes=)`` (write-time profile eviction)
+and ``CatalogStore(lease_ttl=, clock_skew=)`` (the lifetime of write
+claims, which ``save()`` checking what it references under the root
+lock replaced) were deleted because nothing outside the tests ever set
+them.
 A parameter added to, or dropped from, one of these signatures fails here,
 so an option comes back only on purpose, with this census updated.
 """
@@ -41,7 +44,7 @@ CENSUS = {
         Catalog,
         ["store", "num_perm", "bands", "min_containment", "max_distinct", "seed"],
     ),
-    "CatalogStore": (CatalogStore, ["root", "clock_skew", "lease_ttl", "backend"]),
+    "CatalogStore": (CatalogStore, ["root", "backend"]),
     "MinHasher": (MinHasher, ["num_perm", "seed"]),
     "MetricsRegistry": (MetricsRegistry, ["max_series_per_metric"]),
     "Tracer": (Tracer, []),
@@ -68,6 +71,8 @@ def test_parameter_names_are_pinned(name):
         (DiscoveryIndex, "hash_version"),
         (Catalog, "hash_version"),
         (CatalogStore, "profile_budget_bytes"),
+        (CatalogStore, "lease_ttl"),
+        (CatalogStore, "clock_skew"),
         (MinHasher, "hash_version"),
         (Tracer, "enabled"),
     ],

@@ -77,7 +77,7 @@ KEEP: dict = {
     "repro/catalog/catalog.py::Catalog._changed_fingerprint":
         "(b) `Catalog.update`'s change test; tests drive the incremental catalog through it",
     "repro/catalog/catalog.py::Catalog.add":
-        "(b) tests build catalogs table by table to inspect the store, leases, gc and warm start",
+        "(b) tests build catalogs table by table to inspect the store, save, gc and warm start",
     "repro/catalog/catalog.py::Catalog.is_stale":
         "(b) tests check the fingerprint view of a catalog against live tables",
     "repro/catalog/catalog.py::Catalog.remove":
@@ -86,14 +86,8 @@ KEEP: dict = {
         "(b) tests re-catalog changed tables to inspect re-signing and fingerprints",
     "repro/catalog/catalog.py::ProfileCache.__len__":
         "(b) tests count cached profile groups",
-    "repro/catalog/leases.py::Lease.__repr__":
-        "(b) pytest prints leases through it when a lease assertion fails",
-    "repro/catalog/leases.py::Lease.expires":
-        "(c) a lease file another process left behind is judged by its expiry",
-    "repro/catalog/leases.py::LeaseManager._expired":
-        "(c) takes over a lease whose holder died (a lease file from another process)",
     "repro/catalog/store.py::CatalogStore.delete_object":
-        "(b) the object delete of `Catalog.remove` and gc; tests delete under the shard lock to inspect gc races",
+        "(b) tests delete one object under the shard lock to inspect deletion, save's re-derive and gc races",
     "repro/catalog/store.py::CatalogStore.delete_profiles":
         "(b) tests drop a profile group to inspect the profile cache's recompute path",
     "repro/cli.py::_cancel_on_sigint.<locals>.handler":
@@ -212,6 +206,8 @@ KEEP: dict = {
         "(c) makes a CLI refusal visible when nothing configured logging",
     "repro/obs/logcfg.py::context_fields":
         "(b) tests read the bound log context",
+    "repro/obs/metrics.py::MetricFamily.inc":
+        "(b) tests count into unlabelled families",
     "repro/obs/metrics.py::MetricFamily.observe":
         "(b) tests observe into unlabelled families",
     "repro/obs/metrics.py::MetricFamily.quantile":

@@ -8,8 +8,8 @@ apart by the attribute-naming convention alone:
   Their critical sections are short; blocking I/O under one stalls
   every thread in the process.
 * **Cross-process critical-section locks** — a *call* named like a
-  mutex (``self._dir_lock(path)``, ``store.root_lock()``,
-  ``LeaseManager._lock()``: factories returning a backend file lock)
+  mutex (``self._dir_lock(path)``, ``store.root_lock()``: factories
+  returning a backend file lock)
   and the engine caches' ``single_flight(key)`` slots.  They exist
   precisely to serialize file I/O or a build of one key, so I/O under
   them is the intended idiom.
@@ -49,7 +49,7 @@ def classify_with_item(item: ast.withitem) -> Optional[LockRef]:
     if isinstance(expr, ast.Call):
         name = terminal_name(expr.func)
         # A factory named like a mutex (``self._dir_lock(path)``,
-        # ``LeaseManager._lock()``) returns a backend file lock.
+        # ``store.root_lock()``) returns a backend file lock.
         if name is not None and (
             name in FILE_LOCK_CALLS or _looks_in_process(name)
         ):
@@ -79,8 +79,8 @@ def blocking_reason(node: ast.Call) -> Optional[str]:
 
     Recognizes raw I/O (builtin ``open``, ``os.*`` file ops,
     ``tempfile``/``shutil``/``subprocess``/``socket`` use,
-    ``time.sleep``) and this project's own I/O seams (``*.backend.*``
-    VFS methods, ``*.leases.*`` lease-file operations).
+    ``time.sleep``) and this project's own I/O seam (``*.backend.*``
+    VFS methods).
     """
     func = node.func
     if isinstance(func, ast.Name):
@@ -107,12 +107,8 @@ def blocking_reason(node: ast.Call) -> Optional[str]:
     ):
         return f"os.{name}()"
     parts = dotted.split(".")
-    if len(parts) >= 2:
-        receiver = parts[-2]
-        if receiver == "backend" and name in BACKEND_IO_METHODS:
-            return f"backend.{name}() (store VFS I/O)"
-        if receiver == "leases" and name in LEASE_IO_METHODS:
-            return f"leases.{name}() (lease-file I/O)"
+    if len(parts) >= 2 and parts[-2] == "backend" and name in BACKEND_IO_METHODS:
+        return f"backend.{name}() (store VFS I/O)"
     return None
 
 
@@ -160,6 +156,3 @@ BACKEND_IO_METHODS = {
     "disk_bytes",
     "write_stream",
 }
-
-#: LeaseManager methods that read/write lease files.
-LEASE_IO_METHODS = {"acquire", "renew", "release", "active", "active_claims"}

@@ -1,8 +1,8 @@
 """Blocking-under-lock checker.
 
 Flags blocking work — file I/O, subprocesses, sleeps, sockets, and the
-project's own I/O seams (``backend.*`` VFS methods, ``leases.*``
-lease-file operations) — performed while an **in-process mutex** is
+project's own I/O seam (``backend.*`` VFS methods) — performed while
+an **in-process mutex** is
 held.  Every thread contending on that mutex stalls for the duration
 of the I/O, which is exactly the latency cliff the engine's
 short-critical-section design avoids.
